@@ -31,7 +31,7 @@ con = T.contraction_report()
 print("sup-norm exponent of rho M:", con["sup_norm_exponent"],
       "(norm p, not a contraction entrywise)")
 print("power exponents:", [str(x) for x in con["power_exponents"]])
-print("topologically nilpotent:", con["topologically_nilpotent"])
+print("topologically nilpotent:", con["nilpotent"])
 print("kernel of g - 1:", kernel_check(T))
 
 # Neumann and dense solves agree far below working precision

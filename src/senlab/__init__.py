@@ -10,10 +10,10 @@ towers), dpseries (divided-power algebra and its derivation), senmod
 from .errors import (ConvergenceError, DomainError, PrecisionError, SenlabError,
                      UsageError)
 from .padic import (DEFAULT_PRECISION, NewtonPolygon, PadicPoly, PadicScalar,
-                    newton_polygon, padic_exp, padic_log, scalar_arith)
+                    newton_polygon, padic_exp, padic_log)
 from .field import (FieldElement, FieldEmbedding, LocalField, LocalFieldSpec,
                     apply_substitution, build_field, cyclotomic_field,
-                    eisenstein_field, elem_arith, qp_field, residue,
+                    eisenstein_field, qp_field, residue,
                     scalar_embedding, trace_to_Qp, valuation)
 from .dpseries import (DPSeries, coaction, dp_compose, dp_mul, gsharp_transport,
                        log_t, sen_theta, solve_theta, theta_matrix)

@@ -58,7 +58,6 @@ def criterion_1():
     N-1, and the kernel of theta on the truncation is exactly the constants.
     K = Q_3(sqrt 3), truncation 24, precision 40; 20 random integral inputs;
     exact to stated precision."""
-    start = time.time()
     K = _ramified_base(40)
     n_trunc = 24
     rng = random.Random(2024)
@@ -74,13 +73,12 @@ def criterion_1():
     _require(not vec[0].is_zero(), "kernel vector has no constant part")
     _require(all(x.is_zero() for x in vec[1:]),
              "kernel vector is not a constant")
-    return {"trials": 20, "kernel_dim": coh.h0_dim, "elapsed": time.time() - start}
+    return {"trials": 20, "kernel_dim": coh.h0_dim}
 
 
 def criterion_2():
     """The preimage of 1 under theta has coefficients (-e)^(n-1) (n-1)!
     exactly for n = 1..N, i.e. it is the additive coordinate log(1+ea)/e."""
-    start = time.time()
     K = _ramified_base(50)
     n_trunc = 32
     sol = solve_theta(DPSeries.one(K, n_trunc))
@@ -92,14 +90,13 @@ def criterion_2():
     _require(sol.coeffs[0].is_zero(), "constant term must vanish")
     lt = log_t(K, n_trunc)
     _require(sol.eq_to_precision(lt), "preimage differs from the log coordinate")
-    return {"trunc": n_trunc, "elapsed": time.time() - start}
+    return {"trunc": n_trunc}
 
 
 def criterion_3():
     """Group substitution equals the operator series on the regular
     representation: truncation 16, ten random (f, b) with v(b) >= 1,
     entrywise agreement at >= 50 - 4 digits."""
-    start = time.time()
     target, guard = 50, 4
     K = _ramified_base(target + guard)
     n_trunc = 16
@@ -121,7 +118,7 @@ def criterion_3():
             _require(diff.is_zero() and bound >= target - 4,
                      f"trial {trial} degree {n}: agreement only to {bound}")
     return {"trials": 10, "worst_agreement": str(worst),
-            "tolerance": target - 4, "elapsed": time.time() - start}
+            "tolerance": target - 4}
 
 
 def criterion_4():
@@ -130,7 +127,6 @@ def criterion_4():
     weights in [-3, 3], integral perturbations), plus rank-one binomial
     checks: weight n in {0, 1, 3} terminates to (1+eb)^n exactly and
     weight -1 matches the geometric inverse to precision."""
-    start = time.time()
     target, guard = 50, 6
     K = _ramified_base(target + guard)
     e = K.different_e
@@ -169,7 +165,7 @@ def criterion_4():
     _require(diff.is_zero() and diff.val_bound() >= target - 4,
              "rank-one weight -1 misses the geometric inverse")
     return {"trials": 10, "worst_agreement": str(worst),
-            "tolerance": target - 4, "elapsed": time.time() - start}
+            "tolerance": target - 4}
 
 
 def criterion_5():
@@ -178,7 +174,6 @@ def criterion_5():
     passes; and the resultant-based characteristic polynomial of
     theta^p - e^(p-1) theta agrees exactly with the direct computation on 20
     random matrices of dimension <= 4."""
-    start = time.time()
     K = _ramified_base(50)
     Q5 = qp_field(5, 40)
     _require(nearly_ht_test(SenModule.diagonal_weights(K, [0, 1, -3])).verdict,
@@ -200,14 +195,13 @@ def criterion_5():
         for a, b in zip(direct, oracle):
             _require((a - b).is_zero(),
                      f"trial {trial}: resultant oracle disagrees")
-    return {"random_matrices": 20, "elapsed": time.time() - start}
+    return {"random_matrices": 20}
 
 
 def criterion_6():
     """Cohomology of theta: h0 = h1 on 50 random modules; theta = 0 gives
     (d, d); the rank-two nilpotent gives (1, 1); invertible theta gives
     (0, 0).  Exact."""
-    start = time.time()
     K = _ramified_base(40)
     Q5 = qp_field(5, 40)
     rng = random.Random(6)
@@ -225,14 +219,13 @@ def criterion_6():
     _require((coh.h0_dim, coh.h1_dim) == (1, 1), "nilpotent must give (1, 1)")
     coh = cohomology(SenModule.diagonal_weights(K, [1, 2]))
     _require((coh.h0_dim, coh.h1_dim) == (0, 0), "invertible theta must give (0, 0)")
-    return {"random_modules": 50, "elapsed": time.time() - start}
+    return {"random_modules": 50}
 
 
 def criterion_7():
     """Uniform inverse bounds: p = 3, generator a = 2 at levels m = 1, 2, 3,
     twists n in [-10, 10] without 0.  One finite delta bounds every exponent
     and the per-level maxima agree exactly."""
-    start = time.time()
     deltas = {}
     tables = {}
     for m in (1, 2, 3):
@@ -246,7 +239,7 @@ def criterion_7():
              f"per-level maxima differ: {deltas}")
     _require(tables[1] == tables[2] == tables[3],
              "per-twist exponent tables differ between levels")
-    return {"delta": str(deltas[1]), "elapsed": time.time() - start}
+    return {"delta": str(deltas[1])}
 
 
 def criterion_8():
@@ -262,12 +255,11 @@ def criterion_8():
     so a sup-norm smaller than 1 is unattainable in this finite model; the
     certificate asserted here is the spectral one that actually drives the
     series."""
-    start = time.time()
     target, guard = 50, 10
     level = build_level(3, 2, 10, target + guard)
     T = g_minus_one(level, PadicScalar.from_int(1, 3, target + guard), 8)
     con = T.contraction_report()
-    _require(con["topologically_nilpotent"],
+    _require(con["nilpotent"],
              "rho M is not topologically nilpotent")
     _require(kernel_check(T) == 0, "twisted operator has a kernel")
     rng = random.Random(8)
@@ -287,8 +279,7 @@ def criterion_8():
                  f"trial {trial}: residual valuation {res['residual_valuation']}")
     return {"sup_norm_exponent": str(con["sup_norm_exponent"]),
             "power_exponents": [str(x) for x in con["power_exponents"]],
-            "worst_agreement": str(worst), "tolerance": target - 4,
-            "elapsed": time.time() - start}
+            "worst_agreement": str(worst), "tolerance": target - 4}
 
 
 def criterion_9():
@@ -298,7 +289,6 @@ def criterion_9():
     polynomial); the boundary scales by the relative degree along the
     embedding on ten random elements; witnesses of exact order p^k exist for
     k <= 5.  Exact."""
-    start = time.time()
     p = 5
     Q = qp_field(p, 40)
     _require(boundary(Q.one()).as_fraction() == Fraction(1, p),
@@ -334,7 +324,7 @@ def criterion_9():
     rep = kernel_lattice(C, 0)
     _require(all(in_picard_image(x) for x in rep.basis),
              "kernel lattice basis must map to zero")
-    return {"elapsed": time.time() - start}
+    return {}
 
 
 def criterion_10():
@@ -343,7 +333,6 @@ def criterion_10():
     exactly to precision 40 through degree 24, for five admissible b.  The
     comparison degrees are computed at working truncation 96 so their
     truncation tails clear the target precision."""
-    start = time.time()
     target, guard = 40, 6
     K = qp_field(3, target + guard)
     n_work, n_report = 96, 24
@@ -361,8 +350,7 @@ def criterion_10():
             _require(diff.is_zero() and diff.val_bound() >= target,
                      f"b = {b_int}, degree {n}: agreement only to {diff.val_bound()}")
             checked += 1
-    return {"values_checked": checked, "tolerance": target,
-            "elapsed": time.time() - start}
+    return {"values_checked": checked, "tolerance": target}
 
 
 CRITERIA = {
@@ -390,24 +378,31 @@ SUITES = {
 
 
 def run_criterion(index: int):
+    """Run one criterion; it fails on a false assertion or on reaching its
+    runtime budget, timed once around the whole criterion."""
     name, fn = CRITERIA[index]
-    start = time.time()
+    budget = RUNTIME_BUDGETS[index]
+    start = time.perf_counter()
     try:
         details = fn()
         passed = True
         message = ""
     except CriterionFailure as err:
-        details = {"elapsed": time.time() - start}
+        details = {}
         passed = False
         message = str(err)
+    elapsed = time.perf_counter() - start
+    if passed and elapsed >= budget:
+        passed = False
+        message = "took %.2fs, over the %.1fs runtime budget" % (elapsed, budget)
     return {
         "index": index,
         "name": name,
         "passed": passed,
         "message": message,
-        "budget_s": RUNTIME_BUDGETS[index],
-        "details": {k: v for k, v in details.items() if k != "elapsed"},
-        "elapsed_s": details.get("elapsed", 0.0),
+        "budget_s": budget,
+        "details": details,
+        "elapsed_s": elapsed,
     }
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -20,7 +21,7 @@ from . import jsonio
 from .accept import SUITES, run_suite
 from .dpseries import coaction, dp_mul, gsharp_transport, log_t, sen_theta, solve_theta
 from .errors import SenlabError, UsageError
-from .field import FieldEmbedding, elem_arith, residue, scalar_embedding, trace_to_Qp, valuation
+from .field import FieldEmbedding, residue, scalar_embedding, trace_to_Qp, valuation
 from .gamma import (build_level, g_minus_one, kernel_check, neumann_invert,
                     rho_bound)
 from .padic import DEFAULT_PRECISION, PadicScalar
@@ -98,12 +99,16 @@ def _cmd_field_build(args):
     }
 
 
+_ARITH_OPS = {"add": operator.add, "sub": operator.sub,
+             "mul": operator.mul, "div": operator.truediv}
+
+
 def _cmd_field_arith(args):
     K = _field_from_args(args)
     x = jsonio.decode_element(_load(args.x), K, "x")
     y = jsonio.decode_element(_load(args.y), K, "y")
     return {"settings": _settings(args, K.prec),
-            "result": jsonio.encode_element(elem_arith(x, y, args.op))}
+            "result": jsonio.encode_element(_ARITH_OPS[args.op](x, y))}
 
 
 def _cmd_field_valuation(args):
@@ -306,7 +311,7 @@ def _cmd_gamma_kernel(args):
     return {"settings": _settings(args, level.prec, trunc),
             "kernel_dimension": kernel_check(T),
             "sup_norm_exponent": jsonio.encode_fraction(con["sup_norm_exponent"]),
-            "topologically_nilpotent": con["topologically_nilpotent"]}
+            "topologically_nilpotent": con["nilpotent"]}
 
 
 def _cmd_picard_boundary(args):
@@ -420,7 +425,7 @@ def build_parser():
     q = leaf(fld, "arith", _cmd_field_arith)
     q.add_argument("--field", required=True); q.add_argument("--x", required=True)
     q.add_argument("--y", required=True)
-    q.add_argument("--op", required=True, choices=["add", "sub", "mul", "div"])
+    q.add_argument("--op", required=True, choices=sorted(_ARITH_OPS))
     q = leaf(fld, "valuation", _cmd_field_valuation)
     q.add_argument("--field", required=True); q.add_argument("--elem", required=True)
     q.add_argument("--normalize", default="p", choices=["p", "pi"])

@@ -21,7 +21,7 @@ from math import comb
 
 from .errors import ConvergenceError, UsageError
 from .field import FieldElement, LocalField
-from .padic import PadicScalar
+from .padic import PadicScalar, vp_int
 
 
 class DPSeries:
@@ -170,7 +170,7 @@ def _monitor_coaction_tail(f: DPSeries, b: FieldElement):
     vfact = 0
     for k in range(f.trunc + 1):
         if k:
-            vfact += _vp_int(k, p)
+            vfact += vp_int(k, p)
         c = f.coeffs[k]
         vals.append(c.val_bound() + k * vb - vfact)
     tail = vals[-window:]
@@ -179,14 +179,6 @@ def _monitor_coaction_tail(f: DPSeries, b: FieldElement):
             "coaction terms keep growing for v(b) = %s <= 0; the truncated sum "
             "does not approximate the completed algebra" % vb,
             concept="coaction convergence monitor")
-
-
-def _vp_int(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def log_t(field: LocalField, trunc: int, e: FieldElement | None = None) -> DPSeries:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError, PrecisionError, UsageError
-from .padic import DEFAULT_PRECISION, PadicScalar
+from .padic import DEFAULT_PRECISION, PadicScalar, require_prime
 
 INF = Fraction(10 ** 9)
 
@@ -137,6 +137,7 @@ class LocalFieldSpec:
     """Defining data: prime, monic unramified g over Q_p, Eisenstein E over U."""
 
     def __init__(self, p, unramified_poly, eisenstein_poly, prec=DEFAULT_PRECISION):
+        require_prime(p)
         self.p = p
         self.prec = prec
         self.unramified_poly = [self._scalar(c) for c in unramified_poly]
@@ -313,15 +314,6 @@ class LocalField:
             pi_pow = pi_pow * self.pi
         return acc
 
-    def derivative_at_pi_horner(self):
-        """e = E'(pi) again, via the derivative polynomial and Horner."""
-        deriv = [self._embed_ypoly(self.E[i]) * self.from_int(i)
-                 for i in range(1, self.e_ram + 1)]
-        acc = self.zero()
-        for coeff in reversed(deriv):
-            acc = acc * self.pi + coeff
-        return acc
-
     def _embed_ypoly(self, ypoly):
         rows = [[self.zero_scalar()] * self.e_ram for _ in range(self.f)]
         for j, c in enumerate(ypoly):
@@ -392,6 +384,11 @@ class FieldElement:
     def coordinates(self):
         """Flat Q_p coordinates, basis order t = j * e_ram + i."""
         return [c for row in self.rows for c in row]
+
+    def truncated(self, prec: int) -> "FieldElement":
+        """Every coordinate cut to absolute precision at most prec."""
+        return FieldElement(self.field, [[c.truncated(prec) for c in row]
+                                         for row in self.rows])
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -523,18 +520,6 @@ def _unflatten(vec, field):
 # ---------------------------------------------------------------------------
 # module operations
 # ---------------------------------------------------------------------------
-
-def elem_arith(x: FieldElement, y: FieldElement, op: str) -> FieldElement:
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise UsageError(f"unknown element operation {op!r}")
-
 
 def valuation(x: FieldElement, normalize: str = "p"):
     """(exact, value): exact rational when certified, else a lower bound."""

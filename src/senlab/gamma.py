@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import ConvergenceError, DomainError, PrecisionError, UsageError
 from .field import cyclotomic_field, FieldEmbedding
-from .padic import DEFAULT_PRECISION, PadicScalar
+from .padic import DEFAULT_PRECISION, PadicScalar, require_prime, vp_factorial
 
 
 class CyclotomicLevel:
@@ -56,6 +56,7 @@ def build_level(p: int, m: int, a: int, prec: int = DEFAULT_PRECISION) -> Cyclot
     a = 1 mod p^m is allowed: sigma_a is then trivial on the finite level
     while chi = a still twists the action.
     """
+    require_prime(p)
     if m < 1:
         raise UsageError("level m must be >= 1")
     if math.gcd(a, p) != 1 or a <= 0:
@@ -193,7 +194,6 @@ class TwistedOperator:
             "sup_norm_exponent": exps[0],
             "power_exponents": exps,
             "nilpotent": nilpotent,
-            "topologically_nilpotent": nilpotent,
         }
 
 
@@ -245,8 +245,7 @@ def g_minus_one(level: CyclotomicLevel, e: PadicScalar, trunc: int) -> TwistedOp
     return TwistedOperator(level, e, trunc, y, mat, rho, rho_m)
 
 
-def neumann_invert(T: TwistedOperator, rhs, target_prec: int | None = None,
-                   require_contraction: bool = False):
+def neumann_invert(T: TwistedOperator, rhs, require_contraction: bool = False):
     """Solve (g - 1) x = rhs by x = sum_k (-rho M)^k rho rhs.
 
     The sum always terminates on the truncation (rho M is nilpotent); when
@@ -256,7 +255,6 @@ def neumann_invert(T: TwistedOperator, rhs, target_prec: int | None = None,
     """
     p = T.level.p
     prec = T.level.prec
-    target = prec if target_prec is None else target_prec
     if len(rhs) != T.size:
         raise UsageError("right-hand side has size %d; expected %d"
                          % (len(rhs), T.size))
@@ -321,26 +319,27 @@ def log_coordinate_tail_bounds(T: TwistedOperator):
     truncated operator only misses the terms k > trunc - n, each of size
     chi^n c_{n+k} y^k / k!, so the residual at slot n has valuation at least
     min_k [ v(c_{n+k}) + k v(y) - v_p(k!) ].
+
+    The scan over k stops once the floor (n + k - 1) v(e) + k v(y) +
+    v_p((n-1)!) of every later term cannot beat the minimum found so far.
+    The floor is nondecreasing in k, since v(e) + v(y) = v(chi - 1) >= 0, and
+    a term meets it whenever k and n - 1 add without a carry in base p, so
+    the scan is finite.
     """
     p = T.level.p
     vy = T.y.val
     exact, ve = T.e.pivot_val()
+
+    def val(n, k):
+        return ((n + k - 1) * ve + vp_factorial(n + k - 1, p)
+                + k * vy - vp_factorial(k, p))
+
     bounds = []
     for n in range(1, T.trunc + 1):
-        best = None
-        for k in range(T.trunc - n + 1, T.trunc + DEFAULT_PRECISION):
-            deg = n + k
-            v_c = (deg - 1) * ve + _vp_factorial(deg - 1, p)
-            val = v_c + k * vy - _vp_factorial(k, p)
-            best = val if best is None else min(best, val)
+        k = T.trunc - n + 1
+        best = val(n, k)
+        while (n + k) * ve + (k + 1) * vy + vp_factorial(n - 1, p) < best:
+            k += 1
+            best = min(best, val(n, k))
         bounds.append(best)
     return bounds
-
-
-def _vp_factorial(n: int, p: int) -> int:
-    v = 0
-    q = p
-    while q <= n:
-        v += n // q
-        q *= p
-    return v

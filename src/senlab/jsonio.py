@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .field import FieldElement, LocalField, LocalFieldSpec, build_field
-from .padic import NewtonPolygon, PadicScalar
+from .padic import NewtonPolygon, PadicScalar, require_prime
 
 
 # -- primitives ---------------------------------------------------------------
@@ -58,6 +58,8 @@ def decode_scalar(obj, path="scalar", p=None, prec=None):
         pp = _as_int(obj["p"], path + ".p") if "p" in obj else p
         if pp is None:
             raise UsageError(f"{path}.p: missing prime")
+        if "p" in obj:
+            require_prime(pp)
         pr = _as_int(obj["prec"], path + ".prec") if "prec" in obj else prec
         if pr is None:
             raise UsageError(f"{path}.prec: missing precision")
@@ -97,6 +99,7 @@ def decode_field_spec(obj, path="field", prec_override=None) -> LocalField:
         if key not in obj:
             raise UsageError(f"{path}.{key}: missing")
     p = _as_int(obj["p"], path + ".p")
+    require_prime(p)
     prec = prec_override if prec_override is not None else \
         _as_int(obj.get("prec", 0), path + ".prec")
     if prec <= 0:

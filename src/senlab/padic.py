@@ -9,22 +9,49 @@ largest absolute precision the operands justify:
     mul     : min(N_x + v(y), N_y + v(x))
     div     : min(N_x - v(y), N_y + v(x) - 2 v(y))
 
-Valuations are normalized by v(p) = 1.  The module also provides the p-adic
-exponential and logarithm (with their convergence balls) and Newton polygons
-with slopes reported as root valuations.
+Valuations are normalized by v(p) = 1.  The module also provides the one
+series summation helper `sum_series`, the p-adic exponential and logarithm
+(with their convergence balls) and Newton polygons with slopes reported as
+root valuations.
+
+Every convergent series is summed with an a priori stop rule: each term comes
+with a proven lower bound on the valuation of every later term, and summation
+stops once that bound reaches the target precision, so no dropped term can
+change a reported digit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConvergenceError, DomainError, PrecisionError, UsageError
+from .errors import DomainError, PrecisionError, UsageError
 
 DEFAULT_PRECISION = 50
 
-# Series stop rule: a term may only be dropped once its valuation clears the
-# target and the last max(5, p) term valuations were nondecreasing.
-HARD_CAP_FACTOR = 10
+# Miller-Rabin witnesses; deterministic for every n < 3.3 * 10^24.
+_PRIME_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def require_prime(p) -> None:
+    """Raise UsageError unless p is a prime (checked before any arithmetic)."""
+    if p in _PRIME_WITNESSES:
+        return
+    if p < 2 or any(p % q == 0 for q in _PRIME_WITNESSES):
+        raise UsageError("p = %d is not a prime" % p, concept="residue characteristic")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise UsageError("p = %d is not a prime" % p, concept="residue characteristic")
 
 
 def vp_int(n: int, p: int) -> int:
@@ -36,6 +63,16 @@ def vp_int(n: int, p: int) -> int:
     while n % p == 0:
         n //= p
         v += 1
+    return v
+
+
+def vp_factorial(n: int, p: int) -> int:
+    """v_p(n!) by Legendre's formula."""
+    v = 0
+    q = p
+    while q <= n:
+        v += n // q
+        q *= p
     return v
 
 
@@ -137,11 +174,6 @@ class PadicScalar:
         if self.val < 0:
             raise ValueError("lift of a non-integral scalar")
         return (self.p ** self.val * self.unit) % self.p ** self.prec
-
-    def lift_fraction(self) -> Fraction:
-        if self.val is None:
-            return Fraction(0)
-        return Fraction(self.p) ** self.val * self.unit
 
     def residue(self) -> int:
         """Image in F_p; requires val >= 0 and one known digit."""
@@ -265,60 +297,26 @@ class PadicScalar:
         return f"{self.p}^{self.val}*{self.unit} + O({self.p}^{self.prec})"
 
 
-def scalar_arith(x: PadicScalar, y: PadicScalar, op: str) -> PadicScalar:
-    """Dispatch table form of +, -, *, / used by the JSON front end."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise UsageError(f"unknown scalar operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
-# monitored series summation
+# series summation
 # ---------------------------------------------------------------------------
 
-def sum_padic_series(terms, p: int, target_prec: int) -> PadicScalar:
-    """Sum exact-rational terms modulo p^target_prec.
+def sum_series(terms, target_prec: int):
+    """Sum a convergent series to absolute precision target_prec.
 
-    Stops once the next term's valuation reaches the target and the last
-    max(5, p) term valuations were nondecreasing; a hard cap of
-    10 * target_prec terms raises ConvergenceError.
+    `terms` yields pairs (entries, tail): entries is a list of values with
+    `+` and `truncated` (PadicScalar or FieldElement), and tail is a proven
+    lower bound on the valuation of every later term.  Summation stops at the
+    first tail >= target_prec, so every dropped term vanishes modulo
+    p^target_prec, and the sum is truncated there so that it reports no digit
+    beyond the target.  A finite generator is summed in full.
     """
-    window = max(5, p)
-    hard_cap = HARD_CAP_FACTOR * max(target_prec, 1)
-    acc = 0
-    modulus = p ** target_prec
-    recent = []
-    count = 0
-    for term in terms:
-        count += 1
-        if count > hard_cap:
-            raise ConvergenceError(
-                "series exceeded %d terms without clearing precision %d"
-                % (hard_cap, target_prec),
-                concept="series stop rule")
-        if term == 0:
-            v = target_prec
-        else:
-            v = vp_fraction(term, p)
-            if v < target_prec:
-                acc = (acc + fraction_mod(term / Fraction(p) ** v, p, target_prec - v)
-                       * p ** v) % modulus
-        recent.append(v)
-        if len(recent) > window:
-            recent.pop(0)
-        if v >= target_prec and len(recent) == window and \
-                all(recent[i] <= recent[i + 1] for i in range(window - 1)):
+    acc = None
+    for entries, tail in terms:
+        acc = list(entries) if acc is None else [a + t for a, t in zip(acc, entries)]
+        if tail >= target_prec:
             break
-    else:
-        # generator exhausted: fine, it was a finite sum
-        pass
-    return PadicScalar.from_residue(p, acc, target_prec)
+    return [x.truncated(target_prec) for x in acc]
 
 
 def exp_domain_threshold(p: int) -> int:
@@ -343,17 +341,23 @@ def padic_exp(x: PadicScalar, target_prec=None) -> PadicScalar:
             "exp requires v(x) > alpha = %s (v(x) >= %d for p = %d); got v(x) = %d"
             % (alpha, threshold, p, x.val),
             concept="convergence radius alpha")
-    x0 = Fraction(x.lift())
+    modulus = p ** prec
 
     def terms():
-        term = Fraction(1)
-        n = 0
+        # x^n/n! = p^shift * unit, exactly modulo p^prec.  Term m has
+        # valuation >= m v(x) - (m-1)/(p-1), increasing in m inside the ball;
+        # valuations are integers, so every term after the n-th has valuation
+        # >= (n+1) v(x) - floor(n/(p-1)).
+        unit, shift, n = 1, 0, 0
         while True:
-            yield term
+            yield [PadicScalar.from_residue(p, unit * p ** shift, prec)], \
+                (n + 1) * x.val - n // (p - 1)
             n += 1
-            term = term * x0 / n
+            k = vp_int(n, p)
+            shift += x.val - k
+            unit = unit * x.unit * pow(n // p ** k, -1, modulus) % modulus
 
-    return sum_padic_series(terms(), p, prec)
+    return sum_series(terms(), prec)[0]
 
 
 def padic_log(x: PadicScalar, target_prec=None) -> PadicScalar:
@@ -367,17 +371,23 @@ def padic_log(x: PadicScalar, target_prec=None) -> PadicScalar:
         raise DomainError(
             "log requires v(x - 1) >= 1; got v(x - 1) = %d" % u.val,
             concept="logarithm domain 1 + pZ_p")
-    u0 = Fraction(u.lift())
+    modulus = p ** prec
 
     def terms():
-        power = Fraction(1)
-        n = 0
+        # -(-u)^n/n = p^(n v(u) - v_p(n)) * unit, exactly modulo p^prec.
+        # v(u^m/m) >= m v(u) - floor(log_p m), nondecreasing in m for v(u) >= 1.
+        power, n = 1, 0
+        log_next = 0            # floor(log_p (n + 1))
         while True:
             n += 1
-            power = power * (-u0)
-            yield -power / n
+            power = -power * u.unit % modulus
+            k = vp_int(n, p)
+            if p ** (log_next + 1) <= n + 1:
+                log_next += 1
+            term = -power * pow(n // p ** k, -1, modulus) * p ** (n * u.val - k)
+            yield [PadicScalar.from_residue(p, term, prec)], (n + 1) * u.val - log_next
 
-    return sum_padic_series(terms(), p, prec)
+    return sum_series(terms(), prec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +424,6 @@ class PadicPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return PadicPoly(out, monic=self.monic and other.monic)
-
-    def evaluate(self, x):
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc
 
     def derivative(self):
         if self.degree == 0:

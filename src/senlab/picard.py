@@ -118,12 +118,11 @@ def in_picard_image(x: FieldElement) -> bool:
 
 
 class KernelLatticeReport:
-    __slots__ = ("basis", "image_order_exponent", "index_exponent", "s")
+    __slots__ = ("basis", "image_order_exponent", "s")
 
     def __init__(self, basis, image_order_exponent, s):
         self.basis = basis
         self.image_order_exponent = image_order_exponent
-        self.index_exponent = image_order_exponent
         self.s = s
 
     def __repr__(self):

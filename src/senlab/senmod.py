@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import ConvergenceError, DomainError, UsageError
 from .field import FieldElement, LocalField
-from .padic import NewtonPolygon, PadicScalar, newton_polygon_from_points
+from .padic import NewtonPolygon, PadicScalar, newton_polygon_from_points, sum_series
 
 
 class SenModule:
@@ -320,77 +320,15 @@ def trivial_module(field: LocalField, e: FieldElement | None = None) -> SenModul
 # the semilinear operator series
 # ---------------------------------------------------------------------------
 
-def _series_terms(M: SenModule, b: FieldElement, target: int, vector=None):
-    """Yield the terms (b^n/n!) prod_{i<n}(theta - e i), matrix or applied."""
-    K = M.field
-    ident = linalg.identity(M.dim, M._one(), M._zero())
-    coef = K.one()
-    if vector is None:
-        prod = ident
-        yield linalg.mat_scale(prod, coef)
-    else:
-        prod = list(vector)
-        yield [coef * x for x in prod]
-    n = 0
-    theta = M.matrix()
-    while True:
-        shift = linalg.mat_sub(theta, linalg.mat_scale(ident, M.e * n))
-        n += 1
-        coef = coef * b / K.from_int(n)
-        if vector is None:
-            prod = linalg.mat_mul(shift, prod, M._zero())
-            yield linalg.mat_scale(prod, coef)
-        else:
-            prod = linalg.mat_vec(shift, prod, M._zero())
-            yield [coef * x for x in prod]
+def _summed_series(M: SenModule, b, target_prec, check, vector=None):
+    """Sum (b^n/n!) prod_{i<n}(theta - e i), as a flat matrix or applied to
+    `vector`, with the a priori stop rule of `sum_series`.
 
-
-def _min_val_bound(rows):
-    vals = []
-    for row in rows:
-        if isinstance(row, list):
-            vals.extend(x.val_bound() for x in row)
-        else:
-            vals.append(row.val_bound())
-    return min(vals)
-
-
-def _summed_series(M, b, target, vector=None):
-    K = M.field
-    p = K.p
-    window = max(5, p)
-    cap = 10 * max(target, 1)
-    acc = None
-    recent = []
-    for count, term in enumerate(_series_terms(M, b, target, vector=vector)):
-        if count > cap:
-            raise ConvergenceError(
-                "operator series exceeded %d terms; first non-decreasing term "
-                "valuation %s" % (cap, recent[0] if recent else None),
-                concept="series stop rule")
-        if acc is None:
-            acc = term
-        elif vector is None:
-            acc = linalg.mat_add(acc, term)
-        else:
-            acc = [x + y for x, y in zip(acc, term)]
-        v = _min_val_bound(term if vector is None else [term])
-        recent.append(v)
-        if len(recent) > window:
-            recent.pop(0)
-        if v >= target and len(recent) == window and \
-                all(recent[i] <= recent[i + 1] for i in range(window - 1)):
-            return acc
-    raise ConvergenceError("operator series generator stopped unexpectedly")
-
-
-def operator_series(M: SenModule, b, target_prec: int | None = None,
-                    check: bool = True):
-    """The matrix (1 + e b)^(theta/e) = sum (b^n/n!) prod_{i<n}(theta - e i).
-
-    Requires the nearly-Hodge-Tate condition, which makes the factor products
-    tend to zero; admissible pairs satisfy the group law
-    S(b) S(b') = S(b + b' + e b b').
+    Every factor theta - e i has entries of valuation at least
+    w = min(v(theta), v(e)), and v(b^m/m!) >= m v(b) - (m-1)/(p-1).  With
+    c = v(b) + w, every term after the n-th therefore has valuation at least
+    v(P_n) - n w + (n+1)(c - 1/(p-1)) + 1/(p-1), where P_n is the product
+    the generator holds; the bound grows only when c > 1/(p-1).
     """
     K = M.field
     if isinstance(b, (int, PadicScalar)):
@@ -402,24 +340,54 @@ def operator_series(M: SenModule, b, target_prec: int | None = None,
                 "operator series requires a nearly-Hodge-Tate module; offending "
                 "slopes %s" % report.offending,
                 concept="nearly Hodge-Tate classifier")
+    alpha = Fraction(1, K.p - 1)
+    w = min([M.e.val_bound()] + [x.val_bound() for row in M.theta for x in row])
+    c = b.val_bound() + w
+    if c <= alpha:
+        raise ConvergenceError(
+            "operator series needs v(b) + min(v(theta), v(e)) > 1/(p-1) = %s; "
+            "got %s" % (alpha, c), concept="operator series stop rule")
     target = K.prec if target_prec is None else target_prec
-    return _summed_series(M, b, target)
+    theta = M.matrix()
+    ident = linalg.identity(M.dim, M._one(), M._zero())
+
+    def terms():
+        prod = ident if vector is None else list(vector)
+        coef = K.one()
+        n = 0
+        while True:
+            flat = [x for row in prod for x in row] if vector is None else prod
+            v_prod = min(x.val_bound() for x in flat)
+            yield [coef * x for x in flat], \
+                v_prod - n * w + (n + 1) * (c - alpha) + alpha
+            shift = linalg.mat_sub(theta, linalg.mat_scale(ident, M.e * n))
+            n += 1
+            coef = coef * b / K.from_int(n)
+            if vector is None:
+                prod = linalg.mat_mul(shift, prod, M._zero())
+            else:
+                prod = linalg.mat_vec(shift, prod, M._zero())
+
+    return sum_series(terms(), target)
+
+
+def operator_series(M: SenModule, b, target_prec: int | None = None,
+                    check: bool = True):
+    """The matrix (1 + e b)^(theta/e) = sum (b^n/n!) prod_{i<n}(theta - e i).
+
+    Requires the nearly-Hodge-Tate condition, which makes the factor products
+    tend to zero; admissible pairs satisfy the group law
+    S(b) S(b') = S(b + b' + e b b').  Raises ConvergenceError up front when
+    v(b) + min(v(theta), v(e)) <= 1/(p-1), where the stop rule has no bound.
+    """
+    flat = _summed_series(M, b, target_prec, check)
+    return [flat[i * M.dim:(i + 1) * M.dim] for i in range(M.dim)]
 
 
 def operator_series_apply(M: SenModule, b, vector, target_prec: int | None = None,
                           check: bool = True):
     """Apply the operator series to one vector without forming the matrix."""
-    K = M.field
-    if isinstance(b, (int, PadicScalar)):
-        b = K.from_scalar(b)
-    if check:
-        report = nearly_ht_test(M)
-        if not report.verdict:
-            raise DomainError(
-                "operator series requires a nearly-Hodge-Tate module",
-                concept="nearly Hodge-Tate classifier")
-    target = K.prec if target_prec is None else target_prec
-    return _summed_series(M, b, target, vector=list(vector))
+    return _summed_series(M, b, target_prec, check, vector=list(vector))
 
 
 def semilinear_descent_matrix(M: SenModule, chi_value: PadicScalar,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from senlab import jsonio
+from senlab import accept, jsonio
 from senlab.cli import main
 from senlab.dpseries import DPSeries, log_t
 from senlab.field import eisenstein_field, qp_field
@@ -62,6 +62,11 @@ class TestJsonRoundTrip:
         from senlab.errors import UsageError
         with pytest.raises(UsageError, match="unit"):
             jsonio.decode_scalar({"p": 3, "val": 0, "unit": "6", "prec": 10})
+
+    def test_non_prime_scalar_rejected(self):
+        from senlab.errors import UsageError
+        with pytest.raises(UsageError, match="not a prime"):
+            jsonio.decode_scalar({"p": 0, "val": 0, "unit": "1", "prec": 10})
 
 
 class TestCliCommands:
@@ -177,10 +182,39 @@ class TestExitCodes:
                             "--f", str(f), "--b", str(b))
         assert code == 5
 
+    def test_operator_series_below_bound_is_5(self, capsys, field_file, tmp_path):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(NILPOTENT))
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps({"coeffs": [["0", "1"]]}))
+        code, rep = run_cli(capsys, "senmod", "operator-series", "--field", field_file,
+                            "--theta", str(theta), "--b", str(b))
+        assert code == 5
+        assert rep["error"]["kind"] == "ConvergenceError"
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 9])
+    def test_non_prime_p_is_2(self, capsys, tmp_path, p):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(dict(FIELD_SPEC, p=p)))
+        code, rep = run_cli(capsys, "field", "build", "--spec", str(spec))
+        assert code == 2 and "not a prime" in rep["error"]["message"]
+        code, rep = run_cli(capsys, "gamma", "delta", "--p", str(p), "--m", "1",
+                            "--a", "2", "--nmin", "-2", "--nmax", "2")
+        assert code == 2 and "not a prime" in rep["error"]["message"]
+
     def test_unknown_flag_rejected(self, capsys, field_file):
         code = main(["field", "build", "--spec", field_file, "--bogus"])
         capsys.readouterr()
         assert code == 2
+
+
+class TestAccept:
+    def test_over_budget_criterion_fails(self, capsys, monkeypatch):
+        monkeypatch.setitem(accept.RUNTIME_BUDGETS, 9, 0.0)
+        code = main(["accept", "picard"])
+        captured = capsys.readouterr()
+        assert code != 0
+        assert "FAIL" in captured.err and "runtime budget" in captured.err
 
 
 class TestDeterminism:

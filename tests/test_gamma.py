@@ -119,7 +119,7 @@ class TestTwistedOperator:
 
     def test_contraction_certificate(self, operator):
         con = operator.contraction_report()
-        assert con["topologically_nilpotent"]
+        assert con["nilpotent"]
         # the literal sup norm exponent is 1 in this model: entries
         # chi^n y / (chi^n - 1) on the sigma-fixed line have valuation -v_p(n)
         assert con["sup_norm_exponent"] == Fraction(1)

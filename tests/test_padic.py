@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import count, islice
 
 import pytest
+from hypothesis import given, strategies as st
 
 from senlab.errors import DomainError, PrecisionError, UsageError
 from senlab.padic import (PadicPoly, PadicScalar, newton_polygon, padic_exp,
-                          padic_log, scalar_arith)
+                          padic_log)
 
 S = PadicScalar
 
@@ -25,15 +27,6 @@ class TestScalarArith:
         q = S.from_int(1, p, n) / S.from_int(1 - p, p, n)
         assert q.lift() == sum(p ** k for k in range(n)) % p ** n
         assert (S.from_int(1 - p, p, n) * q - S.one(p, n)).is_zero()
-
-    def test_dispatch(self):
-        x, y = S.from_int(7, 3, 12), S.from_int(5, 3, 12)
-        assert scalar_arith(x, y, "add") == S.from_int(12, 3, 12)
-        assert scalar_arith(x, y, "sub") == S.from_int(2, 3, 12)
-        assert scalar_arith(x, y, "mul") == S.from_int(35, 3, 12)
-        assert (scalar_arith(x, y, "div") * y - x).is_zero()
-        with pytest.raises(UsageError):
-            scalar_arith(x, y, "pow")
 
     def test_mixed_primes_rejected(self):
         with pytest.raises(UsageError):
@@ -102,6 +95,62 @@ class TestExpLog:
     def test_log_domain_error(self):
         with pytest.raises(DomainError):
             padic_log(S.from_int(2, 5, 10))
+
+
+def exact_sum(terms, n_terms):
+    return sum(islice(terms, n_terms), Fraction(0))
+
+
+def exp_terms(x):
+    term = Fraction(1)
+    for n in count(1):
+        yield term
+        term = term * x / n
+
+
+def log_terms(y):
+    for n in count(1):
+        yield Fraction((-1) ** (n - 1) * (y - 1) ** n, n)
+
+
+# 4N + 40 terms leave out only terms of valuation far above N:
+# v(x^n/n!) > n/2 for v(x) >= 1 (v(x) >= 2 when p = 2), v(u^n/n) >= n - log_2 n
+def oracle_terms(N):
+    return 4 * N + 40
+
+
+class TestSeriesStopRule:
+    def test_exp_of_3_over_Q3(self):
+        # the dropped term 3^9/9! has valuation 5 < 6
+        assert padic_exp(S.from_int(3, 3, 6)).lift() == 229
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_exp_and_log_match_exact_sums(self, p):
+        # includes log 3 over Q_2, which the window stop rule never finished
+        x = 4 if p == 2 else p
+        y = 1 + p
+        for N in range(1, 30):
+            e = padic_exp(S.from_int(x, p, N))
+            assert e.prec == N
+            assert e == S.from_fraction(exact_sum(exp_terms(x), oracle_terms(N)), p, N)
+            l = padic_log(S.from_int(y, p, N))
+            assert l.prec == N
+            assert l == S.from_fraction(exact_sum(log_terms(y), oracle_terms(N)), p, N)
+
+    @given(p=st.sampled_from([2, 3, 5, 7]), k=st.integers(1, 6),
+           m=st.integers(-10 ** 6, 10 ** 6), N=st.integers(2, 40))
+    def test_log_exp_round_trip(self, p, k, m, N):
+        x = S.from_int(p ** (k + (p == 2)) * m, p, N)
+        back = padic_log(padic_exp(x))
+        assert back.prec == N and back == x
+
+    @given(p=st.sampled_from([2, 3, 5, 7]), k=st.integers(1, 6),
+           m=st.integers(-10 ** 6, 10 ** 6), N=st.integers(2, 40))
+    def test_exp_log_round_trip(self, p, k, m, N):
+        # over Q_2, exp(log y) = y needs v(y - 1) >= 2 (log(-1) = 0)
+        y = S.from_int(1 + p ** (k + (p == 2)) * m, p, N)
+        back = padic_exp(padic_log(y))
+        assert back.prec == N and back == y
 
 
 class TestNewtonPolygon:

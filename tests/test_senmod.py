@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from senlab import linalg
 from senlab.dpseries import DPSeries, coaction
-from senlab.errors import DomainError, UsageError
+from senlab.errors import ConvergenceError, DomainError, UsageError
 from senlab.field import eisenstein_field, qp_field
 from senlab.padic import PadicScalar
 from senlab.senmod import (SenModule, bk_twist, char_poly,
@@ -239,6 +240,41 @@ class TestOperatorSeries:
         M = SenModule.from_int_matrix(K, [[1]])
         with pytest.raises(DomainError):
             operator_series(M, K.from_int(3))
+
+    @pytest.mark.parametrize("N", [10, 19, 28, 29, 37])
+    def test_rank_one_weight_minus_two_every_digit(self, N):
+        # over Q_3, e = 1: the series is (1 + b)^-2
+        Q3 = qp_field(3, N)
+        M = SenModule.diagonal_weights(Q3, [-2])
+        for b in (3, 6, 12):
+            c = operator_series(M, Q3.from_int(b))[0][0].coordinates()[0]
+            assert c.prec == N
+            assert c == S.from_fraction(Fraction(1, (1 + b) ** 2), 3, N)
+
+    def test_target_prec_bounds_reported_digits(self):
+        Q3 = qp_field(3, 40)
+        M = SenModule.diagonal_weights(Q3, [-2])
+        s = operator_series(M, Q3.from_int(3), target_prec=10)
+        c = s[0][0].coordinates()[0]
+        assert c.prec == 10
+        assert c == S.from_fraction(Fraction(1, 16), 3, 10)
+
+    def test_refuses_below_the_stop_rule_bound(self, K):
+        # v(b) + min(v(theta), v(e)) = 1/2 + 0 is not above 1/(p-1) = 1/2
+        M = SenModule.from_int_matrix(K, [[0, -1], [0, 0]])
+        with pytest.raises(ConvergenceError):
+            operator_series(M, K.pi)
+        with pytest.raises(ConvergenceError):
+            operator_series_apply(M, K.pi, [K.one(), K.one()])
+
+    @settings(max_examples=25)
+    @given(n=st.integers(-6, -1), m1=st.integers(-50, 50), m2=st.integers(-50, 50))
+    def test_rank_one_negative_weights(self, K, n, m1, m2):
+        e = K.different_e
+        b = K.from_int(3 * m1) + K.pi * K.from_int(3 * m2)
+        s = operator_series(bk_twist(trivial_module(K), n), b)[0][0]
+        assert all(c.prec == K.prec for c in s.coordinates())
+        assert (s - (K.one() + e * b) ** n).is_zero()
 
     def test_matches_coaction_on_regular_representation(self, K):
         n_trunc = 8
