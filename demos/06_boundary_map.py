@@ -23,7 +23,7 @@ print("1 in the kernel:", in_picard_image(Q.one()))
 
 # the kernel of the boundary on Z_p is exactly p Z_p
 rep = kernel_lattice(Q, s=0)
-print("kernel lattice basis:", [b.rows[0][0] for b in rep.basis],
+print("kernel lattice basis:", [b.coordinates()[0] for b in rep.basis],
       " image order: p^%d" % rep.image_order_exponent)
 
 # enlarging the lattice to p^(-2) Z_p raises the image order to p^3

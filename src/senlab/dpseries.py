@@ -148,7 +148,7 @@ def coaction(f: DPSeries, b: FieldElement) -> DPSeries:
     one_plus_eb = K.one() + f.e * b
     b_over_fact = [K.one()]
     for k in range(1, f.trunc + 1):
-        b_over_fact.append(b_over_fact[-1] * b / K.from_int(k))
+        b_over_fact.append(b_over_fact[-1] * b / k)
     out = []
     scale = K.one()
     for m in range(f.trunc + 1):
@@ -211,7 +211,7 @@ def dp_compose(f: DPSeries, phi: DPSeries) -> DPSeries:
     gamma = DPSeries.one(K, trunc, e=f.e)
     for n in range(1, trunc + 1):
         gamma = dp_mul(gamma, phi)
-        gamma = gamma.replace([c / K.from_int(n) for c in gamma.coeffs])
+        gamma = gamma.replace([c / n for c in gamma.coeffs])
         for m in range(n, trunc + 1):
             out[m] = out[m] + f.coeffs[n] * gamma.coeffs[m]
     return DPSeries(K, out, e=f.e, valid_to=valid)

@@ -1,27 +1,39 @@
 """Finite extensions K of Q_p built as an unramified step then an Eisenstein step.
 
 K = Q_p[y, u] / (g(y), E(u)) where g is monic with irreducible reduction
-mod p (residue degree f = deg g) and E is Eisenstein over the unramified
-subfield U = Q_p[y]/(g) (ramification index e_ram = deg E).  Elements are
-f x e_ram grids of PadicScalar against the basis y^j u^i, which makes the
-valuation an exact closed form:
+mod p (residue degree f = deg g) and E is monic Eisenstein over the
+unramified subfield U = Q_p[y]/(g) (ramification index e_ram = deg E).
 
-    v(x) = min_i ( min_j v_p(c_{j,i}) + i/e_ram ),   v(p) = 1,
+An element is one vector of d = f * e_ram integers c_t against the basis
+b_t = y^j u^i (t = j * e_ram + i), a valuation shift s and one absolute
+precision N: x = p^s * sum_t c_t b_t modulo p^N O_K, the c_t reduced modulo
+p^(N - s) and not all divisible by p.  So v(x) = s + i0/e_ram with i0 the
+first u-degree holding a coordinate prime to p.
 
-the minimum over i being attained at a unique i.  The module also provides
-traces to Q_p, residues, defining-relation-checked substitutions, and the
-different generator e = E'(pi).
+Each field precomputes the reduction table y^j u^i mod (g, E) for
+j < 2f - 1, i < 2 e_ram - 1 and the trace form Tr(b_t) read off it.  A
+product is one Kronecker-packed big-integer multiplication and a table
+reduction, a trace is a dot product with the trace form, and an inverse is
+a Newton iteration from the residue-field inverse.  Precision follows the
+scalar rules with field valuations, rounded down to an integer:
+
+    add/sub : min(N_x, N_y)
+    mul     : min(N_x + v(y), N_y + v(x))
+    div     : min(N_x - v(y), N_y + v(x) - 2 v(y))
+
+A product or quotient never claims more than M digits past its shift, M the
+precision of the defining polynomials.  The module also provides residues,
+defining-relation-checked substitutions and the different generator
+e = E'(pi).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, gcd
 
-from . import linalg
 from .errors import DomainError, PrecisionError, UsageError
-from .padic import DEFAULT_PRECISION, PadicScalar, require_prime
-
-INF = Fraction(10 ** 9)
+from .padic import DEFAULT_PRECISION, PadicScalar, require_prime, vp_int
 
 
 # ---------------------------------------------------------------------------
@@ -35,98 +47,49 @@ def _fp_trim(a, p):
     return a
 
 
-def _fp_mulmod(a, b, g, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fp_mod(out, g, p)
-
-
-def _fp_mod(a, g, p):
-    a = [c % p for c in a]
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], -1, p)
-    for k in range(len(a) - 1, dg - 1, -1):
-        c = a[k] * inv_lead % p
-        if c:
-            for j in range(dg + 1):
-                a[k - dg + j] = (a[k - dg + j] - c * g[j]) % p
-    return _fp_trim(a[:dg] or [0], p)
+def _fp_rem(a, b, p):
+    """Remainder of a by b (leading coefficient of b a unit mod p)."""
+    a, b = _fp_trim(a, p), _fp_trim(b, p)
+    inv_lead = pow(b[-1], -1, p)
+    while len(a) >= len(b) and a != [0]:
+        c, shift = a[-1] * inv_lead, len(a) - len(b)
+        a = _fp_trim([x - c * b[k - shift] if k >= shift else x for k, x in enumerate(a)], p)
+    return a
 
 
 def _fp_powmod(a, n, g, p):
-    result = [1]
-    base = _fp_mod(a, g, p)
+    result, base = [1], _fp_rem(a, g, p)
     while n:
         if n & 1:
-            result = _fp_mulmod(result, base, g, p)
-        base = _fp_mulmod(base, base, g, p)
+            result = _fp_rem(_fp_mul(result, base), g, p)
+        base = _fp_rem(_fp_mul(base, base), g, p)
         n >>= 1
     return result
 
 
-def _fp_gcd(a, b, p):
-    a, b = _fp_trim(a, p), _fp_trim(b, p)
-    while b != [0]:
-        a, b = b, _fp_polyrem(a, b, p)
-    return a
-
-
-def _fp_polyrem(a, b, p):
-    a = list(a)
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) >= len(b) and _fp_trim(a, p) != [0]:
-        if a[-1] % p == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv_lead % p
-        shift = len(a) - len(b)
-        for j in range(len(b)):
-            a[shift + j] = (a[shift + j] - c * b[j]) % p
-        a.pop()
-    return _fp_trim(a or [0], p)
-
-
-def _fp_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _fp_trim([x - y for x, y in zip(a, b)], p)
+def _fp_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def fp_is_irreducible(g, p) -> bool:
-    """Rabin's test for a monic polynomial over F_p."""
+    """Ben-Or's test: a monic g of degree d over F_p is irreducible iff
+    gcd(x^(p^k) - x, g) = 1 for every k <= d/2."""
     g = _fp_trim(g, p)
-    d = len(g) - 1
-    if d == 0:
+    if len(g) < 2:
         return False
-    if d == 1:
-        return True
-    x = [0, 1]
-    xq = _fp_powmod(x, p ** d, g, p)
-    if _fp_sub(xq, x, p) != [0]:
-        return False
-    for ell in _prime_divisors(d):
-        xe = _fp_powmod(x, p ** (d // ell), g, p)
-        if len(_fp_gcd(_fp_sub(xe, x, p), g, p)) > 1:
+    h = [0, 1]
+    for _ in range((len(g) - 1) // 2):
+        h = _fp_powmod(h, p, g, p)
+        a, b = g, _fp_trim([c - (k == 1) for k, c in enumerate(h + [0])], p)
+        while b != [0]:
+            a, b = b, _fp_rem(a, b, p)
+        if len(a) > 1:
             return False
     return True
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +103,20 @@ class LocalFieldSpec:
         require_prime(p)
         self.p = p
         self.prec = prec
-        self.unramified_poly = [self._scalar(c) for c in unramified_poly]
-        self.eisenstein_poly = [[self._scalar(c) for c in coeff]
+        self.unramified_poly = [_as_scalar(c, p, prec) for c in unramified_poly]
+        self.eisenstein_poly = [[_as_scalar(c, p, prec) for c in coeff]
                                 for coeff in eisenstein_poly]
 
-    def _scalar(self, c):
-        if isinstance(c, PadicScalar):
-            return c
-        if isinstance(c, int):
-            return PadicScalar.from_int(c, self.p, self.prec)
-        if isinstance(c, Fraction):
-            return PadicScalar.from_fraction(c, self.p, self.prec)
-        raise UsageError(f"cannot coerce {c!r} to a p-adic scalar")
+
+def _as_scalar(c, p, prec):
+    """An int, Fraction or PadicScalar over p as a PadicScalar (at prec)."""
+    if isinstance(c, int):
+        return PadicScalar.from_int(c, p, prec)
+    if isinstance(c, Fraction):
+        return PadicScalar.from_fraction(c, p, prec)
+    if isinstance(c, PadicScalar) and c.p == p:
+        return c
+    raise UsageError(f"cannot coerce {c!r} to a scalar over p = {p}")
 
 
 class LocalField:
@@ -167,33 +132,37 @@ class LocalField:
         self.e_ram = len(self.E) - 1
         self.degree = self.f * self.e_ram
         self._validate()
+        self._build_tables()
         # the class of u: a uniformizer; for e_ram == 1 it equals -E_0 in U
-        self.pi = self.from_grid(self._unit_grid(0, 1)) if self.e_ram > 1 \
-            else self._pi_unramified()
-        self.different_e = self._derivative_at_pi()
+        self.pi = self.basis()[1] if self.e_ram > 1 \
+            else self.from_grid([[-c] for c in self._padded(self.E[0])])
+        # e = E'(pi) = sum_i i E_i u^(i-1), already reduced
+        self.different_e = self.from_grid(
+            [[self._padded(self.E[i + 1])[j] * (i + 1) for i in range(self.e_ram)]
+             for j in range(self.f)])
 
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
+        p = self.p
+
+        def is_one(c):
+            return c.val == 0 and (c - PadicScalar.one(p, c.prec)).is_zero()
+
         if self.f < 1 or self.e_ram < 1:
             raise UsageError("both defining polynomials need positive degree")
-        lead = self.g[-1]
-        if lead.is_zero() or not (lead - PadicScalar.one(self.p, lead.prec)).is_zero():
+        if not is_one(self.g[-1]):
             raise UsageError("unramified polynomial must be monic")
-        g_int = []
-        for c in self.g:
-            if c.val_bound() < 0:
-                raise UsageError("unramified polynomial must be integral")
-            g_int.append(c.residue())
-        if not fp_is_irreducible(g_int, self.p):
+        if any(c.val_bound() < 0 for c in self.g):
+            raise UsageError("unramified polynomial must be integral")
+        self.g_int = _fp_trim([c.residue() for c in self.g], p)
+        if not fp_is_irreducible(self.g_int, p):
             raise DomainError("unramified polynomial is reducible modulo p",
                               concept="residue field construction")
-        self.g_int = _fp_trim(g_int, self.p)
-        if len(self.g_int) - 1 != self.f:
-            raise DomainError("unramified polynomial drops degree modulo p")
-
-        top = self.E[-1]
-        if len(top) != 1 or top[0].is_zero() or top[0].val != 0:
+        if any(len(coeff) > self.f for coeff in self.E):
+            raise UsageError("Eisenstein coefficients are U-elements with at most "
+                             "%d coordinates" % self.f)
+        if len(self.E[-1]) != 1 or not is_one(self.E[-1][0]):
             raise UsageError("Eisenstein polynomial must be monic over U")
         for i, coeff in enumerate(self.E[:-1]):
             for c in coeff:
@@ -204,121 +173,149 @@ class LocalField:
                     raise PrecisionError(
                         "cannot certify the Eisenstein condition at u-degree %d; "
                         "raise the working precision" % i)
-        v0 = self._v_U(self.E[0])
-        if v0 is None:
+        E0 = self.E[0]
+        if all(c.val != 1 for c in E0):     # every v_p(c) >= 1 by now
+            if all(c.val_bound() >= 2 for c in E0) and any(c.val is not None for c in E0):
+                raise DomainError("constant coefficient has v_U >= 2; not Eisenstein")
             raise PrecisionError("cannot certify v_U of the constant coefficient; "
                                  "raise the working precision")
-        if v0 != 1:
-            raise DomainError(
-                "constant coefficient has v_U = %s != 1; not Eisenstein" % v0)
 
-    @staticmethod
-    def _v_U(ypoly):
-        """min_j v_p of a U-element; None when not certified exactly."""
-        exact = [c.val for c in ypoly if c.val is not None]
-        bounds = [c.prec for c in ypoly if c.val is None]
-        if not exact:
-            return None
-        m = min(exact)
-        if any(b < m for b in bounds):
-            return None
-        return m
+    def _padded(self, ypoly):
+        return list(ypoly) + [PadicScalar.zero(self.p, self.prec)] * (self.f - len(ypoly))
 
-    # -- scalar/element constructors -----------------------------------------
+    # -- precomputed tables ---------------------------------------------------
 
-    def zero_scalar(self):
-        return PadicScalar.zero(self.p, self.prec)
+    def _build_tables(self):
+        """Reduction table, trace form and Kronecker layout of the lifted
+        defining polynomials modulo p^(M + e_ram), M = table_prec: a quotient
+        claims M digits past a shift up to i0 < e_ram above the one it is
+        computed at, and its inverse divides y^e by p^i0."""
+        p, f, e, d = self.p, self.f, self.e_ram, self.degree
+        coeffs = self.g + [c for coeff in self.E for c in coeff]
+        self.table_prec = M = min([self.prec] + [c.prec for c in coeffs])
+        mod = p ** (M + e)
+        g = [c.lift() for c in self.g]
+        E = [[c.lift() for c in self._padded(coeff)] for coeff in self.E]
+        rows = {}                                    # (j, i) -> y^j u^i reduced
+        for i in range(2 * e - 1):
+            for j in range(2 * f - 1):
+                if j >= f:      # y^f = -sum_l g_l y^l
+                    terms = [(g[l], j - f + l, i) for l in range(f)]
+                elif i >= e:    # u^e = -sum_k E_k u^k with E_k = sum_l E_k[l] y^l
+                    terms = [(E[k][l], j + l, i - e + k) for k in range(e) for l in range(f)]
+                else:
+                    rows[j, i] = [int(t == j * e + i) for t in range(d)]
+                    continue
+                rows[j, i] = [-sum(c * rows[jj, ii][t] for c, jj, ii in terms) % mod
+                              for t in range(d)]
+        span = 2 * e - 1
+        table = [rows[j, i] for j in range(2 * f - 1) for i in range(span)]
+        self._trace_form = [
+            sum(table[(t // e + s // e) * span + t % e + s % e][s] for s in range(d)) % mod
+            for t in range(d)]
+        # Kronecker layout: b_t sits in slot j * span + i of a packed integer
+        self._slots = [(t // e) * span + t % e for t in range(d)]
+        self._width = w = (len(table) * d * mod * mod).bit_length()
+        self._packed = [sum(c << (w * t) for t, c in enumerate(row)) for row in table]
 
-    def one_scalar(self):
-        return PadicScalar.one(self.p, self.prec)
+    def _mul_vec(self, a, b, m):
+        """Product of two integral coordinate vectors modulo m <= p^(M + e_ram)."""
+        if self.degree == 1:
+            return [a[0] * b[0] % m]
+        w, slots = self._width, self._slots
+        prod = sum((x % m) << (w * s) for s, x in zip(slots, a)) * \
+            sum((y % m) << (w * s) for s, y in zip(slots, b))
+        mask = (1 << w) - 1
+        acc = 0
+        for row in self._packed:
+            c = prod & mask
+            if c:
+                acc += (c % m) * row
+            prod >>= w
+        return [(acc >> (w * t) & mask) % m for t in range(self.degree)]
 
-    def _unit_grid(self, j, i):
-        rows = [[self.zero_scalar() for _ in range(self.e_ram)] for _ in range(self.f)]
-        rows[j][i] = self.one_scalar()
-        return rows
+    def _pow_vec(self, a, n, m):
+        result = [1] + [0] * (self.degree - 1)
+        while n:
+            if n & 1:
+                result = self._mul_vec(result, a, m)
+            a = self._mul_vec(a, a, m)
+            n >>= 1
+        return result
+
+    def _unit_inverse(self, w, prec):
+        """Inverse of a unit vector modulo p^prec: w^(q-2) inverts it modulo pi,
+        then Newton z <- z (2 - w z) doubles the pi-adic precision."""
+        p, e = self.p, self.e_ram
+        if self.degree == 1:
+            return [pow(w[0], -1, p ** prec)]
+        z = self._pow_vec(w, p ** self.f - 2, p)     # the residue field has p^f elements
+        k, steps = e * prec, []
+        while k > 1:
+            steps.append(k)
+            k = (k + 1) // 2
+        for k in reversed(steps):
+            m = p ** -(-k // e)
+            t = [-c for c in self._mul_vec(w, z, m)]
+            t[0] += 2
+            z = self._mul_vec(z, t, m)
+        return z
+
+    def _inv_vec(self, y, i0, rel):
+        """q = p^i0 / y modulo p^rel for a primitive integral y of valuation
+        i0/e_ram: w = y^e / p^i0 is a unit and q = y^(e-1) w^-1."""
+        if not i0:
+            return self._unit_inverse(y, rel)
+        work = max(rel + 1, i0 + 1)
+        head = self._pow_vec(y, self.e_ram - 1, self.p ** work)
+        unit = [c // self.p ** i0 for c in self._mul_vec(head, y, self.p ** work)]
+        # the error of w^-1 is p^(work - i0) O_K; times head it lies in p^(work - 1) O_K
+        return self._mul_vec(head, self._unit_inverse(unit, work - i0), self.p ** rel)
+
+    # -- element constructors -------------------------------------------------
 
     def zero(self):
-        return FieldElement(self, [[self.zero_scalar()] * self.e_ram for _ in range(self.f)])
+        return FieldElement(self, (), self.prec, self.prec)
 
     def one(self):
-        return self.from_grid(self._unit_grid(0, 0))
+        return FieldElement(self, [1] + [0] * (self.degree - 1), 0, self.prec)
+
+    def basis(self):
+        """The elements b_t = y^j u^i, t = j * e_ram + i."""
+        return [FieldElement(self, [int(s == t) for s in range(self.degree)], 0, self.prec)
+                for t in range(self.degree)]
+
+    def basis_traces(self):
+        """Tr(b_t) for every basis element, read off the trace form."""
+        return [_scalar(self.p, 0, t, self.table_prec) for t in self._trace_form]
 
     def y_gen(self):
-        if self.f == 1:
-            return self.one()
-        return self.from_grid(self._unit_grid(1, 0))
-
-    def _pi_unramified(self):
-        # e_ram == 1: u is identified with -E_0 as a U-element
-        rows = [[-c] for c in self.E[0]]
-        rows += [[self.zero_scalar()] for _ in range(self.f - len(rows))]
-        return FieldElement(self, rows)
+        return self.basis()[self.e_ram] if self.f > 1 else self.one()
 
     def from_grid(self, rows):
-        return FieldElement(self, rows)
+        """Element from an f x e_ram grid of PadicScalars (coefficient of y^j u^i
+        in rows[j][i]), known to the least precision among them."""
+        if len(rows) != self.f or any(len(r) != self.e_ram for r in rows):
+            raise UsageError("coefficient grid has the wrong shape")
+        coords = [c for row in rows for c in row]
+        for c in coords:
+            if not isinstance(c, PadicScalar) or c.p != self.p:
+                raise UsageError(f"grid entry {c!r} is not a scalar over p = {self.p}")
+        prec = min(c.prec for c in coords)
+        vals = [c.val if c.val is not None and c.val < prec else None for c in coords]
+        shift = min([v for v in vals if v is not None], default=prec)
+        vec = [0 if v is None else c.unit * self.p ** (v - shift)
+               for c, v in zip(coords, vals)]
+        return FieldElement(self, vec, shift, prec)
 
     def from_scalar(self, s):
-        if isinstance(s, int):
-            s = PadicScalar.from_int(s, self.p, self.prec)
-        if isinstance(s, Fraction):
-            s = PadicScalar.from_fraction(s, self.p, self.prec)
-        rows = [[self.zero_scalar()] * self.e_ram for _ in range(self.f)]
-        rows[0][0] = s
-        return FieldElement(self, rows)
+        s = _as_scalar(s, self.p, self.prec)
+        if s.val is None:
+            return FieldElement(self, (), s.prec, s.prec)
+        return FieldElement(self, [s.unit] + [0] * (self.degree - 1), s.val, s.prec)
 
     def from_int(self, n):
-        return self.from_scalar(PadicScalar.from_int(n, self.p, self.prec))
-
-    # -- reduction machinery --------------------------------------------------
-
-    def _ypoly_mul(self, a, b):
-        out = [self.zero_scalar()] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return self._ypoly_reduce(out)
-
-    def _ypoly_reduce(self, a):
-        f = self.f
-        a = list(a)
-        for k in range(len(a) - 1, f - 1, -1):
-            c = a[k]
-            for j in range(f):
-                a[k - f + j] = a[k - f + j] - c * self.g[j]
-            a.pop()
-        while len(a) < f:
-            a.append(self.zero_scalar())
-        return a
-
-    def _upoly_reduce(self, cols):
-        """cols: list over u-degree of reduced y-polys; reduce mod E."""
-        e = self.e_ram
-        cols = [list(c) for c in cols]
-        for k in range(len(cols) - 1, e - 1, -1):
-            c = cols[k]
-            for i in range(e):
-                prod = self._ypoly_mul(c, self.E[i])
-                cols[k - e + i] = [x - y for x, y in zip(cols[k - e + i], prod)]
-            cols.pop()
-        while len(cols) < e:
-            cols.append([self.zero_scalar()] * self.f)
-        return cols
-
-    def _derivative_at_pi(self):
-        """e = E'(pi) via the coefficient sum formula Sum i * E_i * pi^(i-1)."""
-        acc = self.zero()
-        pi_pow = self.one()
-        for i in range(1, self.e_ram + 1):
-            coeff = self._embed_ypoly(self.E[i]) * self.from_int(i)
-            acc = acc + coeff * pi_pow
-            pi_pow = pi_pow * self.pi
-        return acc
-
-    def _embed_ypoly(self, ypoly):
-        rows = [[self.zero_scalar()] * self.e_ram for _ in range(self.f)]
-        for j, c in enumerate(ypoly):
-            rows[j][0] = c
-        return FieldElement(self, rows)
+        return self.from_scalar(n)
 
 
 def build_field(spec: LocalFieldSpec) -> LocalField:
@@ -326,146 +323,186 @@ def build_field(spec: LocalFieldSpec) -> LocalField:
     return LocalField(spec)
 
 
+def _scalar(p, shift, n, prec):
+    """The scalar p^shift * n known modulo p^prec."""
+    rel = prec - shift
+    if rel <= 0 or n % p ** rel == 0:
+        return PadicScalar.zero(p, prec)
+    n %= p ** rel
+    k = vp_int(n, p)
+    return PadicScalar(p, shift + k, n // p ** k, prec)
+
+
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
 
 class FieldElement:
-    """Immutable element of a LocalField; coefficients c[j][i] against y^j u^i."""
+    """Immutable element p^shift * sum_t vec[t] b_t of a LocalField, known
+    modulo p^prec O_K.  The constructor reduces vec modulo p^(prec - shift)
+    and moves common factors p into the shift; zero to precision is vec = 0
+    with shift = prec."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "vec", "shift", "prec", "_vpi")
 
-    def __init__(self, field, rows):
-        if len(rows) != field.f or any(len(r) != field.e_ram for r in rows):
-            raise UsageError("coefficient grid has the wrong shape")
+    def __init__(self, field, vec, shift, prec):
         self.field = field
-        self.rows = tuple(tuple(r) for r in rows)
+        self._vpi = None
+        rel = prec - shift
+        if rel > 0:
+            p = field.p
+            m = p ** rel
+            vec = [c % m for c in vec]
+            g = gcd(*vec)
+            if g:
+                if not g % p:
+                    k = vp_int(g, p)
+                    vec, shift = [c // p ** k for c in vec], shift + k
+                self.vec, self.shift, self.prec = tuple(vec), shift, prec
+                return
+        self.vec, self.shift, self.prec = (0,) * field.degree, prec, prec
 
     # -- protocol -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for row in self.rows for c in row)
+        return self.shift >= self.prec
+
+    def _v(self):
+        """Valuation on the scale v(pi) = 1; a lower bound e_ram * prec for zero."""
+        v = self._vpi
+        if v is None:
+            e, p = self.field.e_ram, self.field.p
+            if self.shift >= self.prec:
+                v = e * self.prec
+            elif self.vec[0] % p:
+                v = e * self.shift
+            else:
+                v = e * self.shift + min(t % e for t, c in enumerate(self.vec) if c % p)
+            self._vpi = v
+        return v
 
     def valuation(self):
         """Exact Fraction, or None when the data only bounds it below."""
-        exact, v = self._val_ex()
-        return v if exact else None
+        return None if self.is_zero() else Fraction(self._v(), self.field.e_ram)
 
     def val_bound(self) -> Fraction:
-        return self._val_ex()[1]
+        return Fraction(self._v(), self.field.e_ram)
 
     def pivot_val(self):
-        return self._val_ex()
-
-    def _val_ex(self):
-        e = self.field.e_ram
-        exact_min = None
-        bound_min = INF
-        for j in range(self.field.f):
-            for i in range(e):
-                c = self.rows[j][i]
-                shift = Fraction(i, e)
-                if c.val is None:
-                    bound_min = min(bound_min, c.prec + shift)
-                else:
-                    v = c.val + shift
-                    exact_min = v if exact_min is None else min(exact_min, v)
-        if exact_min is None:
-            return (False, bound_min)
-        if bound_min < exact_min:
-            return (False, bound_min)
-        return (True, exact_min)
+        return (not self.is_zero(), Fraction(self._v(), self.field.e_ram))
 
     def pi_valuation(self):
         """Valuation on the integer scale normalized v(pi) = 1."""
-        v = self.valuation()
-        return None if v is None else v * self.field.e_ram
+        return None if self.is_zero() else self._v()
 
     def coordinates(self):
-        """Flat Q_p coordinates, basis order t = j * e_ram + i."""
-        return [c for row in self.rows for c in row]
+        """Q_p coordinates in basis order t = j * e_ram + i, each at the
+        element's precision."""
+        return [_scalar(self.field.p, self.shift, c, self.prec) for c in self.vec]
 
     def truncated(self, prec: int) -> "FieldElement":
-        """Every coordinate cut to absolute precision at most prec."""
-        return FieldElement(self.field, [[c.truncated(prec) for c in row]
-                                         for row in self.rows])
+        """The element cut to absolute precision at most prec."""
+        return FieldElement(self.field, self.vec, self.shift, min(prec, self.prec))
 
     # -- arithmetic -------------------------------------------------------------
 
-    def _check(self, other):
+    def _coerce(self, other):
+        if not isinstance(other, FieldElement):
+            return self.field.from_scalar(other)
         if self.field is not other.field:
             raise UsageError("cannot mix elements of different fields")
+        return other
 
     def __neg__(self):
-        return FieldElement(self.field, [[-c for c in row] for row in self.rows])
+        return FieldElement(self.field, [-c for c in self.vec], self.shift, self.prec)
+
+    def _add(self, other, sign):
+        if type(other) is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+        a, b = self.shift, other.shift
+        prec = self.prec if self.prec < other.prec else other.prec
+        shift = a if a < b else b
+        p = self.field.p
+        qa = p ** (a - shift) if a < prec else 0
+        qb = sign * p ** (b - shift) if b < prec else 0
+        return FieldElement(self.field, [qa * x + qb * y for x, y in zip(self.vec, other.vec)],
+                            shift, prec)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        return FieldElement(self.field,
-                            [[a + b for a, b in zip(ra, rb)]
-                             for ra, rb in zip(self.rows, other.rows)])
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        return self.__add__(-self._coerce(other))
+        return self._add(other, -1)
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            return other
-        if isinstance(other, (int, PadicScalar, Fraction)):
-            return self.field.from_scalar(other)
-        raise UsageError(f"cannot coerce {other!r} into the field")
+    def _scaled(self, s, divide):
+        """Every coordinate times or over the scalar s, by PadicScalar's rules."""
+        K = self.field
+        s = _as_scalar(s, K.p, K.prec)
+        e, vx = K.e_ram, self._v()
+        if not divide:
+            vs = s.prec if s.val is None else s.val
+            prec = min(e * (self.prec + vs), e * s.prec + vx) // e
+            if s.val is None:
+                return FieldElement(K, self.vec, prec, prec)
+            return FieldElement(K, [c * s.unit for c in self.vec], self.shift + s.val, prec)
+        if s.val is None:
+            raise PrecisionError("division by a scalar that is zero to precision %d" % s.prec)
+        prec = min(e * (self.prec - s.val), e * (s.prec - 2 * s.val) + vx) // e
+        shift = self.shift - s.val
+        if prec <= shift or self.is_zero():
+            return FieldElement(K, self.vec, prec, prec)
+        inv = pow(s.unit, -1, K.p ** (prec - shift))
+        return FieldElement(K, [c * inv for c in self.vec], shift, prec)
 
     def __mul__(self, other):
-        if isinstance(other, (int, PadicScalar)):
-            s = other if isinstance(other, PadicScalar) else \
-                PadicScalar.from_int(other, self.field.p, self.field.prec)
-            return FieldElement(self.field, [[c * s for c in row] for row in self.rows])
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return self._zero_product(other)
+        if type(other) is not FieldElement:
+            return self._scaled(other, divide=False)
         K = self.field
-        f, e = K.f, K.e_ram
-        # u-polynomial of reduced y-polynomials
-        a_cols = [[self.rows[j][i] for j in range(f)] for i in range(e)]
-        b_cols = [[other.rows[j][i] for j in range(f)] for i in range(e)]
-        prod = [[K.zero_scalar()] * f for _ in range(2 * e - 1)]
-        for i1, ya in enumerate(a_cols):
-            for i2, yb in enumerate(b_cols):
-                conv = K._ypoly_mul(ya, yb)
-                prod[i1 + i2] = [x + y for x, y in zip(prod[i1 + i2], conv)]
-        cols = K._upoly_reduce(prod)
-        rows = [[cols[i][j] for i in range(e)] for j in range(f)]
-        return FieldElement(K, rows)
+        if other.field is not K:
+            raise UsageError("cannot mix elements of different fields")
+        e = K.e_ram
+        va = self._vpi if self._vpi is not None else self._v()
+        vb = other._vpi if other._vpi is not None else other._v()
+        prec = min(e * self.prec + vb, e * other.prec + va) // e
+        shift = self.shift + other.shift
+        if prec > shift + K.table_prec and K.degree > 1:
+            prec = shift + K.table_prec
+        if prec <= shift or self.shift >= self.prec or other.shift >= other.prec:
+            return FieldElement(K, (), prec, prec)
+        out = FieldElement(K, K._mul_vec(self.vec, other.vec, K.p ** (prec - shift)),
+                           shift, prec)
+        if out.shift < prec:
+            out._vpi = va + vb
+        return out
 
     __rmul__ = __mul__
 
-    def _zero_product(self, other):
-        """Product with a zero-to-precision factor, at the sound precision cap.
-
-        Every contribution to the full convolution carries one zero factor,
-        so the result is zero to at least min(prec of the zero factor) plus
-        the worst valuation of the other operand (reduction only multiplies
-        by integral defining coefficients, which cannot lower valuations).
-        """
-        z, w = (self, other) if self.is_zero() else (other, self)
-        mz = min(c.prec for row in z.rows for c in row)
-        mv = min(c.val_bound() for row in w.rows for c in row)
-        cap = mz + mv
-        K = self.field
-        zero = PadicScalar.zero(K.p, cap)
-        return FieldElement(K, [[zero] * K.e_ram for _ in range(K.f)])
-
     def __truediv__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        exact, v = other._val_ex()
-        if not exact:
+        if not isinstance(other, FieldElement):
+            return self._scaled(other, divide=True)
+        self._coerce(other)
+        if other.is_zero():
             raise PrecisionError(
-                "division by an element that is zero to precision (v >= %s)" % v)
-        mat = other.mult_matrix()
-        sol = linalg.solve(mat, self.coordinates(), self.field.zero_scalar())
-        return self.field.from_grid(_unflatten(sol, self.field))
+                "division by an element that is zero to precision (v >= %s)" % other.prec)
+        K = self.field
+        e = K.e_ram
+        vy = other._v()
+        prec = min(e * self.prec - vy, e * other.prec + self._v() - 2 * vy) // e
+        i0 = vy % e
+        # self / other = p^shift * x * q with q = p^i0 / y
+        shift = self.shift - other.shift - i0
+        if K.degree > 1:
+            prec = min(prec, shift + i0 + K.table_prec)
+        if prec <= shift or self.is_zero():
+            return FieldElement(K, self.vec, prec, prec)
+        m = K.p ** (prec - shift)
+        out = FieldElement(K, K._mul_vec(self.vec, K._inv_vec(other.vec, i0, prec - shift), m),
+                           shift, prec)
+        # Against a field whose relations move by p^M, y out = x + delta with
+        # v_p(delta) >= M + s_y + s_out, so the quotient moves by at least
+        # M + s_out - i0/e.
+        cap = out.shift + K.table_prec - (i0 > 0)
+        return out.truncated(cap) if K.degree > 1 and cap < prec else out
 
     def inverse(self):
         return self.field.one() / self
@@ -483,38 +520,13 @@ class FieldElement:
         return result
 
     def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            other = self._coerce(other)
-        return (self - other).is_zero()
+        return (self - self._coerce(other)).is_zero()
 
     __hash__ = None
 
     def __repr__(self):
-        return f"FieldElement({[[repr(c) for c in row] for row in self.rows]})"
-
-    # -- linear data -------------------------------------------------------------
-
-    def mult_matrix(self):
-        """Matrix of multiplication by self in the Q_p-basis y^j u^i."""
-        K = self.field
-        cols = []
-        cur_j = self
-        for j in range(K.f):
-            cur = cur_j
-            for i in range(K.e_ram):
-                cols.append(cur.coordinates())
-                if i + 1 < K.e_ram:
-                    cur = cur * K.pi if K.e_ram > 1 else cur
-            if j + 1 < K.f:
-                cur_j = cur_j * K.y_gen()
-        # columns were built basis-wise; transpose into row-major matrix
-        d = K.degree
-        return [[cols[t][s] for t in range(d)] for s in range(d)]
-
-
-def _unflatten(vec, field):
-    e = field.e_ram
-    return [[vec[j * e + i] for i in range(e)] for j in range(field.f)]
+        return f"FieldElement({self.field.p}^{self.shift} * {list(self.vec)} " \
+               f"+ O({self.field.p}^{self.prec}))"
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +544,10 @@ def valuation(x: FieldElement, normalize: str = "p"):
 
 
 def trace_to_Qp(x: FieldElement) -> PadicScalar:
-    """Trace of multiplication-by-x; Q_p-linear with Tr(1) = [K : Q_p]."""
-    mat = x.mult_matrix()
-    acc = x.field.zero_scalar()
-    for t in range(x.field.degree):
-        acc = acc + mat[t][t]
-    return acc
+    """Tr_{K|Q_p}(x): the dot product of x with the trace form."""
+    K = x.field
+    prec = x.prec if K.degree == 1 else min(x.prec, x.shift + K.table_prec)
+    return _scalar(K.p, x.shift, sum(c * t for c, t in zip(x.vec, K._trace_form)), prec)
 
 
 def residue(x: FieldElement):
@@ -545,10 +555,10 @@ def residue(x: FieldElement):
     exact, v = x.pivot_val()
     if v < 0:
         raise DomainError("residue of an element of negative valuation")
-    out = []
-    for j in range(x.field.f):
-        out.append(x.rows[j][0].residue())
-    return tuple(out)
+    if x.prec < 1:
+        raise PrecisionError("no digit available for residue")
+    K = x.field
+    return tuple(0 if x.shift > 0 else x.vec[j * K.e_ram] % K.p for j in range(K.f))
 
 
 class FieldEmbedding:
@@ -574,32 +584,26 @@ class FieldEmbedding:
             raise DomainError(
                 "image of y violates the unramified relation; residual valuation >= %s"
                 % g_res.val_bound())
-        e_res = self._eval_E(self.u_image)
+        e_res = self.dst.zero()
+        for coeff in reversed(self.src.E):
+            e_res = e_res * self.u_image + _eval_scalar_poly(coeff, self.y_image, self.dst)
         if not e_res.is_zero():
             raise DomainError(
                 "image of u violates the Eisenstein relation; residual valuation >= %s"
                 % e_res.val_bound())
 
-    def _eval_E(self, ups):
-        acc = self.dst.zero()
-        for coeff in reversed(self.src.E):
-            mapped = _eval_scalar_poly(coeff, self.y_image, self.dst)
-            acc = acc * ups + mapped
-        return acc
-
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.field is not self.src:
             raise UsageError("element does not belong to the embedding's source")
-        y_pows = [self.dst.one()]
+        y_pows, u_pows = [self.dst.one()], [self.dst.one()]
         for _ in range(self.src.f - 1):
             y_pows.append(y_pows[-1] * self.y_image)
-        u_pows = [self.dst.one()]
         for _ in range(self.src.e_ram - 1):
             u_pows.append(u_pows[-1] * self.u_image)
+        e = self.src.e_ram
         acc = self.dst.zero()
-        for j in range(self.src.f):
-            for i in range(self.src.e_ram):
-                acc = acc + (y_pows[j] * u_pows[i]) * x.rows[j][i]
+        for t, c in enumerate(x.coordinates()):
+            acc = acc + (y_pows[t // e] * u_pows[t % e]) * c
         return acc
 
 
@@ -646,12 +650,5 @@ def cyclotomic_field(p: int, m: int, prec: int = DEFAULT_PRECISION) -> LocalFiel
         raise UsageError("cyclotomic level must be >= 1")
     q = p ** (m - 1)
     # Phi_{p^m}(x) = sum_{k<p} x^{k q}; expand at x = 1 + u
-    deg = q * (p - 1)
-    coeffs = [0] * (deg + 1)
-    for k in range(p):
-        n = k * q
-        c = 1
-        for j in range(n + 1):
-            coeffs[j] += c
-            c = c * (n - j) // (j + 1)
-    return eisenstein_field(p, coeffs, prec)
+    return eisenstein_field(p, [sum(comb(k * q, j) for k in range(p))
+                                for j in range(q * (p - 1) + 1)], prec)

@@ -2,8 +2,10 @@
 
 Exact integers travel as decimal strings so payloads survive 64-bit readers;
 scalars are {"p", "val", "unit", "prec"} with val null meaning zero to
-precision; field elements are row-major coefficient grids; rationals are
-{"num", "den"} strings.  Decoders name the offending path on bad input.
+precision; field elements are row-major coefficient grids whose entries all
+carry the element's one precision (a grid read with mixed precisions is
+known to the least of them); rationals are {"num", "den"} strings.
+Decoders name the offending path on bad input.
 """
 
 from __future__ import annotations
@@ -104,6 +106,9 @@ def decode_field_spec(obj, path="field", prec_override=None) -> LocalField:
         _as_int(obj.get("prec", 0), path + ".prec")
     if prec <= 0:
         raise UsageError(f"{path}.prec: a positive working precision is required")
+    for key in ("unramified_poly", "eisenstein_poly"):
+        if not isinstance(obj[key], list):
+            raise UsageError(f"{path}.{key}: expected an array of coefficients")
     unram = [decode_scalar(c, f"{path}.unramified_poly[{i}]", p=p, prec=prec)
              for i, c in enumerate(obj["unramified_poly"])]
     eis = []
@@ -117,7 +122,9 @@ def decode_field_spec(obj, path="field", prec_override=None) -> LocalField:
 
 
 def encode_element(x: FieldElement):
-    return {"coeffs": [[encode_scalar(c) for c in row] for row in x.rows]}
+    coords = [encode_scalar(c) for c in x.coordinates()]
+    e = x.field.e_ram
+    return {"coeffs": [coords[j * e:(j + 1) * e] for j in range(x.field.f)]}
 
 
 def decode_element(obj, field: LocalField, path="elem") -> FieldElement:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
 from .errors import PrecisionError, UsageError
 from .field import FieldElement, FieldEmbedding, LocalField, trace_to_Qp
 from .padic import PadicScalar
@@ -140,12 +139,10 @@ def kernel_lattice(field: LocalField, s: int = 0) -> KernelLatticeReport:
     if s < 0:
         raise UsageError("lattice exponent s must be >= 0")
     K = field
-    pi_inv_s = (K.pi ** s).inverse() if s else K.one()
-    basis = []
-    for j in range(K.f):
-        for i in range(K.e_ram):
-            b = K.from_grid(K._unit_grid(j, i)) * pi_inv_s
-            basis.append(b)
+    basis = K.basis()
+    if s:
+        pi_inv_s = (K.pi ** s).inverse()
+        basis = [b * pi_inv_s for b in basis]
     traces = [trace_to_Qp(b) for b in basis]
     exact = [(t.val, idx) for idx, t in enumerate(traces) if not t.is_zero()]
     if not exact:
@@ -185,13 +182,8 @@ def witness_of_order(field: LocalField, k: int) -> FieldElement:
     """Some x in K whose boundary class has exact order p^k."""
     if k < 0:
         raise UsageError("order exponent must be >= 0")
-    basis = []
-    for j in range(field.f):
-        for i in range(field.e_ram):
-            basis.append(field.from_grid(field._unit_grid(j, i)))
     best = None
-    for b in basis:
-        t = trace_to_Qp(b)
+    for b, t in zip(field.basis(), field.basis_traces()):
         if not t.is_zero() and (best is None or t.val < best[0]):
             best = (t.val, b)
     if best is None:

@@ -49,8 +49,8 @@ class TestJsonRoundTrip:
     def test_field_spec(self):
         K = eisenstein_field(3, [-3, 0, 1], 30)
         K2 = jsonio.decode_field_spec(jsonio.encode_field_spec(K))
-        assert K2.degree == 2 and (K2.different_e.rows[0][1]
-                                   - K.different_e.rows[0][1]).is_zero()
+        assert K2.degree == 2 and (K2.different_e.coordinates()[1]
+                                   - K.different_e.coordinates()[1]).is_zero()
 
     def test_dpseries(self):
         K = qp_field(3, 30)

@@ -1,0 +1,129 @@
+"""Fuzzed JSON input through `field build`, `field arith` and `field trace`.
+
+Every input, however malformed, must end in a documented exit code (0 for
+success, 2-5 for the error classes), never in a traceback.  Sizes are kept
+small (degree <= 6, precision <= 25) so that each example runs well under
+a second.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from senlab.cli import main
+
+EXIT_CODES = {0, 2, 3, 4, 5}
+
+GOOD_SPECS = [
+    {"p": 3, "prec": 20, "unramified_poly": ["-1", "1"], "eisenstein_poly": [["-3"], ["0"], ["1"]]},
+    {"p": 3, "prec": 12, "unramified_poly": ["1", "0", "1"],
+     "eisenstein_poly": [["-3"], ["-6"], ["1"]]},
+    {"p": 5, "prec": 15, "unramified_poly": ["-1", "1"],
+     "eisenstein_poly": [["5"], ["10"], ["10"], ["5"], ["1"]]},
+    {"p": 2, "prec": 10, "unramified_poly": ["-1", "1"], "eisenstein_poly": [["-2"], ["1"]]},
+]
+
+junk = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, width=16),
+                 st.text(max_size=3), st.just([]), st.just({}))
+small_int = st.integers(-30, 30)
+scalar_obj = st.fixed_dictionaries(
+    {"val": st.one_of(st.none(), st.integers(-3, 6)), "unit": small_int.map(str),
+     "prec": st.integers(-2, 25)},
+    optional={"p": st.sampled_from([2, 3, 4, 5, 0])})
+scalar = st.one_of(small_int, small_int.map(str), scalar_obj, junk)
+# valid over p in {2, 3, 5}: mixed precisions, negative valuations, zeros
+good_scalar = st.one_of(
+    small_int.map(str),
+    st.builds(lambda v, k, u: {"val": v, "unit": u, "prec": v + k}, st.integers(-3, 6),
+              st.integers(1, 20), st.sampled_from(["1", "-1", "7", "11", "-13", "17"])),
+    st.builds(lambda n: {"val": None, "unit": "0", "prec": n}, st.integers(-2, 25)))
+ypoly = st.lists(scalar, max_size=3)
+# well-formed specs with integer Eisenstein candidates: mostly non-Eisenstein
+integer_eisenstein = st.lists(st.lists(small_int.map(str), min_size=1, max_size=2),
+                              min_size=2, max_size=4)
+spec = st.one_of(
+    st.sampled_from(GOOD_SPECS),
+    st.fixed_dictionaries(
+        {"p": st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5, 9, -3]), junk),
+         "prec": st.one_of(st.integers(-1, 25), junk),
+         "unramified_poly": st.one_of(st.lists(scalar, max_size=3), junk),
+         "eisenstein_poly": st.one_of(st.lists(ypoly, max_size=4), junk)}),
+    st.tuples(st.sampled_from(GOOD_SPECS), integer_eisenstein).map(
+        lambda pair: dict(pair[0], eisenstein_poly=pair[1])),
+    # one key of a good spec replaced
+    st.tuples(st.sampled_from(GOOD_SPECS), st.sampled_from(sorted(GOOD_SPECS[0])),
+              st.one_of(junk, small_int, st.lists(scalar, max_size=3),
+                        st.lists(ypoly, max_size=3))).map(
+        lambda t: dict(t[0], **{t[1]: t[2]})))
+# grids of the shapes (f, e) of the good specs, and ragged grids
+grid = st.one_of(*[
+    st.sampled_from([(1, 2), (2, 2), (1, 4), (1, 1)]).flatmap(
+        lambda fe, entry=entry: st.lists(st.lists(entry, min_size=fe[1], max_size=fe[1]),
+                                         min_size=fe[0], max_size=fe[0]))
+    for entry in (good_scalar, good_scalar, scalar)],
+    st.lists(st.lists(scalar, max_size=4), max_size=3))
+element = st.one_of(st.fixed_dictionaries({"coeffs": grid}), junk,
+                    st.fixed_dictionaries({"coeffs": junk}))
+
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+def as_arg(obj):
+    # inline JSON is recognised by its first character; wrap bare values
+    text = json.dumps(obj)
+    return text if text.startswith(("{", "[")) else json.dumps([obj])
+
+
+@settings(max_examples=100)
+@given(spec)
+def test_field_build_exits_cleanly(s):
+    assert run(["field", "build", "--spec", as_arg(s)]) in EXIT_CODES
+
+
+@settings(max_examples=100)
+@given(spec, element, element, st.sampled_from(["add", "sub", "mul", "div"]))
+def test_field_arith_exits_cleanly(s, x, y, op):
+    argv = ["field", "arith", "--field", as_arg(s), "--x", as_arg(x), "--y", as_arg(y),
+            "--op", op]
+    assert run(argv) in EXIT_CODES
+
+
+def shaped_element(s):
+    """Elements of the grid shape of a good spec."""
+    f = len(s["unramified_poly"]) - 1
+    e = len(s["eisenstein_poly"]) - 1
+    return st.one_of(*[st.fixed_dictionaries({"coeffs": st.lists(
+        st.lists(entry, min_size=e, max_size=e), min_size=f, max_size=f)})
+        for entry in (good_scalar, st.one_of(good_scalar, scalar))])
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(GOOD_SPECS).flatmap(
+    lambda s: st.tuples(st.just(s), shaped_element(s), shaped_element(s))),
+    st.sampled_from(["add", "sub", "mul", "div", "trace"]))
+def test_good_fields_exit_cleanly(sxy, op):
+    s, x, y = (as_arg(obj) for obj in sxy)
+    argv = ["field", "trace", "--field", s, "--elem", x] if op == "trace" else \
+        ["field", "arith", "--field", s, "--x", x, "--y", y, "--op", op]
+    assert run(argv) in EXIT_CODES
+
+
+@settings(max_examples=100)
+@given(spec, element)
+def test_field_trace_exits_cleanly(s, x):
+    assert run(["field", "trace", "--field", as_arg(s), "--elem", as_arg(x)]) in EXIT_CODES
+
+
+# a non-array coefficient list is a usage error, not a TypeError
+@pytest.mark.parametrize("spec_obj", [
+    dict(GOOD_SPECS[0], unramified_poly=5),
+    dict(GOOD_SPECS[0], eisenstein_poly=None),
+])
+def test_malformed_spec_regressions(spec_obj):
+    assert run(["field", "build", "--spec", json.dumps(spec_obj)]) == 2

@@ -15,7 +15,8 @@ S = PadicScalar
 
 def derivative_at_pi_horner(K):
     """e = E'(pi) by Horner on the derivative polynomial: the oracle route."""
-    deriv = [K._embed_ypoly(K.E[i]) * K.from_int(i) for i in range(1, K.e_ram + 1)]
+    deriv = [sum((K.y_gen() ** j * c for j, c in enumerate(K.E[i])), K.zero()) * K.from_int(i)
+             for i in range(1, K.e_ram + 1)]
     acc = K.zero()
     for coeff in reversed(deriv):
         acc = acc * K.pi + coeff
