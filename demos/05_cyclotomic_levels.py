@@ -6,7 +6,9 @@ Level m is Q_p(zeta_{p^m}) with the automorphism z -> z^a and character
 value chi = a.  The twisted blocks chi^n sigma - 1 invert exactly; their
 norm exponents give the finite-level uniform bound delta.  On the truncated
 module the full operator g - 1 is block upper triangular, so rho M is
-nilpotent and the Neumann series inverts it exactly.
+strictly block upper triangular and nilpotent by its structure: its powers
+are multiplied block by block until none is left, and one block
+back-substitution pass (the terminating Neumann sum) inverts g - 1 exactly.
 """
 
 import random

@@ -244,8 +244,9 @@ def criterion_7():
 
 def criterion_8():
     """Neumann inversion at p = 3, m = 2, chi = 1 + 9, e = 1, truncation 8:
-    the contraction certificate holds (rho M is strictly upper triangular and
-    topologically nilpotent, so the series inverts exactly), the kernel is
+    the contraction certificate holds (rho M is strictly block upper
+    triangular, hence nilpotent, so block back-substitution - the terminating
+    Neumann sum - inverts exactly), the kernel is
     zero, and the Neumann solution matches a dense solve at >= 50 - 4 digits
     on five random right-hand sides.
 

@@ -79,7 +79,8 @@ def _field_from_args(args):
 
 
 def _maybe_default_prec(args):
-    return _effective_prec(args) or DEFAULT_PRECISION
+    prec = _effective_prec(args)
+    return DEFAULT_PRECISION if prec is None else prec
 
 
 # ---------------------------------------------------------------------------

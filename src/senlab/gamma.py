@@ -5,20 +5,21 @@ character value chi = a.  On the truncated module D_N = sum_{n=1}^N K_m a^n/n!
 the twisted action g(a) = chi a + y, with y = (chi - 1)/e, is the block
 upper-triangular Q_p-matrix
 
-    block (m, m+k) = chi^m (y^k / k!) sigma      (k >= 1),
-    block (m, m)   = chi^m sigma - 1,
+    block (n, n+k) = chi^n (y^k / k!) sigma      (k >= 1),
+    block (n, n)   = chi^n sigma - 1,
 
 whose diagonal blocks are inverted exactly (per-block Gauss-Jordan); their
-operator-norm exponents give the finite-level Tate bound delta.  The strict
-upper part M then satisfies |M| <= |y|, and rho M (rho the block diagonal of
-the inverses) is strictly upper triangular, hence nilpotent: the Neumann sum
-sum (-rho M)^k rho inverts g - 1 exactly on the truncation.
+operator-norm exponents give the finite-level Tate bound delta.  With rho_n
+those inverses and M the strict upper part, block (n, n+k) of rho M is
+chi^n (y^k / k!) rho_n sigma: rho M is nilpotent by its structure, and one
+block back-substitution pass, the terminating Neumann sum, inverts g - 1.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 from . import linalg
 from .errors import ConvergenceError, DomainError, PrecisionError, UsageError
@@ -57,6 +58,8 @@ def build_level(p: int, m: int, a: int, prec: int = DEFAULT_PRECISION) -> Cyclot
     while chi = a still twists the action.
     """
     require_prime(p)
+    if prec < 1:
+        raise UsageError("precision must be >= 1")
     if m < 1:
         raise UsageError("level m must be >= 1")
     if math.gcd(a, p) != 1 or a <= 0:
@@ -114,9 +117,11 @@ def _diagonal_block(level: CyclotomicLevel, n: int):
     return out
 
 
-def _norm_exponent(rows) -> Fraction:
-    """sup-norm exponent: minus the smallest entry valuation bound."""
-    return Fraction(-min(x.val_bound() for row in rows for x in row))
+def _norm_exponent(blocks, prec=None) -> Fraction:
+    """sup-norm exponent of a matrix given by its blocks: minus the smallest
+    entry valuation bound, or -prec when there is no block."""
+    return Fraction(-min((x.val_bound() for blk in blocks for row in blk for x in row),
+                         default=prec))
 
 
 def rho_bound(level: CyclotomicLevel, n_values) -> RhoReport:
@@ -126,8 +131,7 @@ def rho_bound(level: CyclotomicLevel, n_values) -> RhoReport:
     finite level because an integer a > 1 is never a root of unity.
     """
     per_n = {}
-    one = PadicScalar.one(level.p, level.prec)
-    zero = PadicScalar.zero(level.p, level.prec)
+    one, zero = PadicScalar.one(level.p, level.prec), PadicScalar.zero(level.p, level.prec)
     for n in n_values:
         if n == 0:
             raise UsageError("n = 0 is the untwisted block; it is not invertible")
@@ -138,7 +142,7 @@ def rho_bound(level: CyclotomicLevel, n_values) -> RhoReport:
             raise PrecisionError(
                 "diagonal block at n = %d is singular to working precision: %s"
                 % (n, err)) from err
-        per_n[n] = _norm_exponent(inv)
+        per_n[n] = _norm_exponent([inv])
     return RhoReport(per_n, max(per_n.values()))
 
 
@@ -152,53 +156,68 @@ def symmetric_range(n_max: int):
 # ---------------------------------------------------------------------------
 
 class TwistedOperator:
-    """(g - 1) on D_N as one Q_p matrix, with its block structure kept."""
+    """(g - 1) on D_N in block form: `matrix` is the operator, `rho_blocks[n]`
+    inverts the diagonal block chi^n sigma - 1, and `coef[n][k]` = chi^n y^k / k!,
+    so block (n, n+k) is coef[n][k] sigma and that of rho M is coef[n][k] rho_n sigma."""
 
-    __slots__ = ("level", "e", "trunc", "y", "matrix", "rho", "rho_m")
+    __slots__ = ("level", "e", "trunc", "y", "matrix", "rho_blocks", "coef")
 
-    def __init__(self, level, e, trunc, y, matrix, rho, rho_m):
+    def __init__(self, level, e, trunc, y, matrix, rho_blocks, coef):
         self.level = level
         self.e = e
         self.trunc = trunc
         self.y = y
         self.matrix = matrix
-        self.rho = rho              # block diagonal of inverses, full size
-        self.rho_m = rho_m          # rho times the strict upper part
+        self.rho_blocks = rho_blocks    # {n: d x d inverse rho_n}
+        self.coef = coef                # {n: [chi^n y^k / k! for k <= trunc - n]}
 
     @property
     def size(self):
         return self.trunc * self.level.degree
 
+    def _rho_m(self):
+        """The nonzero blocks {(n, n+k): coef[n][k] rho_n sigma} of rho M."""
+        zero = PadicScalar.zero(self.level.p, self.level.prec)
+        blocks = {}
+        for n in range(1, self.trunc):
+            rho_sigma = linalg.mat_mul(self.rho_blocks[n], self.level.sigma, zero)
+            for k in range(1, self.trunc - n + 1):
+                blocks[(n, n + k)] = linalg.mat_scale(rho_sigma, self.coef[n][k])
+        return _nonzero(blocks)
+
     def strict_upper_norm_exponent(self) -> Fraction:
         """Literal sup-norm exponent of rho M (positive means norm > 1)."""
-        return _norm_exponent(self.rho_m)
+        return _norm_exponent(self._rho_m().values(), self.level.prec)
 
     def contraction_report(self):
-        """Certify topological nilpotence of rho M.
+        """Certify nilpotence of rho M from its block structure.
 
-        rho M is strictly block upper triangular, so (rho M)^trunc = 0 and
-        the Neumann series terminates; the report carries the per-power
-        sup-norm exponents so the decay is visible, together with the literal
-        first-power exponent.
+        Block (n, l) of the j-th power of rho M vanishes unless l - n >= j.
+        The powers are multiplied block by block; the report lists the
+        sup-norm exponent of every nonzero power and the literal first one.
         """
         zero = PadicScalar.zero(self.level.p, self.level.prec)
-        exps = []
-        power = self.rho_m
-        for _ in range(self.trunc):
-            exps.append(_norm_exponent(power))
-            if all(x.is_zero() for row in power for x in row):
-                break
-            power = linalg.mat_mul(power, self.rho_m, zero)
-        nilpotent = all(x.is_zero() for row in power for x in row)
-        return {
-            "sup_norm_exponent": exps[0],
-            "power_exponents": exps,
-            "nilpotent": nilpotent,
-        }
+        rho_m = self._rho_m()
+        exps, power = [], rho_m
+        while power:                # every product raises l - n by one
+            exps.append(_norm_exponent(power.values(), self.level.prec))
+            terms = {}
+            for (n, t), left in power.items():
+                for (s, l), right in rho_m.items():
+                    if s == t:
+                        terms.setdefault((n, l), []).append(linalg.mat_mul(left, right, zero))
+            power = _nonzero({key: reduce(linalg.mat_add, mats) for key, mats in terms.items()})
+        return {"sup_norm_exponent": _norm_exponent(rho_m.values(), self.level.prec),
+                "power_exponents": exps, "nilpotent": len(exps) < self.trunc}
+
+
+def _nonzero(blocks):
+    return {key: blk for key, blk in blocks.items()
+            if any(not x.is_zero() for row in blk for x in row)}
 
 
 def g_minus_one(level: CyclotomicLevel, e: PadicScalar, trunc: int) -> TwistedOperator:
-    """Assemble (g - 1), its block-diagonal inverse rho, and rho M."""
+    """Assemble (g - 1), the inverses rho_n of its diagonal blocks and the scalars."""
     if isinstance(e, int):
         e = PadicScalar.from_int(e, level.p, level.prec)
     if e.is_zero():
@@ -211,50 +230,33 @@ def g_minus_one(level: CyclotomicLevel, e: PadicScalar, trunc: int) -> TwistedOp
             "need v(y) >= 1 for y = (chi - 1)/e; got v(y) = %s"
             % (y.val if not y.is_zero() else ">= %d" % y.prec),
             concept="normalization y in pO_K")
-    p = level.p
     d = level.degree
-    size = trunc * d
-    zero = PadicScalar.zero(p, level.prec)
-    one = PadicScalar.one(p, level.prec)
-    mat = [[zero for _ in range(size)] for _ in range(size)]
-    rho = [[zero for _ in range(size)] for _ in range(size)]
-    rho_blocks = {}
-    # y^k / k! scalars
+    one, zero = PadicScalar.one(level.p, level.prec), PadicScalar.zero(level.p, level.prec)
     y_over_fact = [one]
     for k in range(1, trunc):
-        y_over_fact.append(y_over_fact[-1] * y / PadicScalar.from_int(k, p, level.prec))
-    chi_pow = {n: level.chi ** n for n in range(1, trunc + 1)}
+        y_over_fact.append(y_over_fact[-1] * y / PadicScalar.from_int(k, level.p, level.prec))
+    coef, rho_blocks, mat = {}, {}, []
     for n in range(1, trunc + 1):
-        base = (n - 1) * d
+        chi_n = level.chi ** n
+        coef[n] = [chi_n * c for c in y_over_fact[:trunc - n + 1]]
         diag = _diagonal_block(level, n)
-        inv = linalg.invert(diag, one, zero)
-        rho_blocks[n] = inv
-        for i in range(d):
-            for j in range(d):
-                mat[base + i][base + j] = diag[i][j]
-                rho[base + i][base + j] = inv[i][j]
-        for k in range(1, trunc - n + 1):
-            scale = chi_pow[n] * y_over_fact[k]
-            cbase = (n + k - 1) * d
-            for i in range(d):
-                for j in range(d):
-                    mat[base + i][cbase + j] = level.sigma[i][j] * scale
-    strict = [[mat[i][j] if (j // d) > (i // d) else zero
-               for j in range(size)] for i in range(size)]
-    rho_m = linalg.mat_mul(rho, strict, zero)
-    return TwistedOperator(level, e, trunc, y, mat, rho, rho_m)
+        rho_blocks[n] = linalg.invert(diag, one, zero)
+        row = [diag] + [linalg.mat_scale(level.sigma, c) for c in coef[n][1:]]
+        mat.extend([zero] * (n - 1) * d + [x for blk in row for x in blk[i]]
+                   for i in range(d))
+    return TwistedOperator(level, e, trunc, y, mat, rho_blocks, coef)
 
 
 def neumann_invert(T: TwistedOperator, rhs, require_contraction: bool = False):
-    """Solve (g - 1) x = rhs by x = sum_k (-rho M)^k rho rhs.
+    """Solve (g - 1) x = rhs by one block back-substitution pass.
 
-    The sum always terminates on the truncation (rho M is nilpotent); when
-    require_contraction is set, a literal sup-norm >= 1 for rho M raises
+    x_n = rho_n (rhs_n - sigma sum_k coef[n][k] x_{n+k}) for n = trunc..1 is
+    exactly the terminating Neumann sum sum_k (-rho M)^k rho rhs.  With
+    require_contraction, a literal sup-norm >= 1 for rho M raises
     ConvergenceError instead, the cure being a smaller y (larger level or a
-    generator closer to 1).  The residual valuation is reported.
+    generator closer to 1).  The residual against `matrix` is reported.
     """
-    p = T.level.p
-    prec = T.level.prec
+    d = T.level.degree
     if len(rhs) != T.size:
         raise UsageError("right-hand side has size %d; expected %d"
                          % (len(rhs), T.size))
@@ -264,25 +266,23 @@ def neumann_invert(T: TwistedOperator, rhs, require_contraction: bool = False):
             "|rho M| has sup-norm exponent %s >= 0 (norm >= 1); take a smaller "
             "y (larger level m or generator closer to 1)" % sup,
             concept="Neumann contraction bound")
-    zero = PadicScalar.zero(p, prec)
-    w = linalg.mat_vec(T.rho, list(rhs), zero)
-    acc = list(w)
-    # (rho M)^trunc vanishes, so trunc iterations compute the exact inverse
-    for _ in range(T.trunc):
-        w = [-x for x in linalg.mat_vec(T.rho_m, w, zero)]
-        acc = [x + y for x, y in zip(acc, w)]
-    residual = [x - y for x, y in zip(linalg.mat_vec(T.matrix, acc, zero), rhs)]
-    res_bound = min(x.val_bound() for x in residual)
-    if any(not x.is_zero() for x in residual):
+    zero = PadicScalar.zero(T.level.p, T.level.prec)
+    x = []                          # x_{n+1}, ..., x_trunc, flattened
+    for n in range(T.trunc, 0, -1):
+        b = rhs[(n - 1) * d: n * d]
+        if x:                       # x[i::d] is coordinate i of x_{n+1}, x_{n+2}, ...
+            tail = [sum((c * v for c, v in zip(T.coef[n][1:], x[i::d])), zero)
+                    for i in range(d)]
+            b = [u - v for u, v in zip(b, linalg.mat_vec(T.level.sigma, tail, zero))]
+        x = linalg.mat_vec(T.rho_blocks[n], b, zero) + x
+    residual = [u - v for u, v in zip(linalg.mat_vec(T.matrix, x, zero), rhs)]
+    res_bound = min(u.val_bound() for u in residual)
+    if any(not u.is_zero() for u in residual):
         raise ConvergenceError(
             "Neumann residual is nonzero at valuation %s; |rho M| exponent %s "
             "suggests a smaller y" % (res_bound, sup),
             concept="Neumann contraction bound")
-    return {
-        "solution": acc,
-        "residual_valuation": res_bound,
-        "sup_norm_exponent": sup,
-    }
+    return {"solution": x, "residual_valuation": res_bound, "sup_norm_exponent": sup}
 
 
 def dense_solve(T: TwistedOperator, rhs):

@@ -206,7 +206,9 @@ class PadicScalar:
         return PadicScalar(self.p, self.val, (-self.unit) % self.p ** rel, self.prec)
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, PadicScalar):
+            if not isinstance(other, int):
+                return NotImplemented
             other = PadicScalar.from_int(other, self.p, self.prec)
         self._check_same_p(other)
         p = self.p
@@ -227,7 +229,9 @@ class PadicScalar:
         return self.__add__(other)
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, PadicScalar):
+            if not isinstance(other, int):
+                return NotImplemented
             other = PadicScalar.from_int(other, self.p, self.prec)
         return self.__add__(-other)
 
@@ -235,7 +239,9 @@ class PadicScalar:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, PadicScalar):
+            if not isinstance(other, int):
+                return NotImplemented
             other = PadicScalar.from_int(other, self.p, self.prec)
         self._check_same_p(other)
         if self.val is None and other.val is None:
@@ -253,7 +259,9 @@ class PadicScalar:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, PadicScalar):
+            if not isinstance(other, int):
+                return NotImplemented
             other = PadicScalar.from_int(other, self.p, self.prec)
         self._check_same_p(other)
         if other.val is None:

@@ -202,6 +202,21 @@ class TestExitCodes:
                             "--a", "2", "--nmin", "-2", "--nmax", "2")
         assert code == 2 and "not a prime" in rep["error"]["message"]
 
+    @pytest.mark.parametrize("prec", ["-3", "0"])
+    @pytest.mark.parametrize("cmd", [
+        ["delta", "--nmin", "1", "--nmax", "2"], ["kernel", "--e", "1", "--trunc", "2"]])
+    def test_gamma_non_positive_prec_is_2(self, capsys, cmd, prec):
+        level = ["--p", "3", "--m", "1", "--a", "4"]
+        code, rep = run_cli(capsys, "gamma", *cmd[:1], *level, *cmd[1:], "--prec", prec)
+        assert code == 2 and "precision must be >= 1" in rep["error"]["message"]
+
+    def test_gamma_senlab_prec_zero_is_2(self, capsys, monkeypatch):
+        # SENLAB_PREC=0 is a precision, not "unset"
+        monkeypatch.setenv("SENLAB_PREC", "0")
+        code, rep = run_cli(capsys, "gamma", "delta", "--p", "3", "--m", "1", "--a", "4",
+                            "--nmin", "1", "--nmax", "2")
+        assert code == 2 and "precision must be >= 1" in rep["error"]["message"]
+
     def test_unknown_flag_rejected(self, capsys, field_file):
         code = main(["field", "build", "--spec", field_file, "--bogus"])
         capsys.readouterr()

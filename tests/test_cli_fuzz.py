@@ -1,9 +1,10 @@
-"""Fuzzed JSON input through `field build`, `field arith` and `field trace`.
+"""Fuzzed input through `field build`, `field arith`, `field trace` and the
+`gamma` commands.
 
 Every input, however malformed, must end in a documented exit code (0 for
 success, 2-5 for the error classes), never in a traceback.  Sizes are kept
-small (degree <= 6, precision <= 25) so that each example runs well under
-a second.
+small (field degree <= 6 and precision <= 25; for `gamma`, level m <= 2 and
+truncation <= 3) so that each example runs well under a second.
 """
 
 import contextlib
@@ -127,3 +128,53 @@ def test_field_trace_exits_cleanly(s, x):
 ])
 def test_malformed_spec_regressions(spec_obj):
     assert run(["field", "build", "--spec", json.dumps(spec_obj)]) == 2
+
+
+# gamma: level parameters in and outside their valid ranges, half of them from
+# valid levels (a = 1 mod p) at precisions that may still be too small; rhs
+# vectors short, of the right size for small levels, or junk
+VALID_LEVELS = [(2, 1, 3), (2, 2, 5), (3, 1, 4), (3, 1, 7), (3, 2, 10), (5, 1, 6), (5, 1, 11)]
+rhs_vector = st.one_of(st.lists(st.one_of(small_int, small_int.map(str), scalar_obj),
+                                max_size=12), junk, st.just({"x": 1}))
+level_args = st.one_of(
+    st.tuples(st.sampled_from([0, 1, 2, 3, 4, 5]), st.integers(-1, 2), st.integers(-2, 12),
+              st.one_of(st.integers(-3, 3), st.integers(4, 40))),
+    st.tuples(st.sampled_from(VALID_LEVELS), st.integers(-3, 40)).map(
+        lambda t: (*t[0], t[1])))
+twist = st.one_of(st.sampled_from([1, -1, 2]), st.integers(-3, 3))
+truncation = st.one_of(st.integers(1, 3), st.integers(-1, 3))
+
+
+def with_rhs(args):
+    """Add an rhs: fuzzed, or integers of the operator's size when the level is valid."""
+    (p, m, _a, _prec), _e, trunc = args
+    size = max(trunc, 0) * max(p - 1, 0) * p ** max(m - 1, 0)
+    exact = st.lists(small_int.map(str), min_size=size, max_size=size)
+    return st.tuples(st.just(args), st.one_of(exact, rhs_vector))
+
+
+def level_argv(p, m, a, prec):
+    return ["--p", str(p), "--m", str(m), "--a", str(a), "--prec", str(prec)]
+
+
+@settings(max_examples=80)
+@given(level_args, st.integers(-3, 3), st.integers(-3, 3))
+def test_gamma_delta_exits_cleanly(level, nmin, nmax):
+    argv = ["gamma", "delta", *level_argv(*level), "--nmin", str(nmin), "--nmax", str(nmax)]
+    assert run(argv) in EXIT_CODES
+
+
+@settings(max_examples=80)
+@given(st.tuples(level_args, twist, truncation).flatmap(with_rhs))
+def test_gamma_invert_exits_cleanly(args_rhs):
+    (level, e, trunc), rhs = args_rhs
+    argv = ["gamma", "invert", *level_argv(*level), "--e", str(e), "--trunc", str(trunc),
+            "--rhs", as_arg(rhs)]
+    assert run(argv) in EXIT_CODES
+
+
+@settings(max_examples=80)
+@given(level_args, twist, truncation)
+def test_gamma_kernel_exits_cleanly(level, e, trunc):
+    argv = ["gamma", "kernel", *level_argv(*level), "--e", str(e), "--trunc", str(trunc)]
+    assert run(argv) in EXIT_CODES

@@ -24,6 +24,60 @@ def operator(level_m2):
     return g_minus_one(level_m2, S.from_int(1, 3, 60), 8)
 
 
+# the dense route the block form replaced: rho (block diagonal of inverses of
+# the diagonal blocks of the operator) and rho M (M the strict upper part) as
+# full matrices, the Neumann sum and the powers of rho M
+def _dense_rho_m(T):
+    d, size = T.level.degree, T.size
+    one, zero = S.one(T.level.p, T.level.prec), S.zero(T.level.p, T.level.prec)
+    rho = [[zero] * size for _ in range(size)]
+    for base in range(0, size, d):
+        inv = linalg.invert([row[base:base + d] for row in T.matrix[base:base + d]], one, zero)
+        for i in range(d):
+            rho[base + i][base:base + d] = inv[i]
+    strict = [[T.matrix[i][j] if j // d > i // d else zero for j in range(size)]
+              for i in range(size)]
+    return rho, linalg.mat_mul(rho, strict, zero)
+
+
+def _norm(rows):
+    return Fraction(-min(x.val_bound() for row in rows for x in row))
+
+
+def _dense_power_exponents(rho_m, zero):
+    exps, power = [], rho_m
+    while any(not x.is_zero() for row in power for x in row):
+        exps.append(_norm(power))
+        power = linalg.mat_mul(power, rho_m, zero)
+    return exps
+
+
+def _dense_neumann(T, rho, rho_m, rhs):
+    zero = S.zero(T.level.p, T.level.prec)
+    w = linalg.mat_vec(rho, rhs, zero)
+    acc = list(w)
+    for _ in range(T.trunc):
+        w = [-x for x in linalg.mat_vec(rho_m, w, zero)]
+        acc = [x + y for x, y in zip(acc, w)]
+    return acc
+
+
+# two benchmark inversion levels and the criterion-8 operator, with the power
+# exponents the dense route gave (its trailing zero power left out)
+DENSE_CASES = {
+    "3-1-2-trunc8": ((3, 1, 2, 40), Fraction(1, 3), 8, [1, 0, 0, -1, -1, -2, -2]),
+    "3-2-2-trunc4": ((3, 2, 2, 40), Fraction(1, 3), 4, [1, 0, 0]),
+    "criterion8": ((3, 2, 10, 60), Fraction(1), 8, [1, 1, 1, 2, 2, 2, 2]),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DENSE_CASES))
+def dense_case(request):
+    (p, m, a, prec), e, trunc, powers = DENSE_CASES[request.param]
+    T = g_minus_one(build_level(p, m, a, prec), S.from_fraction(e, p, prec), trunc)
+    return (T, *_dense_rho_m(T), powers)
+
+
 class TestBuildLevel:
     def test_degrees(self):
         assert build_level(3, 1, 2, 30).degree == 2
@@ -76,6 +130,25 @@ class TestRhoBound:
             tables[m] = rho_bound(L, symmetric_range(6)).per_n
         assert tables[1] == tables[2]
 
+    @pytest.mark.parametrize("p,m,a,order", [(3, 2, 2, 6), (3, 1, 4, 1), (5, 1, 2, 4)])
+    def test_finite_order_closed_form(self, p, m, a, order):
+        # sigma^r = 1 gives (chi^n sigma - 1)^-1 = (chi^(nr) - 1)^-1 sum_{j<r} chi^(nj) sigma^j
+        L = build_level(p, m, a, 40)
+        d = L.degree
+        one, zero = S.one(p, 40), S.zero(p, 40)
+        powers = [linalg.identity(d, one, zero)]
+        while len(powers) < order:
+            powers.append(linalg.mat_mul(powers[-1], L.sigma, zero))
+        assert all((x - y).is_zero() for rx, ry in zip(linalg.mat_mul(powers[-1], L.sigma, zero),
+                                                      powers[0]) for x, y in zip(rx, ry))
+        rep = rho_bound(L, symmetric_range(6))
+        for n in symmetric_range(6):
+            total = powers[0]
+            for j in range(1, order):
+                total = linalg.mat_add(total, linalg.mat_scale(powers[j], L.chi ** (n * j)))
+            inv = linalg.mat_scale(total, (L.chi ** (n * order) - 1).inverse())
+            assert rep.per_n[n] == _norm(inv), n
+
     def test_zero_twist_rejected(self, level_m2):
         with pytest.raises(UsageError):
             rho_bound(level_m2, [0, 1])
@@ -117,12 +190,21 @@ class TestTwistedOperator:
         assert T.size == L.degree
         assert kernel_check(T) == 0
 
-    def test_contraction_certificate(self, operator):
-        con = operator.contraction_report()
+    def test_contraction_certificate(self, dense_case):
+        T, _rho, rho_m, powers = dense_case
+        con = T.contraction_report()
         assert con["nilpotent"]
-        # the literal sup norm exponent is 1 in this model: entries
-        # chi^n y / (chi^n - 1) on the sigma-fixed line have valuation -v_p(n)
-        assert con["sup_norm_exponent"] == Fraction(1)
+        assert con["sup_norm_exponent"] == _norm(rho_m) == powers[0]
+        assert T.strict_upper_norm_exponent() == con["sup_norm_exponent"]
+        zero = S.zero(T.level.p, T.level.prec)
+        assert con["power_exponents"] == _dense_power_exponents(rho_m, zero) == powers
+
+    def test_single_block_has_no_strict_part(self):
+        # rho M is zero: no power is listed and the exponent is -prec
+        T = g_minus_one(build_level(3, 1, 4, 40), S.from_int(1, 3, 40), 1)
+        con = T.contraction_report()
+        assert con["nilpotent"] and con["power_exponents"] == []
+        assert con["sup_norm_exponent"] == -40
 
     def test_kernel_trivial(self, operator):
         assert kernel_check(operator) == 0
@@ -141,16 +223,20 @@ class TestNeumann:
         res = neumann_invert(operator, rhs)
         assert all((a - b).is_zero() for a, b in zip(res["solution"], x))
 
-    def test_matches_dense_solve(self, operator):
+    def test_matches_dense_solve(self, dense_case):
+        T, rho, rho_m, _powers = dense_case
+        p, prec = T.level.p, T.level.prec
         rng = random.Random(2)
-        rhs = [S.from_int(rng.randrange(-3 ** 8, 3 ** 8), 3, 60)
-               for _ in range(operator.size)]
-        res = neumann_invert(operator, rhs)
-        direct = dense_solve(operator, rhs)
-        diffs = [a - b for a, b in zip(res["solution"], direct)]
-        assert all(x.is_zero() for x in diffs)
-        assert min(x.val_bound() for x in diffs) >= 46
-        assert res["residual_valuation"] >= 46
+        rhs = [S.from_int(rng.randrange(-3 ** 8, 3 ** 8), p, prec) for _ in range(T.size)]
+        res = neumann_invert(T, rhs)
+        direct = dense_solve(T, rhs)
+        dense = _dense_neumann(T, rho, rho_m, rhs)
+        assert all((a - b).is_zero() for a, b in zip(res["solution"], direct))
+        assert all((a - b).is_zero() for a, b in zip(res["solution"], dense))
+        assert all(a.prec >= b.prec for a, b in zip(res["solution"], dense))
+        assert res["sup_norm_exponent"] == _norm(rho_m)
+        assert min((a - b).val_bound() for a, b in zip(res["solution"], direct)) >= prec - 14
+        assert res["residual_valuation"] >= prec - 14
 
     def test_contraction_requirement_raises_here(self, operator):
         # the literal sup-norm condition is unattainable in the finite model

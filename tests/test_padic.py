@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from itertools import count, islice
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from senlab.errors import DomainError, PrecisionError, UsageError
+from senlab.field import qp_field
 from senlab.padic import (PadicPoly, PadicScalar, newton_polygon, padic_exp,
                           padic_log)
 
@@ -31,6 +33,17 @@ class TestScalarArith:
     def test_mixed_primes_rejected(self):
         with pytest.raises(UsageError):
             S.from_int(1, 3, 10) + S.from_int(1, 5, 10)
+
+    def test_scalar_first_mixed_with_field_element(self):
+        # a scalar on the left defers to the other operand instead of reading its .p
+        K = qp_field(3, 10)
+        s = S.from_int(3, 3, 10)
+        assert (s * K.one() - K.from_int(3)).is_zero()
+        for op in (operator.add, operator.sub, operator.truediv):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(s, K.one())
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            assert getattr(s, "__%s__" % op.__name__)(K.one()) is NotImplemented
 
     def test_division_by_zero_to_precision(self):
         with pytest.raises(PrecisionError):
