@@ -22,7 +22,7 @@ from .senmod import (ClassifierReport, SenModule, bk_twist, char_poly,
                      operator_series, operator_series_apply,
                      regular_representation, semilinear_descent_matrix, tensor)
 from .gamma import (CyclotomicLevel, TwistedOperator, build_level, dense_solve,
-                    g_minus_one, kernel_check, neumann_invert, rho_bound)
+                    g_minus_one, neumann_invert, rho_bound)
 from .picard import (BoundaryValue, boundary, functoriality_check,
                      in_picard_image, kernel_lattice, witness_of_order)
 

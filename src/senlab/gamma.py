@@ -8,11 +8,13 @@ upper-triangular Q_p-matrix
     block (n, n+k) = chi^n (y^k / k!) sigma      (k >= 1),
     block (n, n)   = chi^n sigma - 1,
 
-whose diagonal blocks are inverted exactly (per-block Gauss-Jordan); their
-operator-norm exponents give the finite-level Tate bound delta.  With rho_n
-those inverses and M the strict upper part, block (n, n+k) of rho M is
-chi^n (y^k / k!) rho_n sigma: rho M is nilpotent by its structure, and one
-block back-substitution pass, the terminating Neumann sum, inverts g - 1.
+whose diagonal blocks are invertible.  sigma has finite order r, and the
+closed form (chi^(nr) - 1)^-1 sum_{j<r} chi^(nj) sigma^j of their inverses
+gives the finite-level Tate bound delta.  With rho_n those inverses (per-block
+Gauss-Jordan) and M the strict upper part, block (n, n+k) of rho M is
+chi^n (y^k / k!) rho_n sigma: rho M is nilpotent by its structure, one block
+back-substitution pass, the terminating Neumann sum, inverts g - 1, and the
+nullity of g - 1 is zero by the block structure.
 """
 
 from __future__ import annotations
@@ -20,11 +22,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from typing import NamedTuple
 
 from . import linalg
 from .errors import ConvergenceError, DomainError, PrecisionError, UsageError
 from .field import cyclotomic_field, FieldEmbedding
-from .padic import DEFAULT_PRECISION, PadicScalar, require_prime, vp_factorial
+from .padic import DEFAULT_PRECISION, PadicScalar, require_prime, vp_factorial, vp_int
+
+SINGULAR_BLOCK = "diagonal block at n = %d is singular to working precision"
 
 
 class CyclotomicLevel:
@@ -95,26 +100,16 @@ def build_level(p: int, m: int, a: int, prec: int = DEFAULT_PRECISION) -> Cyclot
 # Tate bounds
 # ---------------------------------------------------------------------------
 
-class RhoReport:
-    __slots__ = ("per_n", "delta")
-
-    def __init__(self, per_n, delta):
-        self.per_n = per_n          # {n: Fraction exponent}
-        self.delta = delta
-
-    def __repr__(self):
-        return f"RhoReport(delta={self.delta})"
+class RhoReport(NamedTuple):
+    per_n: dict                     # {n: Fraction exponent}
+    delta: Fraction
 
 
 def _diagonal_block(level: CyclotomicLevel, n: int):
     """chi^n sigma - 1 as a Q_p matrix."""
-    d = level.degree
     scale = level.chi ** n
-    one = PadicScalar.one(level.p, level.prec)
-    out = [[level.sigma[i][j] * scale for j in range(d)] for i in range(d)]
-    for i in range(d):
-        out[i][i] = out[i][i] - one
-    return out
+    return [[x * scale - int(i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(level.sigma)]
 
 
 def _norm_exponent(blocks, prec=None) -> Fraction:
@@ -125,24 +120,34 @@ def _norm_exponent(blocks, prec=None) -> Fraction:
 
 
 def rho_bound(level: CyclotomicLevel, n_values) -> RhoReport:
-    """Invert chi^n sigma - 1 for each n and report norm exponents.
-
-    The inverse exists for every n != 0: the blocks are exactly invertible at
-    finite level because an integer a > 1 is never a root of unity.
-    """
-    per_n = {}
-    one, zero = PadicScalar.one(level.p, level.prec), PadicScalar.zero(level.p, level.prec)
+    """Norm exponents of (chi^n sigma - 1)^-1, closed form from the finite
+    order r of sigma: the inverse is (chi^(nr) - 1)^-1 S_n, S_n = sum_{j<r}
+    chi^(nj) sigma^j, so its exponent is v_p(a^(|n|r) - 1) minus the least
+    entry valuation of S_n mod p^prec (0 counts as prec).  Singular to working
+    precision exactly when a^(|n|r) = 1 mod p^prec: at low precision that
+    refuses some blocks that Gauss-Jordan inverts."""
+    p, a, d, mod = level.p, level.a, level.degree, level.p ** level.prec
+    r = next(r for r in range(1, p ** level.m) if pow(a, r, p ** level.m) == 1)
+    v_denom, chi_powers = {}, {}
     for n in n_values:
         if n == 0:
             raise UsageError("n = 0 is the untwisted block; it is not invertible")
-        block = _diagonal_block(level, n)
-        try:
-            inv = linalg.invert(block, one, zero)
-        except PrecisionError as err:
-            raise PrecisionError(
-                "diagonal block at n = %d is singular to working precision: %s"
-                % (n, err)) from err
-        per_n[n] = _norm_exponent([inv])
+        denom = (pow(a, abs(n) * r, mod) - 1) % mod
+        if denom == 0:
+            raise PrecisionError(SINGULAR_BLOCK % n)
+        v_denom[n], chi_powers[n] = vp_int(denom, p), [pow(a, n * j, mod) for j in range(r)]
+    if not v_denom:
+        raise UsageError("empty twist list: nothing to bound")
+    sigma = [[s.lift() for s in row] for row in level.sigma]
+    content = dict.fromkeys(v_denom, mod)
+    for t in range(d):              # column t of S_n is sum_j chi^(nj) sigma^j e_t
+        orbit = [[int(i == t) for i in range(d)]]
+        for _ in range(1, r):
+            orbit.append([sum(u * v for u, v in zip(row, orbit[-1])) % mod for row in sigma])
+        for n, cs in chi_powers.items():
+            column = [sum(c * vec[i] for c, vec in zip(cs, orbit)) for i in range(d)]
+            content[n] = math.gcd(content[n], *column)
+    per_n = {n: Fraction(v - vp_int(content[n], p)) for n, v in v_denom.items()}
     return RhoReport(per_n, max(per_n.values()))
 
 
@@ -175,29 +180,28 @@ class TwistedOperator:
     def size(self):
         return self.trunc * self.level.degree
 
-    def _rho_m(self):
-        """The nonzero blocks {(n, n+k): coef[n][k] rho_n sigma} of rho M."""
-        zero = PadicScalar.zero(self.level.p, self.level.prec)
-        blocks = {}
-        for n in range(1, self.trunc):
-            rho_sigma = linalg.mat_mul(self.rho_blocks[n], self.level.sigma, zero)
-            for k in range(1, self.trunc - n + 1):
-                blocks[(n, n + k)] = linalg.mat_scale(rho_sigma, self.coef[n][k])
-        return _nonzero(blocks)
-
     def strict_upper_norm_exponent(self) -> Fraction:
-        """Literal sup-norm exponent of rho M (positive means norm > 1)."""
-        return _norm_exponent(self._rho_m().values(), self.level.prec)
+        """Sup-norm exponent of rho M: sigma is in GL_d(Z_p), so block (n, n+k)
+        has norm |coef[n][k]| |rho_n|; -prec with no strict block (trunc = 1)."""
+        return max((_norm_exponent([self.rho_blocks[n]])
+                    - min(c.val_bound() for c in self.coef[n][1:])
+                    for n in range(1, self.trunc)), default=Fraction(-self.level.prec))
 
     def contraction_report(self):
         """Certify nilpotence of rho M from its block structure.
 
         Block (n, l) of the j-th power of rho M vanishes unless l - n >= j.
-        The powers are multiplied block by block; the report lists the
+        The nonzero blocks {(n, n+k): coef[n][k] rho_n sigma} of rho M and
+        their powers are multiplied block by block; the report lists the
         sup-norm exponent of every nonzero power and the literal first one.
         """
         zero = PadicScalar.zero(self.level.p, self.level.prec)
-        rho_m = self._rho_m()
+        rho_m = {}
+        for n in range(1, self.trunc):
+            rho_sigma = linalg.mat_mul(self.rho_blocks[n], self.level.sigma, zero)
+            for k in range(1, self.trunc - n + 1):
+                rho_m[(n, n + k)] = linalg.mat_scale(rho_sigma, self.coef[n][k])
+        rho_m = _nonzero(rho_m)
         exps, power = [], rho_m
         while power:                # every product raises l - n by one
             exps.append(_norm_exponent(power.values(), self.level.prec))
@@ -240,7 +244,10 @@ def g_minus_one(level: CyclotomicLevel, e: PadicScalar, trunc: int) -> TwistedOp
         chi_n = level.chi ** n
         coef[n] = [chi_n * c for c in y_over_fact[:trunc - n + 1]]
         diag = _diagonal_block(level, n)
-        rho_blocks[n] = linalg.invert(diag, one, zero)
+        try:
+            rho_blocks[n] = linalg.invert(diag, one, zero)
+        except PrecisionError as err:
+            raise PrecisionError(SINGULAR_BLOCK % n) from err
         row = [diag] + [linalg.mat_scale(level.sigma, c) for c in coef[n][1:]]
         mat.extend([zero] * (n - 1) * d + [x for blk in row for x in blk[i]]
                    for i in range(d))
@@ -252,7 +259,7 @@ def neumann_invert(T: TwistedOperator, rhs, require_contraction: bool = False):
 
     x_n = rho_n (rhs_n - sigma sum_k coef[n][k] x_{n+k}) for n = trunc..1 is
     exactly the terminating Neumann sum sum_k (-rho M)^k rho rhs.  With
-    require_contraction, a literal sup-norm >= 1 for rho M raises
+    require_contraction, an entrywise sup-norm >= 1 for rho M raises
     ConvergenceError instead, the cure being a smaller y (larger level or a
     generator closer to 1).  The residual against `matrix` is reported.
     """
@@ -289,11 +296,6 @@ def dense_solve(T: TwistedOperator, rhs):
     """Direct Gaussian elimination on the full operator; the oracle route."""
     zero = PadicScalar.zero(T.level.p, T.level.prec)
     return linalg.solve(T.matrix, list(rhs), zero)
-
-
-def kernel_check(T: TwistedOperator) -> int:
-    """Nullity of (g - 1) on D_N; zero whenever the blocks invert."""
-    return T.size - linalg.rank(T.matrix)
 
 
 # ---------------------------------------------------------------------------

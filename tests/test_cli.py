@@ -210,6 +210,15 @@ class TestExitCodes:
         code, rep = run_cli(capsys, "gamma", *cmd[:1], *level, *cmd[1:], "--prec", prec)
         assert code == 2 and "precision must be >= 1" in rep["error"]["message"]
 
+    @pytest.mark.parametrize("cmd", [
+        ["delta", "--nmin", "1", "--nmax", "3"], ["kernel", "--e", "1", "--trunc", "3"]])
+    def test_gamma_singular_block_is_4(self, capsys, cmd):
+        # 4^3 - 1 = 63 vanishes mod 3^2: the block at n = 3 is singular at precision 2
+        level = ["--p", "3", "--m", "1", "--a", "4"]
+        code, rep = run_cli(capsys, "gamma", *cmd[:1], *level, *cmd[1:], "--prec", "2")
+        assert code == 4
+        assert "diagonal block at n = 3 is singular" in rep["error"]["message"]
+
     def test_gamma_senlab_prec_zero_is_2(self, capsys, monkeypatch):
         # SENLAB_PREC=0 is a precision, not "unset"
         monkeypatch.setenv("SENLAB_PREC", "0")

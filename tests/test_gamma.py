@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from senlab import linalg
-from senlab.errors import ConvergenceError, DomainError, UsageError
-from senlab.gamma import (build_level, dense_solve, g_minus_one, kernel_check,
+from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageError
+from senlab.gamma import (_diagonal_block, build_level, dense_solve, g_minus_one,
                           log_coordinate_tail_bounds, log_coordinate_vector,
                           neumann_invert, rho_bound, symmetric_range)
 from senlab.padic import PadicScalar
@@ -130,28 +130,38 @@ class TestRhoBound:
             tables[m] = rho_bound(L, symmetric_range(6)).per_n
         assert tables[1] == tables[2]
 
-    @pytest.mark.parametrize("p,m,a,order", [(3, 2, 2, 6), (3, 1, 4, 1), (5, 1, 2, 4)])
+    # the benchmark levels, then (5, 1, 2) and (3, 2, 4); order = ord(a mod p^m)
+    @pytest.mark.parametrize("p,m,a,order", [
+        (3, 1, 2, 2), (3, 1, 4, 1), (3, 2, 2, 6), (3, 3, 2, 18), (3, 2, 10, 1),
+        (5, 2, 2, 20), (5, 1, 2, 4), (3, 2, 4, 3)])
     def test_finite_order_closed_form(self, p, m, a, order):
-        # sigma^r = 1 gives (chi^n sigma - 1)^-1 = (chi^(nr) - 1)^-1 sum_{j<r} chi^(nj) sigma^j
+        # rho_bound reads the exponents off the finite order of sigma; the
+        # oracle inverts each block chi^n sigma - 1 by Gauss-Jordan
         L = build_level(p, m, a, 40)
-        d = L.degree
         one, zero = S.one(p, 40), S.zero(p, 40)
-        powers = [linalg.identity(d, one, zero)]
-        while len(powers) < order:
-            powers.append(linalg.mat_mul(powers[-1], L.sigma, zero))
-        assert all((x - y).is_zero() for rx, ry in zip(linalg.mat_mul(powers[-1], L.sigma, zero),
-                                                      powers[0]) for x, y in zip(rx, ry))
+        ident = linalg.identity(L.degree, one, zero)
+        assert all((x - y).is_zero() for rx, ry in zip(linalg.mat_pow(L.sigma, order, one, zero),
+                                                      ident) for x, y in zip(rx, ry))
         rep = rho_bound(L, symmetric_range(6))
         for n in symmetric_range(6):
-            total = powers[0]
-            for j in range(1, order):
-                total = linalg.mat_add(total, linalg.mat_scale(powers[j], L.chi ** (n * j)))
-            inv = linalg.mat_scale(total, (L.chi ** (n * order) - 1).inverse())
-            assert rep.per_n[n] == _norm(inv), n
+            assert rep.per_n[n] == _norm(linalg.invert(_diagonal_block(L, n), one, zero)), n
+        assert rep.delta == max(rep.per_n.values())
 
     def test_zero_twist_rejected(self, level_m2):
         with pytest.raises(UsageError):
             rho_bound(level_m2, [0, 1])
+
+    def test_empty_twist_list_rejected(self, level_m2):
+        with pytest.raises(UsageError):
+            rho_bound(level_m2, [])
+
+    def test_singular_block_named(self):
+        # at precision 2, chi^3 - 1 = 4^3 - 1 = 63 vanishes mod 9 (sigma is trivial)
+        L = build_level(3, 1, 4, 2)
+        for call in (lambda: rho_bound(L, [1, 2, 3]),
+                     lambda: g_minus_one(L, S.from_int(1, 3, 2), 3)):
+            with pytest.raises(PrecisionError, match="diagonal block at n = 3 is singular"):
+                call()
 
 
 class TestTwistedOperator:
@@ -188,7 +198,7 @@ class TestTwistedOperator:
         L = build_level(3, 1, 4, 40)
         T = g_minus_one(L, S.from_int(1, 3, 40), 1)
         assert T.size == L.degree
-        assert kernel_check(T) == 0
+        assert linalg.rank(T.matrix) == T.size
 
     def test_contraction_certificate(self, dense_case):
         T, _rho, rho_m, powers = dense_case
@@ -206,8 +216,10 @@ class TestTwistedOperator:
         assert con["nilpotent"] and con["power_exponents"] == []
         assert con["sup_norm_exponent"] == -40
 
-    def test_kernel_trivial(self, operator):
-        assert kernel_check(operator) == 0
+    def test_kernel_trivial(self, dense_case):
+        # the dense rank is the oracle for the zero nullity of the block structure
+        T = dense_case[0]
+        assert linalg.rank(T.matrix) == T.size
 
 
 class TestNeumann:
