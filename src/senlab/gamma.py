@@ -10,11 +10,12 @@ upper-triangular Q_p-matrix
 
 whose diagonal blocks are invertible.  sigma has finite order r, and the
 closed form (chi^(nr) - 1)^-1 sum_{j<r} chi^(nj) sigma^j of their inverses
-gives the finite-level Tate bound delta.  With rho_n those inverses (per-block
-Gauss-Jordan) and M the strict upper part, block (n, n+k) of rho M is
-chi^n (y^k / k!) rho_n sigma: rho M is nilpotent by its structure, one block
-back-substitution pass, the terminating Neumann sum, inverts g - 1, and the
-nullity of g - 1 is zero by the block structure.
+gives the finite-level Tate bound delta.  With rho_n those inverses (from
+linalg.invert, the integral Gauss-Jordan kernel for Q_p matrices) and M the
+strict upper part, block (n, n+k) of rho M is chi^n (y^k / k!) rho_n sigma:
+rho M is nilpotent by its structure, one block back-substitution pass, the
+terminating Neumann sum, inverts g - 1, and the nullity of g - 1 is zero by
+the block structure.
 """
 
 from __future__ import annotations
@@ -122,20 +123,18 @@ def _norm_exponent(blocks, prec=None) -> Fraction:
 def rho_bound(level: CyclotomicLevel, n_values) -> RhoReport:
     """Norm exponents of (chi^n sigma - 1)^-1, closed form from the finite
     order r of sigma: the inverse is (chi^(nr) - 1)^-1 S_n, S_n = sum_{j<r}
-    chi^(nj) sigma^j, so its exponent is v_p(a^(|n|r) - 1) minus the least
-    entry valuation of S_n mod p^prec (0 counts as prec).  Singular to working
-    precision exactly when a^(|n|r) = 1 mod p^prec: at low precision that
-    refuses some blocks that Gauss-Jordan inverts."""
+    chi^(nj) sigma^j, so its exponent is v_p(a^(|n|r) - 1), exact from the
+    integer a, minus the least entry valuation of S_n mod p^prec.  Singular
+    to working precision exactly when S_n vanishes mod p^prec, so that its
+    least valuation is unknown."""
     p, a, d, mod = level.p, level.a, level.degree, level.p ** level.prec
     r = next(r for r in range(1, p ** level.m) if pow(a, r, p ** level.m) == 1)
     v_denom, chi_powers = {}, {}
     for n in n_values:
         if n == 0:
             raise UsageError("n = 0 is the untwisted block; it is not invertible")
-        denom = (pow(a, abs(n) * r, mod) - 1) % mod
-        if denom == 0:
-            raise PrecisionError(SINGULAR_BLOCK % n)
-        v_denom[n], chi_powers[n] = vp_int(denom, p), [pow(a, n * j, mod) for j in range(r)]
+        v_denom[n] = _vp_power_minus_one(a, abs(n) * r, p, level.prec)
+        chi_powers[n] = [pow(a, n * j, mod) for j in range(r)]
     if not v_denom:
         raise UsageError("empty twist list: nothing to bound")
     sigma = [[s.lift() for s in row] for row in level.sigma]
@@ -147,8 +146,21 @@ def rho_bound(level: CyclotomicLevel, n_values) -> RhoReport:
         for n, cs in chi_powers.items():
             column = [sum(c * vec[i] for c, vec in zip(cs, orbit)) for i in range(d)]
             content[n] = math.gcd(content[n], *column)
+    for n, c in content.items():
+        if c == mod:
+            raise PrecisionError(SINGULAR_BLOCK % n)
     per_n = {n: Fraction(v - vp_int(content[n], p)) for n, v in v_denom.items()}
     return RhoReport(per_n, max(per_n.values()))
+
+
+def _vp_power_minus_one(a: int, e: int, p: int, k: int) -> int:
+    """v_p(a^e - 1) for a^e != 1, read mod p^k, p^2k, ... until it is nonzero."""
+    while True:
+        mod = p ** k
+        x = (pow(a, e, mod) - 1) % mod
+        if x:
+            return vp_int(x, p)
+        k *= 2
 
 
 def symmetric_range(n_max: int):
@@ -293,7 +305,9 @@ def neumann_invert(T: TwistedOperator, rhs, require_contraction: bool = False):
 
 
 def dense_solve(T: TwistedOperator, rhs):
-    """Direct Gaussian elimination on the full operator; the oracle route."""
+    """Direct elimination on the full operator, the oracle route for
+    neumann_invert: linalg.solve, integral Gauss-Jordan over Q_p, ignoring the
+    block structure."""
     zero = PadicScalar.zero(T.level.p, T.level.prec)
     return linalg.solve(T.matrix, list(rhs), zero)
 

@@ -5,11 +5,25 @@ pivot_val() -> (is_exact, Fraction).  Pivots are chosen at minimal exact
 valuation; an entry counts as zero only when it is zero to its stored
 precision, and a stored bound that could undercut the chosen pivot raises
 PrecisionError instead of guessing a rank.
+
+Two routes serve solve, invert and rank.  A matrix of PadicScalar entries
+goes to integral Gauss-Jordan on rows of Python ints (one valuation shift
+per row, one precision per entry): pivot rows are never divided, the
+pivot rule is _select_pivot's, and every entry keeps the precision
+PadicScalar arithmetic would give it, so the digits match row_reduce's
+and are never fewer.  Any other entries (FieldElement) go through
+row_reduce, generic Gauss-Jordan on scalar objects; kernel_basis and det
+always do.
 """
 
 from __future__ import annotations
 
-from .errors import PrecisionError
+import math
+
+from .errors import PrecisionError, UsageError
+from .padic import PadicScalar, vp_int
+
+SINGULAR = "matrix singular to working precision"
 
 
 def mat_copy(m):
@@ -67,16 +81,16 @@ def mat_pow(a, n, one, zero):
     return result
 
 
-def _select_pivot(entries):
-    """Index of the minimal-valuation entry, or None if all are zero.
+def _select_pivot(candidates):
+    """Index of the minimal-valuation candidate, or None if all are zero.
 
-    entries: list of (index, scalar).  Raises when a zero-to-precision bound
-    could undercut the best exact valuation.
+    candidates: (index, is_exact, valuation) triples, as from pivot_val();
+    a non-exact valuation is the bound of an entry that is zero to precision.
+    Raises when such a bound could undercut the best exact valuation.
     """
     best = None
     bounds = []
-    for idx, x in entries:
-        exact, v = x.pivot_val()
+    for idx, exact, v in candidates:
         if exact:
             if best is None or v < best[1]:
                 best = (idx, v)
@@ -107,7 +121,7 @@ def row_reduce(mat, augment=None):
     for c in range(m):
         if r >= n:
             break
-        sel = _select_pivot([(i, a[i][c]) for i in range(r, n)])
+        sel = _select_pivot([(i, *a[i][c].pivot_val()) for i in range(r, n)])
         if sel is None:
             continue
         a[r], a[sel] = a[sel], a[r]
@@ -130,9 +144,178 @@ def row_reduce(mat, augment=None):
     return a, aug, pivot_cols, r
 
 
+# ---------------------------------------------------------------------------
+# integral Gauss-Jordan over Q_p
+# ---------------------------------------------------------------------------
+
+def _is_padic(mat):
+    return bool(mat) and bool(mat[0]) and isinstance(mat[0][0], PadicScalar)
+
+
+def _padic_rows(p, mat, augment):
+    """[mat | augment] as rows [c, s, q], entry j being p^s c[j] + O(p^q[j])
+    with c[j] reduced mod p^(q[j] - s), and the largest precision."""
+    rows = []
+    for i, row in enumerate(mat):
+        entries = row + augment[i] if augment is not None else row
+        if any(x.p != p for x in entries):
+            raise UsageError("cannot mix scalars over different primes")
+        s = min(x.prec if x.val is None else x.val for x in entries)
+        c = [0 if x.val is None else p ** (x.val - s) * x.unit % p ** (x.prec - s)
+             for x in entries]
+        rows.append(_primitive(p, c, s, [x.prec for x in entries]))
+    return rows, max(max(q) for _, _, q in rows)
+
+
+def _primitive(p, c, s, q):
+    """The row [c, s, q] with the content of c moved into the shift s."""
+    content = math.gcd(*c)
+    if content and content % p == 0:
+        t = vp_int(content, p)
+        c = [x // p ** t for x in c]
+        s += t
+    return [c, s, q]
+
+
+def _entry(p, row, j):
+    """Entry j of row as an integer reduced mod its precision."""
+    c, s, q = row
+    return c[j] % p ** (q[j] - s) if q[j] > s else 0
+
+
+def _valuation(p, row, j):
+    """Valuation of entry j of row, or None if it is zero to precision."""
+    x = _entry(p, row, j)
+    return row[1] + vp_int(x, p) if x else None
+
+
+def _valuations(p, row, start):
+    """Valuation of each entry of row from column start; the precision for
+    an entry that is zero to precision."""
+    q = row[2]
+    vals = [_valuation(p, row, j) for j in range(start, len(q))]
+    return [q[j] if v is None else v for j, v in enumerate(vals, start)]
+
+
+def _clear_column(p, rows, k, c, v_piv, vals, top):
+    """Subtract f_i times pivot row k from each row i of vals, with f_i =
+    a_ic / b_kc, making entry c of row i exactly zero.  Row k is zero
+    before column c; the rows of vals have precisions at most top.
+
+    vals[i] is the valuation of a_ic, or None when a_ic is zero to
+    precision.  Entry j keeps the precision PadicScalar arithmetic gives
+    a_ij - f b_kj: min(N(a_ij), N(b_kj) + v(f), N(f) + v(b_kj)), with
+    N(f) = min(N(a_ic), N(b_kc) + v(f)) - v(b_kc) the precision of f.
+    Digits beyond an entry's precision may remain; _entry drops them.
+    """
+    cr, sr, qr = rows[k]
+    start = c + 1
+    tail_r, piv_prec = cr[start:], qr[c]
+    piv_vals = _valuations(p, rows[k], start)
+    rel = [b - w for b, w in zip(qr[start:], piv_vals)]
+    least = min(piv_vals, default=0)
+    # the unit part of the pivot, inverted mod a power of p that covers every
+    # shift a target row can reach: s2 >= s_i - (v_piv - sr)
+    low = min([rows[i][1] for i in vals] + [sr]) - (v_piv - sr)
+    inv = pow(cr[c] // p ** (v_piv - sr), -1, p ** max(top - low, 1))
+    for i, v in vals.items():
+        ci, s, q = rows[i]
+        tail_q = q[start:]
+        if v is None:           # f = O(p^N(f)) only costs precision
+            f_prec = q[c] - v_piv
+            if tail_q and f_prec + least < max(tail_q):
+                rows[i] = [ci, s, q[:start] + [a if a < f_prec + w else f_prec + w
+                                               for a, w in zip(tail_q, piv_vals)]]
+            continue
+        delta = v - v_piv
+        f_prec = min(q[c], piv_prec + delta) - v_piv
+        s2 = min(s, sr + delta)
+        new_q = [a if a < (u := w + (f_prec if f_prec < e + delta else e + delta)) else u
+                 for a, w, e in zip(tail_q, piv_vals, rel)]
+        mod = p ** (max(new_q + [s2 + 1]) - s2)
+        f = p ** (sr + delta - s2) * (ci[c] // p ** (v - s)) * inv % mod
+        if s2 < s:
+            a = p ** (s - s2)
+            new = [a * x for x in ci[:start]] + [(a * x - f * y) % mod
+                                                 for x, y in zip(ci[start:], tail_r)]
+        else:
+            new = ci[:start] + [(x - f * y) % mod for x, y in zip(ci[start:], tail_r)]
+        new[c] = 0
+        rows[i] = _primitive(p, new, s2, q[:start] + new_q)
+
+
+def _integral_lu(p, rows, top, ncols):
+    """Forward pass of integral LU on the first ncols columns, in place.
+
+    The pivot of a column is an entry of least valuation, chosen by
+    _select_pivot, so f = a_ic / pivot is integral for every row i below and
+    the pivot row is never divided.  Returns (column, pivot valuation) for
+    each pivot row, in order.
+    """
+    n = len(rows)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == n:
+            break
+        vals = {i: _valuation(p, rows[i], c) for i in range(r, n)}
+        sel = _select_pivot([(i, v is not None, rows[i][2][c] if v is None else v)
+                             for i, v in vals.items()])
+        if sel is None:
+            continue
+        v_piv = vals.pop(sel)
+        if sel != r:
+            rows[r], rows[sel] = rows[sel], rows[r]
+            vals[sel] = vals.pop(r)
+        _clear_column(p, rows, r, c, v_piv, vals, top)
+        pivots.append((c, v_piv))
+    return pivots
+
+
+def _padic_solve(mat, augment):
+    """Columns of X with mat X = augment, for mat square over Q_p.
+
+    After the forward pass, the upward pass clears each pivot column above
+    its pivot, in Gauss-Jordan order, with the same exact row operations (f
+    need not be integral there); then row k of X is row k of the augment
+    divided by its pivot.
+    """
+    p, n = mat[0][0].p, len(mat)
+    if len(mat[0]) != n:
+        raise PrecisionError(SINGULAR)
+    rows, top = _padic_rows(p, mat, augment)
+    pivots = _integral_lu(p, rows, top, n)
+    if len(pivots) < n:
+        raise PrecisionError(SINGULAR)
+    for k in range(1, n):
+        _clear_column(p, rows, k, k, pivots[k][1],
+                      {i: _valuation(p, rows[i], k) for i in range(k)}, top)
+    return [[_quotient(p, row, k, v_piv, n + t) for row, (k, v_piv) in zip(rows, pivots)]
+            for t in range(len(augment[0]))]
+
+
+def _quotient(p, row, k, v_piv, j):
+    """Entry j of row divided by the pivot at column k, as a PadicScalar
+    with the precision of PadicScalar division."""
+    c, s, q = row
+    x = _entry(p, row, j)
+    if not x:
+        return PadicScalar.zero(p, q[j] - v_piv)
+    w = vp_int(x, p)
+    val = s + w - v_piv
+    prec = min(q[j] - v_piv, q[k] + val - v_piv)
+    if val >= prec:
+        return PadicScalar.zero(p, prec)
+    mod = p ** (prec - val)
+    return PadicScalar(p, val, x // p ** w * pow(c[k] // p ** (v_piv - s), -1, mod) % mod, prec)
+
+
 def rank(mat) -> int:
     if not mat:
         return 0
+    if _is_padic(mat):
+        p = mat[0][0].p
+        return len(_integral_lu(p, *_padic_rows(p, mat, None), len(mat[0])))
     return row_reduce(mat)[3]
 
 
@@ -157,9 +340,11 @@ def solve(mat, rhs, zero):
     """Unique solution of a square system; PrecisionError if rank-deficient."""
     n = len(mat)
     aug = [[x] for x in rhs]
+    if _is_padic(mat):
+        return _padic_solve(mat, aug)[0]
     a, sol, pivot_cols, r = row_reduce(mat, augment=aug)
     if r < n:
-        raise PrecisionError("matrix singular to working precision")
+        raise PrecisionError(SINGULAR)
     out = [zero for _ in range(n)]
     for row_idx, pc in enumerate(pivot_cols):
         out[pc] = sol[row_idx][0]
@@ -168,9 +353,11 @@ def solve(mat, rhs, zero):
 
 def invert(mat, one, zero):
     n = len(mat)
+    if _is_padic(mat):
+        return [list(row) for row in zip(*_padic_solve(mat, identity(n, one, zero)))]
     a, inv, pivot_cols, r = row_reduce(mat, augment=identity(n, one, zero))
     if r < n:
-        raise PrecisionError("matrix singular to working precision")
+        raise PrecisionError(SINGULAR)
     out = [[zero] * n for _ in range(n)]
     for row_idx, pc in enumerate(pivot_cols):
         out[pc] = inv[row_idx]
@@ -184,7 +371,7 @@ def det(mat, one, zero):
     sign = 1
     acc = one
     for c in range(n):
-        sel = _select_pivot([(i, a[i][c]) for i in range(c, n)])
+        sel = _select_pivot([(i, *a[i][c].pivot_val()) for i in range(c, n)])
         if sel is None:
             return zero
         if sel != c:

@@ -211,13 +211,22 @@ class TestExitCodes:
         assert code == 2 and "precision must be >= 1" in rep["error"]["message"]
 
     @pytest.mark.parametrize("cmd", [
-        ["delta", "--nmin", "1", "--nmax", "3"], ["kernel", "--e", "1", "--trunc", "3"]])
+        # S_3 = sum_j chi^(3j) sigma^j vanishes mod 3^2 at level 3 with a = 2
+        ["delta", "--p", "3", "--m", "3", "--a", "2", "--nmin", "3", "--nmax", "3"],
+        # 4^3 - 1 = 63 vanishes mod 3^2: elimination finds no pivot in the block
+        ["kernel", "--p", "3", "--m", "1", "--a", "4", "--e", "1", "--trunc", "3"]])
     def test_gamma_singular_block_is_4(self, capsys, cmd):
-        # 4^3 - 1 = 63 vanishes mod 3^2: the block at n = 3 is singular at precision 2
-        level = ["--p", "3", "--m", "1", "--a", "4"]
-        code, rep = run_cli(capsys, "gamma", *cmd[:1], *level, *cmd[1:], "--prec", "2")
+        code, rep = run_cli(capsys, "gamma", *cmd, "--prec", "2")
         assert code == 4
         assert "diagonal block at n = 3 is singular" in rep["error"]["message"]
+
+    def test_gamma_delta_exact_denominator_at_low_precision(self, capsys):
+        # 2^(9 * 18) = 1 mod 3^5, but v_3(2^162 - 1) = 5 is exact and S_-9 is
+        # known mod 3^5, so the block at n = -9 is not refused
+        code, rep = run_cli(capsys, "gamma", "delta", "--p", "3", "--m", "3", "--a", "2",
+                            "--nmin", "-10", "--nmax", "10", "--prec", "5")
+        assert code == 0
+        assert rep["delta"] == {"num": "3", "den": "1"}
 
     def test_gamma_senlab_prec_zero_is_2(self, capsys, monkeypatch):
         # SENLAB_PREC=0 is a precision, not "unset"

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from gauss_jordan import gj_invert, gj_rank
 from senlab import linalg
+from senlab.dpseries import DPSeries, coaction
 from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageError
+from senlab.field import qp_field
 from senlab.gamma import (_diagonal_block, build_level, dense_solve, g_minus_one,
                           log_coordinate_tail_bounds, log_coordinate_vector,
                           neumann_invert, rho_bound, symmetric_range)
@@ -25,14 +28,15 @@ def operator(level_m2):
 
 
 # the dense route the block form replaced: rho (block diagonal of inverses of
-# the diagonal blocks of the operator) and rho M (M the strict upper part) as
-# full matrices, the Neumann sum and the powers of rho M
+# the diagonal blocks of the operator, by the generic row_reduce route) and
+# rho M (M the strict upper part) as full matrices, the Neumann sum and the
+# powers of rho M
 def _dense_rho_m(T):
     d, size = T.level.degree, T.size
     one, zero = S.one(T.level.p, T.level.prec), S.zero(T.level.p, T.level.prec)
     rho = [[zero] * size for _ in range(size)]
     for base in range(0, size, d):
-        inv = linalg.invert([row[base:base + d] for row in T.matrix[base:base + d]], one, zero)
+        inv = gj_invert([row[base:base + d] for row in T.matrix[base:base + d]], one, zero)
         for i in range(d):
             rho[base + i][base:base + d] = inv[i]
     strict = [[T.matrix[i][j] if j // d > i // d else zero for j in range(size)]
@@ -136,7 +140,7 @@ class TestRhoBound:
         (5, 2, 2, 20), (5, 1, 2, 4), (3, 2, 4, 3)])
     def test_finite_order_closed_form(self, p, m, a, order):
         # rho_bound reads the exponents off the finite order of sigma; the
-        # oracle inverts each block chi^n sigma - 1 by Gauss-Jordan
+        # oracle inverts each block chi^n sigma - 1 by generic Gauss-Jordan
         L = build_level(p, m, a, 40)
         one, zero = S.one(p, 40), S.zero(p, 40)
         ident = linalg.identity(L.degree, one, zero)
@@ -144,7 +148,7 @@ class TestRhoBound:
                                                       ident) for x, y in zip(rx, ry))
         rep = rho_bound(L, symmetric_range(6))
         for n in symmetric_range(6):
-            assert rep.per_n[n] == _norm(linalg.invert(_diagonal_block(L, n), one, zero)), n
+            assert rep.per_n[n] == _norm(gj_invert(_diagonal_block(L, n), one, zero)), n
         assert rep.delta == max(rep.per_n.values())
 
     def test_zero_twist_rejected(self, level_m2):
@@ -156,12 +160,24 @@ class TestRhoBound:
             rho_bound(level_m2, [])
 
     def test_singular_block_named(self):
-        # at precision 2, chi^3 - 1 = 4^3 - 1 = 63 vanishes mod 9 (sigma is trivial)
+        # at precision 2, the block chi^3 - 1 = 4^3 - 1 = 63 (sigma is trivial)
+        # vanishes mod 9, so elimination finds no pivot
         L = build_level(3, 1, 4, 2)
-        for call in (lambda: rho_bound(L, [1, 2, 3]),
-                     lambda: g_minus_one(L, S.from_int(1, 3, 2), 3)):
-            with pytest.raises(PrecisionError, match="diagonal block at n = 3 is singular"):
-                call()
+        with pytest.raises(PrecisionError, match="diagonal block at n = 3 is singular"):
+            g_minus_one(L, S.from_int(1, 3, 2), 3)
+        # at level 3 with a = 2 and precision 2, S_n = sum_j chi^(nj) sigma^j
+        # vanishes mod 9, so the exponent of the inverse is unknown
+        with pytest.raises(PrecisionError, match="diagonal block at n = 3 is singular"):
+            rho_bound(build_level(3, 3, 2, 2), [3])
+
+    def test_exponent_is_exact_at_low_precision(self):
+        # v_3(4^3 - 1) = 2 is exact from the integer, S_3 = 1: no refusal
+        assert rho_bound(build_level(3, 1, 4, 2), [1, 2, 3]).per_n == {1: 1, 2: 1, 3: 2}
+        # a^(|n| r) = 1 mod 3^5 for n = -9 (r = 18), yet S_n is known: the
+        # exponents at precision 5 are those at precision 40
+        low = rho_bound(build_level(3, 3, 2, 5), symmetric_range(10))
+        assert low == rho_bound(build_level(3, 3, 2, 40), symmetric_range(10))
+        assert low.delta == 3
 
 
 class TestTwistedOperator:
@@ -198,7 +214,7 @@ class TestTwistedOperator:
         L = build_level(3, 1, 4, 40)
         T = g_minus_one(L, S.from_int(1, 3, 40), 1)
         assert T.size == L.degree
-        assert linalg.rank(T.matrix) == T.size
+        assert gj_rank(T.matrix) == T.size
 
     def test_contraction_certificate(self, dense_case):
         T, _rho, rho_m, powers = dense_case
@@ -219,7 +235,7 @@ class TestTwistedOperator:
     def test_kernel_trivial(self, dense_case):
         # the dense rank is the oracle for the zero nullity of the block structure
         T = dense_case[0]
-        assert linalg.rank(T.matrix) == T.size
+        assert gj_rank(T.matrix) == T.size
 
 
 class TestNeumann:
@@ -271,3 +287,25 @@ class TestLogCoordinate:
             comp = img[(n - 1) * d: n * d]
             got = min(x.val_bound() for x in comp)
             assert got >= min(bounds[n - 1], 60)
+
+
+class TestCoactionScalars:
+    """coef[n][k] = chi^n y^k / k! is the G^# coaction a -> a (1 + e b) + b at
+    b = y, since 1 + e y = chi: degree n of the coaction of a^(n+k)/(n+k)! is
+    (1 + e y)^n y^k / k!."""
+
+    @pytest.mark.parametrize("p,m,a,e,trunc", [
+        (3, 1, 2, Fraction(1, 3), 8), (3, 2, 2, Fraction(1, 3), 4),
+        (3, 2, 10, Fraction(1), 4), (3, 1, 4, Fraction(1, 3), 5), (5, 1, 6, Fraction(1), 3)])
+    def test_coef_is_the_coaction_at_y(self, p, m, a, e, trunc):
+        prec = 30
+        T = g_minus_one(build_level(p, m, a, prec), S.from_fraction(e, p, prec), trunc)
+        K = qp_field(p, prec)
+        e_K, y_K = K.from_scalar(T.e), K.from_scalar(T.y)
+        assert (K.one() + e_K * y_K - K.from_scalar(T.level.chi)).is_zero()
+        for n in range(1, trunc + 1):
+            for k in range(trunc - n + 1):
+                f = DPSeries(K, [K.zero()] * (n + k) + [K.one()], e=e_K)
+                got = coaction(f, y_K).coeffs[n].coordinates()[0]
+                want = T.coef[n][k]
+                assert (got - want).is_zero() and min(got.prec, want.prec) >= prec - 10, (n, k)
