@@ -8,9 +8,11 @@ exponents of their inverses, in closed form from the finite order of sigma,
 give the finite-level uniform bound delta.  On the truncated module the full
 operator g - 1 is block upper triangular with invertible diagonal blocks, so
 its kernel is zero (nullity from the block structure), and rho M is strictly
-block upper triangular and nilpotent by its structure: its powers are
-multiplied block by block until none is left, and one block
-back-substitution pass (the terminating Neumann sum) inverts g - 1 exactly.
+block upper triangular and nilpotent by its structure.  Its blocks are
+multiples of 1 + rho_n, because chi^n rho_n sigma = 1 + rho_n, so its powers
+need no sigma; its sup-norm has one route, strict_upper_norm_exponent; and
+one block back-substitution pass (the terminating Neumann sum) inverts g - 1
+exactly.
 """
 
 import random

@@ -249,8 +249,11 @@ def criterion_8():
     Neumann sum - inverts exactly), the kernel is zero (nullity from the block
     structure; the dense rank is the oracle), and the Neumann solution
     matches a dense solve at >= 50 - 4 digits on five random right-hand sides.
-    The dense rank and the dense solves see the operator as a plain 48 x 48
-    Q_p matrix: linalg's integral Gauss-Jordan kernel, blind to the blocks.
+    The blocks of rho M are multiples of 1 + rho_n, since chi^n rho_n sigma =
+    1 + rho_n, and its sup-norm exponent has one route,
+    strict_upper_norm_exponent.  The dense rank and the dense solves see the
+    operator as a plain 48 x 48 Q_p matrix: linalg's integral Gauss-Jordan
+    kernel, blind to the blocks.
 
     The literal entrywise sup-norm of rho M is p (exponent 1 >= 0): the
     blocks fixed by the automorphism contribute entries chi^n y / (chi^n - 1)

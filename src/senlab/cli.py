@@ -215,6 +215,8 @@ def _cmd_senmod_nearly_ht(args):
 
 
 def _cmd_senmod_weights(args):
+    if (args.nmin is None) != (args.nmax is None):
+        raise UsageError("give both --nmin and --nmax, or neither")
     M = _module_from_args(args)
     rng = (args.nmin, args.nmax) if args.nmin is not None else None
     weights = ht_weights(M, rng)

@@ -185,6 +185,8 @@ def log_t(field: LocalField, trunc: int, e: FieldElement | None = None) -> DPSer
 
     It solves theta(f) = 1 with zero constant term; e * log_t is log(1 + e a).
     """
+    if trunc < 0:
+        raise UsageError("truncation must be >= 0")
     e = field.different_e if e is None else e
     coeffs = [field.zero()]
     cur = field.one()

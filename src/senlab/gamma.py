@@ -12,17 +12,18 @@ whose diagonal blocks are invertible.  sigma has finite order r, and the
 closed form (chi^(nr) - 1)^-1 sum_{j<r} chi^(nj) sigma^j of their inverses
 gives the finite-level Tate bound delta.  With rho_n those inverses (from
 linalg.invert, the integral Gauss-Jordan kernel for Q_p matrices) and M the
-strict upper part, block (n, n+k) of rho M is chi^n (y^k / k!) rho_n sigma:
-rho M is nilpotent by its structure, one block back-substitution pass, the
-terminating Neumann sum, inverts g - 1, and the nullity of g - 1 is zero by
-the block structure.
+strict upper part, block (n, n+k) of rho M is chi^n (y^k / k!) rho_n sigma,
+and since chi^n rho_n sigma = 1 + rho_n it is (y^k / k!) (1 + rho_n), a
+multiple of 1 + rho_n.  rho M is nilpotent by its structure, its sup-norm has
+one route (strict_upper_norm_exponent), one block back-substitution pass,
+the terminating Neumann sum, inverts g - 1, and the nullity of g - 1 is zero
+by the block structure.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 from typing import NamedTuple
 
 from . import linalg
@@ -113,11 +114,10 @@ def _diagonal_block(level: CyclotomicLevel, n: int):
             for i, row in enumerate(level.sigma)]
 
 
-def _norm_exponent(blocks, prec=None) -> Fraction:
+def _norm_exponent(blocks) -> Fraction:
     """sup-norm exponent of a matrix given by its blocks: minus the smallest
-    entry valuation bound, or -prec when there is no block."""
-    return Fraction(-min((x.val_bound() for blk in blocks for row in blk for x in row),
-                         default=prec))
+    entry valuation bound."""
+    return Fraction(-min(x.val_bound() for blk in blocks for row in blk for x in row))
 
 
 def rho_bound(level: CyclotomicLevel, n_values) -> RhoReport:
@@ -202,28 +202,37 @@ class TwistedOperator:
     def contraction_report(self):
         """Certify nilpotence of rho M from its block structure.
 
-        Block (n, l) of the j-th power of rho M vanishes unless l - n >= j.
-        The nonzero blocks {(n, n+k): coef[n][k] rho_n sigma} of rho M and
-        their powers are multiplied block by block; the report lists the
-        sup-norm exponent of every nonzero power and the literal first one.
+        rho_n inverts chi^n sigma - 1, so chi^n rho_n sigma = 1 + rho_n and
+        block (n, n+k) of rho M is coef[n][k] chi^-n (1 + rho_n), with no
+        sigma in it.  Block (n, l) of the j-th power vanishes unless l - n >= j;
+        each nonzero block of the next power is one product
+        rho_n sigma * sum_m coef[n][m - n] P(m, l).  The report lists the
+        sup-norm exponent of every nonzero power and that of rho M, read off
+        strict_upper_norm_exponent.
         """
         zero = PadicScalar.zero(self.level.p, self.level.prec)
-        rho_m = {}
+        rho_sigma, rho_m = {}, {}
         for n in range(1, self.trunc):
-            rho_sigma = linalg.mat_mul(self.rho_blocks[n], self.level.sigma, zero)
+            inv = self.level.chi ** -n
+            rho_sigma[n] = [[(x + 1 if i == j else x) * inv for j, x in enumerate(row)]
+                            for i, row in enumerate(self.rho_blocks[n])]
             for k in range(1, self.trunc - n + 1):
-                rho_m[(n, n + k)] = linalg.mat_scale(rho_sigma, self.coef[n][k])
+                rho_m[(n, n + k)] = linalg.mat_scale(rho_sigma[n], self.coef[n][k])
         rho_m = _nonzero(rho_m)
         exps, power = [], rho_m
         while power:                # every product raises l - n by one
-            exps.append(_norm_exponent(power.values(), self.level.prec))
-            terms = {}
-            for (n, t), left in power.items():
-                for (s, l), right in rho_m.items():
-                    if s == t:
-                        terms.setdefault((n, l), []).append(linalg.mat_mul(left, right, zero))
-            power = _nonzero({key: reduce(linalg.mat_add, mats) for key, mats in terms.items()})
-        return {"sup_norm_exponent": _norm_exponent(rho_m.values(), self.level.prec),
+            exps.append(_norm_exponent(power.values()))
+            sums = {}
+            for n, m in rho_m:
+                for (s, l), blk in power.items():
+                    if s == m:
+                        term = linalg.mat_scale(blk, self.coef[n][m - n])
+                        if (n, l) in sums:
+                            term = linalg.mat_add(sums[(n, l)], term)
+                        sums[(n, l)] = term
+            power = _nonzero({(n, l): linalg.mat_mul(rho_sigma[n], blk, zero)
+                              for (n, l), blk in sums.items()})
+        return {"sup_norm_exponent": self.strict_upper_norm_exponent(),
                 "power_exponents": exps, "nilpotent": len(exps) < self.trunc}
 
 

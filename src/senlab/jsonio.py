@@ -155,14 +155,16 @@ def encode_dpseries(f):
 
 def decode_dpseries(obj, field: LocalField, path="series", trunc_override=None):
     from .dpseries import DPSeries
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise UsageError(f"{path}: expected an object with 'coeffs'")
+    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
+        raise UsageError(f"{path}: expected an object with a 'coeffs' array")
     coeffs = [decode_element(c, field, f"{path}.coeffs[{n}]")
               for n, c in enumerate(obj["coeffs"])]
     e = decode_element(obj["e"], field, path + ".e") if "e" in obj else None
     trunc = trunc_override if trunc_override is not None else \
         obj.get("trunc", len(coeffs) - 1)
     trunc = _as_int(trunc, path + ".trunc")
+    if trunc < 0:
+        raise UsageError(f"{path}.trunc: truncation must be >= 0")
     if trunc + 1 > len(coeffs):
         coeffs = coeffs + [field.zero()] * (trunc + 1 - len(coeffs))
     else:

@@ -82,17 +82,13 @@ def vp_fraction(x: Fraction, p: int) -> int:
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 
-def inv_mod(a: int, modulus: int) -> int:
-    return pow(a, -1, modulus)
-
-
 def fraction_mod(x: Fraction, p: int, prec: int) -> int:
     """Reduce a p-integral rational modulo p^prec."""
     num, den = x.numerator, x.denominator
     if den % p == 0:
         raise ValueError("fraction is not p-integral")
     m = p ** prec
-    return (num % m) * inv_mod(den % m, m) % m
+    return (num % m) * pow(den % m, -1, m) % m
 
 
 class PadicScalar:
@@ -271,7 +267,7 @@ class PadicScalar:
             return PadicScalar.zero(self.p, self.prec - other.val)
         v = self.val - other.val
         rel = min(self.prec - self.val, other.prec - other.val)
-        unit = self.unit * inv_mod(other.unit, self.p ** rel) % self.p ** rel
+        unit = self.unit * pow(other.unit, -1, self.p ** rel) % self.p ** rel
         return PadicScalar(self.p, v, unit, v + rel)
 
     def inverse(self):
@@ -423,29 +419,6 @@ class PadicPoly:
     @property
     def p(self) -> int:
         return self.coeffs[0].p
-
-    def __mul__(self, other):
-        p = self.p
-        prec = min(c.prec for c in self.coeffs + other.coeffs)
-        out = [PadicScalar.zero(p, prec) for _ in range(self.degree + other.degree + 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return PadicPoly(out, monic=self.monic and other.monic)
-
-    def derivative(self):
-        if self.degree == 0:
-            return PadicPoly([PadicScalar.zero(self.p, self.coeffs[0].prec)])
-        return PadicPoly([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
-
-    def scaled_roots(self, c: int) -> "PadicPoly":
-        """Coefficient transform sending every root r to p^c * r."""
-        p = self.p
-        d = self.degree
-        out = []
-        for i, a in enumerate(self.coeffs):
-            out.append(a * PadicScalar.from_fraction(Fraction(p) ** (c * (d - i)), p, a.prec + abs(c) * d))
-        return PadicPoly(out, monic=self.monic)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,33 @@ class TestExitCodes:
                             "--nmin", "1", "--nmax", "2")
         assert code == 2 and "precision must be >= 1" in rep["error"]["message"]
 
+    @pytest.mark.parametrize("bounds", [["--nmin", "0"], ["--nmax", "3"]])
+    def test_senmod_weights_one_bound_is_2(self, capsys, field_file, tmp_path, bounds):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(NILPOTENT))
+        argv = ["senmod", "weights", "--field", field_file, "--theta", str(theta)]
+        code, rep = run_cli(capsys, *argv, *bounds)
+        assert code == 2 and "both --nmin and --nmax" in rep["error"]["message"]
+        code, rep = run_cli(capsys, *argv, "--nmin", "0", "--nmax", "3")
+        assert code == 0 and rep["weights"] == [{"n": 0, "multiplicity": 2}]
+
+    def test_dps_negative_trunc_is_2(self, capsys, field_file, tmp_path):
+        # a negative truncation would slice the coefficient list from its end
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"coeffs": [{"coeffs": [["1", "0"]]}] * 5}))
+        code, rep = run_cli(capsys, "dps", "mul", "--field", field_file, "--f", str(f),
+                            "--g", str(f), "--trunc", "-2")
+        assert code == 2 and "truncation must be >= 0" in rep["error"]["message"]
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"coeffs": [{"coeffs": [["1", "0"]]}] * 5, "trunc": -2}))
+        code, rep = run_cli(capsys, "dps", "solve-theta", "--field", field_file,
+                            "--g", str(g))
+        assert code == 2 and "series.trunc" in rep["error"]["message"]
+        code, rep = run_cli(capsys, "dps", "log-t", "--field", field_file, "--trunc", "-3")
+        assert code == 2 and "truncation must be >= 0" in rep["error"]["message"]
+        code, rep = run_cli(capsys, "dps", "log-t", "--field", field_file, "--trunc", "0")
+        assert code == 0 and len(rep["result"]["coeffs"]) == 1
+
     def test_unknown_flag_rejected(self, capsys, field_file):
         code = main(["field", "build", "--spec", field_file, "--bogus"])
         capsys.readouterr()

@@ -1,10 +1,11 @@
-"""Fuzzed input through `field build`, `field arith`, `field trace` and the
-`gamma` commands.
+"""Fuzzed input through `field build`, `field arith`, `field trace`, the `dps`
+commands and the `gamma` commands.
 
 Every input, however malformed, must end in a documented exit code (0 for
 success, 2-5 for the error classes), never in a traceback.  Sizes are kept
-small (field degree <= 6 and precision <= 25; for `gamma`, level m <= 2 and
-truncation <= 3) so that each example runs well under a second.
+small (field degree <= 6 and precision <= 25; for `dps` and `gamma`,
+truncation <= 3; for `gamma`, level m <= 2) so that each example runs well
+under a second.
 """
 
 import contextlib
@@ -95,13 +96,13 @@ def test_field_arith_exits_cleanly(s, x, y, op):
     assert run(argv) in EXIT_CODES
 
 
-def shaped_element(s):
+def shaped_element(s, entries=(good_scalar, st.one_of(good_scalar, scalar))):
     """Elements of the grid shape of a good spec."""
     f = len(s["unramified_poly"]) - 1
     e = len(s["eisenstein_poly"]) - 1
     return st.one_of(*[st.fixed_dictionaries({"coeffs": st.lists(
         st.lists(entry, min_size=e, max_size=e), min_size=f, max_size=f)})
-        for entry in (good_scalar, st.one_of(good_scalar, scalar))])
+        for entry in entries])
 
 
 @settings(max_examples=200)
@@ -177,4 +178,41 @@ def test_gamma_invert_exits_cleanly(args_rhs):
 @given(level_args, twist, truncation)
 def test_gamma_kernel_exits_cleanly(level, e, trunc):
     argv = ["gamma", "kernel", *level_argv(*level), "--e", str(e), "--trunc", str(trunc)]
+    assert run(argv) in EXIT_CODES
+
+
+# dps: half of the series well-formed (a JSON "trunc" that may be negative),
+# the rest with fuzzed or junk coefficients; a --trunc in [-3, 3] or none
+def series_of(s):
+    good, el = shaped_element(s, (good_scalar,)), shaped_element(s)
+    return st.one_of(
+        st.fixed_dictionaries({"coeffs": st.lists(good, max_size=4)},
+                              optional={"trunc": st.integers(-3, 3)}),
+        st.one_of(
+            st.fixed_dictionaries({"coeffs": st.lists(el, max_size=4)},
+                                  optional={"trunc": st.one_of(st.integers(-3, 3), junk),
+                                            "e": el}),
+            st.fixed_dictionaries({"coeffs": st.one_of(junk, st.lists(junk, max_size=2))}),
+            junk))
+
+
+DPS_COMMANDS = {"solve-theta": ["--g"], "theta": ["--f"], "mul": ["--f", "--g"],
+                "coaction": ["--f", "--b"], "log-t": ["--e"], "gsharp": ["--f"]}
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(GOOD_SPECS).flatmap(lambda s: st.tuples(
+    st.just(s), series_of(s), series_of(s), st.one_of(shaped_element(s), element))),
+    st.sampled_from(sorted(DPS_COMMANDS)), st.one_of(st.none(), st.integers(-3, 3)),
+    st.sampled_from(["to_gsharp", "from_gsharp"]))
+def test_dps_exits_cleanly(sfgx, cmd, trunc, direction):
+    s, f, g, x = sfgx
+    operands = {"--f": f, "--g": g, "--b": x, "--e": x}
+    argv = ["dps", cmd, "--field", as_arg(s)]
+    for flag in DPS_COMMANDS[cmd]:
+        argv += [flag, as_arg(operands[flag])]
+    if cmd == "gsharp":
+        argv += ["--direction", direction]
+    if trunc is not None:
+        argv += ["--trunc", str(trunc)]
     assert run(argv) in EXIT_CODES

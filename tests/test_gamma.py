@@ -66,13 +66,19 @@ def _dense_neumann(T, rho, rho_m, rhs):
     return acc
 
 
-# two benchmark inversion levels and the criterion-8 operator, with the power
-# exponents the dense route gave (its trailing zero power left out)
+# four benchmark inversion levels, among them those of degree 18 and 20, and
+# the criterion-8 operator, with the power exponents the dense route gave (its
+# trailing zero power left out)
 DENSE_CASES = {
     "3-1-2-trunc8": ((3, 1, 2, 40), Fraction(1, 3), 8, [1, 0, 0, -1, -1, -2, -2]),
     "3-2-2-trunc4": ((3, 2, 2, 40), Fraction(1, 3), 4, [1, 0, 0]),
+    "3-3-2-trunc2": ((3, 3, 2, 40), Fraction(1, 3), 2, [0]),
+    "5-2-2-trunc2": ((5, 2, 2, 40), Fraction(1, 5), 2, [0]),
     "criterion8": ((3, 2, 10, 60), Fraction(1), 8, [1, 1, 1, 2, 2, 2, 2]),
 }
+
+# the benchmark levels
+BENCH_LEVELS = [(3, 1, 2), (3, 1, 4), (3, 2, 2), (3, 3, 2), (3, 2, 10), (5, 2, 2)]
 
 
 @pytest.fixture(scope="module", params=sorted(DENSE_CASES))
@@ -215,6 +221,21 @@ class TestTwistedOperator:
         T = g_minus_one(L, S.from_int(1, 3, 40), 1)
         assert T.size == L.degree
         assert gj_rank(T.matrix) == T.size
+
+    @pytest.mark.parametrize("p,m,a", BENCH_LEVELS)
+    def test_rho_sigma_identity(self, p, m, a):
+        # rho_n inverts chi^n sigma - 1, so chi^n rho_n sigma = 1 + rho_n:
+        # contraction_report reads the blocks of rho M off rho_n alone
+        L = build_level(p, m, a, 40)
+        T = g_minus_one(L, S.from_fraction(Fraction(1, p), p, 40), 4)
+        zero = S.zero(p, 40)
+        for n in range(1, 5):
+            rho = T.rho_blocks[n]
+            rho_sigma = linalg.mat_mul(rho, L.sigma, zero)
+            diffs = [L.chi ** n * x - y - int(i == j)
+                     for i, (rx, ry) in enumerate(zip(rho_sigma, rho))
+                     for j, (x, y) in enumerate(zip(rx, ry))]
+            assert all(z.is_zero() and z.prec >= 30 for z in diffs), n
 
     def test_contraction_certificate(self, dense_case):
         T, _rho, rho_m, powers = dense_case
