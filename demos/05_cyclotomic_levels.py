@@ -4,15 +4,17 @@ Finite cyclotomic levels, Tate bounds, Neumann inversion
 
 Level m is Q_p(zeta_{p^m}) with the automorphism z -> z^a and character
 value chi = a.  The twisted blocks chi^n sigma - 1 invert exactly; the norm
-exponents of their inverses, in closed form from the finite order of sigma,
-give the finite-level uniform bound delta.  On the truncated module the full
-operator g - 1 is block upper triangular with invertible diagonal blocks, so
-its kernel is zero (nullity from the block structure), and rho M is strictly
-block upper triangular and nilpotent by its structure.  Its blocks are
-multiples of 1 + rho_n, because chi^n rho_n sigma = 1 + rho_n, so its powers
-need no sigma; its sup-norm has one route, strict_upper_norm_exponent; and
-one block back-substitution pass (the terminating Neumann sum) inverts g - 1
-exactly.
+exponents of their inverses, in closed form from the finite order r of sigma,
+give the finite-level uniform bound delta.  The inverse is
+(chi^(nr) - 1)^-1 S_n, and S_n = sum_{j<r} chi^(nj) sigma^j is an integer
+orbit sum on the zeta^i, since sigma^j(zeta^i) = zeta^(i a^j): no matrix.
+On the truncated module the full operator g - 1 is block upper triangular
+with invertible diagonal blocks, so its kernel is zero (nullity from the
+block structure), and rho M is strictly block upper triangular and nilpotent
+by its structure.  Its blocks are multiples of 1 + rho_n, because
+chi^n rho_n sigma = 1 + rho_n, so its powers need no sigma; its sup-norm has
+one route, strict_upper_norm_exponent; and one block back-substitution pass
+(the terminating Neumann sum) inverts g - 1 exactly.
 """
 
 import random

@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 schema/usage, 3 domain precondition, 4 precision,
 5 convergence.  Reports are serialized with sorted keys and echo the
-effective precision/truncation, so identical inputs give identical bytes
-(the acceptance runner additionally prints measured runtimes).  SENLAB_PREC
-overrides the default working precision; --prec and --trunc override
-per-object settings.
+effective precision/truncation (a null truncation for commands without one),
+so identical inputs give identical bytes (the acceptance runner additionally
+prints measured runtimes).  SENLAB_PREC overrides the default working
+precision; --prec and --trunc override per-object settings.
 """
 
 from __future__ import annotations
@@ -54,9 +54,7 @@ def _emit(report, args):
     sys.stdout.write(payload)
 
 
-def _settings(args, eff_prec=None, eff_trunc=None):
-    prec = eff_prec if eff_prec is not None else _effective_prec(args)
-    trunc = eff_trunc if eff_trunc is not None else args.trunc
+def _settings(prec, trunc=None):
     return {"prec": prec, "trunc": trunc}
 
 
@@ -73,13 +71,7 @@ def _effective_prec(args):
 
 
 def _field_from_args(args):
-    prec = _effective_prec(args)
-    return jsonio.decode_field_spec(_load(args.field), prec_override=prec)
-
-
-def _maybe_default_prec(args):
-    prec = _effective_prec(args)
-    return DEFAULT_PRECISION if prec is None else prec
+    return jsonio.decode_field_spec(_load(args.field), prec_override=_effective_prec(args))
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +82,7 @@ def _cmd_field_build(args):
     K = _field_from_args(args)
     exact, v_e = K.different_e.pivot_val()
     return {
-        "settings": _settings(args, K.prec),
+        "settings": _settings(K.prec),
         "p": K.p, "residue_degree": K.f, "ramification_index": K.e_ram,
         "degree": K.degree,
         "different_e": jsonio.encode_element(K.different_e),
@@ -107,7 +99,7 @@ def _cmd_field_arith(args):
     K = _field_from_args(args)
     x = jsonio.decode_element(_load(args.x), K, "x")
     y = jsonio.decode_element(_load(args.y), K, "y")
-    return {"settings": _settings(args, K.prec),
+    return {"settings": _settings(K.prec),
             "result": jsonio.encode_element(_ARITH_OPS[args.op](x, y))}
 
 
@@ -115,21 +107,21 @@ def _cmd_field_valuation(args):
     K = _field_from_args(args)
     x = jsonio.decode_element(_load(args.elem), K, "elem")
     exact, v = valuation(x, normalize=args.normalize)
-    return {"settings": _settings(args, K.prec), "exact": exact,
+    return {"settings": _settings(K.prec), "exact": exact,
             "value": jsonio.encode_fraction(v)}
 
 
 def _cmd_field_trace(args):
     K = _field_from_args(args)
     x = jsonio.decode_element(_load(args.elem), K, "elem")
-    return {"settings": _settings(args, K.prec),
+    return {"settings": _settings(K.prec),
             "trace": jsonio.encode_scalar(trace_to_Qp(x))}
 
 
 def _cmd_field_residue(args):
     K = _field_from_args(args)
     x = jsonio.decode_element(_load(args.elem), K, "elem")
-    return {"settings": _settings(args, K.prec), "residue": list(residue(x))}
+    return {"settings": _settings(K.prec), "residue": list(residue(x))}
 
 
 def _cmd_field_substitute(args):
@@ -138,7 +130,7 @@ def _cmd_field_substitute(args):
     y_img = jsonio.decode_element(_load(args.y_image), K, "y_image")
     u_img = jsonio.decode_element(_load(args.u_image), K, "u_image")
     emb = FieldEmbedding(K, K, y_img, u_img)
-    return {"settings": _settings(args, K.prec),
+    return {"settings": _settings(K.prec),
             "result": jsonio.encode_element(emb(x))}
 
 
@@ -151,14 +143,14 @@ def _series_context(args):
 
 def _cmd_dps_solve_theta(args):
     K, g = _series_context(args)
-    return {"settings": _settings(args, K.prec, g.trunc),
+    return {"settings": _settings(K.prec, g.trunc),
             "result": jsonio.encode_dpseries(solve_theta(g))}
 
 
 def _cmd_dps_theta(args):
     K, f = _series_context(args)
     out = sen_theta(f)
-    return {"settings": _settings(args, K.prec, f.trunc), "valid_to": out.valid_to,
+    return {"settings": _settings(K.prec, f.trunc), "valid_to": out.valid_to,
             "result": jsonio.encode_dpseries(out)}
 
 
@@ -166,15 +158,16 @@ def _cmd_dps_mul(args):
     K = _field_from_args(args)
     f = jsonio.decode_dpseries(_load(args.f), K, trunc_override=args.trunc)
     g = jsonio.decode_dpseries(_load(args.g), K, "g", trunc_override=args.trunc)
-    return {"settings": _settings(args, K.prec),
-            "result": jsonio.encode_dpseries(dp_mul(f, g))}
+    prod = dp_mul(f, g)
+    return {"settings": _settings(K.prec, prod.trunc),
+            "result": jsonio.encode_dpseries(prod)}
 
 
 def _cmd_dps_coaction(args):
     K = _field_from_args(args)
     f = jsonio.decode_dpseries(_load(args.f), K, trunc_override=args.trunc)
     b = jsonio.decode_element(_load(args.b), K, "b")
-    return {"settings": _settings(args, K.prec, f.trunc),
+    return {"settings": _settings(K.prec, f.trunc),
             "result": jsonio.encode_dpseries(coaction(f, b))}
 
 
@@ -182,14 +175,14 @@ def _cmd_dps_log_t(args):
     K = _field_from_args(args)
     trunc = args.trunc if args.trunc is not None else 32
     e = jsonio.decode_element(_load(args.e), K, "e") if args.e else None
-    return {"settings": _settings(args, K.prec, trunc),
+    return {"settings": _settings(K.prec, trunc),
             "result": jsonio.encode_dpseries(log_t(K, trunc, e=e))}
 
 
 def _cmd_dps_gsharp(args):
     K = _field_from_args(args)
     f = jsonio.decode_dpseries(_load(args.f), K, trunc_override=args.trunc)
-    return {"settings": _settings(args, K.prec, f.trunc),
+    return {"settings": _settings(K.prec, f.trunc),
             "result": jsonio.encode_dpseries(gsharp_transport(f, args.direction))}
 
 
@@ -201,7 +194,7 @@ def _module_from_args(args):
 
 def _cmd_senmod_charpoly(args):
     M = _module_from_args(args)
-    return {"settings": _settings(args, M.field.prec),
+    return {"settings": _settings(M.field.prec),
             "char_poly": [jsonio.encode_element(c) for c in char_poly(M)]}
 
 
@@ -210,7 +203,7 @@ def _cmd_senmod_nearly_ht(args):
     report = nearly_ht_test(M)
     out = jsonio.encode_classifier_report(report)
     out["slopes"] = out["polygon"]["slopes"]
-    out["settings"] = _settings(args, M.field.prec)
+    out["settings"] = _settings(M.field.prec)
     return out
 
 
@@ -220,14 +213,14 @@ def _cmd_senmod_weights(args):
     M = _module_from_args(args)
     rng = (args.nmin, args.nmax) if args.nmin is not None else None
     weights = ht_weights(M, rng)
-    return {"settings": _settings(args, M.field.prec),
+    return {"settings": _settings(M.field.prec),
             "weights": [{"n": n, "multiplicity": m} for n, m in weights]}
 
 
 def _cmd_senmod_cohomology(args):
     M = _module_from_args(args)
     coh = cohomology(M)
-    return {"settings": _settings(args, M.field.prec),
+    return {"settings": _settings(M.field.prec),
             "h0": coh.h0_dim, "h1": coh.h1_dim,
             "h0_basis": [[jsonio.encode_element(x) for x in vec]
                          for vec in coh.h0_basis],
@@ -238,26 +231,26 @@ def _cmd_senmod_tensor(args):
     K = _field_from_args(args)
     m1 = SenModule(K, jsonio.decode_theta_matrix(_load(args.theta), K))
     m2 = SenModule(K, jsonio.decode_theta_matrix(_load(args.theta2), K, "theta2"))
-    return {"settings": _settings(args, K.prec),
+    return {"settings": _settings(K.prec),
             "theta": jsonio.encode_matrix(tensor(m1, m2).matrix())}
 
 
 def _cmd_senmod_dual(args):
     M = _module_from_args(args)
-    return {"settings": _settings(args, M.field.prec),
+    return {"settings": _settings(M.field.prec),
             "theta": jsonio.encode_matrix(dual(M).matrix())}
 
 
 def _cmd_senmod_twist(args):
     M = _module_from_args(args)
-    return {"settings": _settings(args, M.field.prec),
+    return {"settings": _settings(M.field.prec),
             "theta": jsonio.encode_matrix(bk_twist(M, args.n).matrix())}
 
 
 def _cmd_senmod_series(args):
     M = _module_from_args(args)
     b = jsonio.decode_element(_load(args.b), M.field, "b")
-    return {"settings": _settings(args, M.field.prec),
+    return {"settings": _settings(M.field.prec),
             "matrix": jsonio.encode_matrix(operator_series(M, b))}
 
 
@@ -265,23 +258,20 @@ def _cmd_senmod_descent(args):
     M = _module_from_args(args)
     chi = jsonio.decode_scalar(_load(args.chi), "chi", p=M.field.p,
                                prec=M.field.prec)
-    return {"settings": _settings(args, M.field.prec),
+    return {"settings": _settings(M.field.prec),
             "matrix": jsonio.encode_matrix(semilinear_descent_matrix(M, chi))}
 
 
 def _level_from_args(args):
-    prec = _maybe_default_prec(args)
-    return build_level(args.p, args.m, args.a, prec)
+    prec = _effective_prec(args)
+    return build_level(args.p, args.m, args.a, DEFAULT_PRECISION if prec is None else prec)
 
 
 def _cmd_gamma_delta(args):
     level = _level_from_args(args)
-    values = [n for n in range(args.nmin, args.nmax + 1) if n != 0]
-    if not values:
-        raise UsageError("empty twist range")
-    report = rho_bound(level, values)
+    report = rho_bound(level, [n for n in range(args.nmin, args.nmax + 1) if n != 0])
     return {
-        "settings": _settings(args, level.prec),
+        "settings": _settings(level.prec),
         "delta": jsonio.encode_fraction(report.delta),
         "per_n": {str(n): jsonio.encode_fraction(v)
                   for n, v in report.per_n.items()},
@@ -297,7 +287,7 @@ def _cmd_gamma_invert(args):
     rhs = jsonio.decode_scalar_vector(_load(args.rhs), level.p, level.prec)
     res = neumann_invert(T, rhs, require_contraction=args.require_contraction)
     return {
-        "settings": _settings(args, level.prec, trunc),
+        "settings": _settings(level.prec, trunc),
         "solution": [jsonio.encode_scalar(x) for x in res["solution"]],
         "residual_valuation": str(res["residual_valuation"]),
         "sup_norm_exponent": jsonio.encode_fraction(res["sup_norm_exponent"]),
@@ -310,7 +300,7 @@ def _cmd_gamma_kernel(args):
     e = PadicScalar.from_int(args.e, args.p, level.prec)
     T = g_minus_one(level, e, trunc)
     con = T.contraction_report()
-    return {"settings": _settings(args, level.prec, trunc),
+    return {"settings": _settings(level.prec, trunc),
             "kernel_dimension": 0,     # block triangular, each diagonal block inverts
             "sup_norm_exponent": jsonio.encode_fraction(con["sup_norm_exponent"]),
             "topologically_nilpotent": con["nilpotent"]}
@@ -322,14 +312,14 @@ def _cmd_picard_boundary(args):
     b = boundary(x)
     out = jsonio.encode_boundary(b)
     out["in_kernel"] = b.is_zero()
-    out["settings"] = _settings(args, K.prec)
+    out["settings"] = _settings(K.prec)
     return out
 
 
 def _cmd_picard_kernel(args):
     K = _field_from_args(args)
     rep = kernel_lattice(K, args.s)
-    return {"settings": _settings(args, K.prec),
+    return {"settings": _settings(K.prec),
             "basis": [jsonio.encode_element(x) for x in rep.basis],
             "image_order_exponent": rep.image_order_exponent}
 
@@ -346,7 +336,7 @@ def _cmd_picard_functorial(args):
         emb = scalar_embedding(K, L)
     x = jsonio.decode_element(_load(args.elem), K, "elem")
     rep = functoriality_check(emb, x)
-    return {"settings": _settings(args, K.prec),
+    return {"settings": _settings(K.prec),
             "lhs": jsonio.encode_boundary(rep["lhs"]),
             "rhs": jsonio.encode_boundary(rep["rhs"]),
             "equal": rep["equal"],
@@ -356,7 +346,7 @@ def _cmd_picard_functorial(args):
 def _cmd_picard_witness(args):
     K = _field_from_args(args)
     w = witness_of_order(K, args.k)
-    return {"settings": _settings(args, K.prec),
+    return {"settings": _settings(K.prec),
             "witness": jsonio.encode_element(w),
             "boundary": jsonio.encode_boundary(boundary(w))}
 

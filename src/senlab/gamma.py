@@ -8,13 +8,14 @@ upper-triangular Q_p-matrix
     block (n, n+k) = chi^n (y^k / k!) sigma      (k >= 1),
     block (n, n)   = chi^n sigma - 1,
 
-whose diagonal blocks are invertible.  sigma has finite order r, and the
-closed form (chi^(nr) - 1)^-1 sum_{j<r} chi^(nj) sigma^j of their inverses
-gives the finite-level Tate bound delta.  With rho_n those inverses (from
-linalg.invert, the integral Gauss-Jordan kernel for Q_p matrices) and M the
-strict upper part, block (n, n+k) of rho M is chi^n (y^k / k!) rho_n sigma,
-and since chi^n rho_n sigma = 1 + rho_n it is (y^k / k!) (1 + rho_n), a
-multiple of 1 + rho_n.  rho M is nilpotent by its structure, its sup-norm has
+whose diagonal blocks are invertible.  sigma has the finite order r of a mod
+p^m, and the closed form (chi^(nr) - 1)^-1 S_n of their inverses gives the
+finite-level Tate bound delta; S_n = sum_{j<r} chi^(nj) sigma^j is an integer
+orbit sum on the zeta^i, as sigma^j(zeta^i) = zeta^(i a^j).  With rho_n those
+inverses (from linalg.invert, the integral Gauss-Jordan kernel for Q_p
+matrices) and M the strict upper part, block (n, n+k) of rho M is
+chi^n (y^k / k!) rho_n sigma, and since chi^n rho_n sigma = 1 + rho_n it is
+(y^k / k!) (1 + rho_n).  rho M is nilpotent by its structure, its sup-norm has
 one route (strict_upper_norm_exponent), one block back-substitution pass,
 the terminating Neumann sum, inverts g - 1, and the nullity of g - 1 is zero
 by the block structure.
@@ -121,14 +122,17 @@ def _norm_exponent(blocks) -> Fraction:
 
 
 def rho_bound(level: CyclotomicLevel, n_values) -> RhoReport:
-    """Norm exponents of (chi^n sigma - 1)^-1, closed form from the finite
-    order r of sigma: the inverse is (chi^(nr) - 1)^-1 S_n, S_n = sum_{j<r}
-    chi^(nj) sigma^j, so its exponent is v_p(a^(|n|r) - 1), exact from the
-    integer a, minus the least entry valuation of S_n mod p^prec.  Singular
-    to working precision exactly when S_n vanishes mod p^prec, so that its
-    least valuation is unknown."""
-    p, a, d, mod = level.p, level.a, level.degree, level.p ** level.prec
-    r = next(r for r in range(1, p ** level.m) if pow(a, r, p ** level.m) == 1)
+    """Norm exponents of (chi^n sigma - 1)^-1 = (chi^(nr) - 1)^-1 S_n, r the
+    order of a mod p^m: exact v_p(a^(|n|r) - 1) minus the content of S_n mod
+    p^prec, singular to working precision if S_n = 0 mod p^prec.  S_n zeta^i =
+    sum_{j<r} a^(nj) zeta^(i a^j) is an integer orbit sum, and as zeta^(d+k) =
+    -sum_{l<p-1} zeta^(k+lq), q = p^(m-1), its coordinate k < d is c[k] -
+    c[d + k mod q].  The zeta^i span Z_p[zeta], the content is basis-free and
+    S_n commutes with the unit sigma: one i per orbit of a suffices."""
+    p, a, mod = level.p, level.a, level.p ** level.prec
+    pm, q = p ** level.m, p ** (level.m - 1)
+    d = (p - 1) * q
+    r = next(r for r in range(1, pm) if pow(a, r, pm) == 1)
     v_denom, chi_powers = {}, {}
     for n in n_values:
         if n == 0:
@@ -137,15 +141,18 @@ def rho_bound(level: CyclotomicLevel, n_values) -> RhoReport:
         chi_powers[n] = [pow(a, n * j, mod) for j in range(r)]
     if not v_denom:
         raise UsageError("empty twist list: nothing to bound")
-    sigma = [[s.lift() for s in row] for row in level.sigma]
     content = dict.fromkeys(v_denom, mod)
-    for t in range(d):              # column t of S_n is sum_j chi^(nj) sigma^j e_t
-        orbit = [[int(i == t) for i in range(d)]]
-        for _ in range(1, r):
-            orbit.append([sum(u * v for u, v in zip(row, orbit[-1])) % mod for row in sigma])
+    seen = set()
+    for i in range(pm):
+        if i in seen:
+            continue
+        orbit = [i * pow(a, j, pm) % pm for j in range(r)]
+        seen.update(orbit)
         for n, cs in chi_powers.items():
-            column = [sum(c * vec[i] for c, vec in zip(cs, orbit)) for i in range(d)]
-            content[n] = math.gcd(content[n], *column)
+            c = [0] * pm
+            for k, w in zip(orbit, cs):
+                c[k] += w
+            content[n] = math.gcd(content[n], *(c[k] - c[d + k % q] for k in range(d)))
     for n, c in content.items():
         if c == mod:
             raise PrecisionError(SINGULAR_BLOCK % n)

@@ -71,14 +71,15 @@ def identity(n, one, zero):
 
 
 def mat_pow(a, n, one, zero):
-    result = identity(len(a), one, zero)
-    base = mat_copy(a)
+    """a^n as a fresh matrix in bit_length + popcount - 2 products; I at n = 0."""
+    result, base = None, a
     while n:
         if n & 1:
-            result = mat_mul(result, base, zero)
-        base = mat_mul(base, base, zero)
+            result = mat_copy(base) if result is None else mat_mul(result, base, zero)
         n >>= 1
-    return result
+        if n:
+            base = mat_mul(base, base, zero)
+    return identity(len(a), one, zero) if result is None else result
 
 
 def _select_pivot(candidates):

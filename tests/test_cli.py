@@ -135,6 +135,24 @@ class TestCliCommands:
         assert rep["image_order_exponent"] == 1
         assert len(rep["basis"]) == 2
 
+    def test_dps_mul_echoes_the_product_truncation(self, capsys, field_file, tmp_path):
+        # two 5-coefficient series multiply to truncation 4, with no --trunc given
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"coeffs": [{"coeffs": [[str(k), "0"]]} for k in range(1, 6)]}))
+        code, rep = run_cli(capsys, "dps", "mul", "--field", field_file,
+                            "--f", str(f), "--g", str(f))
+        assert code == 0
+        assert rep["settings"] == {"prec": 40, "trunc": 4}
+        assert len(rep["result"]["coeffs"]) == 5
+
+    def test_commands_without_truncation_echo_null(self, capsys, field_file, tmp_path):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(NILPOTENT))
+        for cmd in (["gamma", "delta", "--p", "3", "--m", "1", "--a", "2",
+                     "--nmin", "-2", "--nmax", "2"],
+                    ["senmod", "dual", "--field", field_file, "--theta", str(theta)]):
+            code, rep = run_cli(capsys, *cmd, "--trunc", "7")
+            assert code == 0 and rep["settings"]["trunc"] is None, cmd
 
 class TestExitCodes:
     def test_schema_error_is_2(self, capsys, field_file, tmp_path):

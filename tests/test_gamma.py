@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,10 +9,11 @@ from senlab import linalg
 from senlab.dpseries import DPSeries, coaction
 from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageError
 from senlab.field import qp_field
-from senlab.gamma import (_diagonal_block, build_level, dense_solve, g_minus_one,
-                          log_coordinate_tail_bounds, log_coordinate_vector,
-                          neumann_invert, rho_bound, symmetric_range)
-from senlab.padic import PadicScalar
+from senlab.gamma import (SINGULAR_BLOCK, RhoReport, _diagonal_block, build_level,
+                          dense_solve, g_minus_one, log_coordinate_tail_bounds,
+                          log_coordinate_vector, neumann_invert, rho_bound,
+                          symmetric_range)
+from senlab.padic import PadicScalar, vp_int
 
 S = PadicScalar
 
@@ -64,6 +66,39 @@ def _dense_neumann(T, rho, rho_m, rhs):
         w = [-x for x in linalg.mat_vec(rho_m, w, zero)]
         acc = [x + y for x, y in zip(acc, w)]
     return acc
+
+
+# the matrix route rho_bound replaced: S_n = sum_{j<r} chi^(nj) sigma^j from
+# the d x d integer lift of sigma, column by column through the r-step orbit
+# of each basis vector, recombined for each twist
+def _matrix_rho_bound(level, n_values):
+    p, a, d, mod = level.p, level.a, level.degree, level.p ** level.prec
+    r = next(r for r in range(1, p ** level.m) if pow(a, r, p ** level.m) == 1)
+    v_denom, chi_powers = {}, {}
+    for n in n_values:
+        v_denom[n] = vp_int(a ** (abs(n) * r) - 1, p)
+        chi_powers[n] = [pow(a, n * j, mod) for j in range(r)]
+    sigma = [[s.lift() for s in row] for row in level.sigma]
+    content = dict.fromkeys(v_denom, mod)
+    for t in range(d):
+        orbit = [[int(i == t) for i in range(d)]]
+        for _ in range(1, r):
+            orbit.append([sum(u * v for u, v in zip(row, orbit[-1])) % mod for row in sigma])
+        for n, cs in chi_powers.items():
+            column = [sum(c * vec[i] for c, vec in zip(cs, orbit)) for i in range(d)]
+            content[n] = math.gcd(content[n], *column)
+    for n, c in content.items():
+        if c == mod:
+            raise PrecisionError(SINGULAR_BLOCK % n)
+    per_n = {n: Fraction(v - vp_int(content[n], p)) for n, v in v_denom.items()}
+    return RhoReport(per_n, max(per_n.values()))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except PrecisionError as err:
+        return str(err)
 
 
 # four benchmark inversion levels, among them those of degree 18 and 20, and
@@ -157,9 +192,28 @@ class TestRhoBound:
             assert rep.per_n[n] == _norm(gj_invert(_diagonal_block(L, n), one, zero)), n
         assert rep.delta == max(rep.per_n.values())
 
+    @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                                     (3, 3), (5, 1), (5, 2), (7, 1)])
+    def test_orbit_sum_matches_matrix_route(self, p, m):
+        # equal reports, or equal PrecisionError messages where S_n = 0 mod p^prec
+        for a in range(2, 12):
+            if a % p == 0:
+                continue
+            for prec in (2, 3, 5, 40):
+                try:
+                    L = build_level(p, m, a, prec)
+                except DomainError:     # a^(p-1) = 1 to working precision
+                    continue
+                twists = symmetric_range(10)
+                assert (_outcome(rho_bound, L, twists)
+                        == _outcome(_matrix_rho_bound, L, twists)), (a, prec)
+
     def test_zero_twist_rejected(self, level_m2):
         with pytest.raises(UsageError):
             rho_bound(level_m2, [0, 1])
+        # before any block is found singular: n = 3 is singular here
+        with pytest.raises(UsageError):
+            rho_bound(build_level(3, 3, 2, 2), [3, 0])
 
     def test_empty_twist_list_rejected(self, level_m2):
         with pytest.raises(UsageError):
