@@ -10,7 +10,7 @@ absolute precision the inputs justify.
 
 from fractions import Fraction
 
-from senlab import PadicPoly, PadicScalar, newton_polygon, padic_exp, padic_log
+from senlab import PadicScalar, newton_polygon, padic_exp, padic_log
 
 S = PadicScalar
 
@@ -38,7 +38,7 @@ except Exception as err:
     print("exp(2) over Q_2:", err)
 
 # Newton polygons report root valuations with multiplicities
-f = PadicPoly.from_ints([125, 5, 0, 1], 5, 20)   # T^3 + 5T + 125
+f = [S.from_int(c, 5, 20) for c in (125, 5, 0, 1)]   # T^3 + 5T + 125, ascending
 poly = newton_polygon(f)
 print("vertices:", list(poly.vertices))
 print("root valuations:", poly.slope_multiset())

@@ -3,11 +3,13 @@ Finite cyclotomic levels, Tate bounds, Neumann inversion
 ========================================================
 
 Level m is Q_p(zeta_{p^m}) with the automorphism z -> z^a and character
-value chi = a.  The twisted blocks chi^n sigma - 1 invert exactly; the norm
-exponents of their inverses, in closed form from the finite order r of sigma,
-give the finite-level uniform bound delta.  The inverse is
-(chi^(nr) - 1)^-1 S_n, and S_n = sum_{j<r} chi^(nj) sigma^j is an integer
-orbit sum on the zeta^i, since sigma^j(zeta^i) = zeta^(i a^j): no matrix.
+value chi = a.  The twisted blocks chi^n sigma - 1 invert exactly: the
+inverse is (chi^(nr) - 1)^-1 S_n, r the finite order of sigma, and
+S_n = sum_{j<r} chi^(nj) sigma^j is an integer orbit sum on the zeta^i,
+since sigma^j(zeta^i) = zeta^(i a^j): no matrix and no elimination.  The
+norm exponents of these inverses give the finite-level uniform bound delta,
+and the same orbit sums, over the exact integer a^(nr) - 1, are the blocks
+rho_n of the operator below, so no block is singular at any precision.
 On the truncated module the full operator g - 1 is block upper triangular
 with invertible diagonal blocks, so its kernel is zero (nullity from the
 block structure), and rho M is strictly block upper triangular and nilpotent

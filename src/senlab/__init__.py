@@ -9,8 +9,8 @@ towers), dpseries (divided-power algebra and its derivation), senmod
 
 from .errors import (ConvergenceError, DomainError, PrecisionError, SenlabError,
                      UsageError)
-from .padic import (DEFAULT_PRECISION, NewtonPolygon, PadicPoly, PadicScalar,
-                    newton_polygon, padic_exp, padic_log)
+from .padic import (DEFAULT_PRECISION, NewtonPolygon, PadicScalar, newton_polygon,
+                    padic_exp, padic_log)
 from .field import (FieldElement, FieldEmbedding, LocalField, LocalFieldSpec,
                     apply_substitution, build_field, cyclotomic_field,
                     eisenstein_field, qp_field, residue,

@@ -225,8 +225,9 @@ def criterion_6():
 def criterion_7():
     """Uniform inverse bounds: p = 3, generator a = 2 at levels m = 1, 2, 3,
     twists n in [-10, 10] without 0 (closed form from the finite order of
-    sigma, S_n an integer orbit sum on the zeta^i).  One finite delta bounds
-    every exponent and the maxima agree."""
+    sigma, S_n an integer orbit sum on the zeta^i, exact at every working
+    precision; g_minus_one's rho_n share it).  One finite delta bounds every
+    exponent and the maxima agree."""
     deltas = {}
     tables = {}
     for m in (1, 2, 3):

@@ -325,10 +325,12 @@ def _cmd_picard_kernel(args):
 
 
 def _cmd_picard_functorial(args):
+    if (args.y_image is None) != (args.u_image is None):
+        raise UsageError("give both --y-image and --u-image, or neither")
     K = _field_from_args(args)
     L = jsonio.decode_field_spec(_load(args.ext), "ext",
                                  prec_override=_effective_prec(args))
-    if args.y_image and args.u_image:
+    if args.y_image is not None:
         emb = FieldEmbedding(K, L,
                              jsonio.decode_element(_load(args.y_image), L, "y_image"),
                              jsonio.decode_element(_load(args.u_image), L, "u_image"))

@@ -287,7 +287,7 @@ class LocalField:
 
     def basis_traces(self):
         """Tr(b_t) for every basis element, read off the trace form."""
-        return [_scalar(self.p, 0, t, self.table_prec) for t in self._trace_form]
+        return [PadicScalar.from_residue(self.p, t, self.table_prec) for t in self._trace_form]
 
     def y_gen(self):
         return self.basis()[self.e_ram] if self.f > 1 else self.one()
@@ -321,16 +321,6 @@ class LocalField:
 def build_field(spec: LocalFieldSpec) -> LocalField:
     """Validate the spec and return the field handle."""
     return LocalField(spec)
-
-
-def _scalar(p, shift, n, prec):
-    """The scalar p^shift * n known modulo p^prec."""
-    rel = prec - shift
-    if rel <= 0 or n % p ** rel == 0:
-        return PadicScalar.zero(p, prec)
-    n %= p ** rel
-    k = vp_int(n, p)
-    return PadicScalar(p, shift + k, n // p ** k, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +388,8 @@ class FieldElement:
     def coordinates(self):
         """Q_p coordinates in basis order t = j * e_ram + i, each at the
         element's precision."""
-        return [_scalar(self.field.p, self.shift, c, self.prec) for c in self.vec]
+        return [PadicScalar.from_residue(self.field.p, c, self.prec, self.shift)
+                for c in self.vec]
 
     def truncated(self, prec: int) -> "FieldElement":
         """The element cut to absolute precision at most prec."""
@@ -547,7 +538,8 @@ def trace_to_Qp(x: FieldElement) -> PadicScalar:
     """Tr_{K|Q_p}(x): the dot product of x with the trace form."""
     K = x.field
     prec = x.prec if K.degree == 1 else min(x.prec, x.shift + K.table_prec)
-    return _scalar(K.p, x.shift, sum(c * t for c, t in zip(x.vec, K._trace_form)), prec)
+    return PadicScalar.from_residue(K.p, sum(c * t for c, t in zip(x.vec, K._trace_form)),
+                                    prec, x.shift)
 
 
 def residue(x: FieldElement):

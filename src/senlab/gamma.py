@@ -9,11 +9,12 @@ upper-triangular Q_p-matrix
     block (n, n)   = chi^n sigma - 1,
 
 whose diagonal blocks are invertible.  sigma has the finite order r of a mod
-p^m, and the closed form (chi^(nr) - 1)^-1 S_n of their inverses gives the
-finite-level Tate bound delta; S_n = sum_{j<r} chi^(nj) sigma^j is an integer
-orbit sum on the zeta^i, as sigma^j(zeta^i) = zeta^(i a^j).  With rho_n those
-inverses (from linalg.invert, the integral Gauss-Jordan kernel for Q_p
-matrices) and M the strict upper part, block (n, n+k) of rho M is
+p^m, and their inverses rho_n have the one closed form (chi^(nr) - 1)^-1 S_n,
+S_n = sum_{j<r} chi^(nj) sigma^j an integer orbit sum on the zeta^i, as
+sigma^j(zeta^i) = zeta^(i a^j).  The same orbit sums give the finite-level
+Tate bound delta (rho_bound) and rho_n itself, moved to the basis u^k and
+divided by the exact integer a^(nr) - 1, so no block is singular to working
+precision.  With M the strict upper part, block (n, n+k) of rho M is
 chi^n (y^k / k!) rho_n sigma, and since chi^n rho_n sigma = 1 + rho_n it is
 (y^k / k!) (1 + rho_n).  rho M is nilpotent by its structure, its sup-norm has
 one route (strict_upper_norm_exponent), one block back-substitution pass,
@@ -28,12 +29,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .errors import ConvergenceError, DomainError, PrecisionError, UsageError
+from .errors import ConvergenceError, DomainError, UsageError
 from .field import cyclotomic_field, FieldEmbedding
 from .padic import DEFAULT_PRECISION, PadicScalar, require_prime, vp_factorial, vp_int
-
-SINGULAR_BLOCK = "diagonal block at n = %d is singular to working precision"
-
 
 class CyclotomicLevel:
     """Validated level: field Q_p(zeta_{p^m}), generator a, chi = a."""
@@ -121,43 +119,71 @@ def _norm_exponent(blocks) -> Fraction:
     return Fraction(-min(x.val_bound() for blk in blocks for row in blk for x in row))
 
 
+def _order(a: int, pm: int) -> int:
+    """The order r of a mod p^m, that of sigma."""
+    return next(r for r in range(1, pm) if pow(a, r, pm) == 1)
+
+
+def _orbit_sum(level: CyclotomicLevel, r: int, n: int, i: int, mod: int):
+    """Coordinates on the zeta^k, k < d, of S_n zeta^i = sum_{j<r} a^(nj)
+    zeta^(i a^j) modulo mod.  As zeta^(d+k) = -sum_{l<p-1} zeta^(k+lq),
+    q = p^(m-1), coordinate k of sum_t c[t] zeta^t is c[k] - c[d + k mod q]."""
+    pm, q = level.p ** level.m, level.p ** (level.m - 1)
+    d, a = pm - q, level.a
+    c = [0] * pm
+    t, w, step = i % pm, 1, pow(a, n, mod)
+    for _ in range(r):
+        c[t] += w
+        t, w = t * a % pm, w * step % mod
+    return [(c[k] - c[d + k % q]) % mod for k in range(d)]
+
+
 def rho_bound(level: CyclotomicLevel, n_values) -> RhoReport:
     """Norm exponents of (chi^n sigma - 1)^-1 = (chi^(nr) - 1)^-1 S_n, r the
-    order of a mod p^m: exact v_p(a^(|n|r) - 1) minus the content of S_n mod
-    p^prec, singular to working precision if S_n = 0 mod p^prec.  S_n zeta^i =
-    sum_{j<r} a^(nj) zeta^(i a^j) is an integer orbit sum, and as zeta^(d+k) =
-    -sum_{l<p-1} zeta^(k+lq), q = p^(m-1), its coordinate k < d is c[k] -
-    c[d + k mod q].  The zeta^i span Z_p[zeta], the content is basis-free and
-    S_n commutes with the unit sigma: one i per orbit of a suffices."""
-    p, a, mod = level.p, level.a, level.p ** level.prec
-    pm, q = p ** level.m, p ** (level.m - 1)
-    d = (p - 1) * q
-    r = next(r for r in range(1, pm) if pow(a, r, pm) == 1)
-    v_denom, chi_powers = {}, {}
-    for n in n_values:
-        if n == 0:
-            raise UsageError("n = 0 is the untwisted block; it is not invertible")
-        v_denom[n] = _vp_power_minus_one(a, abs(n) * r, p, level.prec)
-        chi_powers[n] = [pow(a, n * j, mod) for j in range(r)]
-    if not v_denom:
+    order of a mod p^m: v - v_p(content of S_n), v = v_p(a^(|n|r) - 1), which
+    is at least m.  The zeta^i span Z_p[zeta], the content is basis-free and S_n
+    commutes with the unit sigma, so one i per orbit of a suffices.  As
+    rho_n (chi^n sigma - 1) = 1 with chi^n sigma - 1 integral, |rho_n| >= 1:
+    the content divides p^v, and the orbit sums modulo p^v give it
+    exactly, whatever the working precision."""
+    n_values = list(n_values)
+    if 0 in n_values:
+        raise UsageError("n = 0 is the untwisted block; it is not invertible")
+    if not n_values:
         raise UsageError("empty twist list: nothing to bound")
-    content = dict.fromkeys(v_denom, mod)
-    seen = set()
+    p, a, pm = level.p, level.a, level.p ** level.m
+    r = _order(a, pm)
+    reps, seen = [], set()
     for i in range(pm):
-        if i in seen:
-            continue
-        orbit = [i * pow(a, j, pm) % pm for j in range(r)]
-        seen.update(orbit)
-        for n, cs in chi_powers.items():
-            c = [0] * pm
-            for k, w in zip(orbit, cs):
-                c[k] += w
-            content[n] = math.gcd(content[n], *(c[k] - c[d + k % q] for k in range(d)))
-    for n, c in content.items():
-        if c == mod:
-            raise PrecisionError(SINGULAR_BLOCK % n)
-    per_n = {n: Fraction(v - vp_int(content[n], p)) for n, v in v_denom.items()}
+        if i not in seen:
+            reps.append(i)
+            seen.update(i * pow(a, j, pm) % pm for j in range(r))
+    per_n = {}
+    for n in n_values:
+        v = _vp_power_minus_one(a, abs(n) * r, p, level.m + 1)
+        mod = p ** v
+        content = math.gcd(mod, *(y for i in reps for y in _orbit_sum(level, r, n, i, mod)))
+        per_n[n] = Fraction(v - vp_int(content, p))
     return RhoReport(per_n, max(per_n.values()))
+
+
+def _block_inverse(level: CyclotomicLevel, r: int, n: int):
+    """rho_n = (a^(nr) - 1)^-1 S_n on the basis u^k, to absolute precision
+    prec: the S_n zeta^i, i < d, modulo p^(prec+v), v = v_p(a^(nr) - 1), moved
+    to the u^k by u^t = sum_i C(t, i) (-1)^(t-i) zeta^i and zeta^k =
+    sum_s C(k, s) u^s, then over the exact integer a^(nr) - 1."""
+    p, d, prec = level.p, level.degree, level.prec
+    v = _vp_power_minus_one(level.a, n * r, p, level.m + 1)
+    mod = p ** (prec + v)
+    unit = (pow(level.a, n * r, p ** (prec + 2 * v)) - 1) // p ** v
+    scale = pow(unit, -1, mod)
+    zeta_cols = [_orbit_sum(level, r, n, i, mod) for i in range(d)]
+    u_cols = [[sum(math.comb(t, i) * (-1) ** (t - i) * col[k]
+                   for i, col in enumerate(zeta_cols[:t + 1])) for k in range(d)]
+              for t in range(d)]
+    return [[PadicScalar.from_residue(
+                p, scale * sum(math.comb(k, s) * col[k] for k in range(s, d)), prec, -v)
+             for col in u_cols] for s in range(d)]
 
 
 def _vp_power_minus_one(a: int, e: int, p: int, k: int) -> int:
@@ -181,8 +207,9 @@ def symmetric_range(n_max: int):
 
 class TwistedOperator:
     """(g - 1) on D_N in block form: `matrix` is the operator, `rho_blocks[n]`
-    inverts the diagonal block chi^n sigma - 1, and `coef[n][k]` = chi^n y^k / k!,
-    so block (n, n+k) is coef[n][k] sigma and that of rho M is coef[n][k] rho_n sigma."""
+    inverts the diagonal block chi^n sigma - 1 to the full precision prec (the
+    closed form over a^(nr) - 1), and `coef[n][k]` = chi^n y^k / k!, so block
+    (n, n+k) is coef[n][k] sigma and that of rho M is coef[n][k] rho_n sigma."""
 
     __slots__ = ("level", "e", "trunc", "y", "matrix", "rho_blocks", "coef")
 
@@ -268,15 +295,13 @@ def g_minus_one(level: CyclotomicLevel, e: PadicScalar, trunc: int) -> TwistedOp
     for k in range(1, trunc):
         y_over_fact.append(y_over_fact[-1] * y / PadicScalar.from_int(k, level.p, level.prec))
     coef, rho_blocks, mat = {}, {}, []
+    r = _order(level.a, level.p ** level.m)
     for n in range(1, trunc + 1):
         chi_n = level.chi ** n
         coef[n] = [chi_n * c for c in y_over_fact[:trunc - n + 1]]
-        diag = _diagonal_block(level, n)
-        try:
-            rho_blocks[n] = linalg.invert(diag, one, zero)
-        except PrecisionError as err:
-            raise PrecisionError(SINGULAR_BLOCK % n) from err
-        row = [diag] + [linalg.mat_scale(level.sigma, c) for c in coef[n][1:]]
+        rho_blocks[n] = _block_inverse(level, r, n)
+        row = [_diagonal_block(level, n)] + [[[x * c for x in srow] for srow in level.sigma]
+                                             for c in coef[n][1:]]
         mat.extend([zero] * (n - 1) * d + [x for blk in row for x in blk[i]]
                    for i in range(d))
     return TwistedOperator(level, e, trunc, y, mat, rho_blocks, coef)

@@ -113,14 +113,15 @@ class PadicScalar:
         return cls(p, 0, 1, prec)
 
     @classmethod
-    def from_residue(cls, p: int, residue: int, prec: int) -> "PadicScalar":
-        """Build from an integer known modulo p^prec (absolute window at 0)."""
-        residue %= p ** prec
-        if residue == 0:
+    def from_residue(cls, p: int, residue: int, prec: int, shift: int = 0) -> "PadicScalar":
+        """The scalar p^shift * residue known modulo p^prec, so residue is
+        read modulo p^(prec - shift); shift may be negative."""
+        rel = prec - shift
+        residue = residue % p ** rel if rel > 0 else 0
+        if not residue:
             return cls.zero(p, prec)
         v = vp_int(residue, p)
-        unit = (residue // p ** v) % p ** (prec - v)
-        return cls(p, v, unit, prec)
+        return cls(p, shift + v, residue // p ** v, prec)
 
     @classmethod
     def from_int(cls, n: int, p: int, prec: int = DEFAULT_PRECISION) -> "PadicScalar":
@@ -395,33 +396,6 @@ def padic_log(x: PadicScalar, target_prec=None) -> PadicScalar:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q_p
-# ---------------------------------------------------------------------------
-
-class PadicPoly:
-    """Dense polynomial over Q_p, coefficients ascending by degree."""
-
-    def __init__(self, coeffs, monic=False):
-        if not coeffs:
-            raise UsageError("polynomial needs at least one coefficient")
-        self.coeffs = tuple(coeffs)
-        self.monic = monic
-
-    @classmethod
-    def from_ints(cls, ints, p, prec=DEFAULT_PRECISION):
-        coeffs = [PadicScalar.from_int(c, p, prec) for c in ints]
-        return cls(coeffs, monic=(ints[-1] == 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def p(self) -> int:
-        return self.coeffs[0].p
-
-
-# ---------------------------------------------------------------------------
 # Newton polygons
 # ---------------------------------------------------------------------------
 
@@ -537,20 +511,20 @@ def newton_polygon_from_points(points, allow_bounds: bool = False) -> NewtonPoly
     return NewtonPolygon(hull, slopes)
 
 
-def newton_polygon(f: PadicPoly, allow_bounds: bool = False) -> NewtonPolygon:
-    """Newton polygon of a monic polynomial over Q_p."""
-    coeffs = list(f.coeffs)
+def newton_polygon(coeffs, allow_bounds: bool = False) -> NewtonPolygon:
+    """Newton polygon of a polynomial given by ascending coefficients
+    (PadicScalar or FieldElement), divided by its leading coefficient unless
+    that is 1."""
+    coeffs = list(coeffs)
     lead = coeffs[-1]
     if lead.is_zero():
         raise PrecisionError("leading coefficient is zero to precision")
-    if not (f.monic or (lead.val == 0 and lead.unit == 1)):
+    if lead != 1:
         coeffs = [c / lead for c in coeffs]
     points = []
     for i, c in enumerate(coeffs):
-        if c.is_zero():
-            points.append((i, None, Fraction(c.prec)))
-        else:
-            points.append((i, Fraction(c.val), Fraction(c.val)))
-    # monic leading point is exact by construction
-    points[-1] = (f.degree, Fraction(0), Fraction(0))
+        exact, v = c.pivot_val()
+        points.append((i, v if exact else None, v))
+    # the monic leading point is exact by construction
+    points[-1] = (len(coeffs) - 1, Fraction(0), Fraction(0))
     return newton_polygon_from_points(points, allow_bounds=allow_bounds)

@@ -60,11 +60,11 @@ class BoundaryValue:
                              k, self.prec)
 
     def __eq__(self, other):
-        if isinstance(other, Fraction):
-            other_frac = other - other.__floor__()
-            return self.as_fraction() == other_frac
-        return self.p == other.p and self.num == other.num and \
-            self.den_pow == other.den_pow
+        if isinstance(other, (int, Fraction)):
+            return self.as_fraction() == Fraction(other) % 1
+        if not isinstance(other, BoundaryValue):
+            return NotImplemented
+        return (self.p, self.num, self.den_pow) == (other.p, other.num, other.den_pow)
 
     __hash__ = None
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import ConvergenceError, DomainError, UsageError
 from .field import FieldElement, LocalField
-from .padic import NewtonPolygon, PadicScalar, newton_polygon_from_points, sum_series
+from .padic import PadicScalar, newton_polygon, sum_series
 
 
 class SenModule:
@@ -88,17 +88,6 @@ def char_poly(M: SenModule):
     return list(reversed(desc))
 
 
-def char_poly_polygon(coeffs, allow_bounds: bool = True) -> NewtonPolygon:
-    """Newton polygon of a monic K-polynomial given by ascending coefficients."""
-    points = []
-    d = len(coeffs) - 1
-    for i, c in enumerate(coeffs):
-        exact, v = c.pivot_val()
-        points.append((i, v if exact else None, v))
-    points[d] = (d, Fraction(0), Fraction(0))
-    return newton_polygon_from_points(points, allow_bounds=allow_bounds)
-
-
 class ClassifierReport:
     """Outcome of the topological-nilpotence test on theta^p - e^(p-1) theta."""
 
@@ -134,7 +123,7 @@ def nearly_ht_test(M: SenModule) -> ClassifierReport:
     q = frobenius_twist_matrix(M)
     coeffs = linalg.charpoly_berkowitz(q, M._one(), M._zero())
     coeffs = list(reversed(coeffs))
-    polygon = char_poly_polygon(coeffs, allow_bounds=True)
+    polygon = newton_polygon(coeffs, allow_bounds=True)
     verdict = polygon.all_slopes_positive()
     return ClassifierReport(verdict, coeffs, polygon, polygon.offending_slopes())
 
@@ -213,7 +202,7 @@ def default_weight_range(M: SenModule):
     explicit range to be definitive.
     """
     coeffs = char_poly(M)
-    polygon = char_poly_polygon(coeffs, allow_bounds=True)
+    polygon = newton_polygon(coeffs, allow_bounds=True)
     exact, v_e = M.e.pivot_val()
     spread = 0
     for s in polygon.slopes:

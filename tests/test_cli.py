@@ -229,14 +229,39 @@ class TestExitCodes:
         assert code == 2 and "precision must be >= 1" in rep["error"]["message"]
 
     @pytest.mark.parametrize("cmd", [
-        # S_3 = sum_j chi^(3j) sigma^j vanishes mod 3^2 at level 3 with a = 2
-        ["delta", "--p", "3", "--m", "3", "--a", "2", "--nmin", "3", "--nmax", "3"],
-        # 4^3 - 1 = 63 vanishes mod 3^2: elimination finds no pivot in the block
+        # S_1 = 0 mod 3^2 at level 3 with a = 4, but v_3(4^9 - 1) = 3
+        ["delta", "--p", "3", "--m", "3", "--a", "4", "--nmin", "1", "--nmax", "2"],
+        ["kernel", "--p", "3", "--m", "3", "--a", "4", "--e", "1", "--trunc", "2"],
+        # 4^3 - 1 = 63 = 0 mod 3^2, yet the closed form divides by the integer
         ["kernel", "--p", "3", "--m", "1", "--a", "4", "--e", "1", "--trunc", "3"]])
-    def test_gamma_singular_block_is_4(self, capsys, cmd):
-        code, rep = run_cli(capsys, "gamma", *cmd, "--prec", "2")
-        assert code == 4
-        assert "diagonal block at n = 3 is singular" in rep["error"]["message"]
+    def test_gamma_low_precision_blocks_invert(self, capsys, cmd):
+        # the block inverses come from exact integers: precision 2 reports the
+        # precision-40 values
+        reports = []
+        for prec in ("2", "40"):
+            code, rep = run_cli(capsys, "gamma", *cmd, "--prec", prec)
+            assert code == 0, rep
+            rep.pop("settings")
+            reports.append(rep)
+        assert reports[0] == reports[1]
+        if cmd[0] == "delta":
+            assert reports[0]["per_n"] == {"1": {"num": "1", "den": "1"},
+                                           "2": {"num": "1", "den": "1"}}
+        else:
+            assert reports[0]["sup_norm_exponent"] == {"num": "0", "den": "1"}
+
+    @pytest.mark.parametrize("given", ["--y-image", "--u-image"])
+    def test_picard_functorial_one_image_is_2(self, capsys, field_file, tmp_path, given):
+        # one image alone is neither an embedding nor the scalar embedding
+        elem = tmp_path / "x.json"
+        elem.write_text(json.dumps({"coeffs": [["1", "0"]]}))
+        deg4 = tmp_path / "deg4.json"
+        eis = [["3"], ["0"], ["0"], ["0"], ["1"]]      # E = u^4 + 3
+        deg4.write_text(json.dumps(dict(FIELD_SPEC, eisenstein_poly=eis)))
+        for field in (field_file, str(deg4)):
+            code, rep = run_cli(capsys, "picard", "functorial", "--field", field,
+                                "--ext", field_file, "--elem", str(elem), given, str(elem))
+            assert code == 2 and "both --y-image and --u-image" in rep["error"]["message"]
 
     def test_gamma_delta_exact_denominator_at_low_precision(self, capsys):
         # 2^(9 * 18) = 1 mod 3^5, but v_3(2^162 - 1) = 5 is exact and S_-9 is

@@ -9,10 +9,9 @@ from senlab import linalg
 from senlab.dpseries import DPSeries, coaction
 from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageError
 from senlab.field import qp_field
-from senlab.gamma import (SINGULAR_BLOCK, RhoReport, _diagonal_block, build_level,
-                          dense_solve, g_minus_one, log_coordinate_tail_bounds,
-                          log_coordinate_vector, neumann_invert, rho_bound,
-                          symmetric_range)
+from senlab.gamma import (RhoReport, _diagonal_block, build_level, dense_solve, g_minus_one,
+                          log_coordinate_tail_bounds, log_coordinate_vector, neumann_invert,
+                          rho_bound, symmetric_range)
 from senlab.padic import PadicScalar, vp_int
 
 S = PadicScalar
@@ -87,18 +86,9 @@ def _matrix_rho_bound(level, n_values):
         for n, cs in chi_powers.items():
             column = [sum(c * vec[i] for c, vec in zip(cs, orbit)) for i in range(d)]
             content[n] = math.gcd(content[n], *column)
-    for n, c in content.items():
-        if c == mod:
-            raise PrecisionError(SINGULAR_BLOCK % n)
+    assert mod not in content.values(), "S_n = 0 mod p^prec: raise the oracle's precision"
     per_n = {n: Fraction(v - vp_int(content[n], p)) for n, v in v_denom.items()}
     return RhoReport(per_n, max(per_n.values()))
-
-
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except PrecisionError as err:
-        return str(err)
 
 
 # four benchmark inversion levels, among them those of degree 18 and 20, and
@@ -195,23 +185,24 @@ class TestRhoBound:
     @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
                                      (3, 3), (5, 1), (5, 2), (7, 1)])
     def test_orbit_sum_matches_matrix_route(self, p, m):
-        # equal reports, or equal PrecisionError messages where S_n = 0 mod p^prec
+        # the report at every precision is the matrix route's at precision 40:
+        # the orbit sums modulo p^v are exact, so no block is refused
+        twists = symmetric_range(10)
         for a in range(2, 12):
             if a % p == 0:
                 continue
+            want = _matrix_rho_bound(build_level(p, m, a, 40), twists)
             for prec in (2, 3, 5, 40):
                 try:
                     L = build_level(p, m, a, prec)
                 except DomainError:     # a^(p-1) = 1 to working precision
                     continue
-                twists = symmetric_range(10)
-                assert (_outcome(rho_bound, L, twists)
-                        == _outcome(_matrix_rho_bound, L, twists)), (a, prec)
+                assert rho_bound(L, twists) == want, (a, prec)
 
     def test_zero_twist_rejected(self, level_m2):
         with pytest.raises(UsageError):
             rho_bound(level_m2, [0, 1])
-        # before any block is found singular: n = 3 is singular here
+        # wherever 0 stands in the list
         with pytest.raises(UsageError):
             rho_bound(build_level(3, 3, 2, 2), [3, 0])
 
@@ -219,25 +210,15 @@ class TestRhoBound:
         with pytest.raises(UsageError):
             rho_bound(level_m2, [])
 
-    def test_singular_block_named(self):
-        # at precision 2, the block chi^3 - 1 = 4^3 - 1 = 63 (sigma is trivial)
-        # vanishes mod 9, so elimination finds no pivot
-        L = build_level(3, 1, 4, 2)
-        with pytest.raises(PrecisionError, match="diagonal block at n = 3 is singular"):
-            g_minus_one(L, S.from_int(1, 3, 2), 3)
-        # at level 3 with a = 2 and precision 2, S_n = sum_j chi^(nj) sigma^j
-        # vanishes mod 9, so the exponent of the inverse is unknown
-        with pytest.raises(PrecisionError, match="diagonal block at n = 3 is singular"):
-            rho_bound(build_level(3, 3, 2, 2), [3])
-
     def test_exponent_is_exact_at_low_precision(self):
-        # v_3(4^3 - 1) = 2 is exact from the integer, S_3 = 1: no refusal
+        # v_3(4^3 - 1) = 2 is exact from the integer, S_3 = 1
         assert rho_bound(build_level(3, 1, 4, 2), [1, 2, 3]).per_n == {1: 1, 2: 1, 3: 2}
-        # a^(|n| r) = 1 mod 3^5 for n = -9 (r = 18), yet S_n is known: the
-        # exponents at precision 5 are those at precision 40
-        low = rho_bound(build_level(3, 3, 2, 5), symmetric_range(10))
-        assert low == rho_bound(build_level(3, 3, 2, 40), symmetric_range(10))
-        assert low.delta == 3
+        # a^(|n| r) = 1 mod 3^5 for n = -9 (r = 18), and S_3 = 0 mod 3^2 at
+        # level 3 with a = 2: the exponents at precisions 2 and 5 are those at 40
+        high = rho_bound(build_level(3, 3, 2, 40), symmetric_range(10))
+        for prec in (2, 5):
+            assert rho_bound(build_level(3, 3, 2, prec), symmetric_range(10)) == high
+        assert high.delta == 3
 
 
 class TestTwistedOperator:
@@ -290,6 +271,28 @@ class TestTwistedOperator:
                      for i, (rx, ry) in enumerate(zip(rho_sigma, rho))
                      for j, (x, y) in enumerate(zip(rx, ry))]
             assert all(z.is_zero() and z.prec >= 30 for z in diffs), n
+
+    @pytest.mark.parametrize("p,m,a,prec,e,trunc", [
+        *((p, m, a, 40, Fraction(1, p), 4) for p, m, a in BENCH_LEVELS),
+        (3, 2, 10, 60, Fraction(1), 8), (2, 3, 3, 6, Fraction(1, 2), 4),
+        (3, 3, 4, 3, Fraction(1, 3), 4)])
+    def test_rho_blocks_match_gauss_jordan(self, p, m, a, prec, e, trunc):
+        # rho_n agrees with the Gauss-Jordan inverse of the precision-40 block
+        # on every digit, at the full precision prec, and is nowhere less
+        # precise than Gauss-Jordan at the level's own precision
+        L = build_level(p, m, a, prec)
+        T = g_minus_one(L, S.from_fraction(e, p, prec), trunc)
+        L40 = build_level(p, m, a, 40)
+        for n in range(1, trunc + 1):
+            want = gj_invert(_diagonal_block(L40, n), S.one(p, 40), S.zero(p, 40))
+            rho = T.rho_blocks[n]
+            assert all((x - y).is_zero() and x.prec == prec
+                       for rx, ry in zip(rho, want) for x, y in zip(rx, ry)), n
+            try:
+                same = gj_invert(_diagonal_block(L, n), S.one(p, prec), S.zero(p, prec))
+            except PrecisionError:      # no pivot at this precision
+                continue
+            assert all(x.prec >= y.prec for rx, ry in zip(rho, same) for x, y in zip(rx, ry)), n
 
     def test_contraction_certificate(self, dense_case):
         T, _rho, rho_m, powers = dense_case

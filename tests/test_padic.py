@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from senlab.errors import DomainError, PrecisionError, UsageError
-from senlab.field import qp_field
-from senlab.padic import (PadicPoly, PadicScalar, newton_polygon, padic_exp,
-                          padic_log)
+from senlab.field import eisenstein_field, qp_field
+from senlab.padic import PadicScalar, newton_polygon, padic_exp, padic_log
 
 S = PadicScalar
 
@@ -166,17 +165,22 @@ class TestSeriesStopRule:
         assert back.prec == N and back == y
 
 
+def _ints(ints, p, prec):
+    """Ascending integer coefficients as scalars."""
+    return [S.from_int(c, p, prec) for c in ints]
+
+
 class TestNewtonPolygon:
     def test_eisenstein(self):
-        np1 = newton_polygon(PadicPoly.from_ints([-5, 0, 1], 5, 20))
+        np1 = newton_polygon(_ints([-5, 0, 1], 5, 20))
         assert np1.slope_multiset() == [Fraction(1, 2), Fraction(1, 2)]
 
     def test_split_roots(self):
-        np2 = newton_polygon(PadicPoly.from_ints([5, -6, 1], 5, 20))
+        np2 = newton_polygon(_ints([5, -6, 1], 5, 20))
         assert np2.slope_multiset() == [Fraction(0), Fraction(1)]
 
     def test_three_point_hull(self):
-        np3 = newton_polygon(PadicPoly.from_ints([125, 5, 0, 1], 5, 20))
+        np3 = newton_polygon(_ints([125, 5, 0, 1], 5, 20))
         assert list(np3.vertices) == [(0, Fraction(3)), (1, Fraction(1)),
                                       (3, Fraction(0))]
         assert np3.slope_multiset() == [Fraction(1, 2), Fraction(1, 2), Fraction(2)]
@@ -193,42 +197,48 @@ class TestNewtonPolygon:
         for _ in range(10):
             a = [rng.randrange(1, 40), rng.randrange(-40, 40), 1]
             b = [rng.randrange(1, 40), rng.randrange(-40, 40), 1]
-            sf = newton_polygon(PadicPoly.from_ints(a, 3, 25)).slope_multiset()
-            sg = newton_polygon(PadicPoly.from_ints(b, 3, 25)).slope_multiset()
-            fg = PadicPoly.from_ints(mul(a, b), 3, 25)
+            sf = newton_polygon(_ints(a, 3, 25)).slope_multiset()
+            sg = newton_polygon(_ints(b, 3, 25)).slope_multiset()
+            fg = _ints(mul(a, b), 3, 25)
             assert newton_polygon(fg).slope_multiset() == sorted(sf + sg)
 
     def test_unit_substitution_keeps_slopes(self):
-        f = PadicPoly.from_ints([125, 5, 0, 1], 5, 20)
+        f = _ints([125, 5, 0, 1], 5, 20)
         u = S.from_int(2, 5, 20)
-        coeffs = [c * u ** i for i, c in enumerate(f.coeffs)]
-        coeffs = [c / u ** f.degree for c in coeffs]
-        g = PadicPoly(coeffs)
+        coeffs = [c * u ** i for i, c in enumerate(f)]
+        g = [c / u ** (len(f) - 1) for c in coeffs]
         assert newton_polygon(g).slope_multiset() == newton_polygon(f).slope_multiset()
 
     def test_hull_relevant_unknown_raises(self):
         # T^2 + cT + p^2 with c unknown below the hull height at index 1
         coeffs = [S.from_int(25, 5, 20), S.zero(5, 0), S.one(5, 20)]
         with pytest.raises(PrecisionError):
-            newton_polygon(PadicPoly(coeffs, monic=True))
+            newton_polygon(coeffs)
 
     def test_unknown_on_or_above_hull_is_fine(self):
         coeffs = [S.from_int(25, 5, 20), S.zero(5, 20), S.one(5, 20)]
-        np1 = newton_polygon(PadicPoly(coeffs, monic=True))
+        np1 = newton_polygon(coeffs)
         assert np1.slope_multiset() == [Fraction(1), Fraction(1)]
 
     def test_nonmonic_normalization(self):
-        f = PadicPoly([S.from_int(10, 5, 20), S.from_int(2, 5, 20)])
+        f = [S.from_int(10, 5, 20), S.from_int(2, 5, 20)]
         assert newton_polygon(f).slope_multiset() == [Fraction(1)]
-        bad = PadicPoly([S.one(5, 20), S.zero(5, 20)])
+        bad = [S.one(5, 20), S.zero(5, 20)]
         with pytest.raises(PrecisionError):
             newton_polygon(bad)
 
     def test_all_low_coefficients_unknown(self):
         # char-poly-of-a-nilpotent shape: only the leading point is exact
         coeffs = [S.zero(5, 20), S.zero(5, 20), S.one(5, 20)]
-        poly = newton_polygon(PadicPoly(coeffs, monic=True), allow_bounds=True)
+        poly = newton_polygon(coeffs, allow_bounds=True)
         assert poly.total_multiplicity() == 2
         assert poly.all_slopes_positive()
         with pytest.raises(PrecisionError):
-            newton_polygon(PadicPoly(coeffs, monic=True))
+            newton_polygon(coeffs)
+
+    def test_field_element_coefficients(self):
+        # 2 T^2 + 2 pi over Q_3(sqrt 3): divided by the unit 2, root valuations 1/4
+        K = eisenstein_field(3, [-3, 0, 1], 20)
+        two = K.from_int(2)
+        poly = newton_polygon([two * K.pi, K.zero(), two], allow_bounds=True)
+        assert poly.slope_multiset() == [Fraction(1, 4), Fraction(1, 4)]

@@ -59,6 +59,12 @@ class TestBoundary:
         assert b.num == 2 and b.den_pow == 1
         assert BoundaryValue(5, 25, 2, 40).is_zero()
 
+    def test_boundary_value_equality(self, Q):
+        # an int compares as a Fraction does, modulo Z_p; other types do not compare
+        assert boundary(Q.from_int(P)) == 0 and boundary(Q.from_int(P)) == 3
+        assert boundary(Q.one()) != 0 and boundary(Q.one()) == Fraction(1 + P, P)
+        assert boundary(Q.one()) != "1/%d" % P and boundary(Q.one()) != 1.0
+
 
 class TestKernelLattice:
     def test_qp_s0(self, Q):
