@@ -1,9 +1,12 @@
 """Finite-level model of the twisted cyclotomic action over Q_p.
 
 Level m is K_m = Q_p(zeta_{p^m}) with the automorphism sigma_a : z -> z^a and
-character value chi = a.  On the truncated module D_N = sum_{n=1}^N K_m a^n/n!
-the twisted action g(a) = chi a + y, with y = (chi - 1)/e, is the block
-upper-triangular Q_p-matrix
+character value chi = a.  A level holds the integers p, m, a and prec alone:
+sigma_a permutes the zeta^i, sigma_a(zeta^i) = zeta^(i a), so sigma is the
+one-term orbit sum of that permutation moved to the basis u^k, u = zeta - 1,
+built on first read, and no field is built.  On the truncated module
+D_N = sum_{n=1}^N K_m a^n/n! the twisted action g(a) = chi a + y, with
+y = (chi - 1)/e, is the block upper-triangular Q_p-matrix
 
     block (n, n+k) = chi^n (y^k / k!) sigma      (k >= 1),
     block (n, n)   = chi^n sigma - 1,
@@ -24,39 +27,46 @@ by the block structure.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
 from .errors import ConvergenceError, DomainError, UsageError
-from .field import cyclotomic_field, FieldEmbedding
 from .padic import DEFAULT_PRECISION, PadicScalar, require_prime, vp_factorial, vp_int
 
 class CyclotomicLevel:
-    """Validated level: field Q_p(zeta_{p^m}), generator a, chi = a."""
+    """Validated level Q_p(zeta_{p^m}): the integers p, m, a, prec and chi = a;
+    sigma, the one-term orbit sum zeta^i -> zeta^(i a), is built on first read."""
 
-    __slots__ = ("p", "m", "a", "prec", "field", "sigma", "chi")
-
-    def __init__(self, p, m, a, prec, field, sigma, chi):
+    def __init__(self, p, m, a, prec):
         self.p = p
         self.m = m
         self.a = a
         self.prec = prec
-        self.field = field
-        self.sigma = sigma          # degree x degree PadicScalar matrix
-        self.chi = chi              # PadicScalar value of the character
+        self.chi = PadicScalar.from_int(a, p, prec)     # value of the character
 
     @property
     def degree(self):
-        return self.field.degree
+        return self.p ** self.m - self.p ** (self.m - 1)
+
+    @functools.cached_property
+    def sigma(self):
+        """sigma_a on the basis u^k, u = zeta - 1: the columns zeta^(i a), i < d,
+        moved to the u^k, as a degree x degree PadicScalar matrix."""
+        mod = self.p ** self.prec
+        rows = _on_u_basis([_orbit_sum(self, 1, 0, i * self.a, mod)
+                            for i in range(self.degree)])
+        return [[PadicScalar.from_residue(self.p, x, self.prec) for x in row] for row in rows]
 
     def __repr__(self):
         return f"CyclotomicLevel(p={self.p}, m={self.m}, a={self.a})"
 
 
 def build_level(p: int, m: int, a: int, prec: int = DEFAULT_PRECISION) -> CyclotomicLevel:
-    """Construct and certify the level.
+    """Validate the level.  Nothing is built: sigma, the one-term orbit sum
+    on the u^k, is built on first read, and the Tate bound never reads it.
 
     Rejects gcd(a, p) > 1 and generators whose character is trivial (a = 1,
     or a a torsion unit so that a^(p-1) = 1 to working precision).  A with
@@ -78,23 +88,7 @@ def build_level(p: int, m: int, a: int, prec: int = DEFAULT_PRECISION) -> Cyclot
         raise DomainError(
             "a^(p-1) = 1 to working precision: the character has trivial "
             "image in 1 + pZ_p", concept="twisted action nondegeneracy")
-    field = cyclotomic_field(p, m, prec)
-    zeta = field.one() + field.pi
-    u_image = (zeta ** (a % (p ** m))) - field.one()
-    try:
-        emb = FieldEmbedding(field, field, field.one(), u_image, check=True)
-    except DomainError as err:
-        raise DomainError("automorphism certificate failed: %s" % err,
-                          concept="cyclotomic automorphism") from err
-    d = field.degree
-    cols = []
-    power = field.one()
-    for _ in range(d):
-        cols.append(power.coordinates())
-        power = power * u_image
-    sigma = [[cols[t][s] for t in range(d)] for s in range(d)]
-    chi = PadicScalar.from_int(a, p, prec)
-    return CyclotomicLevel(p, m, a, prec, field, sigma, chi)
+    return CyclotomicLevel(p, m, a, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +164,26 @@ def rho_bound(level: CyclotomicLevel, n_values) -> RhoReport:
 def _block_inverse(level: CyclotomicLevel, r: int, n: int):
     """rho_n = (a^(nr) - 1)^-1 S_n on the basis u^k, to absolute precision
     prec: the S_n zeta^i, i < d, modulo p^(prec+v), v = v_p(a^(nr) - 1), moved
-    to the u^k by u^t = sum_i C(t, i) (-1)^(t-i) zeta^i and zeta^k =
-    sum_s C(k, s) u^s, then over the exact integer a^(nr) - 1."""
+    to the u^k, then over the exact integer a^(nr) - 1."""
     p, d, prec = level.p, level.degree, level.prec
     v = _vp_power_minus_one(level.a, n * r, p, level.m + 1)
     mod = p ** (prec + v)
     unit = (pow(level.a, n * r, p ** (prec + 2 * v)) - 1) // p ** v
     scale = pow(unit, -1, mod)
-    zeta_cols = [_orbit_sum(level, r, n, i, mod) for i in range(d)]
+    rows = _on_u_basis([_orbit_sum(level, r, n, i, mod) for i in range(d)])
+    return [[PadicScalar.from_residue(p, scale * x, prec, -v) for x in row] for row in rows]
+
+
+def _on_u_basis(zeta_cols):
+    """The integer matrix, on the basis u^k, u = zeta - 1, of the map sending
+    zeta^i to zeta_cols[i] (coordinates on the zeta^k): by
+    u^t = sum_i C(t, i) (-1)^(t-i) zeta^i and zeta^k = sum_s C(k, s) u^s."""
+    d = len(zeta_cols)
     u_cols = [[sum(math.comb(t, i) * (-1) ** (t - i) * col[k]
                    for i, col in enumerate(zeta_cols[:t + 1])) for k in range(d)]
               for t in range(d)]
-    return [[PadicScalar.from_residue(
-                p, scale * sum(math.comb(k, s) * col[k] for k in range(s, d)), prec, -v)
-             for col in u_cols] for s in range(d)]
+    return [[sum(math.comb(k, s) * col[k] for k in range(s, d)) for col in u_cols]
+            for s in range(d)]
 
 
 def _vp_power_minus_one(a: int, e: int, p: int, k: int) -> int:

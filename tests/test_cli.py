@@ -107,6 +107,13 @@ class TestCliCommands:
         assert rep["per_n"]["3"] == {"num": "2", "den": "1"}
         assert rep["norms"]["1"] == "3^1"
 
+    def test_gamma_delta_at_degree_294(self, capsys):
+        # the Tate bound reads the level's integers alone: no field of degree 294
+        code, rep = run_cli(capsys, "gamma", "delta", "--p", "7", "--m", "3", "--a", "2",
+                            "--nmin", "1", "--nmax", "2", "--prec", "10")
+        assert code == 0
+        assert rep["delta"] == {"num": "1", "den": "1"}
+
     def test_gamma_invert(self, capsys, tmp_path):
         level_size = 6 * 4
         rhs = tmp_path / "rhs.json"

@@ -8,8 +8,8 @@ from gauss_jordan import gj_invert, gj_rank
 from senlab import linalg
 from senlab.dpseries import DPSeries, coaction
 from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageError
-from senlab.field import qp_field
-from senlab.gamma import (RhoReport, _diagonal_block, build_level, dense_solve, g_minus_one,
+from senlab.field import FieldEmbedding, cyclotomic_field, qp_field
+from senlab.gamma import (RhoReport, build_level, dense_solve, g_minus_one,
                           log_coordinate_tail_bounds, log_coordinate_vector, neumann_invert,
                           rho_bound, symmetric_range)
 from senlab.padic import PadicScalar, vp_int
@@ -67,6 +67,28 @@ def _dense_neumann(T, rho, rho_m, rhs):
     return acc
 
 
+# the field route the orbit sum replaced: sigma_a on the basis u^k of
+# Q_p(zeta_{p^m}), u = zeta - 1 = pi, read off the coordinates of the powers of
+# sigma(u) = (1 + pi)^a - 1 in the cyclotomic field, with the automorphism
+# certified; the oracle for level.sigma and the sigma of every rho_n oracle
+def _field_sigma(p, m, a, prec):
+    K = cyclotomic_field(p, m, prec)
+    u_image = (K.one() + K.pi) ** a - K.one()
+    FieldEmbedding(K, K, K.one(), u_image, check=True)
+    cols, power = [], K.one()
+    for _ in range(K.degree):
+        cols.append(power.coordinates())
+        power = power * u_image
+    return [[col[s] for col in cols] for s in range(K.degree)]
+
+
+def _field_block(level, n):
+    """chi^n sigma - 1 with sigma from the field route."""
+    scale = level.chi ** n
+    sigma = _field_sigma(level.p, level.m, level.a, level.prec)
+    return [[x * scale - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(sigma)]
+
+
 # the matrix route rho_bound replaced: S_n = sum_{j<r} chi^(nj) sigma^j from
 # the d x d integer lift of sigma, column by column through the r-step orbit
 # of each basis vector, recombined for each twist
@@ -77,7 +99,7 @@ def _matrix_rho_bound(level, n_values):
     for n in n_values:
         v_denom[n] = vp_int(a ** (abs(n) * r) - 1, p)
         chi_powers[n] = [pow(a, n * j, mod) for j in range(r)]
-    sigma = [[s.lift() for s in row] for row in level.sigma]
+    sigma = [[s.lift() for s in row] for row in _field_sigma(p, level.m, a, level.prec)]
     content = dict.fromkeys(v_denom, mod)
     for t in range(d):
         orbit = [[int(i == t) for i in range(d)]]
@@ -105,6 +127,9 @@ DENSE_CASES = {
 # the benchmark levels
 BENCH_LEVELS = [(3, 1, 2), (3, 1, 4), (3, 2, 2), (3, 3, 2), (3, 2, 10), (5, 2, 2)]
 
+# the (p, m) grid on which the orbit sums meet the matrix and field routes
+ORBIT_GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
+
 
 @pytest.fixture(scope="module", params=sorted(DENSE_CASES))
 def dense_case(request):
@@ -119,14 +144,40 @@ class TestBuildLevel:
         assert build_level(3, 2, 4, 30).degree == 6
 
     def test_sigma_order(self):
-        L = build_level(3, 2, 4, 30)
+        sigma = _field_sigma(3, 2, 4, 30)
         one, zero = S.one(3, 30), S.zero(3, 30)
-        s3 = linalg.mat_pow(L.sigma, 3, one, zero)
+        s3 = linalg.mat_pow(sigma, 3, one, zero)
         ident = linalg.identity(6, one, zero)
         assert all((s3[i][j] - ident[i][j]).is_zero()
                    for i in range(6) for j in range(6))
-        assert any(not (L.sigma[i][j] - ident[i][j]).is_zero()
+        assert any(not (sigma[i][j] - ident[i][j]).is_zero()
                    for i in range(6) for j in range(6))
+
+    @pytest.mark.parametrize("p,m,a", sorted(
+        {*BENCH_LEVELS, *((p, m, a) for p, m in ORBIT_GRID for a in (2, 3, 7) if a % p)}))
+    def test_sigma_matches_field_route(self, p, m, a):
+        # the one-term orbit sum sigma zeta^i = zeta^(i a) on the u^k is the
+        # certified field automorphism, digit for digit and at equal precision
+        for prec in (2, 5, 40):
+            try:
+                L = build_level(p, m, a, prec)
+            except DomainError:     # a^(p-1) = 1 to working precision
+                continue
+            want = _field_sigma(p, m, a, prec)
+            assert [[(x.val, x.unit, x.prec) for x in row] for row in L.sigma] == \
+                [[(x.val, x.unit, x.prec) for x in row] for row in want], prec
+            assert all((x - y).is_zero() for rx, ry in zip(L.sigma, want)
+                       for x, y in zip(rx, ry)), prec
+
+    def test_sigma_built_on_first_read(self):
+        # the Tate bound reads p, m and a alone: a degree-294 level answers
+        # without building sigma
+        L = build_level(7, 3, 2, 10)
+        assert L.degree == 294
+        assert rho_bound(L, [1, 2]).per_n == {1: 1, 2: 1}
+        assert "sigma" not in vars(L)
+        small = build_level(3, 2, 2, 10)
+        assert small.sigma is small.sigma and "sigma" in vars(small)
 
     def test_gcd_rejected(self):
         with pytest.raises(UsageError):
@@ -175,15 +226,15 @@ class TestRhoBound:
         L = build_level(p, m, a, 40)
         one, zero = S.one(p, 40), S.zero(p, 40)
         ident = linalg.identity(L.degree, one, zero)
-        assert all((x - y).is_zero() for rx, ry in zip(linalg.mat_pow(L.sigma, order, one, zero),
+        sigma = _field_sigma(p, m, a, 40)
+        assert all((x - y).is_zero() for rx, ry in zip(linalg.mat_pow(sigma, order, one, zero),
                                                       ident) for x, y in zip(rx, ry))
         rep = rho_bound(L, symmetric_range(6))
         for n in symmetric_range(6):
-            assert rep.per_n[n] == _norm(gj_invert(_diagonal_block(L, n), one, zero)), n
+            assert rep.per_n[n] == _norm(gj_invert(_field_block(L, n), one, zero)), n
         assert rep.delta == max(rep.per_n.values())
 
-    @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
-                                     (3, 3), (5, 1), (5, 2), (7, 1)])
+    @pytest.mark.parametrize("p,m", ORBIT_GRID)
     def test_orbit_sum_matches_matrix_route(self, p, m):
         # the report at every precision is the matrix route's at precision 40:
         # the orbit sums modulo p^v are exact, so no block is refused
@@ -264,9 +315,10 @@ class TestTwistedOperator:
         L = build_level(p, m, a, 40)
         T = g_minus_one(L, S.from_fraction(Fraction(1, p), p, 40), 4)
         zero = S.zero(p, 40)
+        sigma = _field_sigma(p, m, a, 40)
         for n in range(1, 5):
             rho = T.rho_blocks[n]
-            rho_sigma = linalg.mat_mul(rho, L.sigma, zero)
+            rho_sigma = linalg.mat_mul(rho, sigma, zero)
             diffs = [L.chi ** n * x - y - int(i == j)
                      for i, (rx, ry) in enumerate(zip(rho_sigma, rho))
                      for j, (x, y) in enumerate(zip(rx, ry))]
@@ -284,12 +336,12 @@ class TestTwistedOperator:
         T = g_minus_one(L, S.from_fraction(e, p, prec), trunc)
         L40 = build_level(p, m, a, 40)
         for n in range(1, trunc + 1):
-            want = gj_invert(_diagonal_block(L40, n), S.one(p, 40), S.zero(p, 40))
+            want = gj_invert(_field_block(L40, n), S.one(p, 40), S.zero(p, 40))
             rho = T.rho_blocks[n]
             assert all((x - y).is_zero() and x.prec == prec
                        for rx, ry in zip(rho, want) for x, y in zip(rx, ry)), n
             try:
-                same = gj_invert(_diagonal_block(L, n), S.one(p, prec), S.zero(p, prec))
+                same = gj_invert(_field_block(L, n), S.one(p, prec), S.zero(p, prec))
             except PrecisionError:      # no pivot at this precision
                 continue
             assert all(x.prec >= y.prec for rx, ry in zip(rho, same) for x, y in zip(rx, ry)), n
