@@ -30,7 +30,7 @@ print("nilpotent verdict:", nearly_ht_test(nilp).verdict)
 coh = cohomology(nilp)
 print("h0, h1 =", coh.h0_dim, coh.h1_dim)
 
-# integer weights are detected by rank drops of (theta - e n)^dim
+# integer weights are the roots e n of char(theta), counted with multiplicity
 M = SenModule.diagonal_weights(K, [2, 2, 5])
 print("weights of diag(2e, 2e, 5e) in [0, 6]:", ht_weights(M, (0, 6)))
 print("generalized weight of the nilpotent:", ht_weights(nilp, (-1, 1)))

@@ -218,28 +218,20 @@ def dp_compose(f: DPSeries, phi: DPSeries) -> DPSeries:
     return DPSeries(K, out, e=f.e, valid_to=valid)
 
 
-def gsharp_map(field: LocalField, trunc: int, e: FieldElement | None = None,
-               inverse: bool = False) -> DPSeries:
-    """The coordinate change series between the group with law a+b+eab and
-    the additive group: log(1 + e a)/e, or (exp(e a) - 1)/e for the inverse.
-    """
-    e = field.different_e if e is None else e
-    if not inverse:
-        return log_t(field, trunc, e=e)
-    coeffs = [field.zero()]
-    cur = field.one()
-    for n in range(1, trunc + 1):
-        coeffs.append(cur)
-        cur = cur * e
-    return DPSeries(field, coeffs, e=e)
-
-
 def gsharp_transport(f: DPSeries, direction: str) -> DPSeries:
-    """Compose with the additive-coordinate change; round trips are identity."""
+    """Compose with the coordinate change between the group with law
+    a + b + e a b and the additive group: log(1 + e a)/e towards G^sharp,
+    (exp(e a) - 1)/e, with coefficients e^(n-1), back; round trips are identity.
+    """
     if direction == "to_gsharp":
-        phi = gsharp_map(f.field, f.trunc, e=f.e, inverse=False)
+        phi = log_t(f.field, f.trunc, e=f.e)
     elif direction == "from_gsharp":
-        phi = gsharp_map(f.field, f.trunc, e=f.e, inverse=True)
+        coeffs = [f.field.zero()]
+        cur = f.field.one()
+        for _ in range(f.trunc):
+            coeffs.append(cur)
+            cur = cur * f.e
+        phi = DPSeries(f.field, coeffs, e=f.e)
     else:
         raise UsageError("direction must be 'to_gsharp' or 'from_gsharp'")
     if not phi.is_integral():

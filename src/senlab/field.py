@@ -557,28 +557,24 @@ class FieldEmbedding:
     """Ring map K -> L determined by validated images of y and u."""
 
     def __init__(self, src: LocalField, dst: LocalField, y_image: FieldElement,
-                 u_image: FieldElement, check: bool = True):
+                 u_image: FieldElement):
         if y_image.field is not dst or u_image.field is not dst:
             raise UsageError("images must live in the target field")
         if src.p != dst.p:
             raise UsageError("embeddings require the same residue characteristic")
         self.src, self.dst = src, dst
         self.y_image, self.u_image = y_image, u_image
-        if check:
-            self._verify()
-
-    def _verify(self):
-        for img in (self.y_image, self.u_image):
+        for img in (y_image, u_image):
             if img.val_bound() < 0:
                 raise DomainError("substitution images must be integral")
-        g_res = _eval_scalar_poly(self.src.g, self.y_image, self.dst)
+        g_res = _eval_scalar_poly(src.g, y_image, dst)
         if not g_res.is_zero():
             raise DomainError(
                 "image of y violates the unramified relation; residual valuation >= %s"
                 % g_res.val_bound())
-        e_res = self.dst.zero()
-        for coeff in reversed(self.src.E):
-            e_res = e_res * self.u_image + _eval_scalar_poly(coeff, self.y_image, self.dst)
+        e_res = dst.zero()
+        for coeff in reversed(src.E):
+            e_res = e_res * u_image + _eval_scalar_poly(coeff, y_image, dst)
         if not e_res.is_zero():
             raise DomainError(
                 "image of u violates the Eisenstein relation; residual valuation >= %s"
@@ -609,7 +605,7 @@ def _eval_scalar_poly(coeffs, at, dst):
 def apply_substitution(x: FieldElement, y_image: FieldElement,
                        u_image: FieldElement) -> FieldElement:
     """The unique endomorphism of K sending y, u to the verified images."""
-    emb = FieldEmbedding(x.field, x.field, y_image, u_image, check=True)
+    emb = FieldEmbedding(x.field, x.field, y_image, u_image)
     return emb(x)
 
 

@@ -333,10 +333,9 @@ def exp_domain_threshold(p: int) -> int:
     return 2 if p == 2 else 1
 
 
-def padic_exp(x: PadicScalar, target_prec=None) -> PadicScalar:
+def padic_exp(x: PadicScalar) -> PadicScalar:
     """exp(x) = sum x^n / n!, defined for v(x) above the convergence radius."""
-    p = x.p
-    prec = x.prec if target_prec is None else min(target_prec, x.prec)
+    p, prec = x.p, x.prec
     if x.is_zero():
         return PadicScalar.one(p, prec)
     threshold = exp_domain_threshold(p)
@@ -365,11 +364,10 @@ def padic_exp(x: PadicScalar, target_prec=None) -> PadicScalar:
     return sum_series(terms(), prec)[0]
 
 
-def padic_log(x: PadicScalar, target_prec=None) -> PadicScalar:
+def padic_log(x: PadicScalar) -> PadicScalar:
     """log(x) = sum (-1)^(n-1) (x-1)^n / n, defined for v(x-1) >= 1."""
-    p = x.p
-    prec = x.prec if target_prec is None else min(target_prec, x.prec)
-    u = x - PadicScalar.one(p, x.prec)
+    p, prec = x.p, x.prec
+    u = x - PadicScalar.one(p, prec)
     if u.is_zero():
         return PadicScalar.zero(p, prec)
     if u.val < 1:

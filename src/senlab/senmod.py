@@ -7,7 +7,8 @@ A module is a square matrix theta over K together with the twist parameter e
   * the nearly-Hodge-Tate classifier: theta^p - e^(p-1) theta must be
     topologically nilpotent, certified through Newton-polygon slopes of its
     characteristic polynomial, never through root finding;
-  * integer weight multiplicities, cohomology of theta as kernel/cokernel,
+  * integer weight multiplicities, read off char(theta) as its order of
+    vanishing at X = e n, cohomology of theta as kernel/cokernel,
     tensor/dual/twist constructions;
   * the semilinear operator series (1 + e b)^(theta/e)
       = sum_n (b^n/n!) prod_{i<n} (theta - e i),
@@ -24,7 +25,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .errors import ConvergenceError, DomainError, UsageError
+from .errors import ConvergenceError, DomainError, PrecisionError, UsageError
 from .field import FieldElement, LocalField
 from .padic import PadicScalar, newton_polygon, sum_series
 
@@ -194,14 +195,14 @@ def _resultant(f, g, K: LocalField):
 # weights and cohomology
 # ---------------------------------------------------------------------------
 
-def default_weight_range(M: SenModule):
-    """Heuristic window [-B, B] read off the polygon of char(theta).
+def default_weight_range(M: SenModule, coeffs):
+    """Heuristic window [-B, B] read off the polygon of char(theta), given as
+    its ascending coefficients `coeffs`.
 
     A slope only pins v_p of a candidate weight, never its size, so the
     window combines the slope spread with a fixed floor of 32; pass an
     explicit range to be definitive.
     """
-    coeffs = char_poly(M)
     polygon = newton_polygon(coeffs, allow_bounds=True)
     exact, v_e = M.e.pivot_val()
     spread = 0
@@ -212,31 +213,42 @@ def default_weight_range(M: SenModule):
     return (-b, b)
 
 
-def ht_weights(M: SenModule, n_range=None, check: bool = True):
-    """Multiplicity of each integer weight n: dim ker (theta - e n)^dim.
+def ht_weights(M: SenModule, n_range=None):
+    """Multiplicity of each integer weight n: the order of vanishing of
+    char(theta) at X = e n.
 
-    Only eigenvalues exactly equal to e*n within the working precision are
-    detected; nearby eigenvalues keep full rank and report multiplicity 0.
+    char(theta) is computed once; each n divides it synthetically by X - e n
+    for as long as the remainder is zero to its own precision, so every
+    eigenvalue's distance to e n counts once.  Eigenvalues near e n but not
+    equal to it within the working precision report multiplicity 0.  Raises
+    PrecisionError when the multiplicities add up to more than dim: the
+    working precision then cannot separate two weights of the window.
     """
-    if check:
-        report = nearly_ht_test(M)
-        if not report.verdict:
-            raise DomainError("weight detection requires a nearly-Hodge-Tate module",
-                              concept="nearly Hodge-Tate classifier")
-    if n_range is None:
-        n_range = default_weight_range(M)
-    n_min, n_max = n_range
-    if n_min > n_max:
+    if n_range is not None and n_range[0] > n_range[1]:
         raise UsageError("empty weight range")
-    K = M.field
+    if not nearly_ht_test(M).verdict:
+        raise DomainError("weight detection requires a nearly-Hodge-Tate module",
+                          concept="nearly Hodge-Tate classifier")
+    coeffs = char_poly(M)
+    n_min, n_max = default_weight_range(M, coeffs) if n_range is None else n_range
     out = []
-    ident = linalg.identity(M.dim, M._one(), M._zero())
     for n in range(n_min, n_max + 1):
-        shift = linalg.mat_sub(M.matrix(), linalg.mat_scale(ident, M.e * n))
-        power = linalg.mat_pow(shift, M.dim, M._one(), M._zero())
-        mult = M.dim - linalg.rank(power)
+        poly, mult, root = coeffs, 0, M.e * n
+        while len(poly) > 1:
+            # Horner's running values: the quotient's coefficients, then the remainder
+            acc = [poly[-1]]
+            for c in reversed(poly[:-1]):
+                acc.append(c + root * acc[-1])
+            if not acc[-1].is_zero():
+                break
+            poly, mult = acc[-2::-1], mult + 1
         if mult:
             out.append((n, mult))
+    if sum(mult for _, mult in out) > M.dim:
+        raise PrecisionError(
+            "weight multiplicities %s exceed dim = %d: precision %d cannot separate "
+            "the weights in [%d, %d]; raise the working precision"
+            % (out, M.dim, M.field.prec, n_min, n_max))
     return out
 
 

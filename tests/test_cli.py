@@ -5,8 +5,9 @@ import pytest
 from senlab import accept, jsonio
 from senlab.cli import main
 from senlab.dpseries import DPSeries, log_t
-from senlab.field import eisenstein_field, qp_field
+from senlab.field import LocalFieldSpec, build_field, eisenstein_field, qp_field
 from senlab.padic import PadicScalar
+from senlab.senmod import SenModule
 
 S = PadicScalar
 
@@ -294,6 +295,26 @@ class TestExitCodes:
         assert code == 2 and "both --nmin and --nmax" in rep["error"]["message"]
         code, rep = run_cli(capsys, *argv, "--nmin", "0", "--nmax", "3")
         assert code == 0 and rep["weights"] == [{"n": 0, "multiplicity": 2}]
+
+    @staticmethod
+    def weights_argv(tmp_path, weights):
+        """`senmod weights` on e diag(weights) over Q_3(i, 3^(1/3)) at precision 30."""
+        K = build_field(LocalFieldSpec(3, [1, 0, 1], [[-3], [0], [0], [1]], 30))
+        theta = SenModule.diagonal_weights(K, weights).matrix()
+        field, theta_file = tmp_path / "k6.json", tmp_path / "theta.json"
+        field.write_text(json.dumps(jsonio.encode_field_spec(K)))
+        theta_file.write_text(json.dumps(jsonio.encode_matrix(theta)))
+        return ["senmod", "weights", "--field", str(field), "--theta", str(theta_file)]
+
+    def test_senmod_weights_27_apart_are_not_reported(self, capsys, tmp_path):
+        argv = self.weights_argv(tmp_path, [0, 0, 1, 1, -1, -1, 2, 2])
+        code, rep = run_cli(capsys, *argv)
+        assert code == 0
+        assert rep["weights"] == [{"n": n, "multiplicity": 2} for n in (-1, 0, 1, 2)]
+
+    def test_senmod_weights_inseparable_window_is_4(self, capsys, tmp_path):
+        code, rep = run_cli(capsys, *self.weights_argv(tmp_path, [3] * 8))
+        assert code == 4 and "exceed dim = 8" in rep["error"]["message"]
 
     def test_dps_negative_trunc_is_2(self, capsys, field_file, tmp_path):
         # a negative truncation would slice the coefficient list from its end

@@ -1,11 +1,11 @@
 """Fuzzed input through `field build`, `field arith`, `field trace`, the `dps`
-commands and the `gamma` commands.
+commands, the `gamma` commands and the `senmod` commands.
 
 Every input, however malformed, must end in a documented exit code (0 for
 success, 2-5 for the error classes), never in a traceback.  Sizes are kept
 small (field degree <= 6 and precision <= 25; for `dps` and `gamma`,
-truncation <= 3; for `gamma`, level m <= 2) so that each example runs well
-under a second.
+truncation <= 3; for `gamma`, level m <= 2; for `senmod`, theta of dimension
+<= 3) so that each example runs well under a second.
 """
 
 import contextlib
@@ -217,4 +217,37 @@ def test_dps_exits_cleanly(sfgx, cmd, trunc, direction):
         argv += ["--direction", direction]
     if trunc is not None:
         argv += ["--trunc", str(trunc)]
+    assert run(argv) in EXIT_CODES
+
+
+# senmod: theta of dimension <= 3, mostly square over shaped elements of a good
+# field, the rest with fuzzed or junk entries, ragged rows or a junk matrix;
+# weight windows may be empty, half-given or absent (the default window)
+def square(entry):
+    return st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+
+
+def theta_of(s):
+    good = shaped_element(s, (good_scalar,))
+    entry = st.one_of(good, shaped_element(s), junk)
+    return st.one_of(square(good), square(good), square(entry),
+                     st.lists(st.lists(entry, max_size=3), max_size=3), junk)
+
+
+SENMOD_COMMANDS = ["weights", "cohomology", "char-poly", "nearly-ht", "twist", "dual"]
+bound = st.one_of(st.none(), st.integers(-40, 40))
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(GOOD_SPECS).flatmap(lambda s: st.tuples(st.just(s), theta_of(s))),
+       st.sampled_from(SENMOD_COMMANDS), bound, bound, st.integers(-5, 5))
+def test_senmod_exits_cleanly(s_theta, cmd, nmin, nmax, n):
+    s, theta = s_theta
+    argv = ["senmod", cmd, "--field", as_arg(s), "--theta", as_arg({"theta": theta})]
+    if cmd == "weights":
+        argv += [arg for flag, value in (("--nmin", nmin), ("--nmax", nmax))
+                 if value is not None for arg in (flag, str(value))]
+    if cmd == "twist":
+        argv += ["--n", str(n)]
     assert run(argv) in EXIT_CODES

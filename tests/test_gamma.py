@@ -74,7 +74,7 @@ def _dense_neumann(T, rho, rho_m, rhs):
 def _field_sigma(p, m, a, prec):
     K = cyclotomic_field(p, m, prec)
     u_image = (K.one() + K.pi) ** a - K.one()
-    FieldEmbedding(K, K, K.one(), u_image, check=True)
+    FieldEmbedding(K, K, K.one(), u_image)
     cols, power = [], K.one()
     for _ in range(K.degree):
         cols.append(power.coordinates())

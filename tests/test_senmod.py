@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from senlab import linalg
 from senlab.dpseries import DPSeries, coaction
-from senlab.errors import ConvergenceError, DomainError, UsageError
-from senlab.field import eisenstein_field, qp_field
+from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageError
+from senlab.field import LocalFieldSpec, build_field, eisenstein_field, qp_field
 from senlab.padic import PadicScalar
 from senlab.senmod import (SenModule, bk_twist, char_poly,
-                           char_poly_of_twist_via_resultant, cohomology, dual,
-                           fermat_identity_gap, ht_weights, nearly_ht_test,
+                           char_poly_of_twist_via_resultant, cohomology,
+                           default_weight_range, dual, fermat_identity_gap,
+                           ht_weights, nearly_ht_test,
                            operator_series, operator_series_apply,
                            regular_representation, semilinear_descent_matrix,
                            tensor, trivial_module)
@@ -27,6 +28,16 @@ def K():
 @pytest.fixture(scope="module")
 def Q5():
     return qp_field(5, 40)
+
+
+def degree_six_field(prec):
+    """Q_3(i, 3^(1/3)): g = y^2 + 1, E = u^3 - 3."""
+    return build_field(LocalFieldSpec(3, [1, 0, 1], [[-3], [0], [0], [1]], prec))
+
+
+@pytest.fixture(scope="module")
+def K6():
+    return degree_six_field(50)
 
 
 def random_module(K, rng, dmax=4, span=9):
@@ -158,6 +169,102 @@ class TestWeights:
     def test_default_range_covers_small_weights(self, K):
         M = SenModule.diagonal_weights(K, [1, -2])
         assert ht_weights(M) == [(-2, 1), (1, 1)]
+
+    def test_weights_27_apart_are_not_reported(self):
+        # v(char(theta)(e n)) counts each distance v(e (w - n)) once: at
+        # n = w + 27 it is about 19 < 30, so no n = w +- 27 is a weight
+        M = SenModule.diagonal_weights(degree_six_field(30), [0, 0, 1, 1, -1, -1, 2, 2])
+        assert ht_weights(M) == [(-1, 2), (0, 2), (1, 2), (2, 2)]
+
+    def test_inseparable_window_is_a_precision_error(self):
+        # (X - 3e)^8 vanishes to precision 30 at X = -24e and 30e as well
+        M = SenModule.diagonal_weights(degree_six_field(30), [3] * 8)
+        with pytest.raises(PrecisionError, match="exceed dim = 8"):
+            ht_weights(M)
+
+    def test_op_counts(self, K, monkeypatch):
+        M = SenModule.diagonal_weights(K, [1, -2])
+        assert default_weight_range(M, char_poly(M)) == (-32, 32)
+        calls = {"charpoly_berkowitz": 0, "mat_pow": 0, "rank": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(linalg, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(linalg, name, counted)
+        assert ht_weights(M) == [(-2, 1), (1, 1)]
+        # char(theta^3 - e^2 theta) and char(theta), and theta^3 for the former
+        assert calls == {"charpoly_berkowitz": 2, "mat_pow": 1, "rank": 0}
+
+
+def _unit_triangular_pair(rng_draw, d):
+    """P = L U with L, U integer unit triangular, and the integer P^-1."""
+    lower = [[1 if i == j else rng_draw() if i > j else 0 for j in range(d)]
+             for i in range(d)]
+    upper = [[1 if i == j else rng_draw() if i < j else 0 for j in range(d)]
+             for i in range(d)]
+
+    def inverse(t, order):
+        # forward or back substitution on the columns of the identity
+        inv = [[int(i == j) for j in range(d)] for i in range(d)]
+        for i in order:
+            for j in range(d):
+                inv[i][j] -= sum(t[i][k] * inv[k][j] for k in range(d) if k != i)
+        return inv
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)]
+                for i in range(d)]
+
+    return (mul(lower, upper),
+            mul(inverse(upper, reversed(range(d))), inverse(lower, range(d))))
+
+
+@st.composite
+def weight_modules(draw):
+    """The data of theta = P D P^-1 of dimension <= 6: D is e diag(w) with 1s
+    between some equal adjacent weights (`links`), and maybe one more
+    eigenvalue e n + 3^k (`near`), close to e n but not equal to it."""
+    weights = sorted(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5)))
+    if draw(st.booleans()):
+        weights[draw(st.integers(0, len(weights) - 1))] = draw(st.sampled_from([9, 27]))
+        weights.sort()
+    near = draw(st.one_of(st.none(), st.tuples(st.integers(-3, 3), st.integers(1, 5))))
+    d = len(weights) + (near is not None)
+    links = [i for i in range(len(weights) - 1)
+             if weights[i] == weights[i + 1] and draw(st.booleans())]
+    P, P_inv = _unit_triangular_pair(lambda: draw(st.integers(-2, 2)), d)
+    return draw(st.sampled_from(["K", "K6"])), weights, near, links, P, P_inv
+
+
+class TestWeightsClosedForm:
+    @settings(max_examples=30)
+    @given(case=weight_modules())
+    def test_matches_closed_form(self, K, K6, case):
+        name, weights, near, links, P, P_inv = case
+        F = K if name == "K" else K6
+        e, d = F.different_e, len(P)
+        D = [[F.zero() for _ in range(d)] for _ in range(d)]
+        for i, w in enumerate(weights):
+            D[i][i] = e * w
+        for i in links:
+            D[i][i + 1] = F.one()
+        if near is not None:
+            n, k = near
+            D[-1][-1] = e * n + F.from_int(3 ** k)
+
+        def lift(m):
+            return [[F.from_int(x) for x in row] for row in m]
+
+        theta = linalg.mat_mul(linalg.mat_mul(lift(P), D, F.zero()), lift(P_inv), F.zero())
+        want = sorted((w, weights.count(w)) for w in set(weights))
+        assert ht_weights(SenModule(F, theta)) == want
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_near_eigenvalue_is_not_a_weight(self, K, K6, k):
+        for F in (K, K6):
+            e = F.different_e
+            M = SenModule(F, [[e, F.zero()], [F.zero(), e + F.from_int(3 ** k)]])
+            assert ht_weights(M) == [(1, 1)]
 
 
 class TestCohomology:
