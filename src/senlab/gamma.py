@@ -349,8 +349,7 @@ def dense_solve(T: TwistedOperator, rhs):
     """Direct elimination on the full operator, the oracle route for
     neumann_invert: linalg.solve, integral Gauss-Jordan over Q_p, ignoring the
     block structure."""
-    zero = PadicScalar.zero(T.level.p, T.level.prec)
-    return linalg.solve(T.matrix, list(rhs), zero)
+    return linalg.solve(T.matrix, list(rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,15 @@ valuation; an entry counts as zero only when it is zero to its stored
 precision, and a stored bound that could undercut the chosen pivot raises
 PrecisionError instead of guessing a rank.
 
-Two routes serve solve, invert and rank.  A matrix of PadicScalar entries
-goes to integral Gauss-Jordan on rows of Python ints (one valuation shift
-per row, one precision per entry): pivot rows are never divided, the
-pivot rule is _select_pivot's, and every entry keeps the precision
-PadicScalar arithmetic would give it, so the digits match row_reduce's
-and are never fewer.  Any other entries (FieldElement) go through
-row_reduce, generic Gauss-Jordan on scalar objects; kernel_basis and det
-always do.
+solve, invert and rank take matrices of PadicScalar entries only (any
+other entries raise UsageError) and run integral Gauss-Jordan on rows of
+Python ints (one valuation shift per row, one precision per entry): pivot
+rows are never divided, the pivot rule is _select_pivot's, and every entry
+keeps the precision PadicScalar arithmetic would give it, so the digits
+match row_reduce's and are never fewer.  row_reduce, kernel_basis and det
+are generic Gauss-Jordan on scalar objects and serve FieldElement matrices
+(cohomology and the resultant oracle); over Q_p, row_reduce is the tests'
+oracle for the integral kernel.
 """
 
 from __future__ import annotations
@@ -149,23 +150,24 @@ def row_reduce(mat, augment=None):
 # integral Gauss-Jordan over Q_p
 # ---------------------------------------------------------------------------
 
-def _is_padic(mat):
-    return bool(mat) and bool(mat[0]) and isinstance(mat[0][0], PadicScalar)
-
-
-def _padic_rows(p, mat, augment):
-    """[mat | augment] as rows [c, s, q], entry j being p^s c[j] + O(p^q[j])
-    with c[j] reduced mod p^(q[j] - s), and the largest precision."""
+def _padic_rows(mat, augment):
+    """The prime, [mat | augment] as rows [c, s, q], entry j being
+    p^s c[j] + O(p^q[j]) with c[j] reduced mod p^(q[j] - s), and the
+    largest precision.  UsageError unless every entry is a PadicScalar over
+    one prime."""
+    if not (mat and mat[0] and isinstance(mat[0][0], PadicScalar)):
+        raise UsageError("solve, invert and rank take matrices of PadicScalar entries")
+    p = mat[0][0].p
     rows = []
     for i, row in enumerate(mat):
         entries = row + augment[i] if augment is not None else row
-        if any(x.p != p for x in entries):
-            raise UsageError("cannot mix scalars over different primes")
+        if any(not isinstance(x, PadicScalar) or x.p != p for x in entries):
+            raise UsageError("entries must be PadicScalars over one prime")
         s = min(x.prec if x.val is None else x.val for x in entries)
         c = [0 if x.val is None else p ** (x.val - s) * x.unit % p ** (x.prec - s)
              for x in entries]
         rows.append(_primitive(p, c, s, [x.prec for x in entries]))
-    return rows, max(max(q) for _, _, q in rows)
+    return p, rows, max(max(q) for _, _, q in rows)
 
 
 def _primitive(p, c, s, q):
@@ -281,10 +283,10 @@ def _padic_solve(mat, augment):
     need not be integral there); then row k of X is row k of the augment
     divided by its pivot.
     """
-    p, n = mat[0][0].p, len(mat)
+    p, rows, top = _padic_rows(mat, augment)
+    n = len(mat)
     if len(mat[0]) != n:
         raise PrecisionError(SINGULAR)
-    rows, top = _padic_rows(p, mat, augment)
     pivots = _integral_lu(p, rows, top, n)
     if len(pivots) < n:
         raise PrecisionError(SINGULAR)
@@ -314,10 +316,8 @@ def _quotient(p, row, k, v_piv, j):
 def rank(mat) -> int:
     if not mat:
         return 0
-    if _is_padic(mat):
-        p = mat[0][0].p
-        return len(_integral_lu(p, *_padic_rows(p, mat, None), len(mat[0])))
-    return row_reduce(mat)[3]
+    p, rows, top = _padic_rows(mat, None)
+    return len(_integral_lu(p, rows, top, len(mat[0])))
 
 
 def kernel_basis(mat, one, zero):
@@ -337,32 +337,15 @@ def kernel_basis(mat, one, zero):
     return basis
 
 
-def solve(mat, rhs, zero):
-    """Unique solution of a square system; PrecisionError if rank-deficient."""
-    n = len(mat)
-    aug = [[x] for x in rhs]
-    if _is_padic(mat):
-        return _padic_solve(mat, aug)[0]
-    a, sol, pivot_cols, r = row_reduce(mat, augment=aug)
-    if r < n:
-        raise PrecisionError(SINGULAR)
-    out = [zero for _ in range(n)]
-    for row_idx, pc in enumerate(pivot_cols):
-        out[pc] = sol[row_idx][0]
-    return out
+def solve(mat, rhs):
+    """Unique solution of a square system over Q_p; PrecisionError if
+    rank-deficient."""
+    return _padic_solve(mat, [[x] for x in rhs])[0]
 
 
 def invert(mat, one, zero):
-    n = len(mat)
-    if _is_padic(mat):
-        return [list(row) for row in zip(*_padic_solve(mat, identity(n, one, zero)))]
-    a, inv, pivot_cols, r = row_reduce(mat, augment=identity(n, one, zero))
-    if r < n:
-        raise PrecisionError(SINGULAR)
-    out = [[zero] * n for _ in range(n)]
-    for row_idx, pc in enumerate(pivot_cols):
-        out[pc] = inv[row_idx]
-    return out
+    """Inverse of a square matrix over Q_p; PrecisionError if singular."""
+    return [list(row) for row in zip(*_padic_solve(mat, identity(len(mat), one, zero)))]
 
 
 def det(mat, one, zero):

@@ -12,7 +12,8 @@ largest absolute precision the operands justify:
 Valuations are normalized by v(p) = 1.  The module also provides the one
 series summation helper `sum_series`, the p-adic exponential and logarithm
 (with their convergence balls) and Newton polygons with slopes reported as
-root valuations.
+root valuations; a left end whose coefficients are zero to precision is
+reported as one slope entry with a lower bound.
 
 Every convergent series is summed with an a priori stop rule: each term comes
 with a proven lower bound on the valuation of every later term, and summation
@@ -450,18 +451,30 @@ class NewtonPolygon:
         return f"NewtonPolygon(vertices={list(self.vertices)}, slopes={list(self.slopes)})"
 
 
-def newton_polygon_from_points(points, allow_bounds: bool = False) -> NewtonPolygon:
-    """Hull of points (index, exact_val or None, lower_bound).
+def newton_polygon(coeffs) -> NewtonPolygon:
+    """Newton polygon of a polynomial given by ascending coefficients
+    (PadicScalar or FieldElement), divided by its leading coefficient unless
+    that is 1.
 
-    Bound-only points must sit on or above the hull of the exact points;
-    a bound below the hull is a hull-relevant unknown and raises.  When
-    allow_bounds is set, an all-unknown left end is reported as a single
-    inexact slope entry instead of raising.
+    A coefficient that is zero to precision gives only a lower bound on its
+    valuation.  Such a bound must sit on or above the hull of the exact
+    points; a bound below it is a hull-relevant unknown and raises.  When
+    every coefficient below index i is zero to precision, the left end is
+    reported as one inexact slope entry of multiplicity i, bounded below by
+    the least slope those bounds allow.
     """
-    exact = [(i, Fraction(v)) for (i, v, _b) in points if v is not None]
-    if not exact:
-        raise PrecisionError("no coefficient valuation is exactly known")
-    exact.sort()
+    coeffs = list(coeffs)
+    lead = coeffs[-1]
+    if lead.is_zero():
+        raise PrecisionError("leading coefficient is zero to precision")
+    if lead != 1:
+        coeffs = [c / lead for c in coeffs]
+    exact, bounds = [], []
+    for i, c in enumerate(coeffs[:-1]):
+        known, v = c.pivot_val()
+        (exact if known else bounds).append((i, Fraction(v)))
+    # the monic leading point is exact by construction
+    exact.append((len(coeffs) - 1, Fraction(0)))
     # monotone-chain lower hull
     hull = []
     for pt in exact:
@@ -477,52 +490,21 @@ def newton_polygon_from_points(points, allow_bounds: bool = False) -> NewtonPoly
         for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
             if x1 <= i <= x2:
                 return y1 + Fraction(y2 - y1, x2 - x1) * (i - x1)
-        raise ValueError("abscissa outside hull span")
 
-    i_first = hull[0][0]
-    v_first = hull[0][1]
+    i_first, v_first = hull[0]
     left_bounds = []
-    for (i, v, bound) in points:
-        if v is not None:
-            continue
+    for i, bound in bounds:
         if i < i_first:
-            left_bounds.append((i, Fraction(bound)))
-            continue
-        if Fraction(bound) < hull_value(i):
+            left_bounds.append((i, bound))
+        elif bound < hull_value(i):
             raise PrecisionError(
                 "coefficient at index %d is zero to precision %s but the hull "
                 "needs its valuation; raise the working precision" % (i, bound))
 
     slopes = []
     if left_bounds:
-        if not allow_bounds:
-            raise PrecisionError(
-                "coefficients below index %d are zero to precision; raise the "
-                "working precision (or accept slope lower bounds)" % i_first)
-        s_min = min(Fraction(b - v_first, i_first - i) for (i, b) in left_bounds)
+        s_min = min((b - v_first) / (i_first - i) for i, b in left_bounds)
         slopes.append(PolygonSlope(s_min, i_first, exact=False))
-    elif i_first != 0:
-        raise ValueError("polygon is missing low-degree points")
-
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         slopes.append(PolygonSlope(Fraction(y1 - y2, x2 - x1), x2 - x1, exact=True))
     return NewtonPolygon(hull, slopes)
-
-
-def newton_polygon(coeffs, allow_bounds: bool = False) -> NewtonPolygon:
-    """Newton polygon of a polynomial given by ascending coefficients
-    (PadicScalar or FieldElement), divided by its leading coefficient unless
-    that is 1."""
-    coeffs = list(coeffs)
-    lead = coeffs[-1]
-    if lead.is_zero():
-        raise PrecisionError("leading coefficient is zero to precision")
-    if lead != 1:
-        coeffs = [c / lead for c in coeffs]
-    points = []
-    for i, c in enumerate(coeffs):
-        exact, v = c.pivot_val()
-        points.append((i, v if exact else None, v))
-    # the monic leading point is exact by construction
-    points[-1] = (len(coeffs) - 1, Fraction(0), Fraction(0))
-    return newton_polygon_from_points(points, allow_bounds=allow_bounds)

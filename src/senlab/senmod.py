@@ -6,7 +6,10 @@ A module is a square matrix theta over K together with the twist parameter e
   * division-free characteristic polynomials (Samuelson-Berkowitz);
   * the nearly-Hodge-Tate classifier: theta^p - e^(p-1) theta must be
     topologically nilpotent, certified through Newton-polygon slopes of its
-    characteristic polynomial, never through root finding;
+    characteristic polynomial, never through root finding.  The condition
+    belongs to (theta, e) alone, so the certificate is computed once per
+    module, on first use, and weights, the operator series and descent
+    all read it and refuse a module that fails it;
   * integer weight multiplicities, read off char(theta) as its order of
     vanishing at X = e n, cohomology of theta as kernel/cokernel,
     tensor/dual/twist constructions;
@@ -27,13 +30,13 @@ from fractions import Fraction
 from . import linalg
 from .errors import ConvergenceError, DomainError, PrecisionError, UsageError
 from .field import FieldElement, LocalField
-from .padic import PadicScalar, newton_polygon, sum_series
+from .padic import PadicScalar, exp_domain_threshold, newton_polygon, sum_series
 
 
 class SenModule:
     """Finite free K-module with endomorphism theta and twist parameter e."""
 
-    __slots__ = ("field", "dim", "theta", "e")
+    __slots__ = ("field", "dim", "theta", "e", "_certificate")
 
     def __init__(self, field: LocalField, theta, e: FieldElement | None = None):
         self.field = field
@@ -44,6 +47,7 @@ class SenModule:
         self.e = field.different_e if e is None else e
         if self.e.is_zero():
             raise UsageError("the twist parameter e must be nonzero")
+        self._certificate = None        # the ClassifierReport, set by nearly_ht_test
 
     @classmethod
     def from_int_matrix(cls, field, rows, e=None):
@@ -104,29 +108,35 @@ class ClassifierReport:
         return f"ClassifierReport(verdict={self.verdict}, offending={self.offending})"
 
 
-def frobenius_twist_matrix(M: SenModule):
-    """Q = theta^p - e^(p-1) * theta."""
-    K = M.field
-    p = K.p
-    theta = M.matrix()
-    theta_p = linalg.mat_pow(theta, p, M._one(), M._zero())
-    scale = M.e ** (p - 1)
-    return linalg.mat_sub(theta_p, linalg.mat_scale(theta, scale))
-
-
 def nearly_ht_test(M: SenModule) -> ClassifierReport:
     """All eigenvalues of theta in e*Z + maximal ideal, tested slope-wise.
 
-    Equivalent to every Newton-polygon slope of char(Q) being positive, since
-    over the residue field X^p - e^(p-1) X splits into the p linear factors
-    X - e*i.
+    Equivalent to every Newton-polygon slope of char(Q), Q = theta^p -
+    e^(p-1) theta, being positive, since over the residue field
+    X^p - e^(p-1) X splits into the p linear factors X - e*i.  theta and e
+    never change, so the report is computed on the first call and every
+    later call returns it.
     """
-    q = frobenius_twist_matrix(M)
-    coeffs = linalg.charpoly_berkowitz(q, M._one(), M._zero())
-    coeffs = list(reversed(coeffs))
-    polygon = newton_polygon(coeffs, allow_bounds=True)
-    verdict = polygon.all_slopes_positive()
-    return ClassifierReport(verdict, coeffs, polygon, polygon.offending_slopes())
+    if M._certificate is None:
+        p = M.field.p
+        theta = M.matrix()
+        q = linalg.mat_sub(linalg.mat_pow(theta, p, M._one(), M._zero()),
+                           linalg.mat_scale(theta, M.e ** (p - 1)))
+        coeffs = list(reversed(linalg.charpoly_berkowitz(q, M._one(), M._zero())))
+        polygon = newton_polygon(coeffs)
+        M._certificate = ClassifierReport(polygon.all_slopes_positive(), coeffs,
+                                          polygon, polygon.offending_slopes())
+    return M._certificate
+
+
+def _require_nearly_ht(M: SenModule):
+    """Raise DomainError unless M's certificate says it is nearly Hodge-Tate."""
+    report = nearly_ht_test(M)
+    if not report.verdict:
+        raise DomainError(
+            "the module is not nearly Hodge-Tate: char(theta^p - e^(p-1) theta) "
+            "has slopes %s that are not positive" % report.offending,
+            concept="nearly Hodge-Tate classifier")
 
 
 def char_poly_of_twist_via_resultant(M: SenModule):
@@ -203,7 +213,7 @@ def default_weight_range(M: SenModule, coeffs):
     window combines the slope spread with a fixed floor of 32; pass an
     explicit range to be definitive.
     """
-    polygon = newton_polygon(coeffs, allow_bounds=True)
+    polygon = newton_polygon(coeffs)
     exact, v_e = M.e.pivot_val()
     spread = 0
     for s in polygon.slopes:
@@ -226,9 +236,7 @@ def ht_weights(M: SenModule, n_range=None):
     """
     if n_range is not None and n_range[0] > n_range[1]:
         raise UsageError("empty weight range")
-    if not nearly_ht_test(M).verdict:
-        raise DomainError("weight detection requires a nearly-Hodge-Tate module",
-                          concept="nearly Hodge-Tate classifier")
+    _require_nearly_ht(M)
     coeffs = char_poly(M)
     n_min, n_max = default_weight_range(M, coeffs) if n_range is None else n_range
     out = []
@@ -321,9 +329,10 @@ def trivial_module(field: LocalField, e: FieldElement | None = None) -> SenModul
 # the semilinear operator series
 # ---------------------------------------------------------------------------
 
-def _summed_series(M: SenModule, b, target_prec, check, vector=None):
-    """Sum (b^n/n!) prod_{i<n}(theta - e i), as a flat matrix or applied to
-    `vector`, with the a priori stop rule of `sum_series`.
+def _summed_series(M: SenModule, b, vector=None):
+    """Sum (b^n/n!) prod_{i<n}(theta - e i) to the field's precision, as a
+    flat matrix or applied to `vector`, with the a priori stop rule of
+    `sum_series`.
 
     Every factor theta - e i has entries of valuation at least
     w = min(v(theta), v(e)), and v(b^m/m!) >= m v(b) - (m-1)/(p-1).  With
@@ -334,13 +343,7 @@ def _summed_series(M: SenModule, b, target_prec, check, vector=None):
     K = M.field
     if isinstance(b, (int, PadicScalar)):
         b = K.from_scalar(b)
-    if check:
-        report = nearly_ht_test(M)
-        if not report.verdict:
-            raise DomainError(
-                "operator series requires a nearly-Hodge-Tate module; offending "
-                "slopes %s" % report.offending,
-                concept="nearly Hodge-Tate classifier")
+    _require_nearly_ht(M)
     alpha = Fraction(1, K.p - 1)
     w = min([M.e.val_bound()] + [x.val_bound() for row in M.theta for x in row])
     c = b.val_bound() + w
@@ -348,7 +351,6 @@ def _summed_series(M: SenModule, b, target_prec, check, vector=None):
         raise ConvergenceError(
             "operator series needs v(b) + min(v(theta), v(e)) > 1/(p-1) = %s; "
             "got %s" % (alpha, c), concept="operator series stop rule")
-    target = K.prec if target_prec is None else target_prec
     theta = M.matrix()
     ident = linalg.identity(M.dim, M._one(), M._zero())
 
@@ -369,47 +371,45 @@ def _summed_series(M: SenModule, b, target_prec, check, vector=None):
             else:
                 prod = linalg.mat_vec(shift, prod, M._zero())
 
-    return sum_series(terms(), target)
+    return sum_series(terms(), K.prec)
 
 
-def operator_series(M: SenModule, b, target_prec: int | None = None,
-                    check: bool = True):
+def operator_series(M: SenModule, b):
     """The matrix (1 + e b)^(theta/e) = sum (b^n/n!) prod_{i<n}(theta - e i).
 
     Requires the nearly-Hodge-Tate condition, which makes the factor products
     tend to zero; admissible pairs satisfy the group law
-    S(b) S(b') = S(b + b' + e b b').  Raises ConvergenceError up front when
+    S(b) S(b') = S(b + b' + e b b').  Raises DomainError for a module that
+    fails the classifier, and ConvergenceError up front when
     v(b) + min(v(theta), v(e)) <= 1/(p-1), where the stop rule has no bound.
     """
-    flat = _summed_series(M, b, target_prec, check)
+    flat = _summed_series(M, b)
     return [flat[i * M.dim:(i + 1) * M.dim] for i in range(M.dim)]
 
 
-def operator_series_apply(M: SenModule, b, vector, target_prec: int | None = None,
-                          check: bool = True):
+def operator_series_apply(M: SenModule, b, vector):
     """Apply the operator series to one vector without forming the matrix."""
-    return _summed_series(M, b, target_prec, check, vector=list(vector))
+    return _summed_series(M, b, vector=list(vector))
 
 
-def semilinear_descent_matrix(M: SenModule, chi_value: PadicScalar,
-                              target_prec: int | None = None, check: bool = True):
+def semilinear_descent_matrix(M: SenModule, chi_value: PadicScalar):
     """Matrix by which an automorphism with unit-ball value chi acts on M.
 
-    chi must lie in 1 + p^alpha O (the exponential's convergence ball); the
-    matrix is the operator series at b = (chi - 1)/e.
+    chi - 1 must lie in the exponential's convergence ball, v > alpha, which
+    for integer valuations is v >= exp_domain_threshold(p) (2 over Q_2);
+    the matrix is the operator series at b = (chi - 1)/e.
     """
     K = M.field
     if chi_value.p != K.p:
         raise UsageError("character value must share the field's prime")
     diff = chi_value - PadicScalar.one(K.p, chi_value.prec)
-    if not diff.is_zero() and diff.val < 1:
-        alpha = Fraction(1, 2) if K.p == 2 else Fraction(1, K.p - 1)
+    threshold = exp_domain_threshold(K.p)
+    if not diff.is_zero() and diff.val < threshold:
         raise DomainError(
-            "character value must satisfy v(chi - 1) > alpha = %s; got v = %s"
-            % (alpha, diff.val),
+            "character value must satisfy v(chi - 1) > alpha, i.e. "
+            "v(chi - 1) >= %d for p = %d; got v = %s" % (threshold, K.p, diff.val),
             concept="convergence radius alpha")
-    b = K.from_scalar(diff) / M.e
-    return operator_series(M, b, target_prec=target_prec, check=check)
+    return operator_series(M, K.from_scalar(diff) / M.e)
 
 
 # ---------------------------------------------------------------------------

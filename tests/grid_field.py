@@ -166,8 +166,7 @@ class GridElement:
         exact, v = other.pivot_val()
         if not exact:
             raise PrecisionError("division by an element that is zero to precision")
-        sol = linalg.solve(other.mult_matrix(), self.coordinates(),
-                           self.field.zero_scalar())
+        sol = linalg.solve(other.mult_matrix(), self.coordinates())
         return GridElement(self.field, _unflatten(sol, self.field))
 
     def inverse(self):

@@ -208,6 +208,22 @@ class TestExitCodes:
                             "--f", str(f), "--b", str(b))
         assert code == 5
 
+    @pytest.mark.parametrize("unit, code", [("3", 3), ("5", 0)])
+    def test_descent_ball_over_q2(self, capsys, tmp_path, unit, code):
+        # over Q_2 the ball is v(chi - 1) >= 2: chi = 3 is a domain error
+        # (exit 3), not a refused series (exit 5)
+        spec = tmp_path / "q2.json"
+        spec.write_text(json.dumps({"p": 2, "prec": 20, "unramified_poly": ["-1", "1"],
+                                    "eisenstein_poly": [["-2"], ["1"]]}))
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"theta": [[{"coeffs": [["0"]]}]]}))
+        chi = json.dumps({"p": 2, "val": 0, "unit": unit, "prec": 20})
+        got, rep = run_cli(capsys, "senmod", "descent", "--field", str(spec),
+                           "--theta", str(theta), "--chi", chi)
+        assert got == code
+        if code:
+            assert rep["error"]["concept"] == "convergence radius alpha"
+
     def test_operator_series_below_bound_is_5(self, capsys, field_file, tmp_path):
         theta = tmp_path / "theta.json"
         theta.write_text(json.dumps(NILPOTENT))

@@ -222,7 +222,9 @@ def test_dps_exits_cleanly(sfgx, cmd, trunc, direction):
 
 # senmod: theta of dimension <= 3, mostly square over shaped elements of a good
 # field, the rest with fuzzed or junk entries, ragged rows or a junk matrix;
-# weight windows may be empty, half-given or absent (the default window)
+# weight windows may be empty, half-given or absent (the default window); the
+# series parameter b is a shaped or fuzzed element and the character value chi
+# a well-formed or fuzzed scalar
 def square(entry):
     return st.integers(1, 3).flatmap(lambda d: st.lists(
         st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
@@ -235,19 +237,48 @@ def theta_of(s):
                      st.lists(st.lists(entry, max_size=3), max_size=3), junk)
 
 
-SENMOD_COMMANDS = ["weights", "cohomology", "char-poly", "nearly-ht", "twist", "dual"]
+SENMOD_COMMANDS = ["weights", "cohomology", "char-poly", "nearly-ht", "twist", "dual",
+                   "operator-series", "descent"]
 bound = st.one_of(st.none(), st.integers(-40, 40))
 
 
 @settings(max_examples=120)
-@given(st.sampled_from(GOOD_SPECS).flatmap(lambda s: st.tuples(st.just(s), theta_of(s))),
-       st.sampled_from(SENMOD_COMMANDS), bound, bound, st.integers(-5, 5))
-def test_senmod_exits_cleanly(s_theta, cmd, nmin, nmax, n):
-    s, theta = s_theta
+@given(st.sampled_from(GOOD_SPECS).flatmap(lambda s: st.tuples(
+    st.just(s), theta_of(s), st.one_of(shaped_element(s), element))),
+       st.sampled_from(SENMOD_COMMANDS), bound, bound, st.integers(-5, 5),
+       st.one_of(good_scalar, scalar))
+def test_senmod_exits_cleanly(s_theta_b, cmd, nmin, nmax, n, chi):
+    s, theta, b = s_theta_b
     argv = ["senmod", cmd, "--field", as_arg(s), "--theta", as_arg({"theta": theta})]
     if cmd == "weights":
         argv += [arg for flag, value in (("--nmin", nmin), ("--nmax", nmax))
                  if value is not None for arg in (flag, str(value))]
     if cmd == "twist":
         argv += ["--n", str(n)]
+    if cmd == "operator-series":
+        argv += ["--b", as_arg(b)]
+    if cmd == "descent":
+        argv += ["--chi", as_arg(chi)]
+    assert run(argv) in EXIT_CODES
+
+
+# the series and descent on well-formed modules, so that the summation itself
+# runs: theta with integer or well-formed entries, b a well-formed element
+# (often below the stop rule's bound, exit 5), chi a unit near 1 or a
+# well-formed scalar object (often outside the ball, exit 3)
+near_one = st.builds(lambda u, n: {"val": 0, "unit": u, "prec": n},
+                     st.sampled_from(["1", "3", "5", "7", "11", "17", "-13"]),
+                     st.integers(1, 25))
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(GOOD_SPECS).flatmap(lambda s: st.tuples(
+    st.just(s), square(shaped_element(s, (small_int.map(str), good_scalar))),
+    shaped_element(s, (good_scalar,)))),
+       st.booleans(), st.one_of(near_one, good_scalar.filter(lambda x: isinstance(x, dict))))
+def test_senmod_series_on_modules_exits_cleanly(s_theta_b, descent, chi):
+    s, theta, b = s_theta_b
+    argv = ["senmod", "descent" if descent else "operator-series", "--field", as_arg(s),
+            "--theta", as_arg({"theta": theta})]
+    argv += ["--chi", as_arg(chi)] if descent else ["--b", as_arg(b)]
     assert run(argv) in EXIT_CODES

@@ -1,8 +1,11 @@
-"""linalg.mat_pow: binary powering from the lowest needed power of a."""
+"""linalg.mat_pow: binary powering from the lowest needed power of a; the
+elimination entry points take Q_p matrices only."""
 
 import pytest
 
 from senlab import linalg
+from senlab.errors import UsageError
+from senlab.field import eisenstein_field
 from senlab.padic import PadicScalar
 
 S = PadicScalar
@@ -26,3 +29,18 @@ def test_mat_pow_counts_products(monkeypatch, n):
     # a fresh matrix: writing into it leaves a alone
     got[0][0] = zero
     assert a[0][0] == S.from_int(1, 3, 30)
+
+
+def test_elimination_takes_padic_matrices_only():
+    # solve, invert and rank run the integral Q_p kernel; a FieldElement
+    # matrix, or one mixing in another scalar type, is a usage error
+    K = eisenstein_field(3, [-3, 0, 1], 20)
+    field_mat = [[K.one(), K.zero()], [K.zero(), K.one()]]
+    mixed = [[S.one(3, 20), K.zero()], [S.zero(3, 20), S.one(3, 20)]]
+    for mat in (field_mat, mixed):
+        with pytest.raises(UsageError):
+            linalg.rank(mat)
+        with pytest.raises(UsageError):
+            linalg.solve(mat, [K.one(), K.one()])
+        with pytest.raises(UsageError):
+            linalg.invert(mat, K.one(), K.zero())

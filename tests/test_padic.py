@@ -230,15 +230,13 @@ class TestNewtonPolygon:
     def test_all_low_coefficients_unknown(self):
         # char-poly-of-a-nilpotent shape: only the leading point is exact
         coeffs = [S.zero(5, 20), S.zero(5, 20), S.one(5, 20)]
-        poly = newton_polygon(coeffs, allow_bounds=True)
+        poly = newton_polygon(coeffs)
         assert poly.total_multiplicity() == 2
         assert poly.all_slopes_positive()
-        with pytest.raises(PrecisionError):
-            newton_polygon(coeffs)
 
     def test_field_element_coefficients(self):
         # 2 T^2 + 2 pi over Q_3(sqrt 3): divided by the unit 2, root valuations 1/4
         K = eisenstein_field(3, [-3, 0, 1], 20)
         two = K.from_int(2)
-        poly = newton_polygon([two * K.pi, K.zero(), two], allow_bounds=True)
+        poly = newton_polygon([two * K.pi, K.zero(), two])
         assert poly.slope_multiset() == [Fraction(1, 4), Fraction(1, 4)]

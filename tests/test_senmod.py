@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gauss_jordan import gj_invert
 from senlab import linalg
 from senlab.dpseries import DPSeries, coaction
 from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageError
@@ -114,7 +115,7 @@ class TestClassifier:
                       else (K.one() if i == j else K.zero())
                       for j in range(d)] for i in range(d)]
             P = linalg.mat_mul(lower, upper, K.zero())
-            Pinv = linalg.invert(P, K.one(), K.zero())
+            Pinv = gj_invert(P, K.one(), K.zero())
             conj = linalg.mat_mul(P, linalg.mat_mul(M.matrix(), Pinv, K.zero()),
                                   K.zero())
             assert nearly_ht_test(SenModule(K, conj)).verdict == \
@@ -335,8 +336,8 @@ class TestOperatorSeries:
         b1 = K.from_int(3 * rng.randrange(1, 20))
         b2 = K.pi * K.from_int(3 * rng.randrange(1, 20))
         s1 = operator_series(M, b1)
-        s2 = operator_series(M, b2, check=False)
-        s3 = operator_series(M, b1 + b2 + e * b1 * b2, check=False)
+        s2 = operator_series(M, b2)
+        s3 = operator_series(M, b1 + b2 + e * b1 * b2)
         prod = linalg.mat_mul(s1, s2, K.zero())
         for i in range(M.dim):
             for j in range(M.dim):
@@ -357,14 +358,6 @@ class TestOperatorSeries:
             c = operator_series(M, Q3.from_int(b))[0][0].coordinates()[0]
             assert c.prec == N
             assert c == S.from_fraction(Fraction(1, (1 + b) ** 2), 3, N)
-
-    def test_target_prec_bounds_reported_digits(self):
-        Q3 = qp_field(3, 40)
-        M = SenModule.diagonal_weights(Q3, [-2])
-        s = operator_series(M, Q3.from_int(3), target_prec=10)
-        c = s[0][0].coordinates()[0]
-        assert c.prec == 10
-        assert c == S.from_fraction(Fraction(1, 16), 3, 10)
 
     def test_refuses_below_the_stop_rule_bound(self, K):
         # v(b) + min(v(theta), v(e)) = 1/2 + 0 is not above 1/(p-1) = 1/2
@@ -390,7 +383,7 @@ class TestOperatorSeries:
         f = DPSeries(K, [K.from_int(rng.randrange(-9, 9))
                          for _ in range(n_trunc + 1)])
         b = K.from_int(3)
-        via_series = operator_series_apply(reg, b, list(f.coeffs), check=False)
+        via_series = operator_series_apply(reg, b, list(f.coeffs))
         via_sub = coaction(f, b)
         for n in range(n_trunc + 1):
             d = via_series[n] - via_sub.coeffs[n]
@@ -412,8 +405,8 @@ class TestDescent:
         M = SenModule.diagonal_weights(K, [1, -2])
         c1, c2 = S.from_int(4, 3, 50), S.from_int(10, 3, 50)
         D1 = semilinear_descent_matrix(M, c1)
-        D2 = semilinear_descent_matrix(M, c2, check=False)
-        D12 = semilinear_descent_matrix(M, c1 * c2, check=False)
+        D2 = semilinear_descent_matrix(M, c2)
+        D12 = semilinear_descent_matrix(M, c1 * c2)
         prod = linalg.mat_mul(D1, D2, K.zero())
         for i in range(2):
             for j in range(2):
@@ -423,6 +416,54 @@ class TestDescent:
         with pytest.raises(DomainError, match="alpha"):
             semilinear_descent_matrix(trivial_module(K), S.from_int(2, 3, 50))
 
+    def test_ball_over_q2(self):
+        # the exponential over Q_2 needs v(chi - 1) >= 2: chi = 3 is outside
+        Q2 = qp_field(2, 20)
+        with pytest.raises(DomainError, match="alpha"):
+            semilinear_descent_matrix(trivial_module(Q2), S.from_int(3, 2, 20))
+        D = semilinear_descent_matrix(bk_twist(trivial_module(Q2), 1), S.from_int(5, 2, 20))
+        assert (D[0][0] - Q2.from_int(5)).is_zero()
+
     def test_wrong_prime_rejected(self, K):
         with pytest.raises(UsageError):
             semilinear_descent_matrix(trivial_module(K), S.from_int(6, 5, 50))
+
+
+class TestCertificate:
+    """nearly_ht_test's report is computed once per module and every
+    consumer of the nearly-Hodge-Tate condition reads it."""
+
+    def test_one_theta_power_for_every_consumer(self, K, monkeypatch):
+        e = K.different_e
+        P = [[K.from_int(x) for x in row] for row in ([1, 2, 0], [0, 1, -1], [3, 0, 1])]
+        D = [[e * w if i == j else K.zero() for j, w in enumerate((1, -2, 0))]
+             for i in range(3)]
+        theta = linalg.mat_mul(linalg.mat_mul(P, D, K.zero()),
+                               gj_invert(P, K.one(), K.zero()), K.zero())
+        M = SenModule(K, theta)
+        calls = []
+        mat_pow = linalg.mat_pow
+        monkeypatch.setattr(linalg, "mat_pow", lambda *args: calls.append(args) or mat_pow(*args))
+        report = nearly_ht_test(M)
+        assert report.verdict and nearly_ht_test(M) is report
+        assert ht_weights(M) == [(-2, 1), (0, 1), (1, 1)]
+        b = K.from_int(3)
+        for x in (b, K.pi * b, b + K.pi * b + e * b * K.pi * b):
+            operator_series(M, x)
+        operator_series_apply(M, b, [K.one(), K.zero(), K.one()])
+        semilinear_descent_matrix(M, S.from_int(4, 3, 50))
+        # theta^3 of the classifier, and nothing after it
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("consumer", [
+        lambda M, K: ht_weights(M, (-3, 3)),
+        lambda M, K: operator_series(M, K.from_int(3)),
+        lambda M, K: operator_series_apply(M, K.from_int(3), [K.one(), K.one()]),
+        lambda M, K: semilinear_descent_matrix(M, S.from_int(4, 3, 50)),
+    ], ids=["ht_weights", "operator_series", "operator_series_apply",
+            "semilinear_descent_matrix"])
+    def test_every_consumer_refuses(self, K, consumer):
+        # eigenvalue 1 is a unit, not in e Z + the maximal ideal
+        M = SenModule.from_int_matrix(K, [[1, 0], [0, 0]])
+        with pytest.raises(DomainError, match="not nearly Hodge-Tate"):
+            consumer(M, K)
