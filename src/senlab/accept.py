@@ -259,10 +259,10 @@ def criterion_8():
 
     The literal entrywise sup-norm of rho M is p (exponent 1 >= 0): the
     blocks fixed by the automorphism contribute entries chi^n y / (chi^n - 1)
-    of valuation -v_p(n) - v(e) <= 0 for every admissible parameter choice,
-    so a sup-norm smaller than 1 is unattainable in this finite model; the
-    certificate asserted here is the spectral one that actually drives the
-    series."""
+    of valuation -v_p(n) - v(e), <= 0 whenever v(e) >= 0, so for every integer
+    e (all that `senlab gamma invert --e` accepts) a sup-norm below 1 is
+    unattainable; e = 1/3 at truncation 2 reaches exponent -1.  The certificate
+    asserted here is the spectral one that actually drives the series."""
     target, guard = 50, 10
     level = build_level(3, 2, 10, target + guard)
     T = g_minus_one(level, PadicScalar.from_int(1, 3, target + guard), 8)

@@ -6,9 +6,10 @@ integer binomials:  (f g)_n = sum_{i+j=n} C(n, i) f_i g_j.  The derivation
     theta = (1 + e a) d/da,      theta(f)_n = c_{n+1} + e n c_n,
 
 has the constants as kernel and is inverted degree by degree via
-c_{n+1} = b_n - e n c_n.  The group substitution a -> a (1 + e b) + b and the
-coordinate changes to and from the additive coordinate log(1 + e a)/e are
-carried out exactly on the truncation.
+c_{n+1} = b_n - e n c_n.  The group substitution a -> a (1 + e b) + b is
+carried out exactly on the truncation, and the change to and from the
+additive coordinate log(1 + e a)/e is one integer matrix of Stirling numbers
+times powers of e; `dp_compose` is the general composition.
 
 Coefficients are only guaranteed through `valid_to`: applying theta loses the
 top degree, since the incoming coefficient above the truncation is unknown.
@@ -57,15 +58,7 @@ class DPSeries:
         coeffs += [field.zero()] * (trunc + 1 - len(coeffs))
         return cls(field, coeffs[:trunc + 1], e=e)
 
-    def replace(self, coeffs, valid_to=None):
-        return DPSeries(self.field, coeffs, e=self.e,
-                        valid_to=self.valid_to if valid_to is None else valid_to)
-
     # -- queries ----------------------------------------------------------------
-
-    def is_integral(self) -> bool:
-        """Advisory: every stored coefficient has valuation >= 0."""
-        return all(c.val_bound() >= 0 for c in self.coeffs)
 
     def eq_to_precision(self, other, through: int | None = None) -> bool:
         self._check_compatible(other)
@@ -211,32 +204,36 @@ def dp_compose(f: DPSeries, phi: DPSeries) -> DPSeries:
     out = [f.coeffs[0]] + [K.zero()] * trunc
     gamma = DPSeries.one(K, trunc, e=f.e)
     for n in range(1, trunc + 1):
-        gamma = dp_mul(gamma, phi)
-        gamma = gamma.replace([c / n for c in gamma.coeffs])
+        gamma = DPSeries(K, [c / n for c in dp_mul(gamma, phi).coeffs], e=f.e)
         for m in range(n, trunc + 1):
             out[m] = out[m] + f.coeffs[n] * gamma.coeffs[m]
     return DPSeries(K, out, e=f.e, valid_to=valid)
 
 
 def gsharp_transport(f: DPSeries, direction: str) -> DPSeries:
-    """Compose with the coordinate change between the group with law
-    a + b + e a b and the additive group: log(1 + e a)/e towards G^sharp,
-    (exp(e a) - 1)/e, with coefficients e^(n-1), back; round trips are identity.
+    """f in the coordinate t = log(1 + e a)/e of G^sharp, where theta = d/dt
+    ("to_gsharp"), or back through a = (exp(e t) - 1)/e ("from_gsharp").
+
+    t^k/k! = sum_m T(m, k) e^(m-k) a^m/m!, T the signed Stirling numbers of
+    the first kind (of the second kind back), so output m is sum_k c_k T(m, k)
+    e^(m-k), with no division; T(2, 1) e is not integral when v(e) < 0.
     """
-    if direction == "to_gsharp":
-        phi = log_t(f.field, f.trunc, e=f.e)
-    elif direction == "from_gsharp":
-        coeffs = [f.field.zero()]
-        cur = f.field.one()
-        for _ in range(f.trunc):
-            coeffs.append(cur)
-            cur = cur * f.e
-        phi = DPSeries(f.field, coeffs, e=f.e)
-    else:
+    if direction not in ("to_gsharp", "from_gsharp"):
         raise UsageError("direction must be 'to_gsharp' or 'from_gsharp'")
-    if not phi.is_integral():
+    if f.trunc >= 2 and f.e.val_bound() < 0:
         raise ConvergenceError(
             "coordinate-change series is not integral for this e; transport "
             "is not defined on the divided-power lattice",
             concept="divided-power integrality")
-    return dp_compose(f, phi)
+    K, c, first_kind = f.field, f.coeffs, direction == "to_gsharp"
+    e_pow = [K.one()]
+    for _ in range(f.trunc):
+        e_pow.append(e_pow[-1] * f.e)
+    row, out = [1], [c[0]]
+    for m in range(1, f.trunc + 1):
+        # s(m, k) = s(m-1, k-1) - (m-1) s(m-1, k); S(m, k) = S(m-1, k-1) + k S(m-1, k)
+        row = [0] + [row[k - 1] + (1 - m if first_kind else k) * row[k]
+                     for k in range(1, m)] + [1]
+        out.append(sum((c[k] * (e_pow[m - k] * row[k]) for k in range(1, m) if row[k]),
+                       K.zero()) + c[m])
+    return DPSeries(K, out, e=f.e, valid_to=f.valid_to)

@@ -17,8 +17,8 @@ reported as one slope entry with a lower bound.
 
 Every convergent series is summed with an a priori stop rule: each term comes
 with a proven lower bound on the valuation of every later term, and summation
-stops once that bound reaches the target precision, so no dropped term can
-change a reported digit.
+stops once that bound reaches the target precision, or the precision of every
+entry of the partial sum, so no dropped term can change a reported digit.
 """
 
 from __future__ import annotations
@@ -313,14 +313,15 @@ def sum_series(terms, target_prec: int):
     `terms` yields pairs (entries, tail): entries is a list of values with
     `+` and `truncated` (PadicScalar or FieldElement), and tail is a proven
     lower bound on the valuation of every later term.  Summation stops at the
-    first tail >= target_prec, so every dropped term vanishes modulo
-    p^target_prec, and the sum is truncated there so that it reports no digit
-    beyond the target.  A finite generator is summed in full.
+    first tail >= target_prec or >= the precision of every entry of the sum,
+    so no dropped term changes a claimed digit; the sum is truncated to the
+    target, reporting no digit beyond it.  A finite generator is summed in full.
     """
     acc = None
     for entries, tail in terms:
         acc = list(entries) if acc is None else [a + t for a, t in zip(acc, entries)]
-        if tail >= target_prec:
+        # acc[0] first: a sum at full precision (exp, log) never scans acc
+        if tail >= target_prec or tail >= acc[0].prec and all(tail >= x.prec for x in acc):
             break
     return [x.truncated(target_prec) for x in acc]
 

@@ -338,7 +338,8 @@ def _summed_series(M: SenModule, b, vector=None):
     w = min(v(theta), v(e)), and v(b^m/m!) >= m v(b) - (m-1)/(p-1).  With
     c = v(b) + w, every term after the n-th therefore has valuation at least
     v(P_n) - n w + (n+1)(c - 1/(p-1)) + 1/(p-1), where P_n is the product
-    the generator holds; the bound grows only when c > 1/(p-1).
+    the generator holds, carried as v(P_(n+1)) >= v(P_n) + w past precision
+    losses; so the bound grows by c - 1/(p-1) every term when c > 1/(p-1).
     """
     K = M.field
     if isinstance(b, (int, PadicScalar)):
@@ -357,10 +358,11 @@ def _summed_series(M: SenModule, b, vector=None):
     def terms():
         prod = ident if vector is None else list(vector)
         coef = K.one()
-        n = 0
+        n, v_prod = 0, None
         while True:
             flat = [x for row in prod for x in row] if vector is None else prod
-            v_prod = min(x.val_bound() for x in flat)
+            low = min(x.val_bound() for x in flat)
+            v_prod = low if v_prod is None else max(low, v_prod + w)
             yield [coef * x for x in flat], \
                 v_prod - n * w + (n + 1) * (c - alpha) + alpha
             shift = linalg.mat_sub(theta, linalg.mat_scale(ident, M.e * n))

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from senlab import dpseries
 from senlab.dpseries import (DPSeries, coaction, dp_compose, dp_mul,
                              gsharp_transport, log_t, sen_theta, solve_theta,
                              theta_matrix)
 from senlab.errors import ConvergenceError, UsageError
-from senlab.field import eisenstein_field, qp_field
+from senlab.field import (FieldElement, LocalFieldSpec, build_field, eisenstein_field,
+                          qp_field)
 from senlab.padic import PadicScalar, padic_log
 
 S = PadicScalar
@@ -114,8 +117,8 @@ class TestSolveTheta:
         rng = random.Random(9)
         for _ in range(10):
             g = random_series(K, rng)
-            assert g.is_integral()
-            assert solve_theta(g).is_integral()
+            assert all(c.val_bound() >= 0 for c in g.coeffs)
+            assert all(c.val_bound() >= 0 for c in solve_theta(g).coeffs)
 
     def test_kernel_is_constants(self, K):
         # theta f = 0 through N-1 forces c_1..c_N to vanish
@@ -227,3 +230,77 @@ class TestGsharp:
     def test_compose_requires_zero_constant_term(self, K):
         with pytest.raises(UsageError):
             dp_compose(DPSeries.one(K, N), DPSeries.one(K, N))
+
+
+# Q_2, Q_3, Q_5, Q_3(sqrt 3), Q_2(sqrt 2) and a degree-6 field with f = 2:
+# y^2 + 1 over Q_3, then u^3 - 3 y
+TRANSPORT_FIELDS = [
+    qp_field(2, 16), qp_field(3, 16), qp_field(5, 12),
+    eisenstein_field(3, [-3, 0, 1], 16), eisenstein_field(2, [-2, 0, 1], 16),
+    build_field(LocalFieldSpec(3, [1, 0, 1], [[0, -3], [0], [0], [1]], 12)),
+]
+DIRECTIONS = ("to_gsharp", "from_gsharp")
+
+
+def composition_route(f, direction):
+    """The transport as composition with the coordinate series phi: log_t
+    towards G^sharp, coefficients e^(n-1) back; refused when phi is not
+    integral."""
+    K = f.field
+    if direction == "to_gsharp":
+        phi = log_t(K, f.trunc, e=f.e)
+    else:
+        coeffs, cur = [K.zero()], K.one()
+        for _ in range(f.trunc):
+            coeffs.append(cur)
+            cur = cur * f.e
+        phi = DPSeries(K, coeffs, e=f.e)
+    if any(c.val_bound() < 0 for c in phi.coeffs):
+        raise ConvergenceError("coordinate-change series is not integral")
+    return dp_compose(f, phi)
+
+
+@st.composite
+def transport_inputs(draw):
+    K = draw(st.sampled_from(TRANSPORT_FIELDS))
+    p, trunc = K.p, draw(st.integers(0, 16))
+    e = draw(st.sampled_from([None, K.from_int(p), K.from_int(2 + p), K.pi,
+                              K.one() / K.from_int(p)]))
+    coeffs = []
+    for _ in range(trunc + 1):
+        prec = draw(st.one_of(st.just(K.prec), st.integers(1, K.prec - 1)))
+        ints = draw(st.lists(st.integers(-p ** 4, p ** 4), min_size=K.degree,
+                             max_size=K.degree))
+        coeffs.append(K.from_grid([[PadicScalar.from_int(ints[j * K.e_ram + i], p, prec)
+                                    for i in range(K.e_ram)] for j in range(K.f)]))
+    f = DPSeries(K, coeffs, e=e)
+    return sen_theta(f) if trunc and draw(st.booleans()) else f
+
+
+@settings(max_examples=200)
+@given(transport_inputs(), st.sampled_from(DIRECTIONS))
+def test_transport_matches_the_composition_route(f, direction):
+    try:
+        want = composition_route(f, direction)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            gsharp_transport(f, direction)
+        return
+    got = gsharp_transport(f, direction)
+    assert (got.trunc, got.valid_to) == (want.trunc, want.valid_to)
+    for a, b in zip(got.coeffs, want.coeffs):
+        assert (a - b).is_zero()
+        assert a.prec >= b.prec
+
+
+def test_transport_composes_multiplies_and_divides_nothing(K, monkeypatch):
+    f = random_series(K, random.Random(14))
+
+    def forbidden(*args):
+        raise AssertionError("the transport called a composition, dp_mul or a division")
+
+    for name in ("dp_compose", "dp_mul"):
+        monkeypatch.setattr(dpseries, name, forbidden)
+    monkeypatch.setattr(FieldElement, "__truediv__", forbidden)
+    for direction in DIRECTIONS:
+        assert gsharp_transport(f, direction).trunc == N

@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -366,6 +371,29 @@ class TestOperatorSeries:
             operator_series(M, K.pi)
         with pytest.raises(ConvergenceError):
             operator_series_apply(M, K.pi, [K.one(), K.one()])
+
+    def test_ends_on_low_precision_inputs_in_a_fresh_process(self):
+        # over Q_5(zeta_5) at precision 15, theta is known to 5^9 and b to 5:
+        # the products' valuation bounds stall at their precision, so only the
+        # carried bound v(P_(n+1)) >= v(P_n) + w lets the summation end
+        field = {"p": 5, "prec": 15, "unramified_poly": ["-1", "1"],
+                 "eisenstein_poly": [["5"], ["10"], ["10"], ["5"], ["1"]]}
+        theta = {"theta": [[{"coeffs": [
+            ["5", "-17", {"val": None, "unit": "0", "prec": 9}, "20"]]}]]}
+        b = {"coeffs": [["-15625", "-3", "-15625", {"val": None, "unit": "0", "prec": 1}]]}
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                                   else [])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from senlab.cli import entry; entry()", "senmod",
+             "operator-series", "--field", json.dumps(field), "--theta", json.dumps(theta),
+             "--b", json.dumps(b)], env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        (entry,), = json.loads(proc.stdout)["matrix"]
+        coords = entry["coeffs"][0]
+        assert [c["prec"] for c in coords] == [1] * 4
+        assert [0 if c["val"] is None else int(c["unit"]) for c in coords] == [1, 0, 1, 0]
 
     @settings(max_examples=25)
     @given(n=st.integers(-6, -1), m1=st.integers(-50, 50), m2=st.integers(-50, 50))
