@@ -327,7 +327,7 @@ def criterion_9():
     for k in range(6):
         for field in (Q, C):
             w = witness_of_order(field, k)
-            _require(boundary(w).order_exponent() == k,
+            _require(boundary(w).den_pow == k,
                      f"witness of order p^{k} not found")
     rep = kernel_lattice(C, 0)
     _require(all(in_picard_image(x) for x in rep.basis),

@@ -4,8 +4,10 @@ Exit codes: 0 success, 2 schema/usage, 3 domain precondition, 4 precision,
 5 convergence.  Reports are serialized with sorted keys and echo the
 effective precision/truncation (a null truncation for commands without one),
 so identical inputs give identical bytes (the acceptance runner additionally
-prints measured runtimes).  SENLAB_PREC overrides the default working
-precision; --prec and --trunc override per-object settings.
+prints measured runtimes).  Each command takes only the flags it reads:
+--prec overrides the working precision of every command but `accept`, and
+--trunc the series truncation of the `dps` commands, `gamma invert` and
+`gamma kernel`; any other flag is a usage error.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import operator
-import os
 import sys
 from fractions import Fraction
 
@@ -46,32 +47,16 @@ def _load(path_or_inline):
         raise UsageError(f"invalid JSON in {path_or_inline}: {err}") from err
 
 
-def _emit(report, args):
-    payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    sys.stdout.write(payload)
+def _emit(report):
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def _settings(prec, trunc=None):
     return {"prec": prec, "trunc": trunc}
 
 
-def _effective_prec(args):
-    if args.prec is not None:
-        return args.prec
-    env = os.environ.get("SENLAB_PREC")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError("SENLAB_PREC must be an integer") from None
-    return None
-
-
 def _field_from_args(args):
-    return jsonio.decode_field_spec(_load(args.field), prec_override=_effective_prec(args))
+    return jsonio.decode_field_spec(_load(args.field), prec_override=args.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +248,8 @@ def _cmd_senmod_descent(args):
 
 
 def _level_from_args(args):
-    prec = _effective_prec(args)
-    return build_level(args.p, args.m, args.a, DEFAULT_PRECISION if prec is None else prec)
+    return build_level(args.p, args.m, args.a,
+                       DEFAULT_PRECISION if args.prec is None else args.prec)
 
 
 def _cmd_gamma_delta(args):
@@ -285,7 +270,7 @@ def _cmd_gamma_invert(args):
     e = PadicScalar.from_int(args.e, args.p, level.prec)
     T = g_minus_one(level, e, trunc)
     rhs = jsonio.decode_scalar_vector(_load(args.rhs), level.p, level.prec)
-    res = neumann_invert(T, rhs, require_contraction=args.require_contraction)
+    res = neumann_invert(T, rhs)
     return {
         "settings": _settings(level.prec, trunc),
         "solution": [jsonio.encode_scalar(x) for x in res["solution"]],
@@ -329,7 +314,7 @@ def _cmd_picard_functorial(args):
         raise UsageError("give both --y-image and --u-image, or neither")
     K = _field_from_args(args)
     L = jsonio.decode_field_spec(_load(args.ext), "ext",
-                                 prec_override=_effective_prec(args))
+                                 prec_override=args.prec)
     if args.y_image is not None:
         emb = FieldEmbedding(K, L,
                              jsonio.decode_element(_load(args.y_image), L, "y_image"),
@@ -374,7 +359,7 @@ def _cmd_accept(args):
         ],
         "passed": not failures,
     }
-    _emit(report, args)
+    _emit(report)
     if failures:
         raise SenlabError("first failing criterion: %d (%s)"
                           % (failures[0]["index"], failures[0]["message"]))
@@ -396,20 +381,20 @@ def _stringify(obj):
 # ---------------------------------------------------------------------------
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prec", type=int, default=None,
-                        help="override working precision everywhere")
-    common.add_argument("--trunc", type=int, default=None,
-                        help="override series truncation")
-    common.add_argument("--out", default=None, help="also write the report here")
+    prec = argparse.ArgumentParser(add_help=False)
+    prec.add_argument("--prec", type=int, default=None,
+                      help="override the working precision")
+    trunc = argparse.ArgumentParser(add_help=False)
+    trunc.add_argument("--trunc", type=int, default=None,
+                       help="override the series truncation")
 
     parser = argparse.ArgumentParser(
         prog="senlab",
         description="Exact computations with Sen operators over p-adic fields")
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def leaf(group, name, fn):
-        q = group.add_parser(name, parents=[common])
+    def leaf(group, name, fn, *parents):
+        q = group.add_parser(name, parents=[prec, *parents])
         q.set_defaults(fn=fn)
         return q
 
@@ -433,19 +418,19 @@ def build_parser():
     q.add_argument("--u-image", required=True, dest="u_image")
 
     dps = sub.add_parser("dps").add_subparsers(dest="cmd", required=True)
-    q = leaf(dps, "solve-theta", _cmd_dps_solve_theta)
+    q = leaf(dps, "solve-theta", _cmd_dps_solve_theta, trunc)
     q.add_argument("--field", required=True); q.add_argument("--g", required=True)
-    q = leaf(dps, "theta", _cmd_dps_theta)
+    q = leaf(dps, "theta", _cmd_dps_theta, trunc)
     q.add_argument("--field", required=True); q.add_argument("--f", required=True)
-    q = leaf(dps, "mul", _cmd_dps_mul)
+    q = leaf(dps, "mul", _cmd_dps_mul, trunc)
     q.add_argument("--field", required=True); q.add_argument("--f", required=True)
     q.add_argument("--g", required=True)
-    q = leaf(dps, "coaction", _cmd_dps_coaction)
+    q = leaf(dps, "coaction", _cmd_dps_coaction, trunc)
     q.add_argument("--field", required=True); q.add_argument("--f", required=True)
     q.add_argument("--b", required=True)
-    q = leaf(dps, "log-t", _cmd_dps_log_t)
+    q = leaf(dps, "log-t", _cmd_dps_log_t, trunc)
     q.add_argument("--field", required=True); q.add_argument("--e", default=None)
-    q = leaf(dps, "gsharp", _cmd_dps_gsharp)
+    q = leaf(dps, "gsharp", _cmd_dps_gsharp, trunc)
     q.add_argument("--field", required=True); q.add_argument("--f", required=True)
     q.add_argument("--direction", required=True,
                    choices=["to_gsharp", "from_gsharp"])
@@ -484,15 +469,13 @@ def build_parser():
     q.add_argument("--a", type=int, required=True)
     q.add_argument("--nmin", type=int, required=True)
     q.add_argument("--nmax", type=int, required=True)
-    q = leaf(gam, "invert", _cmd_gamma_invert)
+    q = leaf(gam, "invert", _cmd_gamma_invert, trunc)
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--a", type=int, required=True)
     q.add_argument("--e", type=int, required=True)
     q.add_argument("--rhs", required=True)
-    q.add_argument("--require-contraction", action="store_true",
-                   dest="require_contraction")
-    q = leaf(gam, "kernel", _cmd_gamma_kernel)
+    q = leaf(gam, "kernel", _cmd_gamma_kernel, trunc)
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--a", type=int, required=True)
@@ -513,7 +496,7 @@ def build_parser():
     q.add_argument("--field", required=True)
     q.add_argument("--k", type=int, required=True)
 
-    q = sub.add_parser("accept", parents=[common])
+    q = sub.add_parser("accept")
     q.add_argument("suite", nargs="?", default="all",
                    choices=["all"] + sorted(SUITES))
     q.set_defaults(fn=_cmd_accept)
@@ -541,7 +524,7 @@ def main(argv=None) -> int:
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return err.exit_code
     if report is not None:
-        _emit(report, args)
+        _emit(report)
     return 0
 
 

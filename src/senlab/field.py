@@ -511,6 +511,8 @@ class FieldElement:
         return result
 
     def __eq__(self, other):
+        if not isinstance(other, (FieldElement, int, Fraction, PadicScalar)):
+            return NotImplemented
         return (self - self._coerce(other)).is_zero()
 
     __hash__ = None

@@ -307,25 +307,19 @@ def g_minus_one(level: CyclotomicLevel, e: PadicScalar, trunc: int) -> TwistedOp
     return TwistedOperator(level, e, trunc, y, mat, rho_blocks, coef)
 
 
-def neumann_invert(T: TwistedOperator, rhs, require_contraction: bool = False):
+def neumann_invert(T: TwistedOperator, rhs):
     """Solve (g - 1) x = rhs by one block back-substitution pass.
 
     x_n = rho_n (rhs_n - sigma sum_k coef[n][k] x_{n+k}) for n = trunc..1 is
-    exactly the terminating Neumann sum sum_k (-rho M)^k rho rhs.  With
-    require_contraction, an entrywise sup-norm >= 1 for rho M raises
-    ConvergenceError instead, the cure being a smaller y (larger level or a
-    generator closer to 1).  The residual against `matrix` is reported.
+    exactly the terminating Neumann sum sum_k (-rho M)^k rho rhs, whatever
+    the entrywise sup-norm of rho M, which is reported beside the residual
+    against `matrix`.
     """
     d = T.level.degree
     if len(rhs) != T.size:
         raise UsageError("right-hand side has size %d; expected %d"
                          % (len(rhs), T.size))
     sup = T.strict_upper_norm_exponent()
-    if require_contraction and sup >= 0:
-        raise ConvergenceError(
-            "|rho M| has sup-norm exponent %s >= 0 (norm >= 1); take a smaller "
-            "y (larger level m or generator closer to 1)" % sup,
-            concept="Neumann contraction bound")
     zero = PadicScalar.zero(T.level.p, T.level.prec)
     x = []                          # x_{n+1}, ..., x_trunc, flattened
     for n in range(T.trunc, 0, -1):

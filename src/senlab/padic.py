@@ -342,10 +342,9 @@ def padic_exp(x: PadicScalar) -> PadicScalar:
         return PadicScalar.one(p, prec)
     threshold = exp_domain_threshold(p)
     if x.val < threshold:
-        alpha = Fraction(1, 2) if p == 2 else Fraction(1, p - 1)
         raise DomainError(
             "exp requires v(x) > alpha = %s (v(x) >= %d for p = %d); got v(x) = %d"
-            % (alpha, threshold, p, x.val),
+            % (Fraction(1, p - 1), threshold, p, x.val),
             concept="convergence radius alpha")
     modulus = p ** prec
 

@@ -17,7 +17,8 @@ from .padic import PadicScalar
 
 
 class BoundaryValue:
-    """Class of a rational in Q_p/Z_p: num / p^den_pow in [0, 1), reduced."""
+    """Class of a rational in Q_p/Z_p: num / p^den_pow in [0, 1), reduced;
+    it generates a cyclic group of order p^den_pow."""
 
     __slots__ = ("p", "num", "den_pow", "prec")
 
@@ -38,10 +39,6 @@ class BoundaryValue:
 
     def is_zero(self) -> bool:
         return self.den_pow == 0
-
-    def order_exponent(self) -> int:
-        """The class generates a cyclic group of order p^den_pow."""
-        return self.den_pow
 
     def __add__(self, other):
         if self.p != other.p:

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from senlab import accept, jsonio
-from senlab.cli import main
+from senlab.cli import build_parser, main
 from senlab.dpseries import DPSeries, log_t
 from senlab.field import LocalFieldSpec, build_field, eisenstein_field, qp_field
 from senlab.padic import PadicScalar
@@ -159,8 +160,10 @@ class TestCliCommands:
         for cmd in (["gamma", "delta", "--p", "3", "--m", "1", "--a", "2",
                      "--nmin", "-2", "--nmax", "2"],
                     ["senmod", "dual", "--field", field_file, "--theta", str(theta)]):
-            code, rep = run_cli(capsys, *cmd, "--trunc", "7")
+            code, rep = run_cli(capsys, *cmd)
             assert code == 0 and rep["settings"]["trunc"] is None, cmd
+            code, rep = run_cli(capsys, *cmd, "--trunc", "7")
+            assert code == 2 and rep is None, cmd
 
 class TestExitCodes:
     def test_schema_error_is_2(self, capsys, field_file, tmp_path):
@@ -295,12 +298,16 @@ class TestExitCodes:
         assert code == 0
         assert rep["delta"] == {"num": "3", "den": "1"}
 
-    def test_gamma_senlab_prec_zero_is_2(self, capsys, monkeypatch):
-        # SENLAB_PREC=0 is a precision, not "unset"
-        monkeypatch.setenv("SENLAB_PREC", "0")
-        code, rep = run_cli(capsys, "gamma", "delta", "--p", "3", "--m", "1", "--a", "4",
-                            "--nmin", "1", "--nmax", "2")
-        assert code == 2 and "precision must be >= 1" in rep["error"]["message"]
+    def test_gamma_senlab_prec_zero_is_2(self, capsys, tmp_path):
+        # --prec 0 is a precision, not "unset", on every gamma command
+        rhs = tmp_path / "rhs.json"
+        rhs.write_text(json.dumps({"coeffs": ["1"] * 2}))
+        level = ["--p", "3", "--m", "1", "--a", "4"]
+        for cmd in (["delta", *level, "--nmin", "1", "--nmax", "2"],
+                    ["invert", *level, "--e", "1", "--trunc", "1", "--rhs", str(rhs)],
+                    ["kernel", *level, "--e", "1", "--trunc", "2"]):
+            code, rep = run_cli(capsys, "gamma", *cmd, "--prec", "0")
+            assert code == 2 and "precision must be >= 1" in rep["error"]["message"], cmd
 
     @pytest.mark.parametrize("bounds", [["--nmin", "0"], ["--nmax", "3"]])
     def test_senmod_weights_one_bound_is_2(self, capsys, field_file, tmp_path, bounds):
@@ -353,6 +360,69 @@ class TestExitCodes:
         code = main(["field", "build", "--spec", field_file, "--bogus"])
         capsys.readouterr()
         assert code == 2
+
+
+# every command with its required flags; the values only have to parse
+COMMANDS = {
+    "field build": ["--spec", "f"],
+    "field arith": ["--field", "f", "--x", "x", "--y", "y", "--op", "add"],
+    "field valuation": ["--field", "f", "--elem", "x"],
+    "field trace": ["--field", "f", "--elem", "x"],
+    "field residue": ["--field", "f", "--elem", "x"],
+    "field substitute": ["--field", "f", "--elem", "x", "--y-image", "y", "--u-image", "u"],
+    "dps solve-theta": ["--field", "f", "--g", "g"],
+    "dps theta": ["--field", "f", "--f", "s"],
+    "dps mul": ["--field", "f", "--f", "s", "--g", "g"],
+    "dps coaction": ["--field", "f", "--f", "s", "--b", "b"],
+    "dps log-t": ["--field", "f"],
+    "dps gsharp": ["--field", "f", "--f", "s", "--direction", "to_gsharp"],
+    "senmod char-poly": ["--field", "f", "--theta", "t"],
+    "senmod nearly-ht": ["--field", "f", "--theta", "t"],
+    "senmod cohomology": ["--field", "f", "--theta", "t"],
+    "senmod dual": ["--field", "f", "--theta", "t"],
+    "senmod weights": ["--field", "f", "--theta", "t"],
+    "senmod tensor": ["--field", "f", "--theta", "t", "--theta2", "t"],
+    "senmod twist": ["--field", "f", "--theta", "t", "--n", "1"],
+    "senmod operator-series": ["--field", "f", "--theta", "t", "--b", "b"],
+    "senmod descent": ["--field", "f", "--theta", "t", "--chi", "c"],
+    "gamma delta": ["--p", "3", "--m", "1", "--a", "2", "--nmin", "1", "--nmax", "2"],
+    "gamma invert": ["--p", "3", "--m", "1", "--a", "2", "--e", "1", "--rhs", "r"],
+    "gamma kernel": ["--p", "3", "--m", "1", "--a", "2", "--e", "1"],
+    "picard boundary": ["--field", "f", "--elem", "x"],
+    "picard kernel": ["--field", "f"],
+    "picard functorial": ["--field", "f", "--ext", "g", "--elem", "x"],
+    "picard witness": ["--field", "f", "--k", "1"],
+    "accept": [],
+}
+TAKES_TRUNC = {"dps solve-theta", "dps theta", "dps mul", "dps coaction", "dps log-t",
+               "dps gsharp", "gamma invert", "gamma kernel"}
+
+
+def _subcommands(parser):
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def test_commands_cover_the_parser():
+    names = {" ".join(filter(None, (g, c)))
+             for g, q in _subcommands(build_parser()).items()
+             for c in _subcommands(q) or [None]}
+    assert names == set(COMMANDS) and len(COMMANDS) == 29
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_takes_only_the_flags_it_reads(capsys, command):
+    argv = command.split() + COMMANDS[command]
+    takes = {"--prec": command != "accept", "--trunc": command in TAKES_TRUNC,
+             "--out": False, "--require-contraction": False}
+    for flag, taken in takes.items():
+        value = [] if flag == "--require-contraction" else ["5"]
+        if taken:
+            args = build_parser().parse_args(argv + [flag, *value])
+            assert getattr(args, flag[2:]) == 5
+        else:
+            assert main(argv + [flag, *value]) == 2, flag
+            assert capsys.readouterr().out == ""
 
 
 class TestAccept:

@@ -104,6 +104,16 @@ class TestArithmetic:
         exact, v = valuation(K3.pi, normalize="pi")
         assert exact and v == 1
 
+    def test_equality_with_foreign_operands(self, K3):
+        # an operand that cannot be coerced compares unequal, as for PadicScalar
+        for other in (None, "x", 1.5, [1]):
+            assert not K3.one() == other and K3.one() != other
+            assert not other == K3.one()
+        assert K3.one() == 1 and K3.one() == Fraction(1) and K3.one() == S.one(3, 30)
+        assert S.one(3, 30) == K3.one()
+        with pytest.raises(UsageError, match="different fields"):
+            K3.one() == qp_field(3, 30).one()
+
     def test_valuation_properties(self, K3):
         rng = random.Random(2)
         for _ in range(30):

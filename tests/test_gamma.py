@@ -7,7 +7,7 @@ import pytest
 from gauss_jordan import gj_invert, gj_rank
 from senlab import linalg
 from senlab.dpseries import DPSeries, coaction
-from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageError
+from senlab.errors import DomainError, PrecisionError, UsageError
 from senlab.field import FieldEmbedding, cyclotomic_field, qp_field
 from senlab.gamma import (RhoReport, build_level, dense_solve, g_minus_one,
                           log_coordinate_tail_bounds, log_coordinate_vector, neumann_invert,
@@ -396,19 +396,13 @@ class TestNeumann:
         assert min((a - b).val_bound() for a, b in zip(res["solution"], direct)) >= prec - 14
         assert res["residual_valuation"] >= prec - 14
 
-    def test_contraction_requirement_raises_here(self, operator):
-        # the literal sup-norm condition is unattainable for v(e) >= 0, here e = 1
-        rhs = [S.one(3, 60)] * operator.size
-        with pytest.raises(ConvergenceError):
-            neumann_invert(operator, rhs, require_contraction=True)
-
     def test_contraction_requirement_holds_for_negative_v_e(self, level_m2):
         # truncation 2 leaves one strict block, n = 1, whose entries
         # chi y / (chi - 1) have valuation -v_p(1) - v(1/3) = 1: rho M contracts
         T = g_minus_one(level_m2, S.from_fraction(Fraction(1, 3), 3, 60), 2)
         assert T.strict_upper_norm_exponent() == -1
         rhs = [S.from_int(k + 1, 3, 60) for k in range(T.size)]
-        res = neumann_invert(T, rhs, require_contraction=True)
+        res = neumann_invert(T, rhs)
         assert res["sup_norm_exponent"] == -1
         direct = dense_solve(T, rhs)
         assert all((a - b).is_zero() and (a - b).val_bound() >= 50

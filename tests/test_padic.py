@@ -95,6 +95,14 @@ class TestExpLog:
         # v = 2 is fine for p = 2
         padic_exp(S.from_int(4, 2, 12))
 
+    def test_exp_radius_over_q2_is_one(self):
+        # the radius is 1/(p - 1) for every p, so v(x) = 1 lies on it over Q_2
+        with pytest.raises(DomainError) as err:
+            padic_exp(S.from_int(2, 2, 12))
+        assert "alpha = 1 (v(x) >= 2 for p = 2); got v(x) = 1" in str(err.value)
+        with pytest.raises(DomainError, match=r"alpha = 1/2 \(v\(x\) >= 1 for p = 3\)"):
+            padic_exp(S.from_int(1, 3, 12))
+
     def test_log_identity_values(self):
         assert padic_log(S.one(5, 10)).is_zero()
         l1 = padic_log(S.from_int(6, 5, 10))

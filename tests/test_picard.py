@@ -52,7 +52,7 @@ class TestBoundary:
     def test_order_drops_under_p(self, Q):
         x = witness_of_order(Q, 4)
         assert boundary(x * P) == boundary(x).scaled(P)
-        assert boundary(x * P).order_exponent() == 3
+        assert boundary(x * P).den_pow == 3
 
     def test_boundary_value_normalization(self):
         b = BoundaryValue(5, 10, 2, 40)   # 10/25 = 2/5
@@ -132,10 +132,10 @@ class TestWitness:
         for field in (Q, Z):
             for k in range(6):
                 w = witness_of_order(field, k)
-                assert boundary(w).order_exponent() == k
+                assert boundary(w).den_pow == k
 
     def test_ramified_field(self):
         K = eisenstein_field(3, [-3, 0, 1], 40)
         for k in range(4):
             w = witness_of_order(K, k)
-            assert boundary(w).order_exponent() == k
+            assert boundary(w).den_pow == k

@@ -273,7 +273,61 @@ class TestWeightsClosedForm:
             assert ht_weights(M) == [(1, 1)]
 
 
+def exact_pivot_columns(rows):
+    """Pivot columns of the reduced echelon form of an integer matrix, by
+    exact Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        for k in range(len(a)):
+            if k != r and a[k][c]:
+                f = a[k][c] / a[r][c]
+                a[k] = [x - f * y for x, y in zip(a[k], a[r])]
+        pivots.append(c)
+    return pivots
+
+
+@st.composite
+def low_rank_integer_matrices(draw):
+    """theta = A B with A of size d x k and B of size k x d: rank <= k."""
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(0, d))
+    entry = st.integers(-3, 3)
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=d, max_size=d))
+    b = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=k, max_size=k))
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(d)] for i in range(d)]
+
+
 class TestCohomology:
+    @settings(max_examples=60)
+    @given(theta=low_rank_integer_matrices(), over_k=st.booleans())
+    def test_bases_against_exact_elimination(self, K, Q5, theta, over_k):
+        F = K if over_k else Q5
+        d = len(theta)
+        M = SenModule.from_int_matrix(F, theta)
+        c = cohomology(M)
+        pivots = exact_pivot_columns(theta)
+        free = [j for j in range(d) if j not in pivots]
+        assert c.h0_dim == len(c.h0_basis) == len(free)
+        assert c.h1_dim == len(c.h1_basis_indices) == len(free)
+        # theta kills every h0 vector, and the vectors are independent: the
+        # kernel projects isomorphically onto the free coordinates, so their
+        # minor there has a nonzero determinant (by Berkowitz, not elimination)
+        for v in c.h0_basis:
+            assert all(x.is_zero() for x in linalg.mat_vec(M.matrix(), v, F.zero()))
+        if free:
+            minor = [[v[j] for j in free] for v in c.h0_basis]
+            assert not char_poly(SenModule(F, minor))[0].is_zero()
+        # the columns of theta and the e_i for i in h1_basis_indices span K^d
+        columns = [[theta[i][j] for i in range(d)] for j in range(d)]
+        units = [[int(i == j) for i in range(d)] for j in c.h1_basis_indices]
+        assert len(exact_pivot_columns(columns + units)) == d
+
     def test_zero_map(self, K):
         c = cohomology(SenModule.from_int_matrix(K, [[0, 0], [0, 0]]))
         assert (c.h0_dim, c.h1_dim) == (2, 2)
