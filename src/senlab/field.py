@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .errors import DomainError, PrecisionError, UsageError
-from .padic import DEFAULT_PRECISION, PadicScalar, require_prime, vp_int
+from .padic import DEFAULT_PRECISION, PadicScalar, power, require_prime, vp_int
 
 
 # ---------------------------------------------------------------------------
@@ -57,16 +57,6 @@ def _fp_rem(a, b, p):
     return a
 
 
-def _fp_powmod(a, n, g, p):
-    result, base = [1], _fp_rem(a, g, p)
-    while n:
-        if n & 1:
-            result = _fp_rem(_fp_mul(result, base), g, p)
-        base = _fp_rem(_fp_mul(base, base), g, p)
-        n >>= 1
-    return result
-
-
 def _fp_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -83,7 +73,7 @@ def fp_is_irreducible(g, p) -> bool:
         return False
     h = [0, 1]
     for _ in range((len(g) - 1) // 2):
-        h = _fp_powmod(h, p, g, p)
+        h = power(h, p, lambda x, y: _fp_rem(_fp_mul(x, y), g, p), [1])
         a, b = g, _fp_trim([c - (k == 1) for k, c in enumerate(h + [0])], p)
         while b != [0]:
             a, b = b, _fp_rem(a, b, p)
@@ -234,22 +224,14 @@ class LocalField:
             prod >>= w
         return [(acc >> (w * t) & mask) % m for t in range(self.degree)]
 
-    def _pow_vec(self, a, n, m):
-        result = [1] + [0] * (self.degree - 1)
-        while n:
-            if n & 1:
-                result = self._mul_vec(result, a, m)
-            a = self._mul_vec(a, a, m)
-            n >>= 1
-        return result
-
     def _unit_inverse(self, w, prec):
         """Inverse of a unit vector modulo p^prec: w^(q-2) inverts it modulo pi,
         then Newton z <- z (2 - w z) doubles the pi-adic precision."""
         p, e = self.p, self.e_ram
         if self.degree == 1:
             return [pow(w[0], -1, p ** prec)]
-        z = self._pow_vec(w, p ** self.f - 2, p)     # the residue field has p^f elements
+        z = power(w, p ** self.f - 2, lambda a, b: self._mul_vec(a, b, p),
+                  [1] + [0] * (self.degree - 1))     # the residue field has p^f elements
         k, steps = e * prec, []
         while k > 1:
             steps.append(k)
@@ -267,8 +249,10 @@ class LocalField:
         if not i0:
             return self._unit_inverse(y, rel)
         work = max(rel + 1, i0 + 1)
-        head = self._pow_vec(y, self.e_ram - 1, self.p ** work)
-        unit = [c // self.p ** i0 for c in self._mul_vec(head, y, self.p ** work)]
+        m = self.p ** work
+        head = power(y, self.e_ram - 1, lambda a, b: self._mul_vec(a, b, m),
+                     [1] + [0] * (self.degree - 1))
+        unit = [c // self.p ** i0 for c in self._mul_vec(head, y, m)]
         # the error of w^-1 is p^(work - i0) O_K; times head it lies in p^(work - 1) O_K
         return self._mul_vec(head, self._unit_inverse(unit, work - i0), self.p ** rel)
 
@@ -501,14 +485,7 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, FieldElement.__mul__, self.field.one())
 
     def __eq__(self, other):
         if not isinstance(other, (FieldElement, int, Fraction, PadicScalar)):

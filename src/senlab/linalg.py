@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import PrecisionError, UsageError
-from .padic import PadicScalar, vp_int
+from .padic import PadicScalar, power, vp_int
 
 SINGULAR = "matrix singular to working precision"
 
@@ -46,13 +46,14 @@ def mat_mul(a, b, zero):
 
 
 def mat_vec(a, v, zero):
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            acc = acc + x * y
-        out.append(acc)
-    return out
+    return [_dot(row, v, zero) for row in a]
+
+
+def _dot(u, v, zero):
+    acc = zero
+    for x, y in zip(u, v):
+        acc = acc + x * y
+    return acc
 
 
 def mat_add(a, b):
@@ -73,14 +74,7 @@ def identity(n, one, zero):
 
 def mat_pow(a, n, one, zero):
     """a^n as a fresh matrix in bit_length + popcount - 2 products; I at n = 0."""
-    result, base = None, a
-    while n:
-        if n & 1:
-            result = mat_copy(base) if result is None else mat_mul(result, base, zero)
-        n >>= 1
-        if n:
-            base = mat_mul(base, base, zero)
-    return identity(len(a), one, zero) if result is None else result
+    return power(mat_copy(a), n, lambda x, y: mat_mul(x, y, zero), identity(len(a), one, zero))
 
 
 def _select_pivot(candidates):
@@ -370,16 +364,16 @@ def det(mat, one, zero):
 
 
 def charpoly_berkowitz(mat, one, zero):
-    """Division-free characteristic polynomial, coefficients descending.
+    """Division-free characteristic polynomial, coefficients ascending.
 
-    Returns [1, c_{d-1}, ..., c_0] with char(T) = T^d + c_{d-1} T^(d-1) + ...
+    Returns [c_0, ..., c_{d-1}, 1] with char(T) = T^d + c_{d-1} T^(d-1) + ...
     computed by the Samuelson-Berkowitz Toeplitz recursion, which never
     divides and so never loses p-adic precision to pivots.
     """
     n = len(mat)
     if n == 0:
         return [one]
-    poly = [one, -mat[0][0]]
+    poly = [-mat[0][0], one]
     for r in range(1, n):
         sub = [row[:r] for row in mat[:r]]
         row_vec = mat[r][:r]
@@ -390,20 +384,12 @@ def charpoly_berkowitz(mat, one, zero):
         for _ in range(r):
             items.append(-_dot(row_vec, acc, zero))
             acc = mat_vec(sub, acc, zero)
+        # the Toeplitz product, read from the constant coefficient up
         new_poly = []
         for i in range(r + 2):
             s = zero
-            for j in range(len(poly)):
-                k = i - j
-                if 0 <= k < len(items):
-                    s = s + items[k] * poly[j]
+            for j in range(max(i - 1, 0), r + 1):
+                s = s + items[j + 1 - i] * poly[j]
             new_poly.append(s)
         poly = new_poly
     return poly
-
-
-def _dot(u, v, zero):
-    acc = zero
-    for x, y in zip(u, v):
-        acc = acc + x * y
-    return acc

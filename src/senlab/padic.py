@@ -10,10 +10,12 @@ largest absolute precision the operands justify:
     div     : min(N_x - v(y), N_y + v(x) - 2 v(y))
 
 Valuations are normalized by v(p) = 1.  The module also provides the one
-series summation helper `sum_series`, the p-adic exponential and logarithm
-(with their convergence balls) and Newton polygons with slopes reported as
-root valuations; a left end whose coefficients are zero to precision is
-reported as one slope entry with a lower bound.
+square-and-multiply `power` (for scalars, field elements, coordinate
+vectors, F_p polynomials and matrices), the one series summation helper
+`sum_series`, the p-adic exponential and logarithm (with their convergence
+balls) and Newton polygons with slopes reported as root valuations; a left
+end whose coefficients are zero to precision is reported as one slope entry
+with a lower bound.
 
 Every convergent series is summed with an a priori stop rule: each term comes
 with a proven lower bound on the valuation of every later term, and summation
@@ -90,6 +92,19 @@ def fraction_mod(x: Fraction, p: int, prec: int) -> int:
         raise ValueError("fraction is not p-integral")
     m = p ** prec
     return (num % m) * pow(den % m, -1, m) % m
+
+
+def power(x, n: int, mul, one):
+    """x^n for n >= 0 by square-and-multiply: `one` at n = 0, else x itself
+    is the first factor, so it takes bit_length + popcount - 2 products."""
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return one if result is None else result
 
 
 class PadicScalar:
@@ -278,14 +293,7 @@ class PadicScalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = PadicScalar(self.p, 0, 1, self.rel_prec())
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, PadicScalar.__mul__, PadicScalar(self.p, 0, 1, self.rel_prec()))
 
     # Two scalars are equal when they agree on the coarser stored window.
     def __eq__(self, other):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import PrecisionError, UsageError
 from .field import FieldElement, FieldEmbedding, LocalField, trace_to_Qp
-from .padic import PadicScalar
+from .padic import PadicScalar, vp_int
 
 
 class BoundaryValue:
@@ -24,14 +24,10 @@ class BoundaryValue:
 
     def __init__(self, p, num, den_pow, prec):
         self.p = p
-        m = p ** den_pow
-        num %= m
-        while den_pow > 0 and num % p == 0:
-            num //= p
-            m //= p
-            den_pow -= 1
-        self.num = num
-        self.den_pow = den_pow
+        num %= p ** den_pow
+        k = vp_int(num, p) if num else den_pow
+        self.num = num // p ** k
+        self.den_pow = den_pow - k
         self.prec = prec
 
     def as_fraction(self) -> Fraction:
@@ -43,18 +39,12 @@ class BoundaryValue:
     def __add__(self, other):
         if self.p != other.p:
             raise UsageError("cannot add boundary values over different primes")
-        s = self.as_fraction() + other.as_fraction()
-        s -= s.__floor__()
-        k = _den_exponent(s, self.p)
-        return BoundaryValue(self.p, s.numerator * self.p ** k // s.denominator,
-                             k, min(self.prec, other.prec))
+        p, k = self.p, max(self.den_pow, other.den_pow)
+        num = self.num * p ** (k - self.den_pow) + other.num * p ** (k - other.den_pow)
+        return BoundaryValue(p, num, k, min(self.prec, other.prec))
 
     def scaled(self, c: int) -> "BoundaryValue":
-        s = self.as_fraction() * c
-        s -= s.__floor__()
-        k = _den_exponent(s, self.p)
-        return BoundaryValue(self.p, s.numerator * self.p ** k // s.denominator,
-                             k, self.prec)
+        return BoundaryValue(self.p, self.num * c, self.den_pow, self.prec)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -67,17 +57,6 @@ class BoundaryValue:
 
     def __repr__(self):
         return f"{self.num}/{self.p}^{self.den_pow} mod Z_p"
-
-
-def _den_exponent(x: Fraction, p: int) -> int:
-    k = 0
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        k += 1
-    if d != 1:
-        raise UsageError("value has a denominator prime to p; not in Z[1/p]/Z")
-    return k
 
 
 def boundary(x: FieldElement) -> BoundaryValue:

@@ -89,8 +89,7 @@ def regular_representation(field: LocalField, trunc: int,
 
 def char_poly(M: SenModule):
     """Monic characteristic polynomial det(T - theta), coefficients ascending."""
-    desc = linalg.charpoly_berkowitz(M.matrix(), M._one(), M._zero())
-    return list(reversed(desc))
+    return linalg.charpoly_berkowitz(M.matrix(), M._one(), M._zero())
 
 
 class ClassifierReport:
@@ -122,7 +121,7 @@ def nearly_ht_test(M: SenModule) -> ClassifierReport:
         theta = M.matrix()
         q = linalg.mat_sub(linalg.mat_pow(theta, p, M._one(), M._zero()),
                            linalg.mat_scale(theta, M.e ** (p - 1)))
-        coeffs = list(reversed(linalg.charpoly_berkowitz(q, M._one(), M._zero())))
+        coeffs = linalg.charpoly_berkowitz(q, M._one(), M._zero())
         polygon = newton_polygon(coeffs)
         M._certificate = ClassifierReport(polygon.all_slopes_positive(), coeffs,
                                           polygon, polygon.offending_slopes())
@@ -135,7 +134,7 @@ def _require_nearly_ht(M: SenModule):
     if not report.verdict:
         raise DomainError(
             "the module is not nearly Hodge-Tate: char(theta^p - e^(p-1) theta) "
-            "has slopes %s that are not positive" % report.offending,
+            "has slopes [%s] that are not positive" % ", ".join(map(str, report.offending)),
             concept="nearly Hodge-Tate classifier")
 
 
@@ -329,10 +328,10 @@ def trivial_module(field: LocalField, e: FieldElement | None = None) -> SenModul
 # the semilinear operator series
 # ---------------------------------------------------------------------------
 
-def _summed_series(M: SenModule, b, vector=None):
-    """Sum (b^n/n!) prod_{i<n}(theta - e i) to the field's precision, as a
-    flat matrix or applied to `vector`, with the a priori stop rule of
-    `sum_series`.
+def _summed_series(M: SenModule, b, columns):
+    """Sum (b^n/n!) prod_{i<n}(theta - e i) applied to each vector of
+    `columns` to the field's precision, with the a priori stop rule of
+    `sum_series`; returns the summed vectors.
 
     Every factor theta - e i has entries of valuation at least
     w = min(v(theta), v(e)), and v(b^m/m!) >= m v(b) - (m-1)/(p-1).  With
@@ -356,11 +355,11 @@ def _summed_series(M: SenModule, b, vector=None):
     ident = linalg.identity(M.dim, M._one(), M._zero())
 
     def terms():
-        prod = ident if vector is None else list(vector)
+        prods = [list(v) for v in columns]
         coef = K.one()
         n, v_prod = 0, None
         while True:
-            flat = [x for row in prod for x in row] if vector is None else prod
+            flat = [x for v in prods for x in v]
             low = min(x.val_bound() for x in flat)
             v_prod = low if v_prod is None else max(low, v_prod + w)
             yield [coef * x for x in flat], \
@@ -368,12 +367,10 @@ def _summed_series(M: SenModule, b, vector=None):
             shift = linalg.mat_sub(theta, linalg.mat_scale(ident, M.e * n))
             n += 1
             coef = coef * b / K.from_int(n)
-            if vector is None:
-                prod = linalg.mat_mul(shift, prod, M._zero())
-            else:
-                prod = linalg.mat_vec(shift, prod, M._zero())
+            prods = [linalg.mat_vec(shift, v, M._zero()) for v in prods]
 
-    return sum_series(terms(), K.prec)
+    flat = sum_series(terms(), K.prec)
+    return [flat[j * M.dim:(j + 1) * M.dim] for j in range(len(columns))]
 
 
 def operator_series(M: SenModule, b):
@@ -385,13 +382,13 @@ def operator_series(M: SenModule, b):
     fails the classifier, and ConvergenceError up front when
     v(b) + min(v(theta), v(e)) <= 1/(p-1), where the stop rule has no bound.
     """
-    flat = _summed_series(M, b)
-    return [flat[i * M.dim:(i + 1) * M.dim] for i in range(M.dim)]
+    columns = _summed_series(M, b, linalg.identity(M.dim, M._one(), M._zero()))
+    return [list(row) for row in zip(*columns)]
 
 
 def operator_series_apply(M: SenModule, b, vector):
     """Apply the operator series to one vector without forming the matrix."""
-    return _summed_series(M, b, vector=list(vector))
+    return _summed_series(M, b, [vector])[0]
 
 
 def semilinear_descent_matrix(M: SenModule, chi_value: PadicScalar):

@@ -1,7 +1,8 @@
 """Every function the benchmark tracer wraps exists where Tracer.install
-looks it up (owner.__dict__[attr]).  The workflow's benchmark smoke runs
-untraced, so a renamed or deleted library name would otherwise break only
-the traced pass (bench/run.py --trace 1)."""
+looks it up (owner.__dict__[attr]).  The workflow's benchmark smoke installs
+every wrapper in its traced `cyclotomic` and `modules` passes (bench/run.py
+--trace 1), so a renamed or deleted library name fails there too; this test
+fails first and names the target."""
 
 import importlib.util
 from pathlib import Path

@@ -186,6 +186,23 @@ class TestExitCodes:
         assert code == 3
         assert rep["error"]["concept"] == "convergence radius alpha"
 
+    def test_not_nearly_ht_names_slopes_as_rationals(self, capsys, tmp_path):
+        # theta = 3^-3 over Q_3: char(theta^3 - theta) has the one slope -9
+        spec = tmp_path / "q3.json"
+        spec.write_text(json.dumps({
+            "p": 3, "prec": 30,
+            "unramified_poly": ["-1", "1"],
+            "eisenstein_poly": [["-3"], ["1"]]}))
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"theta": [[{"coeffs": [
+            [{"p": 3, "val": -3, "unit": "1", "prec": 30}]]}]]}))
+        code, rep = run_cli(capsys, "senmod", "weights", "--field", str(spec),
+                            "--theta", str(theta))
+        assert code == 3
+        message = rep["error"]["message"]
+        assert "slopes [-9] that are not positive" in message
+        assert "Fraction(" not in message
+
     def test_precision_error_is_4(self, capsys, field_file, tmp_path):
         x = tmp_path / "x.json"
         x.write_text(json.dumps({"coeffs": [["1", "0"]]}))

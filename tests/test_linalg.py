@@ -1,15 +1,63 @@
-"""linalg.mat_pow: binary powering from the lowest needed power of a; the
-elimination entry points take Q_p matrices only."""
+"""padic.power: square-and-multiply from the first factor, for every kind of
+element the library raises to a power; linalg.mat_pow on top of it returns a
+fresh matrix; the elimination entry points take Q_p matrices only."""
 
 import pytest
 
 from senlab import linalg
 from senlab.errors import UsageError
-from senlab.field import eisenstein_field
-from senlab.padic import PadicScalar
+from senlab.field import (FieldElement, LocalFieldSpec, _fp_mul, _fp_rem, build_field,
+                          eisenstein_field)
+from senlab.padic import PadicScalar, power
 
 S = PadicScalar
 ROWS = ([1, 3, -2], [0, 2, 9], [4, -1, 1])
+K2 = eisenstein_field(3, [-3, 0, 1], 30)
+# Q_3(i, 3^(1/3)): g = y^2 + 1, E = u^3 - 3
+K6 = build_field(LocalFieldSpec(3, [1, 0, 1], [[-3], [0], [0], [1]], 30))
+G = [2, 0, 1, 2, 1]         # a monic quartic over F_3
+
+
+def _element(K, coords, shift, prec):
+    """p^shift * sum coords[t] b_t, known to prec."""
+    return K.from_grid([[S.from_residue(3, coords[j * K.e_ram + i] * 3 ** shift, prec)
+                         for i in range(K.e_ram)] for j in range(K.f)])
+
+
+def _agree(x, y):
+    """Equal integers, or agreement to the lower of the two precisions."""
+    if isinstance(x, list):
+        return len(x) == len(y) and all(_agree(a, b) for a, b in zip(x, y))
+    return x == y if isinstance(x, int) else (x - y).is_zero()
+
+
+# kind -> (x, mul, one)
+KINDS = {
+    "scalar": (S.from_int(-7 * 9, 3, 30), S.__mul__, S.one(3, 28)),
+    "field_degree_2": (_element(K2, [5, -2], 1, 30), FieldElement.__mul__, K2.one()),
+    "field_degree_6": (_element(K6, [4, 1, 0, -3, 2, 7], 0, 24), FieldElement.__mul__,
+                       K6.one()),
+    "vector_mod_3^12": ([5, 1, 0, 9, 2, 7], lambda a, b: K6._mul_vec(a, b, 3 ** 12),
+                        [1, 0, 0, 0, 0, 0]),
+    "fp_poly": ([1, 2, 0, 1], lambda a, b: _fp_rem(_fp_mul(a, b), G, 3), [1]),
+    "matrix": ([[S.from_int(x, 3, 30) for x in row] for row in ROWS],
+               lambda a, b: linalg.mat_mul(a, b, S.zero(3, 30)),
+               linalg.identity(3, S.one(3, 30), S.zero(3, 30))),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 11, 16, 27])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_power_counts_products(kind, n):
+    x, mul, one = KINDS[kind]
+    want = one
+    for _ in range(n):
+        want = mul(want, x)
+    calls = []
+    got = power(x, n, lambda a, b: calls.append(1) or mul(a, b), one)
+    # n = 3 is one squaring and one product, not the four from one
+    assert len(calls) == (n.bit_length() + bin(n).count("1") - 2 if n else 0)
+    assert _agree(got, want)
 
 
 @pytest.mark.parametrize("n", range(18))

@@ -458,6 +458,18 @@ class TestOperatorSeries:
         assert all(c.prec == K.prec for c in s.coordinates())
         assert (s - (K.one() + e * b) ** n).is_zero()
 
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 10 ** 6), m=st.integers(-30, 30), prec=st.integers(8, 50))
+    def test_columns_match_apply_on_unit_vectors(self, K, seed, m, prec):
+        # column j of the matrix is the series applied to e_j, to the lower precision
+        M = random_nearly_ht(K, random.Random(seed))
+        b = (K.pi * K.from_int(m)).truncated(prec)
+        matrix = operator_series(M, b)
+        for j in range(M.dim):
+            unit = [K.one() if i == j else K.zero() for i in range(M.dim)]
+            column = operator_series_apply(M, b, unit)
+            assert all((matrix[i][j] - column[i]).is_zero() for i in range(M.dim))
+
     def test_matches_coaction_on_regular_representation(self, K):
         n_trunc = 8
         reg = regular_representation(K, n_trunc)
