@@ -10,7 +10,7 @@ traces.
 
 from fractions import Fraction
 
-from senlab import (LocalFieldSpec, apply_substitution, build_field,
+from senlab import (FieldEmbedding, LocalFieldSpec, build_field,
                     cyclotomic_field, eisenstein_field, qp_field, residue,
                     scalar_embedding, trace_to_Qp)
 
@@ -31,7 +31,7 @@ print("Tr(pi) =", trace_to_Qp(pi))
 # the nontrivial automorphism u -> -u fixes 3 and negates pi
 x = K.one() + pi
 print("sigma(1 + pi) = 1 - pi:",
-      (apply_substitution(x, K.one(), -pi) - (K.one() - pi)).is_zero())
+      (FieldEmbedding(K, K, K.one(), -pi)(x) - (K.one() - pi)).is_zero())
 
 # residues land in F_p[y]/(g mod p)
 print("residue(1 + pi) =", residue(x))

@@ -12,7 +12,7 @@ from .errors import (ConvergenceError, DomainError, PrecisionError, SenlabError,
 from .padic import (DEFAULT_PRECISION, NewtonPolygon, PadicScalar, newton_polygon,
                     padic_exp, padic_log)
 from .field import (FieldElement, FieldEmbedding, LocalField, LocalFieldSpec,
-                    apply_substitution, build_field, cyclotomic_field,
+                    build_field, cyclotomic_field,
                     eisenstein_field, qp_field, residue,
                     scalar_embedding, trace_to_Qp, valuation)
 from .dpseries import (DPSeries, coaction, dp_compose, dp_mul, gsharp_transport,

@@ -119,21 +119,22 @@ def _cmd_field_substitute(args):
             "result": jsonio.encode_element(emb(x))}
 
 
-def _series_context(args):
-    K = _field_from_args(args)
-    obj = _load(args.g if hasattr(args, "g") and args.g else args.f)
-    series = jsonio.decode_dpseries(obj, K, trunc_override=args.trunc)
-    return K, series
+def _series(args, K, flag):
+    """The series given by --<flag>; its decode errors name the flag."""
+    return jsonio.decode_dpseries(_load(getattr(args, flag)), K, flag,
+                                  trunc_override=args.trunc)
 
 
 def _cmd_dps_solve_theta(args):
-    K, g = _series_context(args)
+    K = _field_from_args(args)
+    g = _series(args, K, "g")
     return {"settings": _settings(K.prec, g.trunc),
             "result": jsonio.encode_dpseries(solve_theta(g))}
 
 
 def _cmd_dps_theta(args):
-    K, f = _series_context(args)
+    K = _field_from_args(args)
+    f = _series(args, K, "f")
     out = sen_theta(f)
     return {"settings": _settings(K.prec, f.trunc), "valid_to": out.valid_to,
             "result": jsonio.encode_dpseries(out)}
@@ -141,8 +142,8 @@ def _cmd_dps_theta(args):
 
 def _cmd_dps_mul(args):
     K = _field_from_args(args)
-    f = jsonio.decode_dpseries(_load(args.f), K, trunc_override=args.trunc)
-    g = jsonio.decode_dpseries(_load(args.g), K, "g", trunc_override=args.trunc)
+    f = _series(args, K, "f")
+    g = _series(args, K, "g")
     prod = dp_mul(f, g)
     return {"settings": _settings(K.prec, prod.trunc),
             "result": jsonio.encode_dpseries(prod)}
@@ -150,7 +151,7 @@ def _cmd_dps_mul(args):
 
 def _cmd_dps_coaction(args):
     K = _field_from_args(args)
-    f = jsonio.decode_dpseries(_load(args.f), K, trunc_override=args.trunc)
+    f = _series(args, K, "f")
     b = jsonio.decode_element(_load(args.b), K, "b")
     return {"settings": _settings(K.prec, f.trunc),
             "result": jsonio.encode_dpseries(coaction(f, b))}
@@ -158,15 +159,14 @@ def _cmd_dps_coaction(args):
 
 def _cmd_dps_log_t(args):
     K = _field_from_args(args)
-    trunc = args.trunc if args.trunc is not None else 32
     e = jsonio.decode_element(_load(args.e), K, "e") if args.e else None
-    return {"settings": _settings(K.prec, trunc),
-            "result": jsonio.encode_dpseries(log_t(K, trunc, e=e))}
+    return {"settings": _settings(K.prec, args.trunc),
+            "result": jsonio.encode_dpseries(log_t(K, args.trunc, e=e))}
 
 
 def _cmd_dps_gsharp(args):
     K = _field_from_args(args)
-    f = jsonio.decode_dpseries(_load(args.f), K, trunc_override=args.trunc)
+    f = _series(args, K, "f")
     return {"settings": _settings(K.prec, f.trunc),
             "result": jsonio.encode_dpseries(gsharp_transport(f, args.direction))}
 
@@ -266,13 +266,12 @@ def _cmd_gamma_delta(args):
 
 def _cmd_gamma_invert(args):
     level = _level_from_args(args)
-    trunc = args.trunc if args.trunc is not None else 8
     e = PadicScalar.from_int(args.e, args.p, level.prec)
-    T = g_minus_one(level, e, trunc)
+    T = g_minus_one(level, e, args.trunc)
     rhs = jsonio.decode_scalar_vector(_load(args.rhs), level.p, level.prec)
     res = neumann_invert(T, rhs)
     return {
-        "settings": _settings(level.prec, trunc),
+        "settings": _settings(level.prec, args.trunc),
         "solution": [jsonio.encode_scalar(x) for x in res["solution"]],
         "residual_valuation": str(res["residual_valuation"]),
         "sup_norm_exponent": jsonio.encode_fraction(res["sup_norm_exponent"]),
@@ -281,11 +280,10 @@ def _cmd_gamma_invert(args):
 
 def _cmd_gamma_kernel(args):
     level = _level_from_args(args)
-    trunc = args.trunc if args.trunc is not None else 8
     e = PadicScalar.from_int(args.e, args.p, level.prec)
-    T = g_minus_one(level, e, trunc)
+    T = g_minus_one(level, e, args.trunc)
     con = T.contraction_report()
-    return {"settings": _settings(level.prec, trunc),
+    return {"settings": _settings(level.prec, args.trunc),
             "kernel_dimension": 0,     # block triangular, each diagonal block inverts
             "sup_norm_exponent": jsonio.encode_fraction(con["sup_norm_exponent"]),
             "topologically_nilpotent": con["nilpotent"]}
@@ -384,9 +382,14 @@ def build_parser():
     prec = argparse.ArgumentParser(add_help=False)
     prec.add_argument("--prec", type=int, default=None,
                       help="override the working precision")
-    trunc = argparse.ArgumentParser(add_help=False)
-    trunc.add_argument("--trunc", type=int, default=None,
-                       help="override the series truncation")
+
+    def trunc(default=None):
+        # a fresh parent per command: its children share the parent's action
+        # object, so a default set through one child would reach them all
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--trunc", type=int, default=default,
+                            help="override the series truncation")
+        return parent
 
     parser = argparse.ArgumentParser(
         prog="senlab",
@@ -418,19 +421,19 @@ def build_parser():
     q.add_argument("--u-image", required=True, dest="u_image")
 
     dps = sub.add_parser("dps").add_subparsers(dest="cmd", required=True)
-    q = leaf(dps, "solve-theta", _cmd_dps_solve_theta, trunc)
+    q = leaf(dps, "solve-theta", _cmd_dps_solve_theta, trunc())
     q.add_argument("--field", required=True); q.add_argument("--g", required=True)
-    q = leaf(dps, "theta", _cmd_dps_theta, trunc)
+    q = leaf(dps, "theta", _cmd_dps_theta, trunc())
     q.add_argument("--field", required=True); q.add_argument("--f", required=True)
-    q = leaf(dps, "mul", _cmd_dps_mul, trunc)
+    q = leaf(dps, "mul", _cmd_dps_mul, trunc())
     q.add_argument("--field", required=True); q.add_argument("--f", required=True)
     q.add_argument("--g", required=True)
-    q = leaf(dps, "coaction", _cmd_dps_coaction, trunc)
+    q = leaf(dps, "coaction", _cmd_dps_coaction, trunc())
     q.add_argument("--field", required=True); q.add_argument("--f", required=True)
     q.add_argument("--b", required=True)
-    q = leaf(dps, "log-t", _cmd_dps_log_t, trunc)
+    q = leaf(dps, "log-t", _cmd_dps_log_t, trunc(32))
     q.add_argument("--field", required=True); q.add_argument("--e", default=None)
-    q = leaf(dps, "gsharp", _cmd_dps_gsharp, trunc)
+    q = leaf(dps, "gsharp", _cmd_dps_gsharp, trunc())
     q.add_argument("--field", required=True); q.add_argument("--f", required=True)
     q.add_argument("--direction", required=True,
                    choices=["to_gsharp", "from_gsharp"])
@@ -469,13 +472,13 @@ def build_parser():
     q.add_argument("--a", type=int, required=True)
     q.add_argument("--nmin", type=int, required=True)
     q.add_argument("--nmax", type=int, required=True)
-    q = leaf(gam, "invert", _cmd_gamma_invert, trunc)
+    q = leaf(gam, "invert", _cmd_gamma_invert, trunc(8))
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--a", type=int, required=True)
     q.add_argument("--e", type=int, required=True)
     q.add_argument("--rhs", required=True)
-    q = leaf(gam, "kernel", _cmd_gamma_kernel, trunc)
+    q = leaf(gam, "kernel", _cmd_gamma_kernel, trunc(8))
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--a", type=int, required=True)

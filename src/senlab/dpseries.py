@@ -44,8 +44,8 @@ class DPSeries:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def zero(cls, field, trunc, e=None):
-        return cls(field, [field.zero()] * (trunc + 1), e=e)
+    def zero(cls, field, trunc):
+        return cls(field, [field.zero()] * (trunc + 1))
 
     @classmethod
     def one(cls, field, trunc, e=None):
@@ -53,10 +53,10 @@ class DPSeries:
         return cls(field, coeffs, e=e)
 
     @classmethod
-    def from_ints(cls, field, ints, trunc, e=None):
+    def from_ints(cls, field, ints, trunc):
         coeffs = [field.from_int(c) for c in ints]
         coeffs += [field.zero()] * (trunc + 1 - len(coeffs))
-        return cls(field, coeffs[:trunc + 1], e=e)
+        return cls(field, coeffs[:trunc + 1])
 
     # -- queries ----------------------------------------------------------------
 

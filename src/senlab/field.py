@@ -365,10 +365,6 @@ class FieldElement:
     def pivot_val(self):
         return (not self.is_zero(), Fraction(self._v(), self.field.e_ram))
 
-    def pi_valuation(self):
-        """Valuation on the integer scale normalized v(pi) = 1."""
-        return None if self.is_zero() else self._v()
-
     def coordinates(self):
         """Q_p coordinates in basis order t = j * e_ram + i, each at the
         element's precision."""
@@ -579,13 +575,6 @@ def _eval_scalar_poly(coeffs, at, dst):
     for c in reversed(coeffs):
         acc = acc * at + dst.from_scalar(c)
     return acc
-
-
-def apply_substitution(x: FieldElement, y_image: FieldElement,
-                       u_image: FieldElement) -> FieldElement:
-    """The unique endomorphism of K sending y, u to the verified images."""
-    emb = FieldEmbedding(x.field, x.field, y_image, u_image)
-    return emb(x)
 
 
 def scalar_embedding(src: LocalField, dst: LocalField) -> FieldEmbedding:

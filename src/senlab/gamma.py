@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import ConvergenceError, DomainError, UsageError
-from .padic import DEFAULT_PRECISION, PadicScalar, require_prime, vp_factorial, vp_int
+from .padic import DEFAULT_PRECISION, PadicScalar, require_prime, vp_int
 
 class CyclotomicLevel:
     """Validated level Q_p(zeta_{p^m}): the integers p, m, a, prec and chi = a;
@@ -344,52 +344,3 @@ def dense_solve(T: TwistedOperator, rhs):
     neumann_invert: linalg.solve, integral Gauss-Jordan over Q_p, ignoring the
     block structure."""
     return linalg.solve(T.matrix, list(rhs))
-
-
-# ---------------------------------------------------------------------------
-# finite-level log coordinate
-# ---------------------------------------------------------------------------
-
-def log_coordinate_vector(T: TwistedOperator):
-    """Coefficients of log(1 + e a)/e on slots n = 1..trunc, flattened."""
-    p = T.level.p
-    d = T.level.degree
-    out = []
-    cur = PadicScalar.one(p, T.level.prec)
-    for n in range(1, T.trunc + 1):
-        out.extend([cur] + [PadicScalar.zero(p, T.level.prec)] * (d - 1))
-        cur = cur * (-T.e) * n
-    return out
-
-
-def log_coordinate_tail_bounds(T: TwistedOperator):
-    """Per-slot valuation bound of the truncation tail of (g-1) log.
-
-    Slot n of (g - 1) applied to the full log coordinate vanishes; the
-    truncated operator only misses the terms k > trunc - n, each of size
-    chi^n c_{n+k} y^k / k!, so the residual at slot n has valuation at least
-    min_k [ v(c_{n+k}) + k v(y) - v_p(k!) ].
-
-    The scan over k stops once the floor (n + k - 1) v(e) + k v(y) +
-    v_p((n-1)!) of every later term cannot beat the minimum found so far.
-    The floor is nondecreasing in k, since v(e) + v(y) = v(chi - 1) >= 0, and
-    a term meets it whenever k and n - 1 add without a carry in base p, so
-    the scan is finite.
-    """
-    p = T.level.p
-    vy = T.y.val
-    exact, ve = T.e.pivot_val()
-
-    def val(n, k):
-        return ((n + k - 1) * ve + vp_factorial(n + k - 1, p)
-                + k * vy - vp_factorial(k, p))
-
-    bounds = []
-    for n in range(1, T.trunc + 1):
-        k = T.trunc - n + 1
-        best = val(n, k)
-        while (n + k) * ve + (k + 1) * vy + vp_factorial(n - 1, p) < best:
-            k += 1
-            best = min(best, val(n, k))
-        bounds.append(best)
-    return bounds

@@ -102,14 +102,12 @@ def _select_pivot(candidates):
     return best[0]
 
 
-def row_reduce(mat, augment=None):
-    """Row-reduce in place (on copies); returns (rows, aug, pivot_cols, rank).
+def row_reduce(mat):
+    """Row-reduce in place (on copies); returns (rows, pivot_cols, rank).
 
-    Standard Gauss-Jordan with valuation pivoting; `augment` rows are carried
-    through the same operations.
+    Standard Gauss-Jordan with valuation pivoting.
     """
     a = mat_copy(mat)
-    aug = mat_copy(augment) if augment is not None else None
     n = len(a)
     m = len(a[0]) if n else 0
     pivot_cols = []
@@ -121,23 +119,16 @@ def row_reduce(mat, augment=None):
         if sel is None:
             continue
         a[r], a[sel] = a[sel], a[r]
-        if aug is not None:
-            aug[r], aug[sel] = aug[sel], aug[r]
         piv = a[r][c]
-        inv_row = [x / piv for x in a[r]]
-        a[r] = inv_row
-        if aug is not None:
-            aug[r] = [x / piv for x in aug[r]]
+        a[r] = [x / piv for x in a[r]]
         for i in range(n):
             if i == r:
                 continue
             f = a[i][c]
             a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            if aug is not None:
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
         pivot_cols.append(c)
         r += 1
-    return a, aug, pivot_cols, r
+    return a, pivot_cols, r
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +309,7 @@ def kernel_basis(mat, one, zero):
     """Basis of the right kernel, from the reduced echelon form."""
     if not mat:
         return []
-    a, _, pivot_cols, r = row_reduce(mat)
+    a, pivot_cols, _ = row_reduce(mat)
     m = len(mat[0])
     free_cols = [c for c in range(m) if c not in pivot_cols]
     basis = []

@@ -69,16 +69,6 @@ def vp_int(n: int, p: int) -> int:
     return v
 
 
-def vp_factorial(n: int, p: int) -> int:
-    """v_p(n!) by Legendre's formula."""
-    v = 0
-    q = p
-    while q <= n:
-        v += n // q
-        q *= p
-    return v
-
-
 def vp_fraction(x: Fraction, p: int) -> int:
     if x == 0:
         raise ValueError("valuation of 0 is undefined")

@@ -50,18 +50,18 @@ class SenModule:
         self._certificate = None        # the ClassifierReport, set by nearly_ht_test
 
     @classmethod
-    def from_int_matrix(cls, field, rows, e=None):
-        return cls(field, [[field.from_int(c) for c in row] for row in rows], e=e)
+    def from_int_matrix(cls, field, rows):
+        return cls(field, [[field.from_int(c) for c in row] for row in rows])
 
     @classmethod
-    def diagonal_weights(cls, field, weights, e=None):
+    def diagonal_weights(cls, field, weights):
         """Direct sum of rank-one twists: theta = e * diag(weights)."""
-        e = field.different_e if e is None else e
+        e = field.different_e
         d = len(weights)
         theta = [[field.zero() for _ in range(d)] for _ in range(d)]
         for i, n in enumerate(weights):
             theta[i][i] = e * n
-        return cls(field, theta, e=e)
+        return cls(field, theta)
 
     def _zero(self):
         return self.field.zero()
@@ -76,11 +76,10 @@ class SenModule:
         return f"SenModule(dim={self.dim})"
 
 
-def regular_representation(field: LocalField, trunc: int,
-                           e: FieldElement | None = None) -> SenModule:
+def regular_representation(field: LocalField, trunc: int) -> SenModule:
     """theta acting on the degree-<=trunc divided-power polynomials."""
     from .dpseries import theta_matrix
-    return SenModule(field, theta_matrix(field, trunc, e=e), e=e)
+    return SenModule(field, theta_matrix(field, trunc))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +276,7 @@ def cohomology(M: SenModule) -> CohomologyReport:
     mat = M.matrix()
     kernel = linalg.kernel_basis(mat, M._one(), M._zero())
     transpose = [[mat[j][i] for j in range(M.dim)] for i in range(M.dim)]
-    _, _, pivot_rows, r = linalg.row_reduce(transpose)
+    _, pivot_rows, r = linalg.row_reduce(transpose)
     coker = [i for i in range(M.dim) if i not in pivot_rows]
     return CohomologyReport(len(kernel), M.dim - r, kernel, coker)
 
@@ -320,8 +319,8 @@ def bk_twist(m: SenModule, n: int) -> SenModule:
     return SenModule(m.field, theta, e=m.e)
 
 
-def trivial_module(field: LocalField, e: FieldElement | None = None) -> SenModule:
-    return SenModule(field, [[field.zero()]], e=e)
+def trivial_module(field: LocalField) -> SenModule:
+    return SenModule(field, [[field.zero()]])
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +350,6 @@ def _summed_series(M: SenModule, b, columns):
         raise ConvergenceError(
             "operator series needs v(b) + min(v(theta), v(e)) > 1/(p-1) = %s; "
             "got %s" % (alpha, c), concept="operator series stop rule")
-    theta = M.matrix()
-    ident = linalg.identity(M.dim, M._one(), M._zero())
 
     def terms():
         prods = [list(v) for v in columns]
@@ -364,7 +361,9 @@ def _summed_series(M: SenModule, b, columns):
             v_prod = low if v_prod is None else max(low, v_prod + w)
             yield [coef * x for x in flat], \
                 v_prod - n * w + (n + 1) * (c - alpha) + alpha
-            shift = linalg.mat_sub(theta, linalg.mat_scale(ident, M.e * n))
+            en = M.e * n
+            shift = [[x - en if i == j else x for j, x in enumerate(row)]
+                     for i, row in enumerate(M.theta)]
             n += 1
             coef = coef * b / K.from_int(n)
             prods = [linalg.mat_vec(shift, v, M._zero()) for v in prods]
@@ -409,30 +408,3 @@ def semilinear_descent_matrix(M: SenModule, chi_value: PadicScalar):
             "v(chi - 1) >= %d for p = %d; got v = %s" % (threshold, K.p, diff.val),
             concept="convergence radius alpha")
     return operator_series(M, K.from_scalar(diff) / M.e)
-
-
-# ---------------------------------------------------------------------------
-# residue-field factorization identity
-# ---------------------------------------------------------------------------
-
-def fermat_identity_gap(field: LocalField):
-    """Coefficients of (X^p - e^(p-1) X) - prod_{i<p} (X - e i) over K.
-
-    Every entry has positive valuation: the two polynomials agree over the
-    residue field, which is what makes the classifier's slope test detect
-    exactly the weights modulo the maximal ideal.
-    """
-    p = field.p
-    e = field.different_e
-    lhs = [field.zero() for _ in range(p + 1)]
-    lhs[p] = field.one()
-    lhs[1] = -(e ** (p - 1))
-    rhs = [field.one()]
-    for i in range(p):
-        root = e * i
-        nxt = [field.zero() for _ in range(len(rhs) + 1)]
-        for k, c in enumerate(rhs):
-            nxt[k] = nxt[k] - c * root
-            nxt[k + 1] = nxt[k + 1] + c
-        rhs = nxt
-    return [a - b for a, b in zip(lhs, rhs)]

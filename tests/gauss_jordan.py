@@ -7,18 +7,22 @@ from senlab.errors import PrecisionError
 
 
 def gj_rank(mat):
-    return linalg.row_reduce(mat)[3]
+    return linalg.row_reduce(mat)[2]
 
 
 def gj_solve_rows(mat, augment):
-    """Rows of X with mat X = augment, mat square."""
+    """Rows of X with mat X = augment, mat square.
+
+    [mat | augment] is row-reduced as one matrix: a nonsingular mat takes its
+    n pivots in its first n columns, so the augment's entries go through the
+    operations that reduce mat."""
     n = len(mat)
-    _, aug, pivot_cols, r = linalg.row_reduce(mat, augment)
-    if r < n:
+    rows, pivot_cols, _ = linalg.row_reduce([row + aug for row, aug in zip(mat, augment)])
+    if pivot_cols[:n] != list(range(n)):
         raise PrecisionError("matrix singular to working precision")
     out = [None] * n
-    for row, c in zip(aug, pivot_cols):
-        out[c] = row
+    for row, c in zip(rows, pivot_cols):
+        out[c] = row[n:]
     return out
 
 

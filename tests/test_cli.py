@@ -367,11 +367,24 @@ class TestExitCodes:
         g.write_text(json.dumps({"coeffs": [{"coeffs": [["1", "0"]]}] * 5, "trunc": -2}))
         code, rep = run_cli(capsys, "dps", "solve-theta", "--field", field_file,
                             "--g", str(g))
-        assert code == 2 and "series.trunc" in rep["error"]["message"]
+        assert code == 2 and "g.trunc" in rep["error"]["message"]
         code, rep = run_cli(capsys, "dps", "log-t", "--field", field_file, "--trunc", "-3")
         assert code == 2 and "truncation must be >= 0" in rep["error"]["message"]
         code, rep = run_cli(capsys, "dps", "log-t", "--field", field_file, "--trunc", "0")
         assert code == 0 and len(rep["result"]["coeffs"]) == 1
+
+    @pytest.mark.parametrize("command,flag", [
+        ("solve-theta", "g"), ("theta", "f"), ("mul", "f"), ("mul", "g"),
+        ("coaction", "f"), ("gsharp", "f")])
+    def test_dps_decode_errors_name_the_flag(self, capsys, field_file, command, flag):
+        one = json.dumps({"coeffs": [{"coeffs": [["1", "0"]]}]})
+        flags = {"solve-theta": {}, "theta": {}, "mul": {"f": one, "g": one},
+                 "coaction": {"b": json.dumps({"coeffs": [["1", "0"]]})},
+                 "gsharp": {"direction": "to_gsharp"}}[command]
+        flags[flag] = json.dumps({"coeffs": [{"coeffs": [["x", "0"]]}]})
+        argv = [arg for name, value in flags.items() for arg in ("--" + name, value)]
+        code, rep = run_cli(capsys, "dps", command, "--field", field_file, *argv)
+        assert code == 2 and rep["error"]["message"].startswith(flag + ".coeffs[0]")
 
     def test_unknown_flag_rejected(self, capsys, field_file):
         code = main(["field", "build", "--spec", field_file, "--bogus"])

@@ -9,8 +9,7 @@ from senlab import linalg
 from senlab.dpseries import DPSeries, coaction
 from senlab.errors import DomainError, PrecisionError, UsageError
 from senlab.field import FieldEmbedding, cyclotomic_field, qp_field
-from senlab.gamma import (RhoReport, build_level, dense_solve, g_minus_one,
-                          log_coordinate_tail_bounds, log_coordinate_vector, neumann_invert,
+from senlab.gamma import (RhoReport, build_level, dense_solve, g_minus_one, neumann_invert,
                           rho_bound, symmetric_range)
 from senlab.padic import PadicScalar, vp_int
 
@@ -412,18 +411,6 @@ class TestNeumann:
     def test_size_mismatch(self, operator):
         with pytest.raises(UsageError):
             neumann_invert(operator, [S.one(3, 60)])
-
-
-class TestLogCoordinate:
-    def test_residual_matches_tail_bounds(self, level_m2, operator):
-        d = level_m2.degree
-        vec = log_coordinate_vector(operator)
-        img = linalg.mat_vec(operator.matrix, vec, S.zero(3, 60))
-        bounds = log_coordinate_tail_bounds(operator)
-        for n in range(1, operator.trunc + 1):
-            comp = img[(n - 1) * d: n * d]
-            got = min(x.val_bound() for x in comp)
-            assert got >= min(bounds[n - 1], 60)
 
 
 class TestCoactionScalars:

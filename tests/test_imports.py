@@ -1,7 +1,9 @@
-"""Every top-level import of a library module is used in that module, and no
-module imports an underscore name from a sibling."""
+"""Every top-level import of a library module is used in that module, no
+module imports an underscore name from a sibling, and every module-level def
+or class is used by a library module, exported or traced by the benchmark."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,51 @@ def test_detects_a_private_sibling_import():
               "from .field import _scalar, qp_field\nfrom senlab.padic import _PRIMES\n"
               "from os import _exit\n")
     assert _private_sibling_imports(source) == [(2, "_cache"), (3, "_scalar"), (4, "_PRIMES")]
+
+
+def _names_used(source):
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _orphans(sources, kept):
+    """module.name of every module-level def or class in `sources` (module
+    name -> source) that no module uses by name and that is not among the
+    `kept` (module, name) pairs."""
+    used = set().union(*map(_names_used, sources.values()))
+    return sorted(f"{mod}.{node.name}" for mod, source in sources.items()
+                  for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name not in used and (mod, node.name) not in kept)
+
+
+def _exported_and_traced():
+    """(module, name) of every export of senlab/__init__.py and of every
+    SPAN_LAYERS target of bench/tracer.py, loaded as test_bench_tracer loads it."""
+    init = ast.parse((SRC / "__init__.py").read_text())
+    kept = {(node.module, alias.name) for node in init.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    path = SRC.parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for targets in tracer.SPAN_LAYERS.values():
+        for target in targets:
+            module, attr = target.split(":")
+            kept.add((module.rsplit(".", 1)[-1], attr.split(".")[0]))
+    return kept
+
+
+def test_no_library_code_that_nothing_calls():
+    # a def or class that only tests reach belongs in the tests
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert _orphans(sources, _exported_and_traced()) == []
+
+
+def test_detects_code_that_nothing_calls():
+    sources = {"a": "def f():\n    return g()\ndef g(): pass\nclass C: pass\ndef h(): pass\n",
+               "b": "from .a import h\nfrom . import a\ndef k(): pass\ndef m():\n"
+                    "    return a.f\n"}
+    assert _orphans(sources, set()) == ["a.C", "a.h", "b.k", "b.m"]
+    assert _orphans(sources, {("a", "C"), ("b", "k"), ("a", "m")}) == ["a.h", "b.m"]
