@@ -22,19 +22,23 @@ chi^n (y^k / k!) rho_n sigma, and since chi^n rho_n sigma = 1 + rho_n it is
 (y^k / k!) (1 + rho_n).  rho M is nilpotent by its structure, its sup-norm has
 one route (strict_upper_norm_exponent), one block back-substitution pass,
 the terminating Neumann sum, inverts g - 1, and the nullity of g - 1 is zero
-by the block structure.
+by the block structure.  The operator is kept in blocks: D_n = chi^n sigma - 1,
+coef[n][k] = chi^n y^k / k! and sigma.  The pass checks its solution one block
+row at a time, D_n x_n + sigma(sum_k coef[n][k] x_{n+k}) - rhs_n, and the dense
+Q_p matrix is assembled only when it is read (dense_solve and the oracles).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
 from .errors import ConvergenceError, DomainError, UsageError
-from .padic import DEFAULT_PRECISION, PadicScalar, require_prime, vp_int
+from .padic import DEFAULT_PRECISION, PadicScalar, dot, require_prime, vp_int
 
 class CyclotomicLevel:
     """Validated level Q_p(zeta_{p^m}): the integers p, m, a, prec and chi = a;
@@ -103,7 +107,7 @@ class RhoReport(NamedTuple):
 def _diagonal_block(level: CyclotomicLevel, n: int):
     """chi^n sigma - 1 as a Q_p matrix."""
     scale = level.chi ** n
-    return [[x * scale - int(i == j) for j, x in enumerate(row)]
+    return [[x * scale - 1 if i == j else x * scale for j, x in enumerate(row)]
             for i, row in enumerate(level.sigma)]
 
 
@@ -178,12 +182,19 @@ def _on_u_basis(zeta_cols):
     """The integer matrix, on the basis u^k, u = zeta - 1, of the map sending
     zeta^i to zeta_cols[i] (coordinates on the zeta^k): by
     u^t = sum_i C(t, i) (-1)^(t-i) zeta^i and zeta^k = sum_s C(k, s) u^s."""
-    d = len(zeta_cols)
-    u_cols = [[sum(math.comb(t, i) * (-1) ** (t - i) * col[k]
-                   for i, col in enumerate(zeta_cols[:t + 1])) for k in range(d)]
-              for t in range(d)]
-    return [[sum(math.comb(k, s) * col[k] for k in range(s, d)) for col in u_cols]
-            for s in range(d)]
+    u_to_zeta, zeta_to_u = _binomials(len(zeta_cols))
+    zeta_rows = list(zip(*zeta_cols))
+    u_cols = [[sum(map(operator.mul, b, row)) for row in zeta_rows] for b in u_to_zeta]
+    return [[sum(map(operator.mul, b, col)) for col in u_cols] for b in zeta_to_u]
+
+
+@functools.lru_cache(maxsize=8)
+def _binomials(d: int):
+    """The rows C(t, i) (-1)^(t-i), i <= t, and C(k, s) of the two d x d
+    changes of basis between the zeta^i and the u^k, as shared tuples."""
+    return (tuple(tuple(math.comb(t, i) * (-1) ** (t - i) for i in range(t + 1))
+                  for t in range(d)),
+            tuple(tuple(math.comb(k, s) for k in range(d)) for s in range(d)))
 
 
 def _vp_power_minus_one(a: int, e: int, p: int, k: int) -> int:
@@ -206,25 +217,45 @@ def symmetric_range(n_max: int):
 # ---------------------------------------------------------------------------
 
 class TwistedOperator:
-    """(g - 1) on D_N in block form: `matrix` is the operator, `rho_blocks[n]`
-    inverts the diagonal block chi^n sigma - 1 to the full precision prec (the
-    closed form over a^(nr) - 1), and `coef[n][k]` = chi^n y^k / k!, so block
-    (n, n+k) is coef[n][k] sigma and that of rho M is coef[n][k] rho_n sigma."""
+    """(g - 1) on D_N in block form: `diag_blocks[n]` is the diagonal block
+    D_n = chi^n sigma - 1, `rho_blocks[n]` inverts it to the full precision
+    prec (the closed form over a^(nr) - 1), and `coef[n][k]` = chi^n y^k / k!,
+    so block (n, n+k) is coef[n][k] sigma and that of rho M is
+    coef[n][k] rho_n sigma.  `matrix`, the operator as one dense Q_p matrix,
+    is assembled from these blocks when it is first read."""
 
-    __slots__ = ("level", "e", "trunc", "y", "matrix", "rho_blocks", "coef")
-
-    def __init__(self, level, e, trunc, y, matrix, rho_blocks, coef):
+    def __init__(self, level, e, trunc, y, diag_blocks, rho_blocks, coef):
         self.level = level
         self.e = e
         self.trunc = trunc
         self.y = y
-        self.matrix = matrix
+        self.diag_blocks = diag_blocks  # {n: d x d block chi^n sigma - 1}
         self.rho_blocks = rho_blocks    # {n: d x d inverse rho_n}
         self.coef = coef                # {n: [chi^n y^k / k! for k <= trunc - n]}
 
     @property
     def size(self):
         return self.trunc * self.level.degree
+
+    @functools.cached_property
+    def matrix(self):
+        """The size x size operator, D_n at block (n, n), coef[n][k] sigma at (n, n+k)."""
+        d, sigma = self.level.degree, self.level.sigma
+        zero = PadicScalar.zero(self.level.p, self.level.prec)
+        mat = []
+        for n in range(1, self.trunc + 1):
+            row = [self.diag_blocks[n]] + [[[x * c for x in srow] for srow in sigma]
+                                           for c in self.coef[n][1:]]
+            mat.extend([zero] * (n - 1) * d + [x for blk in row for x in blk[i]]
+                       for i in range(d))
+        return mat
+
+    def _sigma_tail(self, n, later):
+        """sigma(sum_{k>=1} coef[n][k] x_{n+k}) for later = x_{n+1}, x_{n+2},
+        ... flattened, whose coordinate i is later[i::d]."""
+        d, zero = self.level.degree, PadicScalar.zero(self.level.p, self.level.prec)
+        tail = [dot(self.coef[n][1:], later[i::d], zero) for i in range(d)]
+        return linalg.mat_vec(self.level.sigma, tail, zero)
 
     def strict_upper_norm_exponent(self) -> Fraction:
         """Sup-norm exponent of rho M: sigma is in GL_d(Z_p), so block (n, n+k)
@@ -289,22 +320,17 @@ def g_minus_one(level: CyclotomicLevel, e: PadicScalar, trunc: int) -> TwistedOp
             "need v(y) >= 1 for y = (chi - 1)/e; got v(y) = %s"
             % (y.val if not y.is_zero() else ">= %d" % y.prec),
             concept="normalization y in pO_K")
-    d = level.degree
-    one, zero = PadicScalar.one(level.p, level.prec), PadicScalar.zero(level.p, level.prec)
-    y_over_fact = [one]
+    y_over_fact = [PadicScalar.one(level.p, level.prec)]
     for k in range(1, trunc):
         y_over_fact.append(y_over_fact[-1] * y / PadicScalar.from_int(k, level.p, level.prec))
-    coef, rho_blocks, mat = {}, {}, []
+    coef, diag_blocks, rho_blocks = {}, {}, {}
     r = _order(level.a, level.p ** level.m)
     for n in range(1, trunc + 1):
         chi_n = level.chi ** n
         coef[n] = [chi_n * c for c in y_over_fact[:trunc - n + 1]]
+        diag_blocks[n] = _diagonal_block(level, n)
         rho_blocks[n] = _block_inverse(level, r, n)
-        row = [_diagonal_block(level, n)] + [[[x * c for x in srow] for srow in level.sigma]
-                                             for c in coef[n][1:]]
-        mat.extend([zero] * (n - 1) * d + [x for blk in row for x in blk[i]]
-                   for i in range(d))
-    return TwistedOperator(level, e, trunc, y, mat, rho_blocks, coef)
+    return TwistedOperator(level, e, trunc, y, diag_blocks, rho_blocks, coef)
 
 
 def neumann_invert(T: TwistedOperator, rhs):
@@ -313,7 +339,9 @@ def neumann_invert(T: TwistedOperator, rhs):
     x_n = rho_n (rhs_n - sigma sum_k coef[n][k] x_{n+k}) for n = trunc..1 is
     exactly the terminating Neumann sum sum_k (-rho M)^k rho rhs, whatever
     the entrywise sup-norm of rho M, which is reported beside the residual
-    against `matrix`.
+    (g - 1) x - rhs.  Block row n of the residual is
+    D_n x_n + sigma(sum_k coef[n][k] x_{n+k}) - rhs_n, recomputed from the
+    diagonal block, coef and sigma, so it checks rho_n against D_n.
     """
     d = T.level.degree
     if len(rhs) != T.size:
@@ -324,12 +352,15 @@ def neumann_invert(T: TwistedOperator, rhs):
     x = []                          # x_{n+1}, ..., x_trunc, flattened
     for n in range(T.trunc, 0, -1):
         b = rhs[(n - 1) * d: n * d]
-        if x:                       # x[i::d] is coordinate i of x_{n+1}, x_{n+2}, ...
-            tail = [sum((c * v for c, v in zip(T.coef[n][1:], x[i::d])), zero)
-                    for i in range(d)]
-            b = [u - v for u, v in zip(b, linalg.mat_vec(T.level.sigma, tail, zero))]
+        if x:
+            b = [u - v for u, v in zip(b, T._sigma_tail(n, x))]
         x = linalg.mat_vec(T.rho_blocks[n], b, zero) + x
-    residual = [u - v for u, v in zip(linalg.mat_vec(T.matrix, x, zero), rhs)]
+    residual = []
+    for n in range(1, T.trunc + 1):
+        row = linalg.mat_vec(T.diag_blocks[n], x[(n - 1) * d: n * d], zero)
+        if n < T.trunc:
+            row = [u + v for u, v in zip(row, T._sigma_tail(n, x[n * d:]))]
+        residual.extend(u - v for u, v in zip(row, rhs[(n - 1) * d: n * d]))
     res_bound = min(u.val_bound() for u in residual)
     if any(not u.is_zero() for u in residual):
         raise ConvergenceError(

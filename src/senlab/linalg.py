@@ -1,10 +1,14 @@
 """Valuation-pivoted exact linear algebra over Q_p or a local field.
 
 Entries only need the scalar protocol: +, -, *, /, unary -, is_zero(),
-pivot_val() -> (is_exact, Fraction).  Pivots are chosen at minimal exact
-valuation; an entry counts as zero only when it is zero to its stored
-precision, and a stored bound that could undercut the chosen pivot raises
-PrecisionError instead of guessing a rank.
+pivot_val() -> (is_exact, Fraction).  mat_mul and mat_vec take every entry
+as a dot product of a row and a column, summed in order from `zero`; over
+Q_p that sum is padic.dot, the products of valuation below the result's
+precision added as one Python int and reduced once, with the value and the
+precision the sequential PadicScalar sum gives.  Pivots are chosen at
+minimal exact valuation; an entry counts as zero only when it is zero to
+its stored precision, and a stored bound that could undercut the chosen
+pivot raises PrecisionError instead of guessing a rank.
 
 solve, invert and rank take matrices of PadicScalar entries only (any
 other entries raise UsageError) and run integral Gauss-Jordan on rows of
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .errors import PrecisionError, UsageError
-from .padic import PadicScalar, power, vp_int
+from .padic import PadicScalar, dot, power, vp_int
 
 SINGULAR = "matrix singular to working precision"
 
@@ -32,17 +36,8 @@ def mat_copy(m):
 
 
 def mat_mul(a, b, zero):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            x = ai[t]
-            bt = b[t]
-            row = out[i]
-            for j in range(m):
-                row[j] = row[j] + x * bt[j]
-    return out
+    cols = list(zip(*b))
+    return [[_dot(row, col, zero) for col in cols] for row in a]
 
 
 def mat_vec(a, v, zero):
@@ -50,6 +45,10 @@ def mat_vec(a, v, zero):
 
 
 def _dot(u, v, zero):
+    """zero + u[0] v[0] + u[1] v[1] + ..., in that order; over Q_p, one
+    integer sum by padic.dot with the same value and precision."""
+    if isinstance(zero, PadicScalar):
+        return dot(u, v, zero)
     acc = zero
     for x, y in zip(u, v):
         acc = acc + x * y

@@ -11,7 +11,8 @@ largest absolute precision the operands justify:
 
 Valuations are normalized by v(p) = 1.  The module also provides the one
 square-and-multiply `power` (for scalars, field elements, coordinate
-vectors, F_p polynomials and matrices), the one series summation helper
+vectors, F_p polynomials and matrices), the one Q_p dot product `dot` (one
+integer sum, reduced once), the one series summation helper
 `sum_series`, the p-adic exponential and logarithm (with their convergence
 balls) and Newton polygons with slopes reported as root valuations; a left
 end whose coefficients are zero to precision is reported as one slope entry
@@ -220,13 +221,7 @@ class PadicScalar:
         if not known:
             return PadicScalar.zero(p, n)
         m = min(t.val for t in known)
-        width = n - m
-        s = sum(p ** (t.val - m) * t.unit for t in known) % p ** width
-        if s == 0:
-            return PadicScalar.zero(p, n)
-        v = vp_int(s, p)
-        unit = (s // p ** v) % p ** (width - v)
-        return PadicScalar(p, m + v, unit, n)
+        return _normalised(p, m, sum(p ** (t.val - m) * t.unit for t in known), n)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -299,6 +294,41 @@ class PadicScalar:
         if self.val is None:
             return f"O({self.p}^{self.prec})"
         return f"{self.p}^{self.val}*{self.unit} + O({self.p}^{self.prec})"
+
+
+def _normalised(p, m, s, n):
+    """The scalar p^m * s known modulo p^n, s an integer and m < n."""
+    s %= p ** (n - m)
+    if s == 0:
+        return PadicScalar.zero(p, n)
+    v = vp_int(s, p)
+    return PadicScalar(p, m + v, s // p ** v, n)
+
+
+def dot(u, v, zero: PadicScalar) -> PadicScalar:
+    """sum_k u[k] v[k], zero zero-to-precision, with the (val, unit, prec) of
+    the sequential sum zero + u[0] v[0] + ...: the precision n is the least
+    of zero.prec and those __mul__ gives the products, and the products of
+    valuation t < n, m the least t, sum to one integer reduced mod p^(n - m)."""
+    p, n, terms = zero.p, zero.prec, []
+    for x, y in zip(u, v):
+        if x.p != p or y.p != p:
+            raise UsageError("cannot mix scalars over different primes")
+        if x.val is None:
+            q = x.prec + (y.prec if y.val is None else y.val)
+        elif y.val is None:
+            q = y.prec + x.val
+        else:
+            t = x.val + y.val
+            q = t + min(x.prec - x.val, y.prec - y.val)
+            terms.append((t, x.unit * y.unit))
+        if q < n:
+            n = q
+    terms = [(t, c) for t, c in terms if t < n]
+    if not terms:
+        return PadicScalar.zero(p, n)
+    m = min(t for t, _ in terms)
+    return _normalised(p, m, sum(c * p ** (t - m) for t, c in terms), n)
 
 
 # ---------------------------------------------------------------------------

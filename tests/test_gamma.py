@@ -123,6 +123,18 @@ DENSE_CASES = {
     "criterion8": ((3, 2, 10, 60), Fraction(1), 8, [1, 1, 1, 2, 2, 2, 2]),
 }
 
+# the five benchmark inversions, the README's gamma invert at truncation 8 and
+# a level of Q_5(zeta_5) at truncation 6: (level, e, truncation)
+RESIDUAL_CASES = {
+    "3-1-2-trunc8": ((3, 1, 2, 40), Fraction(1, 3), 8),
+    "3-2-2-trunc4": ((3, 2, 2, 40), Fraction(1, 3), 4),
+    "3-2-10-trunc4": ((3, 2, 10, 40), Fraction(1), 4),
+    "3-3-2-trunc2": ((3, 3, 2, 40), Fraction(1, 3), 2),
+    "5-2-2-trunc2": ((5, 2, 2, 40), Fraction(1, 5), 2),
+    "3-2-10-trunc8": ((3, 2, 10, 50), Fraction(1), 8),
+    "5-1-6-trunc6": ((5, 1, 6, 40), Fraction(1), 6),
+}
+
 # the benchmark levels
 BENCH_LEVELS = [(3, 1, 2), (3, 1, 4), (3, 2, 2), (3, 3, 2), (3, 2, 10), (5, 2, 2)]
 
@@ -411,6 +423,32 @@ class TestNeumann:
     def test_size_mismatch(self, operator):
         with pytest.raises(UsageError):
             neumann_invert(operator, [S.one(3, 60)])
+
+    @pytest.mark.parametrize("rhs_kind", ["integer", "mixed"])
+    @pytest.mark.parametrize("name", sorted(RESIDUAL_CASES))
+    def test_block_residual_matches_dense(self, name, rhs_kind):
+        # block row n of the residual, D_n x_n + sigma(sum_k coef[n][k] x_{n+k})
+        # - rhs_n, has the least valuation bound of the dense residual
+        (p, m, a, prec), e, trunc = RESIDUAL_CASES[name]
+        T = g_minus_one(build_level(p, m, a, prec), S.from_fraction(e, p, prec), trunc)
+        rng = random.Random(name + rhs_kind)
+        if rhs_kind == "integer":
+            rhs = [S.from_int(rng.randrange(-3 ** 10, 3 ** 10), p, prec) for _ in range(T.size)]
+        else:
+            rhs = [S.from_residue(p, rng.randrange(-3 ** 10, 3 ** 10), rng.randrange(prec - 12,
+                                                                                  prec + 1),
+                                  rng.randrange(-2, 3)) for _ in range(T.size)]
+        res = neumann_invert(T, rhs)
+        dense = [u - v for u, v in zip(linalg.mat_vec(T.matrix, res["solution"],
+                                                      S.zero(p, prec)), rhs)]
+        assert res["residual_valuation"] == min(u.val_bound() for u in dense)
+
+    def test_dense_matrix_is_built_only_when_read(self):
+        T = g_minus_one(build_level(3, 2, 10, 40), S.one(3, 40), 4)
+        T.contraction_report()
+        neumann_invert(T, [S.from_int(k, 3, 40) for k in range(T.size)])
+        assert "matrix" not in vars(T)
+        assert len(T.matrix) == T.size and "matrix" in vars(T)
 
 
 class TestCoactionScalars:

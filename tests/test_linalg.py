@@ -1,6 +1,10 @@
 """padic.power: square-and-multiply from the first factor, for every kind of
 element the library raises to a power; linalg.mat_pow on top of it returns a
-fresh matrix; the elimination entry points take Q_p matrices only."""
+fresh matrix; mat_mul, rows times columns through one dot product, gives the
+entries of the i-t-j loop it replaced; the elimination entry points take Q_p
+matrices only."""
+
+import random
 
 import pytest
 
@@ -92,3 +96,48 @@ def test_elimination_takes_padic_matrices_only():
             linalg.solve(mat, [K.one(), K.one()])
         with pytest.raises(UsageError):
             linalg.invert(mat, K.one(), K.zero())
+
+
+def _mat_mul_itj(a, b, zero):
+    """The i-t-j loop mat_mul replaced, one scalar operation at a time: out[i][j]
+    is zero + a[i][0] b[0][j] + a[i][1] b[1][j] + ..., in that order."""
+    n, k, m = len(a), len(b), len(b[0])
+    out = [[zero for _ in range(m)] for _ in range(n)]
+    for i in range(n):
+        for t in range(k):
+            x = a[i][t]
+            for j in range(m):
+                out[i][j] = out[i][j] + x * b[t][j]
+    return out
+
+
+def _padic_entry(rng):
+    """A 3-adic scalar with a mixed precision and shift, zero to precision
+    one time in four."""
+    prec = rng.randrange(-2, 31)
+    if rng.randrange(4) == 0:
+        return S.zero(3, prec)
+    return S.from_residue(3, rng.randrange(1, 3 ** 30), prec, rng.randrange(-4, 4))
+
+
+def _field_entry(rng):
+    return _element(K2, [rng.randrange(-40, 41) for _ in range(2)], rng.randrange(3),
+                    rng.randrange(5, 31))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind", ["padic", "field_degree_2"])
+def test_mat_mul_matches_itj_loop(kind, seed):
+    rng = random.Random(seed)
+    entry, zero = {"padic": (_padic_entry, S.zero(3, 30)),
+                   "field_degree_2": (_field_entry, K2.zero())}[kind]
+    n, k, m = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
+    a = [[entry(rng) for _ in range(k)] for _ in range(n)]
+    b = [[entry(rng) for _ in range(m)] for _ in range(k)]
+    got, want = linalg.mat_mul(a, b, zero), _mat_mul_itj(a, b, zero)
+    if kind == "padic":
+        assert [[(x.val, x.unit, x.prec) for x in row] for row in got] == \
+            [[(x.val, x.unit, x.prec) for x in row] for row in want]
+    else:
+        assert [[(x.vec, x.shift, x.prec) for x in row] for row in got] == \
+            [[(x.vec, x.shift, x.prec) for x in row] for row in want]

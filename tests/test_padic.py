@@ -4,11 +4,11 @@ from fractions import Fraction
 from itertools import count, islice
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from senlab.errors import DomainError, PrecisionError, UsageError
 from senlab.field import eisenstein_field, qp_field
-from senlab.padic import PadicScalar, newton_polygon, padic_exp, padic_log
+from senlab.padic import PadicScalar, dot, newton_polygon, padic_exp, padic_log
 
 S = PadicScalar
 
@@ -75,6 +75,78 @@ class TestScalarArith:
             assert (xr * xs - S.from_fraction(r * s, p, prec)).is_zero()
             if s != 0 and (s.numerator % p):
                 assert (xr / xs - S.from_fraction(r / s, p, prec)).is_zero()
+
+
+def _sequential_dot(u, v, zero):
+    """The sum padic.dot replaced: zero + u[0] v[0] + ..., one PadicScalar
+    operation at a time; the oracle for dot."""
+    acc = zero
+    for x, y in zip(u, v):
+        acc = acc + x * y
+    return acc
+
+
+def _triple(x):
+    return (x.val, x.unit, x.prec)
+
+
+@st.composite
+def _scalar(draw, p):
+    """A scalar at absolute precision -5..40: zero to precision about one
+    time in four, else p^val * unit with val in -6..8 below the precision."""
+    prec = draw(st.integers(-5, 40))
+    if draw(st.integers(0, 3)) == 0:
+        return S.zero(p, prec)
+    val = draw(st.integers(-6, min(8, prec - 1)))
+    unit = (draw(st.integers(0, p ** 40)) * p + draw(st.integers(1, p - 1))) % p ** (prec - val)
+    return S(p, val, unit, prec)
+
+
+@st.composite
+def _dot_case(draw):
+    """Two vectors of equal length 0..7 over p = 2, 3 or 5 and a zero at
+    precision -5..40."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    size = draw(st.integers(0, 7))
+    vec = st.lists(_scalar(p), min_size=size, max_size=size)
+    return draw(vec), draw(vec), S.zero(p, draw(st.integers(-5, 40)))
+
+
+# name -> (u, v, zero)
+DOT_EDGES = {
+    "zero-times-nonzero": ([S.zero(3, 4), S.one(3, 9)], [S.from_int(9, 3, 9), S.one(3, 2)],
+                           S.zero(3, 20)),
+    "zero-times-zero": ([S.zero(2, 5)], [S.zero(2, -3)], S.zero(2, 40)),
+    "zero-binds": ([S.one(5, 10)], [S.one(5, 10)], S.zero(5, -1)),
+    "negative-shifts": ([S(3, -4, 2, 5), S(3, -2, 1, 8)], [S(3, -1, 7, 3), S(3, 3, 4, 9)],
+                        S.zero(3, 40)),
+    "cancellation": ([S.from_int(7, 3, 20), S.from_int(-7, 3, 20)],
+                     [S.from_int(5, 3, 12), S.from_int(5, 3, 12)], S.zero(3, 30)),
+    "empty": ([], [], S.zero(5, 7)),
+}
+
+
+class TestDot:
+    @settings(max_examples=400)
+    @given(case=_dot_case())
+    def test_matches_sequential_sum(self, case):
+        u, v, zero = case
+        assert _triple(dot(u, v, zero)) == _triple(_sequential_dot(u, v, zero))
+
+    @pytest.mark.parametrize("name", sorted(DOT_EDGES))
+    def test_edge_cases(self, name):
+        u, v, zero = DOT_EDGES[name]
+        assert _triple(dot(u, v, zero)) == _triple(_sequential_dot(u, v, zero))
+
+    def test_cancellation_leaves_zero_to_precision(self):
+        assert _triple(dot(*DOT_EDGES["cancellation"])) == (None, 0, 12)
+
+    def test_mixed_primes_rejected(self):
+        # as the sequential sum does, through PadicScalar.__mul__
+        for u, v, zero in (([S.one(3, 10)], [S.one(5, 10)], S.zero(3, 10)),
+                           ([S.zero(5, 10)], [S.one(5, 10)], S.zero(3, 10))):
+            with pytest.raises(UsageError):
+                dot(u, v, zero)
 
 
 class TestExpLog:
