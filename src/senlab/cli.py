@@ -16,7 +16,6 @@ import argparse
 import json
 import operator
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .accept import SUITES, run_suite
@@ -350,7 +349,7 @@ def _cmd_accept(args):
         "suite": args.suite,
         "criteria": [
             {"index": r["index"], "name": r["name"], "passed": r["passed"],
-             "message": r["message"], "details": _stringify(r["details"]),
+             "message": r["message"], "details": r["details"],
              "elapsed_s": round(r["elapsed_s"], 3),
              "budget_s": r["budget_s"]}
             for r in results
@@ -362,16 +361,6 @@ def _cmd_accept(args):
         raise SenlabError("first failing criterion: %d (%s)"
                           % (failures[0]["index"], failures[0]["message"]))
     return None
-
-
-def _stringify(obj):
-    if isinstance(obj, dict):
-        return {k: _stringify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    return obj
 
 
 # ---------------------------------------------------------------------------

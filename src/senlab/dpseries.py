@@ -21,7 +21,7 @@ from math import comb
 
 from .errors import ConvergenceError, UsageError
 from .field import FieldElement, LocalField
-from .padic import vp_int
+from .padic import dot, vp_int
 
 
 class DPSeries:
@@ -83,12 +83,9 @@ def dp_mul(f: DPSeries, g: DPSeries) -> DPSeries:
     f._check_compatible(g)
     trunc = min(f.trunc, g.trunc)
     valid = min(f.valid_to, g.valid_to, trunc)
-    out = []
-    for n in range(trunc + 1):
-        acc = f.field.zero()
-        for i in range(n + 1):
-            acc = acc + (f.coeffs[i] * g.coeffs[n - i]) * comb(n, i)
-        out.append(acc)
+    out = [dot([f.coeffs[i] * g.coeffs[n - i] for i in range(n + 1)],
+               [comb(n, i) for i in range(n + 1)], f.field.zero())
+           for n in range(trunc + 1)]
     return DPSeries(f.field, out, e=f.e, valid_to=valid)
 
 
@@ -111,17 +108,16 @@ def solve_theta(g: DPSeries) -> DPSeries:
     return DPSeries(g.field, out, e=g.e, valid_to=min(g.valid_to + 1, g.trunc))
 
 
-def theta_matrix(field: LocalField, trunc: int, e: FieldElement | None = None):
+def theta_matrix(field: LocalField, trunc: int):
     """Matrix of theta on the degree-<=trunc polynomial part, basis a^n/n!.
 
     Column n carries theta(a^n/n!) = a^{n-1}/(n-1)! + e n a^n/n!, so the only
     nonzero entries are [n][n] = e n and [n-1][n] = 1.
     """
-    e = field.different_e if e is None else e
     d = trunc + 1
     m = [[field.zero() for _ in range(d)] for _ in range(d)]
     for n in range(d):
-        m[n][n] = e * n
+        m[n][n] = field.different_e * n
         if n >= 1:
             m[n - 1][n] = field.one()
     return m
@@ -144,10 +140,7 @@ def coaction(f: DPSeries, b: FieldElement) -> DPSeries:
     out = []
     scale = K.one()
     for m in range(f.trunc + 1):
-        acc = K.zero()
-        for k in range(f.trunc - m + 1):
-            acc = acc + f.coeffs[m + k] * b_over_fact[k]
-        out.append(acc * scale)
+        out.append(dot(f.coeffs[m:], b_over_fact, K.zero()) * scale)
         scale = scale * one_plus_eb
     return DPSeries(K, out, e=f.e, valid_to=f.valid_to)
 
@@ -234,6 +227,5 @@ def gsharp_transport(f: DPSeries, direction: str) -> DPSeries:
         # s(m, k) = s(m-1, k-1) - (m-1) s(m-1, k); S(m, k) = S(m-1, k-1) + k S(m-1, k)
         row = [0] + [row[k - 1] + (1 - m if first_kind else k) * row[k]
                      for k in range(1, m)] + [1]
-        out.append(sum((c[k] * (e_pow[m - k] * row[k]) for k in range(1, m) if row[k]),
-                       K.zero()) + c[m])
+        out.append(dot(c[1:m], [e_pow[m - k] * row[k] for k in range(1, m)], K.zero()) + c[m])
     return DPSeries(K, out, e=f.e, valid_to=f.valid_to)

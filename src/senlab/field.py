@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .errors import DomainError, PrecisionError, UsageError
-from .padic import DEFAULT_PRECISION, PadicScalar, power, require_prime, vp_int
+from .padic import DEFAULT_PRECISION, PadicScalar, dot, power, require_prime, vp_int
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +272,6 @@ class LocalField:
     def basis_traces(self):
         """Tr(b_t) for every basis element, read off the trace form."""
         return [PadicScalar.from_residue(self.p, t, self.table_prec) for t in self._trace_form]
-
-    def y_gen(self):
-        return self.basis()[self.e_ram] if self.f > 1 else self.one()
 
     def from_grid(self, rows):
         """Element from an f x e_ram grid of PadicScalars (coefficient of y^j u^i
@@ -564,10 +561,8 @@ class FieldEmbedding:
         for _ in range(self.src.e_ram - 1):
             u_pows.append(u_pows[-1] * self.u_image)
         e = self.src.e_ram
-        acc = self.dst.zero()
-        for t, c in enumerate(x.coordinates()):
-            acc = acc + (y_pows[t // e] * u_pows[t % e]) * c
-        return acc
+        return dot([y_pows[t // e] * u_pows[t % e] for t in range(self.src.degree)],
+                   x.coordinates(), self.dst.zero())
 
 
 def _eval_scalar_poly(coeffs, at, dst):

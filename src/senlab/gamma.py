@@ -271,7 +271,8 @@ class TwistedOperator:
         block (n, n+k) of rho M is coef[n][k] chi^-n (1 + rho_n), with no
         sigma in it.  Block (n, l) of the j-th power vanishes unless l - n >= j;
         each nonzero block of the next power is one product
-        rho_n sigma * sum_m coef[n][m - n] P(m, l).  The report lists the
+        rho_n sigma * sum_m coef[n][m - n] P(m, l), whose entries are each one
+        padic.dot over the m, in ascending order.  The report lists the
         sup-norm exponent of every nonzero power and that of rho M, read off
         strict_upper_norm_exponent.
         """
@@ -287,14 +288,17 @@ class TwistedOperator:
         exps, power = [], rho_m
         while power:                # every product raises l - n by one
             exps.append(_norm_exponent(power.values()))
-            sums = {}
+            terms = {}
             for n, m in rho_m:
-                for (s, l), blk in power.items():
+                for s, l in power:
                     if s == m:
-                        term = linalg.mat_scale(blk, self.coef[n][m - n])
-                        if (n, l) in sums:
-                            term = linalg.mat_add(sums[(n, l)], term)
-                        sums[(n, l)] = term
+                        terms.setdefault((n, l), []).append((self.coef[n][m - n], power[m, l]))
+            sums = {}
+            for key, ((c, first), *rest) in terms.items():
+                # started at the first term: a zero start would cut entries to prec
+                coefs = [c for c, _ in rest]
+                sums[key] = [[dot(coefs, [blk[i][j] for _, blk in rest], c * x)
+                              for j, x in enumerate(row)] for i, row in enumerate(first)]
             power = _nonzero({(n, l): linalg.mat_mul(rho_sigma[n], blk, zero)
                               for (n, l), blk in sums.items()})
         return {"sup_norm_exponent": self.strict_upper_norm_exponent(),

@@ -1,14 +1,14 @@
 """Valuation-pivoted exact linear algebra over Q_p or a local field.
 
 Entries only need the scalar protocol: +, -, *, /, unary -, is_zero(),
-pivot_val() -> (is_exact, Fraction).  mat_mul and mat_vec take every entry
-as a dot product of a row and a column, summed in order from `zero`; over
-Q_p that sum is padic.dot, the products of valuation below the result's
-precision added as one Python int and reduced once, with the value and the
-precision the sequential PadicScalar sum gives.  Pivots are chosen at
-minimal exact valuation; an entry counts as zero only when it is zero to
-its stored precision, and a stored bound that could undercut the chosen
-pivot raises PrecisionError instead of guessing a rank.
+pivot_val() -> (is_exact, Fraction).  mat_mul, mat_vec and Berkowitz's
+Toeplitz steps take every entry as padic.dot of a row and a column, the sum
+zero + u[0] v[0] + ... in that order; over Q_p the products of valuation
+below the result's precision are added as one Python int and reduced once,
+with the value and the precision the sequential PadicScalar sum gives.
+Pivots are chosen at minimal exact valuation; an entry counts as zero only
+when it is zero to its stored precision, and a stored bound that could
+undercut the chosen pivot raises PrecisionError instead of guessing a rank.
 
 solve, invert and rank take matrices of PadicScalar entries only (any
 other entries raise UsageError) and run integral Gauss-Jordan on rows of
@@ -37,26 +37,11 @@ def mat_copy(m):
 
 def mat_mul(a, b, zero):
     cols = list(zip(*b))
-    return [[_dot(row, col, zero) for col in cols] for row in a]
+    return [[dot(row, col, zero) for col in cols] for row in a]
 
 
 def mat_vec(a, v, zero):
-    return [_dot(row, v, zero) for row in a]
-
-
-def _dot(u, v, zero):
-    """zero + u[0] v[0] + u[1] v[1] + ..., in that order; over Q_p, one
-    integer sum by padic.dot with the same value and precision."""
-    if isinstance(zero, PadicScalar):
-        return dot(u, v, zero)
-    acc = zero
-    for x, y in zip(u, v):
-        acc = acc + x * y
-    return acc
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [dot(row, v, zero) for row in a]
 
 
 def mat_sub(a, b):
@@ -372,14 +357,9 @@ def charpoly_berkowitz(mat, one, zero):
         items = [one, -mat[r][r]]
         acc = col_vec
         for _ in range(r):
-            items.append(-_dot(row_vec, acc, zero))
+            items.append(-dot(row_vec, acc, zero))
             acc = mat_vec(sub, acc, zero)
         # the Toeplitz product, read from the constant coefficient up
-        new_poly = []
-        for i in range(r + 2):
-            s = zero
-            for j in range(max(i - 1, 0), r + 1):
-                s = s + items[j + 1 - i] * poly[j]
-            new_poly.append(s)
-        poly = new_poly
+        poly = [dot(items[max(1 - i, 0):r + 2 - i], poly[max(i - 1, 0):], zero)
+                for i in range(r + 2)]
     return poly

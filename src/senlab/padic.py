@@ -11,8 +11,9 @@ largest absolute precision the operands justify:
 
 Valuations are normalized by v(p) = 1.  The module also provides the one
 square-and-multiply `power` (for scalars, field elements, coordinate
-vectors, F_p polynomials and matrices), the one Q_p dot product `dot` (one
-integer sum, reduced once), the one series summation helper
+vectors, F_p polynomials and matrices), the one sum of products `dot` for
+every scalar kind (over Q_p one integer sum, reduced once; over K, or on
+any other scalar, the sequential sum), the one series summation helper
 `sum_series`, the p-adic exponential and logarithm (with their convergence
 balls) and Newton polygons with slopes reported as root valuations; a left
 end whose coefficients are zero to precision is reported as one slope entry
@@ -305,12 +306,21 @@ def _normalised(p, m, s, n):
     return PadicScalar(p, m + v, s // p ** v, n)
 
 
-def dot(u, v, zero: PadicScalar) -> PadicScalar:
-    """sum_k u[k] v[k], zero zero-to-precision, with the (val, unit, prec) of
-    the sequential sum zero + u[0] v[0] + ...: the precision n is the least
-    of zero.prec and those __mul__ gives the products, and the products of
-    valuation t < n, m the least t, sum to one integer reduced mod p^(n - m)."""
-    p, n, terms = zero.p, zero.prec, []
+def dot(u, v, start):
+    """start + u[0] v[0] + u[1] v[1] + ..., each product u[k] * v[k]: the one
+    sum of products, for every scalar kind; start is most often a zero.  Over
+    Q_p (start a PadicScalar) it has the (val, unit, prec) of that sequential
+    sum: the precision n is the least of start.prec and those __mul__ gives
+    the products, and start and the products of valuation t < n, m the least
+    t, sum to one integer reduced mod p^(n - m).  Any other scalar is summed
+    in that order."""
+    if not isinstance(start, PadicScalar):
+        acc = start
+        for x, y in zip(u, v):
+            acc = acc + x * y
+        return acc
+    p, n = start.p, start.prec
+    terms = [] if start.val is None else [(start.val, start.unit)]
     for x, y in zip(u, v):
         if x.p != p or y.p != p:
             raise UsageError("cannot mix scalars over different primes")
@@ -458,9 +468,6 @@ class NewtonPolygon:
             if s.exact:
                 out.extend([s.value] * s.mult)
         return sorted(out)
-
-    def total_multiplicity(self) -> int:
-        return sum(s.mult for s in self.slopes)
 
     def all_slopes_positive(self) -> bool:
         for s in self.slopes:

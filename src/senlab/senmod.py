@@ -1,7 +1,7 @@
 """Sen modules (M, theta) over a local field K.
 
-A module is a square matrix theta over K together with the twist parameter e
-(by default the field's different generator).  The module provides:
+A module is a square matrix theta over K together with the twist parameter
+e = E'(pi), the field's different generator.  The module provides:
 
   * division-free characteristic polynomials (Samuelson-Berkowitz);
   * the nearly-Hodge-Tate classifier: theta^p - e^(p-1) theta must be
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ConvergenceError, DomainError, PrecisionError, UsageError
-from .field import FieldElement, LocalField
+from .field import LocalField
 from .padic import PadicScalar, exp_domain_threshold, newton_polygon, sum_series
 
 
@@ -38,14 +38,14 @@ class SenModule:
 
     __slots__ = ("field", "dim", "theta", "e", "_certificate")
 
-    def __init__(self, field: LocalField, theta, e: FieldElement | None = None):
+    def __init__(self, field: LocalField, theta):
         self.field = field
         self.theta = tuple(tuple(row) for row in theta)
         self.dim = len(self.theta)
         if any(len(row) != self.dim for row in self.theta):
             raise UsageError("theta must be a square matrix")
-        self.e = field.different_e if e is None else e
-        if self.e.is_zero():
+        self.e = field.different_e
+        if self.e.is_zero():        # E'(pi) can be zero to a low precision
             raise UsageError("the twist parameter e must be nonzero")
         self._certificate = None        # the ClassifierReport, set by nearly_ht_test
 
@@ -289,8 +289,6 @@ def tensor(m1: SenModule, m2: SenModule) -> SenModule:
     """theta = theta_1 (x) 1 + 1 (x) theta_2 on the Kronecker product."""
     if m1.field is not m2.field:
         raise UsageError("tensor factors live over different fields")
-    if not (m1.e - m2.e).is_zero():
-        raise UsageError("tensor factors carry different twist parameters")
     d1, d2 = m1.dim, m2.dim
     zero = m1._zero()
     d = d1 * d2
@@ -303,12 +301,12 @@ def tensor(m1: SenModule, m2: SenModule) -> SenModule:
         for b in range(d2):
             for c in range(d2):
                 theta[a * d2 + b][a * d2 + c] = theta[a * d2 + b][a * d2 + c] + m2.theta[b][c]
-    return SenModule(m1.field, theta, e=m1.e)
+    return SenModule(m1.field, theta)
 
 
 def dual(m: SenModule) -> SenModule:
     theta = [[-m.theta[j][i] for j in range(m.dim)] for i in range(m.dim)]
-    return SenModule(m.field, theta, e=m.e)
+    return SenModule(m.field, theta)
 
 
 def bk_twist(m: SenModule, n: int) -> SenModule:
@@ -316,7 +314,7 @@ def bk_twist(m: SenModule, n: int) -> SenModule:
     shift = m.e * n
     theta = [[m.theta[i][j] + (shift if i == j else m._zero())
               for j in range(m.dim)] for i in range(m.dim)]
-    return SenModule(m.field, theta, e=m.e)
+    return SenModule(m.field, theta)
 
 
 def trivial_module(field: LocalField) -> SenModule:

@@ -13,9 +13,10 @@ S = PadicScalar
 
 
 def derivative_at_pi_horner(K):
-    """e = E'(pi) by Horner on the derivative polynomial: the oracle route."""
-    deriv = [sum((K.y_gen() ** j * c for j, c in enumerate(K.E[i])), K.zero()) * K.from_int(i)
-             for i in range(1, K.e_ram + 1)]
+    """e = E'(pi) by Horner on the derivative polynomial: the oracle route.
+    y^j is the basis element b_(j e_ram)."""
+    deriv = [sum((K.basis()[j * K.e_ram] * c for j, c in enumerate(K.E[i])), K.zero())
+             * K.from_int(i) for i in range(1, K.e_ram + 1)]
     acc = K.zero()
     for coeff in reversed(deriv):
         acc = acc * K.pi + coeff
@@ -159,7 +160,7 @@ class TestTraceResidue:
 
     def test_residue_of_unramified_generator(self):
         L = build_field(LocalFieldSpec(3, [1, 0, 1], [[-3], [1]], 30))
-        assert residue(L.y_gen()) == (0, 1)
+        assert residue(L.basis()[L.e_ram]) == (0, 1)
 
 
 class TestSubstitution:

@@ -38,7 +38,7 @@ def fields(name):
 def automorphism(K):
     """Images of y and u under a nontrivial automorphism of K."""
     if K.f == 2:
-        return -K.y_gen(), K.pi
+        return -K.basis()[K.e_ram], K.pi
     if K.degree == 2:
         return K.one(), -K.pi
     return K.one(), (K.one() + K.pi) ** 2 - K.one()

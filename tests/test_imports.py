@@ -1,6 +1,8 @@
 """Every top-level import of a library module is used in that module, no
-module imports an underscore name from a sibling, and every module-level def
-or class is used by a library module, exported or traced by the benchmark."""
+module imports an underscore name from a sibling, every module-level def or
+class is used by a library module, exported or traced by the benchmark,
+every public method is named in the library or the demos or traced, and
+padic.dot is the one loop that sums products."""
 
 import ast
 import importlib.util
@@ -10,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "senlab"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))
 
 
 def _unused_imports(source):
@@ -74,9 +77,23 @@ def _orphans(sources, kept):
                   and node.name not in used and (mod, node.name) not in kept)
 
 
+def _orphan_methods(sources, callers, kept):
+    """module.Class.method of every public method defined in a class of
+    `sources` whose name no source among `callers` uses and that is not
+    among the `kept` (module, "Class.method") pairs."""
+    used = set().union(*map(_names_used, callers))
+    return sorted(f"{mod}.{cls.name}.{node.name}" for mod, source in sources.items()
+                  for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_") and node.name not in used
+                  and (mod, f"{cls.name}.{node.name}") not in kept)
+
+
 def _exported_and_traced():
     """(module, name) of every export of senlab/__init__.py and of every
-    SPAN_LAYERS target of bench/tracer.py, loaded as test_bench_tracer loads it."""
+    target of bench/tracer.py, loaded as test_bench_tracer loads it: a
+    traced method counts as (module, "Class.method") and keeps its class."""
     init = ast.parse((SRC / "__init__.py").read_text())
     kept = {(node.module, alias.name) for node in init.body
             if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
@@ -84,17 +101,21 @@ def _exported_and_traced():
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    for targets in tracer.SPAN_LAYERS.values():
+    for targets in [*tracer.SPAN_LAYERS.values(), *tracer.COUNTED_LAYERS.values()]:
         for target in targets:
             module, attr = target.split(":")
-            kept.add((module.rsplit(".", 1)[-1], attr.split(".")[0]))
+            module = module.rsplit(".", 1)[-1]
+            kept.update({(module, attr.split(".")[0]), (module, attr)})
     return kept
 
 
 def test_no_library_code_that_nothing_calls():
-    # a def or class that only tests reach belongs in the tests
+    # a def, class or public method that only tests reach belongs in the tests
     sources = {path.stem: path.read_text() for path in MODULES}
-    assert _orphans(sources, _exported_and_traced()) == []
+    kept = _exported_and_traced()
+    assert _orphans(sources, kept) == []
+    callers = list(sources.values()) + [path.read_text() for path in DEMOS]
+    assert _orphan_methods(sources, callers, kept) == []
 
 
 def test_detects_code_that_nothing_calls():
@@ -103,3 +124,54 @@ def test_detects_code_that_nothing_calls():
                     "    return a.f\n"}
     assert _orphans(sources, set()) == ["a.C", "a.h", "b.k", "b.m"]
     assert _orphans(sources, {("a", "C"), ("b", "k"), ("a", "m")}) == ["a.h", "b.m"]
+
+
+def test_detects_methods_that_nothing_calls():
+    sources = {"a": "class C:\n    def f(self):\n        return self.g()\n"
+                    "    def g(self): pass\n    def h(self): pass\n    def _k(self): pass\n"
+                    "    @property\n    def size(self): pass\n"}
+    demo = "from a import C\nprint(C().size)\n"
+    assert _orphan_methods(sources, list(sources.values()), set()) == ["a.C.f", "a.C.h",
+                                                                        "a.C.size"]
+    assert _orphan_methods(sources, [sources["a"], demo], {("a", "C.h")}) == ["a.C.f"]
+
+
+def _hand_rolled_sums(source):
+    """module-relative qualified name of the function around each `x = x +
+    a * b`, x a plain name, inside a for loop: a sum of products kept by hand."""
+    found = []
+
+    def visit(node, scope, in_loop):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name], False)
+                continue
+            in_child = in_loop or isinstance(child, (ast.For, ast.AsyncFor))
+            if in_loop and isinstance(child, ast.Assign) and len(child.targets) == 1:
+                target, value = child.targets[0], child.value
+                if (isinstance(target, ast.Name) and isinstance(value, ast.BinOp)
+                        and isinstance(value.op, ast.Add) and isinstance(value.left, ast.Name)
+                        and value.left.id == target.id and isinstance(value.right, ast.BinOp)
+                        and isinstance(value.right.op, ast.Mult)):
+                    found.append(".".join(scope))
+            visit(child, scope, in_child)
+
+    visit(ast.parse(source), [], False)
+    return found
+
+
+def test_one_loop_sums_products():
+    # every sum of products goes through padic.dot, the one place to speed it up
+    found = [f"{path.stem}.{name}" for path in MODULES
+             for name in _hand_rolled_sums(path.read_text())]
+    assert found == ["padic.dot"]
+
+
+def test_detects_a_hand_rolled_sum():
+    source = ("def f(u, v):\n    acc = 0\n    for x, y in zip(u, v):\n"
+              "        acc = acc + x * y\n    return acc\n"
+              "class C:\n    def g(self, u):\n        s = 0\n        for x in u:\n"
+              "            if x:\n                s = s + (x * x) * 2\n"
+              "            s = s + x\n            t = s + x * x\n"
+              "        s = s + s * s\n        return s, t\n")
+    assert _hand_rolled_sums(source) == ["f", "C.g"]

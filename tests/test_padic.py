@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from senlab.errors import DomainError, PrecisionError, UsageError
-from senlab.field import eisenstein_field, qp_field
+from senlab.field import FieldElement, cyclotomic_field, eisenstein_field, qp_field
 from senlab.padic import PadicScalar, dot, newton_polygon, padic_exp, padic_log
 
 S = PadicScalar
@@ -78,7 +78,7 @@ class TestScalarArith:
 
 
 def _sequential_dot(u, v, zero):
-    """The sum padic.dot replaced: zero + u[0] v[0] + ..., one PadicScalar
+    """The sum padic.dot replaced: zero + u[0] v[0] + ..., one scalar
     operation at a time; the oracle for dot."""
     acc = zero
     for x, y in zip(u, v):
@@ -112,6 +112,41 @@ def _dot_case(draw):
     return draw(vec), draw(vec), S.zero(p, draw(st.integers(-5, 40)))
 
 
+@st.composite
+def _started_dot_case(draw):
+    """A _dot_case whose start is any scalar, zero to precision or not."""
+    u, v, zero = draw(_dot_case())
+    return u, v, draw(_scalar(zero.p))
+
+
+# degree -> field: Q_3(sqrt 3) and Q_3(zeta_9)
+DOT_FIELDS = {2: eisenstein_field(3, [-3, 0, 1], 20), 6: cyclotomic_field(3, 2, 20)}
+
+
+@st.composite
+def _element(draw, K):
+    """An element of K at absolute precision -3..20, zero to precision about
+    one time in four, else p^shift times a coordinate vector."""
+    prec = draw(st.integers(-3, 20))
+    if draw(st.integers(0, 3)) == 0:
+        return FieldElement(K, (), prec, prec)
+    vec = draw(st.lists(st.integers(-3 ** 12, 3 ** 12), min_size=K.degree, max_size=K.degree))
+    return FieldElement(K, vec, draw(st.integers(-4, 6)), prec)
+
+
+@st.composite
+def _field_dot_case(draw):
+    """Vectors of length 0..6 over K of degree 2 or 6: field elements on the
+    left, field elements, Q_3 scalars or ints on the right, and a zero of K."""
+    K = DOT_FIELDS[draw(st.sampled_from(sorted(DOT_FIELDS)))]
+    size = draw(st.integers(0, 6))
+    right = draw(st.sampled_from([_element(K), _scalar(3), st.integers(-100, 100)]))
+    prec = draw(st.integers(-3, 20))
+    return (draw(st.lists(_element(K), min_size=size, max_size=size)),
+            draw(st.lists(right, min_size=size, max_size=size)),
+            FieldElement(K, (), prec, prec))
+
+
 # name -> (u, v, zero)
 DOT_EDGES = {
     "zero-times-nonzero": ([S.zero(3, 4), S.one(3, 9)], [S.from_int(9, 3, 9), S.one(3, 2)],
@@ -132,6 +167,20 @@ class TestDot:
     def test_matches_sequential_sum(self, case):
         u, v, zero = case
         assert _triple(dot(u, v, zero)) == _triple(_sequential_dot(u, v, zero))
+
+    @settings(max_examples=200)
+    @given(case=_started_dot_case())
+    def test_matches_sequential_sum_from_any_start(self, case):
+        u, v, start = case
+        assert _triple(dot(u, v, start)) == _triple(_sequential_dot(u, v, start))
+
+    @settings(max_examples=200)
+    @given(case=_field_dot_case())
+    def test_field_elements_match_sequential_sum(self, case):
+        # the route every sum over K takes; a packed product must keep it
+        u, v, zero = case
+        x, y = dot(u, v, zero), _sequential_dot(u, v, zero)
+        assert (x.vec, x.shift, x.prec) == (y.vec, y.shift, y.prec)
 
     @pytest.mark.parametrize("name", sorted(DOT_EDGES))
     def test_edge_cases(self, name):
@@ -311,7 +360,7 @@ class TestNewtonPolygon:
         # char-poly-of-a-nilpotent shape: only the leading point is exact
         coeffs = [S.zero(5, 20), S.zero(5, 20), S.one(5, 20)]
         poly = newton_polygon(coeffs)
-        assert poly.total_multiplicity() == 2
+        assert sum(s.mult for s in poly.slopes) == 2
         assert poly.all_slopes_positive()
 
     def test_field_element_coefficients(self):

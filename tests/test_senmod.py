@@ -87,7 +87,8 @@ class TestCharPoly:
             acc = [[K.zero()] * M.dim for _ in range(M.dim)]
             power = linalg.identity(M.dim, K.one(), K.zero())
             for c in cp:
-                acc = linalg.mat_add(acc, linalg.mat_scale(power, c))
+                acc = [[x + y for x, y in zip(ra, rb)]
+                       for ra, rb in zip(acc, linalg.mat_scale(power, c))]
                 power = linalg.mat_mul(power, M.matrix(), K.zero())
             assert all(x.is_zero() for row in acc for x in row)
 
