@@ -194,12 +194,12 @@ def dp_compose(f: DPSeries, phi: DPSeries) -> DPSeries:
     trunc = min(f.trunc, phi.trunc)
     valid = min(f.valid_to, phi.valid_to)
     K = f.field
-    out = [f.coeffs[0]] + [K.zero()] * trunc
-    gamma = DPSeries.one(K, trunc, e=f.e)
+    gammas = [DPSeries.one(K, trunc, e=f.e)]
     for n in range(1, trunc + 1):
-        gamma = DPSeries(K, [c / n for c in dp_mul(gamma, phi).coeffs], e=f.e)
-        for m in range(n, trunc + 1):
-            out[m] = out[m] + f.coeffs[n] * gamma.coeffs[m]
+        gammas.append(DPSeries(K, [c / n for c in dp_mul(gammas[-1], phi).coeffs], e=f.e))
+    # gamma_n has no term below a^n, so coefficient m sums over n = 1..m
+    out = [dot(f.coeffs[1:m + 1], [g.coeffs[m] for g in gammas[1:m + 1]],
+               K.zero() if m else f.coeffs[0]) for m in range(trunc + 1)]
     return DPSeries(K, out, e=f.e, valid_to=valid)
 
 

@@ -137,7 +137,7 @@ class LocalField:
         p = self.p
 
         def is_one(c):
-            return c.val == 0 and (c - PadicScalar.one(p, c.prec)).is_zero()
+            return c.valuation() == 0 and (c - PadicScalar.one(p, c.prec)).is_zero()
 
         if self.f < 1 or self.e_ram < 1:
             raise UsageError("both defining polynomials need positive degree")
@@ -157,15 +157,15 @@ class LocalField:
         for i, coeff in enumerate(self.E[:-1]):
             for c in coeff:
                 if c.val_bound() < 1:
-                    if c.val is not None:
+                    if not c.is_zero():
                         raise DomainError(
                             "coefficient at u-degree %d has v_U < 1; not Eisenstein" % i)
                     raise PrecisionError(
                         "cannot certify the Eisenstein condition at u-degree %d; "
                         "raise the working precision" % i)
         E0 = self.E[0]
-        if all(c.val != 1 for c in E0):     # every v_p(c) >= 1 by now
-            if all(c.val_bound() >= 2 for c in E0) and any(c.val is not None for c in E0):
+        if all(c.valuation() != 1 for c in E0):     # every v_p(c) >= 1 by now
+            if all(c.val_bound() >= 2 for c in E0) and not all(c.is_zero() for c in E0):
                 raise DomainError("constant coefficient has v_U >= 2; not Eisenstein")
             raise PrecisionError("cannot certify v_U of the constant coefficient; "
                                  "raise the working precision")
@@ -283,16 +283,13 @@ class LocalField:
             if not isinstance(c, PadicScalar) or c.p != self.p:
                 raise UsageError(f"grid entry {c!r} is not a scalar over p = {self.p}")
         prec = min(c.prec for c in coords)
-        vals = [c.val if c.val is not None and c.val < prec else None for c in coords]
-        shift = min([v for v in vals if v is not None], default=prec)
-        vec = [0 if v is None else c.unit * self.p ** (v - shift)
-               for c, v in zip(coords, vals)]
-        return FieldElement(self, vec, shift, prec)
+        shift = min([prec] + [c.val for c in coords])
+        # an entry of valuation >= prec vanishes modulo p^(prec - shift)
+        return FieldElement(self, [c.unit * self.p ** (c.val - shift) for c in coords],
+                            shift, prec)
 
     def from_scalar(self, s):
         s = _as_scalar(s, self.p, self.prec)
-        if s.val is None:
-            return FieldElement(self, (), s.prec, s.prec)
         return FieldElement(self, [s.unit] + [0] * (self.degree - 1), s.val, s.prec)
 
     def from_int(self, n):
@@ -408,12 +405,9 @@ class FieldElement:
         s = _as_scalar(s, K.p, K.prec)
         e, vx = K.e_ram, self._v()
         if not divide:
-            vs = s.prec if s.val is None else s.val
-            prec = min(e * (self.prec + vs), e * s.prec + vx) // e
-            if s.val is None:
-                return FieldElement(K, self.vec, prec, prec)
+            prec = min(e * (self.prec + s.val), e * s.prec + vx) // e
             return FieldElement(K, [c * s.unit for c in self.vec], self.shift + s.val, prec)
-        if s.val is None:
+        if s.is_zero():
             raise PrecisionError("division by a scalar that is zero to precision %d" % s.prec)
         prec = min(e * (self.prec - s.val), e * (s.prec - 2 * s.val) + vx) // e
         shift = self.shift - s.val
@@ -535,7 +529,6 @@ class FieldEmbedding:
         if src.p != dst.p:
             raise UsageError("embeddings require the same residue characteristic")
         self.src, self.dst = src, dst
-        self.y_image, self.u_image = y_image, u_image
         for img in (y_image, u_image):
             if img.val_bound() < 0:
                 raise DomainError("substitution images must be integral")
@@ -551,18 +544,19 @@ class FieldEmbedding:
             raise DomainError(
                 "image of u violates the Eisenstein relation; residual valuation >= %s"
                 % e_res.val_bound())
+        # the images of the basis y^j u^i, in basis order t = j * e_ram + i
+        y_pows, u_pows = [dst.one()], [dst.one()]
+        for _ in range(src.f - 1):
+            y_pows.append(y_pows[-1] * y_image)
+        for _ in range(src.e_ram - 1):
+            u_pows.append(u_pows[-1] * u_image)
+        e = src.e_ram
+        self._images = [y_pows[t // e] * u_pows[t % e] for t in range(src.degree)]
 
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.field is not self.src:
             raise UsageError("element does not belong to the embedding's source")
-        y_pows, u_pows = [self.dst.one()], [self.dst.one()]
-        for _ in range(self.src.f - 1):
-            y_pows.append(y_pows[-1] * self.y_image)
-        for _ in range(self.src.e_ram - 1):
-            u_pows.append(u_pows[-1] * self.u_image)
-        e = self.src.e_ram
-        return dot([y_pows[t // e] * u_pows[t % e] for t in range(self.src.degree)],
-                   x.coordinates(), self.dst.zero())
+        return dot(self._images, x.coordinates(), self.dst.zero())
 
 
 def _eval_scalar_poly(coeffs, at, dst):

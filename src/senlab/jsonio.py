@@ -46,7 +46,7 @@ def decode_fraction(obj, path="fraction"):
 # -- scalars --------------------------------------------------------------------
 
 def encode_scalar(x: PadicScalar):
-    return {"p": x.p, "val": x.val, "unit": str(x.unit), "prec": x.prec}
+    return {"p": x.p, "val": x.valuation(), "unit": str(x.unit), "prec": x.prec}
 
 
 def decode_scalar(obj, path="scalar", p=None, prec=None):
@@ -65,13 +65,12 @@ def decode_scalar(obj, path="scalar", p=None, prec=None):
         pr = _as_int(obj["prec"], path + ".prec") if "prec" in obj else prec
         if pr is None:
             raise UsageError(f"{path}.prec: missing precision")
-        val = obj.get("val")
         unit = _as_int(obj.get("unit", 0), path + ".unit")
     except KeyError as err:
         raise UsageError(f"{path}: missing key {err}") from None
-    if val is None:
+    if obj.get("val") is None:
         return PadicScalar.zero(pp, pr)
-    val = _as_int(val, path + ".val")
+    val = _as_int(obj["val"], path + ".val")
     if unit % pp == 0:
         raise UsageError(f"{path}.unit: unit part is divisible by p")
     if val >= pr:

@@ -132,9 +132,8 @@ def _padic_rows(mat, augment):
         entries = row + augment[i] if augment is not None else row
         if any(not isinstance(x, PadicScalar) or x.p != p for x in entries):
             raise UsageError("entries must be PadicScalars over one prime")
-        s = min(x.prec if x.val is None else x.val for x in entries)
-        c = [0 if x.val is None else p ** (x.val - s) * x.unit % p ** (x.prec - s)
-             for x in entries]
+        s = min(x.val for x in entries)
+        c = [p ** (x.val - s) * x.unit % p ** (x.prec - s) if x.unit else 0 for x in entries]
         rows.append(_primitive(p, c, s, [x.prec for x in entries]))
     return p, rows, max(max(q) for _, _, q in rows)
 

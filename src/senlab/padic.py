@@ -1,9 +1,11 @@
 """Exact arithmetic in Q_p at finite absolute precision.
 
-A scalar is either known-nonzero, stored as p^val * unit with the unit part
-kept modulo p^(prec - val), or zero-to-precision, meaning the element is 0
-modulo p^prec and nothing more is known.  All arithmetic propagates the
-largest absolute precision the operands justify:
+A scalar is p^val * unit with the unit part kept modulo p^(prec - val).  A
+known-nonzero scalar has val < prec and a unit prime to p; a scalar zero to
+precision, meaning the element is 0 modulo p^prec and nothing more is known,
+stores val = prec and unit = 0, as a FieldElement stores shift = prec.  All
+arithmetic propagates the largest absolute precision the operands justify,
+and each rule reads v = prec for a zero:
 
     add/sub : min(N_x, N_y)
     mul     : min(N_x + v(y), N_y + v(x))
@@ -106,7 +108,7 @@ class PadicScalar:
 
     def __init__(self, p, val, unit, prec):
         self.p = p
-        self.val = val          # None for zero-to-precision
+        self.val = val          # prec for zero-to-precision: a lower bound
         self.unit = unit        # 0 for zero-to-precision
         self.prec = prec
 
@@ -114,7 +116,7 @@ class PadicScalar:
 
     @classmethod
     def zero(cls, p: int, prec: int = DEFAULT_PRECISION) -> "PadicScalar":
-        return cls(p, None, 0, prec)
+        return cls(p, prec, 0, prec)
 
     @classmethod
     def one(cls, p: int, prec: int = DEFAULT_PRECISION) -> "PadicScalar":
@@ -153,28 +155,26 @@ class PadicScalar:
 
     def is_zero(self) -> bool:
         """Zero to the stored precision."""
-        return self.val is None
+        return not self.unit
 
     def valuation(self):
         """Exact valuation, or None when only the bound >= prec is known."""
-        return self.val
+        return self.val if self.unit else None
 
     def val_bound(self) -> int:
         """Exact valuation for known-nonzero, else the lower bound prec."""
-        return self.prec if self.val is None else self.val
+        return self.val
 
     def pivot_val(self):
         """(is_exact, value) pair used by valuation-pivoted elimination."""
-        if self.val is None:
-            return (False, Fraction(self.prec))
-        return (True, Fraction(self.val))
+        return (bool(self.unit), Fraction(self.val))
 
     def rel_prec(self) -> int:
-        return self.prec if self.val is None else self.prec - self.val
+        return self.prec - self.val if self.unit else self.prec
 
     def lift(self) -> int:
         """Canonical integer representative modulo p^prec (val >= 0 only)."""
-        if self.val is None:
+        if not self.unit:
             return 0
         if self.val < 0:
             raise ValueError("lift of a non-integral scalar")
@@ -182,11 +182,7 @@ class PadicScalar:
 
     def residue(self) -> int:
         """Image in F_p; requires val >= 0 and one known digit."""
-        if self.val is None:
-            if self.prec < 1:
-                raise PrecisionError("no digit available for residue")
-            return 0
-        if self.val < 0:
+        if self.unit and self.val < 0:
             raise DomainError("residue of an element of negative valuation")
         if self.prec < 1:
             raise PrecisionError("no digit available for residue")
@@ -194,7 +190,7 @@ class PadicScalar:
 
     def truncated(self, prec: int) -> "PadicScalar":
         prec = min(prec, self.prec)
-        if self.val is None or self.val >= prec:
+        if self.val >= prec:
             return PadicScalar.zero(self.p, prec)
         return PadicScalar(self.p, self.val, self.unit % self.p ** (prec - self.val), prec)
 
@@ -205,10 +201,8 @@ class PadicScalar:
             raise UsageError("cannot mix scalars over different primes")
 
     def __neg__(self):
-        if self.val is None:
-            return self
-        rel = self.prec - self.val
-        return PadicScalar(self.p, self.val, (-self.unit) % self.p ** rel, self.prec)
+        return PadicScalar(self.p, self.val, -self.unit % self.p ** (self.prec - self.val),
+                           self.prec)
 
     def __add__(self, other):
         if not isinstance(other, PadicScalar):
@@ -218,7 +212,7 @@ class PadicScalar:
         self._check_same_p(other)
         p = self.p
         n = min(self.prec, other.prec)
-        known = [t for t in (self, other) if t.val is not None and t.val < n]
+        known = [t for t in (self, other) if t.val < n]
         if not known:
             return PadicScalar.zero(p, n)
         m = min(t.val for t in known)
@@ -243,14 +237,10 @@ class PadicScalar:
                 return NotImplemented
             other = PadicScalar.from_int(other, self.p, self.prec)
         self._check_same_p(other)
-        if self.val is None and other.val is None:
-            return PadicScalar.zero(self.p, self.prec + other.prec)
-        if self.val is None:
-            return PadicScalar.zero(self.p, self.prec + other.val)
-        if other.val is None:
-            return PadicScalar.zero(self.p, other.prec + self.val)
         v = self.val + other.val
         rel = min(self.prec - self.val, other.prec - other.val)
+        if not rel:             # a zero operand: the product is O(p^v)
+            return PadicScalar.zero(self.p, v)
         unit = self.unit * other.unit % self.p ** rel
         return PadicScalar(self.p, v, unit, v + rel)
 
@@ -263,13 +253,13 @@ class PadicScalar:
                 return NotImplemented
             other = PadicScalar.from_int(other, self.p, self.prec)
         self._check_same_p(other)
-        if other.val is None:
+        if not other.unit:
             raise PrecisionError(
                 "division by a scalar that is zero to precision %d" % other.prec)
-        if self.val is None:
-            return PadicScalar.zero(self.p, self.prec - other.val)
         v = self.val - other.val
         rel = min(self.prec - self.val, other.prec - other.val)
+        if not rel:             # a zero numerator: the quotient is O(p^v)
+            return PadicScalar.zero(self.p, v)
         unit = self.unit * pow(other.unit, -1, self.p ** rel) % self.p ** rel
         return PadicScalar(self.p, v, unit, v + rel)
 
@@ -292,7 +282,7 @@ class PadicScalar:
     __hash__ = None
 
     def __repr__(self):
-        if self.val is None:
+        if not self.unit:
             return f"O({self.p}^{self.prec})"
         return f"{self.p}^{self.val}*{self.unit} + O({self.p}^{self.prec})"
 
@@ -320,17 +310,13 @@ def dot(u, v, start):
             acc = acc + x * y
         return acc
     p, n = start.p, start.prec
-    terms = [] if start.val is None else [(start.val, start.unit)]
+    terms = [(start.val, start.unit)] if start.unit else []
     for x, y in zip(u, v):
         if x.p != p or y.p != p:
             raise UsageError("cannot mix scalars over different primes")
-        if x.val is None:
-            q = x.prec + (y.prec if y.val is None else y.val)
-        elif y.val is None:
-            q = y.prec + x.val
-        else:
-            t = x.val + y.val
-            q = t + min(x.prec - x.val, y.prec - y.val)
+        q = t = x.val + y.val
+        if x.unit and y.unit:   # else the product is O(p^t) and adds no term
+            q += min(x.prec - x.val, y.prec - y.val)
             terms.append((t, x.unit * y.unit))
         if q < n:
             n = q

@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import ConvergenceError, DomainError, PrecisionError, UsageError
 from .field import LocalField
-from .padic import PadicScalar, exp_domain_threshold, newton_polygon, sum_series
+from .padic import PadicScalar, dot, exp_domain_threshold, newton_polygon, sum_series
 
 
 class SenModule:
@@ -159,8 +159,9 @@ def char_poly_of_twist_via_resultant(M: SenModule):
         g[1] = g[1] + e_pow
         g[p] = g[p] - K.one()
         samples.append(_resultant(f, g, K))
-    # interpolate sum_j det_j * L_j(T) with rational Lagrange weights
-    coeffs = [K.zero() for _ in range(d + 1)]
+    # interpolate sum_j det_j * L_j(T): weights[j][i] is the T^i coefficient
+    # of the rational Lagrange basis polynomial L_j
+    weights = []
     for j, t_j in enumerate(nodes):
         basis = [Fraction(1)]
         denom = Fraction(1)
@@ -169,10 +170,9 @@ def char_poly_of_twist_via_resultant(M: SenModule):
                 continue
             basis = _poly_shift_mul(basis, -t_l)
             denom *= Fraction(t_j - t_l)
-        for i, w in enumerate(basis):
-            coeffs[i] = coeffs[i] + samples[j] * K.from_scalar(
-                PadicScalar.from_fraction(w / denom, K.p, K.prec))
-    return coeffs
+        weights.append([K.from_scalar(PadicScalar.from_fraction(w / denom, K.p, K.prec))
+                        for w in basis])
+    return [dot(samples, [row[i] for row in weights], K.zero()) for i in range(d + 1)]
 
 
 def _poly_shift_mul(poly, root):

@@ -102,7 +102,7 @@ class GridElement:
         exact_min, bound_min = None, Fraction(10 ** 9)
         for t, c in enumerate(self.coordinates()):
             shift = Fraction(t % e, e)
-            if c.val is None:
+            if c.is_zero():
                 bound_min = min(bound_min, c.prec + shift)
             else:
                 v = c.val + shift

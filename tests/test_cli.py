@@ -254,6 +254,18 @@ class TestExitCodes:
         assert code == 5
         assert rep["error"]["kind"] == "ConvergenceError"
 
+    @pytest.mark.parametrize("eis, prec, code", [
+        ([["0"], ["0"], ["1"]], 1, 4), ([["9"], ["3"], ["1"]], 1, 4),
+        ([["3"], ["0"], ["1"]], 1, 4), ([["-3"], ["0"], ["1"]], 2, 0)])
+    def test_eisenstein_condition_at_low_precision(self, capsys, tmp_path, eis, prec, code):
+        # at precision 1 no lower coefficient has a known digit: exit 4
+        spec = tmp_path / "low.json"
+        spec.write_text(json.dumps(dict(FIELD_SPEC, prec=prec, eisenstein_poly=eis)))
+        got, rep = run_cli(capsys, "field", "build", "--spec", str(spec))
+        assert got == code
+        if code:
+            assert rep["error"]["kind"] == "PrecisionError"
+
     @pytest.mark.parametrize("p", [0, 1, 4, 9])
     def test_non_prime_p_is_2(self, capsys, tmp_path, p):
         spec = tmp_path / "bad.json"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from senlab.errors import DomainError, UsageError
+from senlab.errors import DomainError, PrecisionError, UsageError
 from senlab.field import (FieldEmbedding, LocalFieldSpec, build_field,
                           cyclotomic_field, eisenstein_field, qp_field, residue,
                           scalar_embedding, trace_to_Qp, valuation)
@@ -63,6 +63,18 @@ class TestBuild:
             build_field(LocalFieldSpec(3, [-1, 1], [[-9], [0], [1]], 30))
         with pytest.raises(DomainError):
             build_field(LocalFieldSpec(3, [-1, 1], [[-1], [0], [1]], 30))
+
+    @pytest.mark.parametrize("eis", [[0, 0, 1], [9, 3, 1], [3, 0, 1]],
+                             ids=["u^2", "u^2+3u+9", "u^2+3"])
+    def test_eisenstein_condition_uncertified_at_precision_one(self, eis):
+        # modulo 3 every lower coefficient is zero to precision 1: v(E_0) = 1
+        # is not certified, although a zero's stored bound reads 1
+        with pytest.raises(PrecisionError):
+            build_field(LocalFieldSpec(3, [-1, 1], [[c] for c in eis], 1))
+
+    def test_eisenstein_condition_certified_at_precision_two(self):
+        K = build_field(LocalFieldSpec(3, [-1, 1], [[-3], [0], [1]], 2))
+        assert K.degree == 2 and K.pi.valuation() == Fraction(1, 2)
 
     def test_non_monic_rejected(self):
         with pytest.raises(UsageError):

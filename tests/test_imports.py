@@ -1,8 +1,9 @@
 """Every top-level import of a library module is used in that module, no
 module imports an underscore name from a sibling, every module-level def or
 class is used by a library module, exported or traced by the benchmark,
-every public method is named in the library or the demos or traced, and
-padic.dot is the one loop that sums products."""
+every public method is named in the library or the demos or traced,
+padic.dot is the one loop that sums products, and no module tests a
+scalar's `.val` against None (a zero to precision stores val = prec)."""
 
 import ast
 import importlib.util
@@ -138,7 +139,8 @@ def test_detects_methods_that_nothing_calls():
 
 def _hand_rolled_sums(source):
     """module-relative qualified name of the function around each `x = x +
-    a * b`, x a plain name, inside a for loop: a sum of products kept by hand."""
+    a * b`, x a plain name or a subscript such as `out[m]`, inside a for loop:
+    a sum of products kept by hand."""
     found = []
 
     def visit(node, scope, in_loop):
@@ -149,9 +151,10 @@ def _hand_rolled_sums(source):
             in_child = in_loop or isinstance(child, (ast.For, ast.AsyncFor))
             if in_loop and isinstance(child, ast.Assign) and len(child.targets) == 1:
                 target, value = child.targets[0], child.value
-                if (isinstance(target, ast.Name) and isinstance(value, ast.BinOp)
-                        and isinstance(value.op, ast.Add) and isinstance(value.left, ast.Name)
-                        and value.left.id == target.id and isinstance(value.right, ast.BinOp)
+                if (isinstance(target, (ast.Name, ast.Subscript))
+                        and isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add)
+                        and ast.unparse(value.left) == ast.unparse(target)
+                        and isinstance(value.right, ast.BinOp)
                         and isinstance(value.right.op, ast.Mult)):
                     found.append(".".join(scope))
             visit(child, scope, in_child)
@@ -173,5 +176,36 @@ def test_detects_a_hand_rolled_sum():
               "class C:\n    def g(self, u):\n        s = 0\n        for x in u:\n"
               "            if x:\n                s = s + (x * x) * 2\n"
               "            s = s + x\n            t = s + x * x\n"
-              "        s = s + s * s\n        return s, t\n")
-    assert _hand_rolled_sums(source) == ["f", "C.g"]
+              "        s = s + s * s\n        return s, t\n"
+              "def h(u, v):\n    out = [0, 0]\n    for i, x in enumerate(u):\n"
+              "        out[i] = out[i] + x * v[i]\n        out[0] = out[1] + x * x\n"
+              "    return out\n")
+    assert _hand_rolled_sums(source) == ["f", "C.g", "h"]
+
+
+def _val_none_tests(source):
+    """Line of every comparison of an attribute `.val` with None."""
+    def is_val(node):
+        return isinstance(node, ast.Attribute) and node.attr == "val"
+
+    def is_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(is_val(a) and is_none(b) or is_none(a) and is_val(b)
+                    for a, b in zip([node.left] + node.comparators[:-1], node.comparators)))
+
+
+def test_no_val_none_tests():
+    # a zero to precision stores val = prec: is_zero() and valuation() tell it apart
+    found = [f"{path.stem}:{line}" for path in MODULES
+             for line in _val_none_tests(path.read_text())]
+    assert found == []
+
+
+def test_detects_a_val_none_test():
+    source = ("def f(x, y, val):\n    if x.val is None or None != y.val:\n        return 0\n"
+              "    if val is None or x.valuation() is None:\n        return 1\n"
+              "    return x.val == 0 or x.val <= y.val is not None\n")
+    assert _val_none_tests(source) == [2, 2, 6]

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -188,7 +189,8 @@ class TestDot:
         assert _triple(dot(u, v, zero)) == _triple(_sequential_dot(u, v, zero))
 
     def test_cancellation_leaves_zero_to_precision(self):
-        assert _triple(dot(*DOT_EDGES["cancellation"])) == (None, 0, 12)
+        x = dot(*DOT_EDGES["cancellation"])
+        assert x.is_zero() and x.prec == 12 and x.valuation() is None
 
     def test_mixed_primes_rejected(self):
         # as the sequential sum does, through PadicScalar.__mul__
@@ -196,6 +198,139 @@ class TestDot:
                            ([S.zero(5, 10)], [S.one(5, 10)], S.zero(3, 10))):
             with pytest.raises(UsageError):
                 dot(u, v, zero)
+
+
+def _exact(x):
+    """The exact rational p^v * unit that x stores, 0 for a zero; read through
+    is_zero(), valuation() and unit only."""
+    return Fraction(0) if x.is_zero() else Fraction(x.p) ** x.valuation() * x.unit
+
+
+def _v(x):
+    """v(x) as the precision rules read it: the bound prec for a zero."""
+    return x.prec if x.is_zero() else x.valuation()
+
+
+def _vp(q, p):
+    """Valuation of a rational, +infinity for 0."""
+    if q == 0:
+        return float("inf")
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def _is_ball(x, value, prec, p):
+    """x is value + O(p^prec): it has precision prec, it is zero exactly when
+    value vanishes modulo p^prec, and otherwise it has value's valuation and a
+    reduced unit that agrees with value modulo p^prec."""
+    assert x.prec == prec
+    if _vp(value, p) >= prec:
+        assert x.is_zero() and x.valuation() is None and x.unit == 0
+        return
+    v = x.valuation()
+    assert not x.is_zero() and v == _vp(value, p)
+    assert 0 < x.unit < p ** (prec - v) and x.unit % p
+    assert _vp(Fraction(p) ** v * x.unit - value, p) >= prec
+
+
+@st.composite
+def _ball(draw, p, zero):
+    """A scalar at precision -5..40 from the public constructors: zero to
+    precision, or p^val * unit with val in -6..8 below the precision."""
+    prec = draw(st.integers(-5, 40))
+    if zero:
+        return S.zero(p, prec)
+    val = draw(st.integers(-6, min(8, prec - 1)))
+    unit = draw(st.integers(0, p ** 40)) * p + draw(st.integers(1, p - 1))
+    return S.from_fraction(Fraction(p) ** val * unit, p, prec)
+
+
+@st.composite
+def _zero_pair(draw):
+    """Two scalars over p = 2, 3 or 5, one or both zero to precision."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    zx, zy = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    return draw(_ball(p, zx)), draw(_ball(p, zy))
+
+
+# e -> field: Q_3 and Q_3(sqrt 3)
+ORACLE_FIELDS = {1: qp_field(3, 20), 2: eisenstein_field(3, [-3, 0, 1], 20)}
+
+
+@st.composite
+def _zero_field_pair(draw):
+    """An element of Q_3 or Q_3(sqrt 3) and a Q_3 scalar, one or both zero to
+    precision."""
+    K = ORACLE_FIELDS[draw(st.sampled_from(sorted(ORACLE_FIELDS)))]
+    zx, zs = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    prec = draw(st.integers(-3, 20))
+    if zx:
+        x = FieldElement(K, (), prec, prec)
+    else:
+        vec = draw(st.lists(st.integers(-3 ** 12, 3 ** 12), min_size=K.degree,
+                            max_size=K.degree).filter(any))
+        x = FieldElement(K, vec, draw(st.integers(-4, min(6, prec - 1))), prec)
+    return x, draw(_ball(3, zs))
+
+
+class TestZeroOracle:
+    """Arithmetic with zeros to precision against the precision rules of
+    senlab.padic, evaluated with v = prec for a zero, and against exact
+    rational values."""
+
+    @settings(max_examples=300)
+    @given(pair=_zero_pair())
+    def test_add_sub_mul(self, pair):
+        x, y = pair
+        p, a, b = x.p, _exact(x), _exact(y)
+        _is_ball(x + y, a + b, min(x.prec, y.prec), p)
+        _is_ball(x - y, a - b, min(x.prec, y.prec), p)
+        _is_ball(x * y, a * b, min(x.prec + _v(y), y.prec + _v(x)), p)
+
+    @settings(max_examples=300)
+    @given(pair=_zero_pair())
+    def test_div(self, pair):
+        x, y = pair
+        if y.is_zero():
+            with pytest.raises(PrecisionError):
+                x / y
+            return
+        vy = _v(y)
+        _is_ball(x / y, _exact(x) / _exact(y),
+                 min(x.prec - vy, y.prec + _v(x) - 2 * vy), x.p)
+
+    @settings(max_examples=200)
+    @given(pair=_zero_pair(), prec=st.integers(-5, 40))
+    def test_neg_and_truncated(self, pair, prec):
+        for x in pair:
+            _is_ball(-x, -_exact(x), x.prec, x.p)
+            _is_ball(x.truncated(prec), _exact(x), min(prec, x.prec), x.p)
+
+    @settings(max_examples=300)
+    @given(pair=_zero_field_pair())
+    def test_field_element_times_and_over_scalar(self, pair):
+        # coordinates in the basis u^i scale by s; the precision is floor of
+        # the scalar rule with the Fraction valuation of the element
+        x, s = pair
+        vx = x.prec if x.is_zero() else x.valuation()
+        cases = [(x * s, _exact(s), min(x.prec + _v(s), s.prec + vx))]
+        if s.is_zero():
+            with pytest.raises(PrecisionError):
+                x / s
+        else:
+            vs = _v(s)
+            cases.append((x / s, 1 / _exact(s), min(x.prec - vs, s.prec + vx - 2 * vs)))
+        for got, factor, prec in cases:
+            prec = math.floor(prec)
+            assert got.prec == prec
+            want = [_exact(c) * factor for c in x.coordinates()]
+            assert got.is_zero() == all(_vp(w, 3) >= prec for w in want)
+            for c, w in zip(got.coordinates(), want):
+                _is_ball(c, w, prec, 3)
 
 
 class TestExpLog:

@@ -54,7 +54,7 @@ def systems(draw):
 
 def lift(x, k=0):
     """A rational that x represents: its stored digits plus k p^N."""
-    return (Fraction(0) if x.val is None else Fraction(x.p) ** x.val * x.unit) \
+    return (Fraction(0) if x.is_zero() else Fraction(x.p) ** x.val * x.unit) \
         + k * Fraction(x.p) ** x.prec
 
 
