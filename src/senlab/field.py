@@ -13,9 +13,11 @@ first u-degree holding a coordinate prime to p.
 Each field precomputes the reduction table y^j u^i mod (g, E) for
 j < 2f - 1, i < 2 e_ram - 1 and the trace form Tr(b_t) read off it.  A
 product is one Kronecker-packed big-integer multiplication and a table
-reduction, a trace is a dot product with the trace form, and an inverse is
-a Newton iteration from the residue-field inverse.  Precision follows the
-scalar rules with field valuations, rounded down to an integer:
+reduction, a sum of products (padic.dot over K) is one big-integer sum of
+packed products and one table reduction, a trace is a dot product with the
+trace form, and an inverse is a Newton iteration from the residue-field
+inverse.  Precision follows the scalar rules with field valuations, rounded
+down to an integer:
 
     add/sub : min(N_x, N_y)
     mul     : min(N_x + v(y), N_y + v(x))
@@ -199,30 +201,106 @@ class LocalField:
                 rows[j, i] = [-sum(c * rows[jj, ii][t] for c, jj, ii in terms) % mod
                               for t in range(d)]
         span = 2 * e - 1
-        table = [rows[j, i] for j in range(2 * f - 1) for i in range(span)]
+        self._table = table = [rows[j, i] for j in range(2 * f - 1) for i in range(span)]
         self._trace_form = [
             sum(table[(t // e + s // e) * span + t % e + s % e][s] for s in range(d)) % mod
             for t in range(d)]
         # Kronecker layout: b_t sits in slot j * span + i of a packed integer
         self._slots = [(t // e) * span + t % e for t in range(d)]
+        self._table_mod = mod
         self._width = w = (len(table) * d * mod * mod).bit_length()
-        self._packed = [sum(c << (w * t) for t, c in enumerate(row)) for row in table]
+        self._shifts = [w * s for s in self._slots]  # bit offsets of the slots
+        self._packed = {}                            # slot width -> packed table rows
 
-    def _mul_vec(self, a, b, m):
-        """Product of two integral coordinate vectors modulo m <= p^(M + e_ram)."""
+    def _reduce(self, total, w, m):
+        """Coordinates modulo m of the element whose Kronecker slots, w bits
+        wide, hold the nonnegative integers of `total`; w must also hold
+        len(table) * m * p^(M + e_ram), the widest slot of the reduction."""
         if self.degree == 1:
-            return [a[0] * b[0] % m]
-        w, slots = self._width, self._slots
-        prod = sum((x % m) << (w * s) for s, x in zip(slots, a)) * \
-            sum((y % m) << (w * s) for s, y in zip(slots, b))
+            return [total % m]
+        rows = self._packed.get(w)
+        if rows is None:
+            rows = self._packed[w] = [sum(c << (w * t) for t, c in enumerate(row))
+                                      for row in self._table]
         mask = (1 << w) - 1
         acc = 0
-        for row in self._packed:
-            c = prod & mask
+        for row in rows:
+            c = total & mask
             if c:
                 acc += (c % m) * row
-            prod >>= w
+            total >>= w
         return [(acc >> (w * t) & mask) % m for t in range(self.degree)]
+
+    def _mul_vec(self, a, b, m):
+        """Product of two integral coordinate vectors modulo m <= p^(M + e_ram):
+        the one-term case of `dot`'s packed sum, at the table's own width."""
+        shifts = self._shifts
+        return self._reduce(_pack([x % m for x in a], shifts) * _pack([y % m for y in b], shifts),
+                            self._width, m)
+
+    def dot(self, u, v, start):
+        """padic.dot over K: start + u[0] v[0] + u[1] v[1] + ..., start an
+        element of K and each factor an element of K, a scalar over p or an
+        int, with the (vec, shift, prec) of that sequential sum.
+
+        Each product has the shift t and precision q that __mul__ gives it
+        (_scaled's, for a scalar factor; a zero factor makes t >= q); n is the
+        least q and start.prec.  The products and start of shift t < n, m the
+        least t, are one integer sum of p^(t - m) packed(a) packed(b) in the
+        Kronecker slots, with the slots widened for the number of terms, and
+        that sum is reduced once through the table modulo p^(n - m).  Each
+        sequential product is the same table reduction modulo p^(q - t), and
+        an element is canonical for its value modulo p^prec, so the result
+        is the sequential sum's.
+        """
+        p, e, d = self.p, self.e_ram, self.degree
+        n = start.prec
+        terms = [(start.shift, start.prec, start.vec, 1)]    # (t, bound, a, b)
+        for x, y in zip(u, v):
+            if type(x) is not FieldElement:
+                if type(y) is not FieldElement:   # two scalars: the sum adds their product
+                    z = self.from_scalar(x * y)
+                    n = min(n, z.prec)
+                    terms.append((z.shift, z.prec, z.vec, 1))
+                    continue
+                x, y = y, x
+            if x.field is not self:
+                raise UsageError("cannot mix elements of different fields")
+            if type(y) is FieldElement:
+                if y.field is not self:
+                    raise UsageError("cannot mix elements of different fields")
+                q = min(e * x.prec + y._v(), e * y.prec + x._v()) // e
+                t = x.shift + y.shift
+                if d > 1 and q > t + self.table_prec:
+                    q = t + self.table_prec
+                if t < q:
+                    terms.append((t, x.prec + y.prec, x.vec, y.vec))
+            else:
+                s = _as_scalar(y, p, self.prec)
+                q = min(e * (x.prec + s.val), e * s.prec + x._v()) // e
+                t = x.shift + s.val
+                if t < q:
+                    terms.append((t, x.prec - x.shift + q, x.vec, s.unit % p ** (q - t)))
+            if q < n:
+                n = q
+        terms = [term for term in terms if term[0] < n]
+        if not terms:
+            return FieldElement(self, (), n, n)
+        m = min(term[0] for term in terms)
+        # term k adds below d p^(bound_k - m) to a slot, and a slot of the
+        # reduction holds below len(table) p^(n - m) p^(M + e_ram); a width
+        # past the table's own is rounded up to 64 bits, so few are packed
+        modulus = p ** (n - m)
+        need = max((len(terms) * d * p ** (max(term[1] for term in terms) - m)).bit_length(),
+                   (len(self._table) * modulus * self._table_mod).bit_length())
+        w = self._width if need <= self._width else -(-need // 64) * 64
+        shifts = [w * s for s in self._slots]
+        total = 0
+        for t, _, a, b in terms:
+            if type(b) is tuple:
+                b = _pack(b, shifts)
+            total += p ** (t - m) * _pack(a, shifts) * b
+        return FieldElement(self, self._reduce(total, w, modulus), m, n)
 
     def _unit_inverse(self, w, prec):
         """Inverse of a unit vector modulo p^prec: w^(q-2) inverts it modulo pi,
@@ -294,6 +372,15 @@ class LocalField:
 
     def from_int(self, n):
         return self.from_scalar(n)
+
+
+def _pack(vec, shifts):
+    """The nonnegative coordinates vec in the Kronecker slots at bit offsets
+    `shifts`."""
+    packed = 0
+    for c, k in zip(vec, shifts):
+        packed |= c << k
+    return packed
 
 
 def build_field(spec: LocalFieldSpec) -> LocalField:

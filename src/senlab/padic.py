@@ -14,12 +14,13 @@ and each rule reads v = prec for a zero:
 Valuations are normalized by v(p) = 1.  The module also provides the one
 square-and-multiply `power` (for scalars, field elements, coordinate
 vectors, F_p polynomials and matrices), the one sum of products `dot` for
-every scalar kind (over Q_p one integer sum, reduced once; over K, or on
-any other scalar, the sequential sum), the one series summation helper
-`sum_series`, the p-adic exponential and logarithm (with their convergence
-balls) and Newton polygons with slopes reported as root valuations; a left
-end whose coefficients are zero to precision is reported as one slope entry
-with a lower bound.
+every scalar kind (over Q_p one integer sum, reduced once; over K one
+integer sum of Kronecker-packed products, reduced once through the field's
+table; on any other scalar the sequential sum), the one series summation
+helper `sum_series`, the p-adic exponential and logarithm (with their
+convergence balls) and Newton polygons with slopes reported as root
+valuations; a left end whose coefficients are zero to precision is reported
+as one slope entry with a lower bound.
 
 Every convergent series is summed with an a priori stop rule: each term comes
 with a proven lower bound on the valuation of every later term, and summation
@@ -120,7 +121,8 @@ class PadicScalar:
 
     @classmethod
     def one(cls, p: int, prec: int = DEFAULT_PRECISION) -> "PadicScalar":
-        return cls(p, 0, 1, prec)
+        """1 known modulo p^prec: zero to precision when prec <= 0."""
+        return cls(p, 0, 1, prec) if prec > 0 else cls.zero(p, prec)
 
     @classmethod
     def from_residue(cls, p: int, residue: int, prec: int, shift: int = 0) -> "PadicScalar":
@@ -269,7 +271,7 @@ class PadicScalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return power(self, n, PadicScalar.__mul__, PadicScalar(self.p, 0, 1, self.rel_prec()))
+        return power(self, n, PadicScalar.__mul__, PadicScalar.one(self.p, self.rel_prec()))
 
     # Two scalars are equal when they agree on the coarser stored window.
     def __eq__(self, other):
@@ -302,9 +304,14 @@ def dot(u, v, start):
     Q_p (start a PadicScalar) it has the (val, unit, prec) of that sequential
     sum: the precision n is the least of start.prec and those __mul__ gives
     the products, and start and the products of valuation t < n, m the least
-    t, sum to one integer reduced mod p^(n - m).  Any other scalar is summed
-    in that order."""
+    t, sum to one integer reduced mod p^(n - m).  Over K (start an element
+    of a LocalField) the field's `dot` packs the same sum into one integer in
+    its Kronecker slots and reduces it once through its table.  Any other
+    scalar is summed in that order."""
     if not isinstance(start, PadicScalar):
+        field = getattr(start, "field", None)
+        if field is not None:
+            return field.dot(u, v, start)
         acc = start
         for x, y in zip(u, v):
             acc = acc + x * y

@@ -7,9 +7,11 @@ from itertools import count, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from senlab import linalg
 from senlab.errors import DomainError, PrecisionError, UsageError
 from senlab.field import FieldElement, cyclotomic_field, eisenstein_field, qp_field
 from senlab.padic import PadicScalar, dot, newton_polygon, padic_exp, padic_log
+from senlab.senmod import SenModule, operator_series
 
 S = PadicScalar
 
@@ -120,32 +122,38 @@ def _started_dot_case(draw):
     return u, v, draw(_scalar(zero.p))
 
 
-# degree -> field: Q_3(sqrt 3) and Q_3(zeta_9)
-DOT_FIELDS = {2: eisenstein_field(3, [-3, 0, 1], 20), 6: cyclotomic_field(3, 2, 20)}
+# name -> field: Q_3, Q_3(sqrt 3), the ramified Q_2(i), Q_3(zeta_9) and the
+# degree-18 Q_3(zeta_27), each at precision 20
+DOT_FIELDS = {"Q3": qp_field(3, 20), "Q3(sqrt3)": eisenstein_field(3, [-3, 0, 1], 20),
+              "Q2(i)": eisenstein_field(2, [2, 2, 1], 20), "Q3(zeta9)": cyclotomic_field(3, 2, 20),
+              "Q3(zeta27)": cyclotomic_field(3, 3, 20)}
 
 
 @st.composite
 def _element(draw, K):
-    """An element of K at absolute precision -3..20, zero to precision about
-    one time in four, else p^shift times a coordinate vector."""
-    prec = draw(st.integers(-3, 20))
+    """An element of K at absolute precision -3..30, past the table's 20
+    digits, zero to precision about one time in four, else p^shift times a
+    coordinate vector."""
+    prec = draw(st.integers(-3, 30))
     if draw(st.integers(0, 3)) == 0:
         return FieldElement(K, (), prec, prec)
-    vec = draw(st.lists(st.integers(-3 ** 12, 3 ** 12), min_size=K.degree, max_size=K.degree))
+    vec = draw(st.lists(st.integers(-K.p ** 12, K.p ** 12), min_size=K.degree,
+                        max_size=K.degree))
     return FieldElement(K, vec, draw(st.integers(-4, 6)), prec)
 
 
 @st.composite
 def _field_dot_case(draw):
-    """Vectors of length 0..6 over K of degree 2 or 6: field elements on the
-    left, field elements, Q_3 scalars or ints on the right, and a zero of K."""
+    """Vectors of length 0..16 over one of DOT_FIELDS: on each side field
+    elements, Q_p scalars or ints, and a start of K, or a zero at 20..30
+    digits that leaves the products' precisions, capped or not, to bind."""
     K = DOT_FIELDS[draw(st.sampled_from(sorted(DOT_FIELDS)))]
-    size = draw(st.integers(0, 6))
-    right = draw(st.sampled_from([_element(K), _scalar(3), st.integers(-100, 100)]))
-    prec = draw(st.integers(-3, 20))
-    return (draw(st.lists(_element(K), min_size=size, max_size=size)),
-            draw(st.lists(right, min_size=size, max_size=size)),
-            FieldElement(K, (), prec, prec))
+    size = draw(st.integers(0, 16))
+    factor = st.one_of(_element(K), _element(K), _scalar(K.p), st.integers(-100, 100))
+    high = st.integers(20, 30).map(lambda prec: FieldElement(K, (), prec, prec))
+    return (draw(st.lists(factor, min_size=size, max_size=size)),
+            draw(st.lists(factor, min_size=size, max_size=size)),
+            draw(st.one_of(_element(K), high)))
 
 
 # name -> (u, v, zero)
@@ -175,13 +183,37 @@ class TestDot:
         u, v, start = case
         assert _triple(dot(u, v, start)) == _triple(_sequential_dot(u, v, start))
 
-    @settings(max_examples=200)
+    @settings(max_examples=300)
     @given(case=_field_dot_case())
     def test_field_elements_match_sequential_sum(self, case):
-        # the route every sum over K takes; a packed product must keep it
-        u, v, zero = case
-        x, y = dot(u, v, zero), _sequential_dot(u, v, zero)
+        # the packed route over K against the sum one product at a time
+        u, v, start = case
+        x, y = dot(u, v, start), _sequential_dot(u, v, start)
         assert (x.vec, x.shift, x.prec) == (y.vec, y.shift, y.prec)
+
+    @pytest.mark.parametrize("name", ["Q3", "Q3(sqrt3)", "Q3(zeta27)"])
+    def test_table_precision_caps_products(self, name):
+        # K.table_prec = 20 digits past a product's shift, except over Q_p
+        K = DOT_FIELDS[name]
+        x = FieldElement(K, [1] * K.degree, 0, 30)
+        u, v, start = [x, S.from_int(3, 3, 40)], [x, x], FieldElement(K, (), 30, 30)
+        got, want = dot(u, v, start), _sequential_dot(u, v, start)
+        assert (got.vec, got.shift, got.prec) == (want.vec, want.shift, want.prec)
+        assert got.prec == (30 if K.degree == 1 else 20)
+
+    def test_operator_series_matches_sequential_sum(self, monkeypatch):
+        # every product of a dimension-8 series runs through padic.dot over K
+        K = eisenstein_field(3, [-3, 0, 1], 30)
+        rng = random.Random(8)
+        theta = [[K.from_int(3 * rng.randrange(-15, 16)) +
+                  (K.different_e * rng.randrange(-3, 4) if i == j else K.zero())
+                  for j in range(8)] for i in range(8)]
+        M, b = SenModule(K, theta), K.pi * K.from_int(3 * rng.randrange(1, 20))
+        packed = operator_series(M, b)
+        monkeypatch.setattr(linalg, "dot", _sequential_dot)
+        sequential = operator_series(M, b)
+        assert [[(x.vec, x.shift, x.prec) for x in row] for row in packed] == \
+            [[(x.vec, x.shift, x.prec) for x in row] for row in sequential]
 
     @pytest.mark.parametrize("name", sorted(DOT_EDGES))
     def test_edge_cases(self, name):
@@ -336,6 +368,13 @@ class TestZeroOracle:
 class TestExpLog:
     def test_exp_zero(self):
         assert (padic_exp(S.zero(5, 12)) - S.one(5, 12)).is_zero()
+
+    def test_exp_of_zero_with_no_digit_is_zero(self):
+        # 1 known modulo p^0 is O(p^0): no digit, so no valuation either
+        x = padic_exp(S.zero(3, 0))
+        assert x.is_zero() and x.valuation() is None and x.prec == 0
+        for one in (S.one(3, -2), S.zero(3, -2) ** 0):
+            assert one.is_zero() and one.valuation() is None and one.prec == -2
 
     def test_round_trip(self):
         x = S.from_int(5, 5, 12)
