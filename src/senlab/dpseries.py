@@ -1,7 +1,8 @@
 """Truncated divided-power algebra over O_K with its Sen derivation.
 
-Series are stored against the basis a^n/n!, so multiplication only ever uses
-integer binomials:  (f g)_n = sum_{i+j=n} C(n, i) f_i g_j.  The derivation
+Series are stored against the basis a^n/n!, so the product is the binomial
+convolution  (f g)_n = sum_{i+j=n} C(n, i) f_i g_j = n! sum (f_i/i!)(g_j/j!),
+which `dp_mul` computes as one packed integer product.  The derivation
 
     theta = (1 + e a) d/da,      theta(f)_n = c_{n+1} + e n c_n,
 
@@ -16,8 +17,6 @@ top degree, since the incoming coefficient above the truncation is unknown.
 """
 
 from __future__ import annotations
-
-from math import comb
 
 from .errors import ConvergenceError, UsageError
 from .field import FieldElement, LocalField
@@ -79,14 +78,75 @@ class DPSeries:
 
 
 def dp_mul(f: DPSeries, g: DPSeries) -> DPSeries:
-    """Binomial convolution in the divided-power basis."""
+    """(f g)_n = sum_{i+j=n} C(n, i) f_i g_j as one packed integer product.
+
+    With i! = p^(v_i) u_i, (f g)_n = p^(v_n) u_n sum_{i+j=n} (f_i/i!)(g_j/j!):
+    f_i = p^(s_i) a_i fills block i (len(table) Kronecker slots) of one
+    integer with p^(s_i - v_i - m_f) u_i^-1 a_i mod p^R, m_f the least
+    s_i - v_i, and g likewise; after one multiplication block n is reduced
+    once through the table modulo p^R and, times u_n, has shift m_f + m_g + v_n.
+    Degree n gets the sequential sum's precision: the least over i of
+    __mul__'s for f_i g_(n-i), with its cap at shift + M above degree 1, under
+    padic.dot's rule for the scalar C(n, i); R is the most any degree needs.
+    The table is exact to p^(M + e_ram), and by that cap each precision is
+    within M of its terms' least valuation s_i + s_j + v_p C(n, i); the slots
+    hold the sums, below (trunc + 1) d p^(2R), and the reduction's, below
+    len(table) p^(R + M + e_ram).  Reduction is linear and an element is
+    canonical modulo p^prec, so every coefficient is the sequential sum's.
+    """
     f._check_compatible(g)
+    K = f.field
+    p, e, d, M, N = K.p, K.e_ram, K.degree, K.table_prec, K.prec
     trunc = min(f.trunc, g.trunc)
-    valid = min(f.valid_to, g.valid_to, trunc)
-    out = [dot([f.coeffs[i] * g.coeffs[n - i] for i in range(n + 1)],
-               [comb(n, i) for i in range(n + 1)], f.field.zero())
-           for n in range(trunc + 1)]
-    return DPSeries(f.field, out, e=f.e, valid_to=valid)
+    fs, gs = f.coeffs[:trunc + 1], g.coeffs[:trunc + 1]
+    vfact, units = [0], [1]                         # n! = p^vfact[n] units[n]
+    for n in range(1, trunc + 1):
+        k = vp_int(n, p)
+        vfact.append(vfact[-1] + k)
+        units.append(units[-1] * (n // p ** k))
+    fdata, gdata = ([(x.prec, x._v(), x.shift, v) for x, v in zip(xs, vfact)] for xs in (fs, gs))
+    precs = []
+    for n, vn in enumerate(vfact):
+        q = N
+        for (xp, vx, sx, wx), (yp, vy, sy, wy) in zip(fdata, reversed(gdata[:n + 1])):
+            r, r2 = e * xp + vy, e * yp + vx           # f_i g_j has precision r
+            r = (r if r < r2 else r2) // e
+            if d > 1 and r > sx + sy + M:
+                r = sx + sy + M
+            t = r + vn - wx - wy                       # v_p C(n, i) by Kummer
+            if t < q:
+                q = t
+            z = (vx + vy) // e                         # the scalar has K.prec digits
+            t = N + (r if r < z else z)
+            if t < q:
+                q = t
+        precs.append(q)
+    lows = [min((x.shift - v for x, v in zip(xs, vfact) if not x.is_zero()), default=0)
+            for xs in (fs, gs)]
+    R = max(1, max(q - sum(lows) - v for q, v in zip(precs, vfact)))
+    mod = p ** R
+    last_inverse = pow(units[-1], -1, mod)
+    inverses = [last_inverse * (units[-1] // u) % mod for u in units]
+    L = len(K._table)
+    w = -(-(mod * max((trunc + 1) * d * mod, L * K._table_mod)).bit_length() // 64) * 64
+
+    def packed(xs, low):
+        blocks = []
+        for x, v, inverse in zip(xs, vfact, inverses):
+            block, k = 0, x.shift - v - low
+            if k < R and not x.is_zero():
+                scale = p ** k * inverse
+                for a, slot in zip(x.vec, K._slots):
+                    block |= a * scale % mod << w * slot
+            blocks.append(block.to_bytes(L * w // 8, "little"))
+        return int.from_bytes(b"".join(blocks), "little")
+
+    prod, mask, out = packed(fs, lows[0]) * packed(gs, lows[1]), (1 << L * w) - 1, []
+    for q, v, u in zip(precs, vfact, units):
+        out.append(FieldElement(K, [c * u for c in K._reduce(prod & mask, w, mod)],
+                                sum(lows) + v, q))
+        prod >>= L * w
+    return DPSeries(K, out, e=f.e, valid_to=min(f.valid_to, g.valid_to, trunc))
 
 
 def sen_theta(f: DPSeries) -> DPSeries:

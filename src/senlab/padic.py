@@ -307,15 +307,12 @@ def dot(u, v, start):
     t, sum to one integer reduced mod p^(n - m).  Over K (start an element
     of a LocalField) the field's `dot` packs the same sum into one integer in
     its Kronecker slots and reduces it once through its table.  Any other
-    scalar is summed in that order."""
+    start raises UsageError."""
     if not isinstance(start, PadicScalar):
         field = getattr(start, "field", None)
-        if field is not None:
-            return field.dot(u, v, start)
-        acc = start
-        for x, y in zip(u, v):
-            acc = acc + x * y
-        return acc
+        if field is None:
+            raise UsageError("dot needs a PadicScalar or field element start, not %r" % (start,))
+        return field.dot(u, v, start)
     p, n = start.p, start.prec
     terms = [(start.val, start.unit)] if start.unit else []
     for x, y in zip(u, v):
@@ -331,7 +328,10 @@ def dot(u, v, start):
     if not terms:
         return PadicScalar.zero(p, n)
     m = min(t for t, _ in terms)
-    return _normalised(p, m, sum(c * p ** (t - m) for t, c in terms), n)
+    total = 0
+    for t, c in terms:
+        total = total + c * p ** (t - m)
+    return _normalised(p, m, total, n)
 
 
 # ---------------------------------------------------------------------------

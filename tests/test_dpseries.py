@@ -1,16 +1,18 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_padic import DOT_FIELDS, _element
 
-from senlab import dpseries
+from senlab import dpseries, padic
 from senlab.dpseries import (DPSeries, coaction, dp_compose, dp_mul,
                              gsharp_transport, log_t, sen_theta, solve_theta,
                              theta_matrix)
 from senlab.errors import ConvergenceError, UsageError
-from senlab.field import (FieldElement, LocalFieldSpec, build_field, eisenstein_field,
-                          qp_field)
-from senlab.padic import PadicScalar, padic_log
+from senlab.field import (FieldElement, LocalField, LocalFieldSpec, build_field,
+                          eisenstein_field, qp_field)
+from senlab.padic import PadicScalar, dot, padic_log
 
 S = PadicScalar
 N = 12
@@ -28,7 +30,108 @@ def random_series(K, rng, trunc=N, span=40):
     return DPSeries(K, coeffs)
 
 
+def _entrywise_dp_mul(f, g):
+    """The product dp_mul's packed convolution replaced: every f_i g_(n-i)
+    through FieldElement.__mul__, summed against the binomials by padic.dot;
+    the oracle for dp_mul."""
+    f._check_compatible(g)
+    trunc = min(f.trunc, g.trunc)
+    out = [dot([f.coeffs[i] * g.coeffs[n - i] for i in range(n + 1)],
+               [comb(n, i) for i in range(n + 1)], f.field.zero())
+           for n in range(trunc + 1)]
+    return DPSeries(f.field, out, e=f.e, valid_to=min(f.valid_to, g.valid_to, trunc))
+
+
+def _triples(s):
+    return [(x.vec, x.shift, x.prec) for x in s.coeffs]
+
+
+@st.composite
+def _sharp_element(draw, K):
+    """A nonzero element of K at shift -4..0 and 21..30 digits: a product of
+    two has more digits past its shift than the fields' 20-digit table."""
+    vec = draw(st.lists(st.integers(1, K.p ** 12), min_size=K.degree, max_size=K.degree))
+    return FieldElement(K, vec, draw(st.integers(-4, 0)), draw(st.integers(21, 30)))
+
+
+@st.composite
+def _product_case(draw):
+    """Two series over one of DOT_FIELDS, truncated at 0..40 (mostly at most
+    8, the two often unequal), with _element's coefficients (shifts -4..6,
+    precisions -3..30, zero about one time in four) or _sharp_element's,
+    where the table caps the products' precision."""
+    K = DOT_FIELDS[draw(st.sampled_from(sorted(DOT_FIELDS)))]
+    trunc = st.one_of(st.integers(0, 8), st.integers(0, 8), st.integers(0, 40))
+    f, g = ([draw(coefficient) for _ in range(draw(trunc) + 1)]
+            for coefficient in (draw(st.sampled_from([_element(K), _sharp_element(K)]))
+                                for _ in range(2)))
+    return (DPSeries(K, f, valid_to=draw(st.integers(-1, len(f)))),
+            DPSeries(K, g, valid_to=draw(st.integers(-1, len(g)))))
+
+
+def _random_coefficients(K, rng, trunc):
+    """_element's draws, from rng."""
+    out = []
+    for _ in range(trunc + 1):
+        prec = rng.randint(-3, 30)
+        vec = [rng.randint(-K.p ** 12, K.p ** 12) for _ in range(K.degree)]
+        out.append(FieldElement(K, vec if rng.randrange(4) else (), rng.randint(-4, 6), prec))
+    return out
+
+
 class TestMultiplication:
+    @settings(max_examples=150)
+    @given(case=_product_case())
+    def test_matches_the_entrywise_product(self, case):
+        f, g = case
+        got, want = dp_mul(f, g), _entrywise_dp_mul(f, g)
+        assert _triples(got) == _triples(want)
+        assert (got.trunc, got.valid_to) == (want.trunc, want.valid_to)
+
+    @pytest.mark.parametrize("name", ["Q3", "Q3(sqrt3)", "Q2(i)"])
+    def test_matches_the_entrywise_product_at_truncation_96(self, name):
+        K, rng = DOT_FIELDS[name], random.Random(96)
+        f = DPSeries(K, _random_coefficients(K, rng, 96))
+        g = DPSeries(K, _random_coefficients(K, rng, 96), valid_to=90)
+        got, want = dp_mul(f, g), _entrywise_dp_mul(f, g)
+        assert _triples(got) == _triples(want) and got.valid_to == want.valid_to == 90
+
+    @pytest.mark.parametrize("name", ["Q3", "Q3(sqrt3)", "Q2(i)"])
+    def test_full_slots_match_the_entrywise_product(self, name):
+        # coordinates just below p^30 fill the slots of the packed product to
+        # near the width it reserves for the sums
+        K = DOT_FIELDS[name]
+        for trunc in (24, 25, 26):
+            rng = random.Random(trunc)
+            f, g = (DPSeries(K, [FieldElement(K, [rng.randrange(K.p ** 30) for _ in range(K.degree)],
+                                              0, 30) for _ in range(trunc + 1)])
+                    for _ in range(2))
+            assert _triples(dp_mul(f, g)) == _triples(_entrywise_dp_mul(f, g))
+
+    def test_exp_squared_is_exp_of_twice(self, K):
+        # exp(a) = sum a^n/n! has every coefficient 1, and exp(2a) has 2^n
+        exp = DPSeries(K, [K.one()] * 97)
+        assert _triples(dp_mul(exp, exp)) == \
+            _triples(DPSeries(K, [K.from_int(2 ** n) for n in range(97)]))
+
+    def test_one_reduction_per_degree_and_no_element_product(self, K, monkeypatch):
+        rng = random.Random(24)
+        f, g = random_series(K, rng, trunc=24), random_series(K, rng, trunc=24)
+        want = _triples(_entrywise_dp_mul(f, g))
+
+        def forbidden(*args):
+            raise AssertionError("dp_mul multiplied elements or called a dot product")
+
+        monkeypatch.setattr(FieldElement, "__mul__", forbidden)
+        monkeypatch.setattr(dpseries, "dot", forbidden)
+        monkeypatch.setattr(padic, "dot", forbidden)
+        monkeypatch.setattr(LocalField, "dot", forbidden)
+        reduce, calls = LocalField._reduce, []
+        monkeypatch.setattr(LocalField, "_reduce",
+                            lambda self, *args: calls.append(args) or reduce(self, *args))
+        assert _triples(dp_mul(f, g)) == want
+        assert len(calls) <= 25
+
     def test_a_squared(self, K):
         a = DPSeries.from_ints(K, [0, 1], N)
         sq = dp_mul(a, a)

@@ -32,6 +32,11 @@ class TestScalarArith:
         assert q.lift() == sum(p ** k for k in range(n)) % p ** n
         assert (S.from_int(1 - p, p, n) * q - S.one(p, n)).is_zero()
 
+    @pytest.mark.parametrize("start", [0, Fraction(1, 2), 1.0, None])
+    def test_starts_other_than_scalars_and_elements_rejected(self, start):
+        with pytest.raises(UsageError):
+            dot([S.one(3, 10)], [S.one(3, 10)], start)
+
     def test_mixed_primes_rejected(self):
         with pytest.raises(UsageError):
             S.from_int(1, 3, 10) + S.from_int(1, 5, 10)
