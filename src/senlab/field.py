@@ -14,10 +14,10 @@ Each field precomputes the reduction table y^j u^i mod (g, E) for
 j < 2f - 1, i < 2 e_ram - 1 and the trace form Tr(b_t) read off it.  A
 product is one Kronecker-packed big-integer multiplication and a table
 reduction, a sum of products (padic.dot over K) is one big-integer sum of
-packed products and one table reduction, a trace is a dot product with the
-trace form, and an inverse is a Newton iteration from the residue-field
-inverse.  Precision follows the scalar rules with field valuations, rounded
-down to an integer:
+packed products and one table reduction, a matrix packed once times a vector
+is one such sum per row, a trace is a dot product with the trace form, and
+an inverse is a Newton iteration from the residue-field inverse.  Precision
+follows the scalar rules with field valuations, rounded down to an integer:
 
     add/sub : min(N_x, N_y)
     mul     : min(N_x + v(y), N_y + v(x))
@@ -232,8 +232,8 @@ class LocalField:
         return [(acc >> (w * t) & mask) % m for t in range(self.degree)]
 
     def _mul_vec(self, a, b, m):
-        """Product of two integral coordinate vectors modulo m <= p^(M + e_ram):
-        the one-term case of `dot`'s packed sum, at the table's own width."""
+        """Product of two integral coordinate vectors modulo m <= p^(M + e_ram),
+        packed at the table's own width: the steps of an inverse."""
         shifts = self._shifts
         return self._reduce(_pack([x % m for x in a], shifts) * _pack([y % m for y in b], shifts),
                             self._width, m)
@@ -243,25 +243,19 @@ class LocalField:
         element of K and each factor an element of K, a scalar over p or an
         int, with the (vec, shift, prec) of that sequential sum.
 
-        Each product has the shift t and precision q that __mul__ gives it
-        (_scaled's, for a scalar factor; a zero factor makes t >= q); n is the
-        least q and start.prec.  The products and start of shift t < n, m the
-        least t, are one integer sum of p^(t - m) packed(a) packed(b) in the
-        Kronecker slots, with the slots widened for the number of terms, and
-        that sum is reduced once through the table modulo p^(n - m).  Each
-        sequential product is the same table reduction modulo p^(q - t), and
-        an element is canonical for its value modulo p^prec, so the result
-        is the sequential sum's.
-        """
+        The term selection: each product has the shift t and precision q that
+        __mul__ gives it (_scaled's, for a scalar factor; a zero factor makes
+        t >= q), n is the least q and start.prec, and `_packed_sum` adds the
+        products and start of shift t < n."""
         p, e, d = self.p, self.e_ram, self.degree
         n = start.prec
-        terms = [(start.shift, start.prec, start.vec, 1)]    # (t, bound, a, b)
+        terms = [(start.shift, start.prec, start, 1)]    # (t, bound, a, b)
         for x, y in zip(u, v):
             if type(x) is not FieldElement:
                 if type(y) is not FieldElement:   # two scalars: the sum adds their product
                     z = self.from_scalar(x * y)
                     n = min(n, z.prec)
-                    terms.append((z.shift, z.prec, z.vec, 1))
+                    terms.append((z.shift, z.prec, z, 1))
                     continue
                 x, y = y, x
             if x.field is not self:
@@ -274,33 +268,108 @@ class LocalField:
                 if d > 1 and q > t + self.table_prec:
                     q = t + self.table_prec
                 if t < q:
-                    terms.append((t, x.prec + y.prec, x.vec, y.vec))
+                    terms.append((t, x.prec + y.prec, x, y))
             else:
                 s = _as_scalar(y, p, self.prec)
                 q = min(e * (x.prec + s.val), e * s.prec + x._v()) // e
                 t = x.shift + s.val
                 if t < q:
-                    terms.append((t, x.prec - x.shift + q, x.vec, s.unit % p ** (q - t)))
+                    terms.append((t, x.prec - x.shift + q, x, s.unit % p ** (q - t)))
             if q < n:
                 n = q
-        terms = [term for term in terms if term[0] < n]
+        return self._packed_sum([term for term in terms if term[0] < n], n)
+
+    def _packed_sum(self, terms, n):
+        """The sum, known modulo p^n, of the kept terms (t, bound, a, b): p^t a b
+        with a an element, b an element or an int (a scalar, in slot 0), each
+        slot of p^(t - m) a b below d p^(bound - m), m the least t.  It is one
+        integer sum of p^(t - m) packed(a) packed(b) in Kronecker slots
+        widened for the number of terms, reduced once through the table
+        modulo p^(n - m); a sequential product is the same reduction modulo
+        p^(q - t), and an element is canonical modulo p^prec."""
         if not terms:
             return FieldElement(self, (), n, n)
-        m = min(term[0] for term in terms)
-        # term k adds below d p^(bound_k - m) to a slot, and a slot of the
-        # reduction holds below len(table) p^(n - m) p^(M + e_ram); a width
-        # past the table's own is rounded up to 64 bits, so few are packed
+        p, m = self.p, min(term[0] for term in terms)
+        # a slot of the reduction holds below len(table) p^(n - m) p^(M + e_ram);
+        # a width past the table's own is rounded up to 64 bits, so few are packed
         modulus = p ** (n - m)
-        need = max((len(terms) * d * p ** (max(term[1] for term in terms) - m)).bit_length(),
-                   (len(self._table) * modulus * self._table_mod).bit_length())
+        need = max((len(terms) * self.degree * p ** (max(term[1] for term in terms) - m))
+                   .bit_length(), (len(self._table) * modulus * self._table_mod).bit_length())
         w = self._width if need <= self._width else -(-need // 64) * 64
-        shifts = [w * s for s in self._slots]
+        shifts = self._shifts if w == self._width else [w * s for s in self._slots]
         total = 0
         for t, _, a, b in terms:
-            if type(b) is tuple:
-                b = _pack(b, shifts)
-            total += p ** (t - m) * _pack(a, shifts) * b
+            total += p ** (t - m) * _packed(a, w, shifts) * _packed(b, w, shifts)
         return FieldElement(self, self._reduce(total, w, modulus), m, n)
+
+    def pack_matrix(self, rows):
+        """The matrix `rows` over K as `mat_vec` reads it: per row, its
+        entries and their least prec, _v and shift; `_packed` packs each
+        entry on first use."""
+        return [(row, min(x.prec for x in row), min(x._v() for x in row),
+                 min(x.shift for x in row)) for row in rows]
+
+    def mat_vec(self, packed, vector):
+        """linalg.mat_vec(matrix, vector, self.zero()) for the matrix as
+        `pack_matrix` holds it, each entry with dot's (vec, shift, prec).
+
+        dot's q_ij = min(e prec_ij + v_j, e prec_j + v_ij) // e (v on the
+        scale v(pi) = 1) is at least L = min((e minprec_row + minv_vec) // e,
+        (e minprec_vec + minv_row) // e), and its cap t + M at least
+        minshift_row + minshift_vec + M.  When both reach self.prec, so does
+        every q_ij: n = self.prec, and the kept products are those of shift
+        t < self.prec (a zero factor has t >= q_ij).  Only below that bound
+        does a row take dot's rule product by product.
+        """
+        e, N, M, cap = self.e_ram, self.prec, self.table_prec, self.degree > 1
+        (col, cprec, cv, cshift), = self.pack_matrix([vector])
+        out = []
+        for row, rprec, rv, rshift in packed:
+            low = min(e * rprec + cv, e * cprec + rv) // e
+            if cap and low > rshift + cshift + M:
+                low = rshift + cshift + M
+            n, terms = N, []
+            if low >= N:
+                terms = [(x.shift + y.shift, x.prec + y.prec, x, y)
+                         for x, y in zip(row, col) if x.shift + y.shift < N]
+            else:
+                for x, y in zip(row, col):
+                    q, t = min(e * x.prec + y._v(), e * y.prec + x._v()) // e, x.shift + y.shift
+                    if cap and q > t + M:
+                        q = t + M
+                    if t < q:
+                        terms.append((t, x.prec + y.prec, x, y))
+                    if q < n:
+                        n = q
+                terms = [term for term in terms if term[0] < n]
+            out.append(self._packed_sum(terms, n))
+        return out
+
+    def scale(self, c, xs):
+        """[c * x for x in xs] by `_times`, c packed once per modulus."""
+        packed_c = {}
+        return [self._times(c, x, packed_c) for x in xs]
+
+    def _times(self, c, x, packed_c):
+        """c x with __mul__'s (vec, shift, prec), the table cap included;
+        packed_c holds c's coordinates packed modulo each modulus."""
+        e, M = self.e_ram, self.table_prec
+        vc, vx = c._v(), x._v()
+        prec = min(e * c.prec + vx, e * x.prec + vc) // e
+        shift = c.shift + x.shift
+        if prec > shift + M and self.degree > 1:
+            prec = shift + M
+        if prec <= shift or c.shift >= c.prec or x.shift >= x.prec:
+            return FieldElement(self, (), prec, prec)
+        m, shifts = self.p ** (prec - shift), self._shifts
+        pc = packed_c.get(m)
+        if pc is None:
+            pc = packed_c[m] = _pack([a % m for a in c.vec], shifts)
+        out = FieldElement(self, self._reduce(pc * _pack([a % m for a in x.vec], shifts),
+                                              self._width, m), shift, prec)
+        if out.shift < prec:
+            out._vpi = vc + vx
+        return out
 
     def _unit_inverse(self, w, prec):
         """Inverse of a unit vector modulo p^prec: w^(q-2) inverts it modulo pi,
@@ -383,6 +452,16 @@ def _pack(vec, shifts):
     return packed
 
 
+def _packed(x, w, shifts):
+    """A `_packed_sum` factor at slot width w: an int, or an element, packed at w and kept."""
+    if type(x) is int:
+        return x
+    packing = x._packing
+    if packing is None or packing[0] != w:
+        packing = x._packing = w, _pack(x.vec, shifts)
+    return packing[1]
+
+
 def build_field(spec: LocalFieldSpec) -> LocalField:
     """Validate the spec and return the field handle."""
     return LocalField(spec)
@@ -398,11 +477,11 @@ class FieldElement:
     and moves common factors p into the shift; zero to precision is vec = 0
     with shift = prec."""
 
-    __slots__ = ("field", "vec", "shift", "prec", "_vpi")
+    __slots__ = ("field", "vec", "shift", "prec", "_vpi", "_packing")
 
     def __init__(self, field, vec, shift, prec):
         self.field = field
-        self._vpi = None
+        self._vpi = self._packing = None
         rel = prec - shift
         if rel > 0:
             p = field.p
@@ -506,23 +585,9 @@ class FieldElement:
     def __mul__(self, other):
         if type(other) is not FieldElement:
             return self._scaled(other, divide=False)
-        K = self.field
-        if other.field is not K:
+        if other.field is not self.field:
             raise UsageError("cannot mix elements of different fields")
-        e = K.e_ram
-        va = self._vpi if self._vpi is not None else self._v()
-        vb = other._vpi if other._vpi is not None else other._v()
-        prec = min(e * self.prec + vb, e * other.prec + va) // e
-        shift = self.shift + other.shift
-        if prec > shift + K.table_prec and K.degree > 1:
-            prec = shift + K.table_prec
-        if prec <= shift or self.shift >= self.prec or other.shift >= other.prec:
-            return FieldElement(K, (), prec, prec)
-        out = FieldElement(K, K._mul_vec(self.vec, other.vec, K.p ** (prec - shift)),
-                           shift, prec)
-        if out.shift < prec:
-            out._vpi = va + vb
-        return out
+        return self.field._times(self, other, {})
 
     __rmul__ = __mul__
 

@@ -336,6 +336,12 @@ def _summed_series(M: SenModule, b, columns):
     v(P_n) - n w + (n+1)(c - 1/(p-1)) + 1/(p-1), where P_n is the product
     the generator holds, carried as v(P_(n+1)) >= v(P_n) + w past precision
     losses; so the bound grows by c - 1/(p-1) every term when c > 1/(p-1).
+
+    theta's entries are packed once per series; each term packs only the new
+    diagonal entries theta_ii - e n, kept as elements (split as theta v -
+    (e n) v, a cancelling theta_ii - e n would claim fewer digits), and
+    `LocalField.mat_vec` forms each P_(n+1) v with padic.dot's (vec, shift,
+    prec).  `LocalField.scale` multiplies by b^n/n! with __mul__'s rule.
     """
     K = M.field
     if isinstance(b, (int, PadicScalar)):
@@ -355,16 +361,15 @@ def _summed_series(M: SenModule, b, columns):
         n, v_prod = 0, None
         while True:
             flat = [x for v in prods for x in v]
-            low = min(x.val_bound() for x in flat)
+            low = Fraction(min(x._v() for x in flat), K.e_ram)
             v_prod = low if v_prod is None else max(low, v_prod + w)
-            yield [coef * x for x in flat], \
-                v_prod - n * w + (n + 1) * (c - alpha) + alpha
+            yield K.scale(coef, flat), v_prod - n * w + (n + 1) * (c - alpha) + alpha
             en = M.e * n
-            shift = [[x - en if i == j else x for j, x in enumerate(row)]
-                     for i, row in enumerate(M.theta)]
+            shift = K.pack_matrix([[x - en if i == j else x for j, x in enumerate(row)]
+                                   for i, row in enumerate(M.theta)])
             n += 1
-            coef = coef * b / K.from_int(n)
-            prods = [linalg.mat_vec(shift, v, M._zero()) for v in prods]
+            coef = coef * b / n        # the integer n: K.from_int(n)'s rule, with no inverse
+            prods = [K.mat_vec(shift, v) for v in prods]
 
     flat = sum_series(terms(), K.prec)
     return [flat[j * M.dim:(j + 1) * M.dim] for j in range(len(columns))]

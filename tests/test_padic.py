@@ -7,11 +7,12 @@ from itertools import count, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from senlab import linalg
-from senlab.errors import DomainError, PrecisionError, UsageError
-from senlab.field import FieldElement, cyclotomic_field, eisenstein_field, qp_field
-from senlab.padic import PadicScalar, dot, newton_polygon, padic_exp, padic_log
-from senlab.senmod import SenModule, operator_series
+from senlab import linalg, senmod
+from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageError
+from senlab.field import (FieldElement, LocalField, LocalFieldSpec, build_field,
+                          cyclotomic_field, eisenstein_field, qp_field)
+from senlab.padic import PadicScalar, dot, newton_polygon, padic_exp, padic_log, sum_series
+from senlab.senmod import SenModule, nearly_ht_test, operator_series, operator_series_apply
 
 S = PadicScalar
 
@@ -175,6 +176,89 @@ DOT_EDGES = {
 }
 
 
+def _sequential_series(M, b, columns):
+    """The operator series summed one product at a time, the oracle for
+    senmod's packed route: linalg.mat_vec's rows over _sequential_dot, each
+    term scaled by coef * x through FieldElement.__mul__ and coef updated by
+    a division by K.from_int(n), with the library's tail bound and sum_series."""
+    K = M.field
+    b = K.from_scalar(b) if isinstance(b, (int, PadicScalar)) else b
+    alpha = Fraction(1, K.p - 1)
+    w = min([M.e.val_bound()] + [x.val_bound() for row in M.theta for x in row])
+    c = b.val_bound() + w
+
+    def terms():
+        prods, coef, n, v_prod = [list(v) for v in columns], K.one(), 0, None
+        while True:
+            flat = [x for v in prods for x in v]
+            low = min(x.val_bound() for x in flat)
+            v_prod = low if v_prod is None else max(low, v_prod + w)
+            yield [coef * x for x in flat], v_prod - n * w + (n + 1) * (c - alpha) + alpha
+            en = M.e * n
+            shift = [[x - en if i == j else x for j, x in enumerate(row)]
+                     for i, row in enumerate(M.theta)]
+            n += 1
+            coef = coef * b / K.from_int(n)
+            prods = [[_sequential_dot(row, v, K.zero()) for row in shift] for v in prods]
+
+    flat = sum_series(terms(), K.prec)
+    return [flat[j * M.dim:(j + 1) * M.dim] for j in range(len(columns))]
+
+
+def _triples(rows):
+    return [[(x.vec, x.shift, x.prec) for x in row] for row in rows]
+
+
+# the DOT_FIELDS, the degree-6 field of the benchmark's modules workload
+# (g = y^2 + 1, E = u^3 - 3y) and Q_3(sqrt 3) with E known to 3^15, so that
+# the table's 15 digits cap products, each at precision 20
+SERIES_FIELDS = dict(
+    DOT_FIELDS, K6=build_field(LocalFieldSpec(3, [1, 0, 1], [[0, -3], [0], [0], [1]], 20)),
+    Q3_sqrt3_M15=build_field(LocalFieldSpec(3, [-1, 1], [[S.from_int(-3, 3, 15)], [0], [1]], 20)))
+
+
+@st.composite
+def _series_element(draw, K, shift, prec):
+    """An element of K with shift and precision drawn from the strategies
+    `shift` and `prec`, zero to precision about one time in five."""
+    prec = draw(prec)
+    if draw(st.integers(0, 4)) == 0:
+        return FieldElement(K, (), prec, prec)
+    vec = draw(st.lists(st.integers(-K.p ** 12, K.p ** 12), min_size=K.degree,
+                        max_size=K.degree))
+    return FieldElement(K, vec, draw(shift), prec)
+
+
+@st.composite
+def _mat_vec_case(draw):
+    """A square matrix of dimension 1..8 over one of SERIES_FIELDS and a
+    vector, shifts -4..6 and precisions 12..30, K.prec one time in two."""
+    K = SERIES_FIELDS[draw(st.sampled_from(sorted(SERIES_FIELDS)))]
+    d = draw(st.integers(1, 8))
+    entry = _series_element(K, st.integers(-4, 6),
+                            st.one_of(st.just(K.prec), st.integers(12, 30)))
+    row = st.lists(entry, min_size=d, max_size=d)
+    return K, draw(st.lists(row, min_size=d, max_size=d)), draw(row)
+
+
+@st.composite
+def _series_case(draw):
+    """A nearly Hodge-Tate module theta = e diag(k) + p N over one of
+    SERIES_FIELDS, N integral with mixed precisions and zeros, at dimension
+    1..8 (1..3 over the degree-18 field), b = p pi^j u with u a unit, and a
+    vector with shifts down to -4 for operator_series_apply."""
+    name = draw(st.sampled_from(sorted(SERIES_FIELDS)))
+    K = SERIES_FIELDS[name]
+    d = draw(st.integers(1, 3 if K.degree > 6 else 8))
+    p, prec = K.from_int(K.p), st.one_of(st.just(K.prec), st.integers(12, K.prec))
+    theta = [[p * draw(_series_element(K, st.integers(0, 2), prec)) +
+              (K.different_e * draw(st.integers(-3, 3)) if i == j else K.zero())
+              for j in range(d)] for i in range(d)]
+    unit = K.one() + K.pi * draw(_series_element(K, st.integers(0, 1), prec))
+    vector = [draw(_series_element(K, st.integers(-4, 3), prec)) for _ in range(d)]
+    return SenModule(K, theta), p * K.pi ** draw(st.integers(0, 2)) * unit, vector
+
+
 class TestDot:
     @settings(max_examples=400)
     @given(case=_dot_case())
@@ -206,19 +290,89 @@ class TestDot:
         assert (got.vec, got.shift, got.prec) == (want.vec, want.shift, want.prec)
         assert got.prec == (30 if K.degree == 1 else 20)
 
-    def test_operator_series_matches_sequential_sum(self, monkeypatch):
-        # every product of a dimension-8 series runs through padic.dot over K
+    def test_operator_series_matches_sequential_sum(self):
+        # a dimension-8 series over Q_3(sqrt 3) against the sum one product at a time
         K = eisenstein_field(3, [-3, 0, 1], 30)
         rng = random.Random(8)
         theta = [[K.from_int(3 * rng.randrange(-15, 16)) +
                   (K.different_e * rng.randrange(-3, 4) if i == j else K.zero())
                   for j in range(8)] for i in range(8)]
         M, b = SenModule(K, theta), K.pi * K.from_int(3 * rng.randrange(1, 20))
-        packed = operator_series(M, b)
-        monkeypatch.setattr(linalg, "dot", _sequential_dot)
-        sequential = operator_series(M, b)
-        assert [[(x.vec, x.shift, x.prec) for x in row] for row in packed] == \
-            [[(x.vec, x.shift, x.prec) for x in row] for row in sequential]
+        columns = _sequential_series(M, b, linalg.identity(8, K.one(), K.zero()))
+        assert _triples(operator_series(M, b)) == _triples(zip(*columns))
+
+    @settings(max_examples=200)
+    @given(case=_mat_vec_case())
+    def test_packed_mat_vec_matches_sequential_sum(self, case):
+        # the row bound where it reaches K.prec, dot's rule product by product below
+        K, rows, vector = case
+        want = [_sequential_dot(row, vector, K.zero()) for row in rows]
+        assert _triples([K.mat_vec(K.pack_matrix(rows), vector)]) == _triples([want])
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_series_case())
+    def test_operator_series_and_apply_match_sequential_sum(self, case):
+        # low precisions take the per-product rule, high ones the row bound
+        M, b, vector = case
+        K = M.field
+        try:
+            want = _sequential_series(M, b, linalg.identity(M.dim, K.one(), K.zero()))
+        except (DomainError, PrecisionError, ConvergenceError) as exc:
+            with pytest.raises(type(exc)):
+                operator_series(M, b)
+            return
+        assert _triples(operator_series(M, b)) == _triples(zip(*want))
+        assert _triples([operator_series_apply(M, b, vector)]) == \
+            _triples(_sequential_series(M, b, [vector]))
+
+    @pytest.mark.parametrize("N", [10, 20, 30])
+    def test_rank_one_grid_matches_sequential_sum(self, N):
+        # the benchmark's fixed rank-one tasks: weight -2 over Q_3, b = 3, 6, 12
+        K = qp_field(3, N)
+        M = SenModule.diagonal_weights(K, [-2])
+        for b in (3, 6, 12):
+            want = _sequential_series(M, K.from_int(b), [[K.one()]])
+            assert _triples(operator_series(M, K.from_int(b))) == _triples(want)
+
+    def test_operator_series_sums_on_theta_packed_once(self, monkeypatch):
+        # no term reaches linalg.mat_vec or LocalField.dot; a term costs one
+        # reduction per product of theta by a column and one per scaled entry,
+        # and one field product, the coefficient's (e n scales e by an int)
+        K = eisenstein_field(3, [-3, 0, 1], 40)
+        rng = random.Random(5)
+        d = 8
+        theta = [[K.from_int(3 * rng.randrange(-15, 16)) +
+                  (K.different_e * rng.randrange(-3, 4) if i == j else K.zero())
+                  for j in range(d)] for i in range(d)]
+        M, b = SenModule(K, theta), K.from_int(9) * K.pi
+        assert nearly_ht_test(M).verdict
+        counts = {"terms": 0, "reduce": 0, "products": 0}
+
+        def refuse(*args):
+            raise AssertionError("the operator series left the packed route")
+
+        def counted(name, f):
+            def wrapper(*args):
+                counts[name] += name != "products" or type(args[1]) is FieldElement
+                return f(*args)
+            return wrapper
+
+        def counted_sum(terms, prec):
+            def drawn():
+                for term in terms:
+                    counts["terms"] += 1
+                    yield term
+            return sum_series(drawn(), prec)
+
+        monkeypatch.setattr(linalg, "mat_vec", refuse)
+        monkeypatch.setattr(LocalField, "dot", refuse)
+        monkeypatch.setattr(LocalField, "_reduce", counted("reduce", LocalField._reduce))
+        monkeypatch.setattr(FieldElement, "__mul__", counted("products", FieldElement.__mul__))
+        monkeypatch.setattr(senmod, "sum_series", counted_sum)
+        operator_series(M, b)
+        assert counts["terms"] > 5
+        assert counts["reduce"] <= 2 * d * d * counts["terms"]
+        assert counts["products"] <= counts["terms"]
 
     @pytest.mark.parametrize("name", sorted(DOT_EDGES))
     def test_edge_cases(self, name):
