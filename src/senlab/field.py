@@ -14,8 +14,8 @@ Each field precomputes the reduction table y^j u^i mod (g, E) for
 j < 2f - 1, i < 2 e_ram - 1 and the trace form Tr(b_t) read off it.  A
 product is one Kronecker-packed big-integer multiplication and a table
 reduction, a sum of products (padic.dot over K) is one big-integer sum of
-packed products and one table reduction, a matrix packed once times a vector
-is one such sum per row, a trace is a dot product with the trace form, and
+packed products and one table reduction, a matrix times a vector is one such
+sum per row, a trace is a dot product with the trace form, and
 an inverse is a Newton iteration from the residue-field inverse.  Precision
 follows the scalar rules with field valuations, rounded down to an integer:
 
@@ -302,47 +302,38 @@ class LocalField:
             total += p ** (t - m) * _packed(a, w, shifts) * _packed(b, w, shifts)
         return FieldElement(self, self._reduce(total, w, modulus), m, n)
 
-    def pack_matrix(self, rows):
-        """The matrix `rows` over K as `mat_vec` reads it: per row, its
-        entries and their least prec, _v and shift; `_packed` packs each
-        entry on first use."""
-        return [(row, min(x.prec for x in row), min(x._v() for x in row),
+    def row_bounds(self, rows):
+        """Per row of a matrix over K, the least prec, _v and shift of its
+        entries: the bounds `mat_vec` reads."""
+        return [(min(x.prec for x in row), min(x._v() for x in row),
                  min(x.shift for x in row)) for row in rows]
 
-    def mat_vec(self, packed, vector):
-        """linalg.mat_vec(matrix, vector, self.zero()) for the matrix as
-        `pack_matrix` holds it, each entry with dot's (vec, shift, prec).
+    def mat_vec(self, rows, bounds, vector):
+        """linalg.mat_vec(rows, vector, self.zero()) with bounds =
+        row_bounds(rows), each entry with dot's (vec, shift, prec).
 
         dot's q_ij = min(e prec_ij + v_j, e prec_j + v_ij) // e (v on the
         scale v(pi) = 1) is at least L = min((e minprec_row + minv_vec) // e,
         (e minprec_vec + minv_row) // e), and its cap t + M at least
         minshift_row + minshift_vec + M.  When both reach self.prec, so does
-        every q_ij: n = self.prec, and the kept products are those of shift
-        t < self.prec (a zero factor has t >= q_ij).  Only below that bound
-        does a row take dot's rule product by product.
+        every q_ij: n = self.prec, and dot keeps the products of shift
+        t < self.prec (a zero factor has t >= q_ij), which go to
+        `_packed_sum` directly.  Any other row is dot's.
         """
-        e, N, M, cap = self.e_ram, self.prec, self.table_prec, self.degree > 1
-        (col, cprec, cv, cshift), = self.pack_matrix([vector])
+        e, N, M = self.e_ram, self.prec, self.table_prec
+        cprec, cv = min(y.prec for y in vector), min(y._v() for y in vector)
+        cshift = min(y.shift for y in vector)
         out = []
-        for row, rprec, rv, rshift in packed:
+        for row, (rprec, rv, rshift) in zip(rows, bounds):
             low = min(e * rprec + cv, e * cprec + rv) // e
-            if cap and low > rshift + cshift + M:
+            if self.degree > 1 and low > rshift + cshift + M:
                 low = rshift + cshift + M
-            n, terms = N, []
-            if low >= N:
-                terms = [(x.shift + y.shift, x.prec + y.prec, x, y)
-                         for x, y in zip(row, col) if x.shift + y.shift < N]
-            else:
-                for x, y in zip(row, col):
-                    q, t = min(e * x.prec + y._v(), e * y.prec + x._v()) // e, x.shift + y.shift
-                    if cap and q > t + M:
-                        q = t + M
-                    if t < q:
-                        terms.append((t, x.prec + y.prec, x, y))
-                    if q < n:
-                        n = q
-                terms = [term for term in terms if term[0] < n]
-            out.append(self._packed_sum(terms, n))
+            if low < N:
+                out.append(self.dot(row, vector, self.zero()))
+                continue
+            out.append(self._packed_sum([(x.shift + y.shift, x.prec + y.prec, x, y)
+                                         for x, y in zip(row, vector)
+                                         if x.shift + y.shift < N], N))
         return out
 
     def scale(self, c, xs):
@@ -350,9 +341,9 @@ class LocalField:
         packed_c = {}
         return [self._times(c, x, packed_c) for x in xs]
 
-    def _times(self, c, x, packed_c):
+    def _times(self, c, x, packed_c=None):
         """c x with __mul__'s (vec, shift, prec), the table cap included;
-        packed_c holds c's coordinates packed modulo each modulus."""
+        packed_c, if given, holds c's coordinates packed modulo each modulus."""
         e, M = self.e_ram, self.table_prec
         vc, vx = c._v(), x._v()
         prec = min(e * c.prec + vx, e * x.prec + vc) // e
@@ -362,9 +353,11 @@ class LocalField:
         if prec <= shift or c.shift >= c.prec or x.shift >= x.prec:
             return FieldElement(self, (), prec, prec)
         m, shifts = self.p ** (prec - shift), self._shifts
-        pc = packed_c.get(m)
+        pc = None if packed_c is None else packed_c.get(m)
         if pc is None:
-            pc = packed_c[m] = _pack([a % m for a in c.vec], shifts)
+            pc = _pack([a % m for a in c.vec], shifts)
+            if packed_c is not None:
+                packed_c[m] = pc
         out = FieldElement(self, self._reduce(pc * _pack([a % m for a in x.vec], shifts),
                                               self._width, m), shift, prec)
         if out.shift < prec:
@@ -587,7 +580,7 @@ class FieldElement:
             return self._scaled(other, divide=False)
         if other.field is not self.field:
             raise UsageError("cannot mix elements of different fields")
-        return self.field._times(self, other, {})
+        return self.field._times(self, other)
 
     __rmul__ = __mul__
 

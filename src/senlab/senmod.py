@@ -341,7 +341,9 @@ def _summed_series(M: SenModule, b, columns):
     diagonal entries theta_ii - e n, kept as elements (split as theta v -
     (e n) v, a cancelling theta_ii - e n would claim fewer digits), and
     `LocalField.mat_vec` forms each P_(n+1) v with padic.dot's (vec, shift,
-    prec).  `LocalField.scale` multiplies by b^n/n! with __mul__'s rule.
+    prec).  `LocalField.scale` multiplies by b^n/n! with __mul__'s rule.  A
+    scalar in `columns` enters as K.from_scalar of it, so its products take
+    the table cap as element products do.
     """
     K = M.field
     if isinstance(b, (int, PadicScalar)):
@@ -356,8 +358,8 @@ def _summed_series(M: SenModule, b, columns):
             "got %s" % (alpha, c), concept="operator series stop rule")
 
     def terms():
-        prods = [list(v) for v in columns]
         coef = K.one()
+        prods = [[coef._coerce(x) for x in v] for v in columns]
         n, v_prod = 0, None
         while True:
             flat = [x for v in prods for x in v]
@@ -365,11 +367,12 @@ def _summed_series(M: SenModule, b, columns):
             v_prod = low if v_prod is None else max(low, v_prod + w)
             yield K.scale(coef, flat), v_prod - n * w + (n + 1) * (c - alpha) + alpha
             en = M.e * n
-            shift = K.pack_matrix([[x - en if i == j else x for j, x in enumerate(row)]
-                                   for i, row in enumerate(M.theta)])
+            shift = [[x - en if i == j else x for j, x in enumerate(row)]
+                     for i, row in enumerate(M.theta)]
+            bounds = K.row_bounds(shift)
             n += 1
             coef = coef * b / n        # the integer n: K.from_int(n)'s rule, with no inverse
-            prods = [K.mat_vec(shift, v) for v in prods]
+            prods = [K.mat_vec(shift, bounds, v) for v in prods]
 
     flat = sum_series(terms(), K.prec)
     return [flat[j * M.dim:(j + 1) * M.dim] for j in range(len(columns))]

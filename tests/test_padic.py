@@ -307,7 +307,7 @@ class TestDot:
         # the row bound where it reaches K.prec, dot's rule product by product below
         K, rows, vector = case
         want = [_sequential_dot(row, vector, K.zero()) for row in rows]
-        assert _triples([K.mat_vec(K.pack_matrix(rows), vector)]) == _triples([want])
+        assert _triples([K.mat_vec(rows, K.row_bounds(rows), vector)]) == _triples([want])
 
     @settings(max_examples=40, deadline=None)
     @given(case=_series_case())
@@ -324,6 +324,33 @@ class TestDot:
         assert _triples(operator_series(M, b)) == _triples(zip(*want))
         assert _triples([operator_series_apply(M, b, vector)]) == \
             _triples(_sequential_series(M, b, [vector]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_series_case(), data=st.data())
+    def test_apply_takes_scalar_entries(self, case, data):
+        # a scalar enters as K.from_scalar of it: the sequential sum over the
+        # scalar digit for digit, save that where E has fewer digits than K
+        # its products take the table cap, the same value to fewer digits
+        M, b, vector = case
+        K = M.field
+        vector = [data.draw(st.one_of(st.just(x), _scalar(K.p))) for x in vector]
+        try:
+            want = _sequential_series(M, b, [vector])[0]
+        except (DomainError, PrecisionError, ConvergenceError) as exc:
+            with pytest.raises(type(exc)):
+                operator_series_apply(M, b, vector)
+            return
+        got = operator_series_apply(M, b, vector)
+        if K.table_prec == K.prec:
+            assert _triples([got]) == _triples([want])
+        else:
+            assert all((x - y).is_zero() for x, y in zip(got, want))
+
+    def test_apply_rejects_another_fields_element(self):
+        K, L = DOT_FIELDS["Q3(sqrt3)"], DOT_FIELDS["Q3(zeta9)"]
+        M = SenModule.diagonal_weights(K, [1, -1])
+        with pytest.raises(UsageError):
+            operator_series_apply(M, K.from_int(9), [K.one(), L.one()])
 
     @pytest.mark.parametrize("N", [10, 20, 30])
     def test_rank_one_grid_matches_sequential_sum(self, N):
