@@ -18,11 +18,11 @@ from .dpseries import DPSeries, coaction, log_t, sen_theta, solve_theta
 from .field import cyclotomic_field, eisenstein_field, qp_field, scalar_embedding, trace_to_Qp
 from .gamma import (build_level, dense_solve, g_minus_one, neumann_invert, rho_bound,
                     symmetric_range)
-from .padic import PadicScalar, padic_log
+from .padic import PadicScalar, dot, padic_log
 from .picard import boundary, functoriality_check, in_picard_image, kernel_lattice, witness_of_order
-from .senmod import (SenModule, bk_twist, char_poly_of_twist_via_resultant,
-                     cohomology, nearly_ht_test, operator_series,
-                     operator_series_apply, regular_representation, trivial_module)
+from .senmod import (SenModule, bk_twist, char_poly, cohomology, nearly_ht_test,
+                     operator_series, operator_series_apply, regular_representation,
+                     trivial_module)
 
 
 class CriterionFailure(AssertionError):
@@ -49,6 +49,57 @@ def _random_admissible_b(field, rng):
     """Random b with v(b) >= 1, mixing rational and uniformizer parts."""
     return field.from_int(field.p * rng.randrange(1, 50)) + \
         field.pi * field.from_int(field.p * rng.randrange(0, 50))
+
+
+def char_poly_of_twist_via_resultant(M: SenModule):
+    """Independent route to char(Q): eliminate S from (char_theta(S), T - q(S)).
+
+    Evaluates the Sylvester resultant at d+1 integer values of T by exact
+    determinants and Lagrange-interpolates the monic degree-d answer.  Used as
+    the cross-check oracle for the classifier; never shares code with the
+    direct matrix computation.
+    """
+    K, d = M.field, M.dim
+    p = K.p
+    f = char_poly(M)                      # ascending, monic, degree d
+    e_pow = M.e ** (p - 1)
+    samples = []
+    nodes = list(range(d + 1))
+    for t in nodes:
+        # g(S) = t - S^p + e^(p-1) S, degree p in S
+        g = [K.zero() for _ in range(p + 1)]
+        g[0] = K.from_int(t)
+        g[1] = g[1] + e_pow
+        g[p] = g[p] - K.one()
+        samples.append(_resultant(f, g, K))
+    # interpolate sum_j det_j * L_j(T): weights[j][i] is the T^i coefficient
+    # of the rational Lagrange basis polynomial L_j
+    weights = []
+    for j, t_j in enumerate(nodes):
+        basis, denom = [Fraction(1)], Fraction(1)
+        for t_l in nodes[:j] + nodes[j + 1:]:
+            basis = _poly_shift_mul(basis, -t_l)
+            denom *= Fraction(t_j - t_l)
+        weights.append([K.from_scalar(PadicScalar.from_fraction(w / denom, K.p, K.prec))
+                        for w in basis])
+    return [dot(samples, [row[i] for row in weights], K.zero()) for i in range(d + 1)]
+
+
+def _poly_shift_mul(poly, root):
+    """Multiply a rational polynomial (ascending) by (T + root)."""
+    out = [Fraction(0)] * (len(poly) + 1)
+    for i, c in enumerate(poly):
+        out[i] += c * root
+        out[i + 1] += c
+    return out
+
+
+def _resultant(f, g, K):
+    """Sylvester resultant of two K-polynomials (ascending coefficients)."""
+    n, m, zero = len(f) - 1, len(g) - 1, K.zero()
+    rows = [[zero] * i + f[::-1] + [zero] * (m - 1 - i) for i in range(m)] + \
+        [[zero] * i + g[::-1] + [zero] * (n - 1 - i) for i in range(n)]
+    return linalg.det(rows, K.one(), zero)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ Each field precomputes the reduction table y^j u^i mod (g, E) for
 j < 2f - 1, i < 2 e_ram - 1 and the trace form Tr(b_t) read off it.  A
 product is one Kronecker-packed big-integer multiplication and a table
 reduction, a sum of products (padic.dot over K) is one big-integer sum of
-packed products and one table reduction, a matrix times a vector is one such
-sum per row, a trace is a dot product with the trace form, and
-an inverse is a Newton iteration from the residue-field inverse.  Precision
-follows the scalar rules with field valuations, rounded down to an integer:
+packed products and one table reduction, each entry of a matrix product
+over K (LocalField.mat_mul, behind linalg.mat_mul and mat_vec) is one such
+sum, a trace is a dot product with the trace form, and an inverse is a Newton
+iteration from the residue-field inverse.  Precision follows the scalar rules
+with field valuations, rounded down to an integer:
 
     add/sub : min(N_x, N_y)
     mul     : min(N_x + v(y), N_y + v(x))
@@ -32,7 +33,7 @@ e = E'(pi).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, inf
 
 from .errors import DomainError, PrecisionError, UsageError
 from .padic import DEFAULT_PRECISION, PadicScalar, dot, power, require_prime, vp_int
@@ -302,44 +303,49 @@ class LocalField:
             total += p ** (t - m) * _packed(a, w, shifts) * _packed(b, w, shifts)
         return FieldElement(self, self._reduce(total, w, modulus), m, n)
 
-    def row_bounds(self, rows):
-        """Per row of a matrix over K, the least prec, _v and shift of its
-        entries: the bounds `mat_vec` reads."""
-        return [(min(x.prec for x in row), min(x._v() for x in row),
-                 min(x.shift for x in row)) for row in rows]
-
-    def mat_vec(self, rows, bounds, vector):
-        """linalg.mat_vec(rows, vector, self.zero()) with bounds =
-        row_bounds(rows), each entry with dot's (vec, shift, prec).
-
-        dot's q_ij = min(e prec_ij + v_j, e prec_j + v_ij) // e (v on the
-        scale v(pi) = 1) is at least L = min((e minprec_row + minv_vec) // e,
-        (e minprec_vec + minv_row) // e), and its cap t + M at least
-        minshift_row + minshift_vec + M.  When both reach self.prec, so does
-        every q_ij: n = self.prec, and dot keeps the products of shift
-        t < self.prec (a zero factor has t >= q_ij), which go to
-        `_packed_sum` directly.  Any other row is dot's.
-        """
-        e, N, M = self.e_ram, self.prec, self.table_prec
-        cprec, cv = min(y.prec for y in vector), min(y._v() for y in vector)
-        cshift = min(y.shift for y in vector)
+    def mat_mul(self, a, b, zero):
+        """linalg.mat_mul over K, each entry dot(row, column, zero) with its
+        (vec, shift, prec).  Bound a row or column by the least prec, _v
+        (v(pi) = 1) and shift of its entries: dot's q = min(e prec_x + v_y,
+        e prec_y + v_x) // e for each product of an entry is at least
+        min(e prec_row + v_col, e prec_col + v_row) // e, and its cap t + M at
+        least shift_row + shift_col + M.  When both reach N = zero.prec, n = N
+        and dot keeps zero and the products of shift t < N (a zero factor has
+        t >= q): they go to `_packed_sum` directly.  Any other entry is dot's,
+        as is each one of a row or column holding anything but elements of K."""
+        e, N = self.e_ram, zero.prec
+        M = self.table_prec if self.degree > 1 else inf     # Q_p has no table cap
+        start = [(zero.shift, N, zero, 1)] if zero.shift < N else []
+        cols = [(col, self._bound(col)) for col in zip(*b)]
         out = []
-        for row, (rprec, rv, rshift) in zip(rows, bounds):
-            low = min(e * rprec + cv, e * cprec + rv) // e
-            if self.degree > 1 and low > rshift + cshift + M:
-                low = rshift + cshift + M
-            if low < N:
-                out.append(self.dot(row, vector, self.zero()))
-                continue
-            out.append(self._packed_sum([(x.shift + y.shift, x.prec + y.prec, x, y)
-                                         for x, y in zip(row, vector)
-                                         if x.shift + y.shift < N], N))
+        for row in a:
+            rb, out_row = self._bound(row), []
+            for col, cb in cols:
+                if rb and cb and min(e * rb[0] + cb[1], e * cb[0] + rb[1]) // e >= N \
+                        and rb[2] + cb[2] + M >= N:
+                    out_row.append(self._packed_sum(start + [
+                        (x.shift + y.shift, x.prec + y.prec, x, y)
+                        for x, y in zip(row, col) if x.shift + y.shift < N], N))
+                else:
+                    out_row.append(self.dot(row, col, zero))
+            out.append(out_row)
         return out
 
-    def scale(self, c, xs):
-        """[c * x for x in xs] by `_times`, c packed once per modulus."""
+    def _bound(self, line):
+        """(least prec, _v, shift) of a row or column of elements of K, else None."""
+        lp = lv = ls = inf
+        for x in line:
+            if type(x) is not FieldElement or x.field is not self:
+                return None
+            p, v, s = x.prec, x._v(), x.shift
+            lp, lv, ls = (p if p < lp else lp), (v if v < lv else lv), (s if s < ls else ls)
+        return lp, lv, ls          # all inf for an empty line, whose entries go to dot
+
+    def scale(self, c, rows):
+        """linalg.mat_scale(rows, c): an element x of K by `_times`, c packed once."""
         packed_c = {}
-        return [self._times(c, x, packed_c) for x in xs]
+        return [[self._times(c, x, packed_c) if type(x) is FieldElement and x.field is self
+                 else c * x for x in row] for row in rows]
 
     def _times(self, c, x, packed_c=None):
         """c x with __mul__'s (vec, shift, prec), the table cap included;

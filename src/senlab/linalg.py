@@ -3,9 +3,9 @@
 Entries only need the scalar protocol: +, -, *, /, unary -, is_zero(),
 pivot_val() -> (is_exact, Fraction).  mat_mul, mat_vec and Berkowitz's
 Toeplitz steps take every entry as padic.dot of a row and a column, the sum
-zero + u[0] v[0] + ... in that order; over Q_p the products of valuation
-below the result's precision are added as one Python int and reduced once,
-with the value and the precision the sequential PadicScalar sum gives.
+zero + u[0] v[0] + ... in that order, with the value and the precision the
+sequential sum gives; over K, mat_mul and mat_vec hand their matrices to
+LocalField.mat_mul and mat_scale by an element to LocalField.scale.
 Pivots are chosen at minimal exact valuation; an entry counts as zero only
 when it is zero to its stored precision, and a stored bound that could
 undercut the chosen pivot raises PrecisionError instead of guessing a rank.
@@ -36,11 +36,15 @@ def mat_copy(m):
 
 
 def mat_mul(a, b, zero):
+    if hasattr(zero, "field"):
+        return zero.field.mat_mul(a, b, zero)
     cols = list(zip(*b))
     return [[dot(row, col, zero) for col in cols] for row in a]
 
 
 def mat_vec(a, v, zero):
+    if hasattr(zero, "field") and v:
+        return [row[0] for row in zero.field.mat_mul(a, [[x] for x in v], zero)]
     return [dot(row, v, zero) for row in a]
 
 
@@ -49,7 +53,7 @@ def mat_sub(a, b):
 
 
 def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
+    return c.field.scale(c, a) if hasattr(c, "field") else [[c * x for x in row] for row in a]
 
 
 def identity(n, one, zero):
@@ -351,10 +355,9 @@ def charpoly_berkowitz(mat, one, zero):
     for r in range(1, n):
         sub = [row[:r] for row in mat[:r]]
         row_vec = mat[r][:r]
-        col_vec = [mat[i][r] for i in range(r)]
         # Toeplitz column: [1, -a_rr, -R C, -R M C, ..., -R M^(r-1) C]
         items = [one, -mat[r][r]]
-        acc = col_vec
+        acc = [mat[i][r] for i in range(r)]
         for _ in range(r):
             items.append(-dot(row_vec, acc, zero))
             acc = mat_vec(sub, acc, zero)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import ConvergenceError, DomainError, PrecisionError, UsageError
 from .field import LocalField
-from .padic import PadicScalar, dot, exp_domain_threshold, newton_polygon, sum_series
+from .padic import PadicScalar, exp_domain_threshold, newton_polygon, sum_series
 
 
 class SenModule:
@@ -135,68 +135,6 @@ def _require_nearly_ht(M: SenModule):
             "the module is not nearly Hodge-Tate: char(theta^p - e^(p-1) theta) "
             "has slopes [%s] that are not positive" % ", ".join(map(str, report.offending)),
             concept="nearly Hodge-Tate classifier")
-
-
-def char_poly_of_twist_via_resultant(M: SenModule):
-    """Independent route to char(Q): eliminate S from (char_theta(S), T - q(S)).
-
-    Evaluates the Sylvester resultant at d+1 integer values of T by exact
-    determinants and Lagrange-interpolates the monic degree-d answer.  Used as
-    the cross-check oracle for the classifier; never shares code with the
-    direct matrix computation.
-    """
-    K = M.field
-    p = K.p
-    d = M.dim
-    f = char_poly(M)                      # ascending, monic, degree d
-    e_pow = M.e ** (p - 1)
-    samples = []
-    nodes = list(range(d + 1))
-    for t in nodes:
-        # g(S) = t - S^p + e^(p-1) S, degree p in S
-        g = [K.zero() for _ in range(p + 1)]
-        g[0] = K.from_int(t)
-        g[1] = g[1] + e_pow
-        g[p] = g[p] - K.one()
-        samples.append(_resultant(f, g, K))
-    # interpolate sum_j det_j * L_j(T): weights[j][i] is the T^i coefficient
-    # of the rational Lagrange basis polynomial L_j
-    weights = []
-    for j, t_j in enumerate(nodes):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for l, t_l in enumerate(nodes):
-            if l == j:
-                continue
-            basis = _poly_shift_mul(basis, -t_l)
-            denom *= Fraction(t_j - t_l)
-        weights.append([K.from_scalar(PadicScalar.from_fraction(w / denom, K.p, K.prec))
-                        for w in basis])
-    return [dot(samples, [row[i] for row in weights], K.zero()) for i in range(d + 1)]
-
-
-def _poly_shift_mul(poly, root):
-    """Multiply a rational polynomial (ascending) by (T + root)."""
-    out = [Fraction(0)] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i] += c * root
-        out[i + 1] += c
-    return out
-
-
-def _resultant(f, g, K: LocalField):
-    """Sylvester resultant of two K-polynomials (ascending coefficients)."""
-    n = len(f) - 1
-    m = len(g) - 1
-    size = n + m
-    rows = []
-    f_desc = list(reversed(f))
-    g_desc = list(reversed(g))
-    for i in range(m):
-        rows.append([K.zero()] * i + f_desc + [K.zero()] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([K.zero()] * i + g_desc + [K.zero()] * (size - m - 1 - i))
-    return linalg.det(rows, K.one(), K.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -325,25 +263,21 @@ def trivial_module(field: LocalField) -> SenModule:
 # the semilinear operator series
 # ---------------------------------------------------------------------------
 
-def _summed_series(M: SenModule, b, columns):
-    """Sum (b^n/n!) prod_{i<n}(theta - e i) applied to each vector of
-    `columns` to the field's precision, with the a priori stop rule of
-    `sum_series`; returns the summed vectors.
+def _summed_series(M: SenModule, b, prod):
+    """The d x k matrix sum (b^n/n!) P_n, P_0 = prod and P_(n+1) =
+    (theta - e n) P_n, to the field's precision by `sum_series`'s stop rule.
 
     Every factor theta - e i has entries of valuation at least
     w = min(v(theta), v(e)), and v(b^m/m!) >= m v(b) - (m-1)/(p-1).  With
     c = v(b) + w, every term after the n-th therefore has valuation at least
-    v(P_n) - n w + (n+1)(c - 1/(p-1)) + 1/(p-1), where P_n is the product
-    the generator holds, carried as v(P_(n+1)) >= v(P_n) + w past precision
-    losses; so the bound grows by c - 1/(p-1) every term when c > 1/(p-1).
+    v(P_n) - n w + (n+1)(c - 1/(p-1)) + 1/(p-1), carried as
+    v(P_(n+1)) >= v(P_n) + w past precision losses; so the bound grows by
+    c - 1/(p-1) every term when c > 1/(p-1).
 
-    theta's entries are packed once per series; each term packs only the new
-    diagonal entries theta_ii - e n, kept as elements (split as theta v -
-    (e n) v, a cancelling theta_ii - e n would claim fewer digits), and
-    `LocalField.mat_vec` forms each P_(n+1) v with padic.dot's (vec, shift,
-    prec).  `LocalField.scale` multiplies by b^n/n! with __mul__'s rule.  A
-    scalar in `columns` enters as K.from_scalar of it, so its products take
-    the table cap as element products do.
+    Each P_(n+1) is linalg.mat_mul's and each term linalg.mat_scale's, with
+    padic.dot's and __mul__'s (vec, shift, prec).  The diagonal theta_ii - e n
+    stays one element: split as theta v - (e n) v, a cancelling one would
+    claim fewer digits.
     """
     K = M.field
     if isinstance(b, (int, PadicScalar)):
@@ -356,26 +290,24 @@ def _summed_series(M: SenModule, b, columns):
         raise ConvergenceError(
             "operator series needs v(b) + min(v(theta), v(e)) > 1/(p-1) = %s; "
             "got %s" % (alpha, c), concept="operator series stop rule")
+    if not M.dim:
+        return []
 
-    def terms():
-        coef = K.one()
-        prods = [[coef._coerce(x) for x in v] for v in columns]
-        n, v_prod = 0, None
+    def terms(prod):
+        coef, n, v_prod, zero = K.one(), 0, None, K.zero()
         while True:
-            flat = [x for v in prods for x in v]
-            low = Fraction(min(x._v() for x in flat), K.e_ram)
+            low = Fraction(min(x._v() for row in prod for x in row), K.e_ram)
             v_prod = low if v_prod is None else max(low, v_prod + w)
-            yield K.scale(coef, flat), v_prod - n * w + (n + 1) * (c - alpha) + alpha
+            yield [x for row in linalg.mat_scale(prod, coef) for x in row], \
+                v_prod - n * w + (n + 1) * (c - alpha) + alpha
             en = M.e * n
-            shift = [[x - en if i == j else x for j, x in enumerate(row)]
-                     for i, row in enumerate(M.theta)]
-            bounds = K.row_bounds(shift)
             n += 1
             coef = coef * b / n        # the integer n: K.from_int(n)'s rule, with no inverse
-            prods = [K.mat_vec(shift, bounds, v) for v in prods]
+            prod = linalg.mat_mul([[x - en if i == j else x for j, x in enumerate(row)]
+                                   for i, row in enumerate(M.theta)], prod, zero)
 
-    flat = sum_series(terms(), K.prec)
-    return [flat[j * M.dim:(j + 1) * M.dim] for j in range(len(columns))]
+    flat, k = sum_series(terms(prod), K.prec), len(prod[0])
+    return [flat[i * k:(i + 1) * k] for i in range(M.dim)]
 
 
 def operator_series(M: SenModule, b):
@@ -387,13 +319,15 @@ def operator_series(M: SenModule, b):
     fails the classifier, and ConvergenceError up front when
     v(b) + min(v(theta), v(e)) <= 1/(p-1), where the stop rule has no bound.
     """
-    columns = _summed_series(M, b, linalg.identity(M.dim, M._one(), M._zero()))
-    return [list(row) for row in zip(*columns)]
+    return _summed_series(M, b, linalg.identity(M.dim, M._one(), M._zero()))
 
 
 def operator_series_apply(M: SenModule, b, vector):
-    """Apply the operator series to one vector without forming the matrix."""
-    return _summed_series(M, b, [vector])[0]
+    """Apply the operator series to one vector without forming the matrix; a
+    scalar entry is taken as K.from_scalar of it."""
+    if len(vector) != M.dim:
+        raise UsageError(f"the vector has {len(vector)} entries; the module has dimension {M.dim}")
+    return [row[0] for row in _summed_series(M, b, [[M._one()._coerce(x)] for x in vector])]
 
 
 def semilinear_descent_matrix(M: SenModule, chi_value: PadicScalar):

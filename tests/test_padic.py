@@ -230,15 +230,17 @@ def _series_element(draw, K, shift, prec):
 
 
 @st.composite
-def _mat_vec_case(draw):
-    """A square matrix of dimension 1..8 over one of SERIES_FIELDS and a
-    vector, shifts -4..6 and precisions 12..30, K.prec one time in two."""
+def _mat_mul_case(draw):
+    """A square matrix of dimension 1..8 over one of SERIES_FIELDS, a second
+    matrix of 1..8 columns, a vector and a start, shifts -4..6 and precisions
+    12..30, K.prec one time in two."""
     K = SERIES_FIELDS[draw(st.sampled_from(sorted(SERIES_FIELDS)))]
-    d = draw(st.integers(1, 8))
+    d, k = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     entry = _series_element(K, st.integers(-4, 6),
                             st.one_of(st.just(K.prec), st.integers(12, 30)))
-    row = st.lists(entry, min_size=d, max_size=d)
-    return K, draw(st.lists(row, min_size=d, max_size=d)), draw(row)
+    rows = st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+    b = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=d, max_size=d))
+    return K, draw(rows), b, draw(st.lists(entry, min_size=d, max_size=d)), draw(entry)
 
 
 @st.composite
@@ -302,12 +304,27 @@ class TestDot:
         assert _triples(operator_series(M, b)) == _triples(zip(*columns))
 
     @settings(max_examples=200)
-    @given(case=_mat_vec_case())
+    @given(case=_mat_mul_case())
     def test_packed_mat_vec_matches_sequential_sum(self, case):
-        # the row bound where it reaches K.prec, dot's rule product by product below
-        K, rows, vector = case
+        # linalg.mat_mul and mat_vec over K: the row and column bounds where
+        # they reach the start's precision, dot's rule product by product
+        # below; a start of any precision, zero or not, as padic.dot takes it
+        K, rows, b, vector, start = case
+        cols = list(zip(*b))
+        for zero in (K.zero(), start):
+            want = [[_sequential_dot(row, col, zero) for col in cols] for row in rows]
+            assert _triples(linalg.mat_mul(rows, b, zero)) == _triples(want)
         want = [_sequential_dot(row, vector, K.zero()) for row in rows]
-        assert _triples([K.mat_vec(rows, K.row_bounds(rows), vector)]) == _triples([want])
+        assert _triples([linalg.mat_vec(rows, vector, K.zero())]) == _triples([want])
+
+    @settings(max_examples=100)
+    @given(case=_mat_mul_case())
+    def test_mat_scale_matches_elementwise_products(self, case):
+        # linalg.mat_scale over K packs c once: c * x entry by entry
+        K, rows, b, vector, _ = case
+        for c in vector[:2]:
+            want = [[c * x for x in row] for row in b]
+            assert _triples(linalg.mat_scale(b, c)) == _triples(want)
 
     @settings(max_examples=40, deadline=None)
     @given(case=_series_case())

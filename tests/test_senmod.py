@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from gauss_jordan import gj_invert
 from senlab import linalg
+from senlab.accept import char_poly_of_twist_via_resultant
 from senlab.dpseries import DPSeries, coaction
 from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageError
 from senlab.field import LocalFieldSpec, build_field, eisenstein_field, qp_field
 from senlab.padic import PadicScalar
-from senlab.senmod import (SenModule, bk_twist, char_poly,
-                           char_poly_of_twist_via_resultant, cohomology,
+from senlab.senmod import (SenModule, bk_twist, char_poly, cohomology,
                            default_weight_range, dual,
                            ht_weights, nearly_ht_test,
                            operator_series, operator_series_apply,
@@ -436,6 +436,21 @@ class TestOperatorSeries:
             operator_series(M, K.pi)
         with pytest.raises(ConvergenceError):
             operator_series_apply(M, K.pi, [K.one(), K.one()])
+
+    @pytest.mark.parametrize("size", [2, 5, 0])
+    def test_apply_refuses_a_vector_of_the_wrong_length(self, K, size):
+        # a dimension-3 module takes 3 entries: 2 or 5 must not be cut or padded
+        M = SenModule.diagonal_weights(K, [0, 1, 2])
+        with pytest.raises(UsageError, match="%d entries; .* dimension 3" % size):
+            operator_series_apply(M, K.from_int(3), [K.one()] * size)
+
+    def test_zero_dimensional_module_sums_the_empty_series(self, K):
+        M = SenModule(K, [])
+        assert operator_series(M, K.from_int(3)) == []
+
+    def test_zero_dimensional_module_applies_to_the_empty_vector(self, K):
+        M = SenModule(K, [])
+        assert operator_series_apply(M, K.from_int(3), []) == []
 
     def test_ends_on_low_precision_inputs_in_a_fresh_process(self):
         # over Q_5(zeta_5) at precision 15, theta is known to 5^9 and b to 5:
