@@ -11,12 +11,12 @@ p^(N - s) and not all divisible by p.  So v(x) = s + i0/e_ram with i0 the
 first u-degree holding a coordinate prime to p.
 
 Each field precomputes the reduction table y^j u^i mod (g, E) for
-j < 2f - 1, i < 2 e_ram - 1 and the trace form Tr(b_t) read off it.  A
-product is one Kronecker-packed big-integer multiplication and a table
-reduction, a sum of products (padic.dot over K) is one big-integer sum of
-packed products and one table reduction, each entry of a matrix product
-over K (LocalField.mat_mul, behind linalg.mat_mul and mat_vec) is one such
-sum, a trace is a dot product with the trace form, and an inverse is a Newton
+j < 2f - 1, i < 2 e_ram - 1 and the trace form Tr(b_t) read off it.  A sum
+of products (padic.dot over K) is one big-integer sum of Kronecker-packed
+products and one table reduction (LocalField._packed_sum); a product x y is
+its one-term case, and each entry of a matrix product over K
+(LocalField.mat_mul, behind linalg.mat_mul and mat_vec) is one such sum.  A
+trace is a dot product with the trace form, and an inverse is a Newton
 iteration from the residue-field inverse.  Precision follows the scalar rules
 with field valuations, rounded down to an integer:
 
@@ -244,11 +244,11 @@ class LocalField:
         element of K and each factor an element of K, a scalar over p or an
         int, with the (vec, shift, prec) of that sequential sum.
 
-        The term selection: each product has the shift t and precision q that
-        __mul__ gives it (_scaled's, for a scalar factor; a zero factor makes
-        t >= q), n is the least q and start.prec, and `_packed_sum` adds the
-        products and start of shift t < n."""
-        p, e, d = self.p, self.e_ram, self.degree
+        The term selection: each product has the shift t and precision q of
+        `_product` (`_scalar_product`, for a scalar factor), n is the least q
+        and start.prec, and `_packed_sum` adds the products and start of
+        shift t < n."""
+        p = self.p
         n = start.prec
         terms = [(start.shift, start.prec, start, 1)]    # (t, bound, a, b)
         for x, y in zip(u, v):
@@ -264,21 +264,35 @@ class LocalField:
             if type(y) is FieldElement:
                 if y.field is not self:
                     raise UsageError("cannot mix elements of different fields")
-                q = min(e * x.prec + y._v(), e * y.prec + x._v()) // e
-                t = x.shift + y.shift
-                if d > 1 and q > t + self.table_prec:
-                    q = t + self.table_prec
+                t, q = self._product(x, y)
                 if t < q:
                     terms.append((t, x.prec + y.prec, x, y))
             else:
                 s = _as_scalar(y, p, self.prec)
-                q = min(e * (x.prec + s.val), e * s.prec + x._v()) // e
-                t = x.shift + s.val
+                t, q = self._scalar_product(x, s)
                 if t < q:
                     terms.append((t, x.prec - x.shift + q, x, s.unit % p ** (q - t)))
             if q < n:
                 n = q
         return self._packed_sum([term for term in terms if term[0] < n], n)
+
+    def _product(self, x, y):
+        """The shift t and precision q of x y for elements x, y of K:
+        q = min(N_x + v(y), N_y + v(x)) rounded down, at most t + M above
+        degree 1.  A zero factor makes t >= q."""
+        e = self.e_ram
+        q = min(e * x.prec + y._v(), e * y.prec + x._v()) // e
+        t = x.shift + y.shift
+        if q > t + self.table_prec and self.degree > 1:
+            q = t + self.table_prec
+        return t, q
+
+    def _scalar_product(self, x, s):
+        """The shift t and precision q of x s for an element x and a scalar s
+        over p: q = min(N_x + v(s), N_s + v(x)) rounded down, with no table
+        cap, since s multiplies each coordinate."""
+        e = self.e_ram
+        return x.shift + s.val, min(e * (x.prec + s.val), e * s.prec + x._v()) // e
 
     def _packed_sum(self, terms, n):
         """The sum, known modulo p^n, of the kept terms (t, bound, a, b): p^t a b
@@ -286,16 +300,23 @@ class LocalField:
         slot of p^(t - m) a b below d p^(bound - m), m the least t.  It is one
         integer sum of p^(t - m) packed(a) packed(b) in Kronecker slots
         widened for the number of terms, reduced once through the table
-        modulo p^(n - m); a sequential product is the same reduction modulo
-        p^(q - t), and an element is canonical modulo p^prec."""
+        modulo p^(n - m).  The table is linear and an element is canonical
+        modulo p^prec, so the sum has the (vec, shift, prec) of adding the
+        terms one product at a time; FieldElement.__mul__ is the one-term
+        sum at n = q."""
         if not terms:
             return FieldElement(self, (), n, n)
-        p, m = self.p, min(term[0] for term in terms)
+        p, (m, top, _, _) = self.p, terms[0]
+        for t, bound, _, _ in terms:
+            if t < m:
+                m = t
+            if bound > top:
+                top = bound
         # a slot of the reduction holds below len(table) p^(n - m) p^(M + e_ram);
         # a width past the table's own is rounded up to 64 bits, so few are packed
         modulus = p ** (n - m)
-        need = max((len(terms) * self.degree * p ** (max(term[1] for term in terms) - m))
-                   .bit_length(), (len(self._table) * modulus * self._table_mod).bit_length())
+        need = max(len(terms) * self.degree * p ** (top - m),
+                   len(self._table) * modulus * self._table_mod).bit_length()
         w = self._width if need <= self._width else -(-need // 64) * 64
         shifts = self._shifts if w == self._width else [w * s for s in self._slots]
         total = 0
@@ -306,13 +327,13 @@ class LocalField:
     def mat_mul(self, a, b, zero):
         """linalg.mat_mul over K, each entry dot(row, column, zero) with its
         (vec, shift, prec).  Bound a row or column by the least prec, _v
-        (v(pi) = 1) and shift of its entries: dot's q = min(e prec_x + v_y,
-        e prec_y + v_x) // e for each product of an entry is at least
-        min(e prec_row + v_col, e prec_col + v_row) // e, and its cap t + M at
-        least shift_row + shift_col + M.  When both reach N = zero.prec, n = N
-        and dot keeps zero and the products of shift t < N (a zero factor has
-        t >= q): they go to `_packed_sum` directly.  Any other entry is dot's,
-        as is each one of a row or column holding anything but elements of K."""
+        (v(pi) = 1) and shift of its entries: the precision q that `_product`
+        gives a product of an entry is at least min(e prec_row + v_col,
+        e prec_col + v_row) // e, and its cap t + M at least shift_row +
+        shift_col + M.  When both reach N = zero.prec, n = N and dot keeps
+        zero and the products of shift t < N: they go to `_packed_sum`
+        directly.  Any other entry is dot's, as is each one of a row or
+        column holding anything but elements of K."""
         e, N = self.e_ram, zero.prec
         M = self.table_prec if self.degree > 1 else inf     # Q_p has no table cap
         start = [(zero.shift, N, zero, 1)] if zero.shift < N else []
@@ -340,35 +361,6 @@ class LocalField:
             p, v, s = x.prec, x._v(), x.shift
             lp, lv, ls = (p if p < lp else lp), (v if v < lv else lv), (s if s < ls else ls)
         return lp, lv, ls          # all inf for an empty line, whose entries go to dot
-
-    def scale(self, c, rows):
-        """linalg.mat_scale(rows, c): an element x of K by `_times`, c packed once."""
-        packed_c = {}
-        return [[self._times(c, x, packed_c) if type(x) is FieldElement and x.field is self
-                 else c * x for x in row] for row in rows]
-
-    def _times(self, c, x, packed_c=None):
-        """c x with __mul__'s (vec, shift, prec), the table cap included;
-        packed_c, if given, holds c's coordinates packed modulo each modulus."""
-        e, M = self.e_ram, self.table_prec
-        vc, vx = c._v(), x._v()
-        prec = min(e * c.prec + vx, e * x.prec + vc) // e
-        shift = c.shift + x.shift
-        if prec > shift + M and self.degree > 1:
-            prec = shift + M
-        if prec <= shift or c.shift >= c.prec or x.shift >= x.prec:
-            return FieldElement(self, (), prec, prec)
-        m, shifts = self.p ** (prec - shift), self._shifts
-        pc = None if packed_c is None else packed_c.get(m)
-        if pc is None:
-            pc = _pack([a % m for a in c.vec], shifts)
-            if packed_c is not None:
-                packed_c[m] = pc
-        out = FieldElement(self, self._reduce(pc * _pack([a % m for a in x.vec], shifts),
-                                              self._width, m), shift, prec)
-        if out.shift < prec:
-            out._vpi = vc + vx
-        return out
 
     def _unit_inverse(self, w, prec):
         """Inverse of a unit vector modulo p^prec: w^(q-2) inverts it modulo pi,
@@ -568,13 +560,12 @@ class FieldElement:
         """Every coordinate times or over the scalar s, by PadicScalar's rules."""
         K = self.field
         s = _as_scalar(s, K.p, K.prec)
-        e, vx = K.e_ram, self._v()
         if not divide:
-            prec = min(e * (self.prec + s.val), e * s.prec + vx) // e
-            return FieldElement(K, [c * s.unit for c in self.vec], self.shift + s.val, prec)
+            return FieldElement(K, [c * s.unit for c in self.vec], *K._scalar_product(self, s))
         if s.is_zero():
             raise PrecisionError("division by a scalar that is zero to precision %d" % s.prec)
-        prec = min(e * (self.prec - s.val), e * (s.prec - 2 * s.val) + vx) // e
+        e = K.e_ram
+        prec = min(e * (self.prec - s.val), e * (s.prec - 2 * s.val) + self._v()) // e
         shift = self.shift - s.val
         if prec <= shift or self.is_zero():
             return FieldElement(K, self.vec, prec, prec)
@@ -584,9 +575,11 @@ class FieldElement:
     def __mul__(self, other):
         if type(other) is not FieldElement:
             return self._scaled(other, divide=False)
-        if other.field is not self.field:
+        K = self.field
+        if other.field is not K:
             raise UsageError("cannot mix elements of different fields")
-        return self.field._times(self, other)
+        t, q = K._product(self, other)
+        return K._packed_sum([(t, self.prec + other.prec, self, other)] if t < q else [], q)
 
     __rmul__ = __mul__
 

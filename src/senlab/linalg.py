@@ -5,7 +5,7 @@ pivot_val() -> (is_exact, Fraction).  mat_mul, mat_vec and Berkowitz's
 Toeplitz steps take every entry as padic.dot of a row and a column, the sum
 zero + u[0] v[0] + ... in that order, with the value and the precision the
 sequential sum gives; over K, mat_mul and mat_vec hand their matrices to
-LocalField.mat_mul and mat_scale by an element to LocalField.scale.
+LocalField.mat_mul.  mat_scale is c * x entry by entry for every scalar kind.
 Pivots are chosen at minimal exact valuation; an entry counts as zero only
 when it is zero to its stored precision, and a stored bound that could
 undercut the chosen pivot raises PrecisionError instead of guessing a rank.
@@ -53,7 +53,7 @@ def mat_sub(a, b):
 
 
 def mat_scale(a, c):
-    return c.field.scale(c, a) if hasattr(c, "field") else [[c * x for x in row] for row in a]
+    return [[c * x for x in row] for row in a]
 
 
 def identity(n, one, zero):

@@ -272,34 +272,38 @@ def _summed_series(M: SenModule, b, prod):
     c = v(b) + w, every term after the n-th therefore has valuation at least
     v(P_n) - n w + (n+1)(c - 1/(p-1)) + 1/(p-1), carried as
     v(P_(n+1)) >= v(P_n) + w past precision losses; so the bound grows by
-    c - 1/(p-1) every term when c > 1/(p-1).
+    c - 1/(p-1) every term when c > 1/(p-1).  Every one of these quantities
+    is an integer in units of 1/(e_ram (p-1)), read off `_v()`, and the
+    bound is yielded floored: `sum_series` compares it with integers only.
 
-    Each P_(n+1) is linalg.mat_mul's and each term linalg.mat_scale's, with
-    padic.dot's and __mul__'s (vec, shift, prec).  The diagonal theta_ii - e n
-    stays one element: split as theta v - (e n) v, a cancelling one would
-    claim fewer digits.
+    Each P_(n+1) is linalg.mat_mul's and each term linalg.mat_scale's, c x
+    entry by entry, with padic.dot's and __mul__'s (vec, shift, prec).  The
+    diagonal theta_ii - e n stays one element: split as theta v - (e n) v, a
+    cancelling one would claim fewer digits.
     """
     K = M.field
     if isinstance(b, (int, PadicScalar)):
         b = K.from_scalar(b)
     _require_nearly_ht(M)
-    alpha = Fraction(1, K.p - 1)
-    w = min([M.e.val_bound()] + [x.val_bound() for row in M.theta for x in row])
-    c = b.val_bound() + w
-    if c <= alpha:
+    p, e = K.p, K.e_ram
+    den = e * (p - 1)                   # valuations are counted in 1/den
+    w = (p - 1) * min([M.e._v()] + [x._v() for row in M.theta for x in row])
+    c = (p - 1) * b._v() + w
+    if c <= e:
         raise ConvergenceError(
             "operator series needs v(b) + min(v(theta), v(e)) > 1/(p-1) = %s; "
-            "got %s" % (alpha, c), concept="operator series stop rule")
+            "got %s" % (Fraction(1, p - 1), Fraction(c, den)),
+            concept="operator series stop rule")
     if not M.dim:
         return []
 
     def terms(prod):
         coef, n, v_prod, zero = K.one(), 0, None, K.zero()
         while True:
-            low = Fraction(min(x._v() for row in prod for x in row), K.e_ram)
+            low = (p - 1) * min(x._v() for row in prod for x in row)
             v_prod = low if v_prod is None else max(low, v_prod + w)
             yield [x for row in linalg.mat_scale(prod, coef) for x in row], \
-                v_prod - n * w + (n + 1) * (c - alpha) + alpha
+                (v_prod - n * w + (n + 1) * (c - e) + e) // den
             en = M.e * n
             n += 1
             coef = coef * b / n        # the integer n: K.from_int(n)'s rule, with no inverse

@@ -253,6 +253,9 @@ class TestExitCodes:
                             "--theta", str(theta), "--b", str(b))
         assert code == 5
         assert rep["error"]["kind"] == "ConvergenceError"
+        # v(b) = 1/2 and min(v(theta), v(e)) = 0 over Q_3(sqrt 3)
+        assert rep["error"]["message"] == (
+            "operator series needs v(b) + min(v(theta), v(e)) > 1/(p-1) = 1/2; got 1/2")
 
     @pytest.mark.parametrize("eis, prec, code", [
         ([["0"], ["0"], ["1"]], 1, 4), ([["9"], ["3"], ["1"]], 1, 4),

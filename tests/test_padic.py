@@ -86,12 +86,31 @@ class TestScalarArith:
                 assert (xr / xs - S.from_fraction(r / s, p, prec)).is_zero()
 
 
+def _table_product(x, y):
+    """x y formed apart from the library's packed sum, the oracle for every
+    product: for two elements, __mul__'s precision rule min(N_x + v(y),
+    N_y + v(x)) with its cap t + M above degree 1, and both coordinate
+    vectors reduced modulo p^(q - t) and multiplied through the table; a
+    scalar factor by the scalar rules of `*`."""
+    if type(x) is not FieldElement or type(y) is not FieldElement:
+        return x * y
+    K = x.field
+    e = K.e_ram
+    q = min(e * x.prec + y._v(), e * y.prec + x._v()) // e
+    t = x.shift + y.shift
+    if q > t + K.table_prec and K.degree > 1:
+        q = t + K.table_prec
+    if q <= t:
+        return FieldElement(K, (), q, q)
+    return FieldElement(K, K._mul_vec(x.vec, y.vec, K.p ** (q - t)), t, q)
+
+
 def _sequential_dot(u, v, zero):
     """The sum padic.dot replaced: zero + u[0] v[0] + ..., one scalar
     operation at a time; the oracle for dot."""
     acc = zero
     for x, y in zip(u, v):
-        acc = acc + x * y
+        acc = acc + _table_product(x, y)
     return acc
 
 
@@ -179,8 +198,8 @@ DOT_EDGES = {
 def _sequential_series(M, b, columns):
     """The operator series summed one product at a time, the oracle for
     senmod's packed route: linalg.mat_vec's rows over _sequential_dot, each
-    term scaled by coef * x through FieldElement.__mul__ and coef updated by
-    a division by K.from_int(n), with the library's tail bound and sum_series."""
+    term scaled by _table_product(coef, x) and coef updated by a division
+    by K.from_int(n), with the tail bound in Fractions and sum_series."""
     K = M.field
     b = K.from_scalar(b) if isinstance(b, (int, PadicScalar)) else b
     alpha = Fraction(1, K.p - 1)
@@ -193,12 +212,13 @@ def _sequential_series(M, b, columns):
             flat = [x for v in prods for x in v]
             low = min(x.val_bound() for x in flat)
             v_prod = low if v_prod is None else max(low, v_prod + w)
-            yield [coef * x for x in flat], v_prod - n * w + (n + 1) * (c - alpha) + alpha
+            yield [_table_product(coef, x) for x in flat], \
+                v_prod - n * w + (n + 1) * (c - alpha) + alpha
             en = M.e * n
             shift = [[x - en if i == j else x for j, x in enumerate(row)]
                      for i, row in enumerate(M.theta)]
             n += 1
-            coef = coef * b / K.from_int(n)
+            coef = _table_product(coef, b) / K.from_int(n)
             prods = [[_sequential_dot(row, v, K.zero()) for row in shift] for v in prods]
 
     flat = sum_series(terms(), K.prec)
@@ -320,11 +340,29 @@ class TestDot:
     @settings(max_examples=100)
     @given(case=_mat_mul_case())
     def test_mat_scale_matches_elementwise_products(self, case):
-        # linalg.mat_scale over K packs c once: c * x entry by entry
+        # linalg.mat_scale over K is c * x entry by entry, each a one-term packed sum
         K, rows, b, vector, _ = case
         for c in vector[:2]:
-            want = [[c * x for x in row] for row in b]
+            want = [[_table_product(c, x) for x in row] for row in b]
             assert _triples(linalg.mat_scale(b, c)) == _triples(want)
+
+    @pytest.mark.parametrize("name", sorted(SERIES_FIELDS))
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_product_matches_table_product(self, name, data):
+        # x * y is the one-term packed sum: shifts -4..6, precisions -3..30
+        # around K.prec = 20, zero factors; Q3_sqrt3_M15's table caps at 15
+        K = SERIES_FIELDS[name]
+        element = _series_element(K, st.integers(-4, 6), st.integers(-3, 30))
+        x, y = data.draw(element), data.draw(element)
+        z, want = x * y, _table_product(x, y)
+        assert (z.vec, z.shift, z.prec) == (want.vec, want.shift, want.prec)
+
+    @pytest.mark.parametrize("name, prec", [("Q3", 30), ("Q3_sqrt3_M15", 15)])
+    def test_product_takes_the_table_cap(self, name, prec):
+        K = SERIES_FIELDS[name]
+        x = FieldElement(K, [1] * K.degree, 0, 30)
+        assert (x * x).prec == _table_product(x, x).prec == prec
 
     @settings(max_examples=40, deadline=None)
     @given(case=_series_case())
@@ -381,7 +419,8 @@ class TestDot:
     def test_operator_series_sums_on_theta_packed_once(self, monkeypatch):
         # no term reaches linalg.mat_vec or LocalField.dot; a term costs one
         # reduction per product of theta by a column and one per scaled entry,
-        # and one field product, the coefficient's (e n scales e by an int)
+        # and d^2 + 1 field products: the d^2 scalings c * x of mat_scale and
+        # the coefficient's (e n scales e by an int)
         K = eisenstein_field(3, [-3, 0, 1], 40)
         rng = random.Random(5)
         d = 8
@@ -416,7 +455,7 @@ class TestDot:
         operator_series(M, b)
         assert counts["terms"] > 5
         assert counts["reduce"] <= 2 * d * d * counts["terms"]
-        assert counts["products"] <= counts["terms"]
+        assert counts["products"] <= (d * d + 1) * counts["terms"]
 
     @pytest.mark.parametrize("name", sorted(DOT_EDGES))
     def test_edge_cases(self, name):
