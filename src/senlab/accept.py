@@ -428,13 +428,6 @@ CRITERIA = {
 RUNTIME_BUDGETS = {1: 1.0, 2: 0.1, 3: 5.0, 4: 5.0, 5: 5.0,
                    6: 1.0, 7: 30.0, 8: 30.0, 9: 5.0, 10: 1.0}
 
-SUITES = {
-    "dpseries": (1, 2, 3, 10),
-    "senmod": (4, 5, 6),
-    "gamma": (7, 8),
-    "picard": (9,),
-}
-
 
 def run_criterion(index: int):
     """Run one criterion; it fails on a false assertion or on reaching its
@@ -463,13 +456,3 @@ def run_criterion(index: int):
         "details": details,
         "elapsed_s": elapsed,
     }
-
-
-def run_suite(which: str = "all"):
-    if which == "all":
-        indices = sorted(CRITERIA)
-    elif which in SUITES:
-        indices = list(SUITES[which])
-    else:
-        raise KeyError(which)
-    return [run_criterion(i) for i in indices]

@@ -8,6 +8,11 @@ prints measured runtimes).  Each command takes only the flags it reads:
 --prec overrides the working precision of every command but `accept`, and
 --trunc the series truncation of the `dps` commands, `gamma invert` and
 `gamma kernel`; any other flag is a usage error.
+
+Start-up loads only what a command runs: this module imports `jsonio` and
+`errors`, building the parser imports nothing more, and each handler imports
+the names it calls from its own group's modules (`senlab accept` alone loads
+the criteria).
 """
 
 from __future__ import annotations
@@ -18,16 +23,7 @@ import operator
 import sys
 
 from . import jsonio
-from .accept import SUITES, run_suite
-from .dpseries import coaction, dp_mul, gsharp_transport, log_t, sen_theta, solve_theta
 from .errors import SenlabError, UsageError
-from .field import FieldEmbedding, residue, scalar_embedding, trace_to_Qp, valuation
-from .gamma import build_level, g_minus_one, neumann_invert, rho_bound
-from .padic import DEFAULT_PRECISION, PadicScalar
-from .picard import boundary, functoriality_check, kernel_lattice, witness_of_order
-from .senmod import (SenModule, bk_twist, char_poly, cohomology, dual,
-                     ht_weights, nearly_ht_test, operator_series,
-                     semilinear_descent_matrix, tensor)
 
 
 def _load(path_or_inline):
@@ -88,6 +84,7 @@ def _cmd_field_arith(args):
 
 
 def _cmd_field_valuation(args):
+    from .field import valuation
     K = _field_from_args(args)
     x = jsonio.decode_element(_load(args.elem), K, "elem")
     exact, v = valuation(x, normalize=args.normalize)
@@ -96,6 +93,7 @@ def _cmd_field_valuation(args):
 
 
 def _cmd_field_trace(args):
+    from .field import trace_to_Qp
     K = _field_from_args(args)
     x = jsonio.decode_element(_load(args.elem), K, "elem")
     return {"settings": _settings(K.prec),
@@ -103,12 +101,14 @@ def _cmd_field_trace(args):
 
 
 def _cmd_field_residue(args):
+    from .field import residue
     K = _field_from_args(args)
     x = jsonio.decode_element(_load(args.elem), K, "elem")
     return {"settings": _settings(K.prec), "residue": list(residue(x))}
 
 
 def _cmd_field_substitute(args):
+    from .field import FieldEmbedding
     K = _field_from_args(args)
     x = jsonio.decode_element(_load(args.elem), K, "elem")
     y_img = jsonio.decode_element(_load(args.y_image), K, "y_image")
@@ -125,6 +125,7 @@ def _series(args, K, flag):
 
 
 def _cmd_dps_solve_theta(args):
+    from .dpseries import solve_theta
     K = _field_from_args(args)
     g = _series(args, K, "g")
     return {"settings": _settings(K.prec, g.trunc),
@@ -132,6 +133,7 @@ def _cmd_dps_solve_theta(args):
 
 
 def _cmd_dps_theta(args):
+    from .dpseries import sen_theta
     K = _field_from_args(args)
     f = _series(args, K, "f")
     out = sen_theta(f)
@@ -140,6 +142,7 @@ def _cmd_dps_theta(args):
 
 
 def _cmd_dps_mul(args):
+    from .dpseries import dp_mul
     K = _field_from_args(args)
     f = _series(args, K, "f")
     g = _series(args, K, "g")
@@ -149,6 +152,7 @@ def _cmd_dps_mul(args):
 
 
 def _cmd_dps_coaction(args):
+    from .dpseries import coaction
     K = _field_from_args(args)
     f = _series(args, K, "f")
     b = jsonio.decode_element(_load(args.b), K, "b")
@@ -157,6 +161,7 @@ def _cmd_dps_coaction(args):
 
 
 def _cmd_dps_log_t(args):
+    from .dpseries import log_t
     K = _field_from_args(args)
     e = jsonio.decode_element(_load(args.e), K, "e") if args.e else None
     return {"settings": _settings(K.prec, args.trunc),
@@ -164,6 +169,7 @@ def _cmd_dps_log_t(args):
 
 
 def _cmd_dps_gsharp(args):
+    from .dpseries import gsharp_transport
     K = _field_from_args(args)
     f = _series(args, K, "f")
     return {"settings": _settings(K.prec, f.trunc),
@@ -171,18 +177,21 @@ def _cmd_dps_gsharp(args):
 
 
 def _module_from_args(args):
+    from .senmod import SenModule
     K = _field_from_args(args)
     theta = jsonio.decode_theta_matrix(_load(args.theta), K)
     return SenModule(K, theta)
 
 
 def _cmd_senmod_charpoly(args):
+    from .senmod import char_poly
     M = _module_from_args(args)
     return {"settings": _settings(M.field.prec),
             "char_poly": [jsonio.encode_element(c) for c in char_poly(M)]}
 
 
 def _cmd_senmod_nearly_ht(args):
+    from .senmod import nearly_ht_test
     M = _module_from_args(args)
     report = nearly_ht_test(M)
     out = jsonio.encode_classifier_report(report)
@@ -192,6 +201,7 @@ def _cmd_senmod_nearly_ht(args):
 
 
 def _cmd_senmod_weights(args):
+    from .senmod import ht_weights
     if (args.nmin is None) != (args.nmax is None):
         raise UsageError("give both --nmin and --nmax, or neither")
     M = _module_from_args(args)
@@ -202,6 +212,7 @@ def _cmd_senmod_weights(args):
 
 
 def _cmd_senmod_cohomology(args):
+    from .senmod import cohomology
     M = _module_from_args(args)
     coh = cohomology(M)
     return {"settings": _settings(M.field.prec),
@@ -212,6 +223,7 @@ def _cmd_senmod_cohomology(args):
 
 
 def _cmd_senmod_tensor(args):
+    from .senmod import SenModule, tensor
     K = _field_from_args(args)
     m1 = SenModule(K, jsonio.decode_theta_matrix(_load(args.theta), K))
     m2 = SenModule(K, jsonio.decode_theta_matrix(_load(args.theta2), K, "theta2"))
@@ -220,18 +232,21 @@ def _cmd_senmod_tensor(args):
 
 
 def _cmd_senmod_dual(args):
+    from .senmod import dual
     M = _module_from_args(args)
     return {"settings": _settings(M.field.prec),
             "theta": jsonio.encode_matrix(dual(M).matrix())}
 
 
 def _cmd_senmod_twist(args):
+    from .senmod import bk_twist
     M = _module_from_args(args)
     return {"settings": _settings(M.field.prec),
             "theta": jsonio.encode_matrix(bk_twist(M, args.n).matrix())}
 
 
 def _cmd_senmod_series(args):
+    from .senmod import operator_series
     M = _module_from_args(args)
     b = jsonio.decode_element(_load(args.b), M.field, "b")
     return {"settings": _settings(M.field.prec),
@@ -239,6 +254,7 @@ def _cmd_senmod_series(args):
 
 
 def _cmd_senmod_descent(args):
+    from .senmod import semilinear_descent_matrix
     M = _module_from_args(args)
     chi = jsonio.decode_scalar(_load(args.chi), "chi", p=M.field.p,
                                prec=M.field.prec)
@@ -247,11 +263,14 @@ def _cmd_senmod_descent(args):
 
 
 def _level_from_args(args):
+    from .gamma import build_level
+    from .padic import DEFAULT_PRECISION
     return build_level(args.p, args.m, args.a,
                        DEFAULT_PRECISION if args.prec is None else args.prec)
 
 
 def _cmd_gamma_delta(args):
+    from .gamma import rho_bound
     level = _level_from_args(args)
     report = rho_bound(level, [n for n in range(args.nmin, args.nmax + 1) if n != 0])
     return {
@@ -264,6 +283,8 @@ def _cmd_gamma_delta(args):
 
 
 def _cmd_gamma_invert(args):
+    from .gamma import g_minus_one, neumann_invert
+    from .padic import PadicScalar
     level = _level_from_args(args)
     e = PadicScalar.from_int(args.e, args.p, level.prec)
     T = g_minus_one(level, e, args.trunc)
@@ -278,6 +299,8 @@ def _cmd_gamma_invert(args):
 
 
 def _cmd_gamma_kernel(args):
+    from .gamma import g_minus_one
+    from .padic import PadicScalar
     level = _level_from_args(args)
     e = PadicScalar.from_int(args.e, args.p, level.prec)
     T = g_minus_one(level, e, args.trunc)
@@ -289,6 +312,7 @@ def _cmd_gamma_kernel(args):
 
 
 def _cmd_picard_boundary(args):
+    from .picard import boundary
     K = _field_from_args(args)
     x = jsonio.decode_element(_load(args.elem), K, "elem")
     b = boundary(x)
@@ -299,6 +323,7 @@ def _cmd_picard_boundary(args):
 
 
 def _cmd_picard_kernel(args):
+    from .picard import kernel_lattice
     K = _field_from_args(args)
     rep = kernel_lattice(K, args.s)
     return {"settings": _settings(K.prec),
@@ -307,6 +332,8 @@ def _cmd_picard_kernel(args):
 
 
 def _cmd_picard_functorial(args):
+    from .field import FieldEmbedding, scalar_embedding
+    from .picard import functoriality_check
     if (args.y_image is None) != (args.u_image is None):
         raise UsageError("give both --y-image and --u-image, or neither")
     K = _field_from_args(args)
@@ -328,6 +355,7 @@ def _cmd_picard_functorial(args):
 
 
 def _cmd_picard_witness(args):
+    from .picard import boundary, witness_of_order
     K = _field_from_args(args)
     w = witness_of_order(K, args.k)
     return {"settings": _settings(K.prec),
@@ -335,8 +363,20 @@ def _cmd_picard_witness(args):
             "boundary": jsonio.encode_boundary(boundary(w))}
 
 
+# criterion indices of each `senlab accept` suite (see senlab.accept.CRITERIA);
+# the parser reads the names without importing the criteria
+SUITES = {
+    "dpseries": (1, 2, 3, 10),
+    "senmod": (4, 5, 6),
+    "gamma": (7, 8),
+    "picard": (9,),
+}
+
+
 def _cmd_accept(args):
-    results = run_suite(args.suite)
+    from .accept import CRITERIA, run_criterion
+    indices = sorted(CRITERIA) if args.suite == "all" else SUITES[args.suite]
+    results = [run_criterion(i) for i in indices]
     failures = [r for r in results if not r["passed"]]
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"
@@ -367,7 +407,10 @@ def _cmd_accept(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser():
+def build_parser(group=None):
+    """The `senlab` parser.  Every group is named, but given a `group` only
+    that group's commands are built: a process runs one command, and each
+    command's parser costs start-up time."""
     prec = argparse.ArgumentParser(add_help=False)
     prec.add_argument("--prec", type=int, default=None,
                       help="override the working precision")
@@ -385,108 +428,115 @@ def build_parser():
         description="Exact computations with Sen operators over p-adic fields")
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def leaf(group, name, fn, *parents):
-        q = group.add_parser(name, parents=[prec, *parents])
+    def leaf(cmds, name, fn, *parents):
+        q = cmds.add_parser(name, parents=[prec, *parents])
         q.set_defaults(fn=fn)
         return q
 
-    fld = sub.add_parser("field").add_subparsers(dest="cmd", required=True)
-    q = leaf(fld, "build", _cmd_field_build)
-    q.add_argument("--spec", required=True, dest="field")
-    q = leaf(fld, "arith", _cmd_field_arith)
-    q.add_argument("--field", required=True); q.add_argument("--x", required=True)
-    q.add_argument("--y", required=True)
-    q.add_argument("--op", required=True, choices=sorted(_ARITH_OPS))
-    q = leaf(fld, "valuation", _cmd_field_valuation)
-    q.add_argument("--field", required=True); q.add_argument("--elem", required=True)
-    q.add_argument("--normalize", default="p", choices=["p", "pi"])
-    q = leaf(fld, "trace", _cmd_field_trace)
-    q.add_argument("--field", required=True); q.add_argument("--elem", required=True)
-    q = leaf(fld, "residue", _cmd_field_residue)
-    q.add_argument("--field", required=True); q.add_argument("--elem", required=True)
-    q = leaf(fld, "substitute", _cmd_field_substitute)
-    q.add_argument("--field", required=True); q.add_argument("--elem", required=True)
-    q.add_argument("--y-image", required=True, dest="y_image")
-    q.add_argument("--u-image", required=True, dest="u_image")
+    def field_commands(cmds):
+        q = leaf(cmds, "build", _cmd_field_build)
+        q.add_argument("--spec", required=True, dest="field")
+        q = leaf(cmds, "arith", _cmd_field_arith)
+        q.add_argument("--field", required=True); q.add_argument("--x", required=True)
+        q.add_argument("--y", required=True)
+        q.add_argument("--op", required=True, choices=sorted(_ARITH_OPS))
+        q = leaf(cmds, "valuation", _cmd_field_valuation)
+        q.add_argument("--field", required=True); q.add_argument("--elem", required=True)
+        q.add_argument("--normalize", default="p", choices=["p", "pi"])
+        q = leaf(cmds, "trace", _cmd_field_trace)
+        q.add_argument("--field", required=True); q.add_argument("--elem", required=True)
+        q = leaf(cmds, "residue", _cmd_field_residue)
+        q.add_argument("--field", required=True); q.add_argument("--elem", required=True)
+        q = leaf(cmds, "substitute", _cmd_field_substitute)
+        q.add_argument("--field", required=True); q.add_argument("--elem", required=True)
+        q.add_argument("--y-image", required=True, dest="y_image")
+        q.add_argument("--u-image", required=True, dest="u_image")
 
-    dps = sub.add_parser("dps").add_subparsers(dest="cmd", required=True)
-    q = leaf(dps, "solve-theta", _cmd_dps_solve_theta, trunc())
-    q.add_argument("--field", required=True); q.add_argument("--g", required=True)
-    q = leaf(dps, "theta", _cmd_dps_theta, trunc())
-    q.add_argument("--field", required=True); q.add_argument("--f", required=True)
-    q = leaf(dps, "mul", _cmd_dps_mul, trunc())
-    q.add_argument("--field", required=True); q.add_argument("--f", required=True)
-    q.add_argument("--g", required=True)
-    q = leaf(dps, "coaction", _cmd_dps_coaction, trunc())
-    q.add_argument("--field", required=True); q.add_argument("--f", required=True)
-    q.add_argument("--b", required=True)
-    q = leaf(dps, "log-t", _cmd_dps_log_t, trunc(32))
-    q.add_argument("--field", required=True); q.add_argument("--e", default=None)
-    q = leaf(dps, "gsharp", _cmd_dps_gsharp, trunc())
-    q.add_argument("--field", required=True); q.add_argument("--f", required=True)
-    q.add_argument("--direction", required=True,
-                   choices=["to_gsharp", "from_gsharp"])
+    def dps_commands(cmds):
+        q = leaf(cmds, "solve-theta", _cmd_dps_solve_theta, trunc())
+        q.add_argument("--field", required=True); q.add_argument("--g", required=True)
+        q = leaf(cmds, "theta", _cmd_dps_theta, trunc())
+        q.add_argument("--field", required=True); q.add_argument("--f", required=True)
+        q = leaf(cmds, "mul", _cmd_dps_mul, trunc())
+        q.add_argument("--field", required=True); q.add_argument("--f", required=True)
+        q.add_argument("--g", required=True)
+        q = leaf(cmds, "coaction", _cmd_dps_coaction, trunc())
+        q.add_argument("--field", required=True); q.add_argument("--f", required=True)
+        q.add_argument("--b", required=True)
+        q = leaf(cmds, "log-t", _cmd_dps_log_t, trunc(32))
+        q.add_argument("--field", required=True); q.add_argument("--e", default=None)
+        q = leaf(cmds, "gsharp", _cmd_dps_gsharp, trunc())
+        q.add_argument("--field", required=True); q.add_argument("--f", required=True)
+        q.add_argument("--direction", required=True,
+                       choices=["to_gsharp", "from_gsharp"])
 
-    sen = sub.add_parser("senmod").add_subparsers(dest="cmd", required=True)
-    for name, fn in [
-        ("char-poly", _cmd_senmod_charpoly),
-        ("nearly-ht", _cmd_senmod_nearly_ht),
-        ("cohomology", _cmd_senmod_cohomology),
-        ("dual", _cmd_senmod_dual),
-    ]:
-        q = leaf(sen, name, fn)
+    def senmod_commands(cmds):
+        for name, fn in [
+            ("char-poly", _cmd_senmod_charpoly),
+            ("nearly-ht", _cmd_senmod_nearly_ht),
+            ("cohomology", _cmd_senmod_cohomology),
+            ("dual", _cmd_senmod_dual),
+        ]:
+            q = leaf(cmds, name, fn)
+            q.add_argument("--field", required=True)
+            q.add_argument("--theta", required=True)
+        q = leaf(cmds, "weights", _cmd_senmod_weights)
+        q.add_argument("--field", required=True); q.add_argument("--theta", required=True)
+        q.add_argument("--nmin", type=int, default=None)
+        q.add_argument("--nmax", type=int, default=None)
+        q = leaf(cmds, "tensor", _cmd_senmod_tensor)
+        q.add_argument("--field", required=True); q.add_argument("--theta", required=True)
+        q.add_argument("--theta2", required=True)
+        q = leaf(cmds, "twist", _cmd_senmod_twist)
+        q.add_argument("--field", required=True); q.add_argument("--theta", required=True)
+        q.add_argument("--n", type=int, required=True)
+        q = leaf(cmds, "operator-series", _cmd_senmod_series)
+        q.add_argument("--field", required=True); q.add_argument("--theta", required=True)
+        q.add_argument("--b", required=True)
+        q = leaf(cmds, "descent", _cmd_senmod_descent)
+        q.add_argument("--field", required=True); q.add_argument("--theta", required=True)
+        q.add_argument("--chi", required=True)
+
+    def gamma_commands(cmds):
+        q = leaf(cmds, "delta", _cmd_gamma_delta)
+        q.add_argument("--p", type=int, required=True)
+        q.add_argument("--m", type=int, required=True)
+        q.add_argument("--a", type=int, required=True)
+        q.add_argument("--nmin", type=int, required=True)
+        q.add_argument("--nmax", type=int, required=True)
+        q = leaf(cmds, "invert", _cmd_gamma_invert, trunc(8))
+        q.add_argument("--p", type=int, required=True)
+        q.add_argument("--m", type=int, required=True)
+        q.add_argument("--a", type=int, required=True)
+        q.add_argument("--e", type=int, required=True)
+        q.add_argument("--rhs", required=True)
+        q = leaf(cmds, "kernel", _cmd_gamma_kernel, trunc(8))
+        q.add_argument("--p", type=int, required=True)
+        q.add_argument("--m", type=int, required=True)
+        q.add_argument("--a", type=int, required=True)
+        q.add_argument("--e", type=int, required=True)
+
+    def picard_commands(cmds):
+        q = leaf(cmds, "boundary", _cmd_picard_boundary)
+        q.add_argument("--field", required=True); q.add_argument("--elem", required=True)
+        q = leaf(cmds, "kernel", _cmd_picard_kernel)
         q.add_argument("--field", required=True)
-        q.add_argument("--theta", required=True)
-    q = leaf(sen, "weights", _cmd_senmod_weights)
-    q.add_argument("--field", required=True); q.add_argument("--theta", required=True)
-    q.add_argument("--nmin", type=int, default=None)
-    q.add_argument("--nmax", type=int, default=None)
-    q = leaf(sen, "tensor", _cmd_senmod_tensor)
-    q.add_argument("--field", required=True); q.add_argument("--theta", required=True)
-    q.add_argument("--theta2", required=True)
-    q = leaf(sen, "twist", _cmd_senmod_twist)
-    q.add_argument("--field", required=True); q.add_argument("--theta", required=True)
-    q.add_argument("--n", type=int, required=True)
-    q = leaf(sen, "operator-series", _cmd_senmod_series)
-    q.add_argument("--field", required=True); q.add_argument("--theta", required=True)
-    q.add_argument("--b", required=True)
-    q = leaf(sen, "descent", _cmd_senmod_descent)
-    q.add_argument("--field", required=True); q.add_argument("--theta", required=True)
-    q.add_argument("--chi", required=True)
+        q.add_argument("--s", type=int, default=0)
+        q = leaf(cmds, "functorial", _cmd_picard_functorial)
+        q.add_argument("--field", required=True); q.add_argument("--ext", required=True)
+        q.add_argument("--elem", required=True)
+        q.add_argument("--y-image", default=None, dest="y_image")
+        q.add_argument("--u-image", default=None, dest="u_image")
+        q = leaf(cmds, "witness", _cmd_picard_witness)
+        q.add_argument("--field", required=True)
+        q.add_argument("--k", type=int, required=True)
 
-    gam = sub.add_parser("gamma").add_subparsers(dest="cmd", required=True)
-    q = leaf(gam, "delta", _cmd_gamma_delta)
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--nmin", type=int, required=True)
-    q.add_argument("--nmax", type=int, required=True)
-    q = leaf(gam, "invert", _cmd_gamma_invert, trunc(8))
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--e", type=int, required=True)
-    q.add_argument("--rhs", required=True)
-    q = leaf(gam, "kernel", _cmd_gamma_kernel, trunc(8))
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--e", type=int, required=True)
-
-    pic = sub.add_parser("picard").add_subparsers(dest="cmd", required=True)
-    q = leaf(pic, "boundary", _cmd_picard_boundary)
-    q.add_argument("--field", required=True); q.add_argument("--elem", required=True)
-    q = leaf(pic, "kernel", _cmd_picard_kernel)
-    q.add_argument("--field", required=True)
-    q.add_argument("--s", type=int, default=0)
-    q = leaf(pic, "functorial", _cmd_picard_functorial)
-    q.add_argument("--field", required=True); q.add_argument("--ext", required=True)
-    q.add_argument("--elem", required=True)
-    q.add_argument("--y-image", default=None, dest="y_image")
-    q.add_argument("--u-image", default=None, dest="u_image")
-    q = leaf(pic, "witness", _cmd_picard_witness)
-    q.add_argument("--field", required=True)
-    q.add_argument("--k", type=int, required=True)
+    for name, add_commands in [("field", field_commands), ("dps", dps_commands),
+                               ("senmod", senmod_commands), ("gamma", gamma_commands),
+                               ("picard", picard_commands)]:
+        q = sub.add_parser(name)
+        if group in (None, name):
+            add_commands(q.add_subparsers(dest="cmd", required=True))
 
     q = sub.add_parser("accept")
     q.add_argument("suite", nargs="?", default="all",
@@ -497,7 +547,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:

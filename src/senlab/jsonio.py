@@ -6,15 +6,21 @@ precision; field elements are row-major coefficient grids whose entries all
 carry the element's one precision (a grid read with mixed precisions is
 known to the least of them); rationals are {"num", "den"} strings.
 Decoders name the offending path on bad input.
+
+Only the decoders that build a field or a series import `senlab.field` or
+`senlab.dpseries`, so a command that reads scalars alone never loads them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import UsageError
-from .field import FieldElement, LocalField, LocalFieldSpec, build_field
 from .padic import NewtonPolygon, PadicScalar, require_prime
+
+if TYPE_CHECKING:
+    from .field import FieldElement, LocalField
 
 
 # -- primitives ---------------------------------------------------------------
@@ -94,6 +100,7 @@ def encode_field_spec(field: LocalField):
 
 
 def decode_field_spec(obj, path="field", prec_override=None) -> LocalField:
+    from .field import LocalFieldSpec, build_field
     if not isinstance(obj, dict):
         raise UsageError(f"{path}: expected a field-spec object")
     for key in ("p", "unramified_poly", "eisenstein_poly"):

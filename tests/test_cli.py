@@ -4,7 +4,7 @@ import json
 import pytest
 
 from senlab import accept, jsonio
-from senlab.cli import build_parser, main
+from senlab.cli import SUITES, build_parser, main
 from senlab.dpseries import DPSeries, log_t
 from senlab.field import LocalFieldSpec, build_field, eisenstein_field, qp_field
 from senlab.padic import PadicScalar
@@ -477,6 +477,33 @@ class TestAccept:
         captured = capsys.readouterr()
         assert code != 0
         assert "FAIL" in captured.err and "runtime budget" in captured.err
+
+    # the suite names live in the CLI, so building the parser loads no criteria;
+    # usage, errors and help read as they did when they came from senlab.accept
+    USAGE = "usage: senlab accept [-h] [{all,dpseries,gamma,picard,senmod}]\n"
+
+    def test_unknown_suite_is_2(self, capsys):
+        assert main(["accept", "nosuch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.USAGE + (
+            "senlab accept: error: argument suite: invalid choice: 'nosuch' "
+            "(choose from 'all', 'dpseries', 'gamma', 'picard', 'senmod')\n")
+
+    def test_help_lists_the_suites(self, capsys):
+        assert main(["accept", "--help"]) == 0
+        assert capsys.readouterr().out == self.USAGE + (
+            "\npositional arguments:\n  {all,dpseries,gamma,picard,senmod}\n\n"
+            "options:\n  -h, --help            show this help message and exit\n")
+
+    def test_suites_cover_the_criteria_once(self):
+        indices = [i for suite in SUITES.values() for i in suite]
+        assert sorted(indices) == sorted(accept.CRITERIA)
+
+    def test_dpseries_suite_runs_criteria_1_2_3_10(self, capsys):
+        code, rep = run_cli(capsys, "accept", "dpseries")
+        assert code == 0 and rep["suite"] == "dpseries" and rep["passed"]
+        assert [c["index"] for c in rep["criteria"]] == [1, 2, 3, 10]
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
-"""Every top-level import of a library module is used in that module, no
-module imports an underscore name from a sibling, every module-level def or
+"""Every import of a library module is used in that module, every import
+inside a def is used in that def, senlab/__init__.py exports each name of
+its table from the name's module on first access, no module imports an underscore name from a sibling, every module-level def or
 class is used by a library module, exported or traced by the benchmark,
 every public method is named in the library or the demos or traced,
 padic.dot is the one loop that sums products, and no module tests a
@@ -11,23 +12,45 @@ from pathlib import Path
 
 import pytest
 
+import senlab
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "senlab"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
 DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))
 
 
-def _unused_imports(source):
-    tree = ast.parse(source)
+def _own_nodes(scope):
+    """Every node of a module or def outside the defs, classes and lambdas
+    nested in it."""
+    for child in ast.iter_child_nodes(scope):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                  ast.Lambda)):
+            yield child
+            yield from _own_nodes(child)
+
+
+def _unused_in(scope):
+    """(line, name) of every name the module or def `scope` imports and does
+    not use within itself (a def's nested defs count as its own)."""
     imported = {}
-    for node in tree.body:
+    for node in _own_nodes(scope):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+    return [(line, name) for name, line in imported.items() if name not in used]
+
+
+def _unused_imports(source):
+    return sorted(_unused_in(ast.parse(source)))
+
+
+def _unused_def_imports(source):
+    return sorted(found for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for found in _unused_in(node))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
@@ -35,9 +58,28 @@ def test_no_unused_top_level_import(path):
     assert _unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_unused_import_in_a_def(path):
+    # each CLI handler imports the names it calls, and only those
+    assert _unused_def_imports(path.read_text()) == []
+
+
 def test_detects_an_unused_import():
     source = "import os\nfrom math import comb, gcd\nprint(gcd(4, 6))\n"
     assert _unused_imports(source) == [(1, "os"), (2, "comb")]
+
+
+def test_detects_an_unused_import_in_a_def():
+    # a handler's own imports must serve that handler: a name used only in a
+    # sibling def, or only at module level, does not count
+    source = ("import json\n"
+              "def f():\n    from math import comb, gcd\n    return gcd(4, 6)\n"
+              "def g():\n    import os\n    if os:\n        from sys import argv, path\n"
+              "        def h():\n            return argv\n        return h\n"
+              "def k():\n    from .x import comb, json\n    return lambda: comb\n"
+              "print(json, gcd)\n")
+    assert _unused_def_imports(source) == [(3, "comb"), (8, "path"), (13, "json")]
+    assert _unused_imports(source) == []
 
 
 def _private_sibling_imports(source):
@@ -91,13 +133,27 @@ def _orphan_methods(sources, callers, kept):
                   and (mod, f"{cls.name}.{node.name}") not in kept)
 
 
+def test_exports_load_on_first_access():
+    # the lazy table is the package's whole namespace: each name is its
+    # module's own object, by attribute and by `from senlab import`
+    assert senlab.__all__ == list(senlab._EXPORTS)
+    assert set(senlab._EXPORTS) <= set(dir(senlab))
+    for name, module in senlab._EXPORTS.items():
+        obj = getattr(importlib.import_module(f"senlab.{module}"), name)
+        namespace = {}
+        exec(f"from senlab import {name}", namespace)
+        assert getattr(senlab, name) is obj and namespace[name] is obj, name
+    with pytest.raises(AttributeError, match="'senlab' has no attribute 'nosuch'"):
+        senlab.nosuch
+    with pytest.raises(ImportError):
+        exec("from senlab import nosuch", {})
+
+
 def _exported_and_traced():
     """(module, name) of every export of senlab/__init__.py and of every
     target of bench/tracer.py, loaded as test_bench_tracer loads it: a
     traced method counts as (module, "Class.method") and keeps its class."""
-    init = ast.parse((SRC / "__init__.py").read_text())
-    kept = {(node.module, alias.name) for node in init.body
-            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    kept = {(module, name) for name, module in senlab._EXPORTS.items()}
     path = SRC.parent.parent / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
