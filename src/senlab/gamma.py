@@ -22,27 +22,61 @@ chi^n (y^k / k!) rho_n sigma, and since chi^n rho_n sigma = 1 + rho_n it is
 (y^k / k!) (1 + rho_n).  rho M is nilpotent by its structure, its sup-norm has
 one route (strict_upper_norm_exponent), one block back-substitution pass,
 the terminating Neumann sum, inverts g - 1, and the nullity of g - 1 is zero
-by the block structure.  The operator is kept in blocks: D_n = chi^n sigma - 1,
-coef[n][k] = chi^n y^k / k! and sigma.  The pass checks its solution one block
-row at a time, D_n x_n + sigma(sum_k coef[n][k] x_{n+k}) - rhs_n, and the dense
-Q_p matrix is assembled only when it is read (dense_solve and the oracles).
+by the block structure.
+
+Every matrix of the harness is an integer block (`_Block`): integers, one
+valuation shift, and the valuation and precision of each entry, so that each
+entry is the (val, unit, prec) the PadicScalar rules give it.  sigma,
+D_n = chi^n sigma - 1, rho_n and chi^-n (1 + rho_n) depend on p, m, a, prec
+and n alone; each is built once per (level, n), on first read, and cached on
+the level as immutable tuples.  The powers of rho M and the back-substitution
+with its residual, D_n x_n + sigma(sum_k coef[n][k] x_{n+k}) - rhs_n, run on
+these blocks: each entry of a product is one integer sum, sum(map(mul, ...)),
+with its precision read off the entries' valuations and precisions by the rule
+of padic.dot.  A PadicScalar is made only for what is returned: the
+solution, the reports and the dense Q_p matrix, assembled when it is read
+(dense_solve and the oracles).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import linalg
 from .errors import ConvergenceError, DomainError, UsageError
-from .padic import DEFAULT_PRECISION, PadicScalar, dot, require_prime, vp_int
+from .padic import DEFAULT_PRECISION, PadicScalar, require_prime, vp_int
+
+
+class _Block(NamedTuple):
+    """A matrix over Q_p in integers, its entries row by row in flat lists
+    (tuples in the blocks a level keeps): entry t is p^shift xs[t], known
+    modulo p^precs[t], with xs[t] reduced modulo p^(precs[t] - shift);
+    vals[t] is its valuation, or its precision when it is zero to precision,
+    as a PadicScalar stores it."""
+    shift: int
+    ncols: int
+    xs: list
+    vals: list
+    precs: list
+
+    def frozen(self):
+        """The block with tuples, which no caller can change, for the blocks
+        a level keeps.  Transient blocks keep lists: CPython grows
+        tuple(iterator) by resizing, so such a tuple never comes off the
+        free list of its final size yet returns there when freed, and those
+        lists would fill round after round."""
+        return self._replace(xs=tuple(self.xs), vals=tuple(self.vals), precs=tuple(self.precs))
+
 
 class CyclotomicLevel:
-    """Validated level Q_p(zeta_{p^m}): the integers p, m, a, prec and chi = a;
-    sigma, the one-term orbit sum zeta^i -> zeta^(i a), is built on first read."""
+    """Validated level Q_p(zeta_{p^m}): the integers p, m, a, prec and chi = a.
+    sigma, the one-term orbit sum zeta^i -> zeta^(i a), and the blocks D_n,
+    rho_n and chi^-n (1 + rho_n) of each twist n are integer blocks, each
+    built on first read and then kept."""
 
     def __init__(self, p, m, a, prec):
         self.p = p
@@ -58,19 +92,42 @@ class CyclotomicLevel:
     @functools.cached_property
     def sigma(self):
         """sigma_a on the basis u^k, u = zeta - 1: the columns zeta^(i a), i < d,
-        moved to the u^k, as a degree x degree PadicScalar matrix."""
+        moved to the u^k, modulo p^prec."""
         mod = self.p ** self.prec
         rows = _on_u_basis([_orbit_sum(self, 1, 0, i * self.a, mod)
                             for i in range(self.degree)])
-        return [[PadicScalar.from_residue(self.p, x, self.prec) for x in row] for row in rows]
+        return _uniform(self.p, 0, rows, self.prec).frozen()
+
+    def diagonal(self, n):
+        """D_n = chi^n sigma - 1, modulo p^prec."""
+        return self._block(_diagonal_block, n)
+
+    def rho(self, n):
+        """rho_n = (chi^n sigma - 1)^-1 to absolute precision prec."""
+        return self._block(_block_inverse, n)
+
+    def rho_sigma(self, n):
+        """chi^-n (1 + rho_n) = rho_n sigma, entry by entry as PadicScalar
+        products by chi^-n."""
+        return self._block(_rho_sigma_block, n)
+
+    @functools.cached_property
+    def _blocks(self):
+        return {}
+
+    def _block(self, build, n):
+        blocks = self._blocks
+        if (build, n) not in blocks:
+            blocks[build, n] = build(self, n).frozen()
+        return blocks[build, n]
 
     def __repr__(self):
         return f"CyclotomicLevel(p={self.p}, m={self.m}, a={self.a})"
 
 
 def build_level(p: int, m: int, a: int, prec: int = DEFAULT_PRECISION) -> CyclotomicLevel:
-    """Validate the level.  Nothing is built: sigma, the one-term orbit sum
-    on the u^k, is built on first read, and the Tate bound never reads it.
+    """Validate the level.  Nothing is built: sigma and the blocks of each
+    twist are built on first read, and the Tate bound reads none of them.
 
     Rejects gcd(a, p) > 1 and generators whose character is trivial (a = 1,
     or a a torsion unit so that a^(p-1) = 1 to working precision).  A with
@@ -102,19 +159,6 @@ def build_level(p: int, m: int, a: int, prec: int = DEFAULT_PRECISION) -> Cyclot
 class RhoReport(NamedTuple):
     per_n: dict                     # {n: Fraction exponent}
     delta: Fraction
-
-
-def _diagonal_block(level: CyclotomicLevel, n: int):
-    """chi^n sigma - 1 as a Q_p matrix."""
-    scale = level.chi ** n
-    return [[x * scale - 1 if i == j else x * scale for j, x in enumerate(row)]
-            for i, row in enumerate(level.sigma)]
-
-
-def _norm_exponent(blocks) -> Fraction:
-    """sup-norm exponent of a matrix given by its blocks: minus the smallest
-    entry valuation bound."""
-    return Fraction(-min(x.val_bound() for blk in blocks for row in blk for x in row))
 
 
 def _order(a: int, pm: int) -> int:
@@ -165,19 +209,6 @@ def rho_bound(level: CyclotomicLevel, n_values) -> RhoReport:
     return RhoReport(per_n, max(per_n.values()))
 
 
-def _block_inverse(level: CyclotomicLevel, r: int, n: int):
-    """rho_n = (a^(nr) - 1)^-1 S_n on the basis u^k, to absolute precision
-    prec: the S_n zeta^i, i < d, modulo p^(prec+v), v = v_p(a^(nr) - 1), moved
-    to the u^k, then over the exact integer a^(nr) - 1."""
-    p, d, prec = level.p, level.degree, level.prec
-    v = _vp_power_minus_one(level.a, n * r, p, level.m + 1)
-    mod = p ** (prec + v)
-    unit = (pow(level.a, n * r, p ** (prec + 2 * v)) - 1) // p ** v
-    scale = pow(unit, -1, mod)
-    rows = _on_u_basis([_orbit_sum(level, r, n, i, mod) for i in range(d)])
-    return [[PadicScalar.from_residue(p, scale * x, prec, -v) for x in row] for row in rows]
-
-
 def _on_u_basis(zeta_cols):
     """The integer matrix, on the basis u^k, u = zeta - 1, of the map sending
     zeta^i to zeta_cols[i] (coordinates on the zeta^k): by
@@ -213,24 +244,169 @@ def symmetric_range(n_max: int):
 
 
 # ---------------------------------------------------------------------------
+# integer blocks
+# ---------------------------------------------------------------------------
+
+def _reduced(p, shift, xs, precs):
+    """Each xs[t] modulo p^(precs[t] - shift), or 0 where precs[t] <= shift,
+    with one power of p per distinct modulus."""
+    rels = [n - shift if n > shift else 0 for n in precs]
+    mods = {k: p ** k for k in set(rels)}
+    return list(map(operator.mod, xs, map(mods.__getitem__, rels)))
+
+
+def _normalised(p, shift, ncols, xs, precs) -> _Block:
+    """The block of the entries p^shift xs[t] known modulo p^precs[t], as
+    padic._normalised makes each: the integer reduced modulo
+    p^(precs[t] - shift), its valuation shift + vp_int of the residue, or
+    precs[t] for a zero."""
+    xs = _reduced(p, shift, xs, precs)
+    vals = [shift + vp_int(x, p) if x else n for x, n in zip(xs, precs)]
+    return _Block(shift, ncols, xs, vals, list(precs))
+
+
+def _uniform(p, shift, rows, prec) -> _Block:
+    """The block of the integer matrix p^shift rows, every entry known modulo
+    p^prec."""
+    xs = [x for row in rows for x in row]
+    return _normalised(p, shift, len(rows[0]), xs, [prec] * len(xs))
+
+
+def _column(p, xs) -> _Block:
+    """A list of PadicScalars as one column block."""
+    if any(x.p != p for x in xs):
+        raise UsageError("cannot mix scalars over different primes")
+    shift = min(x.val for x in xs)
+    return _Block(shift, 1, [x.unit * p ** (x.val - shift) for x in xs],
+                  [x.val for x in xs], [x.prec for x in xs])
+
+
+def _scalars(p, blk: _Block):
+    """The entries of the block, row by row, as one list of PadicScalars."""
+    shift = blk.shift
+    return [PadicScalar(p, v, x // p ** (v - shift), n) if x else PadicScalar.zero(p, n)
+            for x, v, n in zip(blk.xs, blk.vals, blk.precs)]
+
+
+def _rows(blk: _Block, start, stop) -> _Block:
+    """Rows start..stop-1 of the block."""
+    c = blk.ncols
+    return _Block(blk.shift, c, *(m[start * c: stop * c] for m in blk[2:]))
+
+
+def _diagonal_block(level: CyclotomicLevel, n: int) -> _Block:
+    """chi^n sigma - 1: the integers a^n sigma - 1 modulo p^prec."""
+    d, scale = level.degree, pow(level.a, n, level.p ** level.prec)
+    sigma = level.sigma.xs
+    return _uniform(level.p, 0, [[sigma[i * d + j] * scale - (i == j) for j in range(d)]
+                                 for i in range(d)], level.prec)
+
+
+def _block_inverse(level: CyclotomicLevel, n: int) -> _Block:
+    """rho_n = (a^(nr) - 1)^-1 S_n on the basis u^k, to absolute precision
+    prec: the S_n zeta^i, i < d, modulo p^(prec+v), v = v_p(a^(nr) - 1), moved
+    to the u^k, then over the exact integer a^(nr) - 1, at shift -v."""
+    p, d, prec = level.p, level.degree, level.prec
+    r = _order(level.a, p ** level.m)
+    v = _vp_power_minus_one(level.a, n * r, p, level.m + 1)
+    mod = p ** (prec + v)
+    unit = (pow(level.a, n * r, p ** (prec + 2 * v)) - 1) // p ** v
+    scale = pow(unit, -1, mod)
+    rows = _on_u_basis([_orbit_sum(level, r, n, i, mod) for i in range(d)])
+    return _uniform(p, -v, [[scale * x for x in row] for row in rows], prec)
+
+
+def _rho_sigma_block(level: CyclotomicLevel, n: int) -> _Block:
+    """chi^-n (1 + rho_n): 1 + rho_n modulo p^prec, then each entry times the
+    PadicScalar chi^-n, which cuts an entry of valuation w < 0 to precision
+    prec + w."""
+    rho, d = level.rho(n), level.degree
+    one = level.p ** -rho.shift
+    rows = [[rho.xs[i * d + j] + one * (i == j) for j in range(d)] for i in range(d)]
+    return _scaled(level.p, _uniform(level.p, rho.shift, rows, level.prec), level.chi ** -n)
+
+
+def _scaled(p, blk: _Block, c: PadicScalar) -> _Block:
+    """c x for each entry x, by PadicScalar.__mul__: valuation v(x) + v(c),
+    precision min(N_x + v(c), N_c + v(x)) (v = N for a zero), the product of
+    the integers reduced there.  No valuation is recomputed: a product of two
+    units is a unit."""
+    v, shift = c.val, blk.shift + c.val
+    precs = list(map(min, map(operator.add, blk.precs, itertools.repeat(v)),
+                      map(operator.add, blk.vals, itertools.repeat(c.prec))))
+    xs = _reduced(p, shift, map(operator.mul, blk.xs, itertools.repeat(c.unit)), precs)
+    return _Block(shift, blk.ncols, xs, list(map(operator.add, blk.vals, itertools.repeat(v))),
+                  precs)
+
+
+def _difference(p, a: _Block, b: _Block) -> _Block:
+    """a - b entry by entry, by PadicScalar.__sub__: the integers subtracted
+    at the lesser shift and reduced once at the lesser precision."""
+    shift = min(a.shift, b.shift)
+    fa, fb = p ** (a.shift - shift), p ** (b.shift - shift)
+    return _normalised(p, shift, a.ncols, [x * fa - y * fb for x, y in zip(a.xs, b.xs)],
+                       list(map(min, a.precs, b.precs)))
+
+
+def _combination(p, terms, cap=None) -> _Block:
+    """sum_t c_t x_t for (c_t, x_t) in terms, entry by entry the padic.dot of
+    the c_t and the entries, started at its first product, or at zero to
+    precision cap: precision the least of the min(N_x + v(c), N_c + v(x)) (and
+    cap), the integer products summed at the least shift and reduced once."""
+    if len(terms) == 1 and cap is None:
+        return _scaled(p, terms[0][1], terms[0][0])
+    shift = min(blk.shift + c.val for c, blk in terms)
+    values = [map(operator.mul, blk.xs,
+                  itertools.repeat(c.unit * p ** (blk.shift + c.val - shift)))
+              for c, blk in terms]
+    precs = [map(min, map(operator.add, blk.precs, itertools.repeat(c.val)),
+                 map(operator.add, blk.vals, itertools.repeat(c.prec)))
+             for c, blk in terms] + ([itertools.repeat(cap)] if cap is not None else [])
+    return _normalised(p, shift, terms[0][1].ncols, list(map(sum, zip(*values))),
+                       list(map(min, *precs)))
+
+
+def _product(p, a: _Block, b: _Block, cap: int) -> _Block:
+    """a b, entry (i, j) the padic.dot of row i of a and column j of b started
+    at zero to precision cap: precision the least of cap and the
+    min(N_x + v(y), N_y + v(x)) of its products, value the integer sum
+    sum(map(mul, ...)) reduced once."""
+    k, c = a.ncols, b.ncols
+    cols, vcols, ncols = ([m[j::c] for j in range(c)] for m in (b.xs, b.vals, b.precs))
+    xs, precs = [], []
+    for i in range(0, len(a.xs), k):
+        row, vrow, nrow = a.xs[i:i + k], a.vals[i:i + k], a.precs[i:i + k]
+        xs.extend([sum(map(operator.mul, row, col)) for col in cols])
+        precs.extend(map(min, itertools.repeat(cap),
+                         [min(map(operator.add, nrow, vcol)) for vcol in vcols],
+                         [min(map(operator.add, vrow, ncol)) for ncol in ncols]))
+    return _normalised(p, a.shift + b.shift, c, xs, precs)
+
+
+def _nonzero(blocks):
+    return {key: blk for key, blk in blocks.items() if any(blk.xs)}
+
+
+# ---------------------------------------------------------------------------
 # the twisted operator on D_N
 # ---------------------------------------------------------------------------
 
 class TwistedOperator:
-    """(g - 1) on D_N in block form: `diag_blocks[n]` is the diagonal block
-    D_n = chi^n sigma - 1, `rho_blocks[n]` inverts it to the full precision
-    prec (the closed form over a^(nr) - 1), and `coef[n][k]` = chi^n y^k / k!,
-    so block (n, n+k) is coef[n][k] sigma and that of rho M is
-    coef[n][k] rho_n sigma.  `matrix`, the operator as one dense Q_p matrix,
-    is assembled from these blocks when it is first read."""
+    """(g - 1) on D_N in block form: the level's integer blocks
+    D_n = chi^n sigma - 1 (`level.diagonal(n)`), its inverse rho_n to the
+    full precision prec (`level.rho(n)`, the closed form over a^(nr) - 1) and
+    chi^-n (1 + rho_n) = rho_n sigma (`level.rho_sigma(n)`), each built once
+    per (level, n) and shared by every operator on that level, and the
+    scalars `coef[n][k]` = chi^n y^k / k!, so block (n, n+k) is
+    coef[n][k] sigma and that of rho M is coef[n][k] rho_n sigma.  `matrix`,
+    the operator as one dense Q_p matrix of PadicScalars, is assembled from
+    these blocks when it is first read."""
 
-    def __init__(self, level, e, trunc, y, diag_blocks, rho_blocks, coef):
+    def __init__(self, level, e, trunc, y, coef):
         self.level = level
         self.e = e
         self.trunc = trunc
         self.y = y
-        self.diag_blocks = diag_blocks  # {n: d x d block chi^n sigma - 1}
-        self.rho_blocks = rho_blocks    # {n: d x d inverse rho_n}
         self.coef = coef                # {n: [chi^n y^k / k! for k <= trunc - n]}
 
     @property
@@ -240,27 +416,20 @@ class TwistedOperator:
     @functools.cached_property
     def matrix(self):
         """The size x size operator, D_n at block (n, n), coef[n][k] sigma at (n, n+k)."""
-        d, sigma = self.level.degree, self.level.sigma
-        zero = PadicScalar.zero(self.level.p, self.level.prec)
+        level, p = self.level, self.level.p
+        d, zero = level.degree, PadicScalar.zero(p, level.prec)
         mat = []
         for n in range(1, self.trunc + 1):
-            row = [self.diag_blocks[n]] + [[[x * c for x in srow] for srow in sigma]
-                                           for c in self.coef[n][1:]]
-            mat.extend([zero] * (n - 1) * d + [x for blk in row for x in blk[i]]
+            row = [_scalars(p, blk) for blk in
+                   [level.diagonal(n)] + [_scaled(p, level.sigma, c) for c in self.coef[n][1:]]]
+            mat.extend([zero] * (n - 1) * d + [x for blk in row for x in blk[i * d:(i + 1) * d]]
                        for i in range(d))
         return mat
-
-    def _sigma_tail(self, n, later):
-        """sigma(sum_{k>=1} coef[n][k] x_{n+k}) for later = x_{n+1}, x_{n+2},
-        ... flattened, whose coordinate i is later[i::d]."""
-        d, zero = self.level.degree, PadicScalar.zero(self.level.p, self.level.prec)
-        tail = [dot(self.coef[n][1:], later[i::d], zero) for i in range(d)]
-        return linalg.mat_vec(self.level.sigma, tail, zero)
 
     def strict_upper_norm_exponent(self) -> Fraction:
         """Sup-norm exponent of rho M: sigma is in GL_d(Z_p), so block (n, n+k)
         has norm |coef[n][k]| |rho_n|; -prec with no strict block (trunc = 1)."""
-        return max((_norm_exponent([self.rho_blocks[n]])
+        return max((Fraction(-min(self.level.rho(n).vals))
                     - min(c.val_bound() for c in self.coef[n][1:])
                     for n in range(1, self.trunc)), default=Fraction(-self.level.prec))
 
@@ -271,47 +440,34 @@ class TwistedOperator:
         block (n, n+k) of rho M is coef[n][k] chi^-n (1 + rho_n), with no
         sigma in it.  Block (n, l) of the j-th power vanishes unless l - n >= j;
         each nonzero block of the next power is one product
-        rho_n sigma * sum_m coef[n][m - n] P(m, l), whose entries are each one
-        padic.dot over the m, in ascending order.  The report lists the
-        sup-norm exponent of every nonzero power and that of rho M, read off
+        rho_n sigma * sum_m coef[n][m - n] P(m, l), the sum taken entry by
+        entry as one padic.dot over the m started at its first product, the
+        product as integer blocks.  The report lists the sup-norm exponent of
+        every nonzero power and that of rho M, read off
         strict_upper_norm_exponent.
         """
-        zero = PadicScalar.zero(self.level.p, self.level.prec)
-        rho_sigma, rho_m = {}, {}
-        for n in range(1, self.trunc):
-            inv = self.level.chi ** -n
-            rho_sigma[n] = [[(x + 1 if i == j else x) * inv for j, x in enumerate(row)]
-                            for i, row in enumerate(self.rho_blocks[n])]
-            for k in range(1, self.trunc - n + 1):
-                rho_m[(n, n + k)] = linalg.mat_scale(rho_sigma[n], self.coef[n][k])
-        rho_m = _nonzero(rho_m)
+        level, p = self.level, self.level.p
+        rho_sigma = {n: level.rho_sigma(n) for n in range(1, self.trunc)}
+        rho_m = _nonzero({(n, n + k): _scaled(p, blk, self.coef[n][k])
+                          for n, blk in rho_sigma.items()
+                          for k in range(1, self.trunc - n + 1)})
         exps, power = [], rho_m
         while power:                # every product raises l - n by one
-            exps.append(_norm_exponent(power.values()))
+            exps.append(Fraction(-min(min(blk.vals) for blk in power.values())))
             terms = {}
             for n, m in rho_m:
                 for s, l in power:
                     if s == m:
                         terms.setdefault((n, l), []).append((self.coef[n][m - n], power[m, l]))
-            sums = {}
-            for key, ((c, first), *rest) in terms.items():
-                # started at the first term: a zero start would cut entries to prec
-                coefs = [c for c, _ in rest]
-                sums[key] = [[dot(coefs, [blk[i][j] for _, blk in rest], c * x)
-                              for j, x in enumerate(row)] for i, row in enumerate(first)]
-            power = _nonzero({(n, l): linalg.mat_mul(rho_sigma[n], blk, zero)
-                              for (n, l), blk in sums.items()})
+            power = _nonzero({(n, l): _product(p, rho_sigma[n], _combination(p, pairs),
+                                               level.prec)
+                              for (n, l), pairs in terms.items()})
         return {"sup_norm_exponent": self.strict_upper_norm_exponent(),
                 "power_exponents": exps, "nilpotent": len(exps) < self.trunc}
 
 
-def _nonzero(blocks):
-    return {key: blk for key, blk in blocks.items()
-            if any(not x.is_zero() for row in blk for x in row)}
-
-
 def g_minus_one(level: CyclotomicLevel, e: PadicScalar, trunc: int) -> TwistedOperator:
-    """Assemble (g - 1), the inverses rho_n of its diagonal blocks and the scalars."""
+    """(g - 1) on the level's blocks, with the scalars chi^n y^k / k!."""
     if isinstance(e, int):
         e = PadicScalar.from_int(e, level.p, level.prec)
     if e.is_zero():
@@ -327,55 +483,57 @@ def g_minus_one(level: CyclotomicLevel, e: PadicScalar, trunc: int) -> TwistedOp
     y_over_fact = [PadicScalar.one(level.p, level.prec)]
     for k in range(1, trunc):
         y_over_fact.append(y_over_fact[-1] * y / PadicScalar.from_int(k, level.p, level.prec))
-    coef, diag_blocks, rho_blocks = {}, {}, {}
-    r = _order(level.a, level.p ** level.m)
+    coef = {}
     for n in range(1, trunc + 1):
         chi_n = level.chi ** n
         coef[n] = [chi_n * c for c in y_over_fact[:trunc - n + 1]]
-        diag_blocks[n] = _diagonal_block(level, n)
-        rho_blocks[n] = _block_inverse(level, r, n)
-    return TwistedOperator(level, e, trunc, y, diag_blocks, rho_blocks, coef)
+    return TwistedOperator(level, e, trunc, y, coef)
 
 
 def neumann_invert(T: TwistedOperator, rhs):
     """Solve (g - 1) x = rhs by one block back-substitution pass.
 
-    x_n = rho_n (rhs_n - sigma sum_k coef[n][k] x_{n+k}) for n = trunc..1 is
-    exactly the terminating Neumann sum sum_k (-rho M)^k rho rhs, whatever
-    the entrywise sup-norm of rho M, which is reported beside the residual
-    (g - 1) x - rhs.  Block row n of the residual is
-    D_n x_n + sigma(sum_k coef[n][k] x_{n+k}) - rhs_n, recomputed from the
-    diagonal block, coef and sigma, so it checks rho_n against D_n.
+    x_n = rho_n b_n, b_n = rhs_n - sigma(sum_k coef[n][k] x_{n+k}), for
+    n = trunc..1 is exactly the terminating Neumann sum
+    sum_k (-rho M)^k rho rhs, whatever the entrywise sup-norm of rho M, which
+    is reported beside the residual (g - 1) x - rhs.  Block row n of the
+    residual, D_n x_n + sigma(sum_k coef[n][k] x_{n+k}) - rhs_n = D_n x_n - b_n,
+    is recomputed from the diagonal block, so it checks rho_n against D_n; its
+    entries have the (val, unit, prec) of that sum taken term by term.  The
+    pass runs on integer column blocks, each sum over k one padic.dot per
+    coordinate started at zero to precision prec, and only the solution is
+    made into PadicScalars.
     """
-    d = T.level.degree
+    level = T.level
+    p, d, prec = level.p, level.degree, level.prec
     if len(rhs) != T.size:
         raise UsageError("right-hand side has size %d; expected %d"
                          % (len(rhs), T.size))
     sup = T.strict_upper_norm_exponent()
-    zero = PadicScalar.zero(T.level.p, T.level.prec)
-    x = []                          # x_{n+1}, ..., x_trunc, flattened
+    rhs = _column(p, rhs)
+    b = {n: _rows(rhs, (n - 1) * d, n * d) for n in range(1, T.trunc + 1)}
+    x = {}
     for n in range(T.trunc, 0, -1):
-        b = rhs[(n - 1) * d: n * d]
-        if x:
-            b = [u - v for u, v in zip(b, T._sigma_tail(n, x))]
-        x = linalg.mat_vec(T.rho_blocks[n], b, zero) + x
-    residual = []
-    for n in range(1, T.trunc + 1):
-        row = linalg.mat_vec(T.diag_blocks[n], x[(n - 1) * d: n * d], zero)
-        if n < T.trunc:
-            row = [u + v for u, v in zip(row, T._sigma_tail(n, x[n * d:]))]
-        residual.extend(u - v for u, v in zip(row, rhs[(n - 1) * d: n * d]))
-    res_bound = min(u.val_bound() for u in residual)
-    if any(not u.is_zero() for u in residual):
+        if n < T.trunc:             # b_n = rhs_n - sigma(sum_k coef[n][k] x_{n+k})
+            later = [(c, x[n + k]) for k, c in enumerate(T.coef[n][1:], 1)]
+            b[n] = _difference(p, b[n], _product(p, level.sigma, _combination(p, later, prec),
+                                                 prec))
+        x[n] = _product(p, level.rho(n), b[n], prec)
+    residual = [_difference(p, _product(p, level.diagonal(n), x[n], prec), b[n])
+                for n in range(1, T.trunc + 1)]
+    res_bound = min(min(blk.vals) for blk in residual)
+    if any(any(blk.xs) for blk in residual):
         raise ConvergenceError(
             "Neumann residual is nonzero at valuation %s; |rho M| exponent %s "
             "suggests a smaller y" % (res_bound, sup),
             concept="Neumann contraction bound")
-    return {"solution": x, "residual_valuation": res_bound, "sup_norm_exponent": sup}
+    solution = [s for n in range(1, T.trunc + 1) for s in _scalars(p, x[n])]
+    return {"solution": solution, "residual_valuation": res_bound, "sup_norm_exponent": sup}
 
 
 def dense_solve(T: TwistedOperator, rhs):
     """Direct elimination on the full operator, the oracle route for
     neumann_invert: linalg.solve, integral Gauss-Jordan over Q_p, ignoring the
     block structure."""
+    from . import linalg
     return linalg.solve(T.matrix, list(rhs))

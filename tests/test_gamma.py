@@ -3,15 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gauss_jordan import gj_invert, gj_rank
-from senlab import linalg
+from senlab import gamma, linalg
 from senlab.dpseries import DPSeries, coaction
-from senlab.errors import DomainError, PrecisionError, UsageError
+from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageError
 from senlab.field import FieldEmbedding, cyclotomic_field, qp_field
 from senlab.gamma import (RhoReport, build_level, dense_solve, g_minus_one, neumann_invert,
                           rho_bound, symmetric_range)
-from senlab.padic import PadicScalar, vp_int
+from senlab.padic import PadicScalar, dot, vp_int
 
 S = PadicScalar
 
@@ -64,6 +65,150 @@ def _dense_neumann(T, rho, rho_m, rhs):
         w = [-x for x in linalg.mat_vec(rho_m, w, zero)]
         acc = [x + y for x, y in zip(acc, w)]
     return acc
+
+
+def _scalar_rows(blk, p):
+    """An integer block of gamma as rows of PadicScalars, read off its fields:
+    entry t is p^shift xs[t] with valuation vals[t], known modulo p^precs[t]."""
+    flat = [S(p, v, x // p ** (v - blk.shift), n) if x else S.zero(p, n)
+            for x, v, n in zip(blk.xs, blk.vals, blk.precs)]
+    return [flat[i:i + blk.ncols] for i in range(0, len(flat), blk.ncols)]
+
+
+def _triples(xs):
+    return [(x.val, x.unit, x.prec) for x in xs]
+
+
+# the PadicScalar route the integer blocks replaced, kept as the oracle for
+# them: sigma, D_n = chi^n sigma - 1 and rho_n as matrices of PadicScalars,
+# built for each operator, the powers of rho M through linalg.mat_mul and
+# per-entry padic.dot, and the back-substitution and its residual through
+# linalg.mat_vec.  The integer route must give every entry the same
+# (val, unit, prec).
+def _scalar_sigma(level):
+    p, prec = level.p, level.prec
+    rows = gamma._on_u_basis([gamma._orbit_sum(level, 1, 0, i * level.a, p ** prec)
+                              for i in range(level.degree)])
+    return [[S.from_residue(p, x, prec) for x in row] for row in rows]
+
+
+def _scalar_diagonal(level, sigma, n):
+    scale = level.chi ** n
+    return [[x * scale - 1 if i == j else x * scale for j, x in enumerate(row)]
+            for i, row in enumerate(sigma)]
+
+
+def _scalar_inverse(level, n):
+    p, d, prec = level.p, level.degree, level.prec
+    r = gamma._order(level.a, p ** level.m)
+    v = gamma._vp_power_minus_one(level.a, n * r, p, level.m + 1)
+    mod = p ** (prec + v)
+    unit = (pow(level.a, n * r, p ** (prec + 2 * v)) - 1) // p ** v
+    scale = pow(unit, -1, mod)
+    rows = gamma._on_u_basis([gamma._orbit_sum(level, r, n, i, mod) for i in range(d)])
+    return [[S.from_residue(p, scale * x, prec, -v) for x in row] for row in rows]
+
+
+def _scalar_norm_exponent(blocks):
+    return Fraction(-min(x.val_bound() for blk in blocks for row in blk for x in row))
+
+
+def _scalar_nonzero(blocks):
+    return {key: blk for key, blk in blocks.items()
+            if any(not x.is_zero() for row in blk for x in row)}
+
+
+class _ScalarRoute:
+    """The twisted operator T with its blocks as PadicScalar matrices."""
+
+    def __init__(self, T):
+        self.level, self.trunc, self.coef = T.level, T.trunc, T.coef
+        self.sigma = _scalar_sigma(T.level)
+        self.diag = {n: _scalar_diagonal(T.level, self.sigma, n) for n in range(1, T.trunc + 1)}
+        self.rho = {n: _scalar_inverse(T.level, n) for n in range(1, T.trunc + 1)}
+        self.zero = S.zero(T.level.p, T.level.prec)
+
+    def matrix(self):
+        d, mat = self.level.degree, []
+        for n in range(1, self.trunc + 1):
+            row = [self.diag[n]] + [[[x * c for x in srow] for srow in self.sigma]
+                                    for c in self.coef[n][1:]]
+            mat.extend([self.zero] * (n - 1) * d + [x for blk in row for x in blk[i]]
+                       for i in range(d))
+        return mat
+
+    def sigma_tail(self, n, later):
+        d = self.level.degree
+        tail = [dot(self.coef[n][1:], later[i::d], self.zero) for i in range(d)]
+        return linalg.mat_vec(self.sigma, tail, self.zero)
+
+    def strict_upper_norm_exponent(self):
+        return max((_scalar_norm_exponent([self.rho[n]])
+                    - min(c.val_bound() for c in self.coef[n][1:])
+                    for n in range(1, self.trunc)), default=Fraction(-self.level.prec))
+
+    def contraction_report(self):
+        rho_sigma, rho_m = {}, {}
+        for n in range(1, self.trunc):
+            inv = self.level.chi ** -n
+            rho_sigma[n] = [[(x + 1 if i == j else x) * inv for j, x in enumerate(row)]
+                            for i, row in enumerate(self.rho[n])]
+            for k in range(1, self.trunc - n + 1):
+                rho_m[(n, n + k)] = linalg.mat_scale(rho_sigma[n], self.coef[n][k])
+        rho_m = _scalar_nonzero(rho_m)
+        exps, power = [], rho_m
+        while power:
+            exps.append(_scalar_norm_exponent(power.values()))
+            terms = {}
+            for n, m in rho_m:
+                for s, l in power:
+                    if s == m:
+                        terms.setdefault((n, l), []).append((self.coef[n][m - n], power[m, l]))
+            sums = {}
+            for key, ((c, first), *rest) in terms.items():
+                coefs = [c for c, _ in rest]
+                sums[key] = [[dot(coefs, [blk[i][j] for _, blk in rest], c * x)
+                              for j, x in enumerate(row)] for i, row in enumerate(first)]
+            power = _scalar_nonzero({(n, l): linalg.mat_mul(rho_sigma[n], blk, self.zero)
+                                     for (n, l), blk in sums.items()})
+        return {"sup_norm_exponent": self.strict_upper_norm_exponent(),
+                "power_exponents": exps, "nilpotent": len(exps) < self.trunc}
+
+    def neumann_invert(self, rhs):
+        d, sup, x = self.level.degree, self.strict_upper_norm_exponent(), []
+        for n in range(self.trunc, 0, -1):
+            b = rhs[(n - 1) * d: n * d]
+            if x:
+                b = [u - v for u, v in zip(b, self.sigma_tail(n, x))]
+            x = linalg.mat_vec(self.rho[n], b, self.zero) + x
+        residual = []
+        for n in range(1, self.trunc + 1):
+            row = linalg.mat_vec(self.diag[n], x[(n - 1) * d: n * d], self.zero)
+            if n < self.trunc:
+                row = [u + v for u, v in zip(row, self.sigma_tail(n, x[n * d:]))]
+            residual.extend(u - v for u, v in zip(row, rhs[(n - 1) * d: n * d]))
+        res_bound = min(u.val_bound() for u in residual)
+        if any(not u.is_zero() for u in residual):
+            raise ConvergenceError(
+                "Neumann residual is nonzero at valuation %s; |rho M| exponent %s "
+                "suggests a smaller y" % (res_bound, sup))
+        return {"solution": x, "residual_valuation": res_bound, "sup_norm_exponent": sup}
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ConvergenceError, PrecisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _mixed_rhs(p, prec, size, rng):
+    """Entries at precisions prec - 12 .. prec + 3 and shifts -2 .. 3, one in
+    five zero to its precision."""
+    return [S.zero(p, rng.randrange(prec - 12, prec + 4)) if rng.random() < 0.2 else
+            S.from_residue(p, rng.randrange(-p ** 12, p ** 12), rng.randrange(prec - 12, prec + 4),
+                           rng.randrange(-2, 4)) for _ in range(size)]
 
 
 # the field route the orbit sum replaced: sigma_a on the basis u^k of
@@ -174,10 +319,9 @@ class TestBuildLevel:
                 L = build_level(p, m, a, prec)
             except DomainError:     # a^(p-1) = 1 to working precision
                 continue
-            want = _field_sigma(p, m, a, prec)
-            assert [[(x.val, x.unit, x.prec) for x in row] for row in L.sigma] == \
-                [[(x.val, x.unit, x.prec) for x in row] for row in want], prec
-            assert all((x - y).is_zero() for rx, ry in zip(L.sigma, want)
+            want, sigma = _field_sigma(p, m, a, prec), _scalar_rows(L.sigma, p)
+            assert [_triples(row) for row in sigma] == [_triples(row) for row in want], prec
+            assert all((x - y).is_zero() for rx, ry in zip(sigma, want)
                        for x, y in zip(rx, ry)), prec
 
     def test_sigma_built_on_first_read(self):
@@ -324,11 +468,10 @@ class TestTwistedOperator:
         # rho_n inverts chi^n sigma - 1, so chi^n rho_n sigma = 1 + rho_n:
         # contraction_report reads the blocks of rho M off rho_n alone
         L = build_level(p, m, a, 40)
-        T = g_minus_one(L, S.from_fraction(Fraction(1, p), p, 40), 4)
         zero = S.zero(p, 40)
         sigma = _field_sigma(p, m, a, 40)
         for n in range(1, 5):
-            rho = T.rho_blocks[n]
+            rho = _scalar_rows(L.rho(n), p)
             rho_sigma = linalg.mat_mul(rho, sigma, zero)
             diffs = [L.chi ** n * x - y - int(i == j)
                      for i, (rx, ry) in enumerate(zip(rho_sigma, rho))
@@ -344,11 +487,11 @@ class TestTwistedOperator:
         # on every digit, at the full precision prec, and is nowhere less
         # precise than Gauss-Jordan at the level's own precision
         L = build_level(p, m, a, prec)
-        T = g_minus_one(L, S.from_fraction(e, p, prec), trunc)
+        g_minus_one(L, S.from_fraction(e, p, prec), trunc)     # reads the level's rho_n
         L40 = build_level(p, m, a, 40)
         for n in range(1, trunc + 1):
             want = gj_invert(_field_block(L40, n), S.one(p, 40), S.zero(p, 40))
-            rho = T.rho_blocks[n]
+            rho = _scalar_rows(L.rho(n), p)
             assert all((x - y).is_zero() and x.prec == prec
                        for rx, ry in zip(rho, want) for x, y in zip(rx, ry)), n
             try:
@@ -449,6 +592,150 @@ class TestNeumann:
         neumann_invert(T, [S.from_int(k, 3, 40) for k in range(T.size)])
         assert "matrix" not in vars(T)
         assert len(T.matrix) == T.size and "matrix" in vars(T)
+
+
+# the benchmark levels and levels over Q_2 (degrees 1 and 2), Q_5 and Q_7
+ORACLE_LEVELS = [*BENCH_LEVELS, (2, 1, 3), (2, 2, 3), (5, 1, 2), (7, 1, 8)]
+
+
+def _report_triples(rep):
+    return {key: _triples(val) if key == "solution" else val for key, val in rep.items()}
+
+
+def _integer_and_scalar_routes(level_key, prec, e, trunc, seed):
+    """The integer route and the PadicScalar route on one operator: matrix,
+    contraction report and a Neumann solve of a mixed right-hand side, each
+    entry as (val, unit, prec), or the error each route raises."""
+    p = level_key[0]
+    try:
+        T = g_minus_one(build_level(*level_key, prec), S.from_fraction(e, p, prec), trunc)
+    except (DomainError, PrecisionError):       # v(y) < 1, or k! zero to precision
+        return None
+    oracle = _ScalarRoute(T)
+    rhs = _mixed_rhs(p, prec, T.size, random.Random(seed))
+    got, want = [], []
+    for route, fns in ((got, (lambda: T.matrix, T.contraction_report, neumann_invert)),
+                       (want, (oracle.matrix, oracle.contraction_report,
+                               oracle.neumann_invert))):
+        matrix, report, solve = fns
+        route.append([_triples(row) for row in matrix()])
+        route.append(_outcome(report))
+        solved = _outcome(solve, *([T, rhs] if solve is neumann_invert else [rhs]))
+        route.append(_report_triples(solved) if isinstance(solved, dict) else solved)
+    return got, want
+
+
+class TestIntegerBlocks:
+    """sigma, D_n, rho_n and the powers of rho M as integer blocks give every
+    entry the (val, unit, prec) of the PadicScalar route they replaced."""
+
+    @settings(max_examples=50)
+    @given(st.sampled_from(ORACLE_LEVELS), st.sampled_from([3, 8, 40]),
+           st.booleans(), st.integers(1, 8), st.integers(0, 2 ** 32))
+    def test_matches_the_scalar_route(self, level_key, prec, e_is_one, trunc, seed):
+        e = Fraction(1) if e_is_one else Fraction(1, level_key[0])
+        routes = _integer_and_scalar_routes(level_key, prec, e, trunc, seed)
+        if routes is not None:
+            got, want = routes
+            assert got == want
+
+    @settings(max_examples=200)
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+           st.integers(0, 12), st.integers(0, 2 ** 32))
+    def test_kernels_follow_the_padic_rules(self, p, r, k, c, cap, seed):
+        # each block kernel against the PadicScalar operation it stands for,
+        # on entries of mixed valuation and precision, zeros among them
+        rng = random.Random(seed)
+
+        def scalar():
+            prec = rng.randrange(-2, 13)
+            if rng.random() < 0.25:
+                return S.zero(p, prec)
+            return S.from_residue(p, rng.randrange(1, p ** 8), prec, rng.randrange(-3, 5))
+
+        def matrix(rows, cols):
+            return [[scalar() for _ in range(cols)] for _ in range(rows)]
+
+        def block(rows):
+            flat = [x for row in rows for x in row]
+            shift = min(x.val for x in flat)
+            return gamma._Block(shift, len(rows[0]), [x.unit * p ** (x.val - shift) for x in flat],
+                                [x.val for x in flat], [x.prec for x in flat])
+
+        def triples(blk):
+            return [_triples(row) for row in _scalar_rows(blk, p)]
+
+        a, b, b2 = matrix(r, k), matrix(k, c), matrix(k, c)
+        c1, c2 = scalar(), scalar()
+        zero = S.zero(p, cap)
+        assert triples(gamma._product(p, block(a), block(b), cap)) == \
+            [_triples(row) for row in linalg.mat_mul(a, b, zero)]
+        assert triples(gamma._scaled(p, block(b), c1)) == \
+            [[(x.val, x.unit, x.prec) for x in (c1 * y for y in row)] for row in b]
+        assert triples(gamma._difference(p, block(b), block(b2))) == \
+            [_triples([x - y for x, y in zip(rx, ry)]) for rx, ry in zip(b, b2)]
+        assert triples(gamma._combination(p, [(c1, block(b)), (c2, block(b2))])) == \
+            [_triples([dot([c2], [y], c1 * x) for x, y in zip(rx, ry)]) for rx, ry in zip(b, b2)]
+        assert triples(gamma._combination(p, [(c1, block(b)), (c2, block(b2))], cap)) == \
+            [_triples([dot([c1, c2], [x, y], zero) for x, y in zip(rx, ry)])
+             for rx, ry in zip(b, b2)]
+
+    @pytest.mark.parametrize("p,m,a,e,trunc", [
+        (3, 1, 2, Fraction(1, 3), 8), (3, 2, 2, Fraction(1, 3), 8),
+        (3, 2, 10, Fraction(1), 8), (3, 3, 2, Fraction(1, 3), 8),
+        (5, 2, 2, Fraction(1, 5), 8), (2, 2, 3, Fraction(1), 8), (7, 1, 8, Fraction(1, 7), 8)])
+    def test_matches_the_scalar_route_at_full_truncation(self, p, m, a, e, trunc):
+        got, want = _integer_and_scalar_routes((p, m, a), 40, e, trunc, p * m * a)
+        assert got == want
+
+    def test_blocks_are_built_on_first_read(self):
+        # build_level and g_minus_one build no block; each is built once, on
+        # first read, and then shared
+        L = build_level(3, 2, 2, 40)
+        assert set(vars(L)) == {"p", "m", "a", "prec", "chi"}
+        T = g_minus_one(L, S.from_fraction(Fraction(1, 3), 3, 40), 4)
+        assert set(vars(L)) == {"p", "m", "a", "prec", "chi"}
+        T.contraction_report()
+        assert "sigma" not in vars(L) and L.rho(1) is L.rho(1)
+        neumann_invert(T, [S.from_int(k, 3, 40) for k in range(T.size)])
+        assert "sigma" in vars(L) and L.diagonal(2) is L.diagonal(2)
+
+    def test_blocks_are_immutable(self):
+        L = build_level(3, 1, 2, 40)
+        T = g_minus_one(L, S.from_fraction(Fraction(1, 3), 3, 40), 3)
+        for blk in (L.sigma, L.diagonal(1), L.rho(1), L.rho_sigma(1)):
+            assert all(isinstance(field, tuple) for field in blk[2:])
+            with pytest.raises(TypeError):
+                blk.xs[0] = 0
+            with pytest.raises(AttributeError):
+                blk.shift = 0
+        # what an operator hands out is made from the blocks for the caller:
+        # changing it leaves the blocks as they were
+        rhs = [S.from_int(k + 1, 3, 40) for k in range(T.size)]
+        matrix, solution = [_triples(row) for row in T.matrix], neumann_invert(T, rhs)["solution"]
+        want = _triples(solution)
+        T.matrix[0][0] = S.zero(3, 40)
+        T.matrix[0][1].unit += 1
+        solution[0].unit += 1
+        again = g_minus_one(L, S.from_fraction(Fraction(1, 3), 3, 40), 3)
+        assert [_triples(row) for row in again.matrix] == matrix
+        assert _triples(neumann_invert(again, rhs)["solution"]) == want
+
+    @pytest.mark.parametrize("p,m,a", [(3, 2, 2), (3, 2, 10), (2, 2, 3)])
+    def test_shared_level_matches_fresh_levels(self, p, m, a):
+        # operators at two (e, truncation) on one level read its cached blocks
+        # and give what each gives on a level of its own
+        shared = build_level(p, m, a, 40)
+        for e, trunc in ((Fraction(1, p), 6), (Fraction(1) if (a - 1) % p == 0
+                                                 else Fraction(1, p ** 2), 3)):
+            fresh = build_level(p, m, a, 40)
+            results = []
+            for level in (shared, fresh):
+                T = g_minus_one(level, S.from_fraction(e, p, 40), trunc)
+                rhs = _mixed_rhs(p, 40, T.size, random.Random(trunc))
+                results.append(([_triples(row) for row in T.matrix], T.contraction_report(),
+                                _report_triples(neumann_invert(T, rhs))))
+            assert results[0] == results[1], (e, trunc)
 
 
 class TestCoactionScalars:

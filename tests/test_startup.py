@@ -34,7 +34,7 @@ def test_import_senlab_loads_no_submodule():
 
 @pytest.mark.parametrize("argv, absent", [
     (["gamma", "delta", "--p", "3", "--m", "2", "--a", "10", "--nmin", "-2", "--nmax", "2"],
-     {"field", "senmod", "dpseries", "picard", "accept"}),
+     {"field", "senmod", "dpseries", "linalg", "picard", "accept"}),
     (["field", "build", "--spec", FIELD],
      {"senmod", "dpseries", "gamma", "linalg", "picard", "accept"}),
     (["field", "trace", "--field", FIELD, "--elem", ELEM],
