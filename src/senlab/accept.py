@@ -18,7 +18,7 @@ from .dpseries import DPSeries, coaction, log_t, sen_theta, solve_theta
 from .field import cyclotomic_field, eisenstein_field, qp_field, scalar_embedding, trace_to_Qp
 from .gamma import (build_level, dense_solve, g_minus_one, neumann_invert, rho_bound,
                     symmetric_range)
-from .padic import PadicScalar, dot, padic_log
+from .padic import PadicScalar, padic_log
 from .picard import boundary, functoriality_check, in_picard_image, kernel_lattice, witness_of_order
 from .senmod import (SenModule, bk_twist, char_poly, cohomology, nearly_ht_test,
                      operator_series, operator_series_apply, regular_representation,
@@ -82,7 +82,7 @@ def char_poly_of_twist_via_resultant(M: SenModule):
             denom *= Fraction(t_j - t_l)
         weights.append([K.from_scalar(PadicScalar.from_fraction(w / denom, K.p, K.prec))
                         for w in basis])
-    return [dot(samples, [row[i] for row in weights], K.zero()) for i in range(d + 1)]
+    return [K.dot(samples, [row[i] for row in weights], K.zero()) for i in range(d + 1)]
 
 
 def _poly_shift_mul(poly, root):

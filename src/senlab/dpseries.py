@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .errors import ConvergenceError, UsageError
 from .field import FieldElement, LocalField
-from .padic import dot, vp_int
+from .padic import vp_int
 
 
 class DPSeries:
@@ -87,7 +87,7 @@ def dp_mul(f: DPSeries, g: DPSeries) -> DPSeries:
     once through the table modulo p^R and, times u_n, has shift m_f + m_g + v_n.
     Degree n gets the sequential sum's precision: the least over i of
     __mul__'s for f_i g_(n-i), with its cap at shift + M above degree 1, under
-    padic.dot's rule for the scalar C(n, i); R is the most any degree needs.
+    LocalField.dot's rule for the scalar C(n, i); R is the most any degree needs.
     The table is exact to p^(M + e_ram), and by that cap each precision is
     within M of its terms' least valuation s_i + s_j + v_p C(n, i); the slots
     hold the sums, below (trunc + 1) d p^(2R), and the reduction's, below
@@ -200,7 +200,7 @@ def coaction(f: DPSeries, b: FieldElement) -> DPSeries:
     out = []
     scale = K.one()
     for m in range(f.trunc + 1):
-        out.append(dot(f.coeffs[m:], b_over_fact, K.zero()) * scale)
+        out.append(K.dot(f.coeffs[m:], b_over_fact, K.zero()) * scale)
         scale = scale * one_plus_eb
     return DPSeries(K, out, e=f.e, valid_to=f.valid_to)
 
@@ -258,8 +258,8 @@ def dp_compose(f: DPSeries, phi: DPSeries) -> DPSeries:
     for n in range(1, trunc + 1):
         gammas.append(DPSeries(K, [c / n for c in dp_mul(gammas[-1], phi).coeffs], e=f.e))
     # gamma_n has no term below a^n, so coefficient m sums over n = 1..m
-    out = [dot(f.coeffs[1:m + 1], [g.coeffs[m] for g in gammas[1:m + 1]],
-               K.zero() if m else f.coeffs[0]) for m in range(trunc + 1)]
+    out = [K.dot(f.coeffs[1:m + 1], [g.coeffs[m] for g in gammas[1:m + 1]],
+                 K.zero() if m else f.coeffs[0]) for m in range(trunc + 1)]
     return DPSeries(K, out, e=f.e, valid_to=valid)
 
 
@@ -287,5 +287,5 @@ def gsharp_transport(f: DPSeries, direction: str) -> DPSeries:
         # s(m, k) = s(m-1, k-1) - (m-1) s(m-1, k); S(m, k) = S(m-1, k-1) + k S(m-1, k)
         row = [0] + [row[k - 1] + (1 - m if first_kind else k) * row[k]
                      for k in range(1, m)] + [1]
-        out.append(dot(c[1:m], [e_pow[m - k] * row[k] for k in range(1, m)], K.zero()) + c[m])
+        out.append(K.dot(c[1:m], [e_pow[m - k] * row[k] for k in range(1, m)], K.zero()) + c[m])
     return DPSeries(K, out, e=f.e, valid_to=f.valid_to)

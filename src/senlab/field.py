@@ -11,10 +11,10 @@ p^(N - s) and not all divisible by p.  So v(x) = s + i0/e_ram with i0 the
 first u-degree holding a coordinate prime to p.
 
 Each field precomputes the reduction table y^j u^i mod (g, E) for
-j < 2f - 1, i < 2 e_ram - 1 and the trace form Tr(b_t) read off it.  A sum
-of products (padic.dot over K) is one big-integer sum of Kronecker-packed
-products and one table reduction (LocalField._packed_sum); a product x y is
-its one-term case, and each entry of a matrix product over K
+j < 2f - 1, i < 2 e_ram - 1 and the trace form Tr(b_t) read off it.  Every
+sum of products over K calls LocalField.dot: one big-integer sum of
+Kronecker-packed products and one table reduction (LocalField._packed_sum);
+a product x y is its one-term case, and each entry of a matrix product
 (LocalField.mat_mul, behind linalg.mat_mul and mat_vec) is one such sum.  A
 trace is a dot product with the trace form, and an inverse is a Newton
 iteration from the residue-field inverse.  Precision follows the scalar rules
@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import comb, gcd, inf
 
 from .errors import DomainError, PrecisionError, UsageError
-from .padic import DEFAULT_PRECISION, PadicScalar, dot, power, require_prime, vp_int
+from .padic import DEFAULT_PRECISION, PadicScalar, power, require_prime, vp_int
 
 
 # ---------------------------------------------------------------------------
@@ -240,27 +240,19 @@ class LocalField:
                             self._width, m)
 
     def dot(self, u, v, start):
-        """padic.dot over K: start + u[0] v[0] + u[1] v[1] + ..., start an
-        element of K and each factor an element of K, a scalar over p or an
-        int, with the (vec, shift, prec) of that sequential sum.
+        """The one sum of products over K: start + u[0] v[0] + u[1] v[1] + ...,
+        start and each u[k] an element of K, each v[k] an element, a scalar
+        over p or an int, with the (vec, shift, prec) of that sequential sum.
 
         The term selection: each product has the shift t and precision q of
-        `_product` (`_scalar_product`, for a scalar factor), n is the least q
+        `_product` (`_scalar_product`, for a scalar v[k]), n is the least q
         and start.prec, and `_packed_sum` adds the products and start of
         shift t < n."""
-        p = self.p
-        n = start.prec
+        p, n = self.p, start.prec
         terms = [(start.shift, start.prec, start, 1)]    # (t, bound, a, b)
         for x, y in zip(u, v):
-            if type(x) is not FieldElement:
-                if type(y) is not FieldElement:   # two scalars: the sum adds their product
-                    z = self.from_scalar(x * y)
-                    n = min(n, z.prec)
-                    terms.append((z.shift, z.prec, z, 1))
-                    continue
-                x, y = y, x
-            if x.field is not self:
-                raise UsageError("cannot mix elements of different fields")
+            if type(x) is not FieldElement or x.field is not self:
+                raise UsageError("dot needs elements of this field in u, not %r" % (x,))
             if type(y) is FieldElement:
                 if y.field is not self:
                     raise UsageError("cannot mix elements of different fields")
@@ -325,15 +317,15 @@ class LocalField:
         return FieldElement(self, self._reduce(total, w, modulus), m, n)
 
     def mat_mul(self, a, b, zero):
-        """linalg.mat_mul over K, each entry dot(row, column, zero) with its
+        """The matrix product over K, each entry dot(row, column, zero) with its
         (vec, shift, prec).  Bound a row or column by the least prec, _v
         (v(pi) = 1) and shift of its entries: the precision q that `_product`
         gives a product of an entry is at least min(e prec_row + v_col,
         e prec_col + v_row) // e, and its cap t + M at least shift_row +
         shift_col + M.  When both reach N = zero.prec, n = N and dot keeps
         zero and the products of shift t < N: they go to `_packed_sum`
-        directly.  Any other entry is dot's, as is each one of a row or
-        column holding anything but elements of K."""
+        directly.  Any other entry is dot's, as is each one of a column
+        holding scalars."""
         e, N = self.e_ram, zero.prec
         M = self.table_prec if self.degree > 1 else inf     # Q_p has no table cap
         start = [(zero.shift, N, zero, 1)] if zero.shift < N else []
@@ -700,7 +692,7 @@ class FieldEmbedding:
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.field is not self.src:
             raise UsageError("element does not belong to the embedding's source")
-        return dot(self._images, x.coordinates(), self.dst.zero())
+        return self.dst.dot(self._images, x.coordinates(), self.dst.zero())
 
 
 def _eval_scalar_poly(coeffs, at, dst):

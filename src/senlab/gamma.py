@@ -31,11 +31,11 @@ D_n = chi^n sigma - 1, rho_n and chi^-n (1 + rho_n) depend on p, m, a, prec
 and n alone; each is built once per (level, n), on first read, and cached on
 the level as immutable tuples.  The powers of rho M and the back-substitution
 with its residual, D_n x_n + sigma(sum_k coef[n][k] x_{n+k}) - rhs_n, run on
-these blocks: each entry of a product is one integer sum, sum(map(mul, ...)),
-with its precision read off the entries' valuations and precisions by the rule
-of padic.dot.  A PadicScalar is made only for what is returned: the
-solution, the reports and the dense Q_p matrix, assembled when it is read
-(dense_solve and the oracles).
+these blocks through _product, _combination, _scaled and _difference, the one
+route for a sum of products over Q_p: each entry is one integer sum with the
+(val, unit, prec) of the sequential PadicScalar sum.  A PadicScalar is made
+only for what is returned: the solution, the reports and the dense Q_p
+matrix, assembled when it is read (dense_solve and the oracles).
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ class _Block(NamedTuple):
 
 class CyclotomicLevel:
     """Validated level Q_p(zeta_{p^m}): the integers p, m, a, prec and chi = a.
-    sigma, the one-term orbit sum zeta^i -> zeta^(i a), and the blocks D_n,
-    rho_n and chi^-n (1 + rho_n) of each twist n are integer blocks, each
-    built on first read and then kept."""
+    The order of a mod p^m, its orbit representatives, sigma (the one-term
+    orbit sum zeta^i -> zeta^(i a)) and the integer blocks D_n, rho_n and
+    chi^-n (1 + rho_n) of each twist n are each built on first read, then kept."""
 
     def __init__(self, p, m, a, prec):
         self.p = p
@@ -88,6 +88,22 @@ class CyclotomicLevel:
     @property
     def degree(self):
         return self.p ** self.m - self.p ** (self.m - 1)
+
+    @functools.cached_property
+    def order(self):
+        """The order r of a mod p^m, that of sigma."""
+        pm = self.p ** self.m
+        return next(r for r in range(1, pm) if pow(self.a, r, pm) == 1)
+
+    @functools.cached_property
+    def orbit_reps(self):
+        """The least i of each orbit of i -> i a on the integers mod p^m."""
+        pm, reps, seen = self.p ** self.m, [], set()
+        for i in range(pm):
+            if i not in seen:
+                reps.append(i)
+                seen.update(i * pow(self.a, j, pm) % pm for j in range(self.order))
+        return tuple(reps)
 
     @functools.cached_property
     def sigma(self):
@@ -161,11 +177,6 @@ class RhoReport(NamedTuple):
     delta: Fraction
 
 
-def _order(a: int, pm: int) -> int:
-    """The order r of a mod p^m, that of sigma."""
-    return next(r for r in range(1, pm) if pow(a, r, pm) == 1)
-
-
 def _orbit_sum(level: CyclotomicLevel, r: int, n: int, i: int, mod: int):
     """Coordinates on the zeta^k, k < d, of S_n zeta^i = sum_{j<r} a^(nj)
     zeta^(i a^j) modulo mod.  As zeta^(d+k) = -sum_{l<p-1} zeta^(k+lq),
@@ -193,16 +204,10 @@ def rho_bound(level: CyclotomicLevel, n_values) -> RhoReport:
         raise UsageError("n = 0 is the untwisted block; it is not invertible")
     if not n_values:
         raise UsageError("empty twist list: nothing to bound")
-    p, a, pm = level.p, level.a, level.p ** level.m
-    r = _order(a, pm)
-    reps, seen = [], set()
-    for i in range(pm):
-        if i not in seen:
-            reps.append(i)
-            seen.update(i * pow(a, j, pm) % pm for j in range(r))
+    p, r, reps = level.p, level.order, level.orbit_reps
     per_n = {}
     for n in n_values:
-        v = _vp_power_minus_one(a, abs(n) * r, p, level.m + 1)
+        v = _vp_power_minus_one(level.a, abs(n) * r, p, level.m + 1)
         mod = p ** v
         content = math.gcd(mod, *(y for i in reps for y in _orbit_sum(level, r, n, i, mod)))
         per_n[n] = Fraction(v - vp_int(content, p))
@@ -257,7 +262,7 @@ def _reduced(p, shift, xs, precs):
 
 def _normalised(p, shift, ncols, xs, precs) -> _Block:
     """The block of the entries p^shift xs[t] known modulo p^precs[t], as
-    padic._normalised makes each: the integer reduced modulo
+    PadicScalar.from_residue makes each: the integer reduced modulo
     p^(precs[t] - shift), its valuation shift + vp_int of the residue, or
     precs[t] for a zero."""
     xs = _reduced(p, shift, xs, precs)
@@ -307,7 +312,7 @@ def _block_inverse(level: CyclotomicLevel, n: int) -> _Block:
     prec: the S_n zeta^i, i < d, modulo p^(prec+v), v = v_p(a^(nr) - 1), moved
     to the u^k, then over the exact integer a^(nr) - 1, at shift -v."""
     p, d, prec = level.p, level.degree, level.prec
-    r = _order(level.a, p ** level.m)
+    r = level.order
     v = _vp_power_minus_one(level.a, n * r, p, level.m + 1)
     mod = p ** (prec + v)
     unit = (pow(level.a, n * r, p ** (prec + 2 * v)) - 1) // p ** v
@@ -349,8 +354,8 @@ def _difference(p, a: _Block, b: _Block) -> _Block:
 
 
 def _combination(p, terms, cap=None) -> _Block:
-    """sum_t c_t x_t for (c_t, x_t) in terms, entry by entry the padic.dot of
-    the c_t and the entries, started at its first product, or at zero to
+    """sum_t c_t x_t for (c_t, x_t) in terms, entry by entry the sequential
+    PadicScalar sum c_0 x_0 + c_1 x_1 + ..., or that sum started at zero to
     precision cap: precision the least of the min(N_x + v(c), N_c + v(x)) (and
     cap), the integer products summed at the least shift and reduced once."""
     if len(terms) == 1 and cap is None:
@@ -367,9 +372,9 @@ def _combination(p, terms, cap=None) -> _Block:
 
 
 def _product(p, a: _Block, b: _Block, cap: int) -> _Block:
-    """a b, entry (i, j) the padic.dot of row i of a and column j of b started
-    at zero to precision cap: precision the least of cap and the
-    min(N_x + v(y), N_y + v(x)) of its products, value the integer sum
+    """a b, entry (i, j) the sequential PadicScalar sum of row i of a times
+    column j of b started at zero to precision cap: precision the least of cap
+    and the min(N_x + v(y), N_y + v(x)) of its products, value the integer sum
     sum(map(mul, ...)) reduced once."""
     k, c = a.ncols, b.ncols
     cols, vcols, ncols = ([m[j::c] for j in range(c)] for m in (b.xs, b.vals, b.precs))
@@ -441,9 +446,9 @@ class TwistedOperator:
         sigma in it.  Block (n, l) of the j-th power vanishes unless l - n >= j;
         each nonzero block of the next power is one product
         rho_n sigma * sum_m coef[n][m - n] P(m, l), the sum taken entry by
-        entry as one padic.dot over the m started at its first product, the
-        product as integer blocks.  The report lists the sup-norm exponent of
-        every nonzero power and that of rho M, read off
+        entry as one _combination over the m started at its first product,
+        the product as integer blocks.  The report lists the sup-norm exponent
+        of every nonzero power and that of rho M, read off
         strict_upper_norm_exponent.
         """
         level, p = self.level, self.level.p
@@ -500,7 +505,7 @@ def neumann_invert(T: TwistedOperator, rhs):
     residual, D_n x_n + sigma(sum_k coef[n][k] x_{n+k}) - rhs_n = D_n x_n - b_n,
     is recomputed from the diagonal block, so it checks rho_n against D_n; its
     entries have the (val, unit, prec) of that sum taken term by term.  The
-    pass runs on integer column blocks, each sum over k one padic.dot per
+    pass runs on integer column blocks, each sum over k one _combination per
     coordinate started at zero to precision prec, and only the solution is
     made into PadicScalars.
     """

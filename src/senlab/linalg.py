@@ -1,14 +1,13 @@
 """Valuation-pivoted exact linear algebra over Q_p or a local field.
 
-Entries only need the scalar protocol: +, -, *, /, unary -, is_zero(),
-pivot_val() -> (is_exact, Fraction).  mat_mul, mat_vec and Berkowitz's
-Toeplitz steps take every entry as padic.dot of a row and a column, the sum
-zero + u[0] v[0] + ... in that order, with the value and the precision the
-sequential sum gives; over K, mat_mul and mat_vec hand their matrices to
-LocalField.mat_mul.  mat_scale is c * x entry by entry for every scalar kind.
-Pivots are chosen at minimal exact valuation; an entry counts as zero only
-when it is zero to its stored precision, and a stored bound that could
-undercut the chosen pivot raises PrecisionError instead of guessing a rank.
+mat_mul, mat_vec and charpoly_berkowitz run over a local field K: products
+go to LocalField.mat_mul and sums to LocalField.dot, with the value and
+precision of the sequential sum zero + u[0] v[0] + ...  Q_p is the degree-1
+field qp_field(p, prec); a PadicScalar zero raises UsageError.  mat_scale is
+c * x entry by entry for every scalar kind.  Pivots are chosen at minimal
+exact valuation; an entry counts as zero only when it is zero to its stored
+precision, and a stored bound that could undercut the chosen pivot raises
+PrecisionError instead of guessing a rank.
 
 solve, invert and rank take matrices of PadicScalar entries only (any
 other entries raise UsageError) and run integral Gauss-Jordan on rows of
@@ -26,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .errors import PrecisionError, UsageError
-from .padic import PadicScalar, dot, power, vp_int
+from .padic import PadicScalar, power, vp_int
 
 SINGULAR = "matrix singular to working precision"
 
@@ -35,17 +34,21 @@ def mat_copy(m):
     return [list(row) for row in m]
 
 
+def _field(zero):
+    """The LocalField of zero; UsageError for anything else."""
+    if not hasattr(zero, "field"):
+        raise UsageError("matrix products run over a LocalField: take Q_p as qp_field(p, prec)")
+    return zero.field
+
+
 def mat_mul(a, b, zero):
-    if hasattr(zero, "field"):
-        return zero.field.mat_mul(a, b, zero)
-    cols = list(zip(*b))
-    return [[dot(row, col, zero) for col in cols] for row in a]
+    return _field(zero).mat_mul(a, b, zero)
 
 
 def mat_vec(a, v, zero):
-    if hasattr(zero, "field") and v:
-        return [row[0] for row in zero.field.mat_mul(a, [[x] for x in v], zero)]
-    return [dot(row, v, zero) for row in a]
+    if not v:                   # no column: each entry is the empty sum
+        return [_field(zero).dot(row, v, zero) for row in a]
+    return [row[0] for row in mat_mul(a, [[x] for x in v], zero)]
 
 
 def mat_sub(a, b):
@@ -348,7 +351,7 @@ def charpoly_berkowitz(mat, one, zero):
     computed by the Samuelson-Berkowitz Toeplitz recursion, which never
     divides and so never loses p-adic precision to pivots.
     """
-    n = len(mat)
+    K, n = _field(zero), len(mat)
     if n == 0:
         return [one]
     poly = [-mat[0][0], one]
@@ -359,9 +362,9 @@ def charpoly_berkowitz(mat, one, zero):
         items = [one, -mat[r][r]]
         acc = [mat[i][r] for i in range(r)]
         for _ in range(r):
-            items.append(-dot(row_vec, acc, zero))
+            items.append(-K.dot(row_vec, acc, zero))
             acc = mat_vec(sub, acc, zero)
         # the Toeplitz product, read from the constant coefficient up
-        poly = [dot(items[max(1 - i, 0):r + 2 - i], poly[max(i - 1, 0):], zero)
+        poly = [K.dot(items[max(1 - i, 0):r + 2 - i], poly[max(i - 1, 0):], zero)
                 for i in range(r + 2)]
     return poly

@@ -13,14 +13,12 @@ and each rule reads v = prec for a zero:
 
 Valuations are normalized by v(p) = 1.  The module also provides the one
 square-and-multiply `power` (for scalars, field elements, coordinate
-vectors, F_p polynomials and matrices), the one sum of products `dot` for
-every scalar kind (over Q_p one integer sum, reduced once; over K one
-integer sum of Kronecker-packed products, reduced once through the field's
-table; on any other scalar the sequential sum), the one series summation
-helper `sum_series`, the p-adic exponential and logarithm (with their
+vectors, F_p polynomials and matrices), the one series summation helper
+`sum_series`, the p-adic exponential and logarithm (with their
 convergence balls) and Newton polygons with slopes reported as root
 valuations; a left end whose coefficients are zero to precision is reported
-as one slope entry with a lower bound.
+as one slope entry with a lower bound.  A sum of products is LocalField.dot
+over K and senlab.gamma's integer block kernels over Q_p.
 
 Every convergent series is summed with an a priori stop rule: each term comes
 with a proven lower bound on the valuation of every later term, and summation
@@ -218,7 +216,7 @@ class PadicScalar:
         if not known:
             return PadicScalar.zero(p, n)
         m = min(t.val for t in known)
-        return _normalised(p, m, sum(p ** (t.val - m) * t.unit for t in known), n)
+        return PadicScalar.from_residue(p, sum(p ** (t.val - m) * t.unit for t in known), n, m)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -287,51 +285,6 @@ class PadicScalar:
         if not self.unit:
             return f"O({self.p}^{self.prec})"
         return f"{self.p}^{self.val}*{self.unit} + O({self.p}^{self.prec})"
-
-
-def _normalised(p, m, s, n):
-    """The scalar p^m * s known modulo p^n, s an integer and m < n."""
-    s %= p ** (n - m)
-    if s == 0:
-        return PadicScalar.zero(p, n)
-    v = vp_int(s, p)
-    return PadicScalar(p, m + v, s // p ** v, n)
-
-
-def dot(u, v, start):
-    """start + u[0] v[0] + u[1] v[1] + ..., each product u[k] * v[k]: the one
-    sum of products, for every scalar kind; start is most often a zero.  Over
-    Q_p (start a PadicScalar) it has the (val, unit, prec) of that sequential
-    sum: the precision n is the least of start.prec and those __mul__ gives
-    the products, and start and the products of valuation t < n, m the least
-    t, sum to one integer reduced mod p^(n - m).  Over K (start an element
-    of a LocalField) the field's `dot` packs the same sum into one integer in
-    its Kronecker slots and reduces it once through its table.  Any other
-    start raises UsageError."""
-    if not isinstance(start, PadicScalar):
-        field = getattr(start, "field", None)
-        if field is None:
-            raise UsageError("dot needs a PadicScalar or field element start, not %r" % (start,))
-        return field.dot(u, v, start)
-    p, n = start.p, start.prec
-    terms = [(start.val, start.unit)] if start.unit else []
-    for x, y in zip(u, v):
-        if x.p != p or y.p != p:
-            raise UsageError("cannot mix scalars over different primes")
-        q = t = x.val + y.val
-        if x.unit and y.unit:   # else the product is O(p^t) and adds no term
-            q += min(x.prec - x.val, y.prec - y.val)
-            terms.append((t, x.unit * y.unit))
-        if q < n:
-            n = q
-    terms = [(t, c) for t, c in terms if t < n]
-    if not terms:
-        return PadicScalar.zero(p, n)
-    m = min(t for t, _ in terms)
-    total = 0
-    for t, c in terms:
-        total = total + c * p ** (t - m)
-    return _normalised(p, m, total, n)
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,7 @@ def _summed_series(M: SenModule, b, prod):
     bound is yielded floored: `sum_series` compares it with integers only.
 
     Each P_(n+1) is linalg.mat_mul's and each term linalg.mat_scale's, c x
-    entry by entry, with padic.dot's and __mul__'s (vec, shift, prec).  The
+    entry by entry, with LocalField.dot's and __mul__'s (vec, shift, prec).  The
     diagonal theta_ii - e n stays one element: split as theta v - (e n) v, a
     cancelling one would claim fewer digits.
     """

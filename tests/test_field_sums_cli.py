@@ -1,0 +1,120 @@
+"""The workflow steps whose commands sum products over K, as fresh processes.
+
+Each test runs the command of one step of .github/workflows/tests.yml, as
+`python -m senlab.cli`, and makes the step's check on its JSON: Berkowitz
+and the operator series on a diagonal module at dimension 8, the G-sharp
+transport and dp_mul at truncation 96, and field products at the table cap.
+The wall-clock limits stay in the workflow."""
+
+import json
+import os
+import subprocess
+import sys
+from itertools import combinations
+from math import prod
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Q_3(sqrt 3) at 40 digits: g = y - 1, E = u^2 - 3, e = 2 pi
+FIELD = json.dumps({"p": 3, "prec": 40, "unramified_poly": ["-1", "1"],
+                    "eisenstein_poly": [["-3"], ["0"], ["1"]]})
+WEIGHTS = [0, 1, 2, 3, -1, -2, 4, 5]
+# theta = e diag(WEIGHTS)
+THETA = json.dumps({"theta": [[{"coeffs": [["0", str(2 * a) if i == j else "0"]]}
+                               for j in range(8)] for i, a in enumerate(WEIGHTS)]})
+Q = 3 ** 40
+
+
+def _senlab(*argv):
+    """The JSON a fresh `python -m senlab.cli *argv` prints; it must exit 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "senlab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _coord(c):
+    """A coordinate of the wire format as an integer modulo 3^40."""
+    return 0 if c["val"] is None else int(c["unit"]) * 3 ** c["val"] % Q
+
+
+def test_char_poly_of_a_diagonal_module_at_dimension_8():
+    # coefficient k of char(theta) is (-1)^j e_j(w) (2 pi)^j, j = 8 - k, e_j the
+    # j-th elementary symmetric polynomial of the weights, with
+    # pi^j = 3^(j // 2) pi^(j % 2)
+    c = _senlab("senmod", "char-poly", "--field", FIELD, "--theta", THETA)["char_poly"]
+
+    def want(k):
+        j = 8 - k
+        a = (-1) ** j * sum(map(prod, combinations(WEIGHTS, j))) * 2 ** j * 3 ** (j // 2) % Q
+        return (0, a) if j % 2 else (a, 0)
+
+    bad = [k for k in range(9) if tuple(map(_coord, c[k]["coeffs"][0])) != want(k)
+           or any(x["prec"] != 40 for x in c[k]["coeffs"][0])]
+    assert len(c) == 9 and not bad, \
+        "coefficients %s are not (-1)^j e_j(w) (2 pi)^j" % bad
+
+
+def test_operator_series_of_a_diagonal_module_at_dimension_8():
+    # at b = 3 the series is diag((1 + 6 pi)^w), with pi^2 = 3 and
+    # (1 + 6 pi)^-1 = (1 - 6 pi)/(-107) modulo 3^40
+    m = _senlab("senmod", "operator-series", "--field", FIELD, "--theta", THETA,
+                "--b", json.dumps({"coeffs": [["3", "0"]]}))["matrix"]
+    inv = pow(-107, -1, Q)
+
+    def power(k):
+        z, g = (1, 0), ((1, 6) if k >= 0 else (inv, -6 * inv % Q))
+        for _ in range(abs(k)):
+            z = ((z[0] * g[0] + 3 * z[1] * g[1]) % Q, (z[0] * g[1] + z[1] * g[0]) % Q)
+        return z
+
+    bad = [(i, j) for i in range(8) for j in range(8)
+           if tuple(map(_coord, m[i][j]["coeffs"][0])) != (power(WEIGHTS[i]) if i == j else (0, 0))
+           or any(c["prec"] != 40 for c in m[i][j]["coeffs"][0])]
+    assert len(m) == 8 and not bad, "entries %s are not (1 + 6 pi)^w to 40 digits" % bad
+
+
+def test_gsharp_transport_at_truncation_96():
+    # the step's check is that the command ends with exit 0
+    _senlab("dps", "gsharp", "--trunc", "96", "--direction", "to_gsharp", "--field", FIELD,
+            "--f", json.dumps({"coeffs": [{"coeffs": [["2", "0"]]}, {"coeffs": [["1", "1"]]},
+                                          {"coeffs": [["7", "-1"]]}]}))
+
+
+def test_dps_mul_of_exp_by_itself_at_truncation_96():
+    # exp(a) has every coefficient 1, so exp(a)^2 = exp(2a) has 2^n
+    exp = json.dumps({"coeffs": [{"coeffs": [["1", "0"]]}] * 97})
+    c = _senlab("dps", "mul", "--trunc", "96", "--field", FIELD, "--f", exp,
+                "--g", exp)["result"]["coeffs"]
+
+    def want(n):
+        return [(str(pow(2, n, Q)), 0, 40), ("0", None, 40)]
+
+    bad = [n for n, x in enumerate(c)
+           if [(y["unit"], y["val"], y["prec"]) for y in x["coeffs"][0]] != want(n)]
+    assert len(c) == 97 and not bad, "coefficients %s are not 2^n" % bad
+
+
+def test_field_products_at_the_table_cap():
+    # with E's constant -3 known to 3^15, (1 + pi)(1 - pi) over Q_3(sqrt 3) at
+    # 40 digits is -2 to exactly 15 digits; over Q_3 (degree 1, no cap)
+    # 7 * (-5) keeps all 40
+    e = {"p": 3, "val": 1, "unit": "-1", "prec": 15}
+
+    def product(eisenstein, x, y):
+        field = json.dumps({"p": 3, "prec": 40, "unramified_poly": ["-1", "1"],
+                            "eisenstein_poly": eisenstein})
+        c = _senlab("field", "arith", "--op", "mul", "--field", field,
+                    "--x", json.dumps({"coeffs": [x]}),
+                    "--y", json.dumps({"coeffs": [y]}))["result"]["coeffs"][0]
+        return [(z["unit"], z["val"], z["prec"]) for z in c]
+
+    got = product([[e], ["0"], ["1"]], ["1", "1"], ["1", "-1"])
+    assert got == [("14348905", 0, 15), ("0", None, 15)], \
+        "(1 + pi)(1 - pi) = %s, expected -2 to 15 digits" % got
+    got = product([[e], ["1"]], ["7"], ["-5"])
+    assert got == [("12157665459056928766", 0, 40)], \
+        "7 * (-5) = %s, expected -35 to 40 digits" % got

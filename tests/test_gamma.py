@@ -12,7 +12,7 @@ from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageEr
 from senlab.field import FieldEmbedding, cyclotomic_field, qp_field
 from senlab.gamma import (RhoReport, build_level, dense_solve, g_minus_one, neumann_invert,
                           rho_bound, symmetric_range)
-from senlab.padic import PadicScalar, dot, vp_int
+from senlab.padic import PadicScalar, power, vp_int
 
 S = PadicScalar
 
@@ -26,6 +26,30 @@ def level_m2():
 @pytest.fixture(scope="module")
 def operator(level_m2):
     return g_minus_one(level_m2, S.from_int(1, 3, 60), 8)
+
+
+# the sequential PadicScalar sum, one product at a time, and the matrix
+# products over Q_p built on it: the oracle for gamma's integer kernels,
+# which are the library's one route for a sum of products over Q_p
+def _seq_dot(u, v, start):
+    acc = start
+    for x, y in zip(u, v):
+        acc = acc + x * y
+    return acc
+
+
+def _seq_mat_mul(a, b, zero):
+    cols = list(zip(*b))
+    return [[_seq_dot(row, col, zero) for col in cols] for row in a]
+
+
+def _seq_mat_vec(a, v, zero):
+    return [_seq_dot(row, v, zero) for row in a]
+
+
+def _seq_mat_pow(a, n, one, zero):
+    return power(a, n, lambda x, y: _seq_mat_mul(x, y, zero),
+                 linalg.identity(len(a), one, zero))
 
 
 # the dense route the block form replaced: rho (block diagonal of inverses of
@@ -42,7 +66,7 @@ def _dense_rho_m(T):
             rho[base + i][base:base + d] = inv[i]
     strict = [[T.matrix[i][j] if j // d > i // d else zero for j in range(size)]
               for i in range(size)]
-    return rho, linalg.mat_mul(rho, strict, zero)
+    return rho, _seq_mat_mul(rho, strict, zero)
 
 
 def _norm(rows):
@@ -53,16 +77,16 @@ def _dense_power_exponents(rho_m, zero):
     exps, power = [], rho_m
     while any(not x.is_zero() for row in power for x in row):
         exps.append(_norm(power))
-        power = linalg.mat_mul(power, rho_m, zero)
+        power = _seq_mat_mul(power, rho_m, zero)
     return exps
 
 
 def _dense_neumann(T, rho, rho_m, rhs):
     zero = S.zero(T.level.p, T.level.prec)
-    w = linalg.mat_vec(rho, rhs, zero)
+    w = _seq_mat_vec(rho, rhs, zero)
     acc = list(w)
     for _ in range(T.trunc):
-        w = [-x for x in linalg.mat_vec(rho_m, w, zero)]
+        w = [-x for x in _seq_mat_vec(rho_m, w, zero)]
         acc = [x + y for x, y in zip(acc, w)]
     return acc
 
@@ -81,9 +105,9 @@ def _triples(xs):
 
 # the PadicScalar route the integer blocks replaced, kept as the oracle for
 # them: sigma, D_n = chi^n sigma - 1 and rho_n as matrices of PadicScalars,
-# built for each operator, the powers of rho M through linalg.mat_mul and
-# per-entry padic.dot, and the back-substitution and its residual through
-# linalg.mat_vec.  The integer route must give every entry the same
+# built for each operator, the powers of rho M through _seq_mat_mul and
+# per-entry _seq_dot, and the back-substitution and its residual through
+# _seq_mat_vec.  The integer route must give every entry the same
 # (val, unit, prec).
 def _scalar_sigma(level):
     p, prec = level.p, level.prec
@@ -100,7 +124,7 @@ def _scalar_diagonal(level, sigma, n):
 
 def _scalar_inverse(level, n):
     p, d, prec = level.p, level.degree, level.prec
-    r = gamma._order(level.a, p ** level.m)
+    r = level.order
     v = gamma._vp_power_minus_one(level.a, n * r, p, level.m + 1)
     mod = p ** (prec + v)
     unit = (pow(level.a, n * r, p ** (prec + 2 * v)) - 1) // p ** v
@@ -139,8 +163,8 @@ class _ScalarRoute:
 
     def sigma_tail(self, n, later):
         d = self.level.degree
-        tail = [dot(self.coef[n][1:], later[i::d], self.zero) for i in range(d)]
-        return linalg.mat_vec(self.sigma, tail, self.zero)
+        tail = [_seq_dot(self.coef[n][1:], later[i::d], self.zero) for i in range(d)]
+        return _seq_mat_vec(self.sigma, tail, self.zero)
 
     def strict_upper_norm_exponent(self):
         return max((_scalar_norm_exponent([self.rho[n]])
@@ -167,9 +191,9 @@ class _ScalarRoute:
             sums = {}
             for key, ((c, first), *rest) in terms.items():
                 coefs = [c for c, _ in rest]
-                sums[key] = [[dot(coefs, [blk[i][j] for _, blk in rest], c * x)
+                sums[key] = [[_seq_dot(coefs, [blk[i][j] for _, blk in rest], c * x)
                               for j, x in enumerate(row)] for i, row in enumerate(first)]
-            power = _scalar_nonzero({(n, l): linalg.mat_mul(rho_sigma[n], blk, self.zero)
+            power = _scalar_nonzero({(n, l): _seq_mat_mul(rho_sigma[n], blk, self.zero)
                                      for (n, l), blk in sums.items()})
         return {"sup_norm_exponent": self.strict_upper_norm_exponent(),
                 "power_exponents": exps, "nilpotent": len(exps) < self.trunc}
@@ -180,10 +204,10 @@ class _ScalarRoute:
             b = rhs[(n - 1) * d: n * d]
             if x:
                 b = [u - v for u, v in zip(b, self.sigma_tail(n, x))]
-            x = linalg.mat_vec(self.rho[n], b, self.zero) + x
+            x = _seq_mat_vec(self.rho[n], b, self.zero) + x
         residual = []
         for n in range(1, self.trunc + 1):
-            row = linalg.mat_vec(self.diag[n], x[(n - 1) * d: n * d], self.zero)
+            row = _seq_mat_vec(self.diag[n], x[(n - 1) * d: n * d], self.zero)
             if n < self.trunc:
                 row = [u + v for u, v in zip(row, self.sigma_tail(n, x[n * d:]))]
             residual.extend(u - v for u, v in zip(row, rhs[(n - 1) * d: n * d]))
@@ -302,7 +326,7 @@ class TestBuildLevel:
     def test_sigma_order(self):
         sigma = _field_sigma(3, 2, 4, 30)
         one, zero = S.one(3, 30), S.zero(3, 30)
-        s3 = linalg.mat_pow(sigma, 3, one, zero)
+        s3 = _seq_mat_pow(sigma, 3, one, zero)
         ident = linalg.identity(6, one, zero)
         assert all((s3[i][j] - ident[i][j]).is_zero()
                    for i in range(6) for j in range(6))
@@ -382,9 +406,10 @@ class TestRhoBound:
         one, zero = S.one(p, 40), S.zero(p, 40)
         ident = linalg.identity(L.degree, one, zero)
         sigma = _field_sigma(p, m, a, 40)
-        assert all((x - y).is_zero() for rx, ry in zip(linalg.mat_pow(sigma, order, one, zero),
+        assert all((x - y).is_zero() for rx, ry in zip(_seq_mat_pow(sigma, order, one, zero),
                                                       ident) for x, y in zip(rx, ry))
         rep = rho_bound(L, symmetric_range(6))
+        assert L.order == order
         for n in symmetric_range(6):
             assert rep.per_n[n] == _norm(gj_invert(_field_block(L, n), one, zero)), n
         assert rep.delta == max(rep.per_n.values())
@@ -472,7 +497,7 @@ class TestTwistedOperator:
         sigma = _field_sigma(p, m, a, 40)
         for n in range(1, 5):
             rho = _scalar_rows(L.rho(n), p)
-            rho_sigma = linalg.mat_mul(rho, sigma, zero)
+            rho_sigma = _seq_mat_mul(rho, sigma, zero)
             diffs = [L.chi ** n * x - y - int(i == j)
                      for i, (rx, ry) in enumerate(zip(rho_sigma, rho))
                      for j, (x, y) in enumerate(zip(rx, ry))]
@@ -531,7 +556,7 @@ class TestNeumann:
         rng = random.Random(1)
         x = [S.from_int(rng.randrange(-100, 100), 3, 60)
              for _ in range(operator.size)]
-        rhs = linalg.mat_vec(operator.matrix, x, S.zero(3, 60))
+        rhs = _seq_mat_vec(operator.matrix, x, S.zero(3, 60))
         res = neumann_invert(operator, rhs)
         assert all((a - b).is_zero() for a, b in zip(res["solution"], x))
 
@@ -582,7 +607,7 @@ class TestNeumann:
                                                                                   prec + 1),
                                   rng.randrange(-2, 3)) for _ in range(T.size)]
         res = neumann_invert(T, rhs)
-        dense = [u - v for u, v in zip(linalg.mat_vec(T.matrix, res["solution"],
+        dense = [u - v for u, v in zip(_seq_mat_vec(T.matrix, res["solution"],
                                                       S.zero(p, prec)), rhs)]
         assert res["residual_valuation"] == min(u.val_bound() for u in dense)
 
@@ -669,15 +694,16 @@ class TestIntegerBlocks:
         c1, c2 = scalar(), scalar()
         zero = S.zero(p, cap)
         assert triples(gamma._product(p, block(a), block(b), cap)) == \
-            [_triples(row) for row in linalg.mat_mul(a, b, zero)]
+            [_triples(row) for row in _seq_mat_mul(a, b, zero)]
         assert triples(gamma._scaled(p, block(b), c1)) == \
             [[(x.val, x.unit, x.prec) for x in (c1 * y for y in row)] for row in b]
         assert triples(gamma._difference(p, block(b), block(b2))) == \
             [_triples([x - y for x, y in zip(rx, ry)]) for rx, ry in zip(b, b2)]
         assert triples(gamma._combination(p, [(c1, block(b)), (c2, block(b2))])) == \
-            [_triples([dot([c2], [y], c1 * x) for x, y in zip(rx, ry)]) for rx, ry in zip(b, b2)]
+            [_triples([_seq_dot([c2], [y], c1 * x) for x, y in zip(rx, ry)])
+             for rx, ry in zip(b, b2)]
         assert triples(gamma._combination(p, [(c1, block(b)), (c2, block(b2))], cap)) == \
-            [_triples([dot([c1, c2], [x, y], zero) for x, y in zip(rx, ry)])
+            [_triples([_seq_dot([c1, c2], [x, y], zero) for x, y in zip(rx, ry)])
              for rx, ry in zip(b, b2)]
 
     @pytest.mark.parametrize("p,m,a,e,trunc", [

@@ -1,7 +1,8 @@
 """padic.power: square-and-multiply from the first factor, for every kind of
 element the library raises to a power; linalg.mat_pow on top of it returns a
-fresh matrix; mat_mul, rows times columns through one dot product, gives the
-entries of the i-t-j loop it replaced; the elimination entry points take Q_p
+fresh matrix; mat_mul, over a local field only (Q_p is qp_field, its `padic`
+cases run there), gives the entries of the i-t-j loop it replaced, and a
+PadicScalar matrix is refused; the elimination entry points take Q_p
 matrices only."""
 
 import random
@@ -11,11 +12,12 @@ import pytest
 from senlab import linalg
 from senlab.errors import UsageError
 from senlab.field import (FieldElement, LocalFieldSpec, _fp_mul, _fp_rem, build_field,
-                          eisenstein_field)
+                          eisenstein_field, qp_field)
 from senlab.padic import PadicScalar, power
 
 S = PadicScalar
 ROWS = ([1, 3, -2], [0, 2, 9], [4, -1, 1])
+Q3 = qp_field(3, 30)
 K2 = eisenstein_field(3, [-3, 0, 1], 30)
 # Q_3(i, 3^(1/3)): g = y^2 + 1, E = u^3 - 3
 K6 = build_field(LocalFieldSpec(3, [1, 0, 1], [[-3], [0], [0], [1]], 30))
@@ -44,9 +46,9 @@ KINDS = {
     "vector_mod_3^12": ([5, 1, 0, 9, 2, 7], lambda a, b: K6._mul_vec(a, b, 3 ** 12),
                         [1, 0, 0, 0, 0, 0]),
     "fp_poly": ([1, 2, 0, 1], lambda a, b: _fp_rem(_fp_mul(a, b), G, 3), [1]),
-    "matrix": ([[S.from_int(x, 3, 30) for x in row] for row in ROWS],
-               lambda a, b: linalg.mat_mul(a, b, S.zero(3, 30)),
-               linalg.identity(3, S.one(3, 30), S.zero(3, 30))),
+    "matrix": ([[Q3.from_int(x) for x in row] for row in ROWS],
+               lambda a, b: linalg.mat_mul(a, b, Q3.zero()),
+               linalg.identity(3, Q3.one(), Q3.zero())),
 }
 
 
@@ -66,8 +68,8 @@ def test_power_counts_products(kind, n):
 
 @pytest.mark.parametrize("n", range(18))
 def test_mat_pow_counts_products(monkeypatch, n):
-    one, zero = S.one(3, 30), S.zero(3, 30)
-    a = [[S.from_int(x, 3, 30) for x in row] for row in ROWS]
+    one, zero = Q3.one(), Q3.zero()
+    a = [[Q3.from_int(x) for x in row] for row in ROWS]
     want = linalg.identity(3, one, zero)
     for _ in range(n):
         want = linalg.mat_mul(want, a, zero)
@@ -80,7 +82,18 @@ def test_mat_pow_counts_products(monkeypatch, n):
     assert all((x - y).is_zero() for rx, ry in zip(got, want) for x, y in zip(rx, ry))
     # a fresh matrix: writing into it leaves a alone
     got[0][0] = zero
-    assert a[0][0] == S.from_int(1, 3, 30)
+    assert a[0][0] == Q3.one()
+
+
+@pytest.mark.parametrize("call", ["mat_mul", "mat_vec", "mat_pow", "charpoly_berkowitz"])
+def test_padic_matrices_point_to_qp_field(call):
+    # Q_p is the degree-1 field: a PadicScalar matrix is refused, naming qp_field
+    one, zero = S.one(3, 30), S.zero(3, 30)
+    a = [[S.from_int(x, 3, 30) for x in row] for row in ROWS]
+    args = {"mat_mul": (a, a, zero), "mat_vec": (a, a[0], zero), "mat_pow": (a, 2, one, zero),
+            "charpoly_berkowitz": (a, one, zero)}[call]
+    with pytest.raises(UsageError, match="qp_field"):
+        getattr(linalg, call)(*args)
 
 
 def test_elimination_takes_padic_matrices_only():
@@ -112,12 +125,12 @@ def _mat_mul_itj(a, b, zero):
 
 
 def _padic_entry(rng):
-    """A 3-adic scalar with a mixed precision and shift, zero to precision
-    one time in four."""
+    """An element of Q_3 = qp_field(3, 30) with a mixed precision and shift,
+    zero to precision one time in four."""
     prec = rng.randrange(-2, 31)
     if rng.randrange(4) == 0:
-        return S.zero(3, prec)
-    return S.from_residue(3, rng.randrange(1, 3 ** 30), prec, rng.randrange(-4, 4))
+        return Q3.from_scalar(S.zero(3, prec))
+    return Q3.from_scalar(S.from_residue(3, rng.randrange(1, 3 ** 30), prec, rng.randrange(-4, 4)))
 
 
 def _field_entry(rng):
@@ -129,15 +142,11 @@ def _field_entry(rng):
 @pytest.mark.parametrize("kind", ["padic", "field_degree_2"])
 def test_mat_mul_matches_itj_loop(kind, seed):
     rng = random.Random(seed)
-    entry, zero = {"padic": (_padic_entry, S.zero(3, 30)),
+    entry, zero = {"padic": (_padic_entry, Q3.zero()),
                    "field_degree_2": (_field_entry, K2.zero())}[kind]
     n, k, m = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
     a = [[entry(rng) for _ in range(k)] for _ in range(n)]
     b = [[entry(rng) for _ in range(m)] for _ in range(k)]
     got, want = linalg.mat_mul(a, b, zero), _mat_mul_itj(a, b, zero)
-    if kind == "padic":
-        assert [[(x.val, x.unit, x.prec) for x in row] for row in got] == \
-            [[(x.val, x.unit, x.prec) for x in row] for row in want]
-    else:
-        assert [[(x.vec, x.shift, x.prec) for x in row] for row in got] == \
-            [[(x.vec, x.shift, x.prec) for x in row] for row in want]
+    assert [[(x.vec, x.shift, x.prec) for x in row] for row in got] == \
+        [[(x.vec, x.shift, x.prec) for x in row] for row in want]

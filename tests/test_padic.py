@@ -7,11 +7,11 @@ from itertools import count, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from senlab import linalg, senmod
+from senlab import gamma, linalg, senmod
 from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageError
 from senlab.field import (FieldElement, LocalField, LocalFieldSpec, build_field,
                           cyclotomic_field, eisenstein_field, qp_field)
-from senlab.padic import PadicScalar, dot, newton_polygon, padic_exp, padic_log, sum_series
+from senlab.padic import PadicScalar, newton_polygon, padic_exp, padic_log, sum_series
 from senlab.senmod import SenModule, nearly_ht_test, operator_series, operator_series_apply
 
 S = PadicScalar
@@ -35,8 +35,13 @@ class TestScalarArith:
 
     @pytest.mark.parametrize("start", [0, Fraction(1, 2), 1.0, None])
     def test_starts_other_than_scalars_and_elements_rejected(self, start):
-        with pytest.raises(UsageError):
-            dot([S.one(3, 10)], [S.one(3, 10)], start)
+        # linalg's sums of products run over a LocalField, whose zero they take
+        one = [[S.one(3, 10)]]
+        for call in (lambda: linalg.mat_mul(one, one, start),
+                     lambda: linalg.mat_vec(one, one[0], start),
+                     lambda: linalg.charpoly_berkowitz(one, S.one(3, 10), start)):
+            with pytest.raises(UsageError):
+                call()
 
     def test_mixed_primes_rejected(self):
         with pytest.raises(UsageError):
@@ -106,8 +111,8 @@ def _table_product(x, y):
 
 
 def _sequential_dot(u, v, zero):
-    """The sum padic.dot replaced: zero + u[0] v[0] + ..., one scalar
-    operation at a time; the oracle for dot."""
+    """zero + u[0] v[0] + ..., one scalar operation at a time: the oracle for
+    LocalField.dot over K and for gamma's integer kernels over Q_p."""
     acc = zero
     for x, y in zip(u, v):
         acc = acc + _table_product(x, y)
@@ -116,6 +121,22 @@ def _sequential_dot(u, v, zero):
 
 def _triple(x):
     return (x.val, x.unit, x.prec)
+
+
+def _kernel_dot(u, v, start):
+    """start + u[0] v[0] + ... over Q_p by gamma's integer kernels on one-row
+    blocks: for a start zero to precision, _product of the row u by the
+    column v started at zero to precision start.prec; for any other start,
+    or no terms, _combination of start * 1 and the u[k] v[k], started at its
+    first product (1 known to 100 digits, so start * 1 is start)."""
+    p = start.p
+    if start.is_zero() and u:
+        row = gamma._column(p, u)._replace(ncols=len(u))
+        blk = gamma._product(p, row, gamma._column(p, v), start.prec)
+    else:
+        blk = gamma._combination(p, [(start, gamma._column(p, [S.one(p, 100)]))] +
+                                 [(x, gamma._column(p, [y])) for x, y in zip(u, v)])
+    return gamma._scalars(p, blk)[0]
 
 
 @st.composite
@@ -169,14 +190,15 @@ def _element(draw, K):
 
 @st.composite
 def _field_dot_case(draw):
-    """Vectors of length 0..16 over one of DOT_FIELDS: on each side field
-    elements, Q_p scalars or ints, and a start of K, or a zero at 20..30
-    digits that leaves the products' precisions, capped or not, to bind."""
+    """Vectors of length 0..16 over one of DOT_FIELDS, u of field elements and
+    v of field elements, Q_p scalars or ints, and a start of K, or a zero at
+    20..30 digits that leaves the products' precisions, capped or not, to
+    bind."""
     K = DOT_FIELDS[draw(st.sampled_from(sorted(DOT_FIELDS)))]
     size = draw(st.integers(0, 16))
     factor = st.one_of(_element(K), _element(K), _scalar(K.p), st.integers(-100, 100))
     high = st.integers(20, 30).map(lambda prec: FieldElement(K, (), prec, prec))
-    return (draw(st.lists(factor, min_size=size, max_size=size)),
+    return (draw(st.lists(_element(K), min_size=size, max_size=size)),
             draw(st.lists(factor, min_size=size, max_size=size)),
             draw(st.one_of(_element(K), high)))
 
@@ -282,33 +304,43 @@ def _series_case(draw):
 
 
 class TestDot:
+    """Over Q_p a sum of products is gamma's integer kernels, over K
+    LocalField.dot; each against the sum one product at a time."""
+
     @settings(max_examples=400)
     @given(case=_dot_case())
     def test_matches_sequential_sum(self, case):
         u, v, zero = case
-        assert _triple(dot(u, v, zero)) == _triple(_sequential_dot(u, v, zero))
+        assert _triple(_kernel_dot(u, v, zero)) == _triple(_sequential_dot(u, v, zero))
 
     @settings(max_examples=200)
     @given(case=_started_dot_case())
     def test_matches_sequential_sum_from_any_start(self, case):
         u, v, start = case
-        assert _triple(dot(u, v, start)) == _triple(_sequential_dot(u, v, start))
+        assert _triple(_kernel_dot(u, v, start)) == _triple(_sequential_dot(u, v, start))
 
     @settings(max_examples=300)
     @given(case=_field_dot_case())
     def test_field_elements_match_sequential_sum(self, case):
         # the packed route over K against the sum one product at a time
         u, v, start = case
-        x, y = dot(u, v, start), _sequential_dot(u, v, start)
+        x, y = start.field.dot(u, v, start), _sequential_dot(u, v, start)
         assert (x.vec, x.shift, x.prec) == (y.vec, y.shift, y.prec)
+
+    def test_field_dot_takes_elements_first(self):
+        # u holds elements of K: a scalar, an int or another field's element is refused
+        K, L = DOT_FIELDS["Q3(sqrt3)"], DOT_FIELDS["Q3(zeta9)"]
+        for x in (S.one(3, 20), 1, L.one()):
+            with pytest.raises(UsageError):
+                K.dot([x], [K.one()], K.zero())
 
     @pytest.mark.parametrize("name", ["Q3", "Q3(sqrt3)", "Q3(zeta27)"])
     def test_table_precision_caps_products(self, name):
         # K.table_prec = 20 digits past a product's shift, except over Q_p
         K = DOT_FIELDS[name]
         x = FieldElement(K, [1] * K.degree, 0, 30)
-        u, v, start = [x, S.from_int(3, 3, 40)], [x, x], FieldElement(K, (), 30, 30)
-        got, want = dot(u, v, start), _sequential_dot(u, v, start)
+        u, v, start = [x, x], [x, S.from_int(3, 3, 40)], FieldElement(K, (), 30, 30)
+        got, want = K.dot(u, v, start), _sequential_dot(u, v, start)
         assert (got.vec, got.shift, got.prec) == (want.vec, want.shift, want.prec)
         assert got.prec == (30 if K.degree == 1 else 20)
 
@@ -328,7 +360,7 @@ class TestDot:
     def test_packed_mat_vec_matches_sequential_sum(self, case):
         # linalg.mat_mul and mat_vec over K: the row and column bounds where
         # they reach the start's precision, dot's rule product by product
-        # below; a start of any precision, zero or not, as padic.dot takes it
+        # below; a start of any precision, zero or not, as LocalField.dot takes it
         K, rows, b, vector, start = case
         cols = list(zip(*b))
         for zero in (K.zero(), start):
@@ -460,10 +492,10 @@ class TestDot:
     @pytest.mark.parametrize("name", sorted(DOT_EDGES))
     def test_edge_cases(self, name):
         u, v, zero = DOT_EDGES[name]
-        assert _triple(dot(u, v, zero)) == _triple(_sequential_dot(u, v, zero))
+        assert _triple(_kernel_dot(u, v, zero)) == _triple(_sequential_dot(u, v, zero))
 
     def test_cancellation_leaves_zero_to_precision(self):
-        x = dot(*DOT_EDGES["cancellation"])
+        x = _kernel_dot(*DOT_EDGES["cancellation"])
         assert x.is_zero() and x.prec == 12 and x.valuation() is None
 
     def test_mixed_primes_rejected(self):
@@ -471,7 +503,9 @@ class TestDot:
         for u, v, zero in (([S.one(3, 10)], [S.one(5, 10)], S.zero(3, 10)),
                            ([S.zero(5, 10)], [S.one(5, 10)], S.zero(3, 10))):
             with pytest.raises(UsageError):
-                dot(u, v, zero)
+                _sequential_dot(u, v, zero)
+            with pytest.raises(UsageError):
+                _kernel_dot(u, v, zero)
 
 
 def _exact(x):
