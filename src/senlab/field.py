@@ -13,12 +13,14 @@ first u-degree holding a coordinate prime to p.
 Each field precomputes the reduction table y^j u^i mod (g, E) for
 j < 2f - 1, i < 2 e_ram - 1 and the trace form Tr(b_t) read off it.  Every
 sum of products over K calls LocalField.dot: one big-integer sum of
-Kronecker-packed products and one table reduction (LocalField._packed_sum);
-a product x y is its one-term case, and each entry of a matrix product
-(LocalField.mat_mul, behind linalg.mat_mul and mat_vec) is one such sum.  A
-trace is a dot product with the trace form, and an inverse is a Newton
-iteration from the residue-field inverse.  Precision follows the scalar rules
-with field valuations, rounded down to an integer:
+Kronecker-packed products and one table reduction (LocalField._packed_sum),
+whose coordinates make the element with no second reduction; a product x y
+is its one-term case, and each entry of a matrix product (LocalField.mat_mul,
+behind linalg.mat_mul and mat_vec) and of the operator series (senmod, over
+its terms (b^n/n!) P_n) is one such sum.  A trace is a dot product with the
+trace form, and an inverse is a Newton iteration from the residue-field
+inverse.  Precision follows the scalar rules with field valuations, rounded
+down to an integer:
 
     add/sub : min(N_x, N_y)
     mul     : min(N_x + v(y), N_y + v(x))
@@ -212,6 +214,7 @@ class LocalField:
         self._width = w = (len(table) * d * mod * mod).bit_length()
         self._shifts = [w * s for s in self._slots]  # bit offsets of the slots
         self._packed = {}                            # slot width -> packed table rows
+        self._pows, self._limit, self._table_bound = [1], 1 << w, len(table) * mod
 
     def _reduce(self, total, w, m):
         """Coordinates modulo m of the element whose Kronecker slots, w bits
@@ -298,23 +301,25 @@ class LocalField:
         sum at n = q."""
         if not terms:
             return FieldElement(self, (), n, n)
-        p, (m, top, _, _) = self.p, terms[0]
+        m, top, _, _ = terms[0]
         for t, bound, _, _ in terms:
             if t < m:
                 m = t
             if bound > top:
                 top = bound
+        pows = self._pows                   # p^k, kept on the field; replaced, never changed
+        if len(pows) <= max(top, n) - m:
+            pows = self._pows = [self.p ** k for k in range(2 * (max(top, n) - m) + 1)]
         # a slot of the reduction holds below len(table) p^(n - m) p^(M + e_ram);
         # a width past the table's own is rounded up to 64 bits, so few are packed
-        modulus = p ** (n - m)
-        need = max(len(terms) * self.degree * p ** (top - m),
-                   len(self._table) * modulus * self._table_mod).bit_length()
-        w = self._width if need <= self._width else -(-need // 64) * 64
+        modulus = pows[n - m]
+        need = max(len(terms) * self.degree * pows[top - m], self._table_bound * modulus)
+        w = self._width if need < self._limit else -(-need.bit_length() // 64) * 64
         shifts = self._shifts if w == self._width else [w * s for s in self._slots]
         total = 0
         for t, _, a, b in terms:
-            total += p ** (t - m) * _packed(a, w, shifts) * _packed(b, w, shifts)
-        return FieldElement(self, self._reduce(total, w, modulus), m, n)
+            total += pows[t - m] * _packed(a, w, shifts) * _packed(b, w, shifts)
+        return FieldElement._reduced(self, self._reduce(total, w, modulus), m, n)
 
     def mat_mul(self, a, b, zero):
         """The matrix product over K, each entry dot(row, column, zero) with its
@@ -463,21 +468,24 @@ class FieldElement:
     __slots__ = ("field", "vec", "shift", "prec", "_vpi", "_packing")
 
     def __init__(self, field, vec, shift, prec):
-        self.field = field
-        self._vpi = self._packing = None
-        rel = prec - shift
-        if rel > 0:
-            p = field.p
-            m = p ** rel
-            vec = [c % m for c in vec]
-            g = gcd(*vec)
-            if g:
-                if not g % p:
-                    k = vp_int(g, p)
-                    vec, shift = [c // p ** k for c in vec], shift + k
-                self.vec, self.shift, self.prec = tuple(vec), shift, prec
-                return
-        self.vec, self.shift, self.prec = (0,) * field.degree, prec, prec
+        m = field.p ** (prec - shift) if prec > shift else 0
+        self._settle(field, [c % m for c in vec] if m else (), shift, prec)
+
+    @classmethod
+    def _reduced(cls, field, vec, shift, prec):
+        """The element of coordinates vec already reduced modulo p^(prec - shift)."""
+        return cls.__new__(cls)._settle(field, vec, shift, prec)
+
+    def _settle(self, field, vec, shift, prec):       # common factors p move into the shift
+        self.field, self._vpi, self._packing = field, None, None
+        g = gcd(*vec)
+        if not g:
+            vec, shift = (0,) * field.degree, prec
+        elif not g % field.p:
+            k = vp_int(g, field.p)
+            vec, shift = [c // field.p ** k for c in vec], shift + k
+        self.vec, self.shift, self.prec = tuple(vec), shift, prec
+        return self
 
     # -- protocol -------------------------------------------------------------
 

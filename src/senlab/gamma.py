@@ -74,9 +74,9 @@ class _Block(NamedTuple):
 
 class CyclotomicLevel:
     """Validated level Q_p(zeta_{p^m}): the integers p, m, a, prec and chi = a.
-    The order of a mod p^m, its orbit representatives, sigma (the one-term
-    orbit sum zeta^i -> zeta^(i a)) and the integer blocks D_n, rho_n and
-    chi^-n (1 + rho_n) of each twist n are each built on first read, then kept."""
+    The order of a mod p^m, its orbit representatives, sigma (the one-term orbit
+    sum zeta^i -> zeta^(i a)), and the integer blocks D_n, rho_n, chi^-n (1 + rho_n)
+    and the Tate exponent of each twist n are each built on first read, then kept."""
 
     def __init__(self, p, m, a, prec):
         self.p = p
@@ -134,7 +134,7 @@ class CyclotomicLevel:
     def _block(self, build, n):
         blocks = self._blocks
         if (build, n) not in blocks:
-            blocks[build, n] = build(self, n).frozen()
+            blocks[build, n] = build(self, n)
         return blocks[build, n]
 
     def __repr__(self):
@@ -192,26 +192,29 @@ def _orbit_sum(level: CyclotomicLevel, r: int, n: int, i: int, mod: int):
 
 
 def rho_bound(level: CyclotomicLevel, n_values) -> RhoReport:
-    """Norm exponents of (chi^n sigma - 1)^-1 = (chi^(nr) - 1)^-1 S_n, r the
+    """The norm exponents of (chi^n sigma - 1)^-1, each kept on the level, and delta."""
+    n_values = list(n_values)
+    if 0 in n_values:
+        raise UsageError("n = 0 is the untwisted block; it is not invertible")
+    if not n_values:
+        raise UsageError("empty twist list: nothing to bound")
+    per_n = {n: level._block(_tate_exponent, n) for n in n_values}
+    return RhoReport(per_n, max(per_n.values()))
+
+
+def _tate_exponent(level: CyclotomicLevel, n: int) -> Fraction:
+    """The norm exponent of (chi^n sigma - 1)^-1 = (chi^(nr) - 1)^-1 S_n, r the
     order of a mod p^m: v - v_p(content of S_n), v = v_p(a^(|n|r) - 1), which
     is at least m.  The zeta^i span Z_p[zeta], the content is basis-free and S_n
     commutes with the unit sigma, so one i per orbit of a suffices.  As
     rho_n (chi^n sigma - 1) = 1 with chi^n sigma - 1 integral, |rho_n| >= 1:
     the content divides p^v, and the orbit sums modulo p^v give it
     exactly, whatever the working precision."""
-    n_values = list(n_values)
-    if 0 in n_values:
-        raise UsageError("n = 0 is the untwisted block; it is not invertible")
-    if not n_values:
-        raise UsageError("empty twist list: nothing to bound")
     p, r, reps = level.p, level.order, level.orbit_reps
-    per_n = {}
-    for n in n_values:
-        v = _vp_power_minus_one(level.a, abs(n) * r, p, level.m + 1)
-        mod = p ** v
-        content = math.gcd(mod, *(y for i in reps for y in _orbit_sum(level, r, n, i, mod)))
-        per_n[n] = Fraction(v - vp_int(content, p))
-    return RhoReport(per_n, max(per_n.values()))
+    v = _vp_power_minus_one(level.a, abs(n) * r, p, level.m + 1)
+    mod = p ** v
+    content = math.gcd(mod, *(y for i in reps for y in _orbit_sum(level, r, n, i, mod)))
+    return Fraction(v - vp_int(content, p))
 
 
 def _on_u_basis(zeta_cols):
@@ -304,7 +307,7 @@ def _diagonal_block(level: CyclotomicLevel, n: int) -> _Block:
     d, scale = level.degree, pow(level.a, n, level.p ** level.prec)
     sigma = level.sigma.xs
     return _uniform(level.p, 0, [[sigma[i * d + j] * scale - (i == j) for j in range(d)]
-                                 for i in range(d)], level.prec)
+                                 for i in range(d)], level.prec).frozen()
 
 
 def _block_inverse(level: CyclotomicLevel, n: int) -> _Block:
@@ -318,17 +321,17 @@ def _block_inverse(level: CyclotomicLevel, n: int) -> _Block:
     unit = (pow(level.a, n * r, p ** (prec + 2 * v)) - 1) // p ** v
     scale = pow(unit, -1, mod)
     rows = _on_u_basis([_orbit_sum(level, r, n, i, mod) for i in range(d)])
-    return _uniform(p, -v, [[scale * x for x in row] for row in rows], prec)
+    return _uniform(p, -v, [[scale * x for x in row] for row in rows], prec).frozen()
 
 
 def _rho_sigma_block(level: CyclotomicLevel, n: int) -> _Block:
     """chi^-n (1 + rho_n): 1 + rho_n modulo p^prec, then each entry times the
     PadicScalar chi^-n, which cuts an entry of valuation w < 0 to precision
     prec + w."""
-    rho, d = level.rho(n), level.degree
-    one = level.p ** -rho.shift
+    p, rho, d = level.p, level.rho(n), level.degree
+    one = p ** -rho.shift
     rows = [[rho.xs[i * d + j] + one * (i == j) for j in range(d)] for i in range(d)]
-    return _scaled(level.p, _uniform(level.p, rho.shift, rows, level.prec), level.chi ** -n)
+    return _scaled(p, _uniform(p, rho.shift, rows, level.prec), level.chi ** -n).frozen()
 
 
 def _scaled(p, blk: _Block, c: PadicScalar) -> _Block:

@@ -29,10 +29,12 @@ entry of the partial sum, so no dropped term can change a reported digit.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, attrgetter
 
 from .errors import DomainError, PrecisionError, UsageError
 
 DEFAULT_PRECISION = 50
+_PREC = attrgetter("prec")
 
 # Miller-Rabin witnesses; deterministic for every n < 3.3 * 10^24.
 _PRIME_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -303,11 +305,15 @@ def sum_series(terms, target_prec: int):
     """
     acc = None
     for entries, tail in terms:
-        acc = list(entries) if acc is None else [a + t for a, t in zip(acc, entries)]
-        # acc[0] first: a sum at full precision (exp, log) never scans acc
-        if tail >= target_prec or tail >= acc[0].prec and all(tail >= x.prec for x in acc):
+        acc = list(entries) if acc is None else list(map(add, acc, entries))
+        if series_converged(tail, target_prec, map(_PREC, acc)):
             break
     return [x.truncated(target_prec) for x in acc]
+
+
+def series_converged(tail, target_prec, precs):
+    """The one stop rule: the tail bound reaches target_prec or every precision in precs."""
+    return tail >= target_prec or tail >= max(precs)
 
 
 def exp_domain_threshold(p: int) -> int:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import ConvergenceError, DomainError, PrecisionError, UsageError
 from .field import LocalField
-from .padic import PadicScalar, exp_domain_threshold, newton_polygon, sum_series
+from .padic import PadicScalar, exp_domain_threshold, newton_polygon, series_converged
 
 
 class SenModule:
@@ -274,10 +274,11 @@ def _summed_series(M: SenModule, b, prod):
     v(P_(n+1)) >= v(P_n) + w past precision losses; so the bound grows by
     c - 1/(p-1) every term when c > 1/(p-1).  Every one of these quantities
     is an integer in units of 1/(e_ram (p-1)), read off `_v()`, and the
-    bound is yielded floored: `sum_series` compares it with integers only.
+    bound is floored: the stop rule compares it with integers only.
 
-    Each P_(n+1) is linalg.mat_mul's and each term linalg.mat_scale's, c x
-    entry by entry, with LocalField.dot's and __mul__'s (vec, shift, prec).  The
+    Each P_(n+1) is linalg.mat_mul's, and each entry of the sum one
+    LocalField.dot of the c_n = b^n/n! with its P_n, whose running precision,
+    the least q that `_product` gives c_n x so far, the stop rule reads.  The
     diagonal theta_ii - e n stays one element: split as theta v - (e n) v, a
     cancelling one would claim fewer digits.
     """
@@ -296,21 +297,23 @@ def _summed_series(M: SenModule, b, prod):
             concept="operator series stop rule")
     if not M.dim:
         return []
-
-    def terms(prod):
-        coef, n, v_prod, zero = K.one(), 0, None, K.zero()
-        while True:
-            low = (p - 1) * min(x._v() for row in prod for x in row)
-            v_prod = low if v_prod is None else max(low, v_prod + w)
-            yield [x for row in linalg.mat_scale(prod, coef) for x in row], \
-                (v_prod - n * w + (n + 1) * (c - e) + e) // den
-            en = M.e * n
-            n += 1
-            coef = coef * b / n        # the integer n: K.from_int(n)'s rule, with no inverse
-            prod = linalg.mat_mul([[x - en if i == j else x for j, x in enumerate(row)]
-                                   for i, row in enumerate(M.theta)], prod, zero)
-
-    flat, k = sum_series(terms(prod), K.prec), len(prod[0])
+    coefs, terms, coef, n, v_prod, zero = [], [], K.one(), 0, None, K.zero()
+    precs, k = [math.inf] * (M.dim * len(prod[0])), len(prod[0])
+    while True:
+        flat = [x for row in prod for x in row]
+        low = (p - 1) * min(x._v() for x in flat)
+        v_prod = low if v_prod is None else max(low, v_prod + w)
+        precs = [min(q, K._product(coef, x)[1]) for q, x in zip(precs, flat)]
+        coefs.append(coef)
+        terms.append(flat)
+        if series_converged((v_prod - n * w + (n + 1) * (c - e) + e) // den, K.prec, precs):
+            break
+        en = M.e * n
+        n += 1
+        coef = coef * b / n            # the integer n: K.from_int(n)'s rule, with no inverse
+        prod = linalg.mat_mul([[x - en if i == j else x for j, x in enumerate(row)]
+                               for i, row in enumerate(M.theta)], prod, zero)
+    flat = [K.dot(coefs, column, zero) for column in zip(*terms)]
     return [flat[i * k:(i + 1) * k] for i in range(M.dim)]
 
 

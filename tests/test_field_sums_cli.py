@@ -2,9 +2,10 @@
 
 Each test runs the command of one step of .github/workflows/tests.yml, as
 `python -m senlab.cli`, and makes the step's check on its JSON: Berkowitz
-and the operator series on a diagonal module at dimension 8, the G-sharp
-transport and dp_mul at truncation 96, and field products at the table cap.
-The wall-clock limits stay in the workflow."""
+and the operator series on a diagonal module at dimension 8, the operator
+series on low-precision inputs (its full JSON pinned against tests/golden),
+the G-sharp transport and dp_mul at truncation 96, and field products at the
+table cap.  The wall-clock limits stay in the workflow."""
 
 import json
 import os
@@ -15,6 +16,7 @@ from math import prod
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 # Q_3(sqrt 3) at 40 digits: g = y - 1, E = u^2 - 3, e = 2 pi
 FIELD = json.dumps({"p": 3, "prec": 40, "unramified_poly": ["-1", "1"],
                     "eisenstein_poly": [["-3"], ["0"], ["1"]]})
@@ -25,15 +27,20 @@ THETA = json.dumps({"theta": [[{"coeffs": [["0", str(2 * a) if i == j else "0"]]
 Q = 3 ** 40
 
 
-def _senlab(*argv):
-    """The JSON a fresh `python -m senlab.cli *argv` prints; it must exit 0."""
+def _stdout(*argv):
+    """What a fresh `python -m senlab.cli *argv` prints; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-m", "senlab.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _senlab(*argv):
+    """The JSON a fresh `python -m senlab.cli *argv` prints."""
+    return json.loads(_stdout(*argv))
 
 
 def _coord(c):
@@ -75,6 +82,19 @@ def test_operator_series_of_a_diagonal_module_at_dimension_8():
            if tuple(map(_coord, m[i][j]["coeffs"][0])) != (power(WEIGHTS[i]) if i == j else (0, 0))
            or any(c["prec"] != 40 for c in m[i][j]["coeffs"][0])]
     assert len(m) == 8 and not bad, "entries %s are not (1 + 6 pi)^w to 40 digits" % bad
+
+
+def test_operator_series_on_low_precision_inputs():
+    # theta known to 5^9 and b to 5 over Q_5(zeta_5): the summation ends only
+    # because the products' valuation bound is carried forward; every byte is
+    # the one the series printed when its terms were scaled and added one by one
+    field = json.dumps({"p": 5, "prec": 15, "unramified_poly": ["-1", "1"],
+                        "eisenstein_poly": [["5"], ["10"], ["10"], ["5"], ["1"]]})
+    theta = json.dumps({"theta": [[{"coeffs": [
+        ["5", "-17", {"val": None, "unit": "0", "prec": 9}, "20"]]}]]})
+    b = json.dumps({"coeffs": [["-15625", "-3", "-15625", {"val": None, "unit": "0", "prec": 1}]]})
+    out = _stdout("senmod", "operator-series", "--field", field, "--theta", theta, "--b", b)
+    assert out == (GOLDEN / "senmod_series_low_precision.json").read_text()
 
 
 def test_gsharp_transport_at_truncation_96():

@@ -1,11 +1,15 @@
-"""The README's `gamma invert` and `gamma kernel` as fresh processes.
+"""The README's `gamma invert` and `gamma kernel`, and `gamma delta` at
+degree 294, as fresh processes.
 
 `gamma invert` at truncation 8 runs as the workflow's step "gamma invert at
 truncation 8" runs it, with the same inline right-hand side of 6 x 8 = 48
 integers, and the residual, computed one block row at a time, must keep all
 46 digits of the dense product.  The full JSON of both commands is pinned
 byte for byte against the files in tests/golden, captured from the
-PadicScalar route that the integer blocks of `senlab.gamma` replaced."""
+PadicScalar route that the integer blocks of `senlab.gamma` replaced.
+`gamma delta` over Q_7(zeta_343) runs the workflow's step "gamma delta
+without the field", whose Tate bound reads the level's integers alone; its
+JSON is pinned too.  The wall-clock limits stay in the workflow."""
 
 import json
 import os
@@ -45,3 +49,10 @@ def test_invert_prints_the_golden_report(tmp_path):
 
 def test_kernel_prints_the_golden_report():
     assert _senlab("gamma", "kernel", *LEVEL) == (GOLDEN / "gamma_kernel.json").read_text()
+
+
+def test_delta_without_the_field_prints_the_golden_report():
+    # degree 294: a level that built the cyclotomic field would take about 20 s
+    out = _senlab("gamma", "delta", "--p", "7", "--m", "3", "--a", "2", "--nmin", "1",
+                  "--nmax", "2", "--prec", "10")
+    assert out == (GOLDEN / "gamma_delta_degree_294.json").read_text()

@@ -272,6 +272,26 @@ def _series_element(draw, K, shift, prec):
 
 
 @st.composite
+def _wide_dot_case(draw):
+    """Up to 25 terms over one of DOT_FIELDS, elements with shifts s spread
+    over 0..20, the fields' precision, and precisions s + 1..s + 40, mixed
+    within a sum, zero to precision one time in five; v of elements, scalars
+    or ints, and a start of K or a zero at 20..45 digits.  The terms' bounds
+    reach past the slot width of the table's own, so many sums are packed at
+    64-bit widths, with the powers of p and the packed table rows the field
+    keeps between sums."""
+    K = DOT_FIELDS[draw(st.sampled_from(sorted(DOT_FIELDS)))]
+    size = draw(st.integers(0, 25))
+    element = st.integers(0, K.prec).flatmap(
+        lambda s: _series_element(K, st.just(s), st.integers(s + 1, s + 40)))
+    factor = st.one_of(element, element, _scalar(K.p), st.integers(-100, 100))
+    high = st.integers(20, 45).map(lambda prec: FieldElement(K, (), prec, prec))
+    return (draw(st.lists(element, min_size=size, max_size=size)),
+            draw(st.lists(factor, min_size=size, max_size=size)),
+            draw(st.one_of(element, high)))
+
+
+@st.composite
 def _mat_mul_case(draw):
     """A square matrix of dimension 1..8 over one of SERIES_FIELDS, a second
     matrix of 1..8 columns, a vector and a start, shifts -4..6 and precisions
@@ -324,6 +344,17 @@ class TestDot:
     def test_field_elements_match_sequential_sum(self, case):
         # the packed route over K against the sum one product at a time
         u, v, start = case
+        x, y = start.field.dot(u, v, start), _sequential_dot(u, v, start)
+        assert (x.vec, x.shift, x.prec) == (y.vec, y.shift, y.prec)
+
+    @settings(max_examples=300)
+    @given(case=_wide_dot_case())
+    def test_wide_slots_match_sequential_sum(self, case):
+        # sums of up to 25 terms whose slots outgrow the table's width; each
+        # element of u is first packed, for its square, at another width
+        u, v, start = case
+        for x in u:
+            x * x
         x, y = start.field.dot(u, v, start), _sequential_dot(u, v, start)
         assert (x.vec, x.shift, x.prec) == (y.vec, y.shift, y.prec)
 
@@ -449,10 +480,11 @@ class TestDot:
             assert _triples(operator_series(M, K.from_int(b))) == _triples(want)
 
     def test_operator_series_sums_on_theta_packed_once(self, monkeypatch):
-        # no term reaches linalg.mat_vec or LocalField.dot; a term costs one
-        # reduction per product of theta by a column and one per scaled entry,
-        # and d^2 + 1 field products: the d^2 scalings c * x of mat_scale and
-        # the coefficient's (e n scales e by an int)
+        # no term reaches linalg.mat_vec, linalg.mat_scale or an addition of
+        # elements; a term costs one reduction per product of theta by a
+        # column and one for its coefficient, the sum one per entry (d^2 more,
+        # one LocalField.dot each), and one field product, the coefficient's
+        # (e n scales e by an int); the stop rule runs once per term
         K = eisenstein_field(3, [-3, 0, 1], 40)
         rng = random.Random(5)
         d = 8
@@ -461,7 +493,7 @@ class TestDot:
                   for j in range(d)] for i in range(d)]
         M, b = SenModule(K, theta), K.from_int(9) * K.pi
         assert nearly_ht_test(M).verdict
-        counts = {"terms": 0, "reduce": 0, "products": 0}
+        counts = {"terms": 0, "reduce": 0, "products": 0, "dot": 0}
 
         def refuse(*args):
             raise AssertionError("the operator series left the packed route")
@@ -472,22 +504,18 @@ class TestDot:
                 return f(*args)
             return wrapper
 
-        def counted_sum(terms, prec):
-            def drawn():
-                for term in terms:
-                    counts["terms"] += 1
-                    yield term
-            return sum_series(drawn(), prec)
-
         monkeypatch.setattr(linalg, "mat_vec", refuse)
-        monkeypatch.setattr(LocalField, "dot", refuse)
+        monkeypatch.setattr(linalg, "mat_scale", refuse)
+        monkeypatch.setattr(FieldElement, "__add__", refuse)
+        monkeypatch.setattr(LocalField, "dot", counted("dot", LocalField.dot))
         monkeypatch.setattr(LocalField, "_reduce", counted("reduce", LocalField._reduce))
         monkeypatch.setattr(FieldElement, "__mul__", counted("products", FieldElement.__mul__))
-        monkeypatch.setattr(senmod, "sum_series", counted_sum)
+        monkeypatch.setattr(senmod, "series_converged", counted("terms", senmod.series_converged))
         operator_series(M, b)
         assert counts["terms"] > 5
-        assert counts["reduce"] <= 2 * d * d * counts["terms"]
-        assert counts["products"] <= (d * d + 1) * counts["terms"]
+        assert counts["dot"] == d * d
+        assert counts["reduce"] <= (d * d + 1) * counts["terms"] + d * d
+        assert counts["products"] <= counts["terms"]
 
     @pytest.mark.parametrize("name", sorted(DOT_EDGES))
     def test_edge_cases(self, name):
