@@ -13,11 +13,12 @@ and each rule reads v = prec for a zero:
 
 Valuations are normalized by v(p) = 1.  The module also provides the one
 square-and-multiply `power` (for scalars, field elements, coordinate
-vectors, F_p polynomials and matrices), the one series summation helper
-`sum_series`, the p-adic exponential and logarithm (with their
-convergence balls) and Newton polygons with slopes reported as root
-valuations; a left end whose coefficients are zero to precision is reported
-as one slope entry with a lower bound.  A sum of products is LocalField.dot
+vectors, F_p polynomials and matrices), the one series stop rule
+`series_converged`, the p-adic exponential and logarithm (with their
+convergence balls, each summed as one integer modulo p^prec) and Newton
+polygons with slopes reported as root valuations; a left end whose
+coefficients are zero to precision is reported as one slope entry with a
+lower bound.  A sum of products is LocalField.dot
 over K and senlab.gamma's integer block kernels over Q_p.
 
 Every convergent series is summed with an a priori stop rule: each term comes
@@ -29,12 +30,10 @@ entry of the partial sum, so no dropped term can change a reported digit.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, attrgetter
 
 from .errors import DomainError, PrecisionError, UsageError
 
 DEFAULT_PRECISION = 50
-_PREC = attrgetter("prec")
 
 # Miller-Rabin witnesses; deterministic for every n < 3.3 * 10^24.
 _PRIME_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -293,24 +292,6 @@ class PadicScalar:
 # series summation
 # ---------------------------------------------------------------------------
 
-def sum_series(terms, target_prec: int):
-    """Sum a convergent series to absolute precision target_prec.
-
-    `terms` yields pairs (entries, tail): entries is a list of values with
-    `+` and `truncated` (PadicScalar or FieldElement), and tail is a proven
-    lower bound on the valuation of every later term.  Summation stops at the
-    first tail >= target_prec or >= the precision of every entry of the sum,
-    so no dropped term changes a claimed digit; the sum is truncated to the
-    target, reporting no digit beyond it.  A finite generator is summed in full.
-    """
-    acc = None
-    for entries, tail in terms:
-        acc = list(entries) if acc is None else list(map(add, acc, entries))
-        if series_converged(tail, target_prec, map(_PREC, acc)):
-            break
-    return [x.truncated(target_prec) for x in acc]
-
-
 def series_converged(tail, target_prec, precs):
     """The one stop rule: the tail bound reaches target_prec or every precision in precs."""
     return tail >= target_prec or tail >= max(precs)
@@ -337,22 +318,18 @@ def padic_exp(x: PadicScalar) -> PadicScalar:
             % (Fraction(1, p - 1), threshold, p, x.val),
             concept="convergence radius alpha")
     modulus = p ** prec
-
-    def terms():
-        # x^n/n! = p^shift * unit, exactly modulo p^prec.  Term m has
-        # valuation >= m v(x) - (m-1)/(p-1), increasing in m inside the ball;
-        # valuations are integers, so every term after the n-th has valuation
-        # >= (n+1) v(x) - floor(n/(p-1)).
-        unit, shift, n = 1, 0, 0
-        while True:
-            yield [PadicScalar.from_residue(p, unit * p ** shift, prec)], \
-                (n + 1) * x.val - n // (p - 1)
-            n += 1
-            k = vp_int(n, p)
-            shift += x.val - k
-            unit = unit * x.unit * pow(n // p ** k, -1, modulus) % modulus
-
-    return sum_series(terms(), prec)[0]
+    # x^n/n! = p^shift * unit, exactly modulo p^prec, so the sum is one
+    # integer modulo p^prec.  Term m has valuation >= m v(x) - (m-1)/(p-1),
+    # increasing in m inside the ball; valuations are integers, so every term
+    # after the n-th has valuation >= (n+1) v(x) - floor(n/(p-1)).
+    total, unit, shift, n = 1, 1, 0, 0
+    while not series_converged((n + 1) * x.val - n // (p - 1), prec, (prec,)):
+        n += 1
+        k = vp_int(n, p)
+        shift += x.val - k
+        unit = unit * x.unit * pow(n // p ** k, -1, modulus) % modulus
+        total += unit * p ** shift
+    return PadicScalar.from_residue(p, total, prec)
 
 
 def padic_log(x: PadicScalar) -> PadicScalar:
@@ -366,22 +343,20 @@ def padic_log(x: PadicScalar) -> PadicScalar:
             "log requires v(x - 1) >= 1; got v(x - 1) = %d" % u.val,
             concept="logarithm domain 1 + pZ_p")
     modulus = p ** prec
-
-    def terms():
-        # -(-u)^n/n = p^(n v(u) - v_p(n)) * unit, exactly modulo p^prec.
-        # v(u^m/m) >= m v(u) - floor(log_p m), nondecreasing in m for v(u) >= 1.
-        power, n = 1, 0
-        log_next = 0            # floor(log_p (n + 1))
-        while True:
-            n += 1
-            power = -power * u.unit % modulus
-            k = vp_int(n, p)
-            if p ** (log_next + 1) <= n + 1:
-                log_next += 1
-            term = -power * pow(n // p ** k, -1, modulus) * p ** (n * u.val - k)
-            yield [PadicScalar.from_residue(p, term, prec)], (n + 1) * u.val - log_next
-
-    return sum_series(terms(), prec)[0]
+    # -(-u)^n/n = p^(n v(u) - v_p(n)) * unit, exactly modulo p^prec, summed as
+    # one integer.  v(u^m/m) >= m v(u) - floor(log_p m), nondecreasing in m
+    # for v(u) >= 1.
+    total, power, n = 0, 1, 0
+    log_next = 0                # floor(log_p (n + 1))
+    while True:
+        n += 1
+        power = -power * u.unit % modulus
+        k = vp_int(n, p)
+        if p ** (log_next + 1) <= n + 1:
+            log_next += 1
+        total -= power * pow(n // p ** k, -1, modulus) * p ** (n * u.val - k)
+        if series_converged((n + 1) * u.val - log_next, prec, (prec,)):
+            return PadicScalar.from_residue(p, total, prec)
 
 
 # ---------------------------------------------------------------------------

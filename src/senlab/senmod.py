@@ -265,7 +265,8 @@ def trivial_module(field: LocalField) -> SenModule:
 
 def _summed_series(M: SenModule, b, prod):
     """The d x k matrix sum (b^n/n!) P_n, P_0 = prod and P_(n+1) =
-    (theta - e n) P_n, to the field's precision by `sum_series`'s stop rule.
+    (theta - e n) P_n, to the field's precision under the one stop rule
+    `series_converged`.
 
     Every factor theta - e i has entries of valuation at least
     w = min(v(theta), v(e)), and v(b^m/m!) >= m v(b) - (m-1)/(p-1).  With

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion as its own process."""
+"""Every demo script runs to completion as its own process and prints, byte
+for byte, the output pinned in tests/golden/demo_<stem>.txt."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
@@ -19,3 +21,4 @@ def test_demo_runs(script):
     proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / ("demo_%s.txt" % script.stem)).read_text()

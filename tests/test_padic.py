@@ -11,7 +11,8 @@ from senlab import gamma, linalg, senmod
 from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageError
 from senlab.field import (FieldElement, LocalField, LocalFieldSpec, build_field,
                           cyclotomic_field, eisenstein_field, qp_field)
-from senlab.padic import PadicScalar, newton_polygon, padic_exp, padic_log, sum_series
+from senlab.padic import (PadicScalar, exp_domain_threshold, newton_polygon, padic_exp,
+                          padic_log, series_converged, vp_int)
 from senlab.senmod import SenModule, nearly_ht_test, operator_series, operator_series_apply
 
 S = PadicScalar
@@ -221,7 +222,8 @@ def _sequential_series(M, b, columns):
     """The operator series summed one product at a time, the oracle for
     senmod's packed route: linalg.mat_vec's rows over _sequential_dot, each
     term scaled by _table_product(coef, x) and coef updated by a division
-    by K.from_int(n), with the tail bound in Fractions and sum_series."""
+    by K.from_int(n), with the tail bound in Fractions; the terms are added
+    entrywise until series_converged, and the sum truncated to K.prec."""
     K = M.field
     b = K.from_scalar(b) if isinstance(b, (int, PadicScalar)) else b
     alpha = Fraction(1, K.p - 1)
@@ -243,7 +245,12 @@ def _sequential_series(M, b, columns):
             coef = _table_product(coef, b) / K.from_int(n)
             prods = [[_sequential_dot(row, v, K.zero()) for row in shift] for v in prods]
 
-    flat = sum_series(terms(), K.prec)
+    flat = None
+    for entries, tail in terms():
+        flat = entries if flat is None else [x + y for x, y in zip(flat, entries)]
+        if series_converged(tail, K.prec, [x.prec for x in flat]):
+            break
+    flat = [x.truncated(K.prec) for x in flat]
     return [flat[j * M.dim:(j + 1) * M.dim] for j in range(len(columns))]
 
 
@@ -374,6 +381,24 @@ class TestDot:
         got, want = K.dot(u, v, start), _sequential_dot(u, v, start)
         assert (got.vec, got.shift, got.prec) == (want.vec, want.shift, want.prec)
         assert got.prec == (30 if K.degree == 1 else 20)
+
+    @pytest.mark.parametrize("name", ["Q2(i)", "Q3(zeta9)"])
+    def test_reduction_binds_the_slot_width(self, name):
+        # a start at shift m = 0 and precision n = 32, and one product of
+        # shift 30 whose factors claim 2 digits each: the two terms' slots
+        # stay below 2 d p^34, but the reduction's slots reach len(table)
+        # p^(n - m) p^(M + e_ram) with M = 20, so that half of the width
+        # rule binds
+        K = DOT_FIELDS[name]
+        p, d = K.p, K.degree
+        start = FieldElement(K, [p ** 32 - 1 - t for t in range(d)], 0, 32)
+        x = FieldElement(K, [1 + p * (t % 2) for t in range(d)], 30, 32)
+        y = FieldElement(K, [p + 1 - t % 2 for t in range(d)], 0, 2)
+        reduction = len(K._table) * p ** 32 * p ** (K.table_prec + K.e_ram)
+        assert reduction > 2 * d * p ** 34
+        got, want = K.dot([x], [y], start), _sequential_dot([x], [y], start)
+        assert (got.vec, got.shift, got.prec) == (want.vec, want.shift, want.prec)
+        assert got.prec == 32
 
     def test_operator_series_matches_sequential_sum(self):
         # a dimension-8 series over Q_3(sqrt 3) against the sum one product at a time
@@ -669,7 +694,79 @@ class TestZeroOracle:
                 _is_ball(c, w, prec, 3)
 
 
+def _sequential_exp(x):
+    """exp(x) one PadicScalar term at a time, the oracle for padic_exp: each
+    x^n/n! = p^shift * unit, exact modulo p^prec, made a scalar by
+    from_residue and added with +, until series_converged on the tail bound
+    (n+1) v(x) - floor(n/(p-1)) and the sum's precision; then truncated."""
+    p, prec = x.p, x.prec
+    if x.is_zero():
+        return S.one(p, prec)
+    modulus = p ** prec
+    acc, unit, shift, n = S.zero(p, prec), 1, 0, 0
+    while True:
+        acc = acc + S.from_residue(p, unit * p ** shift, prec)
+        if series_converged((n + 1) * x.val - n // (p - 1), prec, [acc.prec]):
+            return acc.truncated(prec)
+        n += 1
+        k = vp_int(n, p)
+        shift += x.val - k
+        unit = unit * x.unit * pow(n // p ** k, -1, modulus) % modulus
+
+
+def _sequential_log(x):
+    """log(x) one PadicScalar term at a time, the oracle for padic_log: each
+    -(-u)^n/n, u = x - 1, made a scalar by from_residue and added with +,
+    until series_converged on the tail bound (n+1) v(u) - floor(log_p (n+1))
+    and the sum's precision; then truncated."""
+    p, prec = x.p, x.prec
+    u = x - S.one(p, prec)
+    if u.is_zero():
+        return S.zero(p, prec)
+    modulus = p ** prec
+    acc, power, n = S.zero(p, prec), 1, 0
+    log_next = 0                # floor(log_p (n + 1))
+    while True:
+        n += 1
+        power = -power * u.unit % modulus
+        k = vp_int(n, p)
+        if p ** (log_next + 1) <= n + 1:
+            log_next += 1
+        term = -power * pow(n // p ** k, -1, modulus) * p ** (n * u.val - k)
+        acc = acc + S.from_residue(p, term, prec)
+        if series_converged((n + 1) * u.val - log_next, prec, [acc.prec]):
+            return acc.truncated(prec)
+
+
+@st.composite
+def _unit(draw, p):
+    """An integer 1..p^8 - 1 prime to p."""
+    return draw(st.integers(0, p ** 7 - 1)) * p + draw(st.integers(1, p - 1))
+
+
 class TestExpLog:
+    @settings(max_examples=300)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 11, 13]), N=st.integers(1, 80))
+    def test_exp_matches_sequential_sum(self, data, p, N):
+        v = data.draw(st.integers(0, 4)) + exp_domain_threshold(p)
+        x = S.from_int(p ** v * data.draw(_unit(p)), p, N)
+        assert _triple(padic_exp(x)) == _triple(_sequential_exp(x))
+
+    @settings(max_examples=300)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 11, 13]), N=st.integers(1, 80))
+    def test_log_matches_sequential_sum(self, data, p, N):
+        y = S.from_int(1 + p ** data.draw(st.integers(1, 5)) * data.draw(_unit(p)), p, N)
+        assert _triple(padic_log(y)) == _triple(_sequential_log(y))
+
+    def test_sweep_matches_sequential_sum(self):
+        # the benchmark's 232 sweep points: exp(4) over Q_2, exp(p) otherwise,
+        # and log(1 + p), for p = 2, 3, 5, 7 at precisions 1..29
+        for p in (2, 3, 5, 7):
+            for N in range(1, 30):
+                x, y = S.from_int(4 if p == 2 else p, p, N), S.from_int(1 + p, p, N)
+                assert _triple(padic_exp(x)) == _triple(_sequential_exp(x))
+                assert _triple(padic_log(y)) == _triple(_sequential_log(y))
+
     def test_exp_zero(self):
         assert (padic_exp(S.zero(5, 12)) - S.one(5, 12)).is_zero()
 
