@@ -10,7 +10,12 @@ has the constants as kernel and is inverted degree by degree via
 c_{n+1} = b_n - e n c_n.  The group substitution a -> a (1 + e b) + b is
 carried out exactly on the truncation, and the change to and from the
 additive coordinate log(1 + e a)/e is one integer matrix of Stirling numbers
-times powers of e; `dp_compose` is the general composition.
+times powers of e; `dp_compose` is the general composition.  The product,
+the substitution and the coordinate change each pack their series once, at
+the least shift and the smallest modulus p^R, into Kronecker blocks of one
+integer (`_pack`), multiply, and reduce each output degree once through the
+field's table; two bounded series whose products all reach K.prec skip the
+degree-by-degree precisions.
 
 Coefficients are only guaranteed through `valid_to`: applying theta loses the
 top degree, since the incoming coefficient above the truncation is unknown.
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from .errors import ConvergenceError, UsageError
 from .field import FieldElement, LocalField
-from .padic import vp_int
+from .padic import PadicScalar, vp_int
 
 
 class DPSeries:
@@ -77,26 +82,66 @@ class DPSeries:
         return f"DPSeries(trunc={self.trunc}, valid_to={self.valid_to})"
 
 
+def _pack(K, blocks, R, w):
+    """One integer whose block i, len(K._table) Kronecker slots of w bits,
+    holds the coordinates of p^k u x modulo p^R for blocks[i] = (x, k, u),
+    u an int taken as its nonnegative residue; empty for a zero x or k >= R."""
+    p, mod, size = K.p, K.p ** R, len(K._table) * w // 8
+    out = []
+    for x, k, u in blocks:
+        block = 0
+        if k < R and not x.is_zero():
+            scale = p ** k * u % mod
+            for a, slot in zip(x.vec, K._slots):
+                block |= a * scale % mod << w * slot
+        out.append(block.to_bytes(size, "little"))
+    return int.from_bytes(b"".join(out), "little")
+
+
+def _width(K, R, terms):
+    """The slot width, a multiple of 64 bits, for sums of `terms` products of
+    two packed elements, each slot below p^R, and for their reduction, whose
+    slots hold below len(table) p^(R + M + e_ram)."""
+    mod = K.p ** R
+    return -(-(mod * max(terms * K.degree * mod, len(K._table) * K._table_mod)).bit_length()
+             // 64) * 64
+
+
+def _blocks(K, total, R, w, n):
+    """Blocks 0..n-1 of total, each reduced once through K's table modulo p^R."""
+    size = len(K._table) * w // 8
+    data = total.to_bytes(max(n * size, -(-total.bit_length() // 8)), "little")
+    return [K._reduce(int.from_bytes(data[i * size:(i + 1) * size], "little"), w, K.p ** R)
+            for i in range(n)]
+
+
+def _low(xs):
+    """The least shift of the nonzero elements of xs; 0 when there are none."""
+    return min((x.shift for x in xs if not x.is_zero()), default=0)
+
+
 def dp_mul(f: DPSeries, g: DPSeries) -> DPSeries:
     """(f g)_n = sum_{i+j=n} C(n, i) f_i g_j as one packed integer product.
 
     With i! = p^(v_i) u_i, (f g)_n = p^(v_n) u_n sum_{i+j=n} (f_i/i!)(g_j/j!):
     f_i = p^(s_i) a_i fills block i (len(table) Kronecker slots) of one
-    integer with p^(s_i - v_i - m_f) u_i^-1 a_i mod p^R, m_f the least
-    s_i - v_i, and g likewise; after one multiplication block n is reduced
-    once through the table modulo p^R and, times u_n, has shift m_f + m_g + v_n.
+    integer with p^(s_i - v_i + c i - m_f) u_i^-1 a_i mod p^R, m_f the least
+    s_i - v_i + c i, and g likewise; after one multiplication block n carries
+    the weight p^(c n), so it is reduced once through the table modulo p^R and,
+    times u_n, has shift m_f + m_g + v_n - c n.  The weight c in {0, 1} is the
+    one of smaller R: v_i < i makes c = 1 undo most of the p^(-v_i) at p <= 3.
     Degree n gets the sequential sum's precision: the least over i of
-    __mul__'s for f_i g_(n-i), with its cap at shift + M above degree 1, under
-    LocalField.dot's rule for the scalar C(n, i); R is the most any degree needs.
-    The table is exact to p^(M + e_ram), and by that cap each precision is
-    within M of its terms' least valuation s_i + s_j + v_p C(n, i); the slots
-    hold the sums, below (trunc + 1) d p^(2R), and the reduction's, below
-    len(table) p^(R + M + e_ram).  Reduction is linear and an element is
+    __mul__'s for f_i g_(n-i), `LocalField._reach`, under LocalField.dot's
+    rule for the scalar C(n, i); when the bounds of f and g show every product
+    reaching N with v(f_i g_j) >= 0, that is N.  R is the most any degree
+    needs.  The table is exact to p^(M + e_ram), and by the cap of `_reach`
+    each precision is within M of its terms' least valuation; `_width` holds
+    the sums and their reduction.  Reduction is linear and an element is
     canonical modulo p^prec, so every coefficient is the sequential sum's.
     """
     f._check_compatible(g)
     K = f.field
-    p, e, d, M, N = K.p, K.e_ram, K.degree, K.table_prec, K.prec
+    p, e, N = K.p, K.e_ram, K.prec
     trunc = min(f.trunc, g.trunc)
     fs, gs = f.coeffs[:trunc + 1], g.coeffs[:trunc + 1]
     vfact, units = [0], [1]                         # n! = p^vfact[n] units[n]
@@ -104,48 +149,38 @@ def dp_mul(f: DPSeries, g: DPSeries) -> DPSeries:
         k = vp_int(n, p)
         vfact.append(vfact[-1] + k)
         units.append(units[-1] * (n // p ** k))
-    fdata, gdata = ([(x.prec, x._v(), x.shift, v) for x, v in zip(xs, vfact)] for xs in (fs, gs))
-    precs = []
-    for n, vn in enumerate(vfact):
-        q = N
-        for (xp, vx, sx, wx), (yp, vy, sy, wy) in zip(fdata, reversed(gdata[:n + 1])):
-            r, r2 = e * xp + vy, e * yp + vx           # f_i g_j has precision r
-            r = (r if r < r2 else r2) // e
-            if d > 1 and r > sx + sy + M:
-                r = sx + sy + M
-            t = r + vn - wx - wy                       # v_p C(n, i) by Kummer
-            if t < q:
-                q = t
-            z = (vx + vy) // e                         # the scalar has K.prec digits
-            t = N + (r if r < z else z)
-            if t < q:
-                q = t
-        precs.append(q)
-    lows = [min((x.shift - v for x, v in zip(xs, vfact) if not x.is_zero()), default=0)
-            for xs in (fs, gs)]
-    R = max(1, max(q - sum(lows) - v for q, v in zip(precs, vfact)))
+    fb, gb = K._bound(fs), K._bound(gs)
+    if K._reach(fb, gb) >= N and fb[1] + gb[1] >= 0:
+        precs = [N] * (trunc + 1)
+    else:
+        fdata, gdata = ([(x.prec, x._v(), x.shift) for x in xs] for xs in (fs, gs))
+        precs = []
+        for n, vn in enumerate(vfact):
+            q = N
+            for i, x in enumerate(fdata[:n + 1]):
+                y, r = gdata[n - i], K._reach(x, gdata[n - i])
+                # v_p C(n, i) by Kummer; the scalar has K.prec digits
+                q = min(q, r + vn - vfact[i] - vfact[n - i], N + min(r, (x[1] + y[1]) // e))
+            precs.append(q)
+
+    def modulus(c):                 # R, c and m_f, m_g under the weight p^(c i)
+        lows = [min((x.shift - v + c * i for i, (x, v) in enumerate(zip(xs, vfact))
+                     if not x.is_zero()), default=0) for xs in (fs, gs)]
+        return max([1] + [q - sum(lows) - v + c * n
+                          for n, (q, v) in enumerate(zip(precs, vfact))]), c, lows
+
+    R, c, lows = min(modulus(0), modulus(1))
     mod = p ** R
     last_inverse = pow(units[-1], -1, mod)
     inverses = [last_inverse * (units[-1] // u) % mod for u in units]
-    L = len(K._table)
-    w = -(-(mod * max((trunc + 1) * d * mod, L * K._table_mod)).bit_length() // 64) * 64
-
-    def packed(xs, low):
-        blocks = []
-        for x, v, inverse in zip(xs, vfact, inverses):
-            block, k = 0, x.shift - v - low
-            if k < R and not x.is_zero():
-                scale = p ** k * inverse
-                for a, slot in zip(x.vec, K._slots):
-                    block |= a * scale % mod << w * slot
-            blocks.append(block.to_bytes(L * w // 8, "little"))
-        return int.from_bytes(b"".join(blocks), "little")
-
-    prod, mask, out = packed(fs, lows[0]) * packed(gs, lows[1]), (1 << L * w) - 1, []
-    for q, v, u in zip(precs, vfact, units):
-        out.append(FieldElement(K, [c * u for c in K._reduce(prod & mask, w, mod)],
-                                sum(lows) + v, q))
-        prod >>= L * w
+    w = _width(K, R, trunc + 1)
+    prod = 1
+    for xs, low in zip((fs, gs), lows):
+        prod *= _pack(K, [(x, x.shift - v + c * i - low, inverse) for i, (x, v, inverse)
+                          in enumerate(zip(xs, vfact, inverses))], R, w)
+    out = [FieldElement(K, [a * u for a in block], sum(lows) + v - c * n, q)
+           for n, (block, q, v, u) in enumerate(zip(_blocks(K, prod, R, w, trunc + 1),
+                                                     precs, vfact, units))]
     return DPSeries(K, out, e=f.e, valid_to=min(f.valid_to, g.valid_to, trunc))
 
 
@@ -186,22 +221,37 @@ def theta_matrix(field: LocalField, trunc: int):
 def coaction(f: DPSeries, b: FieldElement) -> DPSeries:
     """Substitution a -> a (1 + e b) + b, exact on the stored polynomial.
 
-    Output degree m is (1 + e b)^m sum_k c_{m+k} b^k / k!, a finite sum here.
+    Output degree m is (1 + e b)^m sum_k c_{m+k} b^k / k!, a finite sum here:
+    the correlation is one packed integer product of the c_i, block trunc - i,
+    by the b^k/k!, block k, each at its least shift, so block trunc - m holds
+    degree m's sum, reduced once through the table.  Its precision is
+    LocalField.dot's: K.prec, or less when some product's `_reach` is; K.prec
+    outright when the two series' bounds show every product reaching it.
     The monitor rejects b of nonpositive valuation whose term valuations keep
     falling, since then the truncated sum no longer tracks the completed one.
     """
     K = f.field
     b = b if isinstance(b, FieldElement) else K.from_scalar(b)
     _monitor_coaction_tail(f, b)
-    one_plus_eb = K.one() + f.e * b
+    c, trunc, N = f.coeffs, f.trunc, K.prec
     b_over_fact = [K.one()]
-    for k in range(1, f.trunc + 1):
+    for k in range(1, trunc + 1):
         b_over_fact.append(b_over_fact[-1] * b / k)
-    out = []
-    scale = K.one()
-    for m in range(f.trunc + 1):
-        out.append(K.dot(f.coeffs[m:], b_over_fact, K.zero()) * scale)
-        scale = scale * one_plus_eb
+    if K._reach(K._bound(c), K._bound(b_over_fact)) >= N:
+        precs = [N] * (trunc + 1)
+    else:
+        cdata, bdata = ([(x.prec, x._v(), x.shift) for x in xs] for xs in (c, b_over_fact))
+        precs = [min([N] + [K._reach(x, y) for x, y in zip(cdata[m:], bdata)])
+                 for m in range(trunc + 1)]
+    lc, lb = _low(c), _low(b_over_fact)
+    R = max(1, max(precs) - lc - lb)
+    w = _width(K, R, trunc + 1)
+    sums = _blocks(K, _pack(K, [(x, x.shift - lc, 1) for x in reversed(c)], R, w)
+                   * _pack(K, [(x, x.shift - lb, 1) for x in b_over_fact], R, w), R, w, trunc + 1)
+    one_plus_eb, out = K.one() + f.e * b, []
+    for m in range(trunc + 1):
+        scale = scale * one_plus_eb if m else K.one()
+        out.append(FieldElement(K, sums[trunc - m], lc + lb, precs[m]) * scale)
     return DPSeries(K, out, e=f.e, valid_to=f.valid_to)
 
 
@@ -234,11 +284,9 @@ def log_t(field: LocalField, trunc: int, e: FieldElement | None = None) -> DPSer
     if trunc < 0:
         raise UsageError("truncation must be >= 0")
     e = field.different_e if e is None else e
-    coeffs = [field.zero()]
-    cur = field.one()
-    for n in range(1, trunc + 1):
-        coeffs.append(cur)
-        cur = cur * (-e) * n
+    coeffs, minus_e = [field.zero(), field.one()][:trunc + 1], -e
+    for n in range(1, trunc):
+        coeffs.append(coeffs[-1] * minus_e * n)
     return DPSeries(field, coeffs, e=e)
 
 
@@ -268,8 +316,13 @@ def gsharp_transport(f: DPSeries, direction: str) -> DPSeries:
     ("to_gsharp"), or back through a = (exp(e t) - 1)/e ("from_gsharp").
 
     t^k/k! = sum_m T(m, k) e^(m-k) a^m/m!, T the signed Stirling numbers of
-    the first kind (of the second kind back), so output m is sum_k c_k T(m, k)
-    e^(m-k), with no division; T(2, 1) e is not integral when v(e) < 0.
+    the first kind (of the second kind back), so output m is c_m + sum_j e^j
+    V_j with no division; T(2, 1) e is not integral when v(e) < 0.  V_j holds
+    T(m, m - j) c_(m-j) in block m of one packed integer, so each j costs one
+    multiplication by the packed e^j, and block m is reduced once through the
+    table.  Degree m >= 1 is known to the least of K.prec, c_m's precision and
+    each `_reach` of c_k by e^j T (from `_scalar_product`), unless the bounds
+    of the c_k and e^j show every product reaching K.prec.
     """
     if direction not in ("to_gsharp", "from_gsharp"):
         raise UsageError("direction must be 'to_gsharp' or 'from_gsharp'")
@@ -278,14 +331,39 @@ def gsharp_transport(f: DPSeries, direction: str) -> DPSeries:
             "coordinate-change series is not integral for this e; transport "
             "is not defined on the divided-power lattice",
             concept="divided-power integrality")
-    K, c, first_kind = f.field, f.coeffs, direction == "to_gsharp"
-    e_pow = [K.one()]
-    for _ in range(f.trunc):
+    K, c, trunc, first_kind = f.field, f.coeffs, f.trunc, direction == "to_gsharp"
+    p, e, N = K.p, K.e_ram, K.prec
+    e_pow = [K.one()]                                 # e^j for j < trunc
+    for _ in range(trunc - 1):
         e_pow.append(e_pow[-1] * f.e)
-    row, out = [1], [c[0]]
-    for m in range(1, f.trunc + 1):
+    rows = [[1]]
+    for m in range(1, trunc + 1):
         # s(m, k) = s(m-1, k-1) - (m-1) s(m-1, k); S(m, k) = S(m-1, k-1) + k S(m-1, k)
-        row = [0] + [row[k - 1] + (1 - m if first_kind else k) * row[k]
-                     for k in range(1, m)] + [1]
-        out.append(K.dot(c[1:m], [e_pow[m - k] * row[k] for k in range(1, m)], K.zero()) + c[m])
-    return DPSeries(K, out, e=f.e, valid_to=f.valid_to)
+        rows.append([0] + [rows[-1][k - 1] + (1 - m if first_kind else k) * rows[-1][k]
+                           for k in range(1, m)] + [1])
+    precs = [N] * (trunc + 1)
+    if trunc >= 2:
+        # e^j T has precision min(e N_(e^j) + e v(T), e N + v(e^j)) // e >= P
+        eb = K._bound(e_pow[1:])
+        P = min(eb[0], (e * N + eb[1]) // e)
+        if K._reach(K._bound(c[1:trunc]), (P, min(eb[1], e * P), min(eb[2], P))) < N:
+            cdata = [(x.prec, x._v(), x.shift) for x in c]
+            for m in range(2, trunc + 1):
+                for k in range(1, m):
+                    x, s = e_pow[m - k], PadicScalar.from_int(rows[m][k], p, N)
+                    t, r = K._scalar_product(x, s)
+                    y = (r, x._v() + e * s.val, t) if t < r else (r, e * r, r)
+                    precs[m] = min(precs[m], K._reach(cdata[k], y))
+    precs = [min(q, x.prec) for q, x in zip(precs, c)]
+    lc, le = _low(c[1:]), min(0, _low(e_pow[1:]))
+    R = max([1] + [q - lc - le for q in precs[1:]])
+    w = _width(K, R, trunc + 1)
+    size = len(K._table) * w
+    total = _pack(K, [(x, x.shift - lc - le, 1) for x in c[1:]], R, w) << size
+    for j in range(1, trunc):
+        total += _pack(K, [(e_pow[j], e_pow[j].shift - le, 1)], R, w) * (_pack(
+            K, [(c[m - j], c[m - j].shift - lc, rows[m][m - j]) for m in range(j + 1, trunc + 1)],
+            R, w) << (j + 1) * size)
+    out = [FieldElement(K, block, lc + le, q)
+           for block, q in zip(_blocks(K, total, R, w, trunc + 1)[1:], precs[1:])]
+    return DPSeries(K, [c[0]] + out, e=f.e, valid_to=f.valid_to)

@@ -323,24 +323,18 @@ class LocalField:
 
     def mat_mul(self, a, b, zero):
         """The matrix product over K, each entry dot(row, column, zero) with its
-        (vec, shift, prec).  Bound a row or column by the least prec, _v
-        (v(pi) = 1) and shift of its entries: the precision q that `_product`
-        gives a product of an entry is at least min(e prec_row + v_col,
-        e prec_col + v_row) // e, and its cap t + M at least shift_row +
-        shift_col + M.  When both reach N = zero.prec, n = N and dot keeps
-        zero and the products of shift t < N: they go to `_packed_sum`
-        directly.  Any other entry is dot's, as is each one of a column
-        holding scalars."""
-        e, N = self.e_ram, zero.prec
-        M = self.table_prec if self.degree > 1 else inf     # Q_p has no table cap
+        (vec, shift, prec).  When `_reach` shows that every product of a row's
+        entry by a column's reaches N = zero.prec, n = N and dot keeps zero
+        and the products of shift t < N: they go to `_packed_sum` directly.
+        Any other entry is dot's, as is each one of a column holding scalars."""
+        N = zero.prec
         start = [(zero.shift, N, zero, 1)] if zero.shift < N else []
         cols = [(col, self._bound(col)) for col in zip(*b)]
         out = []
         for row in a:
             rb, out_row = self._bound(row), []
             for col, cb in cols:
-                if rb and cb and min(e * rb[0] + cb[1], e * cb[0] + rb[1]) // e >= N \
-                        and rb[2] + cb[2] + M >= N:
+                if rb and cb and self._reach(rb, cb) >= N:
                     out_row.append(self._packed_sum(start + [
                         (x.shift + y.shift, x.prec + y.prec, x, y)
                         for x, y in zip(row, col) if x.shift + y.shift < N], N))
@@ -358,6 +352,14 @@ class LocalField:
             p, v, s = x.prec, x._v(), x.shift
             lp, lv, ls = (p if p < lp else lp), (v if v < lv else lv), (s if s < ls else ls)
         return lp, lv, ls          # all inf for an empty line, whose entries go to dot
+
+    def _reach(self, x, y):
+        """`_product`'s precision for factors of (prec, _v, shift) x and y; it
+        grows with each entry, so for `_bound`'s triples of two lines it bounds
+        every product of an entry of one by an entry of the other from below."""
+        q = min(self.e_ram * x[0] + y[1], self.e_ram * y[0] + x[1]) // self.e_ram
+        cap = x[2] + y[2] + self.table_prec
+        return cap if self.degree > 1 and q > cap else q
 
     def _unit_inverse(self, w, prec):
         """Inverse of a unit vector modulo p^prec: w^(q-2) inverts it modulo pi,

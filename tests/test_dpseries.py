@@ -42,8 +42,52 @@ def _entrywise_dp_mul(f, g):
     return DPSeries(f.field, out, e=f.e, valid_to=min(f.valid_to, g.valid_to, trunc))
 
 
+def _entrywise_coaction(f, b):
+    """The substitution coaction's packed correlation replaced: degree m is
+    LocalField.dot of the c_(m+k) against the b^k/k!, times (1 + e b)^m; the
+    oracle for coaction."""
+    K = f.field
+    b = b if isinstance(b, FieldElement) else K.from_scalar(b)
+    dpseries._monitor_coaction_tail(f, b)
+    one_plus_eb = K.one() + f.e * b
+    b_over_fact = [K.one()]
+    for k in range(1, f.trunc + 1):
+        b_over_fact.append(b_over_fact[-1] * b / k)
+    out, scale = [], K.one()
+    for m in range(f.trunc + 1):
+        out.append(K.dot(f.coeffs[m:], b_over_fact, K.zero()) * scale)
+        scale = scale * one_plus_eb
+    return DPSeries(K, out, e=f.e, valid_to=f.valid_to)
+
+
+def _entrywise_gsharp(f, direction):
+    """The G-sharp transport gsharp_transport's packed products replaced:
+    degree m is LocalField.dot of c_1..c_(m-1) against the elements
+    e^(m-k) T(m, k), plus c_m; the oracle for gsharp_transport."""
+    if direction not in DIRECTIONS:
+        raise UsageError("direction must be 'to_gsharp' or 'from_gsharp'")
+    if f.trunc >= 2 and f.e.val_bound() < 0:
+        raise ConvergenceError("coordinate-change series is not integral for this e")
+    K, c, first_kind = f.field, f.coeffs, direction == "to_gsharp"
+    e_pow = [K.one()]
+    for _ in range(f.trunc):
+        e_pow.append(e_pow[-1] * f.e)
+    row, out = [1], [c[0]]
+    for m in range(1, f.trunc + 1):
+        row = [0] + [row[k - 1] + (1 - m if first_kind else k) * row[k]
+                     for k in range(1, m)] + [1]
+        out.append(K.dot(c[1:m], [e_pow[m - k] * row[k] for k in range(1, m)], K.zero()) + c[m])
+    return DPSeries(K, out, e=f.e, valid_to=f.valid_to)
+
+
 def _triples(s):
     return [(x.vec, x.shift, x.prec) for x in s.coeffs]
+
+
+def _same(got, want):
+    """Equal (vec, shift, prec) in every coefficient, and equal truncation and valid_to."""
+    assert _triples(got) == _triples(want)
+    assert (got.trunc, got.valid_to) == (want.trunc, want.valid_to)
 
 
 @st.composite
@@ -57,14 +101,10 @@ def _sharp_element(draw, K):
 @st.composite
 def _product_case(draw):
     """Two series over one of DOT_FIELDS, truncated at 0..40 (mostly at most
-    8, the two often unequal), with _element's coefficients (shifts -4..6,
-    precisions -3..30, zero about one time in four) or _sharp_element's,
-    where the table caps the products' precision."""
+    8, the two often unequal), with _coefficients' coefficients."""
     K = DOT_FIELDS[draw(st.sampled_from(sorted(DOT_FIELDS)))]
     trunc = st.one_of(st.integers(0, 8), st.integers(0, 8), st.integers(0, 40))
-    f, g = ([draw(coefficient) for _ in range(draw(trunc) + 1)]
-            for coefficient in (draw(st.sampled_from([_element(K), _sharp_element(K)]))
-                                for _ in range(2)))
+    f, g = (draw(_coefficients(K, draw(trunc))) for _ in range(2))
     return (DPSeries(K, f, valid_to=draw(st.integers(-1, len(f)))),
             DPSeries(K, g, valid_to=draw(st.integers(-1, len(g)))))
 
@@ -80,7 +120,7 @@ def _random_coefficients(K, rng, trunc):
 
 
 class TestMultiplication:
-    @settings(max_examples=150)
+    @settings(max_examples=200)
     @given(case=_product_case())
     def test_matches_the_entrywise_product(self, case):
         f, g = case
@@ -114,21 +154,17 @@ class TestMultiplication:
         assert _triples(dp_mul(exp, exp)) == \
             _triples(DPSeries(K, [K.from_int(2 ** n) for n in range(97)]))
 
-    def test_one_reduction_per_degree_and_no_element_product(self, K, monkeypatch):
-        rng = random.Random(24)
-        f, g = random_series(K, rng, trunc=24), random_series(K, rng, trunc=24)
-        want = _triples(_entrywise_dp_mul(f, g))
+    def test_weight_one_halves_the_modulus_at_p_3(self, monkeypatch):
+        # Q_3(sqrt 3) at 60 digits, truncation 96: the weight p^i takes the
+        # modulus from 3^152 to 3^110 and the slots from 512 to 384 bits
+        K = eisenstein_field(3, [-3, 0, 1], 60)
+        f = DPSeries(K, [K.from_int(n + 1) for n in range(97)])
+        widths, width = [], dpseries._width
+        monkeypatch.setattr(dpseries, "_width",
+                            lambda K, R, terms: widths.append(R) or width(K, R, terms))
+        assert _triples(dp_mul(f, f)) == _triples(_entrywise_dp_mul(f, f))
+        assert widths == [110] and width(K, 110, 97) == 384 and width(K, 152, 97) == 512
 
-        def forbidden(*args):
-            raise AssertionError("dp_mul multiplied elements or called a dot product")
-
-        monkeypatch.setattr(FieldElement, "__mul__", forbidden)
-        monkeypatch.setattr(LocalField, "dot", forbidden)
-        reduce, calls = LocalField._reduce, []
-        monkeypatch.setattr(LocalField, "_reduce",
-                            lambda self, *args: calls.append(args) or reduce(self, *args))
-        assert _triples(dp_mul(f, g)) == want
-        assert len(calls) <= 25
 
     def test_a_squared(self, K):
         a = DPSeries.from_ints(K, [0, 1], N)
@@ -405,3 +441,176 @@ def test_transport_composes_multiplies_and_divides_nothing(K, monkeypatch):
     monkeypatch.setattr(FieldElement, "__truediv__", forbidden)
     for direction in DIRECTIONS:
         assert gsharp_transport(f, direction).trunc == N
+
+
+def _short_by_one(K, trunc):
+    """Pairs of series of integral coordinates and K.prec + 5 digits, one
+    coefficient of the first with K.prec - 1 digits, or, above degree 1, at
+    shift -1, whose products the table caps at K.prec - 1 digits."""
+    rng = random.Random(trunc)
+
+    def full(shift=0, prec=K.prec + 5):
+        return FieldElement(K, [rng.randrange(1, K.p ** 10) for _ in range(K.degree)], shift, prec)
+
+    cases = [(-1, K.prec - 1)] + ([(-1, K.prec + 5)] if K.degree > 1 else [])
+    out = []
+    for shift, prec in cases:
+        f = [full() for _ in range(trunc + 1)]
+        f[3] = full(shift + 1 if prec < K.prec else shift, prec)
+        out.append((DPSeries(K, f), DPSeries(K, [full() for _ in range(trunc + 1)])))
+    return out
+
+
+@st.composite
+def _coefficients(draw, K, trunc):
+    """trunc + 1 coefficients of one kind: _element's (shifts -4..6,
+    precisions -3..30, zero one time in four), _sharp_element's, or integral
+    ones at shift 0..3 with K.prec..K.prec + 8 digits, sometimes one of them a
+    digit short, so that either branch of the kernels' precisions runs."""
+    kind = draw(st.integers(0, 2))
+    if kind < 2:
+        element = (_element, _sharp_element)[kind](K)
+        return [draw(element) for _ in range(trunc + 1)]
+    full = st.builds(lambda vec, shift, prec: FieldElement(K, vec, shift, prec),
+                     st.lists(st.integers(0, K.p ** 15), min_size=K.degree, max_size=K.degree),
+                     st.integers(0, 3), st.integers(K.prec, K.prec + 8))
+    out = [draw(full) for _ in range(trunc + 1)]
+    if draw(st.booleans()):
+        out[draw(st.integers(0, trunc))] = FieldElement(K, [1] * K.degree, 0, K.prec - 1)
+    return out
+
+
+_TRUNC = st.one_of(st.integers(0, 6), st.integers(0, 24), st.integers(0, 96))
+
+
+@st.composite
+def _coaction_case(draw):
+    """A series over one of DOT_FIELDS at truncation 0..96 with e the field's
+    or p, and b of positive valuation: p k, pi, a multiple of pi at 5..30
+    digits, or an element as the coefficients are drawn."""
+    K = DOT_FIELDS[draw(st.sampled_from(sorted(DOT_FIELDS)))]
+    trunc = draw(_TRUNC)
+    e = draw(st.sampled_from([None, K.from_int(K.p)]))
+    f = DPSeries(K, draw(_coefficients(K, trunc)), e=e,
+                 valid_to=draw(st.integers(-1, trunc + 1)))
+    low = st.integers(5, 30).map(lambda prec: K.pi.truncated(prec) * 7)
+    b = draw(st.one_of(st.integers(1, 30).map(lambda k: K.from_int(K.p * k)),
+                       st.just(K.pi), low, _element(K)))
+    return f, b
+
+
+@st.composite
+def _transport_case(draw):
+    """A series over one of TRANSPORT_FIELDS at truncation 0..96 with e the
+    field's, p, 2 + p, pi or 1/p, and a direction."""
+    K = draw(st.sampled_from(TRANSPORT_FIELDS))
+    trunc = draw(_TRUNC)
+    e = draw(st.sampled_from([None, K.from_int(K.p), K.from_int(2 + K.p), K.pi,
+                              K.one() / K.from_int(K.p)]))
+    return (DPSeries(K, draw(_coefficients(K, trunc)), e=e,
+                     valid_to=draw(st.integers(-1, trunc + 1))),
+            draw(st.sampled_from(DIRECTIONS)))
+
+
+@settings(max_examples=150)
+@given(_coaction_case())
+def test_coaction_matches_the_entrywise_route(case):
+    f, b = case
+    try:
+        want = _entrywise_coaction(f, b)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            coaction(f, b)
+        return
+    _same(coaction(f, b), want)
+
+
+@settings(max_examples=150)
+@given(_transport_case())
+def test_gsharp_matches_the_entrywise_route(case):
+    f, direction = case
+    try:
+        want = _entrywise_gsharp(f, direction)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            gsharp_transport(f, direction)
+        return
+    _same(gsharp_transport(f, direction), want)
+
+
+def test_slots_at_the_width_rule_hold_the_largest_sums():
+    # the rule reserves terms d p^(2R) for a slot's sum of `terms` products,
+    # rounded up to 64 bits; where that takes 64 k or 64 k + 1 bits,
+    # coordinates p^R - 1 fill the top bit of the last block, so a slot one
+    # bit narrower, before or after the rounding, carries into the next
+    K = qp_field(3, 20)
+    cases = [(R, terms) for R in range(21, 90) for terms in (2, 25, 97)
+             if (terms * 3 ** (2 * R)).bit_length() % 64 < 2]
+    assert len(cases) >= 6
+    for R, terms in cases:
+        w = dpseries._width(K, R, terms)
+        assert w == -(-(terms * 3 ** (2 * R)).bit_length() // 64) * 64
+        packed = dpseries._pack(K, [(FieldElement(K, [3 ** R - 1], 0, R), 0, 1)] * terms, R, w)
+        assert dpseries._blocks(K, packed * packed, R, w, terms) == \
+            [[n + 1] for n in range(terms)]
+
+
+def _kernels(K, b):
+    """name -> (the kernel on a pair of series, its oracle, how many element
+    products it may form at truncation 24): the b^k/k!, (1 + e b)^m and their
+    scalings for coaction, the powers of e for the transport."""
+    return {
+        "dp_mul": (dp_mul, _entrywise_dp_mul, 0),
+        "coaction": (lambda f, g: coaction(f, b), lambda f, g: _entrywise_coaction(f, b),
+                     3 * 24 + 2),
+        "to_gsharp": (lambda f, g: gsharp_transport(f, "to_gsharp"),
+                      lambda f, g: _entrywise_gsharp(f, "to_gsharp"), 23),
+        "from_gsharp": (lambda f, g: gsharp_transport(f, "from_gsharp"),
+                        lambda f, g: _entrywise_gsharp(f, "from_gsharp"), 23),
+    }
+
+
+KERNELS = ("dp_mul", "coaction", "to_gsharp", "from_gsharp")
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_one_reduction_per_degree_and_no_element_product(K, monkeypatch, name):
+    rng = random.Random(24)
+    f, g = random_series(K, rng, trunc=24), random_series(K, rng, trunc=24)
+    kernel, oracle, budget = _kernels(K, K.from_int(3))[name]
+    want = _triples(oracle(f, g))
+
+    def forbidden(*args):
+        raise AssertionError("%s summed through a dot product or scaled an element" % name)
+
+    mul, products = FieldElement.__mul__, []
+    monkeypatch.setattr(FieldElement, "__mul__",
+                        lambda x, y: products.append(y) or mul(x, y))
+    monkeypatch.setattr(LocalField, "dot", forbidden)
+    if name != "coaction":
+        monkeypatch.setattr(FieldElement, "_scaled", forbidden)
+    reduce, calls = LocalField._reduce, []
+    monkeypatch.setattr(LocalField, "_reduce",
+                        lambda self, *args: calls.append(args) or reduce(self, *args))
+    assert _triples(kernel(f, g)) == want
+    assert len(products) <= budget and len(calls) <= len(products) + 25
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_the_bounds_skip_the_per_degree_precisions(K, monkeypatch, name):
+    # integral coefficients at K.prec: one `_reach` of the two bounds settles
+    # every degree's precision; one coefficient a digit short, or at shift -1
+    # under the table's cap, needs them degree by degree and keeps the digit
+    rng = random.Random(5)
+    f, g = random_series(K, rng, trunc=24), random_series(K, rng, trunc=24)
+    kernel, oracle, _ = _kernels(K, K.from_int(3))[name]
+    reach, calls = LocalField._reach, []
+    monkeypatch.setattr(LocalField, "_reach", lambda self, x, y: calls.append(x) or reach(self, x, y))
+    assert _triples(kernel(f, g)) == _triples(oracle(f, g)) and len(calls) == 1
+    for M in (K, DOT_FIELDS["Q3"], DOT_FIELDS["Q3(sqrt3)"]):
+        for f, g in _short_by_one(M, 24):
+            kernel, oracle, _ = _kernels(M, M.from_int(3))[name]
+            calls.clear()
+            got = kernel(f, g)
+            assert _triples(got) == _triples(oracle(f, g)) and len(calls) > 1
+            assert min(x.prec for x in got.coeffs) < M.prec

@@ -5,7 +5,11 @@ Each test runs the command of one step of .github/workflows/tests.yml, as
 and the operator series on a diagonal module at dimension 8, the operator
 series on low-precision inputs (its full JSON pinned against tests/golden),
 the G-sharp transport and dp_mul at truncation 96, and field products at the
-table cap.  The wall-clock limits stay in the workflow."""
+table cap.  The wall-clock limits stay in the workflow.
+
+The series products `dps mul`, `dps coaction` and `dps gsharp` also print,
+byte for byte, the JSON pinned in tests/golden, captured while each output
+degree was still summed entrywise by LocalField.dot."""
 
 import json
 import os
@@ -14,6 +18,8 @@ import sys
 from itertools import combinations
 from math import prod
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -25,6 +31,12 @@ WEIGHTS = [0, 1, 2, 3, -1, -2, 4, 5]
 THETA = json.dumps({"theta": [[{"coeffs": [["0", str(2 * a) if i == j else "0"]]}
                                for j in range(8)] for i, a in enumerate(WEIGHTS)]})
 Q = 3 ** 40
+# Q_3 at 40 digits: g = y - 1, E = u - 3
+Q3 = json.dumps({"p": 3, "prec": 40, "unramified_poly": ["-1", "1"],
+                 "eisenstein_poly": [["-3"], ["1"]]})
+# the workflow's input to the step "gsharp transport at truncation 96"
+CI_F = json.dumps({"coeffs": [{"coeffs": [["2", "0"]]}, {"coeffs": [["1", "1"]]},
+                              {"coeffs": [["7", "-1"]]}]})
 
 
 def _stdout(*argv):
@@ -100,8 +112,7 @@ def test_operator_series_on_low_precision_inputs():
 def test_gsharp_transport_at_truncation_96():
     # the step's check is that the command ends with exit 0
     _senlab("dps", "gsharp", "--trunc", "96", "--direction", "to_gsharp", "--field", FIELD,
-            "--f", json.dumps({"coeffs": [{"coeffs": [["2", "0"]]}, {"coeffs": [["1", "1"]]},
-                                          {"coeffs": [["7", "-1"]]}]}))
+            "--f", CI_F)
 
 
 def test_dps_mul_of_exp_by_itself_at_truncation_96():
@@ -138,3 +149,51 @@ def test_field_products_at_the_table_cap():
     got = product([[e], ["1"]], ["7"], ["-5"])
     assert got == [("12157665459056928766", 0, 40)], \
         "7 * (-5) = %s, expected -35 to 40 digits" % got
+
+
+def _mixed_scalar(k):
+    """Entry k of a deterministic input: precision 20..40, valuation -2..4,
+    zero to precision every seventh entry."""
+    prec = 20 + 7 * k % 21
+    if k % 7 == 3:
+        return {"val": None, "unit": "0", "prec": prec}
+    unit = (k * k * 2654435761 + 1) % 3 ** 18
+    return {"val": k % 7 - 2, "unit": str(unit + (unit % 3 == 0)), "prec": prec}
+
+
+def _mixed_series(trunc, width, start=0):
+    """trunc + 1 coefficients of `width` mixed entries each, as JSON."""
+    return json.dumps({"coeffs": [{"coeffs": [[_mixed_scalar(start + width * n + i)
+                                               for i in range(width)]]}
+                                  for n in range(trunc + 1)]})
+
+
+def _full_series(trunc):
+    """trunc + 1 coefficients over Q_3(sqrt 3), integers known to 40 digits."""
+    return json.dumps({"coeffs": [{"coeffs": [[str((5 * n * n + 3) % 3 ** 12 - 7),
+                                               str((11 * n + 2) % 3 ** 9)]]}
+                                  for n in range(trunc + 1)]})
+
+
+GOLDEN_COMMANDS = {
+    "dps_coaction_q3_96": ["dps", "coaction", "--trunc", "96", "--field", Q3,
+                           "--f", _mixed_series(96, 1),
+                           "--b", json.dumps({"coeffs": [[{"val": 1, "unit": "5",
+                                                           "prec": 35}]]})],
+    "dps_coaction_sqrt3_24": ["dps", "coaction", "--trunc", "24", "--field", FIELD,
+                              "--f", _full_series(24),
+                              "--b", json.dumps({"coeffs": [["3", "1"]]})],
+    "dps_gsharp_to_24": ["dps", "gsharp", "--trunc", "24", "--direction", "to_gsharp",
+                         "--field", FIELD, "--f", _mixed_series(24, 2)],
+    "dps_gsharp_from_24": ["dps", "gsharp", "--trunc", "24", "--direction", "from_gsharp",
+                           "--field", FIELD, "--f", _mixed_series(24, 2, 5)],
+    "dps_gsharp_ci_96": ["dps", "gsharp", "--trunc", "96", "--direction", "to_gsharp",
+                         "--field", FIELD, "--f", CI_F],
+    "dps_mul_mixed_96": ["dps", "mul", "--trunc", "96", "--field", FIELD,
+                         "--f", _mixed_series(96, 2), "--g", _mixed_series(96, 2, 11)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_series_products_print_the_golden_json(name):
+    assert _stdout(*GOLDEN_COMMANDS[name]) == (GOLDEN / (name + ".json")).read_text()
