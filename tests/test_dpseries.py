@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_padic import DOT_FIELDS, _element
+from test_padic import DOT_FIELDS, SERIES_FIELDS, _element
 
 from senlab import dpseries
 from senlab.dpseries import (DPSeries, coaction, dp_compose, dp_mul,
@@ -153,6 +153,32 @@ class TestMultiplication:
         exp = DPSeries(K, [K.one()] * 97)
         assert _triples(dp_mul(exp, exp)) == \
             _triples(DPSeries(K, [K.from_int(2 ** n) for n in range(97)]))
+
+    def test_one_reduction_per_degree_and_no_element_product(self, K, monkeypatch):
+        # dp_mul, coaction and both transports: no dot product, no element
+        # scaled by an integer outside coaction's b^k/k!, no more element
+        # products than the kernel's budget, and one reduction per degree
+        rng = random.Random(24)
+        f, g = random_series(K, rng, trunc=24), random_series(K, rng, trunc=24)
+        for name, (kernel, oracle, budget) in _kernels(K, K.from_int(3)).items():
+            want = _triples(oracle(f, g))
+
+            def forbidden(*args):
+                raise AssertionError("%s summed through a dot product or scaled an element"
+                                     % name)
+
+            with monkeypatch.context() as patch:
+                mul, products = FieldElement.__mul__, []
+                patch.setattr(FieldElement, "__mul__",
+                              lambda x, y: products.append(y) or mul(x, y))
+                patch.setattr(LocalField, "dot", forbidden)
+                if name != "coaction":
+                    patch.setattr(FieldElement, "_scaled", forbidden)
+                reduce, calls = LocalField._reduce, []
+                patch.setattr(LocalField, "_reduce",
+                              lambda self, *args: calls.append(args) or reduce(self, *args))
+                assert _triples(kernel(f, g)) == want
+            assert len(products) <= budget and len(calls) <= len(products) + 25, name
 
     def test_weight_one_halves_the_modulus_at_p_3(self, monkeypatch):
         # Q_3(sqrt 3) at 60 digits, truncation 96: the weight p^i takes the
@@ -445,18 +471,17 @@ def test_transport_composes_multiplies_and_divides_nothing(K, monkeypatch):
 
 def _short_by_one(K, trunc):
     """Pairs of series of integral coordinates and K.prec + 5 digits, one
-    coefficient of the first with K.prec - 1 digits, or, above degree 1, at
-    shift -1, whose products the table caps at K.prec - 1 digits."""
+    coefficient of the first with K.prec - 1 digits or, above degree 1, at
+    shift -1, which caps its products at K.prec - 1 digits."""
     rng = random.Random(trunc)
 
     def full(shift=0, prec=K.prec + 5):
         return FieldElement(K, [rng.randrange(1, K.p ** 10) for _ in range(K.degree)], shift, prec)
 
-    cases = [(-1, K.prec - 1)] + ([(-1, K.prec + 5)] if K.degree > 1 else [])
     out = []
-    for shift, prec in cases:
+    for shift, prec in [(0, K.prec - 1)] + ([(-1, K.prec + 5)] if K.degree > 1 else []):
         f = [full() for _ in range(trunc + 1)]
-        f[3] = full(shift + 1 if prec < K.prec else shift, prec)
+        f[3] = full(shift, prec)
         out.append((DPSeries(K, f), DPSeries(K, [full() for _ in range(trunc + 1)])))
     return out
 
@@ -574,43 +599,23 @@ KERNELS = ("dp_mul", "coaction", "to_gsharp", "from_gsharp")
 
 
 @pytest.mark.parametrize("name", KERNELS)
-def test_one_reduction_per_degree_and_no_element_product(K, monkeypatch, name):
-    rng = random.Random(24)
-    f, g = random_series(K, rng, trunc=24), random_series(K, rng, trunc=24)
-    kernel, oracle, budget = _kernels(K, K.from_int(3))[name]
-    want = _triples(oracle(f, g))
-
-    def forbidden(*args):
-        raise AssertionError("%s summed through a dot product or scaled an element" % name)
-
-    mul, products = FieldElement.__mul__, []
-    monkeypatch.setattr(FieldElement, "__mul__",
-                        lambda x, y: products.append(y) or mul(x, y))
-    monkeypatch.setattr(LocalField, "dot", forbidden)
-    if name != "coaction":
-        monkeypatch.setattr(FieldElement, "_scaled", forbidden)
-    reduce, calls = LocalField._reduce, []
-    monkeypatch.setattr(LocalField, "_reduce",
-                        lambda self, *args: calls.append(args) or reduce(self, *args))
-    assert _triples(kernel(f, g)) == want
-    assert len(products) <= budget and len(calls) <= len(products) + 25
-
-
-@pytest.mark.parametrize("name", KERNELS)
 def test_the_bounds_skip_the_per_degree_precisions(K, monkeypatch, name):
     # integral coefficients at K.prec: one `_reach` of the two bounds settles
     # every degree's precision; one coefficient a digit short, or at shift -1
-    # under the table's cap, needs them degree by degree and keeps the digit
+    # under the table's cap, or a table of 15 digits at 20 needs them degree
+    # by degree, and the digits lost stay lost
     rng = random.Random(5)
     f, g = random_series(K, rng, trunc=24), random_series(K, rng, trunc=24)
     kernel, oracle, _ = _kernels(K, K.from_int(3))[name]
     reach, calls = LocalField._reach, []
     monkeypatch.setattr(LocalField, "_reach", lambda self, x, y: calls.append(x) or reach(self, x, y))
     assert _triples(kernel(f, g)) == _triples(oracle(f, g)) and len(calls) == 1
-    for M in (K, DOT_FIELDS["Q3"], DOT_FIELDS["Q3(sqrt3)"]):
-        for f, g in _short_by_one(M, 24):
-            kernel, oracle, _ = _kernels(M, M.from_int(3))[name]
-            calls.clear()
-            got = kernel(f, g)
-            assert _triples(got) == _triples(oracle(f, g)) and len(calls) > 1
-            assert min(x.prec for x in got.coeffs) < M.prec
+    M15 = SERIES_FIELDS["Q3_sqrt3_M15"]
+    cases = [(M, f, g) for M in (K, DOT_FIELDS["Q3"], DOT_FIELDS["Q3(sqrt3)"])
+             for f, g in _short_by_one(M, 24)]
+    for M, f, g in cases + [(M15, random_series(M15, rng, 24), random_series(M15, rng, 24))]:
+        kernel, oracle, _ = _kernels(M, M.from_int(3))[name]
+        calls.clear()
+        got = kernel(f, g)
+        assert _triples(got) == _triples(oracle(f, g)) and len(calls) > 1
+        assert min(x.prec for x in got.coeffs) < M.prec
