@@ -14,8 +14,18 @@ e = E'(pi), the field's different generator.  The module provides:
     vanishing at X = e n, cohomology of theta as kernel/cokernel,
     tensor/dual/twist constructions;
   * the semilinear operator series (1 + e b)^(theta/e)
-      = sum_n (b^n/n!) prod_{i<n} (theta - e i),
-    whose convergence is exactly the classifier condition.
+      = sum_n (b^n/n!) prod_{i<n} (theta - e i) = exp(t theta),
+    t = log(1 + e b)/e, whose convergence is exactly the classifier condition.
+
+It is sum A^k/k!, A = t theta = b theta (1 + y L'(y)), y = -e b, L'(y) = sum
+y^m/(m+2), two polynomials in one matrix summed by Paterson-Stockmeyer in
+about 2 sqrt(N) matrix products.  A takes no balancing shift: (p^a t,
+p^-a theta) give the same A, and v(A) > 1/(p-1).  Both sums stop under
+series_converged: b y^(m-1)/m has v >= v(b) + (m-1) v(y) - floor(log_p m),
+least past n at m = n + 1 or the next power of p as v(y) > 1/(p-1), and A_ab
+(claiming at most N_b + v(theta_ab)) is cut to that bound plus v(theta_ab);
+A^k v/k! has v >= k v(A) + v(v) - (k-1)/(p-1), rising in k, and entry a of
+the sum claims at most N of its term A_ab/1! (of v_a/0!, applied to v).
 
 Sign convention: theta is the operator induced by the derivation
 (1 + e a) d/da on the divided-power algebra; some treatments in the
@@ -26,11 +36,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .errors import ConvergenceError, DomainError, PrecisionError, UsageError
-from .field import LocalField
-from .padic import PadicScalar, exp_domain_threshold, newton_polygon, series_converged
+from .field import FieldElement, LocalField
+from .padic import (PadicScalar, exp_domain_threshold, newton_polygon, series_converged,
+                    vp_int)
 
 
 class SenModule:
@@ -39,8 +51,7 @@ class SenModule:
     __slots__ = ("field", "dim", "theta", "e", "_certificate")
 
     def __init__(self, field: LocalField, theta):
-        self.field = field
-        self.theta = tuple(tuple(row) for row in theta)
+        self.field, self.theta = field, tuple(tuple(row) for row in theta)
         self.dim = len(self.theta)
         if any(len(row) != self.dim for row in self.theta):
             raise UsageError("theta must be a square matrix")
@@ -57,17 +68,8 @@ class SenModule:
     def diagonal_weights(cls, field, weights):
         """Direct sum of rank-one twists: theta = e * diag(weights)."""
         e = field.different_e
-        d = len(weights)
-        theta = [[field.zero() for _ in range(d)] for _ in range(d)]
-        for i, n in enumerate(weights):
-            theta[i][i] = e * n
-        return cls(field, theta)
-
-    def _zero(self):
-        return self.field.zero()
-
-    def _one(self):
-        return self.field.one()
+        return cls(field, [[e * n if i == j else field.zero() for j in range(len(weights))]
+                           for i, n in enumerate(weights)])
 
     def matrix(self):
         return [list(row) for row in self.theta]
@@ -88,7 +90,7 @@ def regular_representation(field: LocalField, trunc: int) -> SenModule:
 
 def char_poly(M: SenModule):
     """Monic characteristic polynomial det(T - theta), coefficients ascending."""
-    return linalg.charpoly_berkowitz(M.matrix(), M._one(), M._zero())
+    return linalg.charpoly_berkowitz(M.matrix(), M.field.one(), M.field.zero())
 
 
 class ClassifierReport:
@@ -97,10 +99,8 @@ class ClassifierReport:
     __slots__ = ("verdict", "char_q", "polygon", "offending")
 
     def __init__(self, verdict, char_q, polygon, offending):
-        self.verdict = verdict
-        self.char_q = char_q
-        self.polygon = polygon
-        self.offending = offending
+        self.verdict, self.char_q = verdict, char_q
+        self.polygon, self.offending = polygon, offending
 
     def __repr__(self):
         return f"ClassifierReport(verdict={self.verdict}, offending={self.offending})"
@@ -116,11 +116,10 @@ def nearly_ht_test(M: SenModule) -> ClassifierReport:
     later call returns it.
     """
     if M._certificate is None:
-        p = M.field.p
-        theta = M.matrix()
-        q = linalg.mat_sub(linalg.mat_pow(theta, p, M._one(), M._zero()),
+        p, theta = M.field.p, M.matrix()
+        q = linalg.mat_sub(linalg.mat_pow(theta, p, M.field.one(), M.field.zero()),
                            linalg.mat_scale(theta, M.e ** (p - 1)))
-        coeffs = linalg.charpoly_berkowitz(q, M._one(), M._zero())
+        coeffs = linalg.charpoly_berkowitz(q, M.field.one(), M.field.zero())
         polygon = newton_polygon(coeffs)
         M._certificate = ClassifierReport(polygon.all_slopes_positive(), coeffs,
                                           polygon, polygon.offending_slopes())
@@ -138,7 +137,7 @@ def _require_nearly_ht(M: SenModule):
 
 
 # ---------------------------------------------------------------------------
-# weights and cohomology
+# weights, cohomology and tensor operations
 # ---------------------------------------------------------------------------
 
 def default_weight_range(M: SenModule, coeffs):
@@ -149,12 +148,9 @@ def default_weight_range(M: SenModule, coeffs):
     window combines the slope spread with a fixed floor of 32; pass an
     explicit range to be definitive.
     """
-    polygon = newton_polygon(coeffs)
     exact, v_e = M.e.pivot_val()
-    spread = 0
-    for s in polygon.slopes:
-        if s.exact:
-            spread = max(spread, math.ceil(s.value - (v_e if exact else 0)))
+    spread = max([0] + [math.ceil(s.value - (v_e if exact else 0))
+                        for s in newton_polygon(coeffs).slopes if s.exact])
     b = max(32, M.field.p ** min(8, max(0, spread)))
     return (-b, b)
 
@@ -200,10 +196,8 @@ class CohomologyReport:
     __slots__ = ("h0_dim", "h1_dim", "h0_basis", "h1_basis_indices")
 
     def __init__(self, h0_dim, h1_dim, h0_basis, h1_basis_indices):
-        self.h0_dim = h0_dim
-        self.h1_dim = h1_dim
-        self.h0_basis = h0_basis
-        self.h1_basis_indices = h1_basis_indices
+        self.h0_dim, self.h1_dim, self.h0_basis, self.h1_basis_indices = \
+            h0_dim, h1_dim, h0_basis, h1_basis_indices
 
     def __repr__(self):
         return f"CohomologyReport(h0={self.h0_dim}, h1={self.h1_dim})"
@@ -212,47 +206,35 @@ class CohomologyReport:
 def cohomology(M: SenModule) -> CohomologyReport:
     """Kernel and cokernel of theta on K^dim; dimensions always agree."""
     mat = M.matrix()
-    kernel = linalg.kernel_basis(mat, M._one(), M._zero())
-    transpose = [[mat[j][i] for j in range(M.dim)] for i in range(M.dim)]
-    _, pivot_rows, r = linalg.row_reduce(transpose)
+    kernel = linalg.kernel_basis(mat, M.field.one(), M.field.zero())
+    _, pivot_rows, r = linalg.row_reduce([list(col) for col in zip(*mat)])      # of the transpose
     coker = [i for i in range(M.dim) if i not in pivot_rows]
     return CohomologyReport(len(kernel), M.dim - r, kernel, coker)
 
-
-# ---------------------------------------------------------------------------
-# tensor operations
-# ---------------------------------------------------------------------------
 
 def tensor(m1: SenModule, m2: SenModule) -> SenModule:
     """theta = theta_1 (x) 1 + 1 (x) theta_2 on the Kronecker product."""
     if m1.field is not m2.field:
         raise UsageError("tensor factors live over different fields")
-    d1, d2 = m1.dim, m2.dim
-    zero = m1._zero()
-    d = d1 * d2
-    theta = [[zero for _ in range(d)] for _ in range(d)]
-    for a in range(d1):
-        for b in range(d1):
-            for c in range(d2):
-                theta[a * d2 + c][b * d2 + c] = theta[a * d2 + c][b * d2 + c] + m1.theta[a][b]
-    for a in range(d1):
-        for b in range(d2):
-            for c in range(d2):
-                theta[a * d2 + b][a * d2 + c] = theta[a * d2 + b][a * d2 + c] + m2.theta[b][c]
-    return SenModule(m1.field, theta)
+    d2, zero = m2.dim, m1.field.zero()
+
+    def entry(i, j):            # the theta_1 term, then the theta_2 term
+        x = zero + m1.theta[i // d2][j // d2] if i % d2 == j % d2 else zero
+        return x + m2.theta[i % d2][j % d2] if i // d2 == j // d2 else x
+
+    d = m1.dim * d2
+    return SenModule(m1.field, [[entry(i, j) for j in range(d)] for i in range(d)])
 
 
 def dual(m: SenModule) -> SenModule:
-    theta = [[-m.theta[j][i] for j in range(m.dim)] for i in range(m.dim)]
-    return SenModule(m.field, theta)
+    return SenModule(m.field, [[-m.theta[j][i] for j in range(m.dim)] for i in range(m.dim)])
 
 
 def bk_twist(m: SenModule, n: int) -> SenModule:
     """Shift theta by e*n, the rank-one twist with integer weight n."""
     shift = m.e * n
-    theta = [[m.theta[i][j] + (shift if i == j else m._zero())
-              for j in range(m.dim)] for i in range(m.dim)]
-    return SenModule(m.field, theta)
+    return SenModule(m.field, [[m.theta[i][j] + (shift if i == j else m.field.zero())
+                                for j in range(m.dim)] for i in range(m.dim)])
 
 
 def trivial_module(field: LocalField) -> SenModule:
@@ -263,32 +245,50 @@ def trivial_module(field: LocalField) -> SenModule:
 # the semilinear operator series
 # ---------------------------------------------------------------------------
 
-def _summed_series(M: SenModule, b, prod):
-    """The d x k matrix sum (b^n/n!) P_n, P_0 = prod and P_(n+1) =
-    (theta - e n) P_n, to the field's precision under the one stop rule
-    `series_converged`.
+@lru_cache(maxsize=64)
+def _reciprocals(p, rel, n, factorial):
+    """(1/k! for k <= n) or (1/k for 0 < k <= n) over p, rel digits past v."""
+    nums = [math.factorial(k) if factorial else k for k in range(not factorial, n + 1)]
+    return tuple(PadicScalar(p, -v, pow(a // p ** v, -1, p ** rel), rel - v)
+                 for a, v in ((a, vp_int(a, p)) for a in nums))
 
-    Every factor theta - e i has entries of valuation at least
-    w = min(v(theta), v(e)), and v(b^m/m!) >= m v(b) - (m-1)/(p-1).  With
-    c = v(b) + w, every term after the n-th therefore has valuation at least
-    v(P_n) - n w + (n+1)(c - 1/(p-1)) + 1/(p-1), carried as
-    v(P_(n+1)) >= v(P_n) + w past precision losses; so the bound grows by
-    c - 1/(p-1) every term when c > 1/(p-1).  Every one of these quantities
-    is an integer in units of 1/(e_ram (p-1)), read off `_v()`, and the
-    bound is floored: the stop rule compares it with integers only.
 
-    Each P_(n+1) is linalg.mat_mul's, and each entry of the sum one
-    LocalField.dot of the c_n = b^n/n! with its P_n, whose running precision,
-    the least q that `_product` gives c_n x so far, the stop rule reads.  The
-    diagonal theta_ii - e n stays one element: split as theta v - (e n) v, a
-    cancelling one would claim fewer digits.
-    """
+def _polynomial(K, x, coefs, prec, vector=None):
+    """sum_k coefs[k] x^k v, v the identity or the column `vector`, for scalars
+    coefs (two or more) by Paterson-Stockmeyer: x^i = x^ceil(i/2) x^floor(i/2)
+    up to s, then Horner in x^s, each entry one LocalField.dot of the block's
+    (x^i v)_ab and row a of x^s against its coefficients and column b of the
+    last step, from a zero at prec.  s - 1 products of d x d matrices and n/s
+    steps of d^3 (d^2 on a vector) products: s ~ sqrt(n), sqrt(n/d) on a vector."""
+    d, n = len(x), len(coefs)
+    s = math.isqrt((n - 1) // (d if vector else 1)) + 1
+    high = prec + 1 - min(c.val for c in coefs[:s + 1])      # digits the terms need
+    zero, start = FieldElement(K, (), high, high), FieldElement(K, (), prec, prec)
+    powers = [None, x]
+    for i in range(2, s + (n > s)):
+        powers.append(linalg.mat_mul(powers[(i + 1) // 2], powers[i // 2], zero))
+    one = FieldElement(K, [1] + [0] * (K.degree - 1), 0, high)
+    cols = [[[y] for y in vector]] if vector else \
+        [[[one if a == c else None for c in range(d)] for a in range(d)]]
+    cols += [linalg.mat_mul(m, cols[0], zero) if vector else m for m in powers[1:s]]
+    out = None
+    for j in reversed(range(0, n, s)):
+        block, prev = coefs[j:j + s], list(zip(*out)) if out else None
+        out = [[K.dot([t[a][c] for t in cols[:len(block)] if t[a][c] is not None] +
+                      (powers[s][a] if prev else []),
+                      [k for t, k in zip(cols, block) if t[a][c] is not None] +
+                      (list(prev[c]) if prev else []), start)
+                for c in range(len(cols[0][0]))] for a in range(d)]
+    return out
+
+
+def _series(M, b, vector):
+    """sum_(k<=N) A^k v/k!, A = t theta, v the identity or the column `vector`,
+    to every digit it claims, under the module docstring's two stop rules."""
     K = M.field
-    if isinstance(b, (int, PadicScalar)):
-        b = K.from_scalar(b)
+    b = K.from_scalar(b) if isinstance(b, (int, PadicScalar)) else b
     _require_nearly_ht(M)
-    p, e = K.p, K.e_ram
-    den = e * (p - 1)                   # valuations are counted in 1/den
+    p, e, den = K.p, K.e_ram, K.e_ram * (K.p - 1)      # valuations in 1/den
     w = (p - 1) * min([M.e._v()] + [x._v() for row in M.theta for x in row])
     c = (p - 1) * b._v() + w
     if c <= e:
@@ -298,44 +298,44 @@ def _summed_series(M: SenModule, b, prod):
             concept="operator series stop rule")
     if not M.dim:
         return []
-    coefs, terms, coef, n, v_prod, zero = [], [], K.one(), 0, None, K.zero()
-    precs, k = [math.inf] * (M.dim * len(prod[0])), len(prod[0])
-    while True:
-        flat = [x for row in prod for x in row]
-        low = (p - 1) * min(x._v() for x in flat)
-        v_prod = low if v_prod is None else max(low, v_prod + w)
-        precs = [min(q, K._product(coef, x)[1]) for q, x in zip(precs, flat)]
-        coefs.append(coef)
-        terms.append(flat)
-        if series_converged((v_prod - n * w + (n + 1) * (c - e) + e) // den, K.prec, precs):
-            break
-        en = M.e * n
+    wt, vv = min(x._v() for row in M.theta for x in row), min([0] + [x._v() for x in vector])
+    T, vb, vy = K.prec - min(0, wt + vv) // e, b._v(), b._v() + M.e._v()
+    n, q, j, tail = 0, 1, 0, None       # q = p^j, the least power of p above n
+    while tail is None or not series_converged(tail // e, T, (b.prec,)):
+        n, (q, j) = n + 1, (q * p, j + 1) if n + 1 == q else (q, j)
+        tail = vb + min(n * vy - e * (j - (n + 1 < q)), (q - 1) * vy - e * j)
+    u, v, y, t = [], [b], -(M.e * b), b
+    if n > 1:           # t = b (1 + y L'); v(L') may be < 0, so a zero theta_ab takes t
+        prec = T - (vb + vy) // e
+        u, v = [b * y], [b, _polynomial(K, [[y]], _reciprocals(
+            p, max(y.prec - y.shift, prec) + n, n, False)[1:], prec)[0][0]]
+        t = K.dot(u, v[1:], b) if any(z.is_zero() for row in M.theta for z in row) else b
+    cut = [[(tail + z._v()) // e for z in row] for row in M.theta]     # t's tail, times theta_ab
+    A = [[K.dot(*(([z], [t]) if z.is_zero() else ([z] + [z * f for f in u], v)),
+                FieldElement(K, (), c, c)) for z, c in zip(*rows)] for rows in zip(M.theta, cut)]
+    g = (p - 1) * max(vb + wt, min(x._v() for row in A for x in row)) - e
+    precs, n = [x.prec for x in vector] or [x.prec for row in A for x in row], 1
+    while not series_converged(((n + 1) * g + e + (p - 1) * vv) // den, K.prec, precs):
         n += 1
-        coef = coef * b / n            # the integer n: K.from_int(n)'s rule, with no inverse
-        prod = linalg.mat_mul([[x - en if i == j else x for j, x in enumerate(row)]
-                               for i, row in enumerate(M.theta)], prod, zero)
-    flat = [K.dot(coefs, column, zero) for column in zip(*terms)]
-    return [flat[i * k:(i + 1) * k] for i in range(M.dim)]
+    rel = max(x.prec - x.shift for x in [x for row in A for x in row] + vector)
+    return _polynomial(K, A, _reciprocals(p, max(rel, K.prec) + n, n, True), K.prec, vector)
 
 
 def operator_series(M: SenModule, b):
-    """The matrix (1 + e b)^(theta/e) = sum (b^n/n!) prod_{i<n}(theta - e i).
+    """The matrix (1 + e b)^(theta/e) = exp(t theta), summed as sum A^k/k!.
 
-    Requires the nearly-Hodge-Tate condition, which makes the factor products
-    tend to zero; admissible pairs satisfy the group law
-    S(b) S(b') = S(b + b' + e b b').  Raises DomainError for a module that
-    fails the classifier, and ConvergenceError up front when
-    v(b) + min(v(theta), v(e)) <= 1/(p-1), where the stop rule has no bound.
-    """
-    return _summed_series(M, b, linalg.identity(M.dim, M._one(), M._zero()))
+    Requires the nearly-Hodge-Tate condition; admissible pairs satisfy the
+    group law S(b) S(b') = S(b + b' + e b b').  Raises DomainError for a module
+    that fails the classifier, and ConvergenceError up front when
+    v(b) + min(v(theta), v(e)) <= 1/(p-1), where the stop rule has no bound."""
+    return _series(M, b, [])
 
 
 def operator_series_apply(M: SenModule, b, vector):
-    """Apply the operator series to one vector without forming the matrix; a
-    scalar entry is taken as K.from_scalar of it."""
+    """The series applied to a vector, by Horner in A^s on it; a scalar x is K.from_scalar(x)."""
     if len(vector) != M.dim:
         raise UsageError(f"the vector has {len(vector)} entries; the module has dimension {M.dim}")
-    return [row[0] for row in _summed_series(M, b, [[M._one()._coerce(x)] for x in vector])]
+    return [y for y, in _series(M, b, [M.field.one()._coerce(x) for x in vector])]
 
 
 def semilinear_descent_matrix(M: SenModule, chi_value: PadicScalar):

@@ -97,9 +97,9 @@ def test_operator_series_of_a_diagonal_module_at_dimension_8():
 
 
 def test_operator_series_on_low_precision_inputs():
-    # theta known to 5^9 and b to 5 over Q_5(zeta_5): the summation ends only
-    # because the products' valuation bound is carried forward; every byte is
-    # the one the series printed when its terms were scaled and added one by one
+    # theta known to 5^9 and b to 5 over Q_5(zeta_5): exp(t theta) stops once
+    # its tail bounds pass the one digit b and t theta claim; every byte is the
+    # one the series printed when its terms were scaled and added one by one
     field = json.dumps({"p": 5, "prec": 15, "unramified_poly": ["-1", "1"],
                         "eisenstein_poly": [["5"], ["10"], ["10"], ["5"], ["1"]]})
     theta = json.dumps({"theta": [[{"coeffs": [

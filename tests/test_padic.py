@@ -219,8 +219,9 @@ DOT_EDGES = {
 
 
 def _sequential_series(M, b, columns):
-    """The operator series summed one product at a time, the oracle for
-    senmod's packed route: linalg.mat_vec's rows over _sequential_dot, each
+    """The operator series as the P_n sum sum (b^n/n!) P_n v, P_(n+1) =
+    (theta - e n) P_n, one product at a time: the oracle for senmod's
+    exp(t theta).  P_n v is linalg.mat_vec's rows over _sequential_dot, each
     term scaled by _table_product(coef, x) and coef updated by a division
     by K.from_int(n), with the tail bound in Fractions; the terms are added
     entrywise until series_converged, and the sum truncated to K.prec."""
@@ -313,14 +314,14 @@ def _mat_mul_case(draw):
 
 
 @st.composite
-def _series_case(draw):
+def _series_case(draw, largest=8):
     """A nearly Hodge-Tate module theta = e diag(k) + p N over one of
     SERIES_FIELDS, N integral with mixed precisions and zeros, at dimension
-    1..8 (1..3 over the degree-18 field), b = p pi^j u with u a unit, and a
-    vector with shifts down to -4 for operator_series_apply."""
+    1..largest (1..3 over the degree-18 field), b = p pi^j u with u a unit,
+    and a vector with shifts down to -4 for operator_series_apply."""
     name = draw(st.sampled_from(sorted(SERIES_FIELDS)))
     K = SERIES_FIELDS[name]
-    d = draw(st.integers(1, 3 if K.degree > 6 else 8))
+    d = draw(st.integers(1, min(largest, 3 if K.degree > 6 else 8)))
     p, prec = K.from_int(K.p), st.one_of(st.just(K.prec), st.integers(12, K.prec))
     theta = [[p * draw(_series_element(K, st.integers(0, 2), prec)) +
               (K.different_e * draw(st.integers(-3, 3)) if i == j else K.zero())
@@ -328,6 +329,118 @@ def _series_case(draw):
     unit = K.one() + K.pi * draw(_series_element(K, st.integers(0, 1), prec))
     vector = [draw(_series_element(K, st.integers(-4, 3), prec)) for _ in range(d)]
     return SenModule(K, theta), p * K.pi ** draw(st.integers(0, 2)) * unit, vector
+
+
+def _twins(prec):
+    """The closed-form grid's fields at prec digits: Q_3, Q_3(sqrt 3), Q_3(zeta_9),
+    Q_3(3^(1/4)) and the benchmark's degree-6 field."""
+    return {"Q3": qp_field(3, prec), "Q3(sqrt3)": eisenstein_field(3, [-3, 0, 1], prec),
+            "Q3(zeta9)": cyclotomic_field(3, 2, prec),
+            "Q3(3^1/4)": eisenstein_field(3, [-3, 0, 0, 0, 1], prec),
+            "K6": build_field(LocalFieldSpec(3, [1, 0, 1], [[0, -3], [0], [0], [1]], prec))}
+
+
+# name -> (the field at 30 digits, the same presentation at 90)
+CLOSED_FORM_FIELDS = {name: (K, H) for (name, K), H in zip(sorted(_twins(30).items()),
+                                                           [v for _, v in sorted(_twins(90).items())])}
+
+
+def _lifted_field(K):
+    """K's presentation at 90 digits, each defining coefficient lifted to the
+    integer of least absolute value."""
+    centered = lambda c: (lambda r, m: r - m if 2 * r > m else r)(c.lift(), c.p ** c.prec)
+    return build_field(LocalFieldSpec(K.p, [centered(c) for c in K.spec.unramified_poly],
+                                      [[centered(c) for c in coeff]
+                                       for coeff in K.spec.eisenstein_poly], 90))
+
+
+def _full(K, vec, shift):
+    """p^shift vec, known to K's precision."""
+    return FieldElement(K, vec, shift, K.prec)
+
+
+@st.composite
+def _closed_form_case(draw):
+    """theta = e P J P^-1 over one of CLOSED_FORM_FIELDS at 30 digits, with P
+    a product of up to 3d elementary moves, J the weights -3..3 on the
+    diagonal and, one time in two at dimension 2 or 3, a 1 above its first two
+    (equal) weights; b = pi^k u, u a unit, with v(b) = k/e_ram from the least
+    value the stop rule admits (below 0 over Q_3(zeta_9) and the degree-6
+    field) to 2/e_ram above it; a vector of shifts -1..2.  Returns the case
+    at 30 digits and a function of a field giving (theta, b, vector, P, P^-1,
+    weights, Jordan) there."""
+    name = draw(st.sampled_from(sorted(CLOSED_FORM_FIELDS)))
+    K, H = CLOSED_FORM_FIELDS[name]
+    d = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    jordan = d > 1 and draw(st.booleans())
+    if jordan:
+        weights[1] = weights[0]
+    P = [[int(i == j) for j in range(d)] for i in range(d)]
+    Q = [row[:] for row in P]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1),
+                                           st.sampled_from((-2, -1, 1, 2))), max_size=3 * d)):
+        if i != j:              # row i += c row j of P, column j -= c column i of P^-1
+            P[i] = [x + c * y for x, y in zip(P[i], P[j])]
+            for row in Q:
+                row[j] -= c * row[i]
+    J = [[weights[i] if i == j else int(jordan and (i, j) == (0, 1)) for j in range(d)]
+         for i in range(d)]
+    m = [[sum(P[i][k] * J[k][l] * Q[l][j] for k in range(d) for l in range(d))
+          for j in range(d)] for i in range(d)]
+    e_ram, ve = K.e_ram, K.different_e._v()
+    k = (e_ram - 2 * ve) // 2 + 1 + draw(st.integers(0, 2))     # v(b) + v(e) > 1/2
+    coords = [draw(st.integers(0, 3 ** 8)) for _ in range(K.degree)]
+    coords[k % e_ram] = 3 * coords[k % e_ram] + draw(st.sampled_from((1, 2)))
+    for t in range(k % e_ram):
+        coords[t] *= 3          # the first u-degree prime to 3 is k mod e_ram
+    vector = [(draw(st.lists(st.integers(0, 3 ** 8), min_size=K.degree, max_size=K.degree)),
+               draw(st.integers(-1, 2))) for _ in range(d)]
+
+    def at(L):
+        theta = [[L.different_e * x for x in row] for row in m]
+        return (theta, _full(L, coords, k // e_ram), [_full(L, v, t) for v, t in vector],
+                P, Q, weights, jordan)
+    return K, H, at
+
+
+def _closed_form(H, case):
+    """P diag((1 + e b)^w) P^-1 over the 90-digit twin H, with (1 + e b)^w
+    log(1 + e b) above the first two weights for a Jordan block; log(1 + x)
+    summed term by term until x^n/n lies below p^100."""
+    theta, b, _, P, Q, weights, jordan = case(H)
+    x = H.different_e * b
+    base = H.one() + x
+    d = len(weights)
+    D = [[base ** weights[i] if i == j else H.zero() for j in range(d)] for i in range(d)]
+    if jordan:
+        log, term, n = H.zero(), H.one(), 0
+        while n == 0 or n * x.val_bound() - math.log(n, 3) <= 100:
+            n += 1
+            term = term * x
+            log = log + term / ((-1) ** (n - 1) * n)
+        D[0][1] = D[0][0] * log
+    ints = lambda a: [[H.from_int(c) for c in row] for row in a]
+    return linalg.mat_mul(linalg.mat_mul(ints(P), D, H.zero()), ints(Q), H.zero())
+
+
+def _claims_are_closed_form(got, want):
+    """Every digit an entry of got claims is the closed form's."""
+    return all((a - c).is_zero() for x, z in zip(got, want)
+               for a, c in zip(x.coordinates(), z.coordinates()))
+
+
+def _against_oracle(got, want):
+    """Entries that disagree with the oracle modulo the lesser precision, and
+    the most digits any entry claims below the oracle's."""
+    return ([i for i, (x, y) in enumerate(zip(got, want)) if not (x - y).is_zero()],
+            max([y.prec - x.prec for x, y in zip(got, want)] + [0]))
+
+
+# the most digits an entry of the exp(t theta) route claims below the P_n
+# sum's on the closed-form grid: floor losses of whole digits where v(t theta)
+# is small and the sum long, at the least v(b) the stop rule admits (CHANGES.md)
+FEWER_DIGITS = 2
 
 
 class TestDot:
@@ -400,16 +513,36 @@ class TestDot:
         assert (got.vec, got.shift, got.prec) == (want.vec, want.shift, want.prec)
         assert got.prec == 32
 
-    def test_operator_series_matches_sequential_sum(self):
-        # a dimension-8 series over Q_3(sqrt 3) against the sum one product at a time
+    @settings(max_examples=40, deadline=None)
+    @given(case=_closed_form_case())
+    def test_operator_series_matches_sequential_sum(self, case):
+        # the matrix against the P_n sum one product at a time and the closed
+        # form at 90 digits: equal modulo the lesser precision, every claimed
+        # digit the closed form's, and at most FEWER_DIGITS fewer than the sum
+        K, H, at = case
+        theta, b, *_ = at(K)
+        M = SenModule(K, theta)
+        got = [x for row in operator_series(M, b) for x in row]
+        want = [x for row in zip(*_sequential_series(M, b, linalg.identity(M.dim, K.one(),
+                                                                              K.zero())))
+                for x in row]
+        assert _against_oracle(got, want)[0] == []
+        assert _against_oracle(got, want)[1] <= FEWER_DIGITS
+        assert _claims_are_closed_form(got, [x for row in _closed_form(H, at) for x in row])
+
+    def test_operator_series_keeps_the_sums_digits_at_dimension_8(self):
+        # the benchmark's regime, v(b) > 1: a dimension-8 series over
+        # Q_3(sqrt 3) claims at least the P_n sum's digits in every entry
         K = eisenstein_field(3, [-3, 0, 1], 30)
         rng = random.Random(8)
         theta = [[K.from_int(3 * rng.randrange(-15, 16)) +
                   (K.different_e * rng.randrange(-3, 4) if i == j else K.zero())
                   for j in range(8)] for i in range(8)]
         M, b = SenModule(K, theta), K.pi * K.from_int(3 * rng.randrange(1, 20))
-        columns = _sequential_series(M, b, linalg.identity(8, K.one(), K.zero()))
-        assert _triples(operator_series(M, b)) == _triples(zip(*columns))
+        got = [x for row in operator_series(M, b) for x in row]
+        want = [x for row in zip(*_sequential_series(M, b, linalg.identity(8, K.one(), K.zero())))
+                for x in row]
+        assert _against_oracle(got, want) == ([], 0)
 
     @settings(max_examples=200)
     @given(case=_mat_mul_case())
@@ -453,9 +586,27 @@ class TestDot:
         assert (x * x).prec == _table_product(x, x).prec == prec
 
     @settings(max_examples=40, deadline=None)
-    @given(case=_series_case())
+    @given(case=_closed_form_case())
     def test_operator_series_and_apply_match_sequential_sum(self, case):
-        # low precisions take the per-product rule, high ones the row bound
+        # the series applied to a vector against the P_n sum on that vector and
+        # the closed form times the vector at 90 digits, by the same three rules
+        K, H, at = case
+        theta, b, vector, *_ = at(K)
+        M = SenModule(K, theta)
+        got = operator_series_apply(M, b, vector)
+        want = _sequential_series(M, b, [vector])[0]
+        assert _against_oracle(got, want)[0] == []
+        assert _against_oracle(got, want)[1] <= FEWER_DIGITS
+        _, _, high, *_ = at(H)
+        assert _claims_are_closed_form(got, linalg.mat_vec(_closed_form(H, at), high, H.zero()))
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_series_case(largest=3))
+    def test_operator_series_on_mixed_precisions_claims_only_true_digits(self, case):
+        # inputs with mixed precisions and zeros: the matrix and the series
+        # applied to a vector agree with the P_n sum modulo the lesser
+        # precision, and every digit they claim is that of the P_n sum of the
+        # same inputs taken as exact, summed over their fields at 90 digits
         M, b, vector = case
         K = M.field
         try:
@@ -464,16 +615,24 @@ class TestDot:
             with pytest.raises(type(exc)):
                 operator_series(M, b)
             return
-        assert _triples(operator_series(M, b)) == _triples(zip(*want))
-        assert _triples([operator_series_apply(M, b, vector)]) == \
-            _triples(_sequential_series(M, b, [vector]))
+        H = _lifted_field(K)
+        lift = lambda x: FieldElement(H, x.vec, x.shift, 90) if x.shift < x.prec else H.zero()
+        Mh = SenModule(H, [[lift(x) for x in row] for row in M.theta])
+        exact = _sequential_series(Mh, lift(b), [[lift(x) for x in vector]] +
+                                   linalg.identity(M.dim, H.one(), H.zero()))
+        got = [x for row in operator_series(M, b) for x in row]
+        assert _against_oracle(got, [x for row in zip(*want) for x in row])[0] == []
+        assert _claims_are_closed_form(got, [x for row in zip(*exact[1:]) for x in row])
+        got = operator_series_apply(M, b, vector)
+        assert _against_oracle(got, _sequential_series(M, b, [vector])[0])[0] == []
+        assert _claims_are_closed_form(got, exact[0])
 
     @settings(max_examples=40, deadline=None)
     @given(case=_series_case(), data=st.data())
     def test_apply_takes_scalar_entries(self, case, data):
-        # a scalar enters as K.from_scalar of it: the sequential sum over the
-        # scalar digit for digit, save that where E has fewer digits than K
-        # its products take the table cap, the same value to fewer digits
+        # a scalar enters as K.from_scalar of it, digit for digit, and the
+        # result agrees with the sequential sum over the scalar modulo the
+        # lesser precision
         M, b, vector = case
         K = M.field
         vector = [data.draw(st.one_of(st.just(x), _scalar(K.p))) for x in vector]
@@ -484,10 +643,9 @@ class TestDot:
                 operator_series_apply(M, b, vector)
             return
         got = operator_series_apply(M, b, vector)
-        if K.table_prec == K.prec:
-            assert _triples([got]) == _triples([want])
-        else:
-            assert all((x - y).is_zero() for x, y in zip(got, want))
+        assert _triples([got]) == _triples([operator_series_apply(
+            M, b, [x if type(x) is FieldElement else K.from_scalar(x) for x in vector])])
+        assert _against_oracle(got, want)[0] == []
 
     def test_apply_rejects_another_fields_element(self):
         K, L = DOT_FIELDS["Q3(sqrt3)"], DOT_FIELDS["Q3(zeta9)"]
@@ -504,12 +662,12 @@ class TestDot:
             want = _sequential_series(M, K.from_int(b), [[K.one()]])
             assert _triples(operator_series(M, K.from_int(b))) == _triples(want)
 
-    def test_operator_series_sums_on_theta_packed_once(self, monkeypatch):
-        # no term reaches linalg.mat_vec, linalg.mat_scale or an addition of
-        # elements; a term costs one reduction per product of theta by a
-        # column and one for its coefficient, the sum one per entry (d^2 more,
-        # one LocalField.dot each), and one field product, the coefficient's
-        # (e n scales e by an int); the stop rule runs once per term
+    def test_operator_series_takes_at_most_2_sqrt_n_matrix_products(self, monkeypatch):
+        # exp(t theta) = sum_(k<=N) A^k/k! by Paterson-Stockmeyer: A^2..A^s by
+        # mat_mul, s = ceil(sqrt(N+1)), and a Horner step in A^s per block
+        # after the first, each entry of a block one LocalField.dot; so at most
+        # 2 ceil(sqrt(N+1)) products of d x d matrices, and no entry is added
+        # up element by element
         K = eisenstein_field(3, [-3, 0, 1], 40)
         rng = random.Random(5)
         d = 8
@@ -518,29 +676,41 @@ class TestDot:
                   for j in range(d)] for i in range(d)]
         M, b = SenModule(K, theta), K.from_int(9) * K.pi
         assert nearly_ht_test(M).verdict
-        counts = {"terms": 0, "reduce": 0, "products": 0, "dot": 0}
+        calls = {"mat_mul": 0, "dot": 0, "coefficients": 0, "inside": 0}
+        polynomial, mat_mul, dot = senmod._polynomial, LocalField.mat_mul, LocalField.dot
+
+        def sum_of(K, x, coefs, prec, vector=None):
+            calls["inside"] = len(x) == d
+            if calls["inside"]:
+                calls["coefficients"] = len(coefs)
+            try:
+                return polynomial(K, x, coefs, prec, vector)
+            finally:
+                calls["inside"] = False
+
+        def product(self, a, b, zero):
+            calls["mat_mul"] += calls["inside"]
+            inside, calls["inside"] = calls["inside"], False        # its own dots
+            try:
+                return mat_mul(self, a, b, zero)
+            finally:
+                calls["inside"] = inside
+
+        def counted_dot(self, u, v, start):
+            calls["dot"] += calls["inside"]
+            return dot(self, u, v, start)
 
         def refuse(*args):
-            raise AssertionError("the operator series left the packed route")
+            raise AssertionError("an entry was added up element by element")
 
-        def counted(name, f):
-            def wrapper(*args):
-                counts[name] += name != "products" or type(args[1]) is FieldElement
-                return f(*args)
-            return wrapper
-
-        monkeypatch.setattr(linalg, "mat_vec", refuse)
-        monkeypatch.setattr(linalg, "mat_scale", refuse)
+        monkeypatch.setattr(senmod, "_polynomial", sum_of)
+        monkeypatch.setattr(LocalField, "mat_mul", product)
+        monkeypatch.setattr(LocalField, "dot", counted_dot)
         monkeypatch.setattr(FieldElement, "__add__", refuse)
-        monkeypatch.setattr(LocalField, "dot", counted("dot", LocalField.dot))
-        monkeypatch.setattr(LocalField, "_reduce", counted("reduce", LocalField._reduce))
-        monkeypatch.setattr(FieldElement, "__mul__", counted("products", FieldElement.__mul__))
-        monkeypatch.setattr(senmod, "series_converged", counted("terms", senmod.series_converged))
         operator_series(M, b)
-        assert counts["terms"] > 5
-        assert counts["dot"] == d * d
-        assert counts["reduce"] <= (d * d + 1) * counts["terms"] + d * d
-        assert counts["products"] <= counts["terms"]
+        n, blocks = calls["coefficients"], calls["dot"] // (d * d)
+        assert n > 10 and calls["dot"] == blocks * d * d
+        assert calls["mat_mul"] + blocks - 1 <= 2 * math.ceil(math.sqrt(n))
 
     @pytest.mark.parametrize("name", sorted(DOT_EDGES))
     def test_edge_cases(self, name):

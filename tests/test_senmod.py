@@ -14,7 +14,7 @@ from senlab import linalg
 from senlab.accept import char_poly_of_twist_via_resultant
 from senlab.dpseries import DPSeries, coaction
 from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageError
-from senlab.field import LocalFieldSpec, build_field, eisenstein_field, qp_field
+from senlab.field import LocalFieldSpec, build_field, cyclotomic_field, eisenstein_field, qp_field
 from senlab.padic import PadicScalar
 from senlab.senmod import (SenModule, bk_twist, char_poly, cohomology,
                            default_weight_range, dual,
@@ -454,8 +454,8 @@ class TestOperatorSeries:
 
     def test_ends_on_low_precision_inputs_in_a_fresh_process(self):
         # over Q_5(zeta_5) at precision 15, theta is known to 5^9 and b to 5:
-        # the products' valuation bounds stall at their precision, so only the
-        # carried bound v(P_(n+1)) >= v(P_n) + w lets the summation end
+        # the sums of t and of exp(t theta) end once their tail bounds pass
+        # the one digit that b and t theta claim
         field = {"p": 5, "prec": 15, "unramified_poly": ["-1", "1"],
                  "eisenstein_poly": [["5"], ["10"], ["10"], ["5"], ["1"]]}
         theta = {"theta": [[{"coeffs": [
@@ -543,6 +543,21 @@ class TestDescent:
             semilinear_descent_matrix(trivial_module(Q2), S.from_int(3, 2, 20))
         D = semilinear_descent_matrix(bk_twist(trivial_module(Q2), 1), S.from_int(5, 2, 20))
         assert (D[0][0] - Q2.from_int(5)).is_zero()
+
+    @pytest.mark.parametrize("weights, digits", [([-2], 35), ([0, 1, -3], 35), ([3], 37),
+                                                 ([2, 2, 5], 35)])
+    def test_keeps_its_digits_over_q3_zeta9(self, weights, digits):
+        # chi = 4 over Q_3(zeta_9) at 40 digits: b = 3/e has v(b) = -1/2, and
+        # the matrix diag(4^w) claims at least `digits` digits in every entry
+        # (the P_n sum claimed 20 for [-2] and [0, 1, -3], 37 for [3] and 35
+        # for [2, 2, 5]; the inputs fix about 39)
+        K = cyclotomic_field(3, 2, 40)
+        D = semilinear_descent_matrix(SenModule.diagonal_weights(K, weights),
+                                      S.from_int(4, 3, 40))
+        assert min(x.prec for row in D for x in row) >= digits
+        for i, w in enumerate(weights):
+            for j in range(len(weights)):
+                assert (D[i][j] - (K.from_int(4) ** w if i == j else K.zero())).is_zero()
 
     def test_wrong_prime_rejected(self, K):
         with pytest.raises(UsageError):
