@@ -16,8 +16,8 @@ sum of products over K calls LocalField.dot: one big-integer sum of
 Kronecker-packed products and one table reduction (LocalField._packed_sum),
 whose coordinates make the element with no second reduction; a product x y
 is its one-term case, and each entry of a matrix product (LocalField.mat_mul,
-behind linalg.mat_mul and mat_vec) and of the operator series (senmod, over
-its terms (b^n/n!) P_n) is one such sum.  A trace is a dot product with the
+behind linalg.mat_mul and mat_vec) and of a Horner step of the operator
+series (senmod, exp(t theta)) is one such sum.  A trace is a dot product with the
 trace form, and an inverse is a Newton iteration from the residue-field
 inverse.  Precision follows the scalar rules with field valuations, rounded
 down to an integer:
