@@ -12,14 +12,15 @@ first u-degree holding a coordinate prime to p.
 
 Each field precomputes the reduction table y^j u^i mod (g, E) for
 j < 2f - 1, i < 2 e_ram - 1 and the trace form Tr(b_t) read off it.  Every
-sum of products over K calls LocalField.dot: one big-integer sum of
-Kronecker-packed products and one table reduction (LocalField._packed_sum),
-whose coordinates make the element with no second reduction; a product x y
-is its one-term case, and each entry of a matrix product (LocalField.mat_mul,
-behind linalg.mat_mul and mat_vec) and of a Horner step of the operator
-series (senmod, exp(t theta)) is one such sum.  A trace is a dot product with the
-trace form, and an inverse is a Newton iteration from the residue-field
-inverse.  Precision follows the scalar rules with field valuations, rounded
+sum of products over K is one big-integer sum of Kronecker-packed products
+and one table reduction (LocalField._packed_sum), whose coordinates make the
+element with no second reduction; LocalField.dot gives it each product's
+precision, a product x y is its one-term case, and each entry of a matrix
+product (LocalField.mat_mul, behind linalg.mat_mul and mat_vec) and of a
+Horner step of the operator series (senmod, exp(t theta)) is one such sum.
+A trace is a dot product with the trace form, and an inverse is a Newton
+iteration from the residue-field inverse, kept on a divisor for its later
+quotients.  Precision follows the scalar rules with field valuations, rounded
 down to an integer:
 
     add/sub : min(N_x, N_y)
@@ -317,22 +318,31 @@ class LocalField:
         w = self._width if need < self._limit else -(-need.bit_length() // 64) * 64
         shifts = self._shifts if w == self._width else [w * s for s in self._slots]
         total = 0
-        for t, _, a, b in terms:
-            total += pows[t - m] * _packed(a, w, shifts) * _packed(b, w, shifts)
+        for t, _, a, b in terms:                # each element packed at w once, and kept
+            pa = a._packing
+            if pa is None or pa[0] != w:
+                pa = a._packing = w, _pack(a.vec, shifts)
+            if type(b) is not int:
+                pb = b._packing
+                if pb is None or pb[0] != w:
+                    pb = b._packing = w, _pack(b.vec, shifts)
+                b = pb[1]
+            total += pows[t - m] * pa[1] * b
         return FieldElement._reduced(self, self._reduce(total, w, modulus), m, n)
 
-    def mat_mul(self, a, b, zero):
+    def mat_mul(self, a, b, zero, bounds=None):
         """The matrix product over K, each entry dot(row, column, zero) with its
         (vec, shift, prec).  When `_reach` shows that every product of a row's
         entry by a column's reaches N = zero.prec, n = N and dot keeps zero
         and the products of shift t < N: they go to `_packed_sum` directly.
-        Any other entry is dot's, as is each one of a column holding scalars."""
+        Any other entry is dot's, as is each one of a column holding scalars.
+        `bounds`, when given, holds the `_bound` of each row of a."""
         N = zero.prec
         start = [(zero.shift, N, zero, 1)] if zero.shift < N else []
         cols = [(col, self._bound(col)) for col in zip(*b)]
         out = []
-        for row in a:
-            rb, out_row = self._bound(row), []
+        for row, rb in zip(a, bounds or map(self._bound, a)):
+            out_row = []
             for col, cb in cols:
                 if rb and cb and self._reach(rb, cb) >= N:
                     out_row.append(self._packed_sum(start + [
@@ -442,16 +452,6 @@ def _pack(vec, shifts):
     return packed
 
 
-def _packed(x, w, shifts):
-    """A `_packed_sum` factor at slot width w: an int, or an element, packed at w and kept."""
-    if type(x) is int:
-        return x
-    packing = x._packing
-    if packing is None or packing[0] != w:
-        packing = x._packing = w, _pack(x.vec, shifts)
-    return packing[1]
-
-
 def build_field(spec: LocalFieldSpec) -> LocalField:
     """Validate the spec and return the field handle."""
     return LocalField(spec)
@@ -467,7 +467,7 @@ class FieldElement:
     and moves common factors p into the shift; zero to precision is vec = 0
     with shift = prec."""
 
-    __slots__ = ("field", "vec", "shift", "prec", "_vpi", "_packing")
+    __slots__ = ("field", "vec", "shift", "prec", "_vpi", "_packing", "_inverse")
 
     def __init__(self, field, vec, shift, prec):
         m = field.p ** (prec - shift) if prec > shift else 0
@@ -479,7 +479,8 @@ class FieldElement:
         return cls.__new__(cls)._settle(field, vec, shift, prec)
 
     def _settle(self, field, vec, shift, prec):       # common factors p move into the shift
-        self.field, self._vpi, self._packing = field, None, None
+        self.field = field
+        self._vpi = self._packing = self._inverse = None
         g = gcd(*vec)
         if not g:
             vec, shift = (0,) * field.degree, prec
@@ -603,9 +604,14 @@ class FieldElement:
             prec = min(prec, shift + i0 + K.table_prec)
         if prec <= shift or self.is_zero():
             return FieldElement(K, self.vec, prec, prec)
-        m = K.p ** (prec - shift)
-        out = FieldElement(K, K._mul_vec(self.vec, K._inv_vec(other.vec, i0, prec - shift), m),
-                           shift, prec)
+        # p^i0 / y, kept on y at the most digits a quotient by y takes: unique
+        # modulo p^rel, so each quotient's _mul_vec may reduce it
+        inv = other._inverse
+        if inv is None:
+            rel = other.prec - other.shift
+            inv = other._inverse = K._inv_vec(other.vec, i0, i0 + (
+                min(rel, K.table_prec) if K.degree > 1 else rel))
+        out = FieldElement(K, K._mul_vec(self.vec, inv, K.p ** (prec - shift)), shift, prec)
         # Against a field whose relations move by p^M, y out = x + delta with
         # v_p(delta) >= M + s_y + s_out, so the quotient moves by at least
         # M + s_out - i0/e.

@@ -41,14 +41,15 @@ def _field(zero):
     return zero.field
 
 
-def mat_mul(a, b, zero):
-    return _field(zero).mat_mul(a, b, zero)
+def mat_mul(a, b, zero, bounds=None):
+    """a b; `bounds`, when given, holds LocalField._bound of each row of a."""
+    return _field(zero).mat_mul(a, b, zero, bounds)
 
 
-def mat_vec(a, v, zero):
+def mat_vec(a, v, zero, bounds=None):
     if not v:                   # no column: each entry is the empty sum
         return [_field(zero).dot(row, v, zero) for row in a]
-    return [row[0] for row in mat_mul(a, [[x] for x in v], zero)]
+    return [row[0] for row in mat_mul(a, [[x] for x in v], zero, bounds)]
 
 
 def mat_sub(a, b):
@@ -360,10 +361,10 @@ def charpoly_berkowitz(mat, one, zero):
         row_vec = mat[r][:r]
         # Toeplitz column: [1, -a_rr, -R C, -R M C, ..., -R M^(r-1) C]
         items = [one, -mat[r][r]]
-        acc = [mat[i][r] for i in range(r)]
-        for _ in range(r):
+        acc, bounds = [mat[i][r] for i in range(r)], [K._bound(row) for row in sub]
+        for _ in range(r):      # acc = sub acc, the rows of sub bounded once
             items.append(-K.dot(row_vec, acc, zero))
-            acc = mat_vec(sub, acc, zero)
+            acc = mat_vec(sub, acc, zero, bounds)
         # the Toeplitz product, read from the constant coefficient up
         poly = [K.dot(items[max(1 - i, 0):r + 2 - i], poly[max(i - 1, 0):], zero)
                 for i in range(r + 2)]

@@ -19,7 +19,8 @@ e = E'(pi), the field's different generator.  The module provides:
 
 The series is exp(A) = sum A^k/k!, A = t theta, t = b L(y), y = -e b,
 L(y) = sum y^m/(m+1): two polynomials in one matrix, each summed by
-Paterson-Stockmeyer in about 2 sqrt(N) matrix products.  A needs no
+Paterson-Stockmeyer in about 2 sqrt(N) matrix products, each entry of a
+Horner step one packed sum over K from a step prepared once.  A needs no
 balancing shift: (p^a t, p^-a theta) give the same A, and v(A) > 1/(p-1)
 under the convergence condition.  Both are summed from the digits of b, e,
 theta and v taken as exact; each entry then claims the digits of an error
@@ -355,21 +356,42 @@ def _blocks(K, x, s, high, last, vector=None):
 def _horner(K, cols, xs, coefs, prec):
     """sum_k coefs[k] x^k v to prec digits from _blocks' terms: the blocks of
     s coefficients joined by Horner in x^s, each entry of a step one
-    LocalField.dot of the block's (x^i v)_ab and row a of x^s against the
-    block's coefficients and column b of the last step, from a zero at prec:
-    n/s steps of d^3 (d^2 on a vector) products.  A product whose factors'
-    shifts add up to prec or more lies below p^prec and is left out."""
-    s, start, out = len(cols), FieldElement(K, (), prec, prec), None
+    LocalField._packed_sum of the block's (x^i v)_ab times its coefficients
+    and of row a of x^s times column b of the last step, with the (vec, shift,
+    prec) LocalField.dot gives them from a zero at prec: n/s steps of d^3 (d^2
+    on a vector) products.  A product whose factors' shifts add up to prec or
+    more lies below p^prec and is left out.  A step reduces each coefficient
+    once, below p^(prec - t) for t the least shift of its products, and reads
+    each factor's (shift, prec, floor v) once; dot's n, the least precision of
+    a product by _scalar_product's and _product's rules, is then integer sums."""
+    e, s, out = K.e_ram, len(cols), None
+    cap = K.table_prec if K.degree > 1 else math.inf        # _product's table cap
+    kept = lambda x: (x.shift, x.prec, x._v() // e, x)
+    lines = [[list(map(kept, line)) for line in zip(*row_a)] for row_a in zip(*cols)]
+    least = [min([x.shift for row in t for x in row]) for t in cols]
+    rows = [[z and kept(z) for z in row] for row in xs] if xs else [()] * len(lines)
     for j in reversed(range(0, len(coefs), s)):
         block, prev, out = coefs[j:j + s], out, []
-        for a in range(len(cols[0])):
+        units = [(k.val, k.prec, prec - ls, k.unit % K.p ** max(prec - ls - k.val, 0))
+                 for k, ls in zip(block, least)]
+        last = [[kept(y) for y in col] for col in zip(*prev)] if prev else [()] * len(lines[0])
+        for line_row, xrow in zip(lines, rows):
             row = []
-            for c in range(len(cols[0][0])):
-                u = [(t[a][c], k) for t, k in zip(cols, block) if t[a][c].shift + k.val < prec]
-                if prev:
-                    u += [(z, y[c]) for z, y in zip(xs[a], prev)
-                          if z is not None and z.shift + y[c].shift < prec]
-                row.append(K.dot([z for z, _ in u], [k for _, k in u], start))
+            for line, col in zip(line_row, last):
+                n, u = prec, []
+                for (sx, px, vx, x), (v, pk, r, b) in zip(line, units):
+                    if sx + v < prec:
+                        u.append((sx + v, px + r, x, b))
+                        if px + v < n:
+                            n = px + v
+                        if pk + vx < n:
+                            n = pk + vx
+                for z, (sy, py, vy, y) in zip(xrow, col):
+                    if z and z[0] + sy < prec:
+                        sz, pz, vz, z = z
+                        u.append((sz + sy, pz + py, z, y))
+                        n = min(n, pz + vy, py + vz, sz + sy + cap)
+                row.append(K._packed_sum(u if n == prec else [x for x in u if x[0] < n], n))
             out.append(row)
     return out
 

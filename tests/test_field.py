@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from senlab.errors import DomainError, PrecisionError, UsageError
-from senlab.field import (FieldEmbedding, LocalFieldSpec, build_field,
+from senlab.field import (FieldElement, FieldEmbedding, LocalFieldSpec, build_field,
                           cyclotomic_field, eisenstein_field, qp_field, residue,
                           scalar_embedding, trace_to_Qp, valuation)
 from senlab.padic import PadicScalar
@@ -141,6 +142,81 @@ class TestArithmetic:
                 assert vs == min(vx, vy)
             else:
                 assert vs is None or vs >= min(vx, vy)
+
+
+# Q_3(zeta_9), Q_3(3^(1/4)), the degree-6 field (g = y^2 + 1, E = u^3 - 3y) and Q_5
+DIVISION_FIELDS = {"Q3(zeta9)": cyclotomic_field(3, 2, 30),
+                   "Q3(3^1/4)": eisenstein_field(3, [-3, 0, 0, 0, 1], 30),
+                   "K6": build_field(LocalFieldSpec(3, [1, 0, 1], [[0, -3], [0], [0], [1]], 30)),
+                   "Q5": qp_field(5, 30)}
+
+
+def _divided(x, y):
+    """x / y with p^i0 / y formed to the quotient's own relative precision
+    and the precision rules of FieldElement.__truediv__: the oracle for a
+    divisor that keeps its inverse between quotients."""
+    K, e = x.field, x.field.e_ram
+    vy = y._v()
+    i0 = vy % e
+    prec = min(e * x.prec - vy, e * y.prec + x._v() - 2 * vy) // e
+    shift = x.shift - y.shift - i0
+    if K.degree > 1:
+        prec = min(prec, shift + i0 + K.table_prec)
+    if prec <= shift or x.is_zero():
+        return FieldElement(K, x.vec, prec, prec)
+    m = K.p ** (prec - shift)
+    out = FieldElement(K, K._mul_vec(x.vec, K._inv_vec(y.vec, i0, prec - shift), m), shift, prec)
+    cap = out.shift + K.table_prec - (i0 > 0)
+    return out.truncated(cap) if K.degree > 1 and cap < prec else out
+
+
+def _triple(x):
+    return x.vec, x.shift, x.prec
+
+
+@st.composite
+def _division_case(draw):
+    """A divisor of valuation 0..2 at precision 1..30 past its shift over one
+    of DIVISION_FIELDS, and 1..12 dividends of shifts -3..5 known to 1..30
+    digits past them, zero to precision one time in eight."""
+    K = DIVISION_FIELDS[draw(st.sampled_from(sorted(DIVISION_FIELDS)))]
+    digits = st.lists(st.integers(0, K.p ** 30), min_size=K.degree, max_size=K.degree)
+    vec, k = draw(digits), draw(st.integers(0, 2 * K.e_ram))
+    vec[k % K.e_ram] = vec[k % K.e_ram] * K.p + draw(st.integers(1, K.p - 1))
+    for t in range(k % K.e_ram):
+        vec[t] *= K.p               # the first u-degree prime to p is k mod e_ram
+    y = FieldElement(K, vec, k // K.e_ram, k // K.e_ram + draw(st.integers(1, 30)))
+    xs = []
+    for _ in range(draw(st.integers(1, 12))):
+        shift, prec = draw(st.integers(-3, 5)), draw(st.integers(1, 30))
+        zero = draw(st.integers(0, 7)) == 0
+        xs.append(FieldElement(K, () if zero else draw(digits), shift, shift + prec))
+    return y, xs
+
+
+class TestDivision:
+    @settings(max_examples=60)
+    @given(case=_division_case())
+    def test_divisor_keeps_its_inverse(self, case):
+        # many quotients by one divisor, their precisions rising and then
+        # falling: each is the quotient by a fresh copy of the divisor, and
+        # that with the inverse formed to the quotient's own digits
+        y, xs = case
+        fresh = lambda: FieldElement(y.field, y.vec, y.shift, y.prec)
+        want = [_triple(_divided(x, y)) for x in xs]
+        order = sorted(range(len(xs)), key=lambda i: want[i][2])
+        for i in order + order[::-1]:
+            assert _triple(xs[i] / y) == _triple(xs[i] / fresh()) == want[i]
+
+    @pytest.mark.parametrize("name", sorted(DIVISION_FIELDS))
+    def test_zero_divisor_raises_after_a_quotient(self, name):
+        # an element zero to precision has no inverse to keep
+        K = DIVISION_FIELDS[name]
+        y, zero = K.one() + K.pi, FieldElement(K, (), 5, 5)
+        K.one() / y
+        for divisor in (zero, zero, FieldElement(K, (), 5, 5)):
+            with pytest.raises(PrecisionError):
+                y / divisor
 
 
 class TestTraceResidue:

@@ -3,6 +3,7 @@ import operator
 import random
 from fractions import Fraction
 from itertools import count, islice
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -255,6 +256,27 @@ def _sequential_series(M, b, columns):
     return [flat[j * M.dim:(j + 1) * M.dim] for j in range(len(columns))]
 
 
+def _dot_horner(K, cols, xs, coefs, prec):
+    """senmod._horner with each entry of a step one LocalField.dot of the
+    block's (x^i v)_ab and row a of x^s against the block's coefficients and
+    column b of the last step, from a zero at prec, every product's
+    precision formed by dot's own rule: the oracle for the step prepared
+    once and summed by one packed sum per entry."""
+    s, start, out = len(cols), FieldElement(K, (), prec, prec), None
+    for j in reversed(range(0, len(coefs), s)):
+        block, prev, out = coefs[j:j + s], out, []
+        for a in range(len(cols[0])):
+            row = []
+            for c in range(len(cols[0][0])):
+                u = [(t[a][c], k) for t, k in zip(cols, block) if t[a][c].shift + k.val < prec]
+                if prev:
+                    u += [(z, y[c]) for z, y in zip(xs[a], prev)
+                          if z is not None and z.shift + y[c].shift < prec]
+                row.append(K.dot([z for z, _ in u], [k for _, k in u], start))
+            out.append(row)
+    return out
+
+
 def _triples(rows):
     return [[(x.vec, x.shift, x.prec) for x in row] for row in rows]
 
@@ -314,13 +336,12 @@ def _mat_mul_case(draw):
 
 
 @st.composite
-def _series_case(draw):
+def _series_case(draw, fields=SERIES_FIELDS):
     """A nearly Hodge-Tate module theta = e diag(k) + p N over one of
-    SERIES_FIELDS, N integral with mixed precisions and zeros, at dimension
+    `fields`, N integral with mixed precisions and zeros, at dimension
     1..8 (1..3 over the degree-18 field), b = p pi^j u with u a unit, and a
     vector with shifts down to -4 for operator_series_apply."""
-    name = draw(st.sampled_from(sorted(SERIES_FIELDS)))
-    K = SERIES_FIELDS[name]
+    K = fields[draw(st.sampled_from(sorted(fields)))]
     d = draw(st.integers(1, 3 if K.degree > 6 else 8))
     p, prec = K.from_int(K.p), st.one_of(st.just(K.prec), st.integers(12, K.prec))
     theta = [[p * draw(_series_element(K, st.integers(0, 2), prec)) +
@@ -329,6 +350,35 @@ def _series_case(draw):
     unit = K.one() + K.pi * draw(_series_element(K, st.integers(0, 1), prec))
     vector = [draw(_series_element(K, st.integers(-4, 3), prec)) for _ in range(d)]
     return SenModule(K, theta), p * K.pi ** draw(st.integers(0, 2)) * unit, vector
+
+
+@st.composite
+def _horner_case(draw):
+    """Terms shaped as senmod._blocks gives them to senmod._horner, over one
+    of SERIES_FIELDS: s = 1..4 powers x^i v of d x k entries (d = 1..4, k = 1
+    or d) with shifts -4..6 and precisions 12..30, zero one time in five;
+    x^s with shifts 0..6 and entries None one time in four, when the 1..12
+    coefficients make more than one block; the coefficients p^val u with
+    val -6..2 known to 1..25 digits past it; a target precision 4..30."""
+    K = SERIES_FIELDS[draw(st.sampled_from(sorted(SERIES_FIELDS)))]
+    d = draw(st.integers(1, 4))
+    k, s, n = draw(st.sampled_from((1, d))), draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    prec = st.integers(12, 30)
+
+    def matrix(entry, cols):
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=d, max_size=d))
+
+    cols = [matrix(_series_element(K, st.integers(-4, 6), prec), k) for _ in range(s)]
+    entry = st.integers(0, 3).flatmap(lambda none: st.none() if none == 0 else
+                                      _series_element(K, st.integers(0, 6), prec))
+    xs = matrix(entry, d) if n > s else None
+    coefs = []
+    for _ in range(n):
+        val, rel = draw(st.integers(-6, 2)), draw(st.integers(1, 25))
+        unit = draw(st.integers(0, K.p ** rel // K.p - 1)) * K.p + draw(st.integers(1, K.p - 1))
+        coefs.append(S(K.p, val, unit, val + rel))
+    return K, cols, xs, coefs, draw(st.integers(4, 30))
 
 
 def _twins(prec):
@@ -622,6 +672,53 @@ class TestDot:
         assert _against_oracle(got, _sequential_series(M, b, [vector])[0]) == ([], 0)
         assert _claims_are_closed_form(got, exact[0])
 
+    @settings(max_examples=70)
+    @given(case=_horner_case())
+    def test_horner_matches_dot_per_entry_on_mixed_terms(self, case):
+        # the step's bounds and prepared coefficients where they show every
+        # product reaching prec, each product's precision where not: mixed
+        # precisions, zeros, entries of x^s left out, products past prec and
+        # the table cap of Q3_sqrt3_M15
+        assert _triples(senmod._horner(*case)) == _triples(_dot_horner(*case))
+
+    @pytest.mark.parametrize("name, shift, prec, want", [("Q3_sqrt3_M15", 2, 30, 17),
+                                                         ("Q3", 0, 29, 29)])
+    def test_horner_takes_each_products_precision(self, name, shift, prec, want):
+        # the product of x^s = p^shift (1 + ...) by the last step 1 falls
+        # short of the target 30, which the block's own product reaches: by
+        # Q3_sqrt3_M15's table cap 15 digits past the shift 2, and by one
+        # digit of x^s's precision over Q_3
+        K = SERIES_FIELDS[name]
+        ones = [1] * K.degree
+        one, z = FieldElement(K, ones, 0, 30), FieldElement(K, ones, shift, prec)
+        case = K, [[[one]]], [[z]], [S(3, 0, 1, 30)] * 2, 30
+        got = senmod._horner(*case)
+        assert _triples(got) == _triples(_dot_horner(*case)) and got[0][0].prec == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_series_case({name: K for name, (K, _) in CLOSED_FORM_FIELDS.items()}))
+    def test_horner_steps_match_dot_per_entry(self, case):
+        # each entry of a Horner step summed by one packed sum from the step's
+        # prepared coefficients and bounds, against LocalField.dot per entry
+        # on the same terms: every step of the matrix and of the series
+        # applied to a vector, so both give the oracle's (vec, shift, prec);
+        # dimensions 1..8 over the closed-form grid's five fields
+        M, b, vector = case
+        horner, steps = senmod._horner, []
+
+        def checked(*args):
+            steps.append(_triples(_dot_horner(*args)))
+            out = horner(*args)
+            assert _triples(out) == steps[-1]
+            return out
+
+        with mock.patch.object(senmod, "_horner", checked):
+            try:
+                operator_series(M, b)
+                operator_series_apply(M, b, vector)
+            except (DomainError, PrecisionError, ConvergenceError):
+                pass
+
     @settings(max_examples=40, deadline=None)
     @given(case=_series_case(), data=st.data())
     def test_apply_takes_scalar_entries(self, case, data):
@@ -660,9 +757,9 @@ class TestDot:
     def test_operator_series_takes_at_most_2_sqrt_n_matrix_products(self, monkeypatch):
         # exp(t theta) = sum_(k<=N) A^k/k! by Paterson-Stockmeyer: A^2..A^s by
         # mat_mul, s = ceil(sqrt(N+1)), and a Horner step in A^s per block
-        # after the first, each entry of a block one LocalField.dot; so at most
-        # 2 ceil(sqrt(N+1)) products of d x d matrices, and no entry is added
-        # up element by element
+        # after the first, each entry of a block one LocalField._packed_sum
+        # with no LocalField.dot; so at most 2 ceil(sqrt(N+1)) products of
+        # d x d matrices, and no entry is added up element by element
         K = eisenstein_field(3, [-3, 0, 1], 40)
         rng = random.Random(5)
         d = 8
@@ -671,9 +768,9 @@ class TestDot:
                   for j in range(d)] for i in range(d)]
         M, b = SenModule(K, theta), K.from_int(9) * K.pi
         assert nearly_ht_test(M).verdict
-        calls = {"mat_mul": 0, "dot": 0, "coefficients": 0, "inside": False}
+        calls = {"mat_mul": 0, "sums": 0, "coefficients": 0, "inside": False}
         blocks, horner = senmod._blocks, senmod._horner
-        mat_mul, dot = LocalField.mat_mul, LocalField.dot
+        mat_mul, packed_sum, dot = LocalField.mat_mul, LocalField._packed_sum, LocalField.dot
 
         def inside(f, x):
             calls["inside"] = len(x) == d
@@ -690,16 +787,21 @@ class TestDot:
                 calls["coefficients"] = len(coefs)
             return inside(lambda: horner(K, cols, xs, coefs, prec), cols[0])
 
-        def product(self, a, b, zero):
+        def product(self, a, b, zero, bounds=None):
             calls["mat_mul"] += calls["inside"]
-            state, calls["inside"] = calls["inside"], False         # its own dots
+            state, calls["inside"] = calls["inside"], False         # its own sums
             try:
-                return mat_mul(self, a, b, zero)
+                return mat_mul(self, a, b, zero, bounds)
             finally:
                 calls["inside"] = state
 
+        def counted_sum(self, terms, n):
+            calls["sums"] += calls["inside"]
+            return packed_sum(self, terms, n)
+
         def counted_dot(self, u, v, start):
-            calls["dot"] += calls["inside"]
+            if calls["inside"]:
+                raise AssertionError("a Horner entry went through LocalField.dot")
             return dot(self, u, v, start)
 
         def refuse(*args):
@@ -708,11 +810,12 @@ class TestDot:
         monkeypatch.setattr(senmod, "_blocks", powers)
         monkeypatch.setattr(senmod, "_horner", steps)
         monkeypatch.setattr(LocalField, "mat_mul", product)
+        monkeypatch.setattr(LocalField, "_packed_sum", counted_sum)
         monkeypatch.setattr(LocalField, "dot", counted_dot)
         monkeypatch.setattr(FieldElement, "__add__", refuse)
         operator_series(M, b)
-        n, blocks = calls["coefficients"], calls["dot"] // (d * d)
-        assert n > 10 and calls["dot"] == blocks * d * d
+        n, blocks = calls["coefficients"], calls["sums"] // (d * d)
+        assert n > 10 and blocks > 1 and calls["sums"] == blocks * d * d
         assert calls["mat_mul"] + blocks - 1 <= 2 * math.ceil(math.sqrt(n))
 
     @pytest.mark.parametrize("name", sorted(DOT_EDGES))
