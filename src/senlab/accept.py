@@ -133,11 +133,10 @@ def criterion_2():
     K = _ramified_base(50)
     n_trunc = 32
     sol = solve_theta(DPSeries.one(K, n_trunc))
-    expected = K.one()
+    expected = K.powers(-K.different_e, n_trunc - 1, 1)
     for n in range(1, n_trunc + 1):
-        _require((sol.coeffs[n] - expected).is_zero(),
+        _require((sol.coeffs[n] - expected[n - 1]).is_zero(),
                  f"coefficient {n} differs from the closed form")
-        expected = expected * (-K.different_e) * n
     _require(sol.coeffs[0].is_zero(), "constant term must vanish")
     lt = log_t(K, n_trunc)
     _require(sol.eq_to_precision(lt), "preimage differs from the log coordinate")

@@ -15,7 +15,8 @@ the substitution and the coordinate change each pack their series once, at
 the least shift and the smallest modulus p^R, into Kronecker blocks of one
 integer (`_pack`), multiply, and reduce each output degree once through the
 field's table; two bounded series whose products all reach K.prec skip the
-degree-by-degree precisions.
+degree-by-degree precisions.  Their b^k/k!, (1 + e b)^m and e^j, and log_t's
+(-e)^(n-1) (n-1)!, are LocalField.powers sequences; n! is padic.factorials'.
 
 Coefficients are only guaranteed through `valid_to`: applying theta loses the
 top degree, since the incoming coefficient above the truncation is unknown.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from .errors import ConvergenceError, UsageError
 from .field import FieldElement, LocalField
-from .padic import PadicScalar, vp_int
+from .padic import PadicScalar, factorials, vp_int
 
 
 class DPSeries:
@@ -100,11 +101,12 @@ def _pack(K, blocks, R, w):
 
 def _width(K, R, terms):
     """The slot width, a multiple of 64 bits, for sums of `terms` products of
-    two packed elements, each slot below p^R, and for their reduction, whose
-    slots hold below len(table) p^(R + M + e_ram)."""
+    two packed elements, each slot below p^R, and for their reduction, which
+    adds below len(table) p^(R + M + e_ram) to such a sum in a basis slot: a
+    bit above the larger of the two, past degree 1, where nothing is added."""
     mod = K.p ** R
-    return -(-(mod * max(terms * K.degree * mod, len(K._table) * K._table_mod)).bit_length()
-             // 64) * 64
+    return -(-(mod * max(terms * K.degree * mod, len(K._table) * K._table_mod)
+               << (K.degree > 1)).bit_length() // 64) * 64
 
 
 def _blocks(K, total, R, w, n):
@@ -144,11 +146,9 @@ def dp_mul(f: DPSeries, g: DPSeries) -> DPSeries:
     p, e, N = K.p, K.e_ram, K.prec
     trunc = min(f.trunc, g.trunc)
     fs, gs = f.coeffs[:trunc + 1], g.coeffs[:trunc + 1]
-    vfact, units = [0], [1]                         # n! = p^vfact[n] units[n]
+    vfact = [0]                                     # v_p(n!)
     for n in range(1, trunc + 1):
-        k = vp_int(n, p)
-        vfact.append(vfact[-1] + k)
-        units.append(units[-1] * (n // p ** k))
+        vfact.append(vfact[-1] + vp_int(n, p))
     fb, gb = K._bound(fs), K._bound(gs)
     if K._reach(fb, gb) >= N and fb[1] + gb[1] >= 0:
         precs = [N] * (trunc + 1)
@@ -170,9 +170,7 @@ def dp_mul(f: DPSeries, g: DPSeries) -> DPSeries:
                           for n, (q, v) in enumerate(zip(precs, vfact))]), c, lows
 
     R, c, lows = min(modulus(0), modulus(1))
-    mod = p ** R
-    last_inverse = pow(units[-1], -1, mod)
-    inverses = [last_inverse * (units[-1] // u) % mod for u in units]
+    _, units, inverses = factorials(p, trunc, p ** R)   # n! = p^vfact[n] units[n]
     w = _width(K, R, trunc + 1)
     prod = 1
     for xs, low in zip((fs, gs), lows):
@@ -234,9 +232,7 @@ def coaction(f: DPSeries, b: FieldElement) -> DPSeries:
     b = b if isinstance(b, FieldElement) else K.from_scalar(b)
     _monitor_coaction_tail(f, b)
     c, trunc, N = f.coeffs, f.trunc, K.prec
-    b_over_fact = [K.one()]
-    for k in range(1, trunc + 1):
-        b_over_fact.append(b_over_fact[-1] * b / k)
+    b_over_fact = K.powers(b, trunc, -1)
     if K._reach(K._bound(c), K._bound(b_over_fact)) >= N:
         precs = [N] * (trunc + 1)
     else:
@@ -248,10 +244,9 @@ def coaction(f: DPSeries, b: FieldElement) -> DPSeries:
     w = _width(K, R, trunc + 1)
     sums = _blocks(K, _pack(K, [(x, x.shift - lc, 1) for x in reversed(c)], R, w)
                    * _pack(K, [(x, x.shift - lb, 1) for x in b_over_fact], R, w), R, w, trunc + 1)
-    one_plus_eb, out = K.one() + f.e * b, []
-    for m in range(trunc + 1):
-        scale = scale * one_plus_eb if m else K.one()
-        out.append(FieldElement(K, sums[trunc - m], lc + lb, precs[m]) * scale)
+    scales = K.powers(K.one() + f.e * b, trunc)
+    out = [FieldElement(K, sums[trunc - m], lc + lb, q) * scale
+           for m, (q, scale) in enumerate(zip(precs, scales))]
     return DPSeries(K, out, e=f.e, valid_to=f.valid_to)
 
 
@@ -260,15 +255,9 @@ def _monitor_coaction_tail(f: DPSeries, b: FieldElement):
     if not exact or vb > 0:
         return
     p = f.field.p
-    window = max(5, p)
-    vals = []
-    vfact = 0
-    for k in range(f.trunc + 1):
-        if k:
-            vfact += vp_int(k, p)
-        c = f.coeffs[k]
-        vals.append(c.val_bound() + k * vb - vfact)
-    tail = vals[-window:]
+    vals = [c.val_bound() + k * vb - v
+            for k, (c, v) in enumerate(zip(f.coeffs, factorials(p, f.trunc, p)[0]))]
+    tail = vals[-max(5, p):]
     if any(tail[i] > tail[i + 1] for i in range(len(tail) - 1)):
         raise ConvergenceError(
             "coaction terms keep growing for v(b) = %s <= 0; the truncated sum "
@@ -284,10 +273,7 @@ def log_t(field: LocalField, trunc: int, e: FieldElement | None = None) -> DPSer
     if trunc < 0:
         raise UsageError("truncation must be >= 0")
     e = field.different_e if e is None else e
-    coeffs, minus_e = [field.zero(), field.one()][:trunc + 1], -e
-    for n in range(1, trunc):
-        coeffs.append(coeffs[-1] * minus_e * n)
-    return DPSeries(field, coeffs, e=e)
+    return DPSeries(field, ([field.zero()] + field.powers(-e, trunc - 1, 1))[:trunc + 1], e=e)
 
 
 def dp_compose(f: DPSeries, phi: DPSeries) -> DPSeries:
@@ -333,9 +319,7 @@ def gsharp_transport(f: DPSeries, direction: str) -> DPSeries:
             concept="divided-power integrality")
     K, c, trunc, first_kind = f.field, f.coeffs, f.trunc, direction == "to_gsharp"
     p, e, N = K.p, K.e_ram, K.prec
-    e_pow = [K.one()]                                 # e^j for j < trunc
-    for _ in range(trunc - 1):
-        e_pow.append(e_pow[-1] * f.e)
+    e_pow = K.powers(f.e, trunc - 1)                  # e^j for j < trunc
     rows = [[1]]
     for m in range(1, trunc + 1):
         # s(m, k) = s(m-1, k-1) - (m-1) s(m-1, k); S(m, k) = S(m-1, k-1) + k S(m-1, k)

@@ -13,14 +13,16 @@ first u-degree holding a coordinate prime to p.
 Each field precomputes the reduction table y^j u^i mod (g, E) for
 j < 2f - 1, i < 2 e_ram - 1 and the trace form Tr(b_t) read off it.  Every
 sum of products over K is one big-integer sum of Kronecker-packed products
-and one table reduction (LocalField._packed_sum), whose coordinates make the
-element with no second reduction; LocalField.dot gives it each product's
+and one table reduction (LocalField._packed_sum: the basis slots kept in
+place, the other rows added), whose coordinates make the element with no
+second reduction; LocalField.dot gives it each product's
 precision, a product x y is its one-term case, and each entry of a matrix
 product (LocalField.mat_mul, behind linalg.mat_mul and mat_vec) and of a
 Horner step of the operator series (senmod, exp(t theta)) is one such sum.
-A trace is a dot product with the trace form, and an inverse is a Newton
+A trace is a dot product with the trace form, an inverse is a Newton
 iteration from the residue-field inverse, kept on a divisor for its later
-quotients.  Precision follows the scalar rules with field valuations, rounded
+quotients, and LocalField.powers forms x^k, x^k k! or x^k/k! with the
+chain's precisions, one vector product per power.  Precision follows the scalar rules with field valuations, rounded
 down to an integer:
 
     add/sub : min(N_x, N_y)
@@ -39,7 +41,8 @@ from fractions import Fraction
 from math import comb, gcd, inf
 
 from .errors import DomainError, PrecisionError, UsageError
-from .padic import DEFAULT_PRECISION, PadicScalar, power, require_prime, vp_int
+from .padic import (DEFAULT_PRECISION, PadicScalar, power, power_sequence, require_prime,
+                    vp_int)
 
 
 # ---------------------------------------------------------------------------
@@ -212,33 +215,37 @@ class LocalField:
         # Kronecker layout: b_t sits in slot j * span + i of a packed integer
         self._slots = [(t // e) * span + t % e for t in range(d)]
         self._table_mod = mod
-        self._width = w = (len(table) * d * mod * mod).bit_length()
+        # a basis slot holds a product's d mod^2 and the reduction's len(table) mod^2
+        self._width = w = (2 * len(table) * d * mod * mod).bit_length()
         self._shifts = [w * s for s in self._slots]  # bit offsets of the slots
         self._packed = {}                            # slot width -> packed table rows
         self._pows, self._limit, self._table_bound = [1], 1 << w, len(table) * mod
 
     def _reduce(self, total, w, m):
         """Coordinates modulo m of the element whose Kronecker slots, w bits
-        wide, hold the nonnegative integers of `total`; w must also hold
-        len(table) * m * p^(M + e_ram), the widest slot of the reduction."""
+        wide, hold the nonnegative integers of `total`: the basis slots kept
+        in place under one mask, each other slot's residue times its table
+        row added onto them, so w holds a slot plus len(table) m p^(M + e_ram)."""
         if self.degree == 1:
             return [total % m]
-        rows = self._packed.get(w)
-        if rows is None:
-            rows = self._packed[w] = [sum(c << (w * t) for t, c in enumerate(row))
-                                      for row in self._table]
-        mask = (1 << w) - 1
-        acc = 0
-        for row in rows:
-            c = total & mask
+        slots, packed = self._slots, self._packed.get(w)
+        if packed is None:
+            packed = self._packed[w] = (sum(((1 << w) - 1) << (w * s) for s in slots), [
+                (w * s, sum(c << (w * slots[t]) for t, c in enumerate(row)))
+                for s, row in enumerate(self._table) if s not in slots])
+        (basis, rows), mask = packed, (1 << w) - 1
+        acc = total & basis
+        for shift, row in rows:
+            c = total >> shift & mask
             if c:
                 acc += (c % m) * row
-            total >>= w
-        return [(acc >> (w * t) & mask) % m for t in range(self.degree)]
+        return [(acc >> (w * s) & mask) % m for s in slots]
 
     def _mul_vec(self, a, b, m):
         """Product of two integral coordinate vectors modulo m <= p^(M + e_ram),
         packed at the table's own width: the steps of an inverse."""
+        if self.degree == 1:
+            return [a[0] * b[0] % m]
         shifts = self._shifts
         return self._reduce(_pack([x % m for x in a], shifts) * _pack([y % m for y in b], shifts),
                             self._width, m)
@@ -311,10 +318,10 @@ class LocalField:
         pows = self._pows                   # p^k, kept on the field; replaced, never changed
         if len(pows) <= max(top, n) - m:
             pows = self._pows = [self.p ** k for k in range(2 * (max(top, n) - m) + 1)]
-        # a slot of the reduction holds below len(table) p^(n - m) p^(M + e_ram);
+        # a basis slot holds the sum and the reduction's len(table) p^(n - m + M + e_ram);
         # a width past the table's own is rounded up to 64 bits, so few are packed
         modulus = pows[n - m]
-        need = max(len(terms) * self.degree * pows[top - m], self._table_bound * modulus)
+        need = len(terms) * self.degree * pows[top - m] + self._table_bound * modulus
         w = self._width if need < self._limit else -(-need.bit_length() // 64) * 64
         shifts = self._shifts if w == self._width else [w * s for s in self._slots]
         total = 0
@@ -402,6 +409,14 @@ class LocalField:
         unit = [c // self.p ** i0 for c in self._mul_vec(head, y, m)]
         # the error of w^-1 is p^(work - i0) O_K; times head it lies in p^(work - 1) O_K
         return self._mul_vec(head, self._unit_inverse(unit, work - i0), self.p ** rel)
+
+    def powers(self, x, n, factorial=0):
+        """x^k (factorial 0), x^k k! (1) or x^k/k! (-1) for 0 <= k <= n, each
+        with the (vec, shift, prec) of the chain from one() by __mul__ and k:
+        padic.power_sequence on _mul_vec, under _product's table cap."""
+        return [FieldElement._reduced(self, *y) for y in power_sequence(
+            self.p, (x.vec, x.shift, x.prec, x._v()), n, self.prec, factorial, self._mul_vec,
+            self.e_ram, self.table_prec if self.degree > 1 else inf)]
 
     # -- element constructors -------------------------------------------------
 
@@ -697,11 +712,7 @@ class FieldEmbedding:
                 "image of u violates the Eisenstein relation; residual valuation >= %s"
                 % e_res.val_bound())
         # the images of the basis y^j u^i, in basis order t = j * e_ram + i
-        y_pows, u_pows = [dst.one()], [dst.one()]
-        for _ in range(src.f - 1):
-            y_pows.append(y_pows[-1] * y_image)
-        for _ in range(src.e_ram - 1):
-            u_pows.append(u_pows[-1] * u_image)
+        y_pows, u_pows = dst.powers(y_image, src.f - 1), dst.powers(u_image, src.e_ram - 1)
         e = src.e_ram
         self._images = [y_pows[t // e] * u_pows[t % e] for t in range(src.degree)]
 

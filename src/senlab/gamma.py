@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, UsageError
-from .padic import DEFAULT_PRECISION, PadicScalar, require_prime, vp_int
+from .padic import DEFAULT_PRECISION, PadicScalar, power_sequence, require_prime, vp_int
 
 
 class _Block(NamedTuple):
@@ -488,9 +488,9 @@ def g_minus_one(level: CyclotomicLevel, e: PadicScalar, trunc: int) -> TwistedOp
             "need v(y) >= 1 for y = (chi - 1)/e; got v(y) = %s"
             % (y.val if not y.is_zero() else ">= %d" % y.prec),
             concept="normalization y in pO_K")
-    y_over_fact = [PadicScalar.one(level.p, level.prec)]
-    for k in range(1, trunc):
-        y_over_fact.append(y_over_fact[-1] * y / PadicScalar.from_int(k, level.p, level.prec))
+    y_over_fact = [PadicScalar.from_residue(level.p, vec[0] if vec else 0, q, s) for vec, s, q
+                   in power_sequence(level.p, ([y.unit], y.val, y.prec, y.val), trunc - 1,
+                                     level.prec, -1, lambda a, b, m: [a[0] * b[0] % m])]
     coef = {}
     for n in range(1, trunc + 1):
         chi_n = level.chi ** n

@@ -328,8 +328,7 @@ def det(mat, one, zero):
     """Determinant via elimination with valuation pivoting."""
     a = mat_copy(mat)
     n = len(a)
-    sign = 1
-    acc = one
+    sign, pivots = 1, []
     for c in range(n):
         sel = _select_pivot([(i, *a[i][c].pivot_val()) for i in range(c, n)])
         if sel is None:
@@ -338,11 +337,11 @@ def det(mat, one, zero):
             a[c], a[sel] = a[sel], a[c]
             sign = -sign
         piv = a[c][c]
-        acc = acc * piv
+        pivots.append(piv)
         for i in range(c + 1, n):
             f = a[i][c] / piv
             a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return -acc if sign < 0 else acc
+    return math.prod(pivots, start=-one if sign < 0 else one)
 
 
 def charpoly_berkowitz(mat, one, zero):

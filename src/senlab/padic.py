@@ -13,13 +13,14 @@ and each rule reads v = prec for a zero:
 
 Valuations are normalized by v(p) = 1.  The module also provides the one
 square-and-multiply `power` (for scalars, field elements, coordinate
-vectors, F_p polynomials and matrices), the one series stop rule
-`series_converged`, the p-adic exponential and logarithm (with their
-convergence balls, each summed as one integer modulo p^prec) and Newton
-polygons with slopes reported as root valuations; a left end whose
-coefficients are zero to precision is reported as one slope entry with a
-lower bound.  A sum of products is LocalField.dot
-over K and senlab.gamma's integer block kernels over Q_p.
+vectors, F_p polynomials and matrices), the one sequence x^k, x^k k! or
+x^k/k! (`power_sequence`: the element chain's precisions as integers, k!'s
+units from the one inverse of `factorials`), the one series stop rule
+`series_converged`, exp and log (with their convergence balls, each summed
+as one integer modulo p^prec) and Newton polygons with slopes reported as
+root valuations; a left end whose coefficients are zero to precision is one
+slope entry with a lower bound.  A sum of products is LocalField.dot over K
+and senlab.gamma's integer block kernels over Q_p.
 
 Every convergent series is summed with an a priori stop rule: each term comes
 with a proven lower bound on the valuation of every later term, and summation
@@ -30,6 +31,7 @@ entry of the partial sum, so no dropped term can change a reported digit.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 
 from .errors import DomainError, PrecisionError, UsageError
 
@@ -99,6 +101,66 @@ def power(x, n: int, mul, one):
         if n:
             x = mul(x, x)
     return one if result is None else result
+
+
+def factorials(p, n, m):
+    """v_p(k!), the unit part u_k of k! and u_k^-1, both modulo m, for
+    0 <= k <= n: one modular inverse, of u_n, walked down by the unit parts
+    of k."""
+    vals, units, parts = [0], [1], [1]
+    for k in range(1, n + 1):
+        v = vals[-1]
+        while k % p == 0:
+            k, v = k // p, v + 1
+        vals.append(v)
+        parts.append(k)
+        units.append(units[-1] * k % m)
+    inverses = [pow(units[n], -1, m)]
+    for k in range(n, 0, -1):
+        inverses.append(inverses[-1] * parts[k] % m)
+    return vals, units, inverses[::-1]
+
+
+def reciprocals(p, rel, n, factorial):
+    """1/k! for 0 <= k <= n, or 1/k for 1 <= k <= n, each a scalar over p
+    known to rel digits past its valuation, from `factorials`."""
+    m = p ** rel
+    vals, units, inverses = factorials(p, n, m)
+    if factorial:
+        return [PadicScalar(p, -v, w, rel - v) for v, w in zip(vals, inverses)]
+    return [PadicScalar(p, vals[k - 1] - vals[k], inverses[k] * units[k - 1] % m,
+                        rel - vals[k] + vals[k - 1]) for k in range(1, n + 1)]
+
+
+def power_sequence(p, x, n, N, factorial, mul, e=1, cap=inf):
+    """(vec, shift, prec) of x^k, x^k k! (factorial 1) or x^k/k! (-1), k <= n,
+    as the chain from 1 at N digits gives them: a step is a product by x (at
+    most `cap` digits past its shift) and one by or over the scalar k at N
+    digits, by the element rules; vec = () for a zero.  x = (vec, shift,
+    prec, v in 1/e), mul(a, b, m) a product modulo m.  The precisions are an
+    integer recurrence; each x^k is one product, times u_k or u_k^-1."""
+    xvec, xs, xp, xv = x
+    vals, units, inverses = factorials(p, n if factorial else 0, p ** N)
+    scales = units if factorial > 0 else inverses
+    one = (1,) + (0,) * (len(xvec) - 1)
+    out, V, P, xk, ex, eN = [(one, 0, N)], 0, N, one, e * xp, e * N
+    for k in range(1, n + 1):
+        P = min(min(e * P + xv, ex + V) // e, V // e + xs + cap)
+        V = min(V + xv, e * P)                          # a zero has v = e N_x
+        if factorial:
+            vk = min(vals[k] - vals[k - 1], N)
+            if vk == N and factorial < 0:
+                raise PrecisionError("division by a scalar that is zero to precision %d" % N)
+            P = min(P + factorial * vk, (eN + V) // e - (factorial < 0) * 2 * vk)
+            V = min(V + factorial * e * vk, e * P)
+        if V == e * P:
+            out.append(((), P, P))
+            continue
+        # x^k = p^(k v // e) xk, xk formed modulo p^rel times p^d
+        m, d = p ** (P - V // e), k * xv // e - (k - 1) * xv // e - xs
+        xk = [c // p ** d for c in mul(xk, xvec, m * p ** d)] if d else mul(xk, xvec, m)
+        out.append(([c * scales[k] % m for c in xk] if factorial else xk, V // e, P))
+    return out
 
 
 class PadicScalar:
@@ -318,17 +380,18 @@ def padic_exp(x: PadicScalar) -> PadicScalar:
             % (Fraction(1, p - 1), threshold, p, x.val),
             concept="convergence radius alpha")
     modulus = p ** prec
-    # x^n/n! = p^shift * unit, exactly modulo p^prec, so the sum is one
-    # integer modulo p^prec.  Term m has valuation >= m v(x) - (m-1)/(p-1),
-    # increasing in m inside the ball; valuations are integers, so every term
-    # after the n-th has valuation >= (n+1) v(x) - floor(n/(p-1)).
-    total, unit, shift, n = 1, 1, 0, 0
+    # x^k/k! = p^(k v(x) - v(k!)) x.unit^k u_k^-1 exactly modulo p^prec: the sum
+    # is one integer.  Term m has valuation >= m v(x) - (m-1)/(p-1), increasing
+    # in m inside the ball; valuations are integers, so every term after the
+    # n-th has valuation >= (n+1) v(x) - floor(n/(p-1)).
+    n = 0
     while not series_converged((n + 1) * x.val - n // (p - 1), prec, (prec,)):
         n += 1
-        k = vp_int(n, p)
-        shift += x.val - k
-        unit = unit * x.unit * pow(n // p ** k, -1, modulus) % modulus
-        total += unit * p ** shift
+    vals, _, inverses = factorials(p, n, modulus)
+    total, unit = 1, 1
+    for k in range(1, n + 1):
+        unit = unit * x.unit % modulus
+        total += unit * inverses[k] * p ** (k * x.val - vals[k])
     return PadicScalar.from_residue(p, total, prec)
 
 

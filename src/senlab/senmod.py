@@ -55,8 +55,8 @@ from fractions import Fraction
 from . import linalg
 from .errors import ConvergenceError, DomainError, PrecisionError, UsageError
 from .field import FieldElement, LocalField
-from .padic import (PadicScalar, exp_domain_threshold, newton_polygon, series_converged,
-                    vp_int)
+from .padic import (PadicScalar, exp_domain_threshold, newton_polygon, reciprocals,
+                    series_converged, vp_int)
 
 
 class SenModule:
@@ -296,32 +296,6 @@ def _exact(x, prec):
     return FieldElement(x.field, x.vec, x.shift, prec)
 
 
-def _reciprocals(p, rel, n, factorial):
-    """1/k! for 0 <= k <= n, or 1/k for 1 <= k <= n, each a scalar over p
-    known to rel digits past its valuation: one modular inverse, of the unit
-    part of n!, walked down by the unit parts of k."""
-    m, vals, units, prefix = p ** rel, [0], [1], [1]      # k's, and k!'s unit
-    for k in range(1, n + 1):
-        v = 0
-        while k % p == 0:
-            k, v = k // p, v + 1
-        vals.append(v)
-        units.append(k)
-        prefix.append(prefix[-1] * k % m)
-    inverse = [pow(prefix[n], -1, m)]   # of the unit part of k!, k = n, n - 1, ...
-    for k in range(n, 0, -1):
-        inverse.append(inverse[-1] * units[k] % m)
-    inverse.reverse()
-    if not factorial:
-        return [PadicScalar(p, -vals[k], inverse[k] * prefix[k - 1] % m, rel - vals[k])
-                for k in range(1, n + 1)]
-    out, v = [], 0
-    for k in range(n + 1):
-        v += vals[k]
-        out.append(PadicScalar(p, -v, inverse[k], rel - v))
-    return out
-
-
 def _blocks(K, x, s, high, last, vector=None):
     """The terms x^i v (i < s) of Paterson-Stockmeyer's blocks, v the
     identity or the column `vector`, and x^s when `last`, the factor of its
@@ -417,7 +391,7 @@ def _log_factor(M, b, T):
     if n > 1:           # t = b L(y), L(y) = sum_(m<n) y^m/(m+1)
         y = -(_exact(M.e, T + 1) * bx)
         prec = T - vb // e
-        coefs = _reciprocals(p, max(y.prec - y.shift, prec) + n, n, False)
+        coefs = reciprocals(p, max(y.prec - y.shift, prec) + n, n, False)
         s = math.isqrt(n - 1) + 1
         cols, ys = _blocks(K, [[y]], s, prec + 1 - min(c.val for c in coefs), n > s)
         t = bx * _horner(K, cols, ys, coefs, prec)[0][0]
@@ -496,15 +470,13 @@ def _series(M, b, vector):
             eta, [[min(x, y) for x, y in zip(*rows)] for rows in zip(U, V)]))]
         U = [[x._v() for x in row] for row in cols[k]] if k < s else _min_plus(vA, U)
         claims = [[min(x, y - e * vk) for x, y in zip(*rows)] for rows in zip(claims, V)]
-    out = _horner(K, cols, As, _reciprocals(p, high + 1, n, True), K.prec)
+    out = _horner(K, cols, As, reciprocals(p, high + 1, n, True), K.prec)
     if any(x.prec < min(K.prec, q // e) for rows in zip(out, claims) for x, q in zip(*rows)):
-        fact, q = 0, p                  # v(n!), the most digits a 1/k! takes
-        while q <= n:
-            fact, q = fact + n // q, q * p
-        high = K.prec + 1 - vv // e + fact
+        # v(n!), the most digits a 1/k! takes
+        high = K.prec + 1 - vv // e + vp_int(math.factorial(n), p)
         cols, As = _blocks(K, [[_exact(x, high) for x in row] for row in A], s, high,
                            n + 1 > s, [_exact(x, high) for x in vector])
-        out = _horner(K, cols, As, _reciprocals(p, high + 1, n, True), K.prec)
+        out = _horner(K, cols, As, reciprocals(p, high + 1, n, True), K.prec)
     # t's error dt commutes: exp(A + dt theta) v = exp(dt theta) exp(A) v is
     # off by dt theta S v, S v the sum, and by terms of v at least
     # 2 err_t + v(theta) + min v(theta S v) - e/(p-1); omega bounds

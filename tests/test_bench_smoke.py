@@ -1,9 +1,10 @@
-"""The workflow's benchmark smoke on the series and modules workloads, as fresh processes.
+"""The workflow's benchmark smoke on the series, modules and cyclotomic
+workloads, as fresh processes.
 
 `bench/run.py` exits 0 even when a task's check fails, so, as the workflow's
 step "benchmark smoke" does, each test reads the verdict from the last JSON
 line it prints: every result it timed must be correct, with no failed
-operation.  The traced runs and the other workloads stay in the workflow."""
+operation.  The traced runs and the cli workload stay in the workflow."""
 
 import json
 import subprocess
@@ -29,3 +30,7 @@ def test_series_smoke_is_correct_with_no_failure():
 
 def test_modules_smoke_is_correct_with_no_failure():
     _smoke("modules")
+
+
+def test_cyclotomic_smoke_is_correct_with_no_failure():
+    _smoke("cyclotomic")

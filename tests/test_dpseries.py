@@ -1,15 +1,16 @@
 import random
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_padic import DOT_FIELDS, SERIES_FIELDS, _element
+from test_padic import DOT_FIELDS, SERIES_FIELDS, _element, _twins
 
 from senlab import dpseries
 from senlab.dpseries import (DPSeries, coaction, dp_compose, dp_mul,
                              gsharp_transport, log_t, sen_theta, solve_theta,
                              theta_matrix)
-from senlab.errors import ConvergenceError, UsageError
+from senlab.errors import ConvergenceError, PrecisionError, UsageError
 from senlab.field import (FieldElement, LocalField, LocalFieldSpec, build_field,
                           eisenstein_field, qp_field)
 from senlab.padic import PadicScalar, padic_log
@@ -156,11 +157,12 @@ class TestMultiplication:
 
     def test_one_reduction_per_degree_and_no_element_product(self, K, monkeypatch):
         # dp_mul, coaction and both transports: no dot product, no element
-        # scaled by an integer outside coaction's b^k/k!, no more element
-        # products than the kernel's budget, and one reduction per degree
+        # scaled by an integer, no more element products than the kernel's
+        # budget, and one reduction per degree and per power of the kernel's
+        # power sequences
         rng = random.Random(24)
         f, g = random_series(K, rng, trunc=24), random_series(K, rng, trunc=24)
-        for name, (kernel, oracle, budget) in _kernels(K, K.from_int(3)).items():
+        for name, (kernel, oracle, budget, powers) in _kernels(K, K.from_int(3)).items():
             want = _triples(oracle(f, g))
 
             def forbidden(*args):
@@ -172,13 +174,12 @@ class TestMultiplication:
                 patch.setattr(FieldElement, "__mul__",
                               lambda x, y: products.append(y) or mul(x, y))
                 patch.setattr(LocalField, "dot", forbidden)
-                if name != "coaction":
-                    patch.setattr(FieldElement, "_scaled", forbidden)
+                patch.setattr(FieldElement, "_scaled", forbidden)
                 reduce, calls = LocalField._reduce, []
                 patch.setattr(LocalField, "_reduce",
                               lambda self, *args: calls.append(args) or reduce(self, *args))
                 assert _triples(kernel(f, g)) == want
-            assert len(products) <= budget and len(calls) <= len(products) + 25, name
+            assert len(products) <= budget and len(calls) <= len(products) + powers + 25, name
 
     def test_weight_one_halves_the_modulus_at_p_3(self, monkeypatch):
         # Q_3(sqrt 3) at 60 digits, truncation 96: the weight p^i takes the
@@ -578,20 +579,40 @@ def test_slots_at_the_width_rule_hold_the_largest_sums():
         packed = dpseries._pack(K, [(FieldElement(K, [3 ** R - 1], 0, R), 0, 1)] * terms, R, w)
         assert dpseries._blocks(K, packed * packed, R, w, terms) == \
             [[n + 1] for n in range(terms)]
+    # past degree 1 the reduction keeps the basis slots in place, unreduced,
+    # and adds the other rows' multiples onto them, so the rule takes a bit
+    # above the larger of a slot's sum and what the rows add: over
+    # Q_3(sqrt 3) at 130 digits, whose row of u^2 holds the lift of 3 - 3^130
+    # modulo 3^132, x = (p^R - 1)(1 + pi) fills both coordinates and
+    # x^2 = 4 + 2 pi modulo p^R
+    K = eisenstein_field(3, [-3, 0, 1], 130)
+    larger = lambda R, terms: 3 ** R * max(terms * 2 * 3 ** R, len(K._table) * K._table_mod)
+    cases = [(R, terms) for R in range(21, 131) for terms in (2, 25, 97)
+             if (2 * larger(R, terms)).bit_length() % 64 < 2]
+    assert len(cases) >= 6
+    for R, terms in cases:
+        w = dpseries._width(K, R, terms)
+        assert w == -(-(2 * larger(R, terms)).bit_length() // 64) * 64
+        x = FieldElement(K, [3 ** R - 1] * 2, 0, R)
+        packed = dpseries._pack(K, [(x, 0, 1)] * terms, R, w)
+        assert dpseries._blocks(K, packed * packed, R, w, terms) == \
+            [[4 * (n + 1) % 3 ** R, 2 * (n + 1) % 3 ** R] for n in range(terms)]
 
 
 def _kernels(K, b):
     """name -> (the kernel on a pair of series, its oracle, how many element
-    products it may form at truncation 24): the b^k/k!, (1 + e b)^m and their
-    scalings for coaction, the powers of e for the transport."""
+    products it may form at truncation 24, how many powers its
+    LocalField.powers sequences form there): e b and the scaling of each
+    degree by (1 + e b)^m for coaction, whose b^k/k! and (1 + e b)^m are
+    power sequences, as the transport's powers of e are."""
     return {
-        "dp_mul": (dp_mul, _entrywise_dp_mul, 0),
+        "dp_mul": (dp_mul, _entrywise_dp_mul, 0, 0),
         "coaction": (lambda f, g: coaction(f, b), lambda f, g: _entrywise_coaction(f, b),
-                     3 * 24 + 2),
+                     24 + 2, 2 * 24),
         "to_gsharp": (lambda f, g: gsharp_transport(f, "to_gsharp"),
-                      lambda f, g: _entrywise_gsharp(f, "to_gsharp"), 23),
+                      lambda f, g: _entrywise_gsharp(f, "to_gsharp"), 0, 23),
         "from_gsharp": (lambda f, g: gsharp_transport(f, "from_gsharp"),
-                        lambda f, g: _entrywise_gsharp(f, "from_gsharp"), 23),
+                        lambda f, g: _entrywise_gsharp(f, "from_gsharp"), 0, 23),
     }
 
 
@@ -606,7 +627,7 @@ def test_the_bounds_skip_the_per_degree_precisions(K, monkeypatch, name):
     # by degree, and the digits lost stay lost
     rng = random.Random(5)
     f, g = random_series(K, rng, trunc=24), random_series(K, rng, trunc=24)
-    kernel, oracle, _ = _kernels(K, K.from_int(3))[name]
+    kernel, oracle, _, _ = _kernels(K, K.from_int(3))[name]
     reach, calls = LocalField._reach, []
     monkeypatch.setattr(LocalField, "_reach", lambda self, x, y: calls.append(x) or reach(self, x, y))
     assert _triples(kernel(f, g)) == _triples(oracle(f, g)) and len(calls) == 1
@@ -614,8 +635,132 @@ def test_the_bounds_skip_the_per_degree_precisions(K, monkeypatch, name):
     cases = [(M, f, g) for M in (K, DOT_FIELDS["Q3"], DOT_FIELDS["Q3(sqrt3)"])
              for f, g in _short_by_one(M, 24)]
     for M, f, g in cases + [(M15, random_series(M15, rng, 24), random_series(M15, rng, 24))]:
-        kernel, oracle, _ = _kernels(M, M.from_int(3))[name]
+        kernel, oracle, _, _ = _kernels(M, M.from_int(3))[name]
         calls.clear()
         got = kernel(f, g)
         assert _triples(got) == _triples(oracle(f, g)) and len(calls) > 1
         assert min(x.prec for x in got.coeffs) < M.prec
+
+
+def _chain(K, x, n, factorial=0):
+    """The element chain LocalField.powers replaced: from one(), each step
+    x_(k-1) x by __mul__, then times k (factorial 1) or over k (factorial
+    -1) as a scalar; the oracle for the power sequences of coaction, log_t,
+    the transport and FieldEmbedding."""
+    out = [K.one()]
+    for k in range(1, n + 1):
+        y = out[-1] * x
+        out.append(y * k if factorial > 0 else y / k if factorial < 0 else y)
+    return out
+
+
+def _exact_table(K):
+    """y^j u^i for j < 2f - 1, i < 2 e_ram - 1 reduced exactly in
+    Z[y, u]/(g, E), from K's defining polynomials lifted to the integers of
+    least absolute value: the rows of K's table with no modulus."""
+    def centered(c):
+        r, m = c.lift(), c.p ** c.prec
+        return r - m if 2 * r > m else r
+
+    f, e, d = K.f, K.e_ram, K.degree
+    g = [centered(c) for c in K.spec.unramified_poly]
+    E = [[centered(c) for c in coeff] + [0] * (f - len(coeff)) for coeff in K.spec.eisenstein_poly]
+    rows = {}
+    for i in range(2 * e - 1):
+        for j in range(2 * f - 1):
+            if j >= f:
+                terms = [(g[l], j - f + l, i) for l in range(f)]
+            elif i >= e:
+                terms = [(E[k][l], j + l, i - e + k) for k in range(e) for l in range(f)]
+            else:
+                rows[j, i] = [int(t == j * e + i) for t in range(d)]
+                continue
+            rows[j, i] = [-sum(c * rows[jj, ii][t] for c, jj, ii in terms) for t in range(d)]
+    return rows
+
+
+def _exact_powers(K, x, n):
+    """The integer coordinate vectors of vec^k for k <= n, x = p^shift vec,
+    multiplied through _exact_table."""
+    rows, e, d = _exact_table(K), K.e_ram, K.degree
+    out = [[1] + [0] * (d - 1)]
+    for _ in range(n):
+        acc = [0] * d
+        for s, a in enumerate(out[-1]):
+            for t, b in enumerate(x.vec):
+                if a and b:
+                    row = rows[s // e + t // e, s % e + t % e]
+                    acc = [c + a * b * r for c, r in zip(acc, row)]
+        out.append(acc)
+    return out
+
+
+def _vp(q, p):
+    """v_p of a nonzero Fraction."""
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+@st.composite
+def _power_case(draw):
+    """An element of one of the closed-form grid's fields at 20 digits, or of
+    Q_3(sqrt 3) with a 15-digit table, as _element draws it (shifts -4..6,
+    so some of negative valuation, precisions -3..30, zero one time in
+    four), n up to 96 and a kind: x^k, x^k k! or x^k/k!."""
+    fields = dict(_twins(20), M15=SERIES_FIELDS["Q3_sqrt3_M15"])
+    K = fields[draw(st.sampled_from(sorted(fields)))]
+    n = draw(st.one_of(st.integers(0, 8), st.integers(0, 96)))
+    return K, draw(_element(K)), n, draw(st.sampled_from((-1, 0, 1)))
+
+
+def _check_powers(K, x, n, kind):
+    """K.powers(x, n, kind) has the chain's (vec, shift, prec) in every
+    element, and each digit it claims is one of p^(k s) vec^k (k!)^kind, s
+    and vec x's."""
+    got, p = K.powers(x, n, kind), K.p
+    assert [(y.vec, y.shift, y.prec) for y in got] == \
+        [(y.vec, y.shift, y.prec) for y in _chain(K, x, n, kind)]
+    for k, (y, exact) in enumerate(zip(got, _exact_powers(K, x, n))):
+        scale = Fraction(p) ** (k * x.shift) * Fraction(factorial(k)) ** kind
+        for a, b in zip(y.vec, exact):
+            diff = Fraction(p) ** y.shift * a - scale * b
+            assert diff == 0 or _vp(diff, p) >= y.prec, (k, y)
+
+
+class TestPowers:
+    @settings(max_examples=80)
+    @given(_power_case())
+    def test_matches_the_chain_and_the_exact_powers(self, case):
+        _check_powers(*case)
+
+    @pytest.mark.parametrize("name", ["Q3", "Q3(sqrt3)", "Q3(zeta9)", "Q3(3^1/4)", "K6", "M15"])
+    def test_matches_them_at_truncation_96(self, name):
+        # a unit and an element of negative valuation at more digits than
+        # the field, a multiple of pi at fewer, and a zero
+        K = dict(_twins(20), M15=SERIES_FIELDS["Q3_sqrt3_M15"])[name]
+        rng = random.Random(96)
+        vec = lambda: [rng.randrange(1, K.p ** 12) for _ in range(K.degree)]
+        for x in (FieldElement(K, vec(), 0, 26), FieldElement(K, vec(), -1, 23),
+                  K.pi * FieldElement(K, vec(), 0, 12), FieldElement(K, (), 7, 7)):
+            for kind in (-1, 0, 1):
+                _check_powers(K, x, 96, kind)
+
+    @pytest.mark.parametrize("name", ["Q3", "K6"])
+    def test_a_divisor_zero_to_precision_raises_as_the_chain_does(self, name):
+        # at 3 digits, 27 is zero to precision: x^27/27! divides by it
+        K = _twins(3)[name]
+        x = K.from_int(3)
+        assert [(y.vec, y.shift, y.prec) for y in K.powers(x, 26, -1)] == \
+            [(y.vec, y.shift, y.prec) for y in _chain(K, x, 26, -1)]
+        for route in (K.powers, lambda x, n, kind: _chain(K, x, n, kind)):
+            with pytest.raises(PrecisionError):
+                route(x, 27, -1)
+
+    def test_log_t_is_the_chain(self, K):
+        for trunc in (0, 1, 2, 40):
+            want = [K.zero()] + _chain(K, -K.different_e, trunc - 1, 1)
+            assert _triples(log_t(K, trunc)) == _triples(DPSeries(K, want[:trunc + 1]))

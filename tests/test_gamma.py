@@ -772,6 +772,21 @@ class TestCoactionScalars:
     @pytest.mark.parametrize("p,m,a,e,trunc", [
         (3, 1, 2, Fraction(1, 3), 8), (3, 2, 2, Fraction(1, 3), 4),
         (3, 2, 10, Fraction(1), 4), (3, 1, 4, Fraction(1, 3), 5), (5, 1, 6, Fraction(1), 3)])
+    def test_coef_is_the_scalar_chain(self, p, m, a, e, trunc):
+        # y^k/k! one PadicScalar product and division at a time, the chain
+        # padic.power_sequence replaced, times chi^n
+        level = build_level(p, m, a, 30)
+        T = g_minus_one(level, S.from_fraction(e, p, 30), trunc + 20)
+        chain = [S.one(p, 30)]
+        for k in range(1, trunc + 20):
+            chain.append(chain[-1] * T.y / S.from_int(k, p, 30))
+        for n in range(1, trunc + 21):
+            chi_n = level.chi ** n
+            assert _triples(T.coef[n]) == _triples(chi_n * c for c in chain[:trunc + 21 - n])
+
+    @pytest.mark.parametrize("p,m,a,e,trunc", [
+        (3, 1, 2, Fraction(1, 3), 8), (3, 2, 2, Fraction(1, 3), 4),
+        (3, 2, 10, Fraction(1), 4), (3, 1, 4, Fraction(1, 3), 5), (5, 1, 6, Fraction(1), 3)])
     def test_coef_is_the_coaction_at_y(self, p, m, a, e, trunc):
         prec = 30
         T = g_minus_one(build_level(p, m, a, prec), S.from_fraction(e, p, prec), trunc)

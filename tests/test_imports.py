@@ -5,8 +5,10 @@ underscore name from a sibling, every module-level def or class is used by
 a library module, exported or traced by the benchmark, every public method
 is named in the library or the demos or traced, no module sums products in
 a loop of its own (over K the one route is LocalField.dot, over Q_p gamma's
-integer kernels), and no module tests a scalar's `.val` against None (a
-zero to precision stores val = prec)."""
+integer kernels) or forms powers or factorials one product at a time (the
+one route is padic.power_sequence, behind LocalField.powers), and no module
+tests a scalar's `.val` against None (a zero to precision stores val =
+prec)."""
 
 import ast
 import importlib.util
@@ -241,6 +243,69 @@ def test_detects_a_hand_rolled_sum():
               "        out[i] = out[i] + x * v[i]\n        out[0] = out[1] + x * x\n"
               "    return out\n")
     assert _hand_rolled_sums(source) == ["f", "C.g", "h"]
+
+
+def _power_chains(source):
+    """module-relative qualified name of the function around each product
+    kept by hand inside a for loop: `x = ... x ...` for a name x that is a
+    factor of the product or quotient (`x = x * y / k`), or
+    `xs.append(...)` of a product with a factor `xs[i]` (`xs.append(xs[-1] *
+    y)`).  A product reduced modulo an integer (`u = u * a % m`) is integer
+    residue arithmetic, such as the running terms of padic_exp and
+    padic_log, and is not one of them."""
+    def factors(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+            return factors(node.left) + factors(node.right)
+        return factors(node.operand) if isinstance(node, ast.UnaryOp) else [node]
+
+    def chain(name, value, kind):
+        """Whether value is a product or quotient with a factor `name`
+        (kind ast.Name) or `name[i]` (kind ast.Subscript)."""
+        return isinstance(value, ast.BinOp) and isinstance(value.op, (ast.Mult, ast.Div)) and any(
+            isinstance(factor, kind) and ast.unparse(getattr(factor, "value", factor)) == name
+            for factor in factors(value))
+
+    found = []
+
+    def visit(node, scope, in_loop):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name], False)
+                continue
+            if in_loop and (
+                    isinstance(child, ast.Assign) and len(child.targets) == 1
+                    and isinstance(child.targets[0], ast.Name)
+                    and chain(child.targets[0].id, child.value, ast.Name)
+                    or isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "append" and len(child.args) == 1
+                    and chain(ast.unparse(child.func.value), child.args[0], ast.Subscript)):
+                found.append(".".join(scope))
+            visit(child, scope, in_loop or isinstance(child, (ast.For, ast.AsyncFor)))
+
+    visit(ast.parse(source), [], False)
+    return found
+
+
+def test_no_power_or_factorial_chain():
+    # x^k, x^k k! and x^k/k! have one route: padic.power_sequence, which
+    # carries the chain's precisions as integers and forms one product per
+    # power; LocalField.powers runs it over K
+    found = [f"{path.stem}.{name}" for path in MODULES
+             for name in _power_chains(path.read_text())]
+    assert found == []
+
+
+def test_detects_a_power_chain():
+    source = ("def f(b, n):\n    out = [1]\n    for k in range(1, n):\n"
+              "        out.append(out[-1] * b / k)\n    return out\n"
+              "class C:\n    def g(self, x, n):\n        y = 1\n        for k in range(n):\n"
+              "            if k:\n                y = -x * y * k\n"
+              "            y = y + x * x\n            z = x * x\n"
+              "        y = y * x\n        return y, z\n"
+              "def h(x, n):\n    u, xs = 1, [1]\n    for _ in range(n):\n"
+              "        u = u * x % 7\n        xs.append(x * x)\n"
+              "        xs.append(x * xs[len(xs) - 1])\n    return u, xs\n")
+    assert _power_chains(source) == ["f", "C.g", "h"]
 
 
 def _val_none_tests(source):
