@@ -26,6 +26,8 @@ Every convergent series is summed with an a priori stop rule: each term comes
 with a proven lower bound on the valuation of every later term, and summation
 stops once that bound reaches the target precision, or the precision of every
 entry of the partial sum, so no dropped term can change a reported digit.
+exp's terms x^k/k! take the inverses of the units of k! from `factorials`:
+one modular inverse a sum.
 """
 
 from __future__ import annotations
