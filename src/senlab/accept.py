@@ -249,20 +249,37 @@ def criterion_5():
 
 
 def criterion_6():
-    """Cohomology of theta: h0 = h1 on 50 random modules; theta = 0 gives
-    (d, d); the rank-two nilpotent gives (1, 1); invertible theta gives
-    (0, 0).  Exact."""
+    """Cohomology of theta on 50 random modules of rank k <= d: h0 = h1,
+    theta kills the h0 basis, and theta's columns with the e_i of
+    h1_basis_indices span K^d, by a nonzero Berkowitz determinant rather than
+    elimination; theta = 0 gives (d, d); the rank-two nilpotent gives (1, 1);
+    invertible theta gives (0, 0).  Exact."""
     K = _ramified_base(40)
     Q5 = qp_field(5, 40)
     rng = random.Random(6)
     for trial in range(50):
         field = K if trial % 2 else Q5
         d = rng.randrange(1, 6)
+        k = rng.randrange(0, d + 1)
+        a = [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(d)]
+        b = [[rng.randrange(-4, 5) for _ in range(d)] for _ in range(k)]
         M = SenModule.from_int_matrix(
-            field, [[rng.randrange(-12, 13) for _ in range(d)] for _ in range(d)])
+            field, [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(d)] for i in range(d)])
         coh = cohomology(M)
         _require(coh.h0_dim == coh.h1_dim,
                  f"trial {trial}: h0 {coh.h0_dim} != h1 {coh.h1_dim}")
+        # the h0 vectors end at distinct coordinates, so they are independent;
+        # theta's other columns and the e_i then span K^d only if rank theta
+        # is d - h0 and the e_i span a complement of its image
+        theta, one, zero = M.matrix(), field.one(), field.zero()
+        ends = {max((j for j, x in enumerate(v) if not x.is_zero()), default=-1)
+                for v in coh.h0_basis}
+        cols = [[row[j] for row in theta] for j in range(d) if j not in ends] + \
+            [[one if i == j else zero for j in range(d)] for i in coh.h1_basis_indices]
+        _require(all(x.is_zero() for v in coh.h0_basis for x in linalg.mat_vec(theta, v, zero))
+                 and len(ends - {-1}) == coh.h0_dim and len(cols) == d
+                 and not linalg.charpoly_berkowitz(cols, one, zero)[0].is_zero(),
+                 f"trial {trial}: the h0 and h1 bases do not fit theta")
     coh = cohomology(SenModule.from_int_matrix(K, [[0, 0], [0, 0]]))
     _require((coh.h0_dim, coh.h1_dim) == (2, 2), "theta = 0 must give (2, 2)")
     coh = cohomology(SenModule.from_int_matrix(K, [[0, -1], [0, 0]]))

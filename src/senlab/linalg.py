@@ -14,15 +14,18 @@ other entries raise UsageError) and run integral Gauss-Jordan on rows of
 Python ints (one valuation shift per row, one precision per entry): pivot
 rows are never divided, the pivot rule is _select_pivot's, and every entry
 keeps the precision PadicScalar arithmetic would give it, so the digits
-match row_reduce's and are never fewer.  row_reduce, kernel_basis and det
-are generic Gauss-Jordan on scalar objects and serve FieldElement matrices
-(cohomology and the resultant oracle); over Q_p, row_reduce is the tests'
-oracle for the integral kernel.
+match row_reduce's and are never fewer.  row_reduce is the one elimination
+over K, generic Gauss-Jordan on scalar objects: its Reduction gives the
+reduced rows, the pivot columns, each row's original index and each pivot
+divided out.  kernel_basis reads the kernel off it, det the sign of its row
+order times its pivots, and cohomology both H^0 and H^1 from one pass over
+theta; over Q_p, row_reduce is the tests' oracle for the integral kernel.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .errors import PrecisionError, UsageError
 from .padic import PadicScalar, power, vp_int
@@ -94,23 +97,33 @@ def _select_pivot(candidates):
     return best[0]
 
 
-def row_reduce(mat):
-    """Row-reduce in place (on copies); returns (rows, pivot_cols, rank).
+class Reduction(NamedTuple):
+    """row_reduce's result.  rows is the reduced echelon form; its row k
+    came from row order[k] of the matrix, and for k < rank it was divided by
+    pivots[k], its entry in column pivot_cols[k]."""
+    rows: list
+    pivot_cols: list
+    rank: int
+    order: list
+    pivots: list
 
-    Standard Gauss-Jordan with valuation pivoting.
-    """
+
+def row_reduce(mat):
+    """Gauss-Jordan with valuation pivoting on a copy of mat: the one
+    elimination over K."""
     a = mat_copy(mat)
     n = len(a)
     m = len(a[0]) if n else 0
-    pivot_cols = []
-    r = 0
+    order, pivot_cols, pivots = list(range(n)), [], []
     for c in range(m):
+        r = len(pivots)
         if r >= n:
             break
         sel = _select_pivot([(i, *a[i][c].pivot_val()) for i in range(r, n)])
         if sel is None:
             continue
         a[r], a[sel] = a[sel], a[r]
+        order[r], order[sel] = order[sel], order[r]
         piv = a[r][c]
         a[r] = [x / piv for x in a[r]]
         for i in range(n):
@@ -119,8 +132,8 @@ def row_reduce(mat):
             f = a[i][c]
             a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivot_cols.append(c)
-        r += 1
-    return a, pivot_cols, r
+        pivots.append(piv)
+    return Reduction(a, pivot_cols, len(pivots), order, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +309,17 @@ def rank(mat) -> int:
     return len(_integral_lu(p, rows, top, len(mat[0])))
 
 
-def kernel_basis(mat, one, zero):
-    """Basis of the right kernel, from the reduced echelon form."""
-    if not mat:
-        return []
-    a, pivot_cols, _ = row_reduce(mat)
-    m = len(mat[0])
-    free_cols = [c for c in range(m) if c not in pivot_cols]
+def kernel_basis(reduction, one, zero):
+    """Basis of the right kernel, one vector per free column, read from a
+    row_reduce result."""
+    rows, pivot_cols = reduction.rows, reduction.pivot_cols
+    m = len(rows[0]) if rows else 0
     basis = []
-    for fc in free_cols:
-        vec = [zero for _ in range(m)]
+    for fc in (c for c in range(m) if c not in pivot_cols):
+        vec = [zero] * m
         vec[fc] = one
-        for row_idx, pc in enumerate(pivot_cols):
-            vec[pc] = -a[row_idx][fc]
+        for row, pc in zip(rows, pivot_cols):
+            vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 
@@ -325,23 +336,13 @@ def invert(mat, one, zero):
 
 
 def det(mat, one, zero):
-    """Determinant via elimination with valuation pivoting."""
-    a = mat_copy(mat)
-    n = len(a)
-    sign, pivots = 1, []
-    for c in range(n):
-        sel = _select_pivot([(i, *a[i][c].pivot_val()) for i in range(c, n)])
-        if sel is None:
-            return zero
-        if sel != c:
-            a[c], a[sel] = a[sel], a[c]
-            sign = -sign
-        piv = a[c][c]
-        pivots.append(piv)
-        for i in range(c + 1, n):
-            f = a[i][c] / piv
-            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return math.prod(pivots, start=-one if sign < 0 else one)
+    """Determinant of a square matrix: the sign of row_reduce's row order
+    times the product of its pivots, zero below full rank."""
+    red = row_reduce(mat)
+    if red.rank < len(mat):
+        return zero
+    odd = sum(i > j for k, i in enumerate(red.order) for j in red.order[k + 1:]) % 2
+    return math.prod(red.pivots, start=-one if odd else one)
 
 
 def charpoly_berkowitz(mat, one, zero):

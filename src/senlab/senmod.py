@@ -11,8 +11,8 @@ e = E'(pi), the field's different generator.  The module provides:
     module, on first use, and weights, the operator series and descent
     all read it and refuse a module that fails it;
   * integer weight multiplicities, read off char(theta) as its order of
-    vanishing at X = e n, cohomology of theta as kernel/cokernel,
-    tensor/dual/twist constructions;
+    vanishing at X = e n; cohomology of theta as kernel and cokernel, both
+    read from one elimination of theta; tensor/dual/twist constructions;
   * the semilinear operator series (1 + e b)^(theta/e)
       = sum_n (b^n/n!) prod_{i<n} (theta - e i) = exp(t theta),
     t = log(1 + e b)/e, whose convergence is exactly the classifier condition.
@@ -223,6 +223,9 @@ def ht_weights(M: SenModule, n_range=None):
 
 
 class CohomologyReport:
+    """H^0 and H^1 of theta: h0_basis spans its kernel, and the e_i for i
+    in h1_basis_indices span a complement of its image."""
+
     __slots__ = ("h0_dim", "h1_dim", "h0_basis", "h1_basis_indices")
 
     def __init__(self, h0_dim, h1_dim, h0_basis, h1_basis_indices):
@@ -236,13 +239,12 @@ class CohomologyReport:
 
 
 def cohomology(M: SenModule) -> CohomologyReport:
-    """Kernel and cokernel of theta on K^dim; dimensions always agree."""
-    mat = M.matrix()
-    kernel = linalg.kernel_basis(mat, M._one(), M._zero())
-    transpose = [[mat[j][i] for j in range(M.dim)] for i in range(M.dim)]
-    _, pivot_rows, r = linalg.row_reduce(transpose)
-    coker = [i for i in range(M.dim) if i not in pivot_rows]
-    return CohomologyReport(len(kernel), M.dim - r, kernel, coker)
+    """Kernel and cokernel of theta on K^dim from one row_reduce of theta:
+    the pivot rows span its row space, so the e_i of the other rows span a
+    complement of its image, and h1 = dim - rank = h0."""
+    red = linalg.row_reduce(M.matrix())
+    kernel = linalg.kernel_basis(red, M._one(), M._zero())
+    return CohomologyReport(len(kernel), M.dim - red.rank, kernel, sorted(red.order[red.rank:]))
 
 
 # ---------------------------------------------------------------------------

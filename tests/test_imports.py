@@ -6,9 +6,10 @@ a library module, exported or traced by the benchmark, every public method
 is named in the library or the demos or traced, no module sums products in
 a loop of its own (over K the one route is LocalField.dot, over Q_p gamma's
 integer kernels) or forms powers or factorials one product at a time (the
-one route is padic.power_sequence, behind LocalField.powers), and no module
-tests a scalar's `.val` against None (a zero to precision stores val =
-prec)."""
+one route is padic.power_sequence, behind LocalField.powers), no function
+but linalg.row_reduce (over K) and linalg._integral_lu (over Q_p) chooses
+pivots, and no module tests a scalar's `.val` against None (a zero to
+precision stores val = prec)."""
 
 import ast
 import importlib.util
@@ -243,6 +244,42 @@ def test_detects_a_hand_rolled_sum():
               "        out[i] = out[i] + x * v[i]\n        out[0] = out[1] + x * x\n"
               "    return out\n")
     assert _hand_rolled_sums(source) == ["f", "C.g", "h"]
+
+
+def _pivot_choosers(source):
+    """module-relative qualified name of each function that calls
+    _select_pivot, by name or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and "_select_pivot" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_one_elimination_per_representation():
+    # over K the one elimination is row_reduce, read by kernel_basis, det and
+    # cohomology; over Q_p it is the integral kernel _integral_lu
+    found = sorted({f"{path.stem}.{name}" for path in MODULES
+                    for name in _pivot_choosers(path.read_text())})
+    assert found == ["linalg._integral_lu", "linalg.row_reduce"]
+
+
+def test_detects_a_second_elimination():
+    source = ("def f(a):\n    return _select_pivot(a)\n"
+              "class C:\n    def g(self, a):\n        for c in a:\n"
+              "            sel = linalg._select_pivot([c])\n        return sel\n"
+              "def h(a):\n    pick = lambda x: _select_pivot(x)\n    return pick(a)\n"
+              "def k(a):\n    return select_pivot(a), _select_pivot\n")
+    assert _pivot_choosers(source) == ["f", "C.g", "h"]
 
 
 def _power_chains(source):

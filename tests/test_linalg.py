@@ -6,9 +6,12 @@ PadicScalar matrix is refused; the elimination entry points take Q_p
 matrices only."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gauss_jordan import lu_det
 from senlab import linalg
 from senlab.errors import UsageError
 from senlab.field import (FieldElement, LocalFieldSpec, _fp_mul, _fp_rem, build_field,
@@ -150,3 +153,64 @@ def test_mat_mul_matches_itj_loop(kind, seed):
     got, want = linalg.mat_mul(a, b, zero), _mat_mul_itj(a, b, zero)
     assert [[(x.vec, x.shift, x.prec) for x in row] for row in got] == \
         [[(x.vec, x.shift, x.prec) for x in row] for row in want]
+
+
+# Q_5, Q_3(sqrt 3) and Q_3(3^(1/4)) for the determinant
+DET_FIELDS = (qp_field(5, 30), K2, eisenstein_field(3, [-3, 0, 0, 0, 1], 24))
+
+
+def _exact_det(ints):
+    """The determinant of an integer matrix, by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in ints]
+    out = Fraction(1)
+    for c in range(len(a)):
+        i = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if i is None:
+            return 0
+        if i != c:
+            a[c], a[i], out = a[i], a[c], -out
+        out *= a[c][c]
+        for k in range(c + 1, len(a)):
+            f = a[k][c] / a[c][c]
+            a[k] = [x - f * y for x, y in zip(a[k], a[c])]
+    return int(out)
+
+
+@st.composite
+def det_matrices(draw):
+    """A field of DET_FIELDS and an n x n integer matrix, n <= 6: of rank k <=
+    n as a product of n x k and k x n matrices in a third of the draws, else
+    with entries p^j c that take row swaps to pivot on."""
+    K = draw(st.sampled_from(DET_FIELDS))
+    n = draw(st.integers(0, 6))
+    entry = st.builds(lambda j, c: K.p ** j * c, st.integers(0, 2), st.integers(-9, 9))
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, n))
+        a = [[draw(entry) for _ in range(k)] for _ in range(n)]
+        b = [[draw(entry) for _ in range(n)] for _ in range(k)]
+        return K, [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+    return K, [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=150)
+@given(case=det_matrices())
+def test_det_against_exact_and_lu(case):
+    K, ints = case
+    mat = [[K.from_int(x) for x in row] for row in ints]
+    got = linalg.det(mat, K.one(), K.zero())
+    want = lu_det(mat, K.one(), K.zero())
+    # every claimed digit is the exact integer's, and the digits claimed are the LU route's
+    assert (got - K.from_int(_exact_det(ints))).is_zero()
+    assert (got.vec, got.shift, got.prec) == (want.vec, want.shift, want.prec)
+
+
+@pytest.mark.parametrize("ints, value", [
+    ([[0, 1], [1, 0]], -1),                     # a swap before the first pivot
+    ([[3, 1, 0], [1, 2, 0], [0, 0, 9]], 45),    # the unit pivots first
+    ([[1, 2], [2, 4]], 0),                      # rank 1: the singular branch
+    ([[0, 0], [0, 5]], 0),                      # a column with no pivot
+    ([], 1),
+])
+def test_det_cases(ints, value):
+    got = linalg.det([[K2.from_int(x) for x in row] for row in ints], K2.one(), K2.zero())
+    assert (got - K2.from_int(value)).is_zero() and got.prec == K2.prec

@@ -13,7 +13,7 @@ from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageEr
 from senlab.field import (FieldElement, LocalField, LocalFieldSpec, build_field,
                           cyclotomic_field, eisenstein_field, qp_field)
 from senlab.padic import (PadicScalar, exp_domain_threshold, newton_polygon, padic_exp,
-                          padic_log, series_converged, vp_int)
+                          padic_log, require_prime, series_converged, vp_int)
 from senlab.senmod import SenModule, nearly_ht_test, operator_series, operator_series_apply
 
 S = PadicScalar
@@ -48,6 +48,11 @@ class TestScalarArith:
     def test_mixed_primes_rejected(self):
         with pytest.raises(UsageError):
             S.from_int(1, 3, 10) + S.from_int(1, 5, 10)
+
+    @pytest.mark.parametrize("p", [41, 1009, 2 ** 31 - 1])
+    def test_primes_past_the_witnesses_accepted(self, p):
+        # Miller-Rabin, not the table of witnesses, accepts them
+        assert require_prime(p) is None
 
     def test_scalar_first_mixed_with_field_element(self):
         # a scalar on the left defers to the other operand instead of reading its .p

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gauss_jordan import gj_invert
-from senlab import linalg
+from senlab import linalg, senmod
 from senlab.accept import char_poly_of_twist_via_resultant
 from senlab.dpseries import DPSeries, coaction
 from senlab.errors import ConvergenceError, DomainError, PrecisionError, UsageError
@@ -339,6 +339,17 @@ class TestCohomology:
         units = [[int(i == j) for i in range(d)] for j in c.h1_basis_indices]
         assert len(exact_pivot_columns(columns + units)) == d
 
+    def test_one_elimination_of_theta(self, K, monkeypatch):
+        # kernel, cokernel and both dimensions come from one row_reduce of theta
+        M = SenModule.from_int_matrix(K, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+        calls = []
+        row_reduce = linalg.row_reduce
+        monkeypatch.setattr(linalg, "row_reduce",
+                            lambda mat: calls.append(mat) or row_reduce(mat))
+        c = cohomology(M)
+        assert calls == [M.matrix()]
+        assert (c.h0_dim, c.h1_dim) == (1, 1)
+
     def test_zero_map(self, K):
         c = cohomology(SenModule.from_int_matrix(K, [[0, 0], [0, 0]]))
         assert (c.h0_dim, c.h1_dim) == (2, 2)
@@ -443,6 +454,32 @@ class TestOperatorSeries:
         M = SenModule.diagonal_weights(K, [0, 1, 2])
         with pytest.raises(UsageError, match="%d entries; .* dimension 3" % size):
             operator_series_apply(M, K.from_int(3), [K.one()] * size)
+
+    def test_second_pass_at_v_of_n_factorial(self, monkeypatch):
+        # over Q_2(i), pi = i - 1, at 20 digits, weights (-3, 0) and b = pi: the
+        # first pass leaves (1 + e b)^-3 a digit short of its claim, so the
+        # sum is formed again with 1/k! at v(n!) more digits
+        K = eisenstein_field(2, [2, 2, 1], 20)
+        M = SenModule.diagonal_weights(K, [-3, 0])
+        passes = []
+        reciprocals = senmod.reciprocals
+        monkeypatch.setattr(senmod, "reciprocals", lambda p, rel, n, factorial: (
+            passes.append(rel) if factorial else None) or reciprocals(p, rel, n, factorial))
+        s = operator_series(M, K.pi)
+        assert len(passes) == 2 and passes[1] > passes[0]
+        g = K.one() + K.different_e * K.pi
+        for x, want in ((s[0][0], g.inverse() ** 3), (s[1][1], K.one())):
+            assert x.prec == 20 and (x - want).is_zero()
+        assert s[0][1].is_zero() and s[1][0].is_zero()
+
+    def test_b_as_int_or_scalar(self):
+        # an int or a PadicScalar b is K.from_scalar of it
+        K = eisenstein_field(2, [2, 2, 1], 20)
+        M = SenModule.diagonal_weights(K, [-3, 1])
+        triples = lambda m: [[(x.vec, x.shift, x.prec) for x in row] for row in m]
+        want = triples(operator_series(M, K.from_int(6)))
+        assert triples(operator_series(M, 6)) == want
+        assert triples(operator_series(M, S.from_int(6, 2, 20))) == want
 
     def test_zero_dimensional_module_sums_the_empty_series(self, K):
         M = SenModule(K, [])
