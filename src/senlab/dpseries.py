@@ -13,10 +13,10 @@ additive coordinate log(1 + e a)/e is one integer matrix of Stirling numbers
 times powers of e; `dp_compose` is the general composition.  The product,
 the substitution and the coordinate change each pack their series once, at
 the least shift and the smallest modulus p^R, into Kronecker blocks of one
-integer (`_pack`), multiply, and reduce each output degree once through the
-field's table; two bounded series whose products all reach K.prec skip the
-degree-by-degree precisions.  Their b^k/k!, (1 + e b)^m and e^j, and log_t's
-(-e)^(n-1) (n-1)!, are LocalField.powers sequences; n! is padic.factorials'.
+integer (`LocalField._pack_blocks`), multiply, and reduce each output degree
+once (`_reduce_blocks`); two bounded series whose products all reach K.prec
+skip the degree-by-degree precisions.  Their b^k/k!, (1 + e b)^m and e^j, and
+log_t's (-e)^(n-1) (n-1)!, are LocalField.powers sequences; n! is factorials'.
 
 Coefficients are only guaranteed through `valid_to`: applying theta loses the
 top degree, since the incoming coefficient above the truncation is unknown.
@@ -83,40 +83,6 @@ class DPSeries:
         return f"DPSeries(trunc={self.trunc}, valid_to={self.valid_to})"
 
 
-def _pack(K, blocks, R, w):
-    """One integer whose block i, len(K._table) Kronecker slots of w bits,
-    holds the coordinates of p^k u x modulo p^R for blocks[i] = (x, k, u),
-    u an int taken as its nonnegative residue; empty for a zero x or k >= R."""
-    p, mod, size = K.p, K.p ** R, len(K._table) * w // 8
-    out = []
-    for x, k, u in blocks:
-        block = 0
-        if k < R and not x.is_zero():
-            scale = p ** k * u % mod
-            for a, slot in zip(x.vec, K._slots):
-                block |= a * scale % mod << w * slot
-        out.append(block.to_bytes(size, "little"))
-    return int.from_bytes(b"".join(out), "little")
-
-
-def _width(K, R, terms):
-    """The slot width, a multiple of 64 bits, for sums of `terms` products of
-    two packed elements, each slot below p^R, and for their reduction, which
-    adds below len(table) p^(R + M + e_ram) to such a sum in a basis slot: a
-    bit above the larger of the two, past degree 1, where nothing is added."""
-    mod = K.p ** R
-    return -(-(mod * max(terms * K.degree * mod, len(K._table) * K._table_mod)
-               << (K.degree > 1)).bit_length() // 64) * 64
-
-
-def _blocks(K, total, R, w, n):
-    """Blocks 0..n-1 of total, each reduced once through K's table modulo p^R."""
-    size = len(K._table) * w // 8
-    data = total.to_bytes(max(n * size, -(-total.bit_length() // 8)), "little")
-    return [K._reduce(int.from_bytes(data[i * size:(i + 1) * size], "little"), w, K.p ** R)
-            for i in range(n)]
-
-
 def _low(xs):
     """The least shift of the nonzero elements of xs; 0 when there are none."""
     return min((x.shift for x in xs if not x.is_zero()), default=0)
@@ -137,9 +103,9 @@ def dp_mul(f: DPSeries, g: DPSeries) -> DPSeries:
     rule for the scalar C(n, i); when the bounds of f and g show every product
     reaching N with v(f_i g_j) >= 0, that is N.  R is the most any degree
     needs.  The table is exact to p^(M + e_ram), and by the cap of `_reach`
-    each precision is within M of its terms' least valuation; `_width` holds
-    the sums and their reduction.  Reduction is linear and an element is
-    canonical modulo p^prec, so every coefficient is the sequential sum's.
+    each precision is within M of its terms' least valuation.  Reduction is
+    linear and an element is canonical modulo p^prec, so every coefficient is
+    the sequential sum's.
     """
     f._check_compatible(g)
     K = f.field
@@ -171,13 +137,13 @@ def dp_mul(f: DPSeries, g: DPSeries) -> DPSeries:
 
     R, c, lows = min(modulus(0), modulus(1))
     _, units, inverses = factorials(p, trunc, p ** R)   # n! = p^vfact[n] units[n]
-    w = _width(K, R, trunc + 1)
+    w = K._block_width(R, trunc + 1)
     prod = 1
     for xs, low in zip((fs, gs), lows):
-        prod *= _pack(K, [(x, x.shift - v + c * i - low, inverse) for i, (x, v, inverse)
-                          in enumerate(zip(xs, vfact, inverses))], R, w)
+        prod *= K._pack_blocks([(x, x.shift - v + c * i - low, inverse) for i, (x, v, inverse)
+                                in enumerate(zip(xs, vfact, inverses))], R, w)
     out = [FieldElement(K, [a * u for a in block], sum(lows) + v - c * n, q)
-           for n, (block, q, v, u) in enumerate(zip(_blocks(K, prod, R, w, trunc + 1),
+           for n, (block, q, v, u) in enumerate(zip(K._reduce_blocks(prod, R, w, trunc + 1),
                                                      precs, vfact, units))]
     return DPSeries(K, out, e=f.e, valid_to=min(f.valid_to, g.valid_to, trunc))
 
@@ -241,9 +207,10 @@ def coaction(f: DPSeries, b: FieldElement) -> DPSeries:
                  for m in range(trunc + 1)]
     lc, lb = _low(c), _low(b_over_fact)
     R = max(1, max(precs) - lc - lb)
-    w = _width(K, R, trunc + 1)
-    sums = _blocks(K, _pack(K, [(x, x.shift - lc, 1) for x in reversed(c)], R, w)
-                   * _pack(K, [(x, x.shift - lb, 1) for x in b_over_fact], R, w), R, w, trunc + 1)
+    w = K._block_width(R, trunc + 1)
+    sums = K._reduce_blocks(K._pack_blocks([(x, x.shift - lc, 1) for x in reversed(c)], R, w)
+                            * K._pack_blocks([(x, x.shift - lb, 1) for x in b_over_fact], R, w),
+                            R, w, trunc + 1)
     scales = K.powers(K.one() + f.e * b, trunc)
     out = [FieldElement(K, sums[trunc - m], lc + lb, q) * scale
            for m, (q, scale) in enumerate(zip(precs, scales))]
@@ -341,13 +308,13 @@ def gsharp_transport(f: DPSeries, direction: str) -> DPSeries:
     precs = [min(q, x.prec) for q, x in zip(precs, c)]
     lc, le = _low(c[1:]), min(0, _low(e_pow[1:]))
     R = max([1] + [q - lc - le for q in precs[1:]])
-    w = _width(K, R, trunc + 1)
-    size = len(K._table) * w
-    total = _pack(K, [(x, x.shift - lc - le, 1) for x in c[1:]], R, w) << size
+    w = K._block_width(R, trunc + 1)
+    size = K._block_bits(w)
+    total = K._pack_blocks([(x, x.shift - lc - le, 1) for x in c[1:]], R, w) << size
     for j in range(1, trunc):
-        total += _pack(K, [(e_pow[j], e_pow[j].shift - le, 1)], R, w) * (_pack(
-            K, [(c[m - j], c[m - j].shift - lc, rows[m][m - j]) for m in range(j + 1, trunc + 1)],
+        total += K._pack_blocks([(e_pow[j], e_pow[j].shift - le, 1)], R, w) * (K._pack_blocks(
+            [(c[m - j], c[m - j].shift - lc, rows[m][m - j]) for m in range(j + 1, trunc + 1)],
             R, w) << (j + 1) * size)
     out = [FieldElement(K, block, lc + le, q)
-           for block, q in zip(_blocks(K, total, R, w, trunc + 1)[1:], precs[1:])]
+           for block, q in zip(K._reduce_blocks(total, R, w, trunc + 1)[1:], precs[1:])]
     return DPSeries(K, [c[0]] + out, e=f.e, valid_to=f.valid_to)

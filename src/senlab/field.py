@@ -11,28 +11,31 @@ p^(N - s) and not all divisible by p.  So v(x) = s + i0/e_ram with i0 the
 first u-degree holding a coordinate prime to p.
 
 Each field precomputes the reduction table y^j u^i mod (g, E) for
-j < 2f - 1, i < 2 e_ram - 1 and the trace form Tr(b_t) read off it.  Every
-sum of products over K is one big-integer sum of Kronecker-packed products
-and one table reduction (LocalField._packed_sum: the basis slots kept in
-place, the other rows added), whose coordinates make the element with no
-second reduction; LocalField.dot gives it each product's
-precision, a product x y is its one-term case, and each entry of a matrix
-product (LocalField.mat_mul, behind linalg.mat_mul and mat_vec) and of a
-Horner step of the operator series (senmod, exp(t theta)) is one such sum.
-A trace is a dot product with the trace form, an inverse is a Newton
-iteration from the residue-field inverse, kept on a divisor for its later
-quotients, and LocalField.powers forms x^k, x^k k! or x^k/k! with the
-chain's precisions, one vector product per power.  Precision follows the scalar rules with field valuations, rounded
-down to an integer:
+j < 2f - 1, i < 2 e_ram - 1 and the trace form Tr(b_t) read off it; no
+other module reads them.  Every sum of products over K is one big-integer
+sum of Kronecker-packed products and one table reduction
+(LocalField._packed_sum: the basis slots kept in place, the other rows
+added), whose coordinates make the element with no second reduction;
+LocalField.dot gives it each product's precision, a product x y is its
+one-term case, and each entry of a matrix product (LocalField.mat_mul,
+behind linalg.mat_mul and mat_vec) and of a Horner step of the operator
+series (senmod, exp(t theta)) is one such sum.  The dpseries kernels pack
+whole series as blocks of one integer (LocalField._pack_blocks, at the
+_block_width) and reduce each block once (_reduce_blocks).  A trace is a
+dot product with the trace form, an inverse is a Newton iteration from the
+residue-field inverse, kept on a divisor for its later quotients, and
+LocalField.powers forms x^k, x^k k! or x^k/k! with the chain's precisions,
+one vector product per power.  Precision follows the scalar rules with
+field valuations, rounded down to an integer, and a product, quotient or
+trace claims at most LocalField.cap digits past its shift: the precision M
+of the defining polynomials, unbounded over Q_p.
 
     add/sub : min(N_x, N_y)
     mul     : min(N_x + v(y), N_y + v(x))
     div     : min(N_x - v(y), N_y + v(x) - 2 v(y))
 
-A product or quotient never claims more than M digits past its shift, M the
-precision of the defining polynomials.  The module also provides residues,
-defining-relation-checked substitutions and the different generator
-e = E'(pi).
+The module also provides residues, defining-relation-checked substitutions
+and the different generator e = E'(pi).
 """
 
 from __future__ import annotations
@@ -192,6 +195,7 @@ class LocalField:
         p, f, e, d = self.p, self.f, self.e_ram, self.degree
         coeffs = self.g + [c for coeff in self.E for c in coeff]
         self.table_prec = M = min([self.prec] + [c.prec for c in coeffs])
+        self.cap = M if d > 1 else inf              # Q_p has no relation to reduce by
         mod = p ** (M + e)
         g = [c.lift() for c in self.g]
         E = [[c.lift() for c in self._padded(coeff)] for coeff in self.E]
@@ -286,8 +290,8 @@ class LocalField:
         e = self.e_ram
         q = min(e * x.prec + y._v(), e * y.prec + x._v()) // e
         t = x.shift + y.shift
-        if q > t + self.table_prec and self.degree > 1:
-            q = t + self.table_prec
+        if q > t + self.cap:
+            q = t + self.cap
         return t, q
 
     def _scalar_product(self, x, s):
@@ -337,6 +341,40 @@ class LocalField:
             total += pows[t - m] * pa[1] * b
         return FieldElement._reduced(self, self._reduce(total, w, modulus), m, n)
 
+    def _block_bits(self, w):           # one Kronecker block: len(table) slots of w bits
+        return len(self._table) * w
+
+    def _pack_blocks(self, blocks, R, w):
+        """One integer whose block i, `_block_bits(w)` wide, holds the
+        coordinates of p^k u x modulo p^R for blocks[i] = (x, k, u), u an int
+        taken as its nonnegative residue; empty for a zero x or k >= R."""
+        p, mod, size, slots = self.p, self.p ** R, self._block_bits(w) // 8, self._slots
+        out = []
+        for x, k, u in blocks:
+            block = 0
+            if k < R and not x.is_zero():
+                scale = p ** k * u % mod
+                for a, slot in zip(x.vec, slots):
+                    block |= a * scale % mod << w * slot
+            out.append(block.to_bytes(size, "little"))
+        return int.from_bytes(b"".join(out), "little")
+
+    def _block_width(self, R, terms):
+        """The slot width, a multiple of 64 bits, for sums of `terms` products of
+        two packed elements, each slot below p^R, and for their reduction, which
+        adds below len(table) p^(R + M + e_ram) to such a sum in a basis slot: a
+        bit above the larger of the two, past degree 1, where nothing is added."""
+        mod = self.p ** R
+        return -(-(mod * max(terms * self.degree * mod, self._table_bound)
+                   << (self.degree > 1)).bit_length() // 64) * 64
+
+    def _reduce_blocks(self, total, R, w, n):
+        """Blocks 0..n-1 of total, each reduced once through the table modulo p^R."""
+        size, m = self._block_bits(w) // 8, self.p ** R
+        data = total.to_bytes(max(n * size, -(-total.bit_length() // 8)), "little")
+        return [self._reduce(int.from_bytes(data[i * size:(i + 1) * size], "little"), w, m)
+                for i in range(n)]
+
     def mat_mul(self, a, b, zero, bounds=None):
         """The matrix product over K, each entry dot(row, column, zero) with its
         (vec, shift, prec).  When `_reach` shows that every product of a row's
@@ -375,8 +413,8 @@ class LocalField:
         grows with each entry, so for `_bound`'s triples of two lines it bounds
         every product of an entry of one by an entry of the other from below."""
         q = min(self.e_ram * x[0] + y[1], self.e_ram * y[0] + x[1]) // self.e_ram
-        cap = x[2] + y[2] + self.table_prec
-        return cap if self.degree > 1 and q > cap else q
+        top = x[2] + y[2] + self.cap
+        return top if q > top else q
 
     def _unit_inverse(self, w, prec):
         """Inverse of a unit vector modulo p^prec: w^(q-2) inverts it modulo pi,
@@ -413,10 +451,10 @@ class LocalField:
     def powers(self, x, n, factorial=0):
         """x^k (factorial 0), x^k k! (1) or x^k/k! (-1) for 0 <= k <= n, each
         with the (vec, shift, prec) of the chain from one() by __mul__ and k:
-        padic.power_sequence on _mul_vec, under _product's table cap."""
+        padic.power_sequence on _mul_vec, under `cap`."""
         return [FieldElement._reduced(self, *y) for y in power_sequence(
             self.p, (x.vec, x.shift, x.prec, x._v()), n, self.prec, factorial, self._mul_vec,
-            self.e_ram, self.table_prec if self.degree > 1 else inf)]
+            self.e_ram, self.cap)]
 
     # -- element constructors -------------------------------------------------
 
@@ -430,10 +468,6 @@ class LocalField:
         """The elements b_t = y^j u^i, t = j * e_ram + i."""
         return [FieldElement(self, [int(s == t) for s in range(self.degree)], 0, self.prec)
                 for t in range(self.degree)]
-
-    def basis_traces(self):
-        """Tr(b_t) for every basis element, read off the trace form."""
-        return [PadicScalar.from_residue(self.p, t, self.table_prec) for t in self._trace_form]
 
     def from_grid(self, rows):
         """Element from an f x e_ram grid of PadicScalars (coefficient of y^j u^i
@@ -615,8 +649,7 @@ class FieldElement:
         i0 = vy % e
         # self / other = p^shift * x * q with q = p^i0 / y
         shift = self.shift - other.shift - i0
-        if K.degree > 1:
-            prec = min(prec, shift + i0 + K.table_prec)
+        prec = min(prec, shift + i0 + K.cap)
         if prec <= shift or self.is_zero():
             return FieldElement(K, self.vec, prec, prec)
         # p^i0 / y, kept on y at the most digits a quotient by y takes: unique
@@ -624,14 +657,13 @@ class FieldElement:
         inv = other._inverse
         if inv is None:
             rel = other.prec - other.shift
-            inv = other._inverse = K._inv_vec(other.vec, i0, i0 + (
-                min(rel, K.table_prec) if K.degree > 1 else rel))
+            inv = other._inverse = K._inv_vec(other.vec, i0, i0 + min(rel, K.cap))
         out = FieldElement(K, K._mul_vec(self.vec, inv, K.p ** (prec - shift)), shift, prec)
         # Against a field whose relations move by p^M, y out = x + delta with
         # v_p(delta) >= M + s_y + s_out, so the quotient moves by at least
         # M + s_out - i0/e.
-        cap = out.shift + K.table_prec - (i0 > 0)
-        return out.truncated(cap) if K.degree > 1 and cap < prec else out
+        top = out.shift + K.cap - (i0 > 0)
+        return out.truncated(top) if top < prec else out
 
     def inverse(self):
         return self.field.one() / self
@@ -670,15 +702,14 @@ def valuation(x: FieldElement, normalize: str = "p"):
 def trace_to_Qp(x: FieldElement) -> PadicScalar:
     """Tr_{K|Q_p}(x): the dot product of x with the trace form."""
     K = x.field
-    prec = x.prec if K.degree == 1 else min(x.prec, x.shift + K.table_prec)
     return PadicScalar.from_residue(K.p, sum(c * t for c, t in zip(x.vec, K._trace_form)),
-                                    prec, x.shift)
+                                    min(x.prec, x.shift + K.cap), x.shift)
 
 
 def residue(x: FieldElement):
     """Image in the residue field F_p[y]/(g mod p), as a coefficient tuple."""
     exact, v = x.pivot_val()
-    if v < 0:
+    if exact and v < 0:
         raise DomainError("residue of an element of negative valuation")
     if x.prec < 1:
         raise PrecisionError("no digit available for residue")
@@ -698,7 +729,8 @@ class FieldEmbedding:
         self.src, self.dst = src, dst
         for img in (y_image, u_image):
             if img.val_bound() < 0:
-                raise DomainError("substitution images must be integral")
+                raise PrecisionError("a substitution image is zero to precision %d" % img.prec) \
+                    if img.is_zero() else DomainError("substitution images must be integral")
         g_res = _eval_scalar_poly(src.g, y_image, dst)
         if not g_res.is_zero():
             raise DomainError(

@@ -159,7 +159,8 @@ def witness_of_order(field: LocalField, k: int) -> FieldElement:
     if k < 0:
         raise UsageError("order exponent must be >= 0")
     best = None
-    for b, t in zip(field.basis(), field.basis_traces()):
+    for b in field.basis():
+        t = trace_to_Qp(b)
         if not t.is_zero() and (best is None or t.val < best[0]):
             best = (t.val, b)
     if best is None:

@@ -340,8 +340,7 @@ def _horner(K, cols, xs, coefs, prec):
     once, below p^(prec - t) for t the least shift of its products, and reads
     each factor's (shift, prec, floor v) once; dot's n, the least precision of
     a product by _scalar_product's and _product's rules, is then integer sums."""
-    e, s, out = K.e_ram, len(cols), None
-    cap = K.table_prec if K.degree > 1 else math.inf        # _product's table cap
+    e, s, out, cap = K.e_ram, len(cols), None, K.cap
     kept = lambda x: (x.shift, x.prec, x._v() // e, x)
     lines = [[list(map(kept, line)) for line in zip(*row_a)] for row_a in zip(*cols)]
     least = [min([x.shift for row in t for x in row]) for t in cols]

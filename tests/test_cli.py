@@ -257,6 +257,39 @@ class TestExitCodes:
         assert rep["error"]["message"] == (
             "operator series needs v(b) + min(v(theta), v(e)) > 1/(p-1) = 1/2; got 1/2")
 
+    def test_residue_and_image_of_a_zero_below_one_digit_are_4(self, capsys, field_file):
+        # a zero to precision -2 fixes no digit: exit 4, where an element of
+        # valuation -1 is proven non-integral: exit 3
+        zero = json.dumps({"coeffs": [[{"val": None, "unit": "0", "prec": -2}, "0"]]})
+        negative = json.dumps({"coeffs": [[{"val": -1, "unit": "1", "prec": 0}, "0"]]})
+        one = json.dumps({"coeffs": [["1", "0"]]})
+        for elem, code, message in [(zero, 4, "no digit available for residue"),
+                                    (negative, 3, "residue of an element of negative valuation")]:
+            got, rep = run_cli(capsys, "field", "residue", "--field", field_file, "--elem", elem)
+            assert (got, rep["error"]["message"]) == (code, message)
+        for image, code, message in [(zero, 4, "a substitution image is zero to precision -2"),
+                                     (negative, 3, "substitution images must be integral")]:
+            got, rep = run_cli(capsys, "field", "substitute", "--field", field_file,
+                               "--elem", one, "--y-image", one, "--u-image", image)
+            assert (got, rep["error"]["message"]) == (code, message)
+
+    @pytest.mark.parametrize("prec, code", [(2, 2), (3, 0)])
+    def test_twist_zero_to_precision_is_2(self, capsys, tmp_path, prec, code):
+        # Q_2(zeta_8), E = (1 + u)^4 + 1, builds at 2 digits with E'(pi) = O(2^2);
+        # modules and series refuse that twist, and take it at 3 digits
+        spec = tmp_path / "z8.json"
+        spec.write_text(json.dumps({"p": 2, "prec": prec, "unramified_poly": ["-1", "1"],
+                                    "eisenstein_poly": [["2"], ["4"], ["6"], ["4"], ["1"]]}))
+        got, rep = run_cli(capsys, "field", "build", "--spec", str(spec))
+        assert got == 0 and rep["v_e"] == {"num": "2", "den": "1"}
+        assert all((c["val"] is None) == (prec == 2) for c in rep["different_e"]["coeffs"][0])
+        theta = json.dumps({"theta": [[{"coeffs": [["0"] * 4]}]]})
+        for argv in [("senmod", "char-poly", "--theta", theta), ("dps", "log-t", "--trunc", "3")]:
+            got, rep = run_cli(capsys, *argv[:2], "--field", str(spec), *argv[2:])
+            assert got == code
+            if code:
+                assert rep["error"]["message"] == "the twist parameter e must be nonzero"
+
     @pytest.mark.parametrize("eis, prec, code", [
         ([["0"], ["0"], ["1"]], 1, 4), ([["9"], ["3"], ["1"]], 1, 4),
         ([["3"], ["0"], ["1"]], 1, 4), ([["-3"], ["0"], ["1"]], 2, 0)])

@@ -186,8 +186,8 @@ class TestMultiplication:
         # modulus from 3^152 to 3^110 and the slots from 512 to 384 bits
         K = eisenstein_field(3, [-3, 0, 1], 60)
         f = DPSeries(K, [K.from_int(n + 1) for n in range(97)])
-        widths, width = [], dpseries._width
-        monkeypatch.setattr(dpseries, "_width",
+        widths, width = [], LocalField._block_width
+        monkeypatch.setattr(LocalField, "_block_width",
                             lambda K, R, terms: widths.append(R) or width(K, R, terms))
         assert _triples(dp_mul(f, f)) == _triples(_entrywise_dp_mul(f, f))
         assert widths == [110] and width(K, 110, 97) == 384 and width(K, 152, 97) == 512
@@ -574,10 +574,10 @@ def test_slots_at_the_width_rule_hold_the_largest_sums():
              if (terms * 3 ** (2 * R)).bit_length() % 64 < 2]
     assert len(cases) >= 6
     for R, terms in cases:
-        w = dpseries._width(K, R, terms)
+        w = K._block_width(R, terms)
         assert w == -(-(terms * 3 ** (2 * R)).bit_length() // 64) * 64
-        packed = dpseries._pack(K, [(FieldElement(K, [3 ** R - 1], 0, R), 0, 1)] * terms, R, w)
-        assert dpseries._blocks(K, packed * packed, R, w, terms) == \
+        packed = K._pack_blocks([(FieldElement(K, [3 ** R - 1], 0, R), 0, 1)] * terms, R, w)
+        assert K._reduce_blocks(packed * packed, R, w, terms) == \
             [[n + 1] for n in range(terms)]
     # past degree 1 the reduction keeps the basis slots in place, unreduced,
     # and adds the other rows' multiples onto them, so the rule takes a bit
@@ -591,11 +591,11 @@ def test_slots_at_the_width_rule_hold_the_largest_sums():
              if (2 * larger(R, terms)).bit_length() % 64 < 2]
     assert len(cases) >= 6
     for R, terms in cases:
-        w = dpseries._width(K, R, terms)
+        w = K._block_width(R, terms)
         assert w == -(-(2 * larger(R, terms)).bit_length() // 64) * 64
         x = FieldElement(K, [3 ** R - 1] * 2, 0, R)
-        packed = dpseries._pack(K, [(x, 0, 1)] * terms, R, w)
-        assert dpseries._blocks(K, packed * packed, R, w, terms) == \
+        packed = K._pack_blocks([(x, 0, 1)] * terms, R, w)
+        assert K._reduce_blocks(packed * packed, R, w, terms) == \
             [[4 * (n + 1) % 3 ** R, 2 * (n + 1) % 3 ** R] for n in range(terms)]
 
 

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from senlab.dpseries import DPSeries
 from senlab.errors import DomainError, PrecisionError, UsageError
 from senlab.field import (FieldElement, FieldEmbedding, LocalFieldSpec, build_field,
                           cyclotomic_field, eisenstein_field, qp_field, residue,
                           scalar_embedding, trace_to_Qp, valuation)
 from senlab.padic import PadicScalar
+from senlab.senmod import SenModule
 
 S = PadicScalar
 
@@ -49,6 +51,21 @@ class TestBuild:
         e = K3.different_e
         assert (e - K3.from_int(2) * K3.pi).is_zero()
         assert e.valuation() == Fraction(1, 2)
+
+    def test_a_twist_zero_to_precision_is_refused(self):
+        # Q_2(zeta_8) at 2 digits, E = (1 + u)^4 + 1: the field builds, but
+        # E'(pi) = 4 zeta^3 is O(2^2), and neither a module nor a series takes it
+        K = cyclotomic_field(2, 3, 2)
+        assert K.different_e.is_zero() and K.different_e.prec == 2
+        with pytest.raises(UsageError, match="the twist parameter e must be nonzero"):
+            SenModule(K, [[K.zero()]])
+        with pytest.raises(UsageError, match="the twist parameter e must be nonzero"):
+            DPSeries.one(K, 3)
+        # at 3 digits E'(pi) has the valuation 2 and both take it
+        K = cyclotomic_field(2, 3, 3)
+        assert K.different_e.valuation() == 2
+        assert SenModule(K, [[K.zero()]]).e is K.different_e
+        assert DPSeries.one(K, 3).e is K.different_e
 
     def test_degree_four_tower(self):
         L = build_field(LocalFieldSpec(3, [1, 0, 1], [[-3], [-6], [1]], 30))
@@ -250,6 +267,18 @@ class TestTraceResidue:
         L = build_field(LocalFieldSpec(3, [1, 0, 1], [[-3], [1]], 30))
         assert residue(L.basis()[L.e_ram]) == (0, 1)
 
+    def test_residue_of_a_zero_below_one_digit_is_unknown(self, K3):
+        # a zero to precision -2 bounds its valuation below by -2 and fixes no
+        # digit, as the scalar zero does; a nonzero element of valuation -1,
+        # also known to no digit, has a proven negative valuation
+        with pytest.raises(PrecisionError, match="no digit available"):
+            residue(FieldElement(K3, (), -2, -2))
+        with pytest.raises(PrecisionError):
+            S.zero(3, -2).residue()
+        with pytest.raises(DomainError, match="negative valuation"):
+            residue(FieldElement(K3, [1, 0], -1, 0))
+        assert residue(FieldElement(K3, (), 1, 1)) == (0,)
+
 
 class TestSubstitution:
     def test_identity_images(self, K3):
@@ -275,6 +304,15 @@ class TestSubstitution:
     def test_bad_image_rejected(self, K3):
         with pytest.raises(DomainError):
             FieldEmbedding(K3, K3, K3.one(), K3.one())
+
+    def test_image_zero_below_one_digit_is_unknown(self, K3):
+        # a zero to precision -2 may or may not be integral; pi^-1 is not
+        zero = FieldElement(K3, (), -2, -2)
+        for images in [(K3.one(), zero), (zero, K3.pi)]:
+            with pytest.raises(PrecisionError, match="zero to precision -2"):
+                FieldEmbedding(K3, K3, *images)
+        with pytest.raises(DomainError, match="must be integral"):
+            FieldEmbedding(K3, K3, K3.one(), K3.pi.inverse())
 
     def test_trace_transitivity_along_embedding(self, Z5):
         Q5 = qp_field(5, 30)

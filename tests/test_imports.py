@@ -8,8 +8,9 @@ a loop of its own (over K the one route is LocalField.dot, over Q_p gamma's
 integer kernels) or forms powers or factorials one product at a time (the
 one route is padic.power_sequence, behind LocalField.powers), no function
 but linalg.row_reduce (over K) and linalg._integral_lu (over Q_p) chooses
-pivots, and no module tests a scalar's `.val` against None (a zero to
-precision stores val = prec)."""
+pivots, no module tests a scalar's `.val` against None (a zero to
+precision stores val = prec), and no module but field.py reads a field's
+reduction table, Kronecker layout, trace form or table precision."""
 
 import ast
 import importlib.util
@@ -280,6 +281,38 @@ def test_detects_a_second_elimination():
               "def h(a):\n    pick = lambda x: _select_pivot(x)\n    return pick(a)\n"
               "def k(a):\n    return select_pivot(a), _select_pivot\n")
     assert _pivot_choosers(source) == ["f", "C.g", "h"]
+
+
+FIELD_INTERNALS = {"_table", "_slots", "_shifts", "_table_mod", "_table_bound", "_reduce",
+                   "_trace_form", "table_prec"}
+
+
+def _field_internals(sources):
+    """module -> the sorted FIELD_INTERNALS that a module other than field
+    reads as attributes."""
+    found = {}
+    for mod, source in sources.items():
+        names = sorted({node.attr for node in ast.walk(ast.parse(source))
+                        if isinstance(node, ast.Attribute) and node.attr in FIELD_INTERNALS})
+        if names and mod != "field":
+            found[mod] = names
+    return found
+
+
+def test_only_field_reads_the_table():
+    # the table, its layout and the cap are field.py's: the packed kernels of
+    # dpseries and senmod call LocalField's block methods and read LocalField.cap
+    assert _field_internals({path.stem: path.read_text() for path in MODULES}) == {}
+
+
+def test_detects_a_read_of_the_table():
+    sources = {"field": "def f(K):\n    return K._table, K.table_prec\n",
+               "a": "def g(K, x):\n    return K._reduce(x, 8, 9), len(K._table), K._table\n",
+               "b": "def h(K, _table):\n    return _table, K._tables, K.cap, K._reduce_blocks\n",
+               "c": "class C:\n    def k(self, K):\n        K._table_bound = 0\n"
+                    "        return K._shifts, K.field._trace_form\n"}
+    assert _field_internals(sources) == {"a": ["_reduce", "_table"],
+                                         "c": ["_shifts", "_table_bound", "_trace_form"]}
 
 
 def _power_chains(source):
