@@ -541,7 +541,14 @@ def neumann_invert(T: TwistedOperator, rhs):
 
 def dense_solve(T: TwistedOperator, rhs):
     """Direct elimination on the full operator, the oracle route for
-    neumann_invert: linalg.solve, integral Gauss-Jordan over Q_p, ignoring the
-    block structure."""
+    neumann_invert: linalg.solve, integral Gauss-Jordan over Q_p, blind to the
+    block structure.  It forms each entry once, in Crout order and then row
+    by row upward, its value one integer dot product over the multipliers f_k
+    that reach it and its precision the min-plus min(N(a), min_k(N(f_k) +
+    v(u_kj)), min_k(N(u_kj) + v(f_k))).  That is what one row operation at
+    a time gives, as a - f u keeps min(N(a), N(f) + v(u), N(u) + v(f)) (the
+    product rule _combination states), so by induction over the entries
+    every multiplier, pivot and (val, unit, prec) triple is unchanged.  Where
+    sigma = 1 most entries are exact zeros; their zero f are not summed."""
     from . import linalg
     return linalg.solve(T.matrix, list(rhs))

@@ -10,21 +10,30 @@ precision, and a stored bound that could undercut the chosen pivot raises
 PrecisionError instead of guessing a rank.
 
 solve, invert and rank take matrices of PadicScalar entries only (any
-other entries raise UsageError) and run integral Gauss-Jordan on rows of
-Python ints (one valuation shift per row, one precision per entry): pivot
-rows are never divided, the pivot rule is _select_pivot's, and every entry
-keeps the precision PadicScalar arithmetic would give it, so the digits
-match row_reduce's and are never fewer.  row_reduce is the one elimination
-over K, generic Gauss-Jordan on scalar objects: its Reduction gives the
-reduced rows, the pivot columns, each row's original index and each pivot
-divided out.  kernel_basis reads the kernel off it, det the sign of its row
-order times its pivots, and cohomology both H^0 and H^1 from one pass over
-theta; over Q_p, row_reduce is the tests' oracle for the integral kernel.
+other entries raise UsageError, as does a matrix that solve or invert
+cannot square with its right-hand side) and run integral Gauss-Jordan on
+Python ints: the pivot rule is _select_pivot's, pivot rows are never
+divided, and each entry is formed once, one integer dot product over the
+multipliers f_k that reach it reduced once, with precision N = min(N(a),
+min_k(N(f_k) + v(u_kj)), min_k(N(u_kj) + v(f_k))), v = N for a zero.  The
+forward pass runs in Crout order, the upward pass row by row.  The triples
+are those of one row operation at a time: a - f u keeps min(N(a), N(f) +
+v(u), N(u) + v(f)), so a chain of them keeps that min-plus; by induction
+in the order of formation every f, u and candidate pivot, hence every
+choice _select_pivot makes, is the same; and since those rules are sound,
+the digits below N do not depend on the representatives.  row_reduce is
+the one elimination over K, generic Gauss-Jordan on scalar objects: its
+Reduction gives the reduced rows, the pivot columns, each row's original
+index and each pivot divided out.  kernel_basis reads the kernel off it,
+det the sign of its row order times its pivots, and cohomology both H^0
+and H^1 from one pass over theta; over Q_p, row_reduce is the tests'
+oracle for the integral kernel.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import PrecisionError, UsageError
@@ -140,173 +149,198 @@ def row_reduce(mat):
 # integral Gauss-Jordan over Q_p
 # ---------------------------------------------------------------------------
 
+class _Powers(dict):
+    """p^k for each k asked for, each computed once, from {1: p}."""
+    def __missing__(self, k):
+        self[k] = power = self[1] ** k
+        return power
+
+
+class _Row:
+    """A row under elimination, from integers c and precisions q, with each
+    N(f) of the multipliers f met in nfs and the nonzero f in ks (pivot row
+    t), gs (-unit p^(v(f) + shift of t - base)) and vfs; entry j is p^base
+    (scale c[j] + sum_i gs[i] u_(ks[i]) j).  bound, least_nf and least_vf
+    bound its entries' precision terms from below."""
+    __slots__ = ("c", "scale", "base", "q", "ks", "gs", "vfs", "nfs",
+                 "bound", "least_nf", "least_vf")
+
+    def __init__(self, c, base, q):
+        self.c, self.scale, self.base, self.q = c, 1, base, q
+        self.ks, self.gs, self.vfs, self.nfs = [], [], [], []
+        self.bound = self.least_nf = self.least_vf = math.inf
+
+
+class _Pivots:
+    """The pivot rows u_t in their forward-pass state: column j lists entry j
+    of each in xs[j], vals[j] (a zero's precision for its valuation) and
+    precs[j], their least in least_v[j] and least_n[j]; rows[t] holds the
+    pivot's valuation, precision and unit inverse, the shift, the tail's
+    least valuation and precision, and the integers and precisions."""
+
+    def __init__(self, p, m):
+        self.p, self.pw, self.rows = p, _Powers({1: p}), []
+        self.xs, self.vals, self.precs = ([[] for _ in range(m)] for _ in range(3))
+        self.least_v, self.least_n = [math.inf] * m, [math.inf] * m
+
+    def add(self, pivot, row, c):
+        """Enter row, whose pivot entry at column c is pivot, with its tail."""
+        x, v_piv, n_piv = pivot
+        tail = [_form(self, row, j) for j in range(c + 1, len(self.xs))]
+        xs, precs = [0] * (c + 1) + [t[0] for t in tail], [0] * (c + 1) + [t[2] for t in tail]
+        vals = [n if v is None else v for _, v, n in tail]
+        for j, v in enumerate(vals, c + 1):
+            self.xs[j].append(xs[j])
+            self.vals[j].append(v)
+            self.precs[j].append(precs[j])
+            if v < self.least_v[j]:
+                self.least_v[j] = v
+            if precs[j] < self.least_n[j]:
+                self.least_n[j] = precs[j]
+        inv = pow(x // self.pw[v_piv - row.base], -1, self.pw[n_piv - v_piv])
+        self.rows.append((v_piv, n_piv, inv, row.base, min(vals, default=math.inf),
+                          min(precs[c + 1:], default=math.inf), xs, precs))
+
+
 def _padic_rows(mat, augment):
-    """The prime, [mat | augment] as rows [c, s, q], entry j being
-    p^s c[j] + O(p^q[j]) with c[j] reduced mod p^(q[j] - s), and the
-    largest precision.  UsageError unless every entry is a PadicScalar over
-    one prime."""
+    """An empty _Pivots and [mat | augment] as _Rows, entry j being p^s c[j]
+    + O(p^q[j]), s the row's least valuation.  UsageError unless every entry
+    is a PadicScalar over one prime."""
     if not (mat and mat[0] and isinstance(mat[0][0], PadicScalar)):
         raise UsageError("solve, invert and rank take matrices of PadicScalar entries")
-    p = mat[0][0].p
-    rows = []
-    for i, row in enumerate(mat):
-        entries = row + augment[i] if augment is not None else row
+    p, rows = mat[0][0].p, []
+    U = _Pivots(p, len(mat[0]) + (len(augment[0]) if augment else 0))
+    for entries in (mat if augment is None else map(add, mat, augment)):
         if any(not isinstance(x, PadicScalar) or x.p != p for x in entries):
             raise UsageError("entries must be PadicScalars over one prime")
         s = min(x.val for x in entries)
-        c = [p ** (x.val - s) * x.unit % p ** (x.prec - s) if x.unit else 0 for x in entries]
-        rows.append(_primitive(p, c, s, [x.prec for x in entries]))
-    return p, rows, max(max(q) for _, _, q in rows)
+        rows.append(_Row([U.pw[x.val - s] * x.unit if x.unit else 0 for x in entries], s,
+                         [x.prec for x in entries]))
+    return U, rows
 
 
-def _primitive(p, c, s, q):
-    """The row [c, s, q] with the content of c moved into the shift s."""
-    content = math.gcd(*c)
-    if content and content % p == 0:
-        t = vp_int(content, p)
-        c = [x // p ** t for x in c]
-        s += t
-    return [c, s, q]
+def _form(U, row, j, lo=0):
+    """Entry j of row after the f of pivot rows lo, lo + 1, ..., formed once:
+    (x, valuation or None if zero to precision, N), the entry p^base x +
+    O(p^N).  x is one integer dot product over the nonzero f, reduced once;
+    N is the module docstring's min-plus where the bounds let it fall."""
+    prec, x, ks = row.q[j], row.c[j], row.ks
+    vals = U.vals[j]
+    if ks:
+        col, precs = U.xs[j], U.precs[j]
+        x = x * row.scale + sum(map(mul, row.gs, map(col.__getitem__, ks)))
+        if row.bound < prec and (row.least_nf + U.least_v[j] < prec
+                                 or row.least_vf + U.least_n[j] < prec):
+            prec = min(prec, min(map(add, row.nfs, vals[lo:] if lo else vals)),
+                       min(map(add, row.vfs, map(precs.__getitem__, ks))))
+    elif row.bound < prec and row.least_nf + U.least_v[j] < prec:
+        prec = min(prec, min(map(add, row.nfs, vals[lo:] if lo else vals)))
+    base, p = row.base, U.p
+    x = x % U.pw[prec - base] if prec > base else 0
+    if not x:
+        return 0, None, prec
+    return x, (base if x % p else base + vp_int(x, p)), prec
 
 
-def _entry(p, row, j):
-    """Entry j of row as an integer reduced mod its precision."""
-    c, s, q = row
-    return c[j] % p ** (q[j] - s) if q[j] > s else 0
+def _multiply(U, row, t, entry):
+    """Give row f = entry / pivot of row t at the precision of PadicScalar
+    division, N(f) = min(N(a), N(b) + v(f)) - v(b) (an entry zero to
+    precision gives f = O(p^N(f))), its unit modulo p^(N(f) - v(f)): an
+    entry f reaches claims at most N(f) + v(u) digits."""
+    x, v, prec = entry
+    v_piv, n_piv, inv, shift, least_v, least_n = U.rows[t][:6]
+    if v is None:
+        nf = prec - v_piv
+        row.nfs.append(nf)
+        if nf < row.least_nf:
+            row.least_nf = nf
+        if nf + least_v < row.bound:
+            row.bound = nf + least_v
+        return
+    pw, base, vf = U.pw, row.base, v - v_piv
+    nf = min(prec, n_piv + vf) - v_piv
+    unit = x // pw[v - base] * inv % pw[nf - vf]
+    if vf + shift < base:           # the new term sits below the row's shift
+        scale = pw[base - vf - shift]
+        row.scale *= scale
+        row.gs = [g * scale for g in row.gs]
+        row.base = base = vf + shift
+    row.ks.append(t)
+    row.gs.append(-unit * pw[vf + shift - base])
+    row.vfs.append(vf)
+    row.nfs.append(nf)
+    if nf < row.least_nf:
+        row.least_nf = nf
+    if vf < row.least_vf:
+        row.least_vf = vf
+    if nf + least_v < row.bound or vf + least_n < row.bound:
+        row.bound = min(nf + least_v, vf + least_n)
 
 
-def _valuation(p, row, j):
-    """Valuation of entry j of row, or None if it is zero to precision."""
-    x = _entry(p, row, j)
-    return row[1] + vp_int(x, p) if x else None
-
-
-def _valuations(p, row, start):
-    """Valuation of each entry of row from column start; the precision for
-    an entry that is zero to precision."""
-    q = row[2]
-    vals = [_valuation(p, row, j) for j in range(start, len(q))]
-    return [q[j] if v is None else v for j, v in enumerate(vals, start)]
-
-
-def _clear_column(p, rows, k, c, v_piv, vals, top):
-    """Subtract f_i times pivot row k from each row i of vals, with f_i =
-    a_ic / b_kc, making entry c of row i exactly zero.  Row k is zero
-    before column c; the rows of vals have precisions at most top.
-
-    vals[i] is the valuation of a_ic, or None when a_ic is zero to
-    precision.  Entry j keeps the precision PadicScalar arithmetic gives
-    a_ij - f b_kj: min(N(a_ij), N(b_kj) + v(f), N(f) + v(b_kj)), with
-    N(f) = min(N(a_ic), N(b_kc) + v(f)) - v(b_kc) the precision of f.
-    Digits beyond an entry's precision may remain; _entry drops them.
-    """
-    cr, sr, qr = rows[k]
-    start = c + 1
-    tail_r, piv_prec = cr[start:], qr[c]
-    piv_vals = _valuations(p, rows[k], start)
-    rel = [b - w for b, w in zip(qr[start:], piv_vals)]
-    least = min(piv_vals, default=0)
-    # the unit part of the pivot, inverted mod a power of p that covers every
-    # shift a target row can reach: s2 >= s_i - (v_piv - sr)
-    low = min([rows[i][1] for i in vals] + [sr]) - (v_piv - sr)
-    inv = pow(cr[c] // p ** (v_piv - sr), -1, p ** max(top - low, 1))
-    for i, v in vals.items():
-        ci, s, q = rows[i]
-        tail_q = q[start:]
-        if v is None:           # f = O(p^N(f)) only costs precision
-            f_prec = q[c] - v_piv
-            if tail_q and f_prec + least < max(tail_q):
-                rows[i] = [ci, s, q[:start] + [a if a < f_prec + w else f_prec + w
-                                               for a, w in zip(tail_q, piv_vals)]]
-            continue
-        delta = v - v_piv
-        f_prec = min(q[c], piv_prec + delta) - v_piv
-        s2 = min(s, sr + delta)
-        new_q = [a if a < (u := w + (f_prec if f_prec < e + delta else e + delta)) else u
-                 for a, w, e in zip(tail_q, piv_vals, rel)]
-        mod = p ** (max(new_q + [s2 + 1]) - s2)
-        f = p ** (sr + delta - s2) * (ci[c] // p ** (v - s)) * inv % mod
-        if s2 < s:
-            a = p ** (s - s2)
-            new = [a * x for x in ci[:start]] + [(a * x - f * y) % mod
-                                                 for x, y in zip(ci[start:], tail_r)]
-        else:
-            new = ci[:start] + [(x - f * y) % mod for x, y in zip(ci[start:], tail_r)]
-        new[c] = 0
-        rows[i] = _primitive(p, new, s2, q[:start] + new_q)
-
-
-def _integral_lu(p, rows, top, ncols):
-    """Forward pass of integral LU on the first ncols columns, in place.
-
-    The pivot of a column is an entry of least valuation, chosen by
-    _select_pivot, so f = a_ic / pivot is integral for every row i below and
-    the pivot row is never divided.  Returns (column, pivot valuation) for
-    each pivot row, in order.
-    """
+def _integral_lu(U, rows, ncols):
+    """Forward pass of integral LU on the first ncols columns, in Crout
+    order; returns the number of pivots.  At column c each remaining row
+    forms its entry there, _select_pivot takes one of least valuation (so
+    every f = a_ic / pivot is integral), the pivot row forms its tail into
+    U, and every other row takes its f."""
     n = len(rows)
-    pivots = []
     for c in range(ncols):
-        r = len(pivots)
+        r = len(U.rows)
         if r == n:
             break
-        vals = {i: _valuation(p, rows[i], c) for i in range(r, n)}
-        sel = _select_pivot([(i, v is not None, rows[i][2][c] if v is None else v)
-                             for i, v in vals.items()])
+        entries = {i: _form(U, rows[i], c) for i in range(r, n)}
+        sel = _select_pivot([(i, v is not None, prec if v is None else v)
+                             for i, (_, v, prec) in entries.items()])
         if sel is None:
             continue
-        v_piv = vals.pop(sel)
-        if sel != r:
-            rows[r], rows[sel] = rows[sel], rows[r]
-            vals[sel] = vals.pop(r)
-        _clear_column(p, rows, r, c, v_piv, vals, top)
-        pivots.append((c, v_piv))
-    return pivots
+        rows[r], rows[sel] = rows[sel], rows[r]
+        entries[r], entries[sel] = entries[sel], entries[r]
+        U.add(entries.pop(r), rows[r], c)
+        for i, entry in entries.items():
+            _multiply(U, rows[i], r, entry)
+    return len(U.rows)
 
 
-def _padic_solve(mat, augment):
-    """Columns of X with mat X = augment, for mat square over Q_p.
-
-    After the forward pass, the upward pass clears each pivot column above
-    its pivot, in Gauss-Jordan order, with the same exact row operations (f
-    need not be integral there); then row k of X is row k of the augment
-    divided by its pivot.
-    """
-    p, rows, top = _padic_rows(mat, augment)
+def _solve_columns(mat, augment):
+    """Columns of X with mat X = augment, for mat square over Q_p.  The
+    upward pass runs row by row, as row i meets the rows k > i only in their
+    forward-pass state: it forms entries i + 1, ..., n - 1 in turn, each
+    giving the f of row k = j, then its augment entries, over its pivot."""
     n = len(mat)
-    if len(mat[0]) != n:
+    if any(len(row) != n for row in mat):
+        raise UsageError("solve and invert take a square matrix")
+    U, rows = _padic_rows(mat, augment)
+    if _integral_lu(U, rows, n) < n:
         raise PrecisionError(SINGULAR)
-    pivots = _integral_lu(p, rows, top, n)
-    if len(pivots) < n:
-        raise PrecisionError(SINGULAR)
-    for k in range(1, n):
-        _clear_column(p, rows, k, k, pivots[k][1],
-                      {i: _valuation(p, rows[i], k) for i in range(k)}, top)
-    return [[_quotient(p, row, k, v_piv, n + t) for row, (k, v_piv) in zip(rows, pivots)]
-            for t in range(len(augment[0]))]
+    out = []
+    for i, (_, _, _, shift, _, _, xs, precs) in enumerate(U.rows):
+        row = _Row(xs, shift, precs)
+        for j in range(i + 1, n):
+            _multiply(U, row, j, _form(U, row, j, i + 1))
+        out.append([_quotient(U, i, row.base, _form(U, row, j, i + 1))
+                    for j in range(n, len(U.xs))])
+    return [list(col) for col in zip(*out)]
 
 
-def _quotient(p, row, k, v_piv, j):
-    """Entry j of row divided by the pivot at column k, as a PadicScalar
-    with the precision of PadicScalar division."""
-    c, s, q = row
-    x = _entry(p, row, j)
-    if not x:
-        return PadicScalar.zero(p, q[j] - v_piv)
-    w = vp_int(x, p)
-    val = s + w - v_piv
-    prec = min(q[j] - v_piv, q[k] + val - v_piv)
+def _quotient(U, i, base, entry):
+    """An entry p^base x of row i over its pivot, as a PadicScalar with the
+    precision of PadicScalar division."""
+    x, v, prec = entry
+    v_piv, n_piv, inv = U.rows[i][:3]
+    if v is None:
+        return PadicScalar.zero(U.p, prec - v_piv)
+    val = v - v_piv
+    prec = min(prec - v_piv, n_piv + val - v_piv)
     if val >= prec:
-        return PadicScalar.zero(p, prec)
-    mod = p ** (prec - val)
-    return PadicScalar(p, val, x // p ** w * pow(c[k] // p ** (v_piv - s), -1, mod) % mod, prec)
+        return PadicScalar.zero(U.p, prec)
+    return PadicScalar(U.p, val, x // U.pw[v - base] * inv % U.pw[prec - val], prec)
 
 
 def rank(mat) -> int:
     if not mat:
         return 0
-    p, rows, top = _padic_rows(mat, None)
-    return len(_integral_lu(p, rows, top, len(mat[0])))
+    U, rows = _padic_rows(mat, None)
+    return _integral_lu(U, rows, len(mat[0]))
 
 
 def kernel_basis(reduction, one, zero):
@@ -327,12 +361,14 @@ def kernel_basis(reduction, one, zero):
 def solve(mat, rhs):
     """Unique solution of a square system over Q_p; PrecisionError if
     rank-deficient."""
-    return _padic_solve(mat, [[x] for x in rhs])[0]
+    if len(rhs) != len(mat):
+        raise UsageError("right-hand side has size %d; expected %d" % (len(rhs), len(mat)))
+    return _solve_columns(mat, [[x] for x in rhs])[0]
 
 
 def invert(mat, one, zero):
     """Inverse of a square matrix over Q_p; PrecisionError if singular."""
-    return [list(row) for row in zip(*_padic_solve(mat, identity(len(mat), one, zero)))]
+    return [list(row) for row in zip(*_solve_columns(mat, identity(len(mat), one, zero)))]
 
 
 def det(mat, one, zero):

@@ -3,7 +3,7 @@ element the library raises to a power; linalg.mat_pow on top of it returns a
 fresh matrix; mat_mul, over a local field only (Q_p is qp_field, its `padic`
 cases run there), gives the entries of the i-t-j loop it replaced, and a
 PadicScalar matrix is refused; the elimination entry points take Q_p
-matrices only."""
+matrices only, and solve a square one with a right-hand side of its size."""
 
 import random
 from fractions import Fraction
@@ -112,6 +112,19 @@ def test_elimination_takes_padic_matrices_only():
             linalg.solve(mat, [K.one(), K.one()])
         with pytest.raises(UsageError):
             linalg.invert(mat, K.one(), K.zero())
+
+
+def test_solve_refuses_a_wrong_shape():
+    # a right-hand side shorter or longer than the matrix, or a matrix that
+    # is not square, is a usage error, not a singular system
+    one, zero = S.one(3, 20), S.zero(3, 20)
+    square = [[one, zero], [zero, one]]
+    wide = [[one, zero, one], [zero, one, one]]
+    for mat, rhs in ((square, [one]), (square, [one, one, one]), (wide, [one, one])):
+        with pytest.raises(UsageError):
+            linalg.solve(mat, rhs)
+    with pytest.raises(UsageError):
+        linalg.invert(wide, one, zero)
 
 
 def _mat_mul_itj(a, b, zero):

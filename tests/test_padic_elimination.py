@@ -11,6 +11,12 @@ oracle raises PrecisionError (an ambiguous rank or a singular system) the
 kernel must raise too.  The digits the kernel claims beyond the oracle's
 are checked against exact Fraction solutions of two lifts of the system:
 the stored digits, and the stored digits plus random multiples of p^N.
+
+The kernel forms each entry once; the row-rewriting kernel it replaced
+(old_solve, old_invert, old_rank in gauss_jordan) is a second oracle, whose
+(val, unit, prec) triples and PrecisionErrors it must give exactly, on the
+same draws, at the five cyclotomic benchmark levels and on criterion 8's
+48 x 48 operator.  A count pins one formation per entry per pass.
 """
 
 import random
@@ -19,7 +25,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gauss_jordan import gj_invert, gj_rank, gj_solve
+from gauss_jordan import gj_invert, gj_rank, gj_solve, old_invert, old_rank, old_solve
 from senlab import linalg
 from senlab.errors import PrecisionError
 from senlab.gamma import build_level, g_minus_one
@@ -145,3 +151,73 @@ def test_ambiguous_pivot_raises():
     for call in (lambda: linalg.rank(mat), lambda: gj_rank(mat)):
         with pytest.raises(PrecisionError, match="rank ambiguous"):
             call()
+
+
+def triples(f):
+    """The (val, unit, prec) of each scalar f returns, flattened, or the
+    PrecisionError it raises, as its message."""
+    try:
+        out = f()
+    except PrecisionError as err:
+        return str(err)
+    if not isinstance(out, list):
+        return out
+    flat = [x for row in out for x in row] if isinstance(out[0], list) else out
+    return [(x.val, x.unit, x.prec) for x in flat]
+
+
+def assert_old_kernel_triples(mat, rhs, one, zero):
+    assert triples(lambda: linalg.rank(mat)) == triples(lambda: old_rank(mat))
+    assert triples(lambda: linalg.solve(mat, rhs)) == triples(lambda: old_solve(mat, rhs))
+    assert (triples(lambda: linalg.invert(mat, one, zero))
+            == triples(lambda: old_invert(mat, one, zero)))
+
+
+@settings(max_examples=300)
+@given(systems())
+def test_kernel_gives_the_old_kernels_triples(system):
+    p, mat, rhs, _ = system
+    assert_old_kernel_triples(mat, rhs, PadicScalar.one(p, PREC), PadicScalar.zero(p, PREC))
+
+
+def _operator(key, e, trunc, prec, seed):
+    """g - 1 at a cyclotomic level and a right-hand side of its size."""
+    p = key[0]
+    T = g_minus_one(build_level(*key, prec), PadicScalar.from_fraction(e, p, prec), trunc)
+    rng = random.Random(seed)
+    return T, [PadicScalar.from_int(rng.randrange(-3 ** 10, 3 ** 10), p, prec)
+               for _ in range(T.size)]
+
+
+# the five inversion levels of the cyclotomic benchmark, and criterion 8's
+# operator (p = 3, m = 2, a = 10, e = 1, truncation 8, 60 digits: 48 x 48)
+OPERATORS = [((3, 1, 2), Fraction(1, 3), 8, 40), ((3, 2, 2), Fraction(1, 3), 4, 40),
+             ((3, 2, 10), Fraction(1), 4, 40), ((3, 3, 2), Fraction(1, 3), 2, 40),
+             ((5, 2, 2), Fraction(1, 5), 2, 40), ((3, 2, 10), Fraction(1), 8, 60)]
+
+
+@pytest.mark.parametrize("key,e,trunc,prec", OPERATORS)
+def test_twisted_operator_gives_the_old_kernels_triples(key, e, trunc, prec):
+    T, rhs = _operator(key, e, trunc, prec, 1)
+    assert_old_kernel_triples(T.matrix, rhs, PadicScalar.one(key[0], prec),
+                              PadicScalar.zero(key[0], prec))
+
+
+def test_each_entry_is_formed_once_per_pass(monkeypatch):
+    # (3, 3, 2) at truncation 2, 36 x 36 with one right-hand side: the
+    # forward pass forms each entry of [T | rhs] it reads once (a column's
+    # candidates, then the pivot row's tail), n (n + 1) in all; the upward
+    # pass each entry right of the diagonal once, n (n - 1)/2 + n.  A row
+    # operation that rewrote a row would form its entries again.
+    T, rhs = _operator((3, 3, 2), Fraction(1, 3), 2, 40, 1)
+    n, form, seen = T.size, linalg._form, {True: [], False: []}
+
+    def counted(U, row, j, lo=0):
+        seen[lo == 0].append((row, j))
+        return form(U, row, j, lo)
+
+    monkeypatch.setattr(linalg, "_form", counted)
+    linalg.solve(T.matrix, rhs)
+    forward, upward = seen[True], seen[False]
+    assert len(set(forward)) == len(forward) == n * (n + 1)
+    assert len(set(upward)) == len(upward) == n * (n - 1) // 2 + n
