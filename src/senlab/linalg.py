@@ -205,14 +205,15 @@ class _Pivots:
 def _padic_rows(mat, augment):
     """An empty _Pivots and [mat | augment] as _Rows, entry j being p^s c[j]
     + O(p^q[j]), s the row's least valuation.  UsageError unless every entry
-    is a PadicScalar over one prime."""
+    is a PadicScalar over one prime and every row has the first's length."""
     if not (mat and mat[0] and isinstance(mat[0][0], PadicScalar)):
         raise UsageError("solve, invert and rank take matrices of PadicScalar entries")
     p, rows = mat[0][0].p, []
     U = _Pivots(p, len(mat[0]) + (len(augment[0]) if augment else 0))
     for entries in (mat if augment is None else map(add, mat, augment)):
-        if any(not isinstance(x, PadicScalar) or x.p != p for x in entries):
-            raise UsageError("entries must be PadicScalars over one prime")
+        if len(entries) != len(U.xs) or any(not isinstance(x, PadicScalar) or x.p != p
+                                            for x in entries):
+            raise UsageError("entries must be PadicScalars over one prime, rows of one length")
         s = min(x.val for x in entries)
         rows.append(_Row([U.pw[x.val - s] * x.unit if x.unit else 0 for x in entries], s,
                          [x.prec for x in entries]))

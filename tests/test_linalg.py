@@ -114,9 +114,10 @@ def test_elimination_takes_padic_matrices_only():
             linalg.invert(mat, K.one(), K.zero())
 
 
-def test_solve_refuses_a_wrong_shape():
-    # a right-hand side shorter or longer than the matrix, or a matrix that
-    # is not square, is a usage error, not a singular system
+def test_elimination_refuses_a_wrong_shape():
+    # a right-hand side shorter or longer than the matrix, a matrix that is
+    # not square, or rows of different lengths, is a usage error, not a
+    # singular system, an IndexError or a rank of the first columns
     one, zero = S.one(3, 20), S.zero(3, 20)
     square = [[one, zero], [zero, one]]
     wide = [[one, zero, one], [zero, one, one]]
@@ -125,6 +126,9 @@ def test_solve_refuses_a_wrong_shape():
             linalg.solve(mat, rhs)
     with pytest.raises(UsageError):
         linalg.invert(wide, one, zero)
+    for ragged in ([[one, one], [one]], [[one], [one, one]]):
+        with pytest.raises(UsageError):
+            linalg.rank(ragged)
 
 
 def _mat_mul_itj(a, b, zero):
