@@ -5,12 +5,13 @@ underscore name from a sibling, every module-level def or class is used by
 a library module, exported or traced by the benchmark, every public method
 is named in the library or the demos or traced, no module sums products in
 a loop of its own (over K the one route is LocalField.dot, over Q_p gamma's
-integer kernels) or forms powers or factorials one product at a time (the
-one route is padic.power_sequence, behind LocalField.powers), no function
-but linalg.row_reduce (over K) and linalg._integral_lu (over Q_p) chooses
-pivots, no module tests a scalar's `.val` against None (a zero to
-precision stores val = prec), and no module but field.py reads a field's
-reduction table, Kronecker layout, trace form or table precision."""
+integer kernels and the elimination's linalg._form) or forms powers or
+factorials one product at a time (the one route is padic.power_sequence,
+behind LocalField.powers), no function but linalg.row_reduce (over K) and
+linalg._integral_lu (over Q_p) chooses pivots, no module tests a scalar's
+`.val` against None (a zero to precision stores val = prec), and no module
+but field.py reads a field's reduction table, Kronecker layout, trace form
+or table precision."""
 
 import ast
 import importlib.util
@@ -228,7 +229,8 @@ def _hand_rolled_sums(source):
 def test_one_loop_sums_products():
     # a sum of products has one route per representation, and neither is a
     # loop: over K, LocalField.dot's packed integer sum; over Q_p, gamma's
-    # integer kernels (_product, _combination, _scaled, _difference)
+    # integer kernels (_product, _combination, _scaled, _difference) and,
+    # for an entry under elimination, linalg._form's dot product
     found = [f"{path.stem}.{name}" for path in MODULES
              for name in _hand_rolled_sums(path.read_text())]
     assert found == []
