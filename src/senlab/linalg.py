@@ -9,25 +9,25 @@ exact valuation; an entry counts as zero only when it is zero to its stored
 precision, and a stored bound that could undercut the chosen pivot raises
 PrecisionError instead of guessing a rank.
 
-solve, invert and rank take matrices of PadicScalar entries only (any
-other entries raise UsageError, as does a matrix that solve or invert
-cannot square with its right-hand side) and run integral Gauss-Jordan on
-Python ints: the pivot rule is _select_pivot's, pivot rows are never
-divided, and each entry is formed once, one integer dot product over the
-multipliers f_k that reach it reduced once, with precision N = min(N(a),
-min_k(N(f_k) + v(u_kj)), min_k(N(u_kj) + v(f_k))), v = N for a zero.  The
-forward pass runs in Crout order, the upward pass row by row.  The triples
-are those of one row operation at a time: a - f u keeps min(N(a), N(f) +
-v(u), N(u) + v(f)), so a chain of them keeps that min-plus; by induction
-in the order of formation every f, u and candidate pivot, hence every
-choice _select_pivot makes, is the same; and since those rules are sound,
-the digits below N do not depend on the representatives.  row_reduce is
-the one elimination over K, generic Gauss-Jordan on scalar objects: its
-Reduction gives the reduced rows, the pivot columns, each row's original
-index and each pivot divided out.  kernel_basis reads the kernel off it,
-det the sign of its row order times its pivots, and cohomology both H^0
-and H^1 from one pass over theta; over Q_p, row_reduce is the tests'
-oracle for the integral kernel.
+solve, invert and rank take matrices of PadicScalar entries only (any other
+entries raise UsageError, as do rows of unequal length and, for solve and
+invert, a matrix that is not square or a right-hand side of another size)
+and run integral Gauss-Jordan on Python ints: the pivot rule is
+_select_pivot's, pivot rows are never divided, and each entry is formed
+once, one integer dot product over the multipliers f_k that reach it
+reduced once, with precision N = min(N(a), min_k(N(f_k) + v(u_kj)),
+min_k(N(u_kj) + v(f_k))), v = N for a zero.  The forward pass runs in Crout
+order, the upward pass row by row.  The triples are those of one row
+operation at a time: a - f u keeps min(N(a), N(f) + v(u), N(u) + v(f)), so
+a chain of them keeps that min-plus; by induction in the order of formation
+every f, u and candidate pivot, hence every choice _select_pivot makes, is
+the same; and since those rules are sound, the digits below N do not depend
+on the representatives.  row_reduce is the one elimination over K, generic
+Gauss-Jordan on scalar objects: its Reduction gives the reduced rows, the
+pivot columns, each row's original index and each pivot divided out.
+kernel_basis reads the kernel off it, det the sign of its row order times
+its pivots, and cohomology both H^0 and H^1 from one pass over theta; over
+Q_p, row_reduce is the tests' oracle for the integral kernel.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ class _Pivots:
         self.xs, self.vals, self.precs = ([[] for _ in range(m)] for _ in range(3))
         self.least_v, self.least_n = [math.inf] * m, [math.inf] * m
 
-    def add(self, pivot, row, c):
+    def enter(self, pivot, row, c):
         """Enter row, whose pivot entry at column c is pivot, with its tail."""
         x, v_piv, n_piv = pivot
         tail = [_form(self, row, j) for j in range(c + 1, len(self.xs))]
@@ -296,7 +296,7 @@ def _integral_lu(U, rows, ncols):
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         entries[r], entries[sel] = entries[sel], entries[r]
-        U.add(entries.pop(r), rows[r], c)
+        U.enter(entries.pop(r), rows[r], c)
         for i, entry in entries.items():
             _multiply(U, rows[i], r, entry)
     return len(U.rows)
