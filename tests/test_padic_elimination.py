@@ -14,9 +14,9 @@ the stored digits, and the stored digits plus random multiples of p^N.
 
 The kernel forms each entry once; the row-rewriting kernel it replaced
 (old_solve, old_invert, old_rank in gauss_jordan) is a second oracle, whose
-(val, unit, prec) triples and PrecisionErrors it must give exactly, on the
-same draws, at the five cyclotomic benchmark levels and on criterion 8's
-48 x 48 operator.  A count pins one formation per entry per pass.
+(val, unit, prec) triples and PrecisionErrors it must give exactly, on
+systems() draws, at the five cyclotomic benchmark levels and on criterion
+8's 48 x 48 operator.  A count pins one formation per entry per pass.
 """
 
 import random
