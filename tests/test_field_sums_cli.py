@@ -9,7 +9,9 @@ table cap.  The wall-clock limits stay in the workflow.
 
 The series products `dps mul`, `dps coaction` and `dps gsharp` also print,
 byte for byte, the JSON pinned in tests/golden, captured while each output
-degree was still summed entrywise by LocalField.dot."""
+degree was still summed entrywise by LocalField.dot; `dps theta` and `dps
+solve-theta` print the JSON captured while each degree was still the element
+chain e * c * n followed by one addition."""
 
 import json
 import os
@@ -191,6 +193,14 @@ GOLDEN_COMMANDS = {
                          "--field", FIELD, "--f", CI_F],
     "dps_mul_mixed_96": ["dps", "mul", "--trunc", "96", "--field", FIELD,
                          "--f", _mixed_series(96, 2), "--g", _mixed_series(96, 2, 11)],
+    "dps_theta_mixed_96": ["dps", "theta", "--trunc", "96", "--field", FIELD,
+                           "--f", _mixed_series(96, 2)],
+    "dps_solve_theta_mixed_96": ["dps", "solve-theta", "--trunc", "96", "--field", FIELD,
+                                 "--g", _mixed_series(96, 2, 7)],
+    # e = 1/3, a twist of valuation -1 as the Gamma harness takes
+    "dps_solve_theta_q3_third_96": ["dps", "solve-theta", "--trunc", "96", "--field", Q3,
+                                    "--g", json.dumps(dict(json.loads(_mixed_series(96, 1, 3)), e={
+                                        "coeffs": [[{"val": -1, "unit": "1", "prec": 40}]]}))],
 }
 
 
