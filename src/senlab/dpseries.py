@@ -7,15 +7,20 @@ which `dp_mul` computes as one packed integer product.  The derivation
     theta = (1 + e a) d/da,      theta(f)_n = c_{n+1} + e n c_n,
 
 has the constants as kernel and is inverted degree by degree via
-c_{n+1} = b_n - e n c_n.  The group substitution a -> a (1 + e b) + b is
-carried out exactly on the truncation, and the change to and from the
-additive coordinate log(1 + e a)/e is one integer matrix of Stirling numbers
-times powers of e; `dp_compose` is the general composition.  The product,
-the substitution and the coordinate change each pack their series once, at
-the least shift and the smallest modulus p^R, into Kronecker blocks of one
-integer (`LocalField._pack_blocks`), multiply, and reduce each output degree
-once (`_reduce_blocks`); two bounded series whose products all reach K.prec
-skip the degree-by-degree precisions.  Their b^k/k!, (1 + e b)^m and e^j, and
+c_{n+1} = b_n - e n c_n.  Both are integer recurrences with one element a
+degree: `LocalField._times_int` takes e c_n n through the product rule, its
+shift read off v(e) + v(c_n) with no gcd, and n's scalar rule as a raw (vec,
+shift, prec), which the add rule then takes, so every degree has the triple
+of the element chain (e * c_n) * n, added to c_{n+1} or taken from b_n.  The
+group substitution a -> a (1 + e b) + b is carried out exactly on the
+truncation, and the change to and from the additive coordinate log(1 + e
+a)/e is one integer matrix of Stirling numbers times powers of e;
+`dp_compose` is the general composition.  The product, the substitution and
+the coordinate change each pack their series once, at the least shift and
+the smallest modulus p^R, into Kronecker blocks of one integer
+(`LocalField._pack_blocks`), multiply, and reduce each output degree once
+(`_reduce_blocks`); two bounded series whose products all reach K.prec skip
+the degree-by-degree precisions.  Their b^k/k!, (1 + e b)^m and e^j, and
 log_t's (-e)^(n-1) (n-1)!, are LocalField.powers sequences; n! is factorials'.
 
 Coefficients are only guaranteed through `valid_to`: applying theta loses the
@@ -149,22 +154,22 @@ def dp_mul(f: DPSeries, g: DPSeries) -> DPSeries:
 
 
 def sen_theta(f: DPSeries) -> DPSeries:
-    """theta(f)_n = c_{n+1} + e n c_n; the top output degree is incomplete."""
-    out = []
-    for n in range(f.trunc + 1):
-        term = f.e * f.coeffs[n] * n
-        if n + 1 <= f.trunc:
-            term = term + f.coeffs[n + 1]
-        out.append(term)
-    return DPSeries(f.field, out, e=f.e, valid_to=min(f.valid_to, f.trunc) - 1)
+    """theta(f)_n = c_{n+1} + e n c_n, each the element c_{n+1} plus the
+    raw triple of e c_n n; the top output degree is incomplete."""
+    K, e, c = f.field, f.e, f.coeffs
+    out = [c[n + 1]._add(K._times_int(e, c[n], n), 1) for n in range(f.trunc)]
+    out.append(FieldElement._reduced(K, *K._times_int(e, c[-1], f.trunc)))
+    return DPSeries(K, out, e=e, valid_to=min(f.valid_to, f.trunc) - 1)
 
 
 def solve_theta(g: DPSeries) -> DPSeries:
-    """The unique preimage with zero constant term: c_{n+1} = b_n - e n c_n."""
-    out = [g.field.zero()]
+    """The unique preimage with zero constant term: c_{n+1} = b_n - e n c_n,
+    each the element b_n minus the raw triple of e c_n n."""
+    K, e, b = g.field, g.e, g.coeffs
+    out = [K.zero()]
     for n in range(g.trunc):
-        out.append(g.coeffs[n] - g.e * out[n] * n)
-    return DPSeries(g.field, out, e=g.e, valid_to=min(g.valid_to + 1, g.trunc))
+        out.append(b[n]._add(K._times_int(e, out[n], n), -1))
+    return DPSeries(K, out, e=e, valid_to=min(g.valid_to + 1, g.trunc))
 
 
 def theta_matrix(field: LocalField, trunc: int):
@@ -302,7 +307,7 @@ def gsharp_transport(f: DPSeries, direction: str) -> DPSeries:
             for m in range(2, trunc + 1):
                 for k in range(1, m):
                     x, s = e_pow[m - k], PadicScalar.from_int(rows[m][k], p, N)
-                    t, r = K._scalar_product(x, s)
+                    t, r = K._scalar_product(x, s.val, s.prec)
                     y = (r, x._v() + e * s.val, t) if t < r else (r, e * r, r)
                     precs[m] = min(precs[m], K._reach(cdata[k], y))
     precs = [min(q, x.prec) for q, x in zip(precs, c)]

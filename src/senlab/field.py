@@ -276,7 +276,7 @@ class LocalField:
                     terms.append((t, x.prec + y.prec, x, y))
             else:
                 s = _as_scalar(y, p, self.prec)
-                t, q = self._scalar_product(x, s)
+                t, q = self._scalar_product(x, s.val, s.prec)
                 if t < q:
                     terms.append((t, x.prec - x.shift + q, x, s.unit % p ** (q - t)))
             if q < n:
@@ -294,12 +294,32 @@ class LocalField:
             q = t + self.cap
         return t, q
 
-    def _scalar_product(self, x, s):
-        """The shift t and precision q of x s for an element x and a scalar s
-        over p: q = min(N_x + v(s), N_s + v(x)) rounded down, with no table
-        cap, since s multiplies each coordinate."""
+    def _scalar_product(self, x, val, prec):
+        """The shift t and precision q of x s for x an element or the raw
+        (shift, prec, v) triple of one, and a scalar s over p of valuation
+        val known to prec digits: q = min(N_x + v(s), N_s + v(x)) rounded
+        down, with no table cap, since s multiplies each coordinate."""
+        shift, xprec, v = (x.shift, x.prec, x._v()) if type(x) is FieldElement else x
         e = self.e_ram
-        return x.shift + s.val, min(e * (x.prec + s.val), e * s.prec + x._v()) // e
+        return shift + val, min(e * (xprec + val), e * prec + v) // e
+
+    def _times_int(self, x, y, n):
+        """The (vec, shift, prec) of x * y * n, x and y elements and n >= 0 an
+        int, with no element formed: one `_mul_vec` at `_product`'s (t, q),
+        its shift s read off the exact v(x) + v(y), so with no gcd (a zero
+        for s >= q), then `_scalar_product`'s rule for n = p^k u at K.prec."""
+        p, e, N = self.p, self.e_ram, self.prec
+        t, q = self._product(x, y)
+        v = x._v() + y._v()
+        s = v // e
+        if s >= q:
+            s, v = q, e * q
+        k = 0 if n % p else min(vp_int(n, p), N) if n else N   # n is zero at N digits if k = N
+        t2, q2 = self._scalar_product((s, q, v), k, N)
+        if t2 < q2:                                 # so s < q: a nonzero product
+            d, u, m = p ** (s - t), n // p ** k, p ** (q2 - t2)
+            return [c // d * u % m for c in self._mul_vec(x.vec, y.vec, p ** (q - t))], t2, q2
+        return (0,) * self.degree, q2, q2
 
     def _packed_sum(self, terms, n):
         """The sum, known modulo p^n, of the kept terms (t, bound, a, b): p^t a b
@@ -451,7 +471,8 @@ class LocalField:
     def powers(self, x, n, factorial=0):
         """x^k (factorial 0), x^k k! (1) or x^k/k! (-1) for 0 <= k <= n, each
         with the (vec, shift, prec) of the chain from one() by __mul__ and k:
-        padic.power_sequence on _mul_vec, under `cap`."""
+        padic.power_sequence on _mul_vec, under `cap`, whose vectors are
+        primitive and whose valuations it tracks."""
         return [FieldElement._reduced(self, *y) for y in power_sequence(
             self.p, (x.vec, x.shift, x.prec, x._v()), n, self.prec, factorial, self._mul_vec,
             self.e_ram, self.cap)]
@@ -523,14 +544,16 @@ class FieldElement:
         self._settle(field, [c % m for c in vec] if m else (), shift, prec)
 
     @classmethod
-    def _reduced(cls, field, vec, shift, prec):
+    def _reduced(cls, field, vec, shift, prec, v=None):
         """The element of coordinates vec already reduced modulo p^(prec - shift)."""
-        return cls.__new__(cls)._settle(field, vec, shift, prec)
+        return cls.__new__(cls)._settle(field, vec, shift, prec, v)
 
-    def _settle(self, field, vec, shift, prec):       # common factors p move into the shift
+    def _settle(self, field, vec, shift, prec, v=None):
+        """Common factors p move into the shift, unless v is given: the
+        valuation of a primitive vec, or () for a zero."""
         self.field = field
-        self._vpi = self._packing = self._inverse = None
-        g = gcd(*vec)
+        self._vpi, self._packing, self._inverse = v, None, None
+        g = gcd(*vec) if v is None else 1 if vec else 0
         if not g:
             vec, shift = (0,) * field.degree, prec
         elif not g % field.p:
@@ -591,15 +614,21 @@ class FieldElement:
         return FieldElement(self.field, [-c for c in self.vec], self.shift, self.prec)
 
     def _add(self, other, sign):
-        if type(other) is not FieldElement or other.field is not self.field:
-            other = self._coerce(other)
-        a, b = self.shift, other.shift
-        prec = self.prec if self.prec < other.prec else other.prec
+        """self + sign other by add/sub's rule, other an element, a scalar, an
+        int or, from the library only, an element's raw (vec, shift, prec)."""
+        if type(other) is tuple:
+            vec, b, bprec = other
+        else:
+            if type(other) is not FieldElement or other.field is not self.field:
+                other = self._coerce(other)
+            vec, b, bprec = other.vec, other.shift, other.prec
+        a = self.shift
+        prec = self.prec if self.prec < bprec else bprec
         shift = a if a < b else b
         p = self.field.p
         qa = p ** (a - shift) if a < prec else 0
         qb = sign * p ** (b - shift) if b < prec else 0
-        return FieldElement(self.field, [qa * x + qb * y for x, y in zip(self.vec, other.vec)],
+        return FieldElement(self.field, [qa * x + qb * y for x, y in zip(self.vec, vec)],
                             shift, prec)
 
     def __add__(self, other):
@@ -613,7 +642,8 @@ class FieldElement:
         K = self.field
         s = _as_scalar(s, K.p, K.prec)
         if not divide:
-            return FieldElement(K, [c * s.unit for c in self.vec], *K._scalar_product(self, s))
+            return FieldElement(K, [c * s.unit for c in self.vec],
+                                *K._scalar_product(self, s.val, s.prec))
         if s.is_zero():
             raise PrecisionError("division by a scalar that is zero to precision %d" % s.prec)
         e = K.e_ram

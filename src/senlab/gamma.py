@@ -488,7 +488,7 @@ def g_minus_one(level: CyclotomicLevel, e: PadicScalar, trunc: int) -> TwistedOp
             "need v(y) >= 1 for y = (chi - 1)/e; got v(y) = %s"
             % (y.val if not y.is_zero() else ">= %d" % y.prec),
             concept="normalization y in pO_K")
-    y_over_fact = [PadicScalar.from_residue(level.p, vec[0] if vec else 0, q, s) for vec, s, q
+    y_over_fact = [PadicScalar.from_residue(level.p, vec[0] if vec else 0, q, s) for vec, s, q, _
                    in power_sequence(level.p, ([y.unit], y.val, y.prec, y.val), trunc - 1,
                                      level.prec, -1, lambda a, b, m: [a[0] * b[0] % m])]
     coef = {}

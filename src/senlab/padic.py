@@ -135,17 +135,19 @@ def reciprocals(p, rel, n, factorial):
 
 
 def power_sequence(p, x, n, N, factorial, mul, e=1, cap=inf):
-    """(vec, shift, prec) of x^k, x^k k! (factorial 1) or x^k/k! (-1), k <= n,
-    as the chain from 1 at N digits gives them: a step is a product by x (at
-    most `cap` digits past its shift) and one by or over the scalar k at N
-    digits, by the element rules; vec = () for a zero.  x = (vec, shift,
-    prec, v in 1/e), mul(a, b, m) a product modulo m.  The precisions are an
-    integer recurrence; each x^k is one product, times u_k or u_k^-1."""
+    """(vec, shift, prec, v in 1/e) of x^k, x^k k! (factorial 1) or x^k/k!
+    (-1), k <= n, as the chain from 1 at N digits gives them: a step is a
+    product by x (at most `cap` digits past its shift) and one by or over the
+    scalar k at N digits, by the element rules; vec = () and v = e prec for a
+    zero.  x = (vec, shift, prec, v), mul(a, b, m) a product modulo m.  The
+    precisions and valuations are an integer recurrence; each x^k is one
+    product, times u_k or u_k^-1, and its vector, of valuation v - e shift
+    < e, is primitive."""
     xvec, xs, xp, xv = x
     vals, units, inverses = factorials(p, n if factorial else 0, p ** N)
     scales = units if factorial > 0 else inverses
     one = (1,) + (0,) * (len(xvec) - 1)
-    out, V, P, xk, ex, eN = [(one, 0, N)], 0, N, one, e * xp, e * N
+    out, V, P, xk, ex, eN = [(one, 0, N, 0)], 0, N, one, e * xp, e * N
     for k in range(1, n + 1):
         P = min(min(e * P + xv, ex + V) // e, V // e + xs + cap)
         V = min(V + xv, e * P)                          # a zero has v = e N_x
@@ -156,12 +158,12 @@ def power_sequence(p, x, n, N, factorial, mul, e=1, cap=inf):
             P = min(P + factorial * vk, (eN + V) // e - (factorial < 0) * 2 * vk)
             V = min(V + factorial * e * vk, e * P)
         if V == e * P:
-            out.append(((), P, P))
+            out.append(((), P, P, V))
             continue
         # x^k = p^(k v // e) xk, xk formed modulo p^rel times p^d
         m, d = p ** (P - V // e), k * xv // e - (k - 1) * xv // e - xs
         xk = [c // p ** d for c in mul(xk, xvec, m * p ** d)] if d else mul(xk, xvec, m)
-        out.append(([c * scales[k] % m for c in xk] if factorial else xk, V // e, P))
+        out.append(([c * scales[k] % m for c in xk] if factorial else xk, V // e, P, V))
     return out
 
 

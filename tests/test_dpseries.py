@@ -12,7 +12,7 @@ from senlab.dpseries import (DPSeries, coaction, dp_compose, dp_mul,
                              theta_matrix)
 from senlab.errors import ConvergenceError, PrecisionError, UsageError
 from senlab.field import (FieldElement, LocalField, LocalFieldSpec, build_field,
-                          eisenstein_field, qp_field)
+                          cyclotomic_field, eisenstein_field, qp_field)
 from senlab.padic import PadicScalar, padic_log
 
 S = PadicScalar
@@ -564,6 +564,78 @@ def test_gsharp_matches_the_entrywise_route(case):
     _same(gsharp_transport(f, direction), want)
 
 
+def _theta_chain(f):
+    """sen_theta as the element chain it replaced: e * c_n * n by
+    FieldElement's operators, plus c_(n+1); the oracle for sen_theta."""
+    out = []
+    for n in range(f.trunc + 1):
+        term = f.e * f.coeffs[n] * n
+        if n + 1 <= f.trunc:
+            term = term + f.coeffs[n + 1]
+        out.append(term)
+    return DPSeries(f.field, out, e=f.e, valid_to=min(f.valid_to, f.trunc) - 1)
+
+
+def _solve_chain(g):
+    """solve_theta as the element chain it replaced: b_n - e * c_n * n by
+    FieldElement's operators; the oracle for solve_theta."""
+    out = [g.field.zero()]
+    for n in range(g.trunc):
+        out.append(g.coeffs[n] - g.e * out[n] * n)
+    return DPSeries(g.field, out, e=g.e, valid_to=min(g.valid_to + 1, g.trunc))
+
+
+# the closed-form grid's fields, Q_3(sqrt 3) with a 15-digit table, Q_2,
+# Q_2(i) and Q_5(zeta_5), at 20 digits
+THETA_FIELDS = dict(_twins(20), M15=SERIES_FIELDS["Q3_sqrt3_M15"], Q2=qp_field(2, 20),
+                    **{"Q2(i)": DOT_FIELDS["Q2(i)"], "Q5(zeta5)": cyclotomic_field(5, 1, 20)})
+
+
+@st.composite
+def _theta_case(draw):
+    """A series over one of THETA_FIELDS at truncation 0..96 with
+    _coefficients' coefficients (zeros to precision, shifts down to -4,
+    precisions from -3, below and above K.prec), and e the field's, 1/p,
+    1/p^2, E'(pi) cut to 1..25 digits or an element as _element draws it,
+    so often of negative valuation."""
+    K = THETA_FIELDS[draw(st.sampled_from(sorted(THETA_FIELDS)))]
+    trunc = draw(_TRUNC)
+    p = K.from_int(K.p)
+    cut = st.integers(1, 25).map(K.different_e.truncated)
+    e = draw(st.one_of(st.sampled_from([None, K.one() / p, K.one() / (p * p)]),
+                       cut.filter(lambda x: not x.is_zero()),
+                       _element(K).filter(lambda x: not x.is_zero())))
+    return DPSeries(K, draw(_coefficients(K, trunc)), e=e,
+                    valid_to=draw(st.integers(-1, trunc + 1)))
+
+
+@settings(max_examples=150)
+@given(_theta_case())
+def test_theta_and_its_inverse_are_the_element_chains(f):
+    # every (vec, shift, prec) of the integer recurrences is the chain's
+    _same(sen_theta(f), _theta_chain(f))
+    _same(solve_theta(f), _solve_chain(f))
+
+
+@pytest.mark.parametrize("name", ["Q3", "Q3(sqrt3)", "K6"])
+def test_theta_and_its_inverse_form_one_element_per_degree(name, monkeypatch):
+    # the chains formed three elements a degree; the recurrences form the
+    # output's, and solve_theta's zero constant term is one of them
+    K, trunc = THETA_FIELDS[name], 96
+    f = DPSeries(K, _random_coefficients(K, random.Random(96), trunc))
+    init, reduced, calls = FieldElement.__init__, FieldElement._reduced.__func__, []
+    monkeypatch.setattr(FieldElement, "__init__",
+                        lambda self, *args: calls.append(1) or init(self, *args))
+    monkeypatch.setattr(FieldElement, "_reduced",
+                        classmethod(lambda cls, *args: calls.append(1) or reduced(cls, *args)))
+    for route, chain in ((sen_theta, _theta_chain), (solve_theta, _solve_chain)):
+        calls.clear()
+        got = route(f)
+        assert len(calls) == trunc + 1
+        assert _triples(got) == _triples(chain(f))
+        assert len(calls) > 3 * trunc
+
+
 def test_slots_at_the_width_rule_hold_the_largest_sums():
     # the rule reserves terms d p^(2R) for a slot's sum of `terms` products,
     # rounded up to 64 bits; where that takes 64 k or 64 k + 1 bits,
@@ -719,11 +791,15 @@ def _power_case(draw):
 
 def _check_powers(K, x, n, kind):
     """K.powers(x, n, kind) has the chain's (vec, shift, prec) in every
-    element, and each digit it claims is one of p^(k s) vec^k (k!)^kind, s
-    and vec x's."""
+    element, each vector primitive, as its valuation from the sequence says
+    with no gcd taken, and each digit it claims is one of p^(k s) vec^k
+    (k!)^kind, s and vec x's."""
     got, p = K.powers(x, n, kind), K.p
     assert [(y.vec, y.shift, y.prec) for y in got] == \
         [(y.vec, y.shift, y.prec) for y in _chain(K, x, n, kind)]
+    for y in got:
+        assert y.is_zero() or any(c % p for c in y.vec), y
+        assert y._v() == FieldElement(K, y.vec, y.shift, y.prec)._v(), y
     for k, (y, exact) in enumerate(zip(got, _exact_powers(K, x, n))):
         scale = Fraction(p) ** (k * x.shift) * Fraction(factorial(k)) ** kind
         for a, b in zip(y.vec, exact):
