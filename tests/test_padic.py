@@ -306,19 +306,35 @@ def _series_element(draw, K, shift, prec):
     return FieldElement(K, vec, draw(shift), prec)
 
 
+def _wide_element(K):
+    """An element of K with shift s in 0..K.prec, precision s + 1..s + 40,
+    zero to precision one time in five, else coordinates in -p^12..p^12,
+    all split from one drawn integer, the seed of a random.Random: one draw
+    however large the degree, each part uniform over its range."""
+    def split(seed):
+        rng = random.Random(seed)
+        s, zero = rng.randint(0, K.prec), rng.randrange(5) == 0
+        prec = s + rng.randint(1, 40)
+        if zero:
+            return FieldElement(K, (), prec, prec)
+        return FieldElement(K, [rng.randint(-K.p ** 12, K.p ** 12) for _ in range(K.degree)],
+                            s, prec)
+
+    return st.integers(0, 2 ** 64 - 1).map(split)
+
+
 @st.composite
 def _wide_dot_case(draw):
     """Up to 25 terms over one of DOT_FIELDS, elements with shifts s spread
     over 0..20, the fields' precision, and precisions s + 1..s + 40, mixed
-    within a sum, zero to precision one time in five; v of elements, scalars
-    or ints, and a start of K or a zero at 20..45 digits.  The terms' bounds
-    reach past the slot width of the table's own, so many sums are packed at
-    64-bit widths, with the powers of p and the packed table rows the field
-    keeps between sums."""
+    within a sum, zero to precision one time in five, each one drawn integer
+    (`_wide_element`); v of elements, scalars or ints, and a start of K or a
+    zero at 20..45 digits.  The terms' bounds reach past the slot width of
+    the table's own, so many sums are packed at 64-bit widths, with the
+    powers of p and the packed table rows the field keeps between sums."""
     K = DOT_FIELDS[draw(st.sampled_from(sorted(DOT_FIELDS)))]
     size = draw(st.integers(0, 25))
-    element = st.integers(0, K.prec).flatmap(
-        lambda s: _series_element(K, st.just(s), st.integers(s + 1, s + 40)))
+    element = _wide_element(K)
     factor = st.one_of(element, element, _scalar(K.p), st.integers(-100, 100))
     high = st.integers(20, 45).map(lambda prec: FieldElement(K, (), prec, prec))
     return (draw(st.lists(element, min_size=size, max_size=size)),
