@@ -314,7 +314,7 @@ class LocalField:
         s = v // e
         if s >= q:
             s, v = q, e * q
-        k = 0 if n % p else min(vp_int(n, p), N) if n else N   # n is zero at N digits if k = N
+        k = 0 if n % p else vp_int(n, p) if n else N    # any k >= N gives the zero at N digits
         t2, q2 = self._scalar_product((s, q, v), k, N)
         if t2 < q2:                                 # so s < q: a nonzero product
             d, u, m = p ** (s - t), n // p ** k, p ** (q2 - t2)
@@ -545,7 +545,8 @@ class FieldElement:
 
     @classmethod
     def _reduced(cls, field, vec, shift, prec, v=None):
-        """The element of coordinates vec already reduced modulo p^(prec - shift)."""
+        """The element of coordinates vec already reduced modulo p^(prec - shift),
+        v as in `_settle`."""
         return cls.__new__(cls)._settle(field, vec, shift, prec, v)
 
     def _settle(self, field, vec, shift, prec, v=None):

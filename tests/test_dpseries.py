@@ -586,9 +586,11 @@ def _solve_chain(g):
 
 
 # the closed-form grid's fields, Q_3(sqrt 3) with a 15-digit table, Q_2,
-# Q_2(i) and Q_5(zeta_5), at 20 digits
+# Q_2(i) and Q_5(zeta_5), at 20 digits; Q_3 and Q_3(sqrt 3) at 3, where
+# n = 27, 54 and 81 are zero as scalars
 THETA_FIELDS = dict(_twins(20), M15=SERIES_FIELDS["Q3_sqrt3_M15"], Q2=qp_field(2, 20),
-                    **{"Q2(i)": DOT_FIELDS["Q2(i)"], "Q5(zeta5)": cyclotomic_field(5, 1, 20)})
+                    **{"Q2(i)": DOT_FIELDS["Q2(i)"], "Q5(zeta5)": cyclotomic_field(5, 1, 20)},
+                    **{name + "@3": _twins(3)[name] for name in ("Q3", "Q3(sqrt3)")})
 
 
 @st.composite
