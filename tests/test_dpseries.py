@@ -621,8 +621,8 @@ def test_theta_and_its_inverse_are_the_element_chains(f):
 
 @pytest.mark.parametrize("name", ["Q3", "Q3(sqrt3)", "K6"])
 def test_theta_and_its_inverse_form_one_element_per_degree(name, monkeypatch):
-    # the chains formed three elements a degree; the recurrences form the
-    # output's, and solve_theta's zero constant term is one of them
+    # trunc + 1 elements, one an output degree, solve_theta's zero constant
+    # term among them; the same counter sees the chains' three a degree
     K, trunc = THETA_FIELDS[name], 96
     f = DPSeries(K, _random_coefficients(K, random.Random(96), trunc))
     init, reduced, calls = FieldElement.__init__, FieldElement._reduced.__func__, []
